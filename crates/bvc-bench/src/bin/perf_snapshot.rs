@@ -316,9 +316,8 @@ fn main() -> ExitCode {
     // `(d+1)f + 1` (at the exact threshold Γ degenerates to a Tverberg
     // point, which is numerically borderline for *any* formulation),
     // including the closed-form d = 1 path, the C(9,7)-subset f = 2 shape,
-    // and the two pool-backed cliff shapes: `(10, 2, 3)` with C(10,8) = 45
-    // subset hulls and `(13, 3, 2)` with C(13,10) = 286, both above the
-    // heavy-scan threshold of 40.
+    // and the two cliff shapes: `(10, 2, 3)` with C(10,8) = 45 subset hulls
+    // and `(13, 3, 2)` with C(13,10) = 286.
     let micro_shapes: &[(usize, usize, usize)] = &[
         (4, 1, 1),
         (7, 2, 1),

@@ -184,11 +184,6 @@ pub struct RunConfig {
     /// (the pre-session behaviour: one cache per run, shared by all of the
     /// run's processes).
     pub gamma_cache: Option<SharedGammaCache>,
-    /// Switches the run's Γ cache into its incremental cross-round mode:
-    /// engine scans remember refuter-ordinal hints per query shape so round
-    /// `t` reuses round `t−1`'s subset-hull work.  Cost-only (answers are
-    /// bit-identical either way); off by default.
-    pub incremental_gamma: bool,
 }
 
 impl RunConfig {
@@ -214,7 +209,6 @@ impl RunConfig {
             topology: None,
             validity: ValidityMode::Strict,
             gamma_cache: None,
-            incremental_gamma: false,
         }
     }
 
@@ -296,15 +290,6 @@ impl RunConfig {
     /// Shares a Γ cache across runs (defaults to one fresh cache per run).
     pub fn gamma_cache(mut self, cache: SharedGammaCache) -> Self {
         self.gamma_cache = Some(cache);
-        self
-    }
-
-    /// Enables the Γ cache's incremental cross-round mode (off by default):
-    /// refuter-ordinal hints carry subset-hull work from round `t−1` into
-    /// round `t`.  Purely a cost knob — every Γ answer is bit-identical with
-    /// or without it.
-    pub fn incremental_gamma(mut self, enabled: bool) -> Self {
-        self.incremental_gamma = enabled;
         self
     }
 

@@ -140,9 +140,6 @@ impl BvcSession {
             .gamma_cache
             .clone()
             .unwrap_or_else(GammaCache::shared);
-        if config.incremental_gamma {
-            gamma_cache.enable_incremental();
-        }
         Ok(Self {
             protocol,
             config,

@@ -4,15 +4,7 @@
 use super::{make_forge, BvcSession, DriverOutcome, ProtocolDriver};
 use crate::restricted::{ByzantineRestrictedSync, RestrictedSyncProcess, StateMsg};
 use bvc_geometry::Point;
-use bvc_net::{SyncNetwork, SyncProcess, SyncScratch};
-use std::cell::RefCell;
-
-thread_local! {
-    // Per-thread executor buffers: a worker thread deciding a stream of
-    // instances (the service / campaign pools) reuses the n² per-link
-    // queues across instances instead of reallocating them every run.
-    static SCRATCH: RefCell<SyncScratch<StateMsg>> = RefCell::new(SyncScratch::new());
-}
+use bvc_net::{SyncNetwork, SyncProcess};
 
 pub(super) struct RestrictedSyncDriver;
 
@@ -44,8 +36,7 @@ impl ProtocolDriver for RestrictedSyncDriver {
         let network = SyncNetwork::new(processes, RestrictedSyncProcess::total_rounds(config) + 1)
             .with_topology(session.topology().as_ref().clone())
             .with_faults(rc.faults.clone(), rc.seed);
-        let outcome =
-            SCRATCH.with(|scratch| network.run_with_scratch(&honest, &mut scratch.borrow_mut()));
+        let outcome = network.run(&honest);
         let decisions = session.honest_decisions(&outcome.outputs);
         let terminated = decisions.len() == honest.len();
         DriverOutcome {

@@ -17,30 +17,14 @@
 //! Memory is bounded: when a map reaches the configured capacity it is
 //! wholesale-cleared (deterministically; eviction can never change results,
 //! only cost).
-//!
-//! # Incremental mode
-//!
-//! An opt-in **incremental** mode ([`GammaCache::enable_incremental`])
-//! additionally remembers, per query *shape* `(f, dim, |Y|)`, the ordinal of
-//! the subset hull that last refuted a scan.  Successive rounds of an
-//! iterative protocol contract the same cloud of states, so the hull that
-//! refuted round `t−1`'s probe is the first suspect for round `t`'s — the
-//! engine checks it before scanning and skips it during the scan.  Hints are
-//! **cost-only**: any refuting hull is a sound non-membership certificate
-//! and a non-refuting hint falls through to the exhaustive scan, so every
-//! answer is bit-identical to the non-incremental mode's (pinned by test).
-//! The mode is off by default, which keeps the pinned determinism corpora
-//! byte-for-byte unchanged.
 
-use crate::gamma::{
-    contains_impl_hinted, find_point_presorted_attr, find_point_presorted_hinted, GammaAttribution,
-};
+use crate::gamma::{contains_attributed, find_point_presorted, GammaAttribution};
 use crate::multiset::PointMultiset;
 use crate::point::Point;
 use crate::relaxed::{k_relaxed_point, relaxed_gamma_point, ValidityPredicate};
 use bvc_trace::{CacheLevel, GammaPath, GammaQueryKind, TraceEvent};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A Γ-results cache shared between the processes of a run.
@@ -65,7 +49,7 @@ pub struct GammaCounters {
     pub unattributed: u64,
     /// Engine computations per [`GammaPath`] (indexed by
     /// [`GammaPath::index`]).
-    pub paths: [u64; 9],
+    pub paths: [u64; GammaPath::ALL.len()],
 }
 
 impl GammaCounters {
@@ -81,7 +65,7 @@ impl GammaCounters {
 
     /// Counter deltas since an earlier snapshot of the same cache.
     pub fn since(&self, earlier: &GammaCounters) -> GammaCounters {
-        let mut paths = [0u64; 9];
+        let mut paths = [0u64; GammaPath::ALL.len()];
         for (i, slot) in paths.iter_mut().enumerate() {
             *slot = self.paths[i].saturating_sub(earlier.paths[i]);
         }
@@ -200,19 +184,8 @@ pub struct GammaCache {
     parent_hits: AtomicU64,
     probe_misses: AtomicU64,
     unattributed: AtomicU64,
-    paths: [AtomicU64; 9],
+    paths: [AtomicU64; GammaPath::ALL.len()],
     parent: Option<SharedGammaCache>,
-    /// Incremental cross-round mode: when set, scans remember and reuse
-    /// refuter-ordinal hints (see the module docs).  Off by default.
-    incremental: AtomicBool,
-    /// Hint-assisted engine computations: scans whose remembered refuter
-    /// refuted again, short-circuiting the scan.
-    hint_hits: AtomicU64,
-    /// Last refuting subset-hull ordinal per point-query shape
-    /// `(f, dim, |Y|)` (the trimmed-centre probe inside `find_point`).
-    point_hints: Mutex<HashMap<(usize, usize, usize), usize>>,
-    /// Last refuting subset-hull ordinal per membership-query shape.
-    membership_hints: Mutex<HashMap<(usize, usize, usize), usize>>,
 }
 
 impl Default for GammaCache {
@@ -256,10 +229,6 @@ impl GammaCache {
             unattributed: AtomicU64::new(0),
             paths: std::array::from_fn(|_| AtomicU64::new(0)),
             parent: None,
-            incremental: AtomicBool::new(false),
-            hint_hits: AtomicU64::new(0),
-            point_hints: Mutex::new(HashMap::new()),
-            membership_hints: Mutex::new(HashMap::new()),
         }
     }
 
@@ -285,49 +254,6 @@ impl GammaCache {
     /// The parent cache misses are delegated to, if any.
     pub fn parent(&self) -> Option<&SharedGammaCache> {
         self.parent.as_ref()
-    }
-
-    /// Switches on the incremental cross-round mode (see the module docs):
-    /// subsequent engine scans remember the refuting hull's ordinal per
-    /// query shape and check it first next time.  Takes `&self` so it works
-    /// through a [`SharedGammaCache`].  Hints never change answers — only
-    /// how fast a refutation is found — so enabling this is observationally
-    /// transparent (pinned by test).
-    pub fn enable_incremental(&self) {
-        self.incremental.store(true, Ordering::Relaxed);
-    }
-
-    /// `true` when the incremental cross-round mode is on.
-    pub fn incremental_enabled(&self) -> bool {
-        self.incremental.load(Ordering::Relaxed)
-    }
-
-    /// Engine scans whose remembered refuter refuted again (short-circuiting
-    /// the subset scan).  Always `0` unless
-    /// [`enable_incremental`](Self::enable_incremental) was called.
-    pub fn hint_hits(&self) -> u64 {
-        self.hint_hits.load(Ordering::Relaxed)
-    }
-
-    /// The remembered refuter ordinal for a query shape, when incremental
-    /// mode is on.
-    fn hint_for(
-        hints: &Mutex<HashMap<(usize, usize, usize), usize>>,
-        shape: (usize, usize, usize),
-    ) -> Option<usize> {
-        lock(hints).get(&shape).copied()
-    }
-
-    /// Remembers `refuter` (when the scan produced one) as the hint for the
-    /// next same-shape query.
-    fn remember_refuter(
-        hints: &Mutex<HashMap<(usize, usize, usize), usize>>,
-        shape: (usize, usize, usize),
-        refuter: Option<usize>,
-    ) {
-        if let Some(ordinal) = refuter {
-            lock(hints).insert(shape, ordinal);
-        }
     }
 
     /// Memoised [`gamma_point`](crate::gamma_point): the deterministically
@@ -380,19 +306,8 @@ impl GammaCache {
                 (value, demote(parent_level), attr)
             }
             None => {
-                if self.incremental_enabled() {
-                    let shape = (f, canon.dim(), canon.len());
-                    let hint = Self::hint_for(&self.point_hints, shape);
-                    let (value, attr, refuter) = find_point_presorted_hinted(canon, f, hint);
-                    if hint.is_some() && refuter == hint {
-                        self.hint_hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Self::remember_refuter(&self.point_hints, shape, refuter);
-                    (value, CacheLevel::Miss, Some(attr))
-                } else {
-                    let (value, attr) = find_point_presorted_attr(canon, f);
-                    (value, CacheLevel::Miss, Some(attr))
-                }
+                let (value, attr) = find_point_presorted(canon, f);
+                (value, CacheLevel::Miss, Some(attr))
             }
         };
         self.note(
@@ -535,21 +450,8 @@ impl GammaCache {
                 (value, demote(parent_level), path)
             }
             None => {
-                let hint = self
-                    .incremental_enabled()
-                    .then(|| Self::hint_for(&self.membership_hints, (f, y.dim(), y.len())));
-                let outcome = contains_impl_hinted(y, f, point, hint.flatten());
-                if self.incremental_enabled() {
-                    if outcome.path == GammaPath::HintReject {
-                        self.hint_hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Self::remember_refuter(
-                        &self.membership_hints,
-                        (f, y.dim(), y.len()),
-                        outcome.refuter,
-                    );
-                }
-                (outcome.value, CacheLevel::Miss, Some(outcome.path))
+                let (value, path) = contains_attributed(y, f, point);
+                (value, CacheLevel::Miss, Some(path))
             }
         };
         self.note(level, path, false);
@@ -615,7 +517,7 @@ impl GammaCache {
     /// engine attribution).  Snapshots taken around a run and subtracted
     /// with [`GammaCounters::since`] isolate that run's queries.
     pub fn counters(&self) -> GammaCounters {
-        let mut paths = [0u64; 9];
+        let mut paths = [0u64; GammaPath::ALL.len()];
         for (slot, counter) in paths.iter_mut().zip(self.paths.iter()) {
             *slot = counter.load(Ordering::Relaxed);
         }

@@ -95,40 +95,6 @@ impl Iterator for Combinations {
     }
 }
 
-/// The `rank`-th (0-based) `k`-subset of `{0, …, n-1}` in lexicographic
-/// order — the combinadic unranking that gives the parallel subset-hull
-/// scanner random access into the combination stream: worker `w` can build
-/// the hull of ordinal `o` without replaying ordinals `0..o`.  Returns
-/// `None` when `k > n`, `k == 0`, or `rank ≥ C(n, k)`.
-///
-/// Agreement with the streamed order is pinned by test:
-/// `unrank_combination(n, k, o)` equals the `o`-th output of
-/// [`Combinations::new(n, k)`](Combinations) for every ordinal.
-pub fn unrank_combination(n: usize, k: usize, rank: u128) -> Option<Vec<usize>> {
-    if k > n || k == 0 || rank >= binomial(n, k) {
-        return None;
-    }
-    let mut result = Vec::with_capacity(k);
-    let mut remaining = rank;
-    let mut next = 0usize;
-    for position in 0..k {
-        // The number of combinations that keep `next` at position `position`
-        // is C(n - next - 1, k - position - 1); skip values of `next` whose
-        // whole block lies before `rank`.
-        loop {
-            let block = binomial(n - next - 1, k - position - 1);
-            if remaining < block {
-                break;
-            }
-            remaining -= block;
-            next += 1;
-        }
-        result.push(next);
-        next += 1;
-    }
-    Some(result)
-}
-
 /// The binomial coefficient `C(n, k)` computed in `u128` to avoid overflow for
 /// the parameter ranges the experiments sweep, saturating at `u128::MAX`.
 pub fn binomial(n: usize, k: usize) -> u128 {
@@ -242,24 +208,6 @@ mod tests {
         sorted.sort();
         sorted.dedup();
         assert_eq!(sorted.len(), combos.len());
-    }
-
-    #[test]
-    fn unranking_agrees_with_the_streamed_order() {
-        for n in 1..=9 {
-            for k in 1..=n {
-                for (ordinal, streamed) in Combinations::new(n, k).enumerate() {
-                    assert_eq!(
-                        unrank_combination(n, k, ordinal as u128).as_deref(),
-                        Some(streamed.as_slice()),
-                        "n={n}, k={k}, ordinal={ordinal}"
-                    );
-                }
-                assert_eq!(unrank_combination(n, k, binomial(n, k)), None);
-            }
-        }
-        assert_eq!(unrank_combination(3, 5, 0), None);
-        assert_eq!(unrank_combination(4, 0, 0), None);
     }
 
     #[test]

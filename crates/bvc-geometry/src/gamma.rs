@@ -38,16 +38,13 @@
 //! program of Section 2.2, which experiment E7 compares against the paper's
 //! formula.
 
-use crate::combinatorics::{binomial, combinations, unrank_combination, Combinations};
+use crate::combinatorics::{binomial, combinations, Combinations};
 use crate::hull::{ConvexHull, HULL_TOLERANCE};
 use crate::multiset::PointMultiset;
 use crate::point::Point;
-use crate::pool::{self, HEAVY_SUBSET_THRESHOLD};
-use bvc_lp::SolveStatus;
 use bvc_trace::GammaPath;
 use std::cell::Cell;
 use std::cmp::Ordering;
-use std::collections::HashMap;
 
 /// Which engine path resolved a point-selection query, plus whether the
 /// trimmed-box probe was tried and missed on the way there.  This is the
@@ -61,22 +58,6 @@ pub struct GammaAttribution {
     /// `true` when the trimmed-box centre probe ran and failed membership
     /// before the answering path took over.
     pub probe_missed: bool,
-}
-
-/// Outcome of a membership query with full diagnostics: the verdict, the
-/// deciding engine branch, and — when a subset-hull scan refuted membership —
-/// the ordinal of the refuting hull in the canonical (lexicographic) subset
-/// order.  The refuter is what the incremental
-/// [`GammaCache`](crate::cache::GammaCache) mode remembers across rounds: a
-/// hull that refuted round `t−1`'s query is the first suspect for round `t`'s.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ContainsOutcome {
-    /// The membership verdict.
-    pub value: bool,
-    /// The engine branch that decided it.
-    pub path: GammaPath,
-    /// Ordinal of the refuting subset hull, when a scan refuted membership.
-    pub refuter: Option<usize>,
 }
 
 /// Tolerance of the `d = 1` closed-form interval test, aligned with the LP
@@ -139,7 +120,7 @@ impl SafeArea {
 
     /// Returns `true` if `point` lies in `Γ(Y)`, i.e. in every defining hull.
     pub fn contains(&self, point: &Point) -> bool {
-        contains_impl(&self.source, self.f, point)
+        gamma_contains(&self.source, self.f, point)
     }
 
     /// Returns a deterministically chosen point of `Γ(Y)`, or `None` when the
@@ -150,12 +131,12 @@ impl SafeArea {
     /// multiset obtains the same point — which is exactly the "deterministic
     /// function" the Exact BVC algorithm requires in Step 2.
     pub fn find_point(&self) -> Option<Point> {
-        find_point_impl(&self.source, self.f)
+        gamma_point(&self.source, self.f)
     }
 
     /// Returns `true` if `Γ(Y)` is empty.
     pub fn is_empty_region(&self) -> bool {
-        is_empty_impl(&self.source, self.f)
+        gamma_is_empty(&self.source, self.f)
     }
 
     /// Lemma 1 precondition: `|Y| ≥ (d+1)f + 1` guarantees `Γ(Y) ≠ ∅`.
@@ -171,7 +152,7 @@ impl SafeArea {
 ///
 /// Panics if `f >= y.len()`.
 pub fn gamma_point(y: &PointMultiset, f: usize) -> Option<Point> {
-    find_point_impl(y, f)
+    gamma_point_attributed(y, f).0
 }
 
 /// [`gamma_point`] with outcome attribution: which fast path served the
@@ -181,7 +162,21 @@ pub fn gamma_point(y: &PointMultiset, f: usize) -> Option<Point> {
 ///
 /// Panics if `f >= y.len()`.
 pub fn gamma_point_attributed(y: &PointMultiset, f: usize) -> (Option<Point>, GammaAttribution) {
-    find_point_impl_attr(y, f)
+    assert!(
+        f < y.len(),
+        "fault bound f = {f} must be smaller than |Y| = {}",
+        y.len()
+    );
+    if y.dim() == 1 {
+        return (
+            d1_find_point(y, f),
+            GammaAttribution {
+                path: GammaPath::D1ClosedForm,
+                probe_missed: false,
+            },
+        );
+    }
+    find_point_presorted(canonical_order(y), f)
 }
 
 /// Returns `true` if `point ∈ Γ(y)` with fault bound `f`.
@@ -190,7 +185,7 @@ pub fn gamma_point_attributed(y: &PointMultiset, f: usize) -> (Option<Point>, Ga
 ///
 /// Panics if `f >= y.len()`.
 pub fn gamma_contains(y: &PointMultiset, f: usize, point: &Point) -> bool {
-    contains_impl(y, f, point)
+    contains_attributed(y, f, point).0
 }
 
 /// Returns `true` if `Γ(y)` is empty for fault bound `f`.
@@ -199,7 +194,23 @@ pub fn gamma_contains(y: &PointMultiset, f: usize, point: &Point) -> bool {
 ///
 /// Panics if `f >= y.len()`.
 pub fn gamma_is_empty(y: &PointMultiset, f: usize) -> bool {
-    is_empty_impl(y, f)
+    assert!(
+        f < y.len(),
+        "fault bound f = {f} must be smaller than |Y| = {}",
+        y.len()
+    );
+    if y.dim() == 1 {
+        let (lo, hi) = d1_interval(y, f);
+        return lo > hi + D1_TOLERANCE;
+    }
+    gamma_point(y, f).is_none()
+}
+
+/// Threads a Γ query runs on: always 1 (the calling thread) since the
+/// subset-hull worker pool was removed.  Kept only because the benchmark of
+/// record prints it in its run header; drop it together with that field.
+pub fn gamma_workers() -> usize {
+    1
 }
 
 // ---------------------------------------------------------------------------
@@ -253,31 +264,6 @@ pub(crate) fn trimmed_bounds(y: &PointMultiset, f: usize) -> (Vec<f64>, Vec<f64>
     (lo, hi)
 }
 
-pub(crate) fn find_point_impl(y: &PointMultiset, f: usize) -> Option<Point> {
-    find_point_impl_attr(y, f).0
-}
-
-pub(crate) fn find_point_impl_attr(
-    y: &PointMultiset,
-    f: usize,
-) -> (Option<Point>, GammaAttribution) {
-    assert!(
-        f < y.len(),
-        "fault bound f = {f} must be smaller than |Y| = {}",
-        y.len()
-    );
-    if y.dim() == 1 {
-        return (
-            d1_find_point(y, f),
-            GammaAttribution {
-                path: GammaPath::D1ClosedForm,
-                probe_missed: false,
-            },
-        );
-    }
-    find_point_presorted_attr(canonical_order(y), f)
-}
-
 /// Closed-form `d = 1` point selection: the midpoint of the trimmed
 /// interval (deterministic and order-invariant by construction).  The
 /// interval counts as non-empty up to [`D1_TOLERANCE`], matching both the
@@ -290,27 +276,13 @@ fn d1_find_point(y: &PointMultiset, f: usize) -> Option<Point> {
     (lo <= hi + D1_TOLERANCE).then(|| Point::new(vec![0.5 * (lo + hi)]))
 }
 
-/// [`find_point_impl_attr`] for a multiset already in canonical order
-/// (`d ≥ 2`): lets callers that computed the canonical order for other
-/// purposes (the cache builds its key from it) avoid sorting twice.
-pub(crate) fn find_point_presorted_attr(
+/// The point engine, for a multiset already in canonical order: lets callers
+/// that computed the canonical order for other purposes (the cache builds
+/// its key from it) avoid sorting twice.
+pub(crate) fn find_point_presorted(
     canon: PointMultiset,
     f: usize,
 ) -> (Option<Point>, GammaAttribution) {
-    let (value, attribution, _refuter) = find_point_presorted_hinted(canon, f, None);
-    (value, attribution)
-}
-
-/// [`find_point_presorted_attr`] with an optional probe-refuter hint (see
-/// [`contains_impl_hinted`]) and, in return, the ordinal of the hull that
-/// refuted the trimmed-centre probe this time (for the incremental cache to
-/// remember).  The hint only accelerates or skips parts of the probe's
-/// membership scan — the chosen point is identical with or without it.
-pub(crate) fn find_point_presorted_hinted(
-    canon: PointMultiset,
-    f: usize,
-    hint: Option<usize>,
-) -> (Option<Point>, GammaAttribution, Option<usize>) {
     let attributed = |path| GammaAttribution {
         path,
         probe_missed: false,
@@ -319,14 +291,12 @@ pub(crate) fn find_point_presorted_hinted(
         return (
             d1_find_point(&canon, f),
             attributed(GammaPath::D1ClosedForm),
-            None,
         );
     }
     if f == 0 {
         return (
             ConvexHull::common_point(&[ConvexHull::new(canon)]),
             attributed(GammaPath::HullF0),
-            None,
         );
     }
     // Cheap deterministic probe before any joint LP: the centre of the
@@ -338,9 +308,8 @@ pub(crate) fn find_point_presorted_hinted(
     // so determinism is unaffected.
     let (lo, hi) = trimmed_bounds(&canon, f);
     let centre = Point::new(lo.iter().zip(&hi).map(|(l, h)| 0.5 * (l + h)).collect());
-    let probe = contains_impl_hinted(&canon, f, &centre, hint);
-    if probe.value {
-        return (Some(centre), attributed(GammaPath::ProbeHit), None);
+    if contains_attributed(&canon, f, &centre).0 {
+        return (Some(centre), attributed(GammaPath::ProbeHit));
     }
     let (value, naive_used) = find_point_active(&canon, f);
     (
@@ -353,7 +322,6 @@ pub(crate) fn find_point_presorted_hinted(
             },
             probe_missed: true,
         },
-        probe.refuter,
     )
 }
 
@@ -367,9 +335,6 @@ fn find_point_active(y: &PointMultiset, f: usize) -> (Option<Point>, bool) {
     let m = y.len();
     let k = m - f;
     let count = usize::try_from(binomial(m, k)).unwrap_or(usize::MAX);
-    if count >= HEAVY_SUBSET_THRESHOLD {
-        return find_point_active_heavy(y, f, count);
-    }
     let mut stream = Combinations::new(m, k);
     let mut index_lists: Vec<Vec<usize>> = Vec::new();
     let hull_at = move |ordinal: usize| {
@@ -389,60 +354,6 @@ fn find_point_active(y: &PointMultiset, f: usize) -> (Option<Point>, bool) {
     (value, naive_used.get())
 }
 
-/// [`find_point_active`] for heavy shapes (at least
-/// [`HEAVY_SUBSET_THRESHOLD`] subset hulls): the same working-set loop, but
-/// the per-candidate verification scan — the part whose cost is linear in
-/// `C(m, m−f)` — runs on the deterministic worker pool.  The pool reports
-/// the *minimum* violated ordinal, which is exactly the ordinal the
-/// sequential scan of [`ConvexHull::active_set_common_point`] would add to
-/// the working set, so the loop visits the same working sets and returns the
-/// same point as the sequential engine at every worker count.  Joint LPs and
-/// the final working-set re-verification stay on the calling thread (they
-/// are small and their trace events must stay on the caller's scope).
-fn find_point_active_heavy(y: &PointMultiset, f: usize, count: usize) -> (Option<Point>, bool) {
-    let m = y.len();
-    let k = m - f;
-    let hull_for = |ordinal: usize| -> ConvexHull {
-        let idx =
-            unrank_combination(m, k, ordinal as u128).expect("ordinal is below the subset count");
-        ConvexHull::new(y.select(&idx))
-    };
-    let mut built: HashMap<usize, ConvexHull> = HashMap::new();
-    built.insert(0, hull_for(0));
-    let mut active: Vec<usize> = vec![0];
-    loop {
-        let working: Vec<&ConvexHull> = active.iter().map(|o| &built[o]).collect();
-        let (status, candidate) = ConvexHull::joint_candidate(&working);
-        let z = match (status, candidate) {
-            (SolveStatus::Infeasible, _) => return (None, false),
-            (SolveStatus::Optimal, Some(z)) => z,
-            // Unbounded cannot arise (the candidate is pinned inside the
-            // first hull) and a stalled solve certifies nothing; treat both
-            // as numerical trouble.
-            _ => return (naive_find_point(y, f), true),
-        };
-        let active_now = &active;
-        let violated = pool::min_matching_ordinal(count, &|ordinal, ws| {
-            !active_now.contains(&ordinal) && !hull_for(ordinal).contains_pooled(&z, ws)
-        });
-        match violated {
-            Some(ordinal) => {
-                built.insert(ordinal, hull_for(ordinal));
-                active.push(ordinal);
-            }
-            None => {
-                // The candidate passed every hull outside the working set;
-                // re-verify the working set itself to guard against joint-LP
-                // round-off before accepting.
-                if active.iter().all(|o| built[o].contains(&z)) {
-                    return (Some(z), false);
-                }
-                return (naive_find_point(y, f), true);
-            }
-        }
-    }
-}
-
 /// The naive all-LPs formulation (every hull materialised, one monolithic
 /// joint LP): the semantic reference the lazy engine falls back to on
 /// numerical disagreement.
@@ -455,37 +366,8 @@ fn naive_find_point(y: &PointMultiset, f: usize) -> Option<Point> {
     ConvexHull::common_point(&hulls)
 }
 
-pub(crate) fn contains_impl(y: &PointMultiset, f: usize, point: &Point) -> bool {
-    contains_impl_attr(y, f, point).0
-}
-
-/// [`contains_impl`] with attribution of the branch that decided
-/// membership.
-pub(crate) fn contains_impl_attr(y: &PointMultiset, f: usize, point: &Point) -> (bool, GammaPath) {
-    let outcome = contains_impl_hinted(y, f, point, None);
-    (outcome.value, outcome.path)
-}
-
-/// The full membership engine, with an optional *refuter hint*: the ordinal
-/// of a subset hull that refuted an earlier, structurally similar query
-/// (remembered by the incremental cache mode).  The hint is checked first —
-/// if its hull refutes the point, the query resolves as
-/// [`GammaPath::HintReject`] without scanning — and is otherwise skipped by
-/// the scan (it is already known non-refuting), so a hint changes cost but
-/// **never the verdict**: any refuting hull is a sound non-membership
-/// certificate, and a non-refuting hint falls through to the same exhaustive
-/// scan.
-///
-/// Shapes with at least [`HEAVY_SUBSET_THRESHOLD`] subset hulls run the scan
-/// on the deterministic worker pool ([`pool::min_matching_ordinal`]), which
-/// reports the same first-refuter ordinal as the sequential stream at every
-/// worker count.
-pub(crate) fn contains_impl_hinted(
-    y: &PointMultiset,
-    f: usize,
-    point: &Point,
-    hint: Option<usize>,
-) -> ContainsOutcome {
+/// The membership engine, with attribution of the branch that decided it.
+pub(crate) fn contains_attributed(y: &PointMultiset, f: usize, point: &Point) -> (bool, GammaPath) {
     assert!(
         f < y.len(),
         "fault bound f = {f} must be smaller than |Y| = {}",
@@ -496,21 +378,16 @@ pub(crate) fn contains_impl_hinted(
         y.dim(),
         "query point dimension must match the multiset dimension"
     );
-    let decided = |value, path| ContainsOutcome {
-        value,
-        path,
-        refuter: None,
-    };
     if y.dim() == 1 {
         let (lo, hi) = d1_interval(y, f);
         let c = point.coord(0);
-        return decided(
+        return (
             c >= lo - D1_TOLERANCE && c <= hi + D1_TOLERANCE,
             GammaPath::D1ClosedForm,
         );
     }
     if f == 0 {
-        return decided(
+        return (
             ConvexHull::new(y.clone()).contains(point),
             GammaPath::HullF0,
         );
@@ -522,7 +399,7 @@ pub(crate) fn contains_impl_hinted(
         .filter(|g| g.approx_eq(point, MEMBER_EQ_TOLERANCE))
         .count();
     if copies > f {
-        return decided(true, GammaPath::MultiplicityAccept);
+        return (true, GammaPath::MultiplicityAccept);
     }
     // Trimmed bounding-box reject: Γ(Y) lies inside the per-coordinate
     // trimmed range.
@@ -533,69 +410,16 @@ pub(crate) fn contains_impl_hinted(
         .zip(lo.iter().zip(&hi))
         .any(|(&c, (&l, &h))| c < l - HULL_TOLERANCE || c > h + HULL_TOLERANCE)
     {
-        return decided(false, GammaPath::BoxReject);
-    }
-    let m = y.len();
-    let k = m - f;
-    let count = usize::try_from(binomial(m, k)).unwrap_or(usize::MAX);
-    // Refuter-hint pre-check.
-    if let Some(h) = hint.filter(|&h| h < count) {
-        let idx = unrank_combination(m, k, h as u128).expect("hint ordinal is below the count");
-        if !ConvexHull::new(y.select(&idx)).contains(point) {
-            return ContainsOutcome {
-                value: false,
-                path: GammaPath::HintReject,
-                refuter: Some(h),
-            };
-        }
-    }
-    if count >= HEAVY_SUBSET_THRESHOLD {
-        // Parallel scan: the pool reports the minimum refuting ordinal,
-        // which is exactly what the sequential stream below would find.
-        let refuter = pool::min_matching_ordinal(count, &|ordinal, ws| {
-            Some(ordinal) != hint && {
-                let idx = unrank_combination(m, k, ordinal as u128)
-                    .expect("pool ordinals are below the count");
-                !ConvexHull::new(y.select(&idx)).contains_pooled(point, ws)
-            }
-        });
-        return ContainsOutcome {
-            value: refuter.is_none(),
-            path: GammaPath::StreamScan,
-            refuter,
-        };
+        return (false, GammaPath::BoxReject);
     }
     // Stream the subsets and short-circuit on the first refuting hull.
-    let mut stream = Combinations::new(m, k);
-    let mut ordinal = 0usize;
+    let mut stream = Combinations::new(y.len(), y.len() - f);
     while let Some(idx) = stream.next_ref() {
-        if Some(ordinal) != hint && !ConvexHull::new(y.select(idx)).contains(point) {
-            return ContainsOutcome {
-                value: false,
-                path: GammaPath::StreamScan,
-                refuter: Some(ordinal),
-            };
+        if !ConvexHull::new(y.select(idx)).contains(point) {
+            return (false, GammaPath::StreamScan);
         }
-        ordinal += 1;
     }
-    ContainsOutcome {
-        value: true,
-        path: GammaPath::StreamScan,
-        refuter: None,
-    }
-}
-
-pub(crate) fn is_empty_impl(y: &PointMultiset, f: usize) -> bool {
-    assert!(
-        f < y.len(),
-        "fault bound f = {f} must be smaller than |Y| = {}",
-        y.len()
-    );
-    if y.dim() == 1 {
-        let (lo, hi) = d1_interval(y, f);
-        return lo > hi + D1_TOLERANCE;
-    }
-    find_point_impl(y, f).is_none()
+    (true, GammaPath::StreamScan)
 }
 
 // ---------------------------------------------------------------------------
@@ -935,14 +759,14 @@ mod tests {
             &[4.0, 4.0],
             &[2.0, 2.0],
         ]);
-        let (ok, path) = contains_impl_attr(&y, 1, &Point::new(vec![-1.0, 2.0]));
+        let (ok, path) = contains_attributed(&y, 1, &Point::new(vec![-1.0, 2.0]));
         assert!(!ok);
         assert_eq!(path, GammaPath::BoxReject);
-        let (ok, path) = contains_impl_attr(&y, 1, &Point::new(vec![2.0, 2.0]));
+        let (ok, path) = contains_attributed(&y, 1, &Point::new(vec![2.0, 2.0]));
         assert!(ok);
         assert_eq!(path, GammaPath::StreamScan);
         let dup = pts(&[&[1.0, 1.0], &[1.0, 1.0], &[9.0, 0.0], &[0.0, 9.0]]);
-        let (ok, path) = contains_impl_attr(&dup, 1, &Point::new(vec![1.0, 1.0]));
+        let (ok, path) = contains_attributed(&dup, 1, &Point::new(vec![1.0, 1.0]));
         assert!(ok);
         assert_eq!(path, GammaPath::MultiplicityAccept);
     }

@@ -120,28 +120,6 @@ impl ConvexHull {
         self.membership_lp(point).solve_feasibility() == SolveStatus::Optimal
     }
 
-    /// [`ConvexHull::contains`] for the heavy-scan worker pool: identical
-    /// short-circuits and verdict, but the membership LP leases its buffers
-    /// from the supplied workspace and warm-starts phase 1 from the previous
-    /// membership solve of the same tableau shape (sound because warm starts
-    /// change the pivot walk, never the feasibility verdict).
-    pub(crate) fn contains_pooled(
-        &self,
-        point: &Point,
-        workspace: &mut bvc_lp::SimplexWorkspace,
-    ) -> bool {
-        debug_assert_eq!(point.dim(), self.dim());
-        if self.bounding_box_rejects(point) {
-            return false;
-        }
-        if self.equals_a_generator(point) {
-            return true;
-        }
-        self.membership_lp(point)
-            .solve_feasibility_warm_with(workspace)
-            == SolveStatus::Optimal
-    }
-
     /// The feasibility program `Σ α = 1`, `Σ α_i g_i = point`, `α ≥ 0`.
     fn membership_lp(&self, point: &Point) -> LinearProgram {
         let k = self.generators.len();

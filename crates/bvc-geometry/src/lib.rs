@@ -46,7 +46,6 @@ pub mod gamma;
 pub mod hull;
 pub mod multiset;
 pub mod point;
-pub mod pool;
 pub mod relaxed;
 pub mod tverberg;
 pub mod workload;
@@ -54,12 +53,12 @@ pub mod workload;
 pub use cache::{GammaCache, GammaCounters, SharedGammaCache};
 pub use gamma::{
     common_point_of_subsets, gamma_contains, gamma_is_empty, gamma_point, gamma_point_attributed,
-    gamma_subset_indices, leave_one_out_intersection, lp_size, GammaAttribution, SafeArea,
+    gamma_subset_indices, gamma_workers, leave_one_out_intersection, lp_size, GammaAttribution,
+    SafeArea,
 };
 pub use hull::ConvexHull;
 pub use multiset::PointMultiset;
 pub use point::{Point, DEFAULT_TOLERANCE};
-pub use pool::{gamma_workers, set_gamma_workers, HEAVY_SUBSET_THRESHOLD};
 pub use relaxed::{
     decision_point, dilate_about_centroid, k_relaxed_point, relaxed_gamma_contains,
     relaxed_gamma_point, ValidityPredicate,

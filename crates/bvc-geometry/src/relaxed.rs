@@ -36,7 +36,7 @@
 //! `k`-dimensional shadows against the projected safe areas.
 
 use crate::combinatorics::{binomial, Combinations};
-use crate::gamma::{canonical_order, contains_impl, trimmed_bounds};
+use crate::gamma::{canonical_order, gamma_contains, gamma_point, trimmed_bounds};
 use crate::hull::ConvexHull;
 use crate::multiset::PointMultiset;
 use crate::point::Point;
@@ -226,7 +226,7 @@ pub fn relaxed_gamma_point(y: &PointMultiset, f: usize, alpha: f64) -> Option<Po
         "alpha must be finite and non-negative, got {alpha}"
     );
     if alpha == 0.0 {
-        return crate::gamma::find_point_impl(y, f);
+        return gamma_point(y, f);
     }
     let canon = canonical_order(y);
     if f == 0 {
@@ -278,7 +278,7 @@ pub fn relaxed_gamma_contains(y: &PointMultiset, f: usize, alpha: f64, point: &P
         "alpha must be finite and non-negative, got {alpha}"
     );
     if alpha == 0.0 {
-        return contains_impl(y, f, point);
+        return gamma_contains(y, f, point);
     }
     let m = y.len();
     let mut stream = Combinations::new(m, m - f);
@@ -320,7 +320,7 @@ pub fn k_relaxed_point(y: &PointMultiset, f: usize, k: usize) -> Option<Point> {
     let d = y.dim();
     assert!(k >= 1 && k <= d, "k must be in 1..=d, got {k} (d = {d})");
     if k == d {
-        return crate::gamma::find_point_impl(y, f);
+        return gamma_point(y, f);
     }
     let canon = canonical_order(y);
     let (lo, hi) = trimmed_bounds(&canon, f);
@@ -331,7 +331,7 @@ pub fn k_relaxed_point(y: &PointMultiset, f: usize, k: usize) -> Option<Point> {
     let mut subsets = Combinations::new(d, k);
     while let Some(coords) = subsets.next_ref() {
         let projected = project(&canon, coords);
-        if !contains_impl(&projected, f, &project_point(&centre, coords)) {
+        if !gamma_contains(&projected, f, &project_point(&centre, coords)) {
             return None;
         }
     }
@@ -354,13 +354,13 @@ pub fn k_relaxed_point(y: &PointMultiset, f: usize, k: usize) -> Option<Point> {
 /// Panics if `f >= y.len()` or the mode's parameter is invalid.
 pub fn decision_point(y: &PointMultiset, f: usize, mode: &ValidityPredicate) -> Option<Point> {
     match mode {
-        ValidityPredicate::Strict => crate::gamma::find_point_impl(y, f),
+        ValidityPredicate::Strict => gamma_point(y, f),
         ValidityPredicate::AlphaScaled(alpha) => relaxed_gamma_point(y, f, *alpha),
         ValidityPredicate::KRelaxed(k) => {
             if *k >= y.dim() {
-                crate::gamma::find_point_impl(y, f)
+                gamma_point(y, f)
             } else {
-                crate::gamma::find_point_impl(y, f).or_else(|| k_relaxed_point(y, f, *k))
+                gamma_point(y, f).or_else(|| k_relaxed_point(y, f, *k))
             }
         }
     }

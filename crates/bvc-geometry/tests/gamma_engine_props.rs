@@ -87,40 +87,53 @@ proptest! {
         }
     }
 
-    /// Lazy path (d = 2, above the Lemma 1 threshold): membership agrees
-    /// with the naive implementation on generators and random queries.
+    /// Lazy path (above the Lemma 1 threshold): membership agrees with the
+    /// naive implementation on generators and random queries, at d = 2 and
+    /// at |Y| = 10, f = 2, d = 3 — the 45-subset shape of the exact
+    /// protocol's Γ(S) query.
     #[test]
     fn lazy_membership_agrees_with_naive(
         pts in points(5, 2),
         probe in prop::collection::vec(-6.0f64..6.0, 2),
+        heavy_pts in points(10, 3),
+        heavy_probe in prop::collection::vec(-6.0f64..6.0, 3),
     ) {
-        let y = PointMultiset::new(pts.clone());
-        let queries: Vec<Point> = pts
-            .iter()
-            .cloned()
-            .chain([Point::new(probe), Point::new(vec![40.0, 40.0])])
-            .collect();
-        for q in &queries {
-            prop_assert_eq!(
-                gamma_contains(&y, 1, q),
-                naive_contains(&y, 1, q),
-                "lazy membership diverged at {}", q
-            );
+        for (pts, f, probe) in [(pts, 1usize, probe), (heavy_pts, 2, heavy_probe)] {
+            let far = Point::new(vec![40.0; probe.len()]);
+            let y = PointMultiset::new(pts.clone());
+            let queries: Vec<Point> = pts
+                .iter()
+                .cloned()
+                .chain([Point::new(probe), far])
+                .collect();
+            for q in &queries {
+                prop_assert_eq!(
+                    gamma_contains(&y, f, q),
+                    naive_contains(&y, f, q),
+                    "lazy membership diverged at {} (|Y|={}, f={})", q, y.len(), f
+                );
+            }
         }
     }
 
     /// Lazy path: the chosen point lies in the naive Γ (every materialised
     /// hull contains it) and never misses a Γ the naive path can certify
-    /// non-empty.
+    /// non-empty — same two shapes.
     #[test]
-    fn lazy_point_is_inside_naive_gamma(pts in points(6, 2)) {
-        let y = PointMultiset::new(pts);
-        match gamma_point(&y, 1) {
-            Some(p) => prop_assert!(naive_contains(&y, 1, &p), "lazy point {} outside naive Γ", p),
-            None => prop_assert!(
-                naive_point(&y, 1).is_none(),
-                "lazy reported empty where the naive joint LP found a point"
-            ),
+    fn lazy_point_is_inside_naive_gamma(pts in points(6, 2), heavy_pts in points(10, 3)) {
+        for (pts, f) in [(pts, 1usize), (heavy_pts, 2)] {
+            let y = PointMultiset::new(pts);
+            match gamma_point(&y, f) {
+                Some(p) => prop_assert!(
+                    naive_contains(&y, f, &p),
+                    "lazy point {} outside naive Γ (|Y|={}, f={})", p, y.len(), f
+                ),
+                None => prop_assert!(
+                    naive_point(&y, f).is_none(),
+                    "lazy reported empty where the naive joint LP found a point (|Y|={}, f={})",
+                    y.len(), f
+                ),
+            }
         }
     }
 

@@ -7,7 +7,7 @@
 //! with [`LinearProgram::mark_free`], in which case the solver internally
 //! splits them into a difference of two non-negative variables.
 
-use crate::simplex::{solve_two_phase, solve_two_phase_warm, Solution, SolveMode, SolveStatus};
+use crate::simplex::{solve_two_phase, Solution, SolveMode, SolveStatus};
 use crate::workspace::{with_thread_workspace, SimplexWorkspace};
 
 /// Direction of optimisation.
@@ -200,21 +200,6 @@ impl LinearProgram {
     /// Like [`LinearProgram::solve_feasibility`], with an explicit workspace.
     pub fn solve_feasibility_with(&self, workspace: &mut SimplexWorkspace) -> SolveStatus {
         solve_two_phase(self, workspace, SolveMode::FeasibilityOnly).status
-    }
-
-    /// [`LinearProgram::solve_feasibility_with`] with a **warm-started**
-    /// phase 1: the entering-column scan fronts the columns of the final
-    /// basis of the previous completed warm solve of the same tableau shape,
-    /// remembered inside `workspace` (and cleared whenever the workspace
-    /// crosses a trace scope).  Because the reordering is still Bland's rule
-    /// under a total order that is fixed for the whole solve, the verdict is
-    /// **identical** to [`LinearProgram::solve_feasibility`] on every input —
-    /// warm starts change the pivot walk, never the answer.  Warm starts are
-    /// deliberately not offered for full solves: a full solve's chosen point
-    /// could depend on the walk, and point-valued answers must stay
-    /// history-free.
-    pub fn solve_feasibility_warm_with(&self, workspace: &mut SimplexWorkspace) -> SolveStatus {
-        solve_two_phase_warm(self, workspace).status
     }
 }
 

@@ -236,32 +236,6 @@ pub(crate) fn solve_two_phase(
     workspace: &mut SimplexWorkspace,
     mode: SolveMode,
 ) -> Solution {
-    solve_two_phase_inner(lp, workspace, mode, false)
-}
-
-/// [`solve_two_phase`] in feasibility-only mode with **warm-started**
-/// phase 1: the entering-column scan is reordered to front the columns that
-/// formed the final basis of the previous completed warm solve of the same
-/// tableau shape (stored in the workspace, cleared on trace-scope changes).
-/// The reordering is still Bland's rule under a fixed total order, so the
-/// verdict is identical to a cold solve — only the pivot walk is shorter on
-/// the near-identical successive programs of a contracting round sequence.
-/// Restricted to feasibility-only solves on purpose: a full solve's *chosen
-/// point* could depend on the pivot walk, and every consumer of this crate
-/// relies on point-valued answers being history-free.
-pub(crate) fn solve_two_phase_warm(
-    lp: &LinearProgram,
-    workspace: &mut SimplexWorkspace,
-) -> Solution {
-    solve_two_phase_inner(lp, workspace, SolveMode::FeasibilityOnly, true)
-}
-
-fn solve_two_phase_inner(
-    lp: &LinearProgram,
-    workspace: &mut SimplexWorkspace,
-    mode: SolveMode,
-    warm: bool,
-) -> Solution {
     let lay = layout(lp);
     let m = lp.num_constraints();
     // Pin the workspace to the current trace scope *before* leasing
@@ -273,7 +247,7 @@ fn solve_two_phase_inner(
     let mut tableau = Tableau::from_workspace(m, lay.total_cols, workspace);
     let reused = workspace.reuses() > reuses_before;
     fill_tableau(lp, &lay, &mut tableau);
-    let solution = run_phases(lp, &lay, &mut tableau, workspace, mode, warm);
+    let solution = run_phases(lp, &lay, &mut tableau, workspace, mode);
     let pivots = tableau.pivots();
     tableau.recycle(workspace);
     bvc_trace::emit(|| bvc_trace::TraceEvent::Simplex {
@@ -293,7 +267,6 @@ fn run_phases(
     tableau: &mut Tableau,
     workspace: &mut SimplexWorkspace,
     mode: SolveMode,
-    warm: bool,
 ) -> Solution {
     let m = lp.num_constraints();
     let n_structural = lay.num_structural;
@@ -310,20 +283,7 @@ fn run_phases(
         // The phase-1 objective is bounded below by zero, so an "unbounded"
         // outcome can only be numerical noise; the decision is made on the
         // attained objective value.
-        let warm_priority = if warm {
-            workspace
-                .warm_priority(m, total_cols)
-                .map(<[usize]>::to_vec)
-        } else {
-            None
-        };
-        let mut outcome = match &warm_priority {
-            Some(priority) => {
-                workspace.note_warm_hit();
-                tableau.run_simplex_priority(&eligible, priority)
-            }
-            None => tableau.run_simplex(&eligible),
-        };
+        let mut outcome = tableau.run_simplex(&eligible);
         if outcome == PivotOutcome::Stalled {
             // The banded ratio test cycled on degenerate input, and by the
             // time the iteration cap fires the tableau has ground thousands
@@ -357,11 +317,6 @@ fn run_phases(
                 };
             }
             return Solution::infeasible(lp.num_variables());
-        }
-        if warm {
-            // Phase 1 completed feasibly: its final basis is the warm
-            // priority for the next same-shape solve.
-            workspace.store_warm_priority(m, total_cols, tableau.basis_columns());
         }
         if mode == SolveMode::FeasibilityOnly {
             return Solution {

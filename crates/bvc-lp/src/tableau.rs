@@ -302,48 +302,6 @@ impl Tableau {
         PivotOutcome::Stalled
     }
 
-    /// [`Tableau::run_simplex`] with a caller-supplied **column priority**:
-    /// the entering variable is the first column of `priority` (a permutation
-    /// of `0..cols`) that is eligible with a negative reduced cost.  This is
-    /// still Bland's rule — first negative cost under a total order of the
-    /// columns that is fixed for the whole solve — so the anti-cycling
-    /// property is unchanged; only the pivot *order* (and hence the pivot
-    /// count) can differ from the identity-order walk.  Warm starts use it to
-    /// revisit the columns that formed the previous solve's final basis
-    /// first, which on the near-identical successive programs of a
-    /// contracting round sequence skips most of the cold walk.
-    pub(crate) fn run_simplex_priority(
-        &mut self,
-        eligible: &[bool],
-        priority: &[usize],
-    ) -> PivotOutcome {
-        debug_assert_eq!(eligible.len(), self.cols);
-        debug_assert_eq!(priority.len(), self.cols);
-        let stride = self.stride();
-        let max_iterations = 1000 + 50 * (self.rows + self.cols);
-        for _ in 0..max_iterations {
-            let objective_row = &self.data[self.rows * stride..self.rows * stride + self.cols];
-            let entering = priority
-                .iter()
-                .copied()
-                .find(|&col| eligible[col] && objective_row[col] < -EPSILON);
-            let entering = match entering {
-                Some(col) => col,
-                None => return PivotOutcome::Optimal,
-            };
-            match self.leaving_banded(entering) {
-                Some(row) => self.pivot(row, entering),
-                None => return PivotOutcome::Unbounded,
-            }
-        }
-        PivotOutcome::Stalled
-    }
-
-    /// The current basis columns, one per constraint row.
-    pub(crate) fn basis_columns(&self) -> &[usize] {
-        &self.basis
-    }
-
     /// Runs simplex iterations under the **lexicographic** leaving rule: the
     /// leaving row minimises the ratio vector `(rhs, ref₀, ref₁, …) / aᵣ`
     /// lexicographically, where the reference columns are the basis columns

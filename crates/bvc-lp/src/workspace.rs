@@ -16,7 +16,6 @@
 //! [`LinearProgram::solve_with`](crate::LinearProgram::solve_with).
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 /// Number of power-of-two size classes kept per buffer kind (class 30 holds
 /// buffers of up to 2^30 elements — far beyond any LP this workspace serves).
@@ -33,13 +32,6 @@ pub struct SimplexWorkspace {
     /// Trace-scope token of the previous solve, for the logical `reused`
     /// flag of the traced simplex event (see [`SimplexWorkspace::stamp_scope`]).
     trace_stamp: Option<u64>,
-    /// Per-shape column priorities learned from completed warm-start solves:
-    /// `(rows, total_cols) → permutation of 0..total_cols` that fronts the
-    /// previous solve's final basis columns (see
-    /// [`LinearProgram::solve_feasibility_warm_with`](crate::LinearProgram::solve_feasibility_warm_with)).
-    warm_priorities: HashMap<(usize, usize), Vec<usize>>,
-    /// Warm-start solves that found a stored priority for their shape.
-    warm_hits: u64,
 }
 
 impl Default for SimplexWorkspace {
@@ -65,8 +57,6 @@ impl SimplexWorkspace {
             reuses: 0,
             allocations: 0,
             trace_stamp: None,
-            warm_priorities: HashMap::new(),
-            warm_hits: 0,
         }
     }
 
@@ -89,43 +79,7 @@ impl SimplexWorkspace {
             for slot in &mut self.bool_slots {
                 *slot = Vec::new();
             }
-            self.warm_priorities.clear();
         }
-    }
-
-    /// The stored warm column priority for a `(rows, total_cols)` tableau
-    /// shape, if a previous warm solve of that shape completed.
-    pub(crate) fn warm_priority(&self, rows: usize, total_cols: usize) -> Option<&[usize]> {
-        self.warm_priorities
-            .get(&(rows, total_cols))
-            .map(Vec::as_slice)
-    }
-
-    /// Records the final basis of a completed phase 1 as the column priority
-    /// for the next warm solve of the same shape: the basis columns first
-    /// (ascending, for a deterministic permutation), then every other column
-    /// ascending.
-    pub(crate) fn store_warm_priority(&mut self, rows: usize, total_cols: usize, basis: &[usize]) {
-        let mut in_basis = vec![false; total_cols];
-        for &col in basis {
-            if col < total_cols {
-                in_basis[col] = true;
-            }
-        }
-        let mut priority = Vec::with_capacity(total_cols);
-        priority.extend((0..total_cols).filter(|&c| in_basis[c]));
-        priority.extend((0..total_cols).filter(|&c| !in_basis[c]));
-        self.warm_priorities.insert((rows, total_cols), priority);
-    }
-
-    /// Counts one warm solve that found a stored priority for its shape.
-    pub(crate) fn note_warm_hit(&mut self) {
-        self.warm_hits += 1;
-    }
-
-    /// Warm-start solves that were actually served a stored column priority.
-    pub fn warm_hits(&self) -> u64 {
-        self.warm_hits
     }
 
     /// How many buffer requests were served from the pool.

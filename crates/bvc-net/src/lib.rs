@@ -80,5 +80,5 @@ pub use process::{
     broadcast_to_all, enforce_local_broadcast, Delivery, ExecutionStats, Outgoing, ProcessCounters,
     ProcessId,
 };
-pub use sync::{SyncNetwork, SyncOutcome, SyncProcess, SyncScratch};
+pub use sync::{SyncNetwork, SyncOutcome, SyncProcess};
 pub use threaded::{run_threaded, run_threaded_on, run_threaded_with, ThreadedOutcome};

@@ -116,46 +116,6 @@ impl<O> SyncOutcome<O> {
     }
 }
 
-/// Reusable executor buffers for [`SyncNetwork::run_with_scratch`].
-///
-/// One execution allocates `n²` per-link FIFO queues; a long-lived scratch
-/// keeps those buffers (and their grown capacities) across executions so a
-/// multi-instance driver — e.g. a consensus service deciding thousands of
-/// instances on a pool of worker threads — pays the allocation once per
-/// thread instead of once per instance.  The scratch is cleared on acquire,
-/// so reuse is observationally identical to fresh buffers.
-#[derive(Debug, Default)]
-pub struct SyncScratch<M> {
-    pending: Vec<Vec<VecDeque<(usize, M)>>>,
-}
-
-impl<M> SyncScratch<M> {
-    /// Creates an empty scratch.
-    pub fn new() -> Self {
-        Self {
-            pending: Vec::new(),
-        }
-    }
-
-    /// Clears and resizes the buffers to an `n × n` grid of empty queues,
-    /// keeping whatever capacity previous executions grew.
-    fn reset(&mut self, n: usize) {
-        self.pending.truncate(n);
-        for row in &mut self.pending {
-            row.truncate(n);
-            for queue in row.iter_mut() {
-                queue.clear();
-            }
-            while row.len() < n {
-                row.push(VecDeque::new());
-            }
-        }
-        while self.pending.len() < n {
-            self.pending.push((0..n).map(|_| VecDeque::new()).collect());
-        }
-    }
-}
-
 /// The synchronous executor over `n` processes (complete graph by default).
 pub struct SyncNetwork<M, O> {
     processes: Vec<Box<dyn SyncProcess<Msg = M, Output = O>>>,
@@ -247,28 +207,14 @@ impl<M: Clone, O: Clone> SyncNetwork<M, O> {
     /// Runs rounds until every process listed in `wait_for` has produced an
     /// output, or the round cap is reached.  Typically `wait_for` is the set
     /// of non-faulty process indices (Byzantine processes need not terminate).
-    pub fn run(self, wait_for: &[usize]) -> SyncOutcome<O> {
-        self.run_with_scratch(wait_for, &mut SyncScratch::new())
-    }
-
-    /// [`run`](Self::run), reusing the caller's [`SyncScratch`] buffers.
-    ///
-    /// Behaviourally identical to `run` (the scratch is cleared on entry);
-    /// the difference is purely allocation cost, which matters to callers
-    /// executing many instances back to back on the same thread.
-    pub fn run_with_scratch(
-        mut self,
-        wait_for: &[usize],
-        scratch: &mut SyncScratch<M>,
-    ) -> SyncOutcome<O> {
+    pub fn run(mut self, wait_for: &[usize]) -> SyncOutcome<O> {
         let n = self.processes.len();
         let mut stats = ExecutionStats::for_processes(n);
         let mut fault_rng = StdRng::seed_from_u64(self.fault_seed ^ 0xFA01_7FA0_17FA_017F);
         // pending[from][to] is a FIFO queue of (due_round, message); without
         // faults a message sent in round r is due in round r + 1, reproducing
         // the plain lock-step executor exactly.
-        scratch.reset(n);
-        let pending = &mut scratch.pending;
+        let mut pending = vec![vec![VecDeque::<(usize, M)>::new(); n]; n];
         // inboxes[i] = messages delivered to process i at the start of the
         // upcoming round.
         let mut inboxes: Vec<Vec<Delivery<M>>> = vec![Vec::new(); n];
@@ -523,20 +469,6 @@ mod tests {
             let expected: Vec<usize> = (0..n).filter(|&j| j != i).collect();
             assert_eq!(senders, &expected);
         }
-    }
-
-    #[test]
-    fn scratch_reuse_is_identical_to_fresh_buffers() {
-        let all: Vec<usize> = (0..4).collect();
-        let fresh = summing_network(&[1, 2, 3, 4], 2).run(&all);
-        let mut scratch = SyncScratch::new();
-        // Dirty the scratch with a differently-sized execution first.
-        let _ = summing_network(&[9, 9, 9, 9, 9], 3)
-            .run_with_scratch(&(0..5).collect::<Vec<_>>(), &mut scratch);
-        let reused = summing_network(&[1, 2, 3, 4], 2).run_with_scratch(&all, &mut scratch);
-        assert_eq!(fresh.outputs, reused.outputs);
-        assert_eq!(fresh.stats, reused.stats);
-        assert_eq!(fresh.rounds, reused.rounds);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!    hot-path breakdown relies on.
 
 use bvc_core::{InstanceOverrides, ProtocolKind, RunConfig};
-use bvc_geometry::Point;
+use bvc_geometry::{Point, WorkloadGenerator};
 use bvc_scenario::{run_scenario, ScenarioSpec};
 use bvc_service::{BvcService, CacheMode, MemorySink, ServiceConfig};
 use bvc_trace::{install, parse_flat, render_trace, JsonValue, TraceHandle};
@@ -85,6 +85,29 @@ strategy = "equivocate"
     )
 }
 
+/// The one shape whose Γ(S) query walks 45 subset hulls: exact BVC at
+/// n = 10, f = 2, d = 3.
+fn heavy_spec() -> ScenarioSpec {
+    spec_from(
+        r#"
+[scenario]
+name = "trace-pin-heavy"
+protocol = "exact"
+n = 10
+f = 2
+d = 3
+
+[inputs]
+generator = "random-ball"
+center = [0.5, 0.5, 0.5]
+radius = 0.4
+
+[adversary]
+strategy = "equivocate"
+"#,
+    )
+}
+
 /// A small restricted-sync service stream with repeated seeds (so the
 /// shared parent cache sees cross-instance traffic in the trace).
 fn stream(instances: usize) -> ServiceConfig {
@@ -113,6 +136,25 @@ fn stream(instances: usize) -> ServiceConfig {
         .label("trace-pin")
 }
 
+/// Two instances of the [`heavy_spec`] shape as a service stream.
+fn heavy_stream() -> ServiceConfig {
+    let overrides = (0..2)
+        .map(|seed| InstanceOverrides {
+            seed,
+            honest_inputs: Some(
+                WorkloadGenerator::new(seed)
+                    .box_points(8, 3, 0.0, 1.0)
+                    .points()
+                    .to_vec(),
+            ),
+            ..InstanceOverrides::default()
+        })
+        .collect();
+    ServiceConfig::new(ProtocolKind::Exact, RunConfig::new(10, 2, 3))
+        .instances(overrides)
+        .label("trace-pin-heavy")
+}
+
 fn parsed(lines: &[String]) -> Vec<BTreeMap<String, JsonValue>> {
     lines
         .iter()
@@ -126,23 +168,44 @@ fn str_field<'a>(map: &'a BTreeMap<String, JsonValue>, key: &str) -> &'a str {
 
 #[test]
 fn trace_is_byte_deterministic_and_transparent_for_the_pinned_scenario() {
-    let spec = small_spec();
-    let untraced = run_scenario(&spec, 11, spec.strategy, spec.policy.clone()).unwrap();
-    let (first, lines_a) =
-        capture(|| run_scenario(&spec, 11, spec.strategy, spec.policy.clone()).unwrap());
-    let (_, lines_b) =
-        capture(|| run_scenario(&spec, 11, spec.strategy, spec.policy.clone()).unwrap());
-    assert_eq!(
-        untraced.to_json(),
-        first.to_json(),
-        "tracing must not perturb the verdict stream"
-    );
-    assert_eq!(
-        render_trace(&lines_a),
-        render_trace(&lines_b),
-        "same scenario + seed must yield a byte-identical trace"
-    );
-    assert!(!lines_a.is_empty());
+    for spec in [small_spec(), heavy_spec()] {
+        let untraced = run_scenario(&spec, 11, spec.strategy, spec.policy.clone()).unwrap();
+        let (first, lines_a) =
+            capture(|| run_scenario(&spec, 11, spec.strategy, spec.policy.clone()).unwrap());
+        let (_, lines_b) =
+            capture(|| run_scenario(&spec, 11, spec.strategy, spec.policy.clone()).unwrap());
+        assert_eq!(
+            untraced.to_json(),
+            first.to_json(),
+            "tracing must not perturb the verdict stream"
+        );
+        assert_eq!(
+            render_trace(&lines_a),
+            render_trace(&lines_b),
+            "same scenario + seed must yield a byte-identical trace"
+        );
+        // The run's first Γ query misses its trimmed-centre probe, i.e. some
+        // subset hull refuted the centre; no LP runs before that query, so
+        // the refuting hull's membership solve is an `infeasible` simplex
+        // event ahead of the `gamma` event — on the querying slot, whether
+        // the scan walks five hulls or 45.
+        let events = parsed(&lines_a);
+        let first_gamma = events
+            .iter()
+            .position(|m| str_field(m, "ev") == "gamma")
+            .expect("both protocols query Γ");
+        assert_eq!(
+            events[first_gamma].get("probe_missed"),
+            Some(&JsonValue::Bool(true))
+        );
+        assert!(
+            events[..first_gamma].iter().any(|m| {
+                str_field(m, "ev") == "simplex" && str_field(m, "status") == "infeasible"
+            }),
+            "{}: the probe's refuting solve must be traced",
+            spec.name
+        );
+    }
 }
 
 #[test]
@@ -226,12 +289,13 @@ fn gamma_breakdown_rows_sum_to_recorded_totals() {
 }
 
 fn run_service(
+    stream: ServiceConfig,
     workers: usize,
     mode: CacheMode,
 ) -> ((Vec<String>, bvc_service::ServiceStats), Vec<String>) {
     capture(|| {
         let mut sink = MemorySink::new();
-        let stats = BvcService::new(stream(12).workers(workers).batch(4).cache_mode(mode))
+        let stats = BvcService::new(stream.workers(workers).batch(4).cache_mode(mode))
             .expect("stream admits")
             .run(&mut sink)
             .expect("memory sink cannot fail");
@@ -244,31 +308,34 @@ fn run_service(
 /// canonicalise the physical interleaving.
 #[test]
 fn per_instance_service_trace_is_byte_identical_across_worker_counts() {
-    let ((verdicts_1, stats_1), trace_1) = run_service(1, CacheMode::PerInstance);
-    let ((verdicts_4, stats_4), trace_4) = run_service(4, CacheMode::PerInstance);
-    assert_eq!(verdicts_1, verdicts_4);
-    assert_eq!(
-        render_trace(&trace_1),
-        render_trace(&trace_4),
-        "per-instance slots must canonicalise worker scheduling"
-    );
-    // Span accounting matches the stream, and the service-level Γ total
-    // equals the trace's gamma event count.
-    let events = parsed(&trace_1);
-    let spans = events
-        .iter()
-        .filter(|m| str_field(m, "ev") == "span_close")
-        .count();
-    assert_eq!(spans, 12, "one span per instance");
-    let gammas = events
-        .iter()
-        .filter(|m| str_field(m, "ev") == "gamma")
-        .count() as u64;
-    assert_eq!(gammas, stats_1.messages.gamma_queries);
-    assert_eq!(
-        stats_1.messages.gamma_queries,
-        stats_4.messages.gamma_queries
-    );
+    for (stream, instances) in [(stream(12), 12), (heavy_stream(), 2)] {
+        let ((verdicts_1, stats_1), trace_1) =
+            run_service(stream.clone(), 1, CacheMode::PerInstance);
+        let ((verdicts_4, stats_4), trace_4) = run_service(stream, 4, CacheMode::PerInstance);
+        assert_eq!(verdicts_1, verdicts_4);
+        assert_eq!(
+            render_trace(&trace_1),
+            render_trace(&trace_4),
+            "per-instance slots must canonicalise worker scheduling"
+        );
+        // Span accounting matches the stream, and the service-level Γ total
+        // equals the trace's gamma event count.
+        let events = parsed(&trace_1);
+        let spans = events
+            .iter()
+            .filter(|m| str_field(m, "ev") == "span_close")
+            .count();
+        assert_eq!(spans, instances, "one span per instance");
+        let gammas = events
+            .iter()
+            .filter(|m| str_field(m, "ev") == "gamma")
+            .count() as u64;
+        assert_eq!(gammas, stats_1.messages.gamma_queries);
+        assert_eq!(
+            stats_1.messages.gamma_queries,
+            stats_4.messages.gamma_queries
+        );
+    }
 }
 
 /// With a shared parent cache, *which* instance warms the parent first is a
@@ -283,8 +350,8 @@ fn per_instance_service_trace_is_byte_identical_across_worker_counts() {
 /// erased.
 #[test]
 fn shared_service_trace_is_schedule_independent_up_to_attribution() {
-    let ((verdicts_1, stats_1), trace_1) = run_service(1, CacheMode::Shared);
-    let ((verdicts_4, stats_4), trace_4) = run_service(4, CacheMode::Shared);
+    let ((verdicts_1, stats_1), trace_1) = run_service(stream(12), 1, CacheMode::Shared);
+    let ((verdicts_4, stats_4), trace_4) = run_service(stream(12), 4, CacheMode::Shared);
     assert_eq!(verdicts_1, verdicts_4);
     assert_eq!(
         stats_1.messages.gamma_queries,

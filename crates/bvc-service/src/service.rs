@@ -3,13 +3,12 @@
 
 use crate::config::{CacheMode, ServiceConfig, ServiceError};
 use crate::sink::{ReorderBuffer, VerdictSink};
-use crate::stats::{
-    escape_json, fmt_f64, CacheStats, LatencyStats, QueueStats, ServiceStats, WorkerStats,
-};
+use crate::stats::{fmt_f64, CacheStats, LatencyStats, QueueStats, ServiceStats, WorkerStats};
 use bvc_adversary::ByzantineStrategy;
 use bvc_core::{BvcSession, RunReport};
 use bvc_geometry::{GammaCache, SharedGammaCache};
 use bvc_net::ExecutionStats;
+use bvc_trace::event::escape_json;
 use std::any::Any;
 use std::collections::VecDeque;
 use std::io;

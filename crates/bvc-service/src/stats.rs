@@ -1,6 +1,7 @@
 //! Aggregate service statistics and the crate's deterministic JSON rules.
 
 use bvc_net::ExecutionStats;
+use bvc_trace::event::escape_json;
 use std::fmt::Write as _;
 
 /// Instance-latency percentiles, measured admission → verdict emission
@@ -250,25 +251,6 @@ pub(crate) fn fmt_f64(x: f64) -> String {
     s
 }
 
-/// Minimal JSON string escaping (quotes, backslash, control characters).
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,6 +333,5 @@ mod tests {
         assert_eq!(fmt_f64(1.0), "1.0");
         assert_eq!(fmt_f64(0.05), "0.05");
         assert_eq!(fmt_f64(f64::NAN), "null");
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 }

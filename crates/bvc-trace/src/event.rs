@@ -37,10 +37,6 @@ pub enum GammaPath {
     /// Membership decided by streaming subset hulls (short-circuits on the
     /// first refuting hull).
     StreamScan,
-    /// Membership rejected by the remembered refuter hull of an earlier,
-    /// structurally similar query (the incremental cache mode's cross-round
-    /// hint), without scanning the subset stream.
-    HintReject,
 }
 
 impl GammaPath {
@@ -55,12 +51,11 @@ impl GammaPath {
             GammaPath::MultiplicityAccept => "multiplicity-accept",
             GammaPath::BoxReject => "box-reject",
             GammaPath::StreamScan => "stream-scan",
-            GammaPath::HintReject => "hint-reject",
         }
     }
 
     /// All variants, in wire order (index = [`Self::index`]).
-    pub const ALL: [GammaPath; 9] = [
+    pub const ALL: [GammaPath; 8] = [
         GammaPath::D1ClosedForm,
         GammaPath::HullF0,
         GammaPath::ProbeHit,
@@ -69,7 +64,6 @@ impl GammaPath {
         GammaPath::MultiplicityAccept,
         GammaPath::BoxReject,
         GammaPath::StreamScan,
-        GammaPath::HintReject,
     ];
 
     /// Dense index of the variant (for counter arrays).
@@ -528,6 +522,7 @@ mod tests {
             detail: "bad \"quote\"\nline".into(),
         };
         assert!(ev.to_json(0, 0).contains("bad \\\"quote\\\"\\nline"));
+        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 
     #[test]
