@@ -22,6 +22,7 @@ use bvc_geometry::{
     gamma_contains, gamma_point, gamma_point_attributed, GammaCache, GammaCounters, Point,
     PointMultiset, WorkloadGenerator,
 };
+use bvc_trace::event::escape_json;
 use bvc_trace::GammaPath;
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -250,17 +251,6 @@ fn run_exact(n: usize, f: usize, d: usize, seed: u64) -> Row {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 fn render(rows: &[Row]) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"schema\": \"bvc-perf-snapshot/v1\",\n");
@@ -274,7 +264,7 @@ fn render(rows: &[Row]) -> String {
             row.n,
             row.f,
             row.d,
-            json_escape(&row.detail),
+            escape_json(&row.detail),
             row.calls,
             row.wall_ms,
             row.mean_us(),

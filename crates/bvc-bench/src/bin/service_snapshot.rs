@@ -26,6 +26,7 @@
 use bvc_core::{ByzantineStrategy, InstanceOverrides, ProtocolKind, RunConfig};
 use bvc_geometry::{Point, WorkloadGenerator};
 use bvc_service::{BvcService, CacheMode, MemorySink, ServiceConfig, ServiceStats};
+use bvc_trace::event::escape_json;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
@@ -151,17 +152,6 @@ fn run_stream(stream: &Stream) -> Row {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 fn render(rows: &[Row]) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"schema\": \"bvc-perf-snapshot/v1\",\n");
@@ -175,7 +165,7 @@ fn render(rows: &[Row]) -> String {
             row.n,
             row.f,
             row.d,
-            json_escape(&row.detail),
+            escape_json(&row.detail),
             row.calls,
             row.wall_ms,
             row.mean_us(),

@@ -353,7 +353,7 @@ mod tests {
         }
         let honest: Vec<usize> = (0..n - f).collect();
         SyncNetwork::new(processes, DirectedExactProcess::total_rounds(&cfg))
-            .with_topology(topology.as_ref().clone())
+            .with_topology(topology)
             .with_local_broadcast(local_broadcast)
             .run(&honest)
             .outputs
@@ -484,7 +484,7 @@ mod tests {
             )));
         }
         let outcome = SyncNetwork::new(processes, DirectedExactProcess::total_rounds(&cfg))
-            .with_topology(topology.as_ref().clone())
+            .with_topology(topology)
             .run(&[0, 1, 2]);
         assert!(outcome.outputs.iter().all(|o| o.is_some()));
         assert_agreement(&outcome.outputs, 3);

@@ -259,7 +259,7 @@ mod tests {
             .collect();
         let wait: Vec<usize> = (0..n).collect();
         SyncNetwork::new(processes, IterativeBvcProcess::total_rounds(&config))
-            .with_topology(topology.as_ref().clone())
+            .with_topology(topology)
             .run(&wait)
             .outputs
     }

@@ -5,6 +5,7 @@ use super::{make_forge, BvcSession, DriverOutcome, ProtocolDriver};
 use crate::approx::{ApproxBvcProcess, ApproxOutput, ByzantineApproxProcess};
 use bvc_geometry::Point;
 use bvc_net::{AsyncNetwork, AsyncProcess};
+use std::sync::Arc;
 
 pub(super) struct ApproxDriver;
 
@@ -38,7 +39,7 @@ impl ProtocolDriver for ApproxDriver {
         let honest = session.honest_indices();
         let outcome =
             AsyncNetwork::new(processes, rc.delivery_policy.clone(), rc.seed, rc.max_steps)
-                .with_topology(session.topology().as_ref().clone())
+                .with_topology(Arc::clone(session.topology()))
                 .with_faults(rc.faults.clone())
                 .run(&honest);
         let outputs: Vec<ApproxOutput> = session.honest_decisions(&outcome.outputs);

@@ -83,7 +83,7 @@ fn execute_directed(session: &BvcSession, local_broadcast: bool) -> DriverOutcom
     }
     let honest = session.honest_indices();
     let outcome = SyncNetwork::new(processes, DirectedExactProcess::total_rounds(config))
-        .with_topology(topology.as_ref().clone())
+        .with_topology(topology)
         .with_local_broadcast(local_broadcast)
         .with_faults(rc.faults.clone(), rc.seed)
         .run(&honest);

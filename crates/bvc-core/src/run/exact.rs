@@ -5,6 +5,7 @@ use super::{make_forge, BvcSession, DriverOutcome, ProtocolDriver};
 use crate::exact::{ByzantineExactProcess, ExactBvcProcess, ExactMsg};
 use bvc_geometry::Point;
 use bvc_net::{SyncNetwork, SyncProcess};
+use std::sync::Arc;
 
 pub(super) struct ExactDriver;
 
@@ -38,7 +39,7 @@ impl ProtocolDriver for ExactDriver {
         }
         let honest = session.honest_indices();
         let outcome = SyncNetwork::new(processes, ExactBvcProcess::total_rounds(config))
-            .with_topology(session.topology().as_ref().clone())
+            .with_topology(Arc::clone(session.topology()))
             .with_faults(rc.faults.clone(), rc.seed)
             .run(&honest);
         let decisions = session.honest_decisions(&outcome.outputs);

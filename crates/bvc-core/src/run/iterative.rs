@@ -50,7 +50,7 @@ impl ProtocolDriver for IterativeDriver {
         }
         let honest = session.honest_indices();
         let outcome = SyncNetwork::new(processes, IterativeBvcProcess::total_rounds(config))
-            .with_topology(topology.as_ref().clone())
+            .with_topology(topology)
             .with_faults(rc.faults.clone(), rc.seed)
             .run(&honest);
         let decisions = session.honest_decisions(&outcome.outputs);

@@ -5,6 +5,7 @@ use super::{make_forge, BvcSession, DriverOutcome, ProtocolDriver};
 use crate::restricted::{ByzantineRestrictedAsync, RestrictedAsyncProcess, StateMsg};
 use bvc_geometry::Point;
 use bvc_net::{AsyncNetwork, AsyncProcess};
+use std::sync::Arc;
 
 pub(super) struct RestrictedAsyncDriver;
 
@@ -34,7 +35,7 @@ impl ProtocolDriver for RestrictedAsyncDriver {
         let honest = session.honest_indices();
         let outcome =
             AsyncNetwork::new(processes, rc.delivery_policy.clone(), rc.seed, rc.max_steps)
-                .with_topology(session.topology().as_ref().clone())
+                .with_topology(Arc::clone(session.topology()))
                 .with_faults(rc.faults.clone())
                 .run(&honest);
         let decisions = session.honest_decisions(&outcome.outputs);

@@ -5,6 +5,7 @@ use super::{make_forge, BvcSession, DriverOutcome, ProtocolDriver};
 use crate::restricted::{ByzantineRestrictedSync, RestrictedSyncProcess, StateMsg};
 use bvc_geometry::Point;
 use bvc_net::{SyncNetwork, SyncProcess};
+use std::sync::Arc;
 
 pub(super) struct RestrictedSyncDriver;
 
@@ -34,7 +35,7 @@ impl ProtocolDriver for RestrictedSyncDriver {
         }
         let honest = session.honest_indices();
         let network = SyncNetwork::new(processes, RestrictedSyncProcess::total_rounds(config) + 1)
-            .with_topology(session.topology().as_ref().clone())
+            .with_topology(Arc::clone(session.topology()))
             .with_faults(rc.faults.clone(), rc.seed);
         let outcome = network.run(&honest);
         let decisions = session.honest_decisions(&outcome.outputs);

@@ -10,13 +10,18 @@
 //! The scheduler is seeded, so a given `(processes, policy, seed)` triple
 //! always produces exactly the same execution — which is what makes the
 //! asynchronous experiments and property tests reproducible.
+//!
+//! This module is only the scheduler.  What happens to each send — topology,
+//! local broadcast, injected faults, accounting — is the crate's
+//! [delivery core](crate#one-delivery-core-three-schedulers).
 
 use crate::faults::FaultPlan;
-use crate::process::{enforce_local_broadcast, ExecutionStats, Outgoing, ProcessId};
+use crate::links::{Gate, Links};
+use crate::process::{outputs_of, ExecutionStats, Outgoing, ProcessId};
 use bvc_topology::Topology;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// An event-driven state machine driven by the asynchronous executor.
 pub trait AsyncProcess {
@@ -58,13 +63,13 @@ pub enum DeliveryPolicy {
     DelayTo(Vec<ProcessId>),
 }
 
-/// Outcome of running an asynchronous execution.
+/// Outcome of running an asynchronous execution, simulated or threaded.
 #[derive(Debug, Clone)]
 pub struct AsyncOutcome<O> {
     /// Output of each process, by index (`None` if it never decided).
     pub outputs: Vec<Option<O>>,
     /// Whether every process the caller waited for decided before the step
-    /// cap was reached.
+    /// cap (simulator) or the deadline (threaded runtime) was reached.
     pub completed: bool,
     /// Message statistics (`steps` counts delivery steps).
     pub stats: ExecutionStats,
@@ -74,10 +79,7 @@ impl<O> AsyncOutcome<O> {
     /// Outputs of the processes whose indices appear in `indices`; `None`
     /// entries are skipped.
     pub fn outputs_of(&self, indices: &[usize]) -> Vec<&O> {
-        indices
-            .iter()
-            .filter_map(|&i| self.outputs.get(i).and_then(|o| o.as_ref()))
-            .collect()
+        outputs_of(&self.outputs, indices)
     }
 }
 
@@ -87,9 +89,7 @@ pub struct AsyncNetwork<M, O> {
     policy: DeliveryPolicy,
     seed: u64,
     max_steps: usize,
-    faults: FaultPlan,
-    topology: Topology,
-    local_broadcast: bool,
+    gate: Gate,
 }
 
 impl<M: Clone, O: Clone> AsyncNetwork<M, O> {
@@ -105,46 +105,37 @@ impl<M: Clone, O: Clone> AsyncNetwork<M, O> {
         seed: u64,
         max_steps: usize,
     ) -> Self {
-        assert!(!processes.is_empty(), "need at least one process");
+        let gate = Gate::new(processes.len());
         assert!(max_steps > 0, "max_steps must be positive");
-        let topology = Topology::complete(processes.len());
         Self {
             processes,
             policy,
             seed,
             max_steps,
-            faults: FaultPlan::new(),
-            topology,
-            local_broadcast: false,
+            gate,
         }
     }
 
-    /// Switches the executor to the **local-broadcast** delivery model: every
-    /// outgoing batch (at start and per delivery reaction) is canonicalised
-    /// with [`enforce_local_broadcast`] before per-link faults apply, so a
+    /// Switches the executor to the **local-broadcast** delivery model (step 1
+    /// of the [delivery order contract](crate#delivery-order-contract)): a
     /// (Byzantine) sender cannot tell different receivers different things in
-    /// the same step.  Off by default (point-to-point channels).
+    /// the same step (its start batch, or its reaction to one delivery).  Off
+    /// by default (point-to-point channels).
     pub fn with_local_broadcast(mut self, on: bool) -> Self {
-        self.local_broadcast = on;
+        self.gate.set_local_broadcast(on);
         self
     }
 
     /// Restricts delivery to the links of `topology` (the complete graph is
-    /// the default).  Messages addressed across a missing link vanish
-    /// silently — they still count as sent but are neither delivered nor
-    /// attributed as dropped, and they consume no scheduling or fault
-    /// randomness.
+    /// the default); a message addressed across a missing link vanishes —
+    /// step 4 of the [delivery order contract](crate#delivery-order-contract)
+    /// — and consumes no scheduling or fault randomness.
     ///
     /// # Panics
     ///
     /// Panics if `topology.len()` differs from the number of processes.
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        assert_eq!(
-            topology.len(),
-            self.processes.len(),
-            "topology size must match the process count"
-        );
-        self.topology = topology;
+    pub fn with_topology(mut self, topology: impl Into<Arc<Topology>>) -> Self {
+        self.gate.set_topology(topology.into());
         self
     }
 
@@ -153,7 +144,7 @@ impl<M: Clone, O: Clone> AsyncNetwork<M, O> {
     /// dedicated RNG stream derived from the executor seed, so adding a
     /// fault-free plan leaves the execution byte-identical.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
+        self.gate.set_faults(faults, self.seed);
         self
     }
 
@@ -178,210 +169,101 @@ impl<M: Clone, O: Clone> AsyncNetwork<M, O> {
     pub fn run(mut self, wait_for: &[usize]) -> AsyncOutcome<O> {
         let n = self.processes.len();
         let mut rng = StdRng::seed_from_u64(self.seed);
-        // Dedicated stream for drop decisions, so a plan without drop faults
-        // leaves the scheduling stream untouched.
-        let mut fault_rng = StdRng::seed_from_u64(self.seed ^ 0xFA01_7FA0_17FA_017F);
-        let mut stats = ExecutionStats::for_processes(n);
-        // channels[from][to] is a FIFO queue of (due_tick, message).
-        let mut channels: Vec<Vec<VecDeque<(usize, M)>>> =
-            vec![(0..n).map(|_| VecDeque::new()).collect(); n];
+        let tick_cap = self.max_steps.saturating_add(self.gate.quiescent_at());
+        let mut links = Links::new(self.gate);
         let mut round_robin_cursor = 0usize;
         let mut now = 0usize;
-        let tick_cap = self.max_steps.saturating_add(self.faults.quiescent_at());
+        let mut steps = 0usize;
 
-        // Start every process and enqueue its initial messages.
-        for index in 0..n {
-            let outgoing = self.processes[index].on_start();
-            enqueue(
-                &mut channels,
-                &mut stats,
-                &mut fault_rng,
-                &self.faults,
-                &self.topology,
-                self.local_broadcast,
-                now,
-                index,
-                outgoing,
-                n,
-            );
+        // A message is in its channel the moment it is sent (no transit
+        // time); only the scheduler and the fault plan hold it back.
+        for (index, process) in self.processes.iter_mut().enumerate() {
+            links.send(now, 0, index, process.on_start());
         }
 
         let decided = |processes: &[Box<dyn AsyncProcess<Msg = M, Output = O>>]| {
             wait_for.iter().all(|&i| processes[i].output().is_some())
         };
 
-        while stats.steps < self.max_steps && now < tick_cap {
-            for event in self.faults.events() {
-                if event.start == now {
-                    bvc_trace::emit(|| bvc_trace::TraceEvent::FaultWindow {
-                        round: now,
-                        kind: event.kind.name().to_string(),
-                        detail: format!("ticks {}..{}", event.start, event.end()),
-                    });
-                }
-            }
+        while steps < self.max_steps && now < tick_cap {
+            links.gate.announce_fault_windows(now, "ticks");
             if decided(&self.processes) {
-                return AsyncOutcome {
-                    outputs: self.processes.iter().map(|p| p.output()).collect(),
-                    completed: true,
-                    stats,
-                };
+                break;
             }
-            // A channel is eligible when its FIFO head has come due and no
-            // active partition blocks the link; a blocked head blocks the
-            // whole channel, preserving per-link FIFO order.
             let eligible: Vec<(usize, usize)> = (0..n)
                 .flat_map(|from| (0..n).map(move |to| (from, to)))
-                .filter(|&(from, to)| {
-                    channels[from][to]
-                        .front()
-                        .is_some_and(|&(due, _)| due <= now && !self.faults.blocked(now, from, to))
-                })
+                .filter(|&(from, to)| links.ready(now, from, to))
                 .collect();
             if eligible.is_empty() {
-                let any_pending = channels.iter().flatten().any(|queue| !queue.is_empty());
-                if any_pending {
+                if links.any_pending() {
                     // Everything in flight is fault-blocked: let time pass.
                     now += 1;
                     continue;
                 }
                 break;
             }
-            let (from, to) = self.pick_channel(&eligible, &mut rng, &mut round_robin_cursor);
-            let (_, msg) = channels[from][to]
-                .pop_front()
-                .expect("channel selected among eligible channels");
-            stats.record_delivered(to);
-            stats.steps += 1;
-            bvc_trace::emit(|| bvc_trace::TraceEvent::Deliver {
-                time: now,
-                from,
-                to,
-            });
+            let (from, to) = self
+                .policy
+                .pick(&eligible, &mut rng, &mut round_robin_cursor);
+            let msg = links
+                .take(now, from, to)
+                .expect("channel picked among the ready ones");
+            steps += 1;
             now += 1;
             let outgoing = self.processes[to].on_message(ProcessId::new(from), msg);
-            enqueue(
-                &mut channels,
-                &mut stats,
-                &mut fault_rng,
-                &self.faults,
-                &self.topology,
-                self.local_broadcast,
-                now,
-                to,
-                outgoing,
-                n,
-            );
+            links.send(now, 0, to, outgoing);
         }
 
-        let completed = decided(&self.processes);
         AsyncOutcome {
+            completed: decided(&self.processes),
             outputs: self.processes.iter().map(|p| p.output()).collect(),
-            completed,
-            stats,
+            stats: links.gate.finish(steps),
         }
     }
+}
 
-    fn pick_channel(
+impl DeliveryPolicy {
+    /// The channel this policy delivers from next, among the `ready` ones.
+    fn pick(
         &self,
-        nonempty: &[(usize, usize)],
+        ready: &[(usize, usize)],
         rng: &mut StdRng,
         cursor: &mut usize,
     ) -> (usize, usize) {
-        match &self.policy {
-            DeliveryPolicy::RandomFair => nonempty[rng.gen_range(0..nonempty.len())],
+        match self {
+            DeliveryPolicy::RandomFair => ready[rng.gen_range(0..ready.len())],
             DeliveryPolicy::RoundRobin => {
-                let choice = nonempty[*cursor % nonempty.len()];
+                let choice = ready[*cursor % ready.len()];
                 *cursor = cursor.wrapping_add(1);
                 choice
             }
             DeliveryPolicy::DelayFrom(slow) => {
-                let preferred: Vec<(usize, usize)> = nonempty
+                let preferred: Vec<(usize, usize)> = ready
                     .iter()
                     .copied()
                     .filter(|&(from, _)| !slow.iter().any(|p| p.index() == from))
                     .collect();
                 let pool = if preferred.is_empty() {
-                    nonempty
+                    ready
                 } else {
                     &preferred
                 };
                 pool[rng.gen_range(0..pool.len())]
             }
             DeliveryPolicy::DelayTo(slow) => {
-                let preferred: Vec<(usize, usize)> = nonempty
+                let preferred: Vec<(usize, usize)> = ready
                     .iter()
                     .copied()
                     .filter(|&(_, to)| !slow.iter().any(|p| p.index() == to))
                     .collect();
                 let pool = if preferred.is_empty() {
-                    nonempty
+                    ready
                 } else {
                     &preferred
                 };
                 pool[rng.gen_range(0..pool.len())]
             }
         }
-    }
-}
-
-/// Applies the topology and fault plan to `outgoing` at tick `now`: messages
-/// across missing links vanish, drop faults destroy messages (attributed to
-/// the sender), latency faults stamp a later due tick.  Aggregate
-/// `messages_sent` counts every message the process emitted, dropped or not,
-/// so fault-free statistics match the unfaulted executor.  With
-/// `local_broadcast` the batch is canonicalised first, so per-link faults
-/// apply to the already-consistent payloads.
-#[allow(clippy::too_many_arguments)]
-fn enqueue<M: Clone>(
-    channels: &mut [Vec<VecDeque<(usize, M)>>],
-    stats: &mut ExecutionStats,
-    fault_rng: &mut StdRng,
-    faults: &FaultPlan,
-    topology: &Topology,
-    local_broadcast: bool,
-    now: usize,
-    from: usize,
-    mut outgoing: Vec<Outgoing<M>>,
-    n: usize,
-) {
-    if local_broadcast {
-        if let Some((receivers, slots)) = enforce_local_broadcast(&mut outgoing) {
-            bvc_trace::emit(|| bvc_trace::TraceEvent::LocalBroadcast {
-                time: now,
-                from,
-                receivers,
-                slots,
-            });
-        }
-    }
-    stats.record_sent(from, outgoing.len());
-    for Outgoing { to, msg } in outgoing {
-        bvc_trace::emit(|| bvc_trace::TraceEvent::Send {
-            time: now,
-            from,
-            to: to.index(),
-        });
-        if to.index() >= n || !topology.has_edge(from, to.index()) {
-            bvc_trace::emit(|| bvc_trace::TraceEvent::Vanish {
-                time: now,
-                from,
-                to: to.index(),
-            });
-            continue;
-        }
-        let drop_probability = faults.drop_probability(now, from, to.index());
-        if drop_probability > 0.0 && fault_rng.gen_bool(drop_probability) {
-            stats.record_dropped(from);
-            bvc_trace::emit(|| bvc_trace::TraceEvent::Drop {
-                time: now,
-                from,
-                to: to.index(),
-            });
-            continue;
-        }
-        let due = now.saturating_add(faults.extra_latency(now, from, to.index()));
-        channels[from][to.index()].push_back((due, msg));
     }
 }
 

@@ -1,41 +1,66 @@
 //! Simulated message-passing substrate for Byzantine vector consensus.
 //!
-//! The paper's model (Section 1): `n` processes on a **complete graph** with
-//! **reliable FIFO channels**, in either a synchronous or an asynchronous
-//! timing model.  This crate provides that substrate three ways:
+//! The paper's two models (Section 2 synchronous, Section 3 asynchronous)
+//! share one network — `n` processes on a **complete graph** of **reliable
+//! FIFO channels** — and differ only in timing.  So does this crate.
 //!
-//! * [`SyncNetwork`] — a lock-step synchronous round executor (Section 2's
-//!   model).
+//! # One delivery core, three schedulers
+//!
+//! What happens to a send is decided in one crate-private module, `links`;
+//! the executors only decide *when* a queued message moves:
+//!
+//! * [`SyncNetwork`] — lock-step rounds (Section 2's model): a message takes
+//!   one round, and everything ready at round `r + 1` is delivered in sender
+//!   order before that round begins.
 //! * [`AsyncNetwork`] — a deterministic, seeded, adversarially scheduled
-//!   event simulator (Section 3's model); the [`DeliveryPolicy`] controls the
-//!   scheduling adversary.
-//! * [`run_threaded`] — a thread-per-process runtime over `std::sync::mpsc`
-//!   channels, used by the examples and the cross-executor integration tests.
-//!
-//! Every executor is adjacency-aware: the complete graph is the default, and
-//! a declared [`Topology`] (from `bvc-topology`) restricts delivery to the
-//! declared links — see [`SyncNetwork::with_topology`],
-//! [`AsyncNetwork::with_topology`] and [`run_threaded_on`].  Messages
-//! addressed across a missing link vanish silently (the channel does not
-//! exist), which makes the fault layer's scripted `Partition` the degenerate
-//! time-windowed case of a static incomplete topology.
-//!
-//! Scenario-style adversarial *network* conditions — message drops, per-link
-//! latency, scripted partitions — can be layered over either simulated
-//! executor with a [`FaultPlan`] (see [`faults`]).
-//!
-//! Every executor also supports the **local-broadcast** delivery model of
-//! Khan, Tseng & Vaidya (arXiv:1911.07298): with
-//! [`SyncNetwork::with_local_broadcast`],
-//! [`AsyncNetwork::with_local_broadcast`] or [`run_threaded_with`], each
-//! sender's per-step outgoing batch is canonicalised by
-//! [`enforce_local_broadcast`] so all receivers observe the same payloads —
-//! per-receiver Byzantine equivocation becomes structurally impossible.
-//! Canonicalisation happens *before* per-link faults, so drop/latency/
-//! partition plans still compose per link.
+//!   event simulator (Section 3's model): a message is in its channel at
+//!   once, and the [`DeliveryPolicy`] picks one ready channel per step.
+//! * [`run_threaded`] / [`run_threaded_with`] — one OS thread per process
+//!   over `std::sync::mpsc` channels, used by the examples and the
+//!   cross-executor integration tests; the operating system schedules.
 //!
 //! Protocols are written once against the [`SyncProcess`] / [`AsyncProcess`]
-//! traits and can run on any of the executors that match their timing model.
+//! traits and run on any executor that matches their timing model.
+//!
+//! # Delivery order contract
+//!
+//! Each batch a process emits at time `now` (a round, a scheduler tick, or a
+//! thread's local delivery count) goes through these steps, in this order,
+//! in every executor:
+//!
+//! 1. **Canonicalise** — under the **local-broadcast** model of Khan, Tseng
+//!    & Vaidya (arXiv:1911.07298; `with_local_broadcast`,
+//!    [`run_threaded_with`]) the batch is rewritten by
+//!    [`enforce_local_broadcast`] so all receivers observe the same payloads
+//!    and per-receiver Byzantine equivocation is structurally impossible.
+//!    This happens *before* any per-link step, so fault plans still compose
+//!    per link.  Off by default (point-to-point channels, the paper's model).
+//! 2. **Count** — every message of the batch counts as sent by its sender.
+//!
+//! Then, per message in emission order:
+//!
+//! 3. **`Send`** is traced.
+//! 4. **Vanish** — the complete graph is the default and `with_topology`
+//!    restricts it to a declared [`Topology`].  A message addressed across a
+//!    missing link, or to a process that does not exist, silently vanishes
+//!    (the channel does not exist): it stays counted as sent, is neither
+//!    delivered nor attributed as dropped, and consumes no randomness.  A
+//!    scripted `Partition` fault is the time-windowed case of such a mask.
+//! 5. **Drop** — an active drop fault of the [`FaultPlan`] (see [`faults`])
+//!    destroys the message with its probability, attributed to the sender.
+//!    The drop stream is seeded apart from the scheduler's and is drawn from
+//!    only when that probability is positive, so a plan without drop faults
+//!    changes no other decision.
+//! 6. **Latency** — the message becomes due after its transit time (one round
+//!    in [`SyncNetwork`], none in [`AsyncNetwork`]) plus the extra latency of
+//!    the active latency faults covering its link.
+//! 7. **FIFO** — the message joins the back of its `from → to` channel.  A
+//!    channel delivers only its head, and only once the head is due and no
+//!    active partition blocks the link, so per-link order survives every
+//!    fault; delivery counts for the receiver and traces `Deliver`.
+//!
+//! Fault plans are layered over the two simulated executors; the threaded
+//! runtime runs the same steps with an empty plan.
 //!
 //! # Example
 //!
@@ -69,6 +94,7 @@
 
 pub mod asim;
 pub mod faults;
+mod links;
 pub mod process;
 pub mod sync;
 pub mod threaded;
@@ -81,4 +107,4 @@ pub use process::{
     ProcessId,
 };
 pub use sync::{SyncNetwork, SyncOutcome, SyncProcess};
-pub use threaded::{run_threaded, run_threaded_on, run_threaded_with, ThreadedOutcome};
+pub use threaded::{run_threaded, run_threaded_with, ThreadedOutcome};

@@ -87,6 +87,16 @@ pub fn broadcast_to_all<M: Clone>(
         .collect()
 }
 
+/// The decided outputs among `outputs[i]` for `i` in `indices`, in order;
+/// undecided and out-of-range entries are skipped.  Backs the `outputs_of`
+/// method of every executor's outcome type.
+pub(crate) fn outputs_of<'a, O>(outputs: &'a [Option<O>], indices: &[usize]) -> Vec<&'a O> {
+    indices
+        .iter()
+        .filter_map(|&i| outputs.get(i).and_then(|o| o.as_ref()))
+        .collect()
+}
+
 /// Canonicalises one sender's outgoing batch under the **local-broadcast**
 /// delivery guarantee (Khan, Tseng & Vaidya, arXiv:1911.07298): all
 /// out-neighbors of a sender observe the same message, so per-receiver
@@ -162,8 +172,9 @@ pub struct ExecutionStats {
     /// Number of synchronous rounds executed, or of scheduler steps for the
     /// asynchronous executor.
     pub steps: usize,
-    /// Per-process counters, indexed by process id.  Empty when the executor
-    /// does not attribute messages (e.g. the threaded runtime).
+    /// Per-process counters, indexed by process id.  Every executor
+    /// attributes messages; only a `default()` aggregate that has absorbed
+    /// no execution yet is empty.
     pub per_process: Vec<ProcessCounters>,
     /// Γ queries issued through the run's cache front end, when the driver
     /// measured them (cache-counter delta around the execution); `0` when

@@ -8,12 +8,9 @@
 //! messages it wants to send, and delivers them (per-sender FIFO) at the
 //! start of the next round.
 //!
-//! Delivery is adjacency-aware: by default the substrate is the paper's
-//! complete graph, but [`SyncNetwork::with_topology`] restricts it to a
-//! declared [`Topology`] — a message addressed across a non-existent link
-//! silently vanishes (the channel does not exist; this is not a fault and is
-//! not counted as a drop).  A scripted `Partition` fault is then simply a
-//! time-windowed mask layered over the static topology.
+//! This module is only the scheduler.  What happens to each send — topology,
+//! local broadcast, injected faults, accounting — is the crate's
+//! [delivery core](crate#one-delivery-core-three-schedulers).
 //!
 //! Byzantine processes are ordinary [`SyncProcess`] implementations — they may
 //! return arbitrary messages, including different messages to different
@@ -21,11 +18,10 @@
 //! crate provides reusable wrappers.
 
 use crate::faults::FaultPlan;
-use crate::process::{enforce_local_broadcast, Delivery, ExecutionStats, Outgoing, ProcessId};
+use crate::links::{Gate, Links};
+use crate::process::{outputs_of, Delivery, ExecutionStats, Outgoing, ProcessId};
 use bvc_topology::Topology;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// A deterministic state machine driven by the synchronous executor.
 ///
@@ -109,10 +105,7 @@ impl<O> SyncOutcome<O> {
     /// Outputs of the processes whose indices appear in `indices`, in order;
     /// `None` entries are skipped.
     pub fn outputs_of(&self, indices: &[usize]) -> Vec<&O> {
-        indices
-            .iter()
-            .filter_map(|&i| self.outputs.get(i).and_then(|o| o.as_ref()))
-            .collect()
+        outputs_of(&self.outputs, indices)
     }
 }
 
@@ -120,10 +113,7 @@ impl<O> SyncOutcome<O> {
 pub struct SyncNetwork<M, O> {
     processes: Vec<Box<dyn SyncProcess<Msg = M, Output = O>>>,
     max_rounds: usize,
-    faults: FaultPlan,
-    fault_seed: u64,
-    topology: Topology,
-    local_broadcast: bool,
+    gate: Gate,
 }
 
 impl<M: Clone, O: Clone> SyncNetwork<M, O> {
@@ -137,45 +127,34 @@ impl<M: Clone, O: Clone> SyncNetwork<M, O> {
         processes: Vec<Box<dyn SyncProcess<Msg = M, Output = O>>>,
         max_rounds: usize,
     ) -> Self {
-        assert!(!processes.is_empty(), "need at least one process");
+        let gate = Gate::new(processes.len());
         assert!(max_rounds > 0, "max_rounds must be positive");
-        let topology = Topology::complete(processes.len());
         Self {
             processes,
             max_rounds,
-            faults: FaultPlan::new(),
-            fault_seed: 0,
-            topology,
-            local_broadcast: false,
+            gate,
         }
     }
 
-    /// Switches the executor to the **local-broadcast** delivery model: every
-    /// per-round outgoing batch is canonicalised with
-    /// [`enforce_local_broadcast`] before per-link faults apply, so a
+    /// Switches the executor to the **local-broadcast** delivery model (step 1
+    /// of the [delivery order contract](crate#delivery-order-contract)): a
     /// (Byzantine) sender cannot tell different receivers different things in
     /// the same round.  Off by default (point-to-point channels, the paper's
     /// model).
     pub fn with_local_broadcast(mut self, on: bool) -> Self {
-        self.local_broadcast = on;
+        self.gate.set_local_broadcast(on);
         self
     }
 
     /// Restricts delivery to the links of `topology` (the complete graph is
-    /// the default).  Messages addressed across a missing link vanish
-    /// silently — they still count as sent (the process handed them to the
-    /// executor) but are neither delivered nor attributed as dropped.
+    /// the default); a message addressed across a missing link vanishes —
+    /// step 4 of the [delivery order contract](crate#delivery-order-contract).
     ///
     /// # Panics
     ///
     /// Panics if `topology.len()` differs from the number of processes.
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        assert_eq!(
-            topology.len(),
-            self.processes.len(),
-            "topology size must match the process count"
-        );
-        self.topology = topology;
+    pub fn with_topology(mut self, topology: impl Into<Arc<Topology>>) -> Self {
+        self.gate.set_topology(topology.into());
         self
     }
 
@@ -189,8 +168,7 @@ impl<M: Clone, O: Clone> SyncNetwork<M, O> {
     /// protocol may ignore or misinterpret it.  That is the point — the
     /// verdict records how the algorithm behaves outside its proven model.
     pub fn with_faults(mut self, faults: FaultPlan, seed: u64) -> Self {
-        self.faults = faults;
-        self.fault_seed = seed;
+        self.gate.set_faults(faults, seed);
         self
     }
 
@@ -209,12 +187,7 @@ impl<M: Clone, O: Clone> SyncNetwork<M, O> {
     /// of non-faulty process indices (Byzantine processes need not terminate).
     pub fn run(mut self, wait_for: &[usize]) -> SyncOutcome<O> {
         let n = self.processes.len();
-        let mut stats = ExecutionStats::for_processes(n);
-        let mut fault_rng = StdRng::seed_from_u64(self.fault_seed ^ 0xFA01_7FA0_17FA_017F);
-        // pending[from][to] is a FIFO queue of (due_round, message); without
-        // faults a message sent in round r is due in round r + 1, reproducing
-        // the plain lock-step executor exactly.
-        let mut pending = vec![vec![VecDeque::<(usize, M)>::new(); n]; n];
+        let mut links = Links::new(self.gate);
         // inboxes[i] = messages delivered to process i at the start of the
         // upcoming round.
         let mut inboxes: Vec<Vec<Delivery<M>>> = vec![Vec::new(); n];
@@ -223,85 +196,21 @@ impl<M: Clone, O: Clone> SyncNetwork<M, O> {
         for round in 1..=self.max_rounds {
             rounds_executed = round;
             bvc_trace::emit(|| bvc_trace::TraceEvent::RoundOpen { round });
-            for event in self.faults.events() {
-                if event.start == round {
-                    bvc_trace::emit(|| bvc_trace::TraceEvent::FaultWindow {
-                        round,
-                        kind: event.kind.name().to_string(),
-                        detail: format!("rounds {}..{}", event.start, event.end()),
-                    });
-                }
-            }
+            links.gate.announce_fault_windows(round, "rounds");
+            // A message travels one round: without faults, what is sent in
+            // round r is due in round r + 1, the plain lock-step model.
             for (index, process) in self.processes.iter_mut().enumerate() {
-                let mut outgoing = process.round(round, &inboxes[index]);
-                if self.local_broadcast {
-                    if let Some((receivers, slots)) = enforce_local_broadcast(&mut outgoing) {
-                        bvc_trace::emit(|| bvc_trace::TraceEvent::LocalBroadcast {
-                            time: round,
-                            from: index,
-                            receivers,
-                            slots,
-                        });
-                    }
-                }
-                stats.record_sent(index, outgoing.len());
-                for Outgoing { to, msg } in outgoing {
-                    bvc_trace::emit(|| bvc_trace::TraceEvent::Send {
-                        time: round,
-                        from: index,
-                        to: to.index(),
-                    });
-                    if to.index() >= n || !self.topology.has_edge(index, to.index()) {
-                        bvc_trace::emit(|| bvc_trace::TraceEvent::Vanish {
-                            time: round,
-                            from: index,
-                            to: to.index(),
-                        });
-                        continue;
-                    }
-                    let drop_probability = self.faults.drop_probability(round, index, to.index());
-                    if drop_probability > 0.0 && fault_rng.gen_bool(drop_probability) {
-                        stats.record_dropped(index);
-                        bvc_trace::emit(|| bvc_trace::TraceEvent::Drop {
-                            time: round,
-                            from: index,
-                            to: to.index(),
-                        });
-                        continue;
-                    }
-                    let due = (round + 1).saturating_add(self.faults.extra_latency(
-                        round,
-                        index,
-                        to.index(),
-                    ));
-                    pending[index][to.index()].push_back((due, msg));
-                }
+                links.send(round, 1, index, process.round(round, &inboxes[index]));
             }
-            // Deliver everything due by the next round on links no partition
-            // blocks then.  Iterating senders in id order gives the documented
-            // sorted-by-sender inbox; popping in queue order preserves
-            // per-sender FIFO, and a not-yet-due head blocks the rest of its
-            // channel so FIFO survives latency faults too.
+            // Drain every channel that is ready at the next round.  Iterating
+            // senders in id order gives the documented sorted-by-sender
+            // inbox; taking in queue order preserves per-sender FIFO.
             let next_round = round + 1;
             let mut next_inboxes: Vec<Vec<Delivery<M>>> = vec![Vec::new(); n];
-            #[allow(clippy::needless_range_loop)]
             for from in 0..n {
-                for to in 0..n {
-                    if self.faults.blocked(next_round, from, to) {
-                        continue;
-                    }
-                    while pending[from][to]
-                        .front()
-                        .is_some_and(|&(due, _)| due <= next_round)
-                    {
-                        let (_, msg) = pending[from][to].pop_front().expect("head checked above");
-                        next_inboxes[to].push(Delivery::new(ProcessId::new(from), msg));
-                        stats.record_delivered(to);
-                        bvc_trace::emit(|| bvc_trace::TraceEvent::Deliver {
-                            time: next_round,
-                            from,
-                            to,
-                        });
+                for (to, inbox) in next_inboxes.iter_mut().enumerate() {
+                    while let Some(msg) = links.take(next_round, from, to) {
+                        inbox.push(Delivery::new(ProcessId::new(from), msg));
                     }
                 }
             }
@@ -322,12 +231,10 @@ impl<M: Clone, O: Clone> SyncNetwork<M, O> {
             }
         }
 
-        stats.steps = rounds_executed;
-        let outputs = self.processes.iter().map(|p| p.output()).collect();
         SyncOutcome {
-            outputs,
+            outputs: self.processes.iter().map(|p| p.output()).collect(),
             rounds: rounds_executed,
-            stats,
+            stats: links.gate.finish(rounds_executed),
         }
     }
 }

@@ -10,33 +10,25 @@
 //! verdicts.
 //!
 //! Channels are reliable and per-sender FIFO (each sender pushes into the
-//! receiver's queue in program order), matching the paper's model.
+//! receiver's queue in program order), matching the paper's model.  Every
+//! send passes the same admission as in the simulators — the crate's
+//! [delivery core](crate#one-delivery-core-three-schedulers) — and only then
+//! enters a real channel; here the operating system is the scheduler.
 
-use crate::asim::AsyncProcess;
-use crate::process::{enforce_local_broadcast, ExecutionStats, Outgoing, ProcessId};
+use crate::asim::{AsyncOutcome, AsyncProcess};
+use crate::links::Gate;
+use crate::process::{Delivery, ExecutionStats, ProcessId};
 use bvc_topology::Topology;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Outcome of a threaded execution.
-#[derive(Debug, Clone)]
-pub struct ThreadedOutcome<O> {
-    /// Output of each process, by index (`None` if it never decided before
-    /// the deadline).
-    pub outputs: Vec<Option<O>>,
-    /// Whether every waited-for process decided before the deadline.
-    pub completed: bool,
-    /// Aggregate statistics (`steps` counts delivered messages).
-    pub stats: ExecutionStats,
-}
-
-struct Envelope<M> {
-    from: ProcessId,
-    msg: M,
-}
+/// Outcome of a threaded execution: the simulator's outcome type, with
+/// `completed` read against the deadline and `stats.steps` counting
+/// delivered messages.
+pub type ThreadedOutcome<O> = AsyncOutcome<O>;
 
 /// Runs the given processes on one thread each until every process listed in
 /// `wait_for` has produced an output or `deadline` elapses.
@@ -53,36 +45,12 @@ where
     M: Clone + Send + 'static,
     O: Clone + Send + 'static,
 {
-    let topology = Topology::complete(processes.len().max(1));
-    run_threaded_on(processes, topology, wait_for, deadline)
+    run_behind(Gate::new(processes.len()), processes, wait_for, deadline)
 }
 
-/// [`run_threaded`] restricted to the links of `topology`: a message
-/// addressed across a missing link is discarded instead of sent (it still
-/// counts in `messages_sent`, matching the simulated executors).
-///
-/// # Panics
-///
-/// Panics if `processes` is empty, any index in `wait_for` is out of range,
-/// or `topology.len()` differs from the process count.
-pub fn run_threaded_on<M, O>(
-    processes: Vec<Box<dyn AsyncProcess<Msg = M, Output = O> + Send>>,
-    topology: Topology,
-    wait_for: &[usize],
-    deadline: Duration,
-) -> ThreadedOutcome<O>
-where
-    M: Clone + Send + 'static,
-    O: Clone + Send + 'static,
-{
-    run_threaded_with(processes, topology, false, wait_for, deadline)
-}
-
-/// [`run_threaded_on`] with a selectable delivery model: with
-/// `local_broadcast` every outgoing batch is canonicalised with
-/// [`enforce_local_broadcast`] before it is fanned out over the real
-/// channels, so a sender cannot tell different receivers different things in
-/// the same dispatch.
+/// [`run_threaded`] restricted to the links of `topology`, with a selectable
+/// delivery model: with `local_broadcast` a sender cannot tell different
+/// receivers different things in the same dispatch.
 ///
 /// # Panics
 ///
@@ -99,20 +67,32 @@ where
     M: Clone + Send + 'static,
     O: Clone + Send + 'static,
 {
+    let mut gate = Gate::new(processes.len());
+    gate.set_topology(Arc::new(topology));
+    gate.set_local_broadcast(local_broadcast);
+    run_behind(gate, processes, wait_for, deadline)
+}
+
+/// The runtime proper: every thread admits its sends through its own copy of
+/// `gate` and the copies' books are summed at the end.
+fn run_behind<M, O>(
+    gate: Gate,
+    processes: Vec<Box<dyn AsyncProcess<Msg = M, Output = O> + Send>>,
+    wait_for: &[usize],
+    deadline: Duration,
+) -> ThreadedOutcome<O>
+where
+    M: Clone + Send + 'static,
+    O: Clone + Send + 'static,
+{
     let n = processes.len();
-    assert!(n > 0, "need at least one process");
-    assert_eq!(
-        topology.len(),
-        n,
-        "topology size must match the process count"
-    );
     assert!(
         wait_for.iter().all(|&i| i < n),
         "wait_for indices must be valid process indices"
     );
 
-    let mut senders: Vec<Sender<Envelope<M>>> = Vec::with_capacity(n);
-    let mut receivers: Vec<Receiver<Envelope<M>>> = Vec::with_capacity(n);
+    let mut senders: Vec<Sender<Delivery<M>>> = Vec::with_capacity(n);
+    let mut receivers: Vec<Receiver<Delivery<M>>> = Vec::with_capacity(n);
     for _ in 0..n {
         let (tx, rx) = channel();
         senders.push(tx);
@@ -121,10 +101,7 @@ where
 
     let outputs: Arc<Mutex<Vec<Option<O>>>> = Arc::new(Mutex::new(vec![None; n]));
     let stop = Arc::new(AtomicBool::new(false));
-    let delivered = Arc::new(AtomicUsize::new(0));
-    let sent = Arc::new(AtomicUsize::new(0));
 
-    let topology = Arc::new(topology);
     // Hand the caller's trace scope (if any) to the worker threads: each
     // process traces into its own slot (index + 1; slot 0 stays with the
     // spawning thread), so a sorted trace groups events per process in a
@@ -136,65 +113,30 @@ where
         let all_tx = senders.clone();
         let outputs = Arc::clone(&outputs);
         let stop = Arc::clone(&stop);
-        let delivered = Arc::clone(&delivered);
-        let sent = Arc::clone(&sent);
-        let topology = Arc::clone(&topology);
+        let mut gate = gate.clone();
         let trace_handle = trace_handle.clone();
         let handle = thread::spawn(move || {
             let slot = u32::try_from(index + 1).unwrap_or(u32::MAX);
             let _trace_scope = trace_handle.map(|h| bvc_trace::install(h, slot));
             let me = ProcessId::new(index);
+            // A send only fails if the receiver hung up, which happens at
+            // shutdown; losing the message then is fine.
+            let mut post = |to: usize, _due: usize, msg: M| {
+                let _ = all_tx[to].send(Delivery::new(me, msg));
+            };
             // Local logical clock: deliveries handled by this thread so far.
             let mut local_step = 0usize;
-            let dispatch = |local_step: usize, mut outgoing: Vec<Outgoing<M>>| {
-                if local_broadcast {
-                    if let Some((receivers, slots)) = enforce_local_broadcast(&mut outgoing) {
-                        bvc_trace::emit(|| bvc_trace::TraceEvent::LocalBroadcast {
-                            time: local_step,
-                            from: index,
-                            receivers,
-                            slots,
-                        });
-                    }
-                }
-                for Outgoing { to, msg } in outgoing {
-                    if to.index() < all_tx.len() {
-                        sent.fetch_add(1, Ordering::Relaxed);
-                        bvc_trace::emit(|| bvc_trace::TraceEvent::Send {
-                            time: local_step,
-                            from: index,
-                            to: to.index(),
-                        });
-                        if !topology.has_edge(index, to.index()) {
-                            bvc_trace::emit(|| bvc_trace::TraceEvent::Vanish {
-                                time: local_step,
-                                from: index,
-                                to: to.index(),
-                            });
-                            continue;
-                        }
-                        // A send only fails if the receiver hung up, which
-                        // happens at shutdown; losing the message then is fine.
-                        let _ = all_tx[to.index()].send(Envelope { from: me, msg });
-                    }
-                }
-            };
-            dispatch(local_step, process.on_start());
+            gate.admit(local_step, 0, index, process.on_start(), &mut post);
             if let Some(out) = process.output() {
                 outputs.lock().expect("outputs lock poisoned")[index] = Some(out);
             }
             while !stop.load(Ordering::Relaxed) {
                 match my_rx.recv_timeout(Duration::from_millis(5)) {
-                    Ok(envelope) => {
-                        delivered.fetch_add(1, Ordering::Relaxed);
+                    Ok(Delivery { from, msg }) => {
                         local_step += 1;
-                        bvc_trace::emit(|| bvc_trace::TraceEvent::Deliver {
-                            time: local_step,
-                            from: envelope.from.index(),
-                            to: index,
-                        });
-                        let outgoing = process.on_message(envelope.from, envelope.msg);
-                        dispatch(local_step, outgoing);
+                        gate.delivered(local_step, from.index(), index);
+                        let outgoing = process.on_message(from, msg);
+                        gate.admit(local_step, 0, index, outgoing, &mut post);
                         if let Some(out) = process.output() {
                             outputs.lock().expect("outputs lock poisoned")[index] = Some(out);
                         }
@@ -203,6 +145,7 @@ where
                     Err(RecvTimeoutError::Disconnected) => break,
                 }
             }
+            gate.finish(local_step)
         });
         handles.push(handle);
     }
@@ -225,31 +168,29 @@ where
 
     stop.store(true, Ordering::Relaxed);
     drop(senders);
+    let mut stats = ExecutionStats::for_processes(n);
     for handle in handles {
-        let _ = handle.join();
+        // A process that panicked leaves its output `None` and its books out.
+        if let Ok(thread_stats) = handle.join() {
+            stats.absorb(&thread_stats);
+        }
     }
 
     let outputs = match Arc::try_unwrap(outputs) {
         Ok(mutex) => mutex.into_inner().expect("outputs lock poisoned"),
         Err(arc) => arc.lock().expect("outputs lock poisoned").clone(),
     };
-    let delivered_count = delivered.load(Ordering::Relaxed);
     ThreadedOutcome {
         outputs,
         completed,
-        stats: ExecutionStats {
-            messages_delivered: delivered_count,
-            messages_sent: sent.load(Ordering::Relaxed),
-            steps: delivered_count,
-            ..ExecutionStats::default()
-        },
+        stats,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process::broadcast_to_all;
+    use crate::process::{broadcast_to_all, Outgoing};
 
     /// Same toy protocol as in the simulator tests: broadcast one value, sum
     /// the first n-1 received values.
@@ -375,9 +316,10 @@ mod tests {
     fn topology_restricts_real_channels_too() {
         // On a 4-ring every Summer receives only its two neighbors' values —
         // one short of the n − 1 it waits for — so the deadline expires.
-        let outcome = run_threaded_on(
+        let outcome = run_threaded_with(
             summers(&[1, 2, 3, 4]),
             Topology::ring(4),
+            false,
             &[0, 1, 2, 3],
             Duration::from_millis(150),
         );
