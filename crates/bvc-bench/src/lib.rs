@@ -1,11 +1,14 @@
-//! Shared helpers for the benchmark and experiment harness.
+//! Shared helpers for the paper's experiments.
 //!
 //! Every `exp_*` binary in this crate regenerates one artifact of the paper
-//! (a theorem's bound, a formula, or Figure 1) and prints a markdown table;
-//! `EXPERIMENTS.md` records those tables next to the paper's claims.  The
-//! helpers here keep the binaries small: a fixed-width markdown table
-//! printer, canonical workload constructors, and the sweep definitions shared
-//! between experiments and Criterion benches.
+//! (a theorem's bound, a formula, or Figure 1) and prints a markdown table
+//! on stdout; CI runs all ten and fails on a non-zero exit.  The tables are
+//! not committed anywhere (`EXPERIMENTS.md` holds the scenario catalogue's
+//! campaign-report table, not these), and the elapsed-time columns two of
+//! them print are illustrative: performance numbers of record come from
+//! `benchmark/` (see its README).  The helpers keep the binaries small: a
+//! fixed-width markdown table printer, the canonical honest-input workload,
+//! and two cell formatters.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

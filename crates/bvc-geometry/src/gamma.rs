@@ -48,9 +48,9 @@ use std::cmp::Ordering;
 
 /// Which engine path resolved a point-selection query, plus whether the
 /// trimmed-box probe was tried and missed on the way there.  This is the
-/// raw material of the Γ hot-path breakdown: the cache front end counts it,
-/// the trace stream carries it, and `perf-snapshot` publishes hit rates
-/// from it.
+/// raw material of the Γ hot-path breakdown: the cache front end counts it
+/// and the trace stream carries it (the benchmark of record computes
+/// `geometry.fast_path_pct` from those events).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GammaAttribution {
     /// The path that produced the answer.

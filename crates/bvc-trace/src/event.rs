@@ -7,6 +7,8 @@
 //! ([`crate::TraceHandle::record_timing`]), which is explicitly outside the
 //! determinism contract.
 
+use std::fmt::Write as _;
+
 /// Schema tag of the trace stream; the first line of every trace file is
 /// `{"schema": "bvc-trace/v1"}`.
 pub const SCHEMA: &str = "bvc-trace/v1";
@@ -281,9 +283,10 @@ pub enum TraceEvent {
     },
 }
 
-/// Escapes a string for a JSON string literal (no surrounding quotes).
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Appends `s` to `out` escaped for a JSON string literal (no surrounding
+/// quotes).  The workspace's one escape table: the scenario verdict writer
+/// calls this form so a verdict allocates nothing per string.
+pub fn escape_json_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -291,10 +294,18 @@ pub fn escape_json(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
+}
+
+/// Escapes a string for a JSON string literal (no surrounding quotes).
+pub fn escape_json(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    escape_json_into(&mut out, s);
     out
 }
 

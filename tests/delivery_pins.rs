@@ -2,8 +2,9 @@
 //!
 //! `cargo test -q` at the root builds only the facade crate, so the pins that
 //! define "the same behaviour" for a delivery or driver refactor — the golden
-//! trace and the verdict corpus — would otherwise run only under
-//! `--workspace`.  This replays the committed pin files (it adds none):
+//! trace, the verdict corpus and the pinned chaos counterexamples — would
+//! otherwise run only under `--workspace` or in CI.  This replays the
+//! committed pin files (it adds none):
 //!
 //! * `scenarios/trace/trace_smoke.toml` under a JSONL tracer, byte-compared
 //!   with `scenarios/trace/trace_smoke.golden.jsonl` (every `send`,
@@ -11,7 +12,11 @@
 //! * one base instance per `scenarios/*.toml`, byte-compared with
 //!   `crates/bvc-scenario/tests/corpus/catalogue_single.jsonl` (all seven
 //!   protocols, both simulated executors, faults, topologies, local
-//!   broadcast — cheap in a debug build).
+//!   broadcast — cheap in a debug build);
+//! * every `scenarios/repros/*.toml`, byte-compared with its sibling
+//!   `.expected` verdict line (what `chaos-run --replay` does; `bvc-chaos`
+//!   is not behind the facade, but the replay needs only the scenario
+//!   runner).
 
 use bvc::scenario::{run_scenario, ScenarioSpec};
 use bvc::trace::{install, render_trace, TraceHandle};
@@ -20,6 +25,26 @@ use std::path::{Path, PathBuf};
 fn read(relative: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(relative);
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// The `*.toml` files directly under `relative`, sorted by name.
+fn toml_files(relative: &str) -> Vec<PathBuf> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join(relative);
+    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .filter_map(|entry| entry.ok().map(|e| e.path()))
+        .filter(|path| path.extension().is_some_and(|ext| ext == "toml"))
+        .collect();
+    files.sort();
+    files
+}
+
+/// The file's name (for failure messages) and the scenario it holds.
+fn load(file: &Path) -> (String, ScenarioSpec) {
+    let name = file.file_name().unwrap().to_string_lossy().into_owned();
+    let text = std::fs::read_to_string(file).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let spec = ScenarioSpec::from_toml(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+    (name, spec)
 }
 
 fn verdict_line(name: &str, spec: &ScenarioSpec) -> String {
@@ -47,13 +72,7 @@ fn trace_smoke_reproduces_the_golden_trace() {
 
 #[test]
 fn catalogue_base_instances_reproduce_the_corpus() {
-    let scenarios = Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios");
-    let mut files: Vec<PathBuf> = std::fs::read_dir(&scenarios)
-        .expect("scenarios/ exists at the repository root")
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|path| path.extension().is_some_and(|ext| ext == "toml"))
-        .collect();
-    files.sort();
+    let files = toml_files("scenarios");
     let corpus = read("crates/bvc-scenario/tests/corpus/catalogue_single.jsonl");
     assert_eq!(
         files.len(),
@@ -61,11 +80,26 @@ fn catalogue_base_instances_reproduce_the_corpus() {
         "one corpus line per scenario file, in sorted-filename order"
     );
     for (file, pinned) in files.iter().zip(corpus.lines()) {
-        let name = file.file_name().unwrap().to_string_lossy();
-        let text = std::fs::read_to_string(file).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let spec = ScenarioSpec::from_toml(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let (name, spec) = load(file);
         assert_eq!(
             verdict_line(&name, &spec),
+            pinned,
+            "{name}: verdict drifted"
+        );
+    }
+}
+
+#[test]
+fn pinned_repros_reproduce_their_expected_verdicts() {
+    let files = toml_files("scenarios/repros");
+    assert_eq!(files.len(), 7, "one pair per pinned counterexample family");
+    for file in &files {
+        let (name, spec) = load(file);
+        let expected = file.with_extension("expected");
+        let pinned = std::fs::read_to_string(&expected)
+            .unwrap_or_else(|e| panic!("{}: {e}", expected.display()));
+        assert_eq!(
+            format!("{}\n", verdict_line(&name, &spec)),
             pinned,
             "{name}: verdict drifted"
         );
