@@ -92,6 +92,17 @@ impl ByzantineStrategy {
         }
     }
 
+    /// The stable label verdict lines carry and the scenario schema parses
+    /// back: [`name`](Self::name), plus the crash round (`crash:K`) or the
+    /// split-brain mask (`split-brain:MASK`).
+    pub fn label(&self) -> String {
+        match self {
+            ByzantineStrategy::Crash(k) => format!("crash:{k}"),
+            ByzantineStrategy::SplitBrain(mask) => format!("split-brain:{mask}"),
+            other => other.name().to_string(),
+        }
+    }
+
     /// Whether a process following this strategy sends anything at all in the
     /// given round (1-based).
     pub fn participates_in_round(&self, round: usize) -> bool {
@@ -225,6 +236,10 @@ mod tests {
         assert!(names.contains(&"equivocate"));
         assert!(names.contains(&"fixed-outlier"));
         assert_eq!(names.len(), 7);
+        // A label carries the payload its name drops.
+        assert_eq!(ByzantineStrategy::Crash(3).label(), "crash:3");
+        assert_eq!(ByzantineStrategy::SplitBrain(6).label(), "split-brain:6");
+        assert_eq!(ByzantineStrategy::Silent.label(), "silent");
     }
 
     #[test]

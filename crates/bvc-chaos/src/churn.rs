@@ -9,17 +9,17 @@
 //!   and run them through the parallel campaign runner, tallying verdicts,
 //!   near-misses (ε-agreement runs that decided within 20 % of the ε
 //!   budget) and any genuine violations;
-//! * **service waves** stream a batch of instances through the
+//! * **service waves** stream a list of instances through the
 //!   [`BvcService`] worker pool from a deliberately *safe* cell (above the
 //!   strict bound), flipping the panic-injection knob on half the waves to
-//!   exercise panic containment and backpressure accounting end to end.
+//!   exercise panic containment and in-flight accounting end to end.
 //!
 //! The session report serialises as a `bvc-chaos-metrics/v1` JSON document
 //! and as one Markdown row for the longitudinal `CHAOS.md` dashboard.
 
 use crate::objective::strict_bound;
 use crate::search::{sample, SearchSpace};
-use bvc_core::{InstanceOverrides, ProtocolKind, RunConfig};
+use bvc_core::{InstanceOverrides, RunConfig};
 use bvc_geometry::Point;
 use bvc_scenario::{expand, run_campaign, Protocol};
 use bvc_service::{BvcService, MemorySink, ServiceConfig};
@@ -79,8 +79,6 @@ pub struct WaveMetrics {
     pub near_misses: usize,
     /// Contained panics (service waves only).
     pub panicked: usize,
-    /// Peak service queue depth (service waves only).
-    pub max_queue_depth: usize,
     /// Family signatures of the genuine violations, in instance order.
     pub genuine: Vec<String>,
 }
@@ -150,7 +148,7 @@ impl ChurnReport {
                 out,
                 "{{\"index\": {}, \"kind\": \"{}\", \"instances\": {}, \"passed\": {}, \
                  \"violated\": {}, \"expected_unsolvable\": {}, \"rejected\": {}, \
-                 \"near_misses\": {}, \"panicked\": {}, \"max_queue_depth\": {}}}",
+                 \"near_misses\": {}, \"panicked\": {}}}",
                 wave.index,
                 wave.kind,
                 wave.instances,
@@ -160,7 +158,6 @@ impl ChurnReport {
                 wave.rejected,
                 wave.near_misses,
                 wave.panicked,
-                wave.max_queue_depth,
             );
         }
         out.push_str("]}");
@@ -278,10 +275,10 @@ fn service_wave(index: usize, config: &ChurnConfig, rng: &mut StdRng) -> WaveMet
     };
     // A safe cell: restricted-sync or exact, comfortably above the strict
     // bound, honest inputs inside [0, 1].
-    let (protocol, kind) = if rng.gen_bool(0.5) {
-        (Protocol::RestrictedSync, ProtocolKind::RestrictedSync)
+    let protocol = if rng.gen_bool(0.5) {
+        Protocol::RestrictedSync
     } else {
-        (Protocol::Exact, ProtocolKind::Exact)
+        Protocol::Exact
     };
     let f = 1;
     let d = rng.gen_range(1..=2usize);
@@ -301,10 +298,9 @@ fn service_wave(index: usize, config: &ChurnConfig, rng: &mut StdRng) -> WaveMet
             }
         })
         .collect();
-    let mut service_config = ServiceConfig::new(kind, template)
+    let mut service_config = ServiceConfig::new(protocol, template)
         .instances(instances)
         .workers(if config.jobs == 0 { 2 } else { config.jobs })
-        .batch(4.min(count))
         .label(format!("chaos-wave-{index}"));
     // Half the service waves exercise panic containment end to end.
     if index % 4 == 1 {
@@ -319,13 +315,12 @@ fn service_wave(index: usize, config: &ChurnConfig, rng: &mut StdRng) -> WaveMet
                     metrics.passed = stats.decided;
                     metrics.violated = stats.violated;
                     metrics.panicked = stats.panicked;
-                    metrics.max_queue_depth = stats.queue.max_depth;
                     // A violation beyond the injected panics would be a real
                     // finding in a cell engineered to be safe.
                     for _ in 0..stats.violated.saturating_sub(stats.panicked) {
                         metrics
                             .genuine
-                            .push(format!("service-{}-n{n}f{f}d{d}", kind.name()));
+                            .push(format!("service-{}-n{n}f{f}d{d}", protocol.name()));
                     }
                 }
                 Err(_) => metrics.rejected = count,

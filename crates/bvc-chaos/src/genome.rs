@@ -266,7 +266,7 @@ mod tests {
         assert_eq!(spec.f, 1);
         assert_eq!(spec.d, 2);
         assert_eq!(spec.seed, 3);
-        assert_eq!(bvc_scenario::strategy_label(spec.strategy), "split-brain:5");
+        assert_eq!(spec.strategy.label(), "split-brain:5");
         assert_eq!(spec.faults.events().len(), 1);
         assert!(spec.validity.is_some());
     }

@@ -15,8 +15,8 @@
 //!   and pinned as reproducer files ([`repro`]) that CI replays forever.
 //! * **Churn** ([`churn`]): a long-running randomized-but-seeded campaign
 //!   across protocols × strategies × shapes × validity modes, plus service
-//!   waves that stress the worker pool's panic containment and
-//!   backpressure, emitting `bvc-chaos-metrics/v1` JSON and a longitudinal
+//!   waves that stress the worker pool's panic containment and in-flight
+//!   accounting, emitting `bvc-chaos-metrics/v1` JSON and a longitudinal
 //!   Markdown dashboard row.
 //!
 //! Everything is deterministic from a master seed: the search trace, the

@@ -11,6 +11,7 @@
 
 use crate::genome::{ChaosGenome, FaultGene, ValidityGene};
 use crate::objective::{evaluate, strict_bound, Evaluation};
+use bvc_adversary::ByzantineStrategy;
 use bvc_scenario::{BroadcastModel, Protocol};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -173,7 +174,7 @@ pub(crate) fn sample(rng: &mut StdRng, space: &SearchSpace) -> ChaosGenome {
     ];
     let strategy = match rng.gen_range(0..strategies.len() + 1) {
         i if i < strategies.len() => strategies[i].to_string(),
-        _ => format!("split-brain:{}", rng.gen_range(1..(1u64 << n.min(16)))),
+        _ => ByzantineStrategy::SplitBrain(rng.gen_range(1..(1u64 << n.min(16)))).label(),
     };
     // Directed protocols live or die by their graph condition, so every
     // directed restart declares a topology; the classic kinds keep the
@@ -235,7 +236,7 @@ fn mutate(genome: &ChaosGenome, rng: &mut StdRng, space: &SearchSpace) -> (Chaos
         }
         3 => {
             let mask = rng.gen_range(1..(1u64 << g.n.min(16)));
-            g.strategy = format!("split-brain:{mask}");
+            g.strategy = ByzantineStrategy::SplitBrain(mask).label();
             format!("retarget-mask:{mask}")
         }
         4 => {

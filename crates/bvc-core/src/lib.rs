@@ -88,8 +88,8 @@ pub use restricted::{
     RestrictedAsyncProcess, RestrictedSyncProcess, StateMsg,
 };
 pub use run::{
-    BvcSession, DriverOutcome, InstanceOverrides, ProtocolDriver, ProtocolKind, RunConfig,
-    RunReport, Verdict,
+    BroadcastModel, BvcSession, DriverOutcome, InstanceOverrides, ProtocolDriver, ProtocolKind,
+    RunConfig, RunReport, Verdict,
 };
 pub use validity::{
     relaxed_min_processes, require_with_mode, validity_check, ValidityCheck, ValidityMode,

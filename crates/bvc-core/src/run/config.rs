@@ -75,6 +75,33 @@ impl ProtocolKind {
         }
     }
 
+    /// Parses a stable name back to a protocol (the inverse of
+    /// [`name`](Self::name)), or `None` for unknown names — the form scenario
+    /// files and CLI knobs like `chaos-run --protocols` accept.
+    pub fn from_name(name: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|kind| kind.name() == name)
+    }
+
+    /// The broadcast model the protocol assumes of the network, or `None`
+    /// for the protocols where the distinction never arises (everything but
+    /// the directed pair).
+    pub fn broadcast_model(self) -> Option<BroadcastModel> {
+        match self {
+            ProtocolKind::DirectedExact => Some(BroadcastModel::PointToPoint),
+            ProtocolKind::DirectedExactLb => Some(BroadcastModel::Local),
+            _ => None,
+        }
+    }
+
+    /// The same protocol under a different broadcast model, or `None` when
+    /// the protocol has no broadcast axis.
+    pub fn with_broadcast(self, model: BroadcastModel) -> Option<Self> {
+        self.broadcast_model().map(|_| match model {
+            BroadcastModel::PointToPoint => ProtocolKind::DirectedExact,
+            BroadcastModel::Local => ProtocolKind::DirectedExactLb,
+        })
+    }
+
     /// Whether the protocol runs on the asynchronous executor (and therefore
     /// reads the delivery policy, the step cap, and tick-based fault
     /// windows).
@@ -121,6 +148,38 @@ impl ProtocolKind {
             _ => return None,
         };
         Some(equivocation_floor.max((d + 1) * f + 1))
+    }
+}
+
+/// The delivery guarantee a directed-graph protocol assumes: classical
+/// point-to-point channels, or local broadcast (every transmission reaches
+/// all out-neighbours identically, so a faulty process cannot equivocate
+/// between them).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum BroadcastModel {
+    /// Independent per-edge channels (arXiv:1208.5075's model).
+    PointToPoint,
+    /// Local broadcast (arXiv:1911.07298's model).
+    Local,
+}
+
+impl BroadcastModel {
+    /// The stable schema name (`point-to-point`, `local`).
+    pub fn name(self) -> &'static str {
+        match self {
+            BroadcastModel::PointToPoint => "point-to-point",
+            BroadcastModel::Local => "local",
+        }
+    }
+
+    /// Parses a schema name (`point-to-point` / `p2p`, `local` /
+    /// `local-broadcast`), or `None` for anything else.
+    pub fn from_name(name: &str) -> Option<Self> {
+        match name {
+            "point-to-point" | "p2p" => Some(BroadcastModel::PointToPoint),
+            "local" | "local-broadcast" => Some(BroadcastModel::Local),
+            _ => None,
+        }
     }
 }
 
@@ -625,8 +684,38 @@ mod tests {
     }
 
     #[test]
+    fn with_broadcast_flips_only_the_directed_pair() {
+        assert_eq!(
+            ProtocolKind::DirectedExact.with_broadcast(BroadcastModel::Local),
+            Some(ProtocolKind::DirectedExactLb)
+        );
+        assert_eq!(
+            ProtocolKind::DirectedExactLb.with_broadcast(BroadcastModel::PointToPoint),
+            Some(ProtocolKind::DirectedExact)
+        );
+        assert_eq!(
+            ProtocolKind::DirectedExactLb.with_broadcast(BroadcastModel::Local),
+            Some(ProtocolKind::DirectedExactLb)
+        );
+        for kind in [
+            ProtocolKind::Exact,
+            ProtocolKind::Approx,
+            ProtocolKind::RestrictedSync,
+            ProtocolKind::RestrictedAsync,
+            ProtocolKind::Iterative,
+        ] {
+            assert_eq!(kind.with_broadcast(BroadcastModel::Local), None);
+            assert_eq!(kind.broadcast_model(), None);
+        }
+    }
+
+    #[test]
     fn protocol_kind_surface() {
         assert_eq!(ProtocolKind::ALL.len(), 7);
+        for kind in ProtocolKind::ALL {
+            assert_eq!(ProtocolKind::from_name(kind.name()), Some(kind));
+        }
+        assert_eq!(ProtocolKind::from_name("nope"), None);
         assert!(ProtocolKind::Approx.is_async());
         assert!(!ProtocolKind::RestrictedSync.is_async());
         assert!(!ProtocolKind::Exact.uses_epsilon());

@@ -41,7 +41,7 @@ mod iterative;
 mod restricted_async;
 mod restricted_sync;
 
-pub use config::{InstanceOverrides, ProtocolKind, RunConfig};
+pub use config::{BroadcastModel, InstanceOverrides, ProtocolKind, RunConfig};
 pub use report::{RunReport, Verdict};
 
 use crate::approx::ApproxOutput;

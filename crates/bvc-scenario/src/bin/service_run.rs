@@ -1,10 +1,10 @@
 //! `service-run` — run a `[service]` scenario as a multi-shot consensus
-//! stream with batched admission and streaming JSONL verdicts.
+//! stream on the ordered worker pool, with streaming JSONL verdicts.
 //!
 //! ```text
 //! cargo run --release -p bvc-scenario --bin service-run -- \
 //!     --scenario scenarios/service/restricted_stream.toml \
-//!     [--instances N] [--workers N] [--batch N] [--cold-cache] \
+//!     [--instances N] [--workers N] [--cold-cache] \
 //!     [--out verdicts.jsonl] [--stats stats.json] [--trace trace.jsonl]
 //! ```
 //!
@@ -31,7 +31,7 @@ use std::process::ExitCode;
 fn usage() -> ! {
     eprintln!(
         "usage: service-run --scenario <file.toml> [--instances <n>] [--workers <n>] \
-         [--batch <n>] [--cold-cache] [--out <file>] [--stats <file>] [--trace <file>]"
+         [--cold-cache] [--out <file>] [--stats <file>] [--trace <file>]"
     );
     std::process::exit(2);
 }
@@ -49,7 +49,6 @@ fn main() -> ExitCode {
     let mut scenario: Option<PathBuf> = None;
     let mut instances: Option<usize> = None;
     let mut workers: Option<usize> = None;
-    let mut batch: Option<usize> = None;
     let mut cold_cache = false;
     let mut out_path: Option<PathBuf> = None;
     let mut stats_path: Option<PathBuf> = None;
@@ -59,7 +58,6 @@ fn main() -> ExitCode {
             "--scenario" => scenario = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
             "--instances" => instances = Some(parse_count(args.next(), "--instances")),
             "--workers" => workers = Some(parse_count(args.next(), "--workers")),
-            "--batch" => batch = Some(parse_count(args.next(), "--batch")),
             "--cold-cache" => cold_cache = true,
             "--out" => out_path = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
             "--stats" => stats_path = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
@@ -100,9 +98,6 @@ fn main() -> ExitCode {
     };
     if let Some(workers) = workers {
         config = config.workers(workers);
-    }
-    if let Some(batch) = batch {
-        config = config.batch(batch);
     }
     if cold_cache {
         config = config.cache_mode(CacheMode::PerInstance);
@@ -165,7 +160,7 @@ fn main() -> ExitCode {
         stats.workers.len(),
     );
     eprintln!(
-        "service-run: backpressure queue depth max {}, mean {:.1} \
+        "service-run: in flight or held for order: max {}, mean {:.1} \
          (over {} sample(s))",
         stats.queue.max_depth,
         stats.queue.mean_depth,

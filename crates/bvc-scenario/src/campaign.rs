@@ -3,22 +3,21 @@
 //!
 //! A campaign is the cartesian product `seeds × strategies × policies` per
 //! scenario (each axis defaulting to the scenario's single base value), run
-//! by a fixed-size `std::thread` worker pool that pulls instances off an
-//! atomic cursor.  Results are collected **by instance index**, so the output
-//! order — and therefore the emitted JSON — is independent of thread
-//! interleaving: campaigns are as deterministic as single runs.
+//! on the workspace's one ordered worker pool
+//! ([`bvc_service::pool::run_ordered`]).  Results come back **by instance
+//! index**, so the output order — and therefore the emitted JSON — is
+//! independent of thread interleaving: campaigns are as deterministic as
+//! single runs.
 
 use crate::runner::{run_scenario_instance, ScenarioError, ScenarioOutcome};
 use crate::schema::{Protocol, ScenarioSpec};
 use bvc_adversary::ByzantineStrategy;
 use bvc_core::ValidityMode;
 use bvc_net::DeliveryPolicy;
-use bvc_service::{ReorderBuffer, VerdictSink};
+use bvc_service::pool::run_ordered;
+use bvc_service::VerdictSink;
 use bvc_topology::TopologySpec;
 use std::io;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
-use std::thread;
 
 /// One expanded cell of the campaign matrix.
 #[derive(Debug, Clone)]
@@ -151,41 +150,15 @@ pub fn expand_all(specs: &[ScenarioSpec]) -> Vec<Instance> {
 /// Outcome of one instance: the verdict, or why it could not run.
 pub type InstanceResult = Result<ScenarioOutcome, ScenarioError>;
 
-/// The shared worker pool behind both campaign entry points: `jobs` threads
-/// pull instances off an atomic cursor and hand each `(index, result)` to
-/// `consume` as soon as it completes (any thread, any order).
-///
-/// `jobs == 0` selects the available parallelism (or 1 if unknown).
-fn run_pool(instances: &[Instance], jobs: usize, consume: &(dyn Fn(usize, InstanceResult) + Sync)) {
-    let jobs = if jobs == 0 {
-        thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        jobs
-    };
-    let jobs = jobs.min(instances.len()).max(1);
-
-    let cursor = AtomicUsize::new(0);
-    thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(instance) = instances.get(index) else {
-                    break;
-                };
-                let result = run_scenario_instance(
-                    &instance.spec,
-                    instance.seed,
-                    instance.strategy,
-                    instance.policy.clone(),
-                    instance.topology.as_ref(),
-                    instance.validity.as_ref(),
-                );
-                consume(index, result);
-            });
-        }
-    });
+fn run_instance(instance: &Instance) -> InstanceResult {
+    run_scenario_instance(
+        &instance.spec,
+        instance.seed,
+        instance.strategy,
+        instance.policy.clone(),
+        instance.topology.as_ref(),
+        instance.validity.as_ref(),
+    )
 }
 
 /// Runs every instance on a pool of `jobs` worker threads and returns the
@@ -193,29 +166,10 @@ fn run_pool(instances: &[Instance], jobs: usize, consume: &(dyn Fn(usize, Instan
 ///
 /// `jobs == 0` selects the available parallelism (or 1 if unknown).
 pub fn run_campaign(instances: &[Instance], jobs: usize) -> Vec<InstanceResult> {
-    let results: Mutex<Vec<Option<InstanceResult>>> =
-        Mutex::new((0..instances.len()).map(|_| None).collect());
-    run_pool(instances, jobs, &|index, result| {
-        results.lock().expect("results lock poisoned")[index] = Some(result);
-    });
-    results
-        .into_inner()
-        .expect("results lock poisoned")
-        .into_iter()
-        .map(|slot| slot.expect("every instance index was processed"))
-        .collect()
-}
-
-/// Everything the streaming campaign accumulates under one lock: the reorder
-/// buffer releasing verdict lines in instance order, the sink they drain
-/// into, the running summary, the rejections (reported out-of-band, since
-/// they emit no line), and the first sink error.
-struct StreamState<'a> {
-    reorder: ReorderBuffer,
-    sink: &'a mut dyn VerdictSink,
-    summary: CampaignSummary,
-    rejections: Vec<(usize, ScenarioError)>,
-    error: Option<io::Error>,
+    let job = |_, index: usize| (None, run_instance(&instances[index]));
+    run_ordered(instances.len(), jobs, &mut (), job)
+        .expect("the line-less sink `()` cannot fail")
+        .results
 }
 
 /// Runs every instance on a pool of `jobs` worker threads, **streaming** each
@@ -240,47 +194,24 @@ pub fn run_campaign_streaming(
     jobs: usize,
     sink: &mut dyn VerdictSink,
 ) -> io::Result<(CampaignSummary, Vec<(usize, ScenarioError)>)> {
-    let state = Mutex::new(StreamState {
-        reorder: ReorderBuffer::new(),
-        sink,
-        summary: CampaignSummary::default(),
-        rejections: Vec::new(),
-        error: None,
-    });
-    run_pool(instances, jobs, &|index, result| {
-        let mut state = state.lock().unwrap_or_else(PoisonError::into_inner);
-        let StreamState {
-            reorder,
-            sink,
-            summary,
-            rejections,
-            error,
-        } = &mut *state;
-        summary.add(&result);
-        let line = match result {
-            Ok(outcome) => Some(outcome.to_json()),
-            Err(e) => {
-                rejections.push((index, e));
-                None
-            }
-        };
-        match error {
-            Some(_) => {} // sink already failed; keep tallying, stop writing
-            None => {
-                if let Err(e) = reorder.push(index as u64, line, &mut **sink) {
-                    *error = Some(e);
-                }
-            }
+    // Each job keeps only what outlives its line: the instance's tally and,
+    // for a rejection, the reason.
+    let done = run_ordered(instances.len(), jobs, sink, |_, index| {
+        let result = run_instance(&instances[index]);
+        let mut tally = CampaignSummary::default();
+        tally.add(&result);
+        match result {
+            Ok(outcome) => (Some(outcome.to_json()), (tally, None)),
+            Err(error) => (None, (tally, Some(error))),
         }
-    });
-    let mut state = state.into_inner().unwrap_or_else(PoisonError::into_inner);
-    if let Some(error) = state.error {
-        return Err(error);
+    })?;
+    let mut summary = CampaignSummary::default();
+    let mut rejections = Vec::new();
+    for (index, (tally, rejection)) in done.results.into_iter().enumerate() {
+        summary.absorb(&tally);
+        rejections.extend(rejection.map(|error| (index, error)));
     }
-    debug_assert!(state.reorder.is_drained(), "every index was pushed");
-    state.sink.finish()?;
-    state.rejections.sort_by_key(|&(index, _)| index);
-    Ok((state.summary, state.rejections))
+    Ok((summary, rejections))
 }
 
 /// Aggregate counts over a finished campaign, for the human-readable summary.
@@ -327,6 +258,20 @@ impl CampaignSummary {
             summary.add(result);
         }
         summary
+    }
+
+    /// Adds another summary's counts to this one.
+    pub fn absorb(&mut self, other: &Self) {
+        let Self {
+            passed,
+            violated,
+            expected_unsolvable,
+            rejected,
+        } = other;
+        self.passed += passed;
+        self.violated += violated;
+        self.expected_unsolvable += expected_unsolvable;
+        self.rejected += rejected;
     }
 
     /// Total number of instances.

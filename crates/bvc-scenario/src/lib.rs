@@ -90,9 +90,9 @@
 //!
 //! [service]                      # optional: run the file as a multi-shot
 //! instances = 1000               # consensus stream (`service-run`, the
-//! batch = 64                     # `bvc-service` crate).  Instance i runs at
-//! workers = 0                    # seed base + (i % seed_cycle) with inputs
-//! seed_cycle = 50                # regenerated from that seed; 0 = no cycle.
+//! workers = 0                    # `bvc-service` crate).  Instance i runs at
+//! seed_cycle = 50                # seed base + (i % seed_cycle) with inputs
+//!                                # regenerated from that seed; 0 = no cycle.
 //! strategies = ["equivocate", "silent"]  # rotation (empty ⇒ base strategy)
 //! shared_cache = true            # chain per-instance Γ caches to one parent
 //! # sink = "verdicts.jsonl"      # default stdout; `--out` overrides
@@ -185,7 +185,7 @@ pub use campaign::{
 pub use report::{CellKey, CellStats, ViolationTable};
 pub use runner::{
     generate_inputs, run_scenario, run_scenario_instance, run_scenario_with_topology,
-    strategy_label, ScenarioError, ScenarioOutcome, TopologyMeta, ValidityMeta,
+    ScenarioError, ScenarioOutcome, TopologyMeta, ValidityMeta,
 };
 pub use schema::{
     parse_strategy, policy_name, BroadcastModel, CampaignSpec, InputSpec, Protocol, ScenarioSpec,

@@ -4,17 +4,15 @@
 //! generator, builds **one** protocol-agnostic [`RunConfig`]
 //! ([`run_config_from_spec`]) and dispatches it through [`BvcSession`] (the
 //! protocol logic lives in `bvc-core` — the scenario engine never
-//! re-implements it, and [`protocol_kind`] is the runner's single protocol
-//! dispatch point), then packages the unified report as a
+//! re-implements it, and the schema's `Protocol` *is* the session API's
+//! `ProtocolKind`), then packages the unified report as a
 //! [`ScenarioOutcome`] whose JSON form is byte-identical for identical
 //! `(scenario, seed, strategy, policy)`.
 
 use crate::json::Json;
 use crate::schema::{policy_name, InputSpec, Protocol, ScenarioSpec};
 use bvc_adversary::ByzantineStrategy;
-use bvc_core::{
-    BvcError, BvcSession, ProtocolKind, RunConfig, ValidityCheck, ValidityMode, Verdict,
-};
+use bvc_core::{BvcError, BvcSession, RunConfig, ValidityCheck, ValidityMode, Verdict};
 use bvc_geometry::{Point, WorkloadGenerator};
 use bvc_net::{DeliveryPolicy, ExecutionStats, FaultPlan};
 use bvc_topology::{Topology, TopologySpec};
@@ -469,7 +467,6 @@ pub fn run_scenario_instance(
     topology_spec: Option<&TopologySpec>,
     validity: Option<&ValidityMode>,
 ) -> Result<ScenarioOutcome, ScenarioError> {
-    let kind = protocol_kind(spec.protocol);
     let topology = match topology_spec {
         None => None,
         Some(t) => Some(
@@ -485,7 +482,7 @@ pub fn run_scenario_instance(
         topology.as_ref(),
         validity,
     )?;
-    let report = BvcSession::new(kind, config)?.run();
+    let report = BvcSession::new(spec.protocol, config)?.run();
 
     // Topology metadata: the iterative protocol always reports its substrate
     // (the session resolves the complete graph by default, and its driver
@@ -521,7 +518,7 @@ pub fn run_scenario_instance(
         shape: (spec.n, spec.f, spec.d),
         epsilon: report.epsilon(),
         seed,
-        strategy: strategy_label(strategy),
+        strategy: strategy.label(),
         policy: policy_label,
         faults: spec.faults.events().iter().map(|e| e.kind.name()).collect(),
         topology: topology_meta,
@@ -530,22 +527,6 @@ pub fn run_scenario_instance(
         rounds: report.rounds(),
         stats: report.stats().clone(),
     })
-}
-
-/// The runner's **single protocol dispatch point**: the scenario schema's
-/// [`Protocol`] mapped onto the session API's [`ProtocolKind`].  Everything
-/// else in this module is protocol-independent — adding a protocol to the
-/// matrix means one schema name, one arm here, and a driver in `bvc-core`.
-pub fn protocol_kind(protocol: Protocol) -> ProtocolKind {
-    match protocol {
-        Protocol::Exact => ProtocolKind::Exact,
-        Protocol::Approx => ProtocolKind::Approx,
-        Protocol::RestrictedSync => ProtocolKind::RestrictedSync,
-        Protocol::RestrictedAsync => ProtocolKind::RestrictedAsync,
-        Protocol::Iterative => ProtocolKind::Iterative,
-        Protocol::DirectedExact => ProtocolKind::DirectedExact,
-        Protocol::DirectedExactLb => ProtocolKind::DirectedExactLb,
-    }
 }
 
 /// Builds the session [`RunConfig`] for one scenario instance: honest inputs
@@ -569,8 +550,7 @@ pub fn run_config_from_spec(
     topology: Option<&Topology>,
     validity: Option<&ValidityMode>,
 ) -> Result<RunConfig, ScenarioError> {
-    let kind = protocol_kind(spec.protocol);
-    let faults = if kind.is_async() {
+    let faults = if spec.protocol.is_async() {
         spec.faults.clone()
     } else {
         sync_rounds_plan(&spec.faults)
@@ -589,16 +569,6 @@ pub fn run_config_from_spec(
         config = config.topology(t.clone());
     }
     Ok(config)
-}
-
-/// Stable label for a strategy, including the crash round (`crash:K`) and
-/// the split-brain mask (`split-brain:MASK`).
-pub fn strategy_label(strategy: ByzantineStrategy) -> String {
-    match strategy {
-        ByzantineStrategy::Crash(k) => format!("crash:{k}"),
-        ByzantineStrategy::SplitBrain(mask) => format!("split-brain:{mask}"),
-        other => other.name().to_string(),
-    }
 }
 
 #[cfg(test)]

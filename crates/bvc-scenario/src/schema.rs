@@ -9,123 +9,14 @@
 use crate::toml::{parse, TomlValue};
 use bvc_adversary::ByzantineStrategy;
 use bvc_core::ValidityMode;
+/// Which algorithm a scenario exercises, and the delivery guarantee the
+/// directed pair assumes: the session API's own enums, so a schema name is
+/// parsed once ([`Protocol::from_name`]) and dispatched unmapped.
+pub use bvc_core::{BroadcastModel, ProtocolKind as Protocol};
 use bvc_net::{DeliveryPolicy, FaultEvent, FaultKind, FaultPlan, LinkSelector, ProcessId};
 use bvc_topology::TopologySpec;
 use std::collections::BTreeMap;
 use std::fmt;
-
-/// Which algorithm a scenario exercises: the source paper's four, the
-/// iterative incomplete-graph protocol (Vaidya 2013), or the directed-graph
-/// exact protocols (point-to-point and local-broadcast delivery).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Protocol {
-    /// Exact BVC, synchronous (Theorems 1/3).
-    Exact,
-    /// Approximate BVC, asynchronous (Theorems 4/5).
-    Approx,
-    /// Restricted-round approximate BVC, synchronous (Theorem 6).
-    RestrictedSync,
-    /// Restricted-round approximate BVC, asynchronous (Theorem 6).
-    RestrictedAsync,
-    /// Iterative BVC over a declared topology (incomplete graphs, synchronous).
-    Iterative,
-    /// Exact BVC over a declared directed topology under point-to-point
-    /// delivery (arXiv:1208.5075), synchronous.
-    DirectedExact,
-    /// Exact BVC over a declared directed topology under local-broadcast
-    /// delivery (arXiv:1911.07298), synchronous.
-    DirectedExactLb,
-}
-
-impl Protocol {
-    /// The stable schema name (`exact`, `approx`, `restricted-sync`,
-    /// `restricted-async`, `iterative`, `directed-exact`,
-    /// `directed-exact-lb`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Protocol::Exact => "exact",
-            Protocol::Approx => "approx",
-            Protocol::RestrictedSync => "restricted-sync",
-            Protocol::RestrictedAsync => "restricted-async",
-            Protocol::Iterative => "iterative",
-            Protocol::DirectedExact => "directed-exact",
-            Protocol::DirectedExactLb => "directed-exact-lb",
-        }
-    }
-
-    /// Whether the protocol runs on the asynchronous executor.
-    pub fn is_async(self) -> bool {
-        matches!(self, Protocol::Approx | Protocol::RestrictedAsync)
-    }
-
-    /// The broadcast model the protocol assumes of the network, or `None`
-    /// for the complete-graph protocols where the distinction never arises.
-    pub fn broadcast_model(self) -> Option<BroadcastModel> {
-        match self {
-            Protocol::DirectedExact => Some(BroadcastModel::PointToPoint),
-            Protocol::DirectedExactLb => Some(BroadcastModel::Local),
-            _ => None,
-        }
-    }
-
-    /// The same protocol under a different broadcast model, or `None` when
-    /// the protocol has no broadcast axis (everything but the directed pair).
-    pub fn with_broadcast(self, model: BroadcastModel) -> Option<Self> {
-        match self {
-            Protocol::DirectedExact | Protocol::DirectedExactLb => Some(match model {
-                BroadcastModel::PointToPoint => Protocol::DirectedExact,
-                BroadcastModel::Local => Protocol::DirectedExactLb,
-            }),
-            _ => None,
-        }
-    }
-
-    /// Parses a stable schema name back to a protocol (the inverse of
-    /// [`Protocol::name`]), or `None` for unknown names — also the form
-    /// CLI knobs like `chaos-run --protocols` accept.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "exact" => Some(Protocol::Exact),
-            "approx" => Some(Protocol::Approx),
-            "restricted-sync" => Some(Protocol::RestrictedSync),
-            "restricted-async" => Some(Protocol::RestrictedAsync),
-            "iterative" => Some(Protocol::Iterative),
-            "directed-exact" => Some(Protocol::DirectedExact),
-            "directed-exact-lb" => Some(Protocol::DirectedExactLb),
-            _ => None,
-        }
-    }
-}
-
-/// The delivery guarantee a directed-graph protocol assumes: classical
-/// point-to-point channels, or local broadcast (every transmission reaches
-/// all out-neighbours identically, so a faulty process cannot equivocate
-/// between them).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BroadcastModel {
-    /// Independent per-edge channels (arXiv:1208.5075's model).
-    PointToPoint,
-    /// Local broadcast (arXiv:1911.07298's model).
-    Local,
-}
-
-impl BroadcastModel {
-    /// The stable schema name (`point-to-point`, `local`).
-    pub fn name(self) -> &'static str {
-        match self {
-            BroadcastModel::PointToPoint => "point-to-point",
-            BroadcastModel::Local => "local",
-        }
-    }
-
-    fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "point-to-point" | "p2p" => Some(BroadcastModel::PointToPoint),
-            "local" | "local-broadcast" => Some(BroadcastModel::Local),
-            _ => None,
-        }
-    }
-}
 
 /// How the `n − f` honest inputs are generated.
 #[derive(Debug, Clone, PartialEq)]
@@ -216,8 +107,6 @@ impl CampaignSpec {
 pub struct ServiceSpec {
     /// Number of consensus instances in the stream (≥ 1).
     pub instances: usize,
-    /// Admission batch size (≥ 1; default 64).
-    pub batch: usize,
     /// Worker threads (`0` ⇒ available parallelism; default 0).
     pub workers: usize,
     /// Seed cycle length: instance `i` runs at seed `base + (i % cycle)`;
@@ -340,6 +229,18 @@ fn require<T>(value: Option<T>, key: &str, section: &str) -> Result<T, SchemaErr
     value.ok_or_else(|| SchemaError(format!("missing `{key}` in [{section}]")))
 }
 
+/// Rejects a key nothing reads: a misspelt `bacth = 32` must not parse
+/// clean and run with the default.  `place` is `[section]` or a phrase.
+fn known_keys(table: &Table, place: &str, keys: &[&str]) -> Result<(), SchemaError> {
+    match table.keys().find(|key| !keys.contains(&key.as_str())) {
+        None => Ok(()),
+        Some(key) => bad(format!(
+            "unknown key `{key}` in {place} (expected {})",
+            keys.join(", ")
+        )),
+    }
+}
+
 fn float_list(value: &TomlValue, key: &str) -> Result<Vec<f64>, SchemaError> {
     let Some(items) = value.as_array() else {
         return bad(format!("`{key}` must be an array of numbers"));
@@ -421,6 +322,7 @@ pub fn policy_name(policy: &DeliveryPolicy) -> String {
 }
 
 fn parse_policy(table: &Table) -> Result<DeliveryPolicy, SchemaError> {
+    known_keys(table, "[delivery]", &["policy", "processes"])?;
     let name = require(get_str(table, "policy")?, "policy", "delivery")?;
     parse_policy_name(name, table.get("processes"))
 }
@@ -464,6 +366,13 @@ fn parse_link_selector(table: &Table) -> Result<LinkSelector, SchemaError> {
 }
 
 fn parse_fault(table: &Table) -> Result<FaultEvent, SchemaError> {
+    known_keys(
+        table,
+        "[[faults]]",
+        &[
+            "kind", "rate", "extra", "groups", "from", "to", "start", "duration",
+        ],
+    )?;
     let kind_name = require(get_str(table, "kind")?, "kind", "faults")?;
     let kind = match kind_name {
         "drop" => {
@@ -512,6 +421,11 @@ fn parse_inputs(table: Option<&Table>, d: usize) -> Result<InputSpec, SchemaErro
     let Some(table) = table else {
         return Ok(InputSpec::Grid);
     };
+    known_keys(
+        table,
+        "[inputs]",
+        &["generator", "center", "radius", "points"],
+    )?;
     let generator = get_str(table, "generator")?.unwrap_or("grid");
     match generator {
         "grid" => Ok(InputSpec::Grid),
@@ -566,6 +480,11 @@ fn parse_inputs(table: Option<&Table>, d: usize) -> Result<InputSpec, SchemaErro
 /// `edges`/`undirected`) and the compact string form of campaign axes
 /// (`"torus:2x4"`, `"random-regular:4"`).
 fn parse_topology(table: &Table) -> Result<TopologySpec, SchemaError> {
+    known_keys(
+        table,
+        "[topology]",
+        &["kind", "rows", "cols", "degree", "edges", "undirected"],
+    )?;
     let kind = require(get_str(table, "kind")?, "kind", "topology")?;
     match kind {
         "torus" => {
@@ -636,6 +555,20 @@ fn parse_validity(table: &Table) -> Result<Option<ValidityMode>, SchemaError> {
 }
 
 fn parse_campaign(table: &Table) -> Result<CampaignSpec, SchemaError> {
+    known_keys(
+        table,
+        "[campaign]",
+        &[
+            "seeds",
+            "seed_range",
+            "strategies",
+            "policies",
+            "topologies",
+            "alphas",
+            "ks",
+            "broadcast",
+        ],
+    )?;
     let mut campaign = CampaignSpec::default();
     if let Some(value) = table.get("seeds") {
         let Some(items) = value.as_array() else {
@@ -742,13 +675,21 @@ fn parse_campaign(table: &Table) -> Result<CampaignSpec, SchemaError> {
 }
 
 fn parse_service(table: &Table) -> Result<ServiceSpec, SchemaError> {
+    known_keys(
+        table,
+        "[service]",
+        &[
+            "instances",
+            "workers",
+            "seed_cycle",
+            "strategies",
+            "shared_cache",
+            "sink",
+        ],
+    )?;
     let instances = require(get_usize(table, "instances")?, "instances", "service")?;
     if instances == 0 {
         return bad("`instances` must be at least 1");
-    }
-    let batch = get_usize(table, "batch")?.unwrap_or(64);
-    if batch == 0 {
-        return bad("`batch` must be at least 1");
     }
     let workers = get_usize(table, "workers")?.unwrap_or(0);
     let seed_cycle = get_u64(table, "seed_cycle")?.unwrap_or(0);
@@ -776,7 +717,6 @@ fn parse_service(table: &Table) -> Result<ServiceSpec, SchemaError> {
     };
     Ok(ServiceSpec {
         instances,
-        batch,
         workers,
         seed_cycle,
         strategies,
@@ -793,10 +733,42 @@ impl ScenarioSpec {
     /// Returns an error describing the first TOML or schema violation.
     pub fn from_toml(text: &str) -> Result<Self, SchemaError> {
         let root = parse(text).map_err(|e| SchemaError(e.to_string()))?;
+        known_keys(
+            &root,
+            "the top level",
+            &[
+                "scenario",
+                "inputs",
+                "adversary",
+                "delivery",
+                "faults",
+                "topology",
+                "campaign",
+                "service",
+            ],
+        )?;
         let scenario = root
             .get("scenario")
             .and_then(|v| v.as_table())
             .ok_or_else(|| SchemaError("missing [scenario] section".into()))?;
+        known_keys(
+            scenario,
+            "[scenario]",
+            &[
+                "name",
+                "protocol",
+                "n",
+                "f",
+                "d",
+                "epsilon",
+                "seed",
+                "max_steps",
+                "value_bounds",
+                "validity",
+                "alpha",
+                "k",
+            ],
+        )?;
 
         let name = require(get_str(scenario, "name")?, "name", "scenario")?.to_string();
         let protocol_name = require(get_str(scenario, "protocol")?, "protocol", "scenario")?;
@@ -827,11 +799,14 @@ impl ScenarioSpec {
         let inputs = parse_inputs(root.get("inputs").and_then(|v| v.as_table()), d)?;
 
         let strategy = match root.get("adversary").and_then(|v| v.as_table()) {
-            Some(adversary) => parse_strategy(require(
-                get_str(adversary, "strategy")?,
-                "strategy",
-                "adversary",
-            )?)?,
+            Some(adversary) => {
+                known_keys(adversary, "[adversary]", &["strategy"])?;
+                parse_strategy(require(
+                    get_str(adversary, "strategy")?,
+                    "strategy",
+                    "adversary",
+                )?)?
+            }
             None => ByzantineStrategy::Equivocate,
         };
 
@@ -1137,32 +1112,6 @@ strategies = ["equivocate", "silent"]
     }
 
     #[test]
-    fn with_broadcast_flips_only_the_directed_pair() {
-        assert_eq!(
-            Protocol::DirectedExact.with_broadcast(BroadcastModel::Local),
-            Some(Protocol::DirectedExactLb)
-        );
-        assert_eq!(
-            Protocol::DirectedExactLb.with_broadcast(BroadcastModel::PointToPoint),
-            Some(Protocol::DirectedExact)
-        );
-        assert_eq!(
-            Protocol::DirectedExactLb.with_broadcast(BroadcastModel::Local),
-            Some(Protocol::DirectedExactLb)
-        );
-        for protocol in [
-            Protocol::Exact,
-            Protocol::Approx,
-            Protocol::RestrictedSync,
-            Protocol::RestrictedAsync,
-            Protocol::Iterative,
-        ] {
-            assert_eq!(protocol.with_broadcast(BroadcastModel::Local), None);
-            assert_eq!(protocol.broadcast_model(), None);
-        }
-    }
-
-    #[test]
     fn broadcast_axis_is_rejected_off_the_directed_protocols() {
         let wrong_protocol =
             "[scenario]\nname = \"b\"\nprotocol = \"exact\"\nn = 5\nf = 1\nd = 2\n\
@@ -1190,6 +1139,15 @@ strategies = ["equivocate", "silent"]
         assert!(parse_strategy("nope").is_err());
         assert!(parse_strategy("crash:x").is_err());
         assert!(parse_strategy("split-brain:x").is_err());
+        // The label a verdict carries parses back to the strategy it names.
+        let mut strategies = ByzantineStrategy::all();
+        strategies.extend([
+            ByzantineStrategy::Crash(7),
+            ByzantineStrategy::SplitBrain(5),
+        ]);
+        for strategy in strategies {
+            assert_eq!(parse_strategy(&strategy.label()).unwrap(), strategy);
+        }
     }
 
     #[test]
@@ -1222,6 +1180,47 @@ strategies = ["equivocate", "silent"]
             "[scenario]\nname = \"a\"\nprotocol = \"approx\"\nn = 4\nf = 1\nd = 1\n\
             [[faults]]\nkind = \"partition\"\ngroups = [[0]]\nstart = 0\nduration = 0\n";
         assert!(ScenarioSpec::from_toml(never_expires).is_err());
+        // A key nothing reads is a typed error naming its section.
+        let base = "[scenario]\nname = \"a\"\nprotocol = \"approx\"\nn = 5\nf = 1\nd = 1\n";
+        for (body, key, place) in [
+            ("epsilom = 0.1\n", "epsilom", "[scenario]"),
+            (
+                "[inputs]\ngenerator = \"grid\"\nradios = 0.1\n",
+                "radios",
+                "[inputs]",
+            ),
+            (
+                "[adversary]\nstrategy = \"silent\"\nmask = 3\n",
+                "mask",
+                "[adversary]",
+            ),
+            (
+                "[delivery]\npolicy = \"round-robin\"\nprocess = [1]\n",
+                "process",
+                "[delivery]",
+            ),
+            (
+                "[[faults]]\nkind = \"drop\"\nrate = 0.5\nduration = 5\nlength = 5\n",
+                "length",
+                "[[faults]]",
+            ),
+            (
+                "[topology]\nkind = \"ring\"\ndirected = true\n",
+                "directed",
+                "[topology]",
+            ),
+            ("[campaign]\nseed = [0, 1]\n", "seed", "[campaign]"),
+            (
+                "[service]\ninstances = 5\nbacth = 32\n",
+                "bacth",
+                "[service]",
+            ),
+            ("[servise]\ninstances = 5\n", "servise", "the top level"),
+        ] {
+            let error = ScenarioSpec::from_toml(&format!("{base}{body}")).unwrap_err();
+            let wanted = format!("unknown key `{key}` in {place} (expected ");
+            assert!(error.0.starts_with(&wanted), "{body:?} gave: {error}");
+        }
     }
 
     #[test]
@@ -1232,7 +1231,6 @@ strategies = ["equivocate", "silent"]
         let spec = ScenarioSpec::from_toml(&minimal).unwrap();
         let service = spec.service.unwrap();
         assert_eq!(service.instances, 10);
-        assert_eq!(service.batch, 64);
         assert_eq!(service.workers, 0);
         assert_eq!(service.seed_cycle, 0);
         assert!(service.strategies.is_empty());
@@ -1240,15 +1238,12 @@ strategies = ["equivocate", "silent"]
         assert_eq!(service.sink, None, "default sink is stdout");
 
         let full = format!(
-            "{base}[service]\ninstances = 200\nbatch = 32\nworkers = 4\nseed_cycle = 20\n\
+            "{base}[service]\ninstances = 200\nworkers = 4\nseed_cycle = 20\n\
              strategies = [\"equivocate\", \"crash:2\"]\nshared_cache = false\n\
              sink = \"out.jsonl\"\n"
         );
         let service = ScenarioSpec::from_toml(&full).unwrap().service.unwrap();
-        assert_eq!(
-            (service.instances, service.batch, service.workers),
-            (200, 32, 4)
-        );
+        assert_eq!((service.instances, service.workers), (200, 4));
         assert_eq!(service.seed_cycle, 20);
         assert_eq!(
             service.strategies,
@@ -1274,7 +1269,7 @@ strategies = ["equivocate", "silent"]
         for body in [
             "[service]\n",                           // missing instances
             "[service]\ninstances = 0\n",            // empty stream
-            "[service]\ninstances = 5\nbatch = 0\n", // zero batch
+            "[service]\ninstances = 5\nbatch = 4\n", // a key nothing reads
             "[service]\ninstances = 5\nstrategies = [\"nope\"]\n",
         ] {
             let text = format!("{base}{body}");

@@ -7,9 +7,7 @@
 //! honest inputs and an optional strategy rotation.  The resulting
 //! [`ServiceConfig`] feeds [`bvc_service::BvcService`] directly.
 
-use crate::runner::{
-    generate_inputs, protocol_kind, run_config_from_spec, ScenarioError, TOPOLOGY_SEED_SALT,
-};
+use crate::runner::{generate_inputs, run_config_from_spec, ScenarioError, TOPOLOGY_SEED_SALT};
 use crate::schema::{ScenarioSpec, ServiceSpec};
 use bvc_core::InstanceOverrides;
 use bvc_service::{CacheMode, ServiceConfig};
@@ -56,10 +54,9 @@ pub fn service_config_from_spec(spec: &ScenarioSpec) -> Result<ServiceConfig, Sc
     } else {
         CacheMode::PerInstance
     };
-    Ok(ServiceConfig::new(protocol_kind(spec.protocol), template)
+    Ok(ServiceConfig::new(spec.protocol, template)
         .instances(overrides)
         .workers(service.workers)
-        .batch(service.batch)
         .cache_mode(cache_mode)
         .label(spec.name.clone()))
 }
@@ -134,7 +131,7 @@ mod tests {
 
     #[test]
     fn a_declared_stream_runs_end_to_end() {
-        let spec = service_spec("seed_cycle = 3\nbatch = 2\nworkers = 2\n");
+        let spec = service_spec("seed_cycle = 3\nworkers = 2\n");
         let config = service_config_from_spec(&spec).unwrap();
         let mut sink = MemorySink::new();
         let stats = BvcService::new(config)

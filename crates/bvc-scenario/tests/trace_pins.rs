@@ -17,7 +17,7 @@ use bvc_core::{InstanceOverrides, ProtocolKind, RunConfig};
 use bvc_geometry::{Point, WorkloadGenerator};
 use bvc_scenario::{run_scenario, ScenarioSpec};
 use bvc_service::{BvcService, CacheMode, MemorySink, ServiceConfig};
-use bvc_trace::{install, parse_flat, render_trace, JsonValue, TraceHandle};
+use bvc_trace::{install, parse_flat, render_trace, Json, TraceHandle};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -155,15 +155,15 @@ fn heavy_stream() -> ServiceConfig {
         .label("trace-pin-heavy")
 }
 
-fn parsed(lines: &[String]) -> Vec<BTreeMap<String, JsonValue>> {
+fn parsed(lines: &[String]) -> Vec<BTreeMap<String, Json>> {
     lines
         .iter()
         .map(|line| parse_flat(line).expect("trace lines are flat JSON"))
         .collect()
 }
 
-fn str_field<'a>(map: &'a BTreeMap<String, JsonValue>, key: &str) -> &'a str {
-    map.get(key).and_then(JsonValue::as_str).unwrap_or("")
+fn str_field<'a>(map: &'a BTreeMap<String, Json>, key: &str) -> &'a str {
+    map.get(key).and_then(Json::as_str).unwrap_or("")
 }
 
 #[test]
@@ -196,7 +196,7 @@ fn trace_is_byte_deterministic_and_transparent_for_the_pinned_scenario() {
             .expect("both protocols query Γ");
         assert_eq!(
             events[first_gamma].get("probe_missed"),
-            Some(&JsonValue::Bool(true))
+            Some(&Json::Bool(true))
         );
         assert!(
             events[..first_gamma].iter().any(|m| {
@@ -221,14 +221,14 @@ fn event_invariants_hold_on_a_sync_trace() {
     let (mut sent, mut delivered) = (0u64, 0u64);
     let mut gamma_total = 0u64;
     for map in &events {
-        let slot = map.get("slot").and_then(JsonValue::as_uint).unwrap_or(0);
+        let slot = map.get("slot").and_then(Json::as_u64).unwrap_or(0);
         match str_field(map, "ev") {
             "round_open" => {
-                let round = map.get("round").and_then(JsonValue::as_uint).unwrap();
+                let round = map.get("round").and_then(Json::as_u64).unwrap();
                 opened.insert((slot, round));
             }
             "round_close" => {
-                let round = map.get("round").and_then(JsonValue::as_uint).unwrap();
+                let round = map.get("round").and_then(Json::as_u64).unwrap();
                 closed.insert((slot, round));
             }
             "send" => sent += 1,
@@ -240,7 +240,7 @@ fn event_invariants_hold_on_a_sync_trace() {
                 // go unattributed.
                 if str_field(map, "cache") == "miss" && str_field(map, "kind") != "decision" {
                     assert!(
-                        map.get("path").and_then(JsonValue::as_str).is_some(),
+                        map.get("path").and_then(Json::as_str).is_some(),
                         "miss without path attribution: {map:?}"
                     );
                 }
@@ -273,7 +273,7 @@ fn gamma_breakdown_rows_sum_to_recorded_totals() {
         let row = match str_field(&map, "cache") {
             "local" => "cache-local".to_string(),
             "parent" => "cache-parent".to_string(),
-            _ => match map.get("path").and_then(JsonValue::as_str) {
+            _ => match map.get("path").and_then(Json::as_str) {
                 Some(path) => path.to_string(),
                 None => "unattributed".to_string(),
             },
@@ -295,7 +295,7 @@ fn run_service(
 ) -> ((Vec<String>, bvc_service::ServiceStats), Vec<String>) {
     capture(|| {
         let mut sink = MemorySink::new();
-        let stats = BvcService::new(stream.workers(workers).batch(4).cache_mode(mode))
+        let stats = BvcService::new(stream.workers(workers).cache_mode(mode))
             .expect("stream admits")
             .run(&mut sink)
             .expect("memory sink cannot fail");

@@ -18,7 +18,7 @@ pub enum CacheMode {
 }
 
 /// A validated multi-instance stream: a [`RunConfig`] template plus one
-/// [`InstanceOverrides`] per consensus instance, and the pool knobs.
+/// [`InstanceOverrides`] per consensus instance, and the worker count.
 ///
 /// Admission is all-or-nothing: [`ServiceConfig::validate`] (called by
 /// [`BvcService::new`](crate::BvcService::new)) checks every effective
@@ -34,9 +34,6 @@ pub struct ServiceConfig {
     pub instances: Vec<InstanceOverrides>,
     /// Worker threads; `0` selects the available parallelism.
     pub workers: usize,
-    /// Instances admitted per batch (backpressure holds at most two
-    /// batches in flight).  Must be ≥ 1.
-    pub batch: usize,
     /// Γ-cache sharing across instances.
     pub cache_mode: CacheMode,
     /// Entry capacity of the shared parent cache (`0` selects the
@@ -64,7 +61,7 @@ impl ServiceConfig {
     pub const DEFAULT_SHARED_CAPACITY: usize = 1 << 20;
 
     /// A stream over `template` with no instances yet and the defaults:
-    /// available-parallelism workers, batches of 64, shared Γ cache at
+    /// available-parallelism workers, shared Γ cache at
     /// [`DEFAULT_SHARED_CAPACITY`](Self::DEFAULT_SHARED_CAPACITY) entries,
     /// label `"service"`.
     pub fn new(protocol: ProtocolKind, template: RunConfig) -> Self {
@@ -73,7 +70,6 @@ impl ServiceConfig {
             template,
             instances: Vec::new(),
             workers: 0,
-            batch: 64,
             cache_mode: CacheMode::Shared,
             shared_capacity: 0,
             label: "service".to_string(),
@@ -97,12 +93,6 @@ impl ServiceConfig {
     /// instance count).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Admission batch size (must be ≥ 1).
-    pub fn batch(mut self, batch: usize) -> Self {
-        self.batch = batch;
         self
     }
 
@@ -134,20 +124,17 @@ impl ServiceConfig {
         self
     }
 
-    /// Validates the whole stream: a non-empty instance list, a positive
-    /// batch size, and every effective instance config admitted by
-    /// [`RunConfig::validate`] for the stream's protocol.
+    /// Validates the whole stream: a non-empty instance list, and every
+    /// effective instance config admitted by [`RunConfig::validate`] for
+    /// the stream's protocol.
     ///
     /// # Errors
     ///
-    /// [`ServiceError::EmptyStream`], [`ServiceError::ZeroBatch`], or the
-    /// first [`ServiceError::Instance`] rejection in stream order.
+    /// [`ServiceError::EmptyStream`], or the first
+    /// [`ServiceError::Instance`] rejection in stream order.
     pub fn validate(&self) -> Result<(), ServiceError> {
         if self.instances.is_empty() {
             return Err(ServiceError::EmptyStream);
-        }
-        if self.batch == 0 {
-            return Err(ServiceError::ZeroBatch);
         }
         for (index, overrides) in self.instances.iter().enumerate() {
             self.template
@@ -164,8 +151,6 @@ impl ServiceConfig {
 pub enum ServiceError {
     /// The instance list is empty.
     EmptyStream,
-    /// The batch size is zero.
-    ZeroBatch,
     /// An instance's effective configuration was rejected at admission.
     Instance {
         /// Stream index of the rejected instance.
@@ -181,7 +166,6 @@ impl fmt::Display for ServiceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServiceError::EmptyStream => write!(f, "service stream has no instances"),
-            ServiceError::ZeroBatch => write!(f, "admission batch size must be at least 1"),
             ServiceError::Instance { index, source } => {
                 write!(f, "instance {index} rejected at admission: {source}")
             }
@@ -229,14 +213,10 @@ mod tests {
     }
 
     #[test]
-    fn empty_stream_and_zero_batch_are_rejected() {
+    fn an_empty_stream_is_rejected() {
         assert!(matches!(
             valid_config(0).validate(),
             Err(ServiceError::EmptyStream)
-        ));
-        assert!(matches!(
-            valid_config(3).batch(0).validate(),
-            Err(ServiceError::ZeroBatch)
         ));
         valid_config(3).validate().expect("defaults are valid");
     }

@@ -13,18 +13,21 @@
 //!
 //! ```text
 //! ServiceConfig (template + per-instance overrides, validated up front)
-//!      │  batched admission (backpressure: ≤ 2 batches in flight)
+//!      │  the complete instance list, before the first job starts
 //!      ▼
-//! sharded worker pool (one deque per worker, work stealing)
+//! pool::run_ordered (W threads claim the next index off one cursor)
 //!      │  one BvcSession per instance; per-instance Γ cache chained to
 //!      │  the service-lifetime SharedGammaCache (cross-instance reuse)
 //!      ▼
 //! sequence-numbered reorder buffer  ──►  VerdictSink (JSONL / memory)
 //! ```
 //!
-//! Verdict lines carry no timing, and the reorder buffer emits them in
-//! admission order, so the stream is **byte-identical** for any worker
-//! count and batch size — the determinism tests pin this.  Timing lives in
+//! The list a service schedules is complete before it runs, so there is no
+//! admission wave, queue bound or work stealing: [`pool::run_ordered`] is
+//! the whole scheduler, and `bvc-scenario`'s campaigns run on the same
+//! function.  Verdict lines carry no timing, and the reorder buffer emits
+//! them in admission order, so the stream is **byte-identical** for any
+//! worker count — the determinism tests pin this.  Timing lives in
 //! the aggregate [`ServiceStats`]: decisions/sec, p50/p99/max instance
 //! latency, cache hit rates (including the *cross-instance* rate measured
 //! by the shared parent cache), and per-worker utilization.
@@ -50,8 +53,7 @@
 //!     .collect();
 //! let config = ServiceConfig::new(ProtocolKind::RestrictedSync, template)
 //!     .instances(instances)
-//!     .workers(2)
-//!     .batch(4);
+//!     .workers(2);
 //! let mut sink = MemorySink::new();
 //! let stats = BvcService::new(config).unwrap().run(&mut sink).unwrap();
 //! assert_eq!(stats.instances, 8);
@@ -62,11 +64,12 @@
 #![warn(missing_docs)]
 
 pub mod config;
+pub mod pool;
 pub mod service;
 pub mod sink;
 pub mod stats;
 
 pub use config::{CacheMode, ServiceConfig, ServiceError};
 pub use service::BvcService;
-pub use sink::{JsonlSink, MemorySink, ReorderBuffer, VerdictSink};
+pub use sink::{JsonlSink, MemorySink, VerdictSink};
 pub use stats::{CacheStats, LatencyStats, QueueStats, ServiceStats, WorkerStats};

@@ -1,20 +1,17 @@
-//! The service core: batched admission into a sharded work-stealing pool,
-//! with in-order streaming emission.
+//! The service core: one job per admitted instance on the ordered pool,
+//! and the fold of the per-instance tallies into [`ServiceStats`].
 
 use crate::config::{CacheMode, ServiceConfig, ServiceError};
-use crate::sink::{ReorderBuffer, VerdictSink};
+use crate::pool::run_ordered;
+use crate::sink::VerdictSink;
 use crate::stats::{fmt_f64, CacheStats, LatencyStats, QueueStats, ServiceStats, WorkerStats};
-use bvc_adversary::ByzantineStrategy;
 use bvc_core::{BvcSession, RunReport};
 use bvc_geometry::{GammaCache, SharedGammaCache};
 use bvc_net::ExecutionStats;
 use bvc_trace::event::escape_json;
 use std::any::Any;
-use std::collections::VecDeque;
-use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A validated multi-shot consensus service.
@@ -28,84 +25,31 @@ pub struct BvcService {
     config: ServiceConfig,
 }
 
-/// One admitted unit of work.
-struct Job {
-    seq: usize,
-    admitted: Instant,
-}
-
-/// Admission/completion watermarks shared by the admitter and the workers,
-/// plus the queue-depth samples taken whenever either watermark moves.
-#[derive(Default)]
-struct Coord {
-    admitted: usize,
-    completed: usize,
-    queue_depth: Vec<usize>,
-}
-
-impl Coord {
-    fn sample_depth(&mut self) {
-        self.queue_depth.push(self.admitted - self.completed);
-    }
-}
-
-/// The emission side: reorder buffer + sink + first I/O error, under one
-/// lock so lines leave in admission order no matter which worker emits.
-struct EmitState<'a> {
-    reorder: ReorderBuffer,
-    sink: &'a mut dyn VerdictSink,
-    error: Option<io::Error>,
-}
-
-/// Everything one worker measures locally (merged after the pool joins).
-#[derive(Default)]
-struct WorkerTally {
-    instances: usize,
-    decided: usize,
-    violated: usize,
-    panicked: usize,
+/// What one instance measured (folded into [`ServiceStats`] after the pool
+/// joins).
+struct InstanceTally {
+    worker: usize,
+    decided: bool,
+    violated: bool,
+    panicked: bool,
     busy_ms: f64,
-    latencies_ms: Vec<f64>,
+    latency_ms: f64,
     local_hits: u64,
     local_misses: u64,
     messages: ExecutionStats,
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn ms(duration: std::time::Duration) -> f64 {
     duration.as_secs_f64() * 1e3
 }
 
-/// Pops the worker's own queue front, else steals from another queue's
-/// back (oldest-first locally, newest-first when stealing — the classic
-/// split that keeps stolen work coarse).
-fn take_job(shards: &[Mutex<VecDeque<Job>>], me: usize) -> Option<Job> {
-    if let Some(job) = lock(&shards[me]).pop_front() {
-        return Some(job);
-    }
-    for offset in 1..shards.len() {
-        let victim = (me + offset) % shards.len();
-        if let Some(job) = lock(&shards[victim]).pop_back() {
-            return Some(job);
-        }
-    }
-    None
-}
-
 /// One instance's verdict line.  Deliberately timing-free: the line is a
 /// pure function of the instance configuration, which is what makes the
-/// stream byte-identical across worker counts and batch sizes.
+/// stream byte-identical across worker counts.
 fn verdict_line(label: &str, seq: usize, report: &RunReport) -> String {
     let config = report.config();
     let verdict = report.verdict();
-    let strategy = match config.adversary {
-        ByzantineStrategy::Crash(k) => format!("crash:{k}"),
-        ByzantineStrategy::SplitBrain(mask) => format!("split-brain:{mask}"),
-        other => other.name().to_string(),
-    };
+    let strategy = config.adversary.label();
     let epsilon = match report.epsilon() {
         Some(e) => fmt_f64(e),
         None => "null".to_string(),
@@ -175,30 +119,17 @@ impl BvcService {
         &self.config
     }
 
-    /// Runs the whole stream: admits instances in batches into the worker
-    /// pool, streams one verdict line per instance into `sink` in
-    /// admission order, and returns the aggregate statistics.
+    /// Runs the whole stream on the ordered pool: one verdict line per
+    /// instance streams into `sink` in admission order, and the aggregate
+    /// statistics come back.
     ///
     /// # Errors
     ///
     /// [`ServiceError::Io`] when the sink fails; the stream still drains
-    /// (already-running instances complete) but further emission stops at
-    /// the first error.
+    /// (every instance runs) but emission stops at the first error.
     pub fn run(&self, sink: &mut dyn VerdictSink) -> Result<ServiceStats, ServiceError> {
         let config = &self.config;
         let total = config.instances.len();
-        let workers = if config.workers == 0 {
-            thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            config.workers
-        };
-        let workers = workers.min(total).max(1);
-        let batch = config.batch;
-        // Backpressure: at most two batches admitted but not yet completed,
-        // so a slow sink or a long instance bounds queue memory.
-        let high_water = batch.saturating_mul(2).max(1);
 
         // The parent outlives every instance, so it gets a much larger
         // capacity than the per-instance children: entries must survive a
@@ -212,228 +143,109 @@ impl BvcService {
             CacheMode::PerInstance => None,
         };
 
-        let shards: Vec<Mutex<VecDeque<Job>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        let coord = Mutex::new(Coord::default());
-        let cv_work = Condvar::new();
-        let cv_space = Condvar::new();
-        let emit = Mutex::new(EmitState {
-            reorder: ReorderBuffer::new(),
-            sink,
-            error: None,
-        });
-
-        let started = Instant::now();
-        let mut tallies: Vec<WorkerTally> = Vec::with_capacity(workers);
-
         // When the caller runs the stream under a trace scope, each instance
         // traces into its own slot (admission seq + 1): the sorted stream is
-        // then byte-identical across worker counts and batch sizes, because
-        // per-slot sequence numbers restart at every install.
+        // then byte-identical across worker counts, because per-slot
+        // sequence numbers restart at every install.
         let trace = bvc_trace::current_handle();
 
-        thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for me in 0..workers {
-                let (shards, coord, cv_work, cv_space, emit, shared_cache, trace) = (
-                    &shards,
-                    &coord,
-                    &cv_work,
-                    &cv_space,
-                    &emit,
-                    &shared_cache,
-                    &trace,
-                );
-                handles.push(scope.spawn(move || {
-                    let mut tally = WorkerTally::default();
-                    loop {
-                        let job = loop {
-                            if let Some(job) = take_job(shards, me) {
-                                break Some(job);
-                            }
-                            let guard = lock(coord);
-                            if guard.admitted >= total {
-                                drop(guard);
-                                // Every push happened before the watermark
-                                // we just read; one final scan decides.
-                                break take_job(shards, me);
-                            }
-                            drop(cv_work.wait(guard).unwrap_or_else(PoisonError::into_inner));
-                        };
-                        let Some(job) = job else { break };
-                        let seq = job.seq;
+        let started = Instant::now();
+        let done = run_ordered(total, config.workers, sink, |worker, seq| {
+            let claimed = Instant::now();
+            let overrides = &config.instances[seq];
+            let mut run_config = config.template.for_instance(overrides);
+            // A per-instance child cache either chains to the
+            // service-lifetime parent (cross-instance reuse, measurable) or
+            // stands alone (the control group).
+            let child: SharedGammaCache = match &shared_cache {
+                Some(parent) => Arc::new(GammaCache::with_parent(Arc::clone(parent))),
+                None => GammaCache::shared(),
+            };
+            run_config.gamma_cache = Some(Arc::clone(&child));
 
-                        let overrides = &config.instances[seq];
-                        let mut run_config = config.template.for_instance(overrides);
-                        // A per-instance child cache either chains to the
-                        // service-lifetime parent (cross-instance reuse,
-                        // measurable) or stands alone (the control group).
-                        let child: SharedGammaCache = match shared_cache {
-                            Some(parent) => Arc::new(GammaCache::with_parent(Arc::clone(parent))),
-                            None => GammaCache::shared(),
-                        };
-                        run_config.gamma_cache = Some(Arc::clone(&child));
+            let _trace_scope = trace
+                .as_ref()
+                .map(|h| bvc_trace::install(h.clone(), u32::try_from(seq + 1).unwrap_or(u32::MAX)));
+            bvc_trace::emit(|| bvc_trace::TraceEvent::SpanOpen {
+                instance: seq as u64,
+                label: config.label.clone(),
+            });
 
-                        let _trace_scope = trace.as_ref().map(|h| {
-                            bvc_trace::install(
-                                h.clone(),
-                                u32::try_from(seq + 1).unwrap_or(u32::MAX),
-                            )
-                        });
-                        bvc_trace::emit(|| bvc_trace::TraceEvent::SpanOpen {
-                            instance: seq as u64,
-                            label: config.label.clone(),
-                        });
-
-                        let exec_started = Instant::now();
-                        // Contain instance panics to the instance: a panic
-                        // becomes a failed verdict line and the stream keeps
-                        // draining.  AssertUnwindSafe is sound because the
-                        // panicking closure's state (run config, child
-                        // cache) is either dropped with the payload or only
-                        // read through monotone counters afterwards.
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            if config.panic_instance == Some(seq) {
-                                panic!("panic injected by ServiceConfig::inject_panic({seq})");
-                            }
-                            BvcSession::new(config.protocol, run_config)
-                                .expect("admission validated every instance")
-                                .run()
-                        }));
-                        tally.busy_ms += ms(exec_started.elapsed());
-                        tally.latencies_ms.push(ms(job.admitted.elapsed()));
-                        tally.instances += 1;
-                        tally.local_hits += child.hits();
-                        tally.local_misses += child.misses();
-
-                        let line = match &outcome {
-                            Ok(report) => {
-                                if report.verdict().termination {
-                                    tally.decided += 1;
-                                }
-                                if !report.verdict().all_hold() {
-                                    tally.violated += 1;
-                                }
-                                tally.messages.absorb(report.stats());
-                                verdict_line(&config.label, seq, report)
-                            }
-                            Err(payload) => {
-                                // A panic is a failed verdict: it violates
-                                // termination at the very least.
-                                tally.violated += 1;
-                                tally.panicked += 1;
-                                panic_line(&config.label, seq, panic_message(payload.as_ref()))
-                            }
-                        };
-                        bvc_trace::emit(|| {
-                            let (decided, violated, rounds) = match &outcome {
-                                Ok(report) => (
-                                    report.verdict().termination,
-                                    !report.verdict().all_hold(),
-                                    Some(report.rounds()),
-                                ),
-                                Err(_) => (false, true, None),
-                            };
-                            bvc_trace::TraceEvent::SpanClose {
-                                instance: seq as u64,
-                                decided,
-                                violated,
-                                rounds,
-                            }
-                        });
-                        {
-                            let mut state = lock(emit);
-                            if state.error.is_none() {
-                                let EmitState {
-                                    reorder,
-                                    sink,
-                                    error,
-                                } = &mut *state;
-                                if let Err(e) = reorder.push(seq as u64, Some(line), &mut **sink) {
-                                    *error = Some(e);
-                                }
-                            }
-                        }
-
-                        let mut guard = lock(coord);
-                        guard.completed += 1;
-                        guard.sample_depth();
-                        drop(guard);
-                        cv_space.notify_all();
-                    }
-                    tally
-                }));
-            }
-
-            // Batched admission, on this thread: release `batch` jobs
-            // round-robin across the shards, then wait for completions to
-            // fall back under the high-water mark.
-            let mut next = 0usize;
-            while next < total {
-                {
-                    let mut guard = lock(&coord);
-                    while guard.admitted - guard.completed >= high_water {
-                        guard = cv_space.wait(guard).unwrap_or_else(PoisonError::into_inner);
-                    }
+            let exec_started = Instant::now();
+            // Contain instance panics to the instance: a panic becomes a
+            // failed verdict line and the stream keeps draining.
+            // AssertUnwindSafe is sound because the panicking closure's
+            // state (run config, child cache) is either dropped with the
+            // payload or only read through monotone counters afterwards.
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                if config.panic_instance == Some(seq) {
+                    panic!("panic injected by ServiceConfig::inject_panic({seq})");
                 }
-                let end = (next + batch).min(total);
-                for seq in next..end {
-                    lock(&shards[seq % workers]).push_back(Job {
-                        seq,
-                        admitted: Instant::now(),
-                    });
-                }
-                {
-                    let mut guard = lock(&coord);
-                    guard.admitted = end;
-                    guard.sample_depth();
-                }
-                cv_work.notify_all();
-                next = end;
-            }
+                BvcSession::new(config.protocol, run_config)
+                    .expect("admission validated every instance")
+                    .run()
+            }));
+            let busy_ms = ms(exec_started.elapsed());
 
-            for handle in handles {
-                tallies.push(handle.join().expect("service worker panicked"));
-            }
-        });
-
+            // A panic is a failed verdict: it violates termination at the
+            // very least.
+            let (line, messages, decided, violated, rounds) = match &outcome {
+                Ok(report) => (
+                    verdict_line(&config.label, seq, report),
+                    report.stats().clone(),
+                    report.verdict().termination,
+                    !report.verdict().all_hold(),
+                    Some(report.rounds()),
+                ),
+                Err(payload) => (
+                    panic_line(&config.label, seq, panic_message(payload.as_ref())),
+                    ExecutionStats::default(),
+                    false,
+                    true,
+                    None,
+                ),
+            };
+            bvc_trace::emit(|| bvc_trace::TraceEvent::SpanClose {
+                instance: seq as u64,
+                decided,
+                violated,
+                rounds,
+            });
+            let tally = InstanceTally {
+                worker,
+                decided,
+                violated,
+                panicked: outcome.is_err(),
+                busy_ms,
+                latency_ms: ms(claimed.elapsed()),
+                local_hits: child.hits(),
+                local_misses: child.misses(),
+                messages,
+            };
+            (Some(line), tally)
+        })?;
         let wall_ms = ms(started.elapsed());
-        let queue_samples = coord
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-            .queue_depth;
 
-        let mut state = emit.into_inner().unwrap_or_else(PoisonError::into_inner);
-        if let Some(e) = state.error.take() {
-            return Err(ServiceError::Io(e));
-        }
-        debug_assert!(state.reorder.is_drained(), "every sequence was released");
-        state.sink.finish()?;
-
+        let mut workers = vec![WorkerStats::default(); done.workers];
         let mut latencies = Vec::with_capacity(total);
         let mut cache = CacheStats::default();
         let mut messages = ExecutionStats::default();
         let (mut decided, mut violated, mut panicked) = (0usize, 0usize, 0usize);
-        let worker_stats = tallies
-            .iter()
-            .map(|tally| WorkerStats {
-                instances: tally.instances,
-                busy_ms: tally.busy_ms,
-                utilization: if wall_ms > 0.0 {
-                    tally.busy_ms / wall_ms
-                } else {
-                    0.0
-                },
-            })
-            .collect();
-        for mut tally in tallies {
-            latencies.append(&mut tally.latencies_ms);
+        for tally in &done.results {
+            workers[tally.worker].instances += 1;
+            workers[tally.worker].busy_ms += tally.busy_ms;
+            latencies.push(tally.latency_ms);
             cache.local_hits += tally.local_hits;
             cache.local_misses += tally.local_misses;
             messages.absorb(&tally.messages);
-            decided += tally.decided;
-            violated += tally.violated;
-            panicked += tally.panicked;
+            decided += usize::from(tally.decided);
+            violated += usize::from(tally.violated);
+            panicked += usize::from(tally.panicked);
+        }
+        if wall_ms > 0.0 {
+            for worker in &mut workers {
+                worker.utilization = worker.busy_ms / wall_ms;
+            }
         }
         if let Some(shared) = &shared_cache {
             cache.shared_hits = shared.hits();
@@ -454,8 +266,8 @@ impl BvcService {
             },
             latency: LatencyStats::from_samples(latencies),
             cache,
-            queue: QueueStats::from_samples(&queue_samples),
-            workers: worker_stats,
+            queue: QueueStats::from_samples(&done.depth),
+            workers,
             messages,
         })
     }
@@ -467,6 +279,7 @@ mod tests {
     use crate::sink::MemorySink;
     use bvc_core::{InstanceOverrides, ProtocolKind, RunConfig};
     use bvc_geometry::Point;
+    use std::io;
 
     fn stream_config(instances: usize) -> ServiceConfig {
         let template = RunConfig::new(5, 1, 2).epsilon(0.1);
@@ -493,7 +306,7 @@ mod tests {
 
     #[test]
     fn streams_one_line_per_instance_in_admission_order() {
-        let config = stream_config(12).workers(3).batch(4);
+        let config = stream_config(12).workers(3);
         let mut sink = MemorySink::new();
         let stats = BvcService::new(config).unwrap().run(&mut sink).unwrap();
         assert_eq!(stats.instances, 12);
@@ -533,7 +346,7 @@ mod tests {
 
     #[test]
     fn a_panicking_instance_is_contained_and_the_stream_drains() {
-        let config = stream_config(8).workers(2).batch(4).inject_panic(3);
+        let config = stream_config(8).workers(2).inject_panic(3);
         let mut sink = MemorySink::new();
         let stats = BvcService::new(config).unwrap().run(&mut sink).unwrap();
         assert_eq!(stats.instances, 8);
@@ -551,21 +364,17 @@ mod tests {
     }
 
     #[test]
-    fn queue_depth_is_sampled_and_bounded_by_backpressure() {
-        let config = stream_config(12).workers(3).batch(2);
+    fn queue_depth_counts_claimed_but_unreleased_instances() {
+        let config = stream_config(12).workers(3);
         let stats = BvcService::new(config)
             .unwrap()
             .run(&mut MemorySink::new())
             .unwrap();
         assert!(!stats.queue.series.is_empty());
-        assert!(stats.queue.max_depth >= 1);
-        // Admission holds while depth ≥ high_water (2 batches), then admits
-        // one more batch: depth never exceeds 3 batches − 1.
-        assert!(
-            stats.queue.max_depth <= 5,
-            "backpressure must bound the queue: {:?}",
-            stats.queue
-        );
+        // An instance arriving at the emit lock is itself unreleased, and
+        // nothing can be in flight beyond the stream.
+        assert!(stats.queue.max_depth >= 1, "{:?}", stats.queue);
+        assert!(stats.queue.max_depth <= 12, "{:?}", stats.queue);
         assert!(stats.queue.mean_depth > 0.0);
     }
 

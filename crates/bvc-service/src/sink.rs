@@ -78,6 +78,13 @@ impl VerdictSink for MemorySink {
     }
 }
 
+/// The sink of a stream that has no lines: its jobs only return values.
+impl VerdictSink for () {
+    fn emit(&mut self, _line: &str) -> io::Result<()> {
+        Ok(())
+    }
+}
+
 /// Restores admission order over out-of-order completions.
 ///
 /// Workers complete instances in scheduling order; the buffer holds each
@@ -86,14 +93,14 @@ impl VerdictSink for MemorySink {
 /// consumed without emitting a line (used by campaign streaming, where
 /// rejected instances produce no verdict but still occupy a slot).
 #[derive(Debug, Default)]
-pub struct ReorderBuffer {
-    next: u64,
-    pending: BTreeMap<u64, Option<String>>,
+pub(crate) struct ReorderBuffer {
+    next: usize,
+    pending: BTreeMap<usize, Option<String>>,
 }
 
 impl ReorderBuffer {
     /// An empty buffer expecting sequence number 0 first.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -104,9 +111,9 @@ impl ReorderBuffer {
     ///
     /// Propagates the sink's I/O error; the buffer stays consistent (the
     /// failed line is not re-emitted).
-    pub fn push(
+    pub(crate) fn push(
         &mut self,
-        seq: u64,
+        seq: usize,
         line: Option<String>,
         sink: &mut dyn VerdictSink,
     ) -> io::Result<()> {
@@ -121,12 +128,12 @@ impl ReorderBuffer {
     }
 
     /// `true` when every registered completion has been released.
-    pub fn is_drained(&self) -> bool {
+    pub(crate) fn is_drained(&self) -> bool {
         self.pending.is_empty()
     }
 
     /// The next sequence number the buffer is waiting for.
-    pub fn next_seq(&self) -> u64 {
+    pub(crate) fn next_seq(&self) -> usize {
         self.next
     }
 }
@@ -139,7 +146,7 @@ mod tests {
     fn reorder_buffer_restores_admission_order() {
         let mut buffer = ReorderBuffer::new();
         let mut sink = MemorySink::new();
-        for seq in [2u64, 0, 3, 1] {
+        for seq in [2usize, 0, 3, 1] {
             buffer
                 .push(seq, Some(format!("line-{seq}")), &mut sink)
                 .unwrap();

@@ -4,8 +4,10 @@ use bvc_net::ExecutionStats;
 use bvc_trace::event::escape_json;
 use std::fmt::Write as _;
 
-/// Instance-latency percentiles, measured admission → verdict emission
-/// hand-off (wall clock on the deciding worker).
+/// Instance-latency percentiles, measured from the moment a worker claims
+/// the instance to the hand-off of its verdict line (wall clock on the
+/// deciding worker).  Instances do not wait in a queue — a free worker
+/// takes the next one — so this is execution plus line rendering.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LatencyStats {
     /// Median instance latency, milliseconds.
@@ -78,17 +80,18 @@ impl CacheStats {
     }
 }
 
-/// Backpressure telemetry: the admitted-but-not-completed queue depth,
-/// sampled once at every admission wave and once at every instance
-/// completion.  The series is decimated to at most
+/// Instances claimed by a worker but not yet released to the sink: those
+/// still running plus those finished and held in the reorder buffer behind
+/// a slower predecessor — the quantity that bounds the stream's memory.
+/// Sampled twice per instance, as it arrives at the emit lock and once it
+/// has released what it could.  The series is decimated to at most
 /// [`MAX_SERIES`](Self::MAX_SERIES) bucket maxima so the JSON stays small
-/// on long streams while the peaks (the interesting part of backpressure)
-/// survive.
+/// on long streams while the peaks survive.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueueStats {
-    /// Deepest observed queue (admitted − completed).
+    /// Deepest observed depth (claimed − released).
     pub max_depth: usize,
-    /// Mean observed queue depth.
+    /// Mean observed depth.
     pub mean_depth: f64,
     /// Decimated depth-over-time series, in sample order; each entry is
     /// the maximum of one contiguous bucket of raw samples.
@@ -152,7 +155,7 @@ pub struct ServiceStats {
     pub latency: LatencyStats,
     /// Two-level Γ-cache counters.
     pub cache: CacheStats,
-    /// Backpressure queue-depth telemetry.
+    /// In-flight plus held-for-order instance counts.
     pub queue: QueueStats,
     /// Per-worker load split, by worker index.
     pub workers: Vec<WorkerStats>,

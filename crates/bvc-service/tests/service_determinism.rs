@@ -1,8 +1,8 @@
 //! The service's two determinism contracts:
 //!
-//! 1. The verdict stream is **byte-identical** for every worker count and
-//!    batch size — the reorder buffer restores admission order and lines
-//!    carry no timing, so scheduling cannot leak into the output.
+//! 1. The verdict stream is **byte-identical** for every worker count —
+//!    the reorder buffer restores admission order and lines carry no
+//!    timing, so scheduling cannot leak into the output.
 //! 2. Sharing the Γ cache across instances is **observationally
 //!    transparent** — the shared-parent and cold-cache streams decide
 //!    identically (a cached safe-area answer is bit-identical to a
@@ -64,16 +64,32 @@ fn run_stream(config: ServiceConfig) -> Vec<String> {
 }
 
 #[test]
-fn verdict_stream_is_byte_identical_across_worker_counts_and_batches() {
-    let reference = run_stream(stream(40, 8).workers(1).batch(64));
-    assert_eq!(reference.len(), 40);
-    for workers in [2usize, 8] {
-        for batch in [1usize, 7, 64] {
-            let lines = run_stream(stream(40, 8).workers(workers).batch(batch));
+fn verdict_stream_is_byte_identical_across_worker_counts() {
+    for mode in [CacheMode::Shared, CacheMode::PerInstance] {
+        let reference = run_stream(stream(40, 8).workers(1).cache_mode(mode));
+        assert_eq!(reference.len(), 40);
+        for workers in [1usize, 2, 3, 8] {
+            let lines = run_stream(stream(40, 8).workers(workers).cache_mode(mode));
             assert_eq!(
                 lines, reference,
-                "stream differs at workers = {workers}, batch = {batch}"
+                "stream differs at workers = {workers}, {mode:?}"
             );
+        }
+    }
+}
+
+#[test]
+fn an_injected_panic_yields_one_panic_line_and_a_drained_stream() {
+    let clean = run_stream(stream(10, 0).workers(1));
+    for workers in [1usize, 3] {
+        let lines = run_stream(stream(10, 0).workers(workers).inject_panic(4));
+        assert_eq!(lines.len(), 10, "the stream drains past the panic");
+        let panics: Vec<usize> = (0..10)
+            .filter(|&i| lines[i].contains("\"panic\": "))
+            .collect();
+        assert_eq!(panics, [4]);
+        for i in (0..10).filter(|&i| i != 4) {
+            assert_eq!(lines[i], clean[i], "instance {i} at workers = {workers}");
         }
     }
 }
@@ -112,18 +128,15 @@ proptest! {
         instances in 2usize..14,
         seed_cycle in 0u64..5,
         workers in 1usize..5,
-        batch in 1usize..9,
     ) {
         let shared = run_stream(
             stream(instances, seed_cycle)
                 .workers(workers)
-                .batch(batch)
                 .cache_mode(CacheMode::Shared),
         );
         let cold = run_stream(
             stream(instances, seed_cycle)
                 .workers(workers)
-                .batch(batch)
                 .cache_mode(CacheMode::PerInstance),
         );
         prop_assert_eq!(shared, cold);

@@ -11,7 +11,7 @@
 //! simplex solve profile, and per-instance span summaries.  Exit code 0 on
 //! success, 1 on a schema violation, 2 on usage or I/O errors.
 
-use bvc_trace::json::{check_trace, parse_flat, JsonValue};
+use bvc_trace::json::{check_trace, parse_flat, Json};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
@@ -24,16 +24,16 @@ fn usage() -> ! {
 /// traces are decimated / bucketed down to this).
 const MAX_ROWS: usize = 64;
 
-fn field_u(map: &BTreeMap<String, JsonValue>, key: &str) -> u64 {
-    map.get(key).and_then(JsonValue::as_uint).unwrap_or(0)
+fn field_u(map: &BTreeMap<String, Json>, key: &str) -> u64 {
+    map.get(key).and_then(Json::as_u64).unwrap_or(0)
 }
 
-fn field_s<'a>(map: &'a BTreeMap<String, JsonValue>, key: &str) -> &'a str {
-    map.get(key).and_then(JsonValue::as_str).unwrap_or("")
+fn field_s<'a>(map: &'a BTreeMap<String, Json>, key: &str) -> &'a str {
+    map.get(key).and_then(Json::as_str).unwrap_or("")
 }
 
-fn field_b(map: &BTreeMap<String, JsonValue>, key: &str) -> bool {
-    map.get(key).and_then(JsonValue::as_bool).unwrap_or(false)
+fn field_b(map: &BTreeMap<String, Json>, key: &str) -> bool {
+    map.get(key).and_then(Json::as_bool).unwrap_or(false)
 }
 
 /// Per-(protocol × shape) Γ attribution tallies.
@@ -76,7 +76,7 @@ struct Report {
 }
 
 impl Report {
-    fn ingest(&mut self, map: &BTreeMap<String, JsonValue>, context: &mut String) {
+    fn ingest(&mut self, map: &BTreeMap<String, Json>, context: &mut String) {
         self.events += 1;
         match field_s(map, "ev") {
             "run_open" => {
@@ -89,7 +89,7 @@ impl Report {
                 );
             }
             "round_close" => {
-                let spread = map.get("spread").and_then(JsonValue::as_num);
+                let spread = map.get("spread").and_then(Json::as_f64);
                 self.convergence.push((field_u(map, "round"), spread));
             }
             "send" | "deliver" | "drop" | "vanish" => {
@@ -161,7 +161,7 @@ impl Report {
                     label,
                     field_b(map, "decided"),
                     field_b(map, "violated"),
-                    map.get("rounds").and_then(JsonValue::as_uint),
+                    map.get("rounds").and_then(Json::as_u64),
                 ));
             }
             "admission" => {

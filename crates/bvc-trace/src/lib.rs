@@ -31,7 +31,7 @@ pub mod scope;
 pub mod tracer;
 
 pub use event::{CacheLevel, GammaPath, GammaQueryKind, TraceEvent, SCHEMA};
-pub use json::{check_trace, parse_flat, JsonValue};
+pub use json::{check_trace, parse_flat, Json};
 pub use scope::{
     current_handle, current_slot, emit, emit_timing, install, is_active, scope_token, ScopeGuard,
 };

@@ -23,9 +23,10 @@
 //! * [`scenario`] — the declarative scenario engine: TOML-described runs with
 //!   fault injection (drops, latency, partitions), topology sweeps and a
 //!   parallel campaign runner emitting JSON verdicts.
-//! * [`service`] — the multi-shot consensus service: batched admission of
-//!   instance streams into a work-stealing pool, a shared cross-instance
-//!   Γ cache, streaming verdict sinks and decisions/sec statistics.
+//! * [`service`] — the multi-shot consensus service: a validated instance
+//!   list run on the workspace's one ordered worker pool, a shared
+//!   cross-instance Γ cache, streaming verdict sinks and decisions/sec
+//!   statistics.
 //! * [`topology`] — directed communication topologies (complete / ring /
 //!   torus / random-regular / explicit) with the graph conditions of
 //!   iterative BVC in incomplete graphs.
