@@ -21,7 +21,7 @@
 use crate::aad::{AadExchange, AadMsg};
 use crate::config::BvcConfig;
 use crate::convergence::{gamma, gamma_witness_optimized, round_threshold};
-use crate::witness::{average_state, build_zi_full_cached, build_zi_witness_cached};
+use crate::witness::{average_state, zi_full, zi_witness};
 use bvc_adversary::PointForge;
 use bvc_geometry::{Point, SharedGammaCache};
 use bvc_net::{broadcast_to_all, AsyncProcess, Outgoing, ProcessId};
@@ -179,22 +179,16 @@ impl ApproxBvcProcess {
             let quorum = self.config.n - self.config.f;
             let zi = match self.rule {
                 UpdateRule::FullSubsets => {
-                    let entries: Vec<Point> = done.entries.iter().map(|(_, v)| v.clone()).collect();
-                    build_zi_full_cached(
-                        &entries,
-                        quorum,
-                        self.config.f,
-                        self.gamma_cache.as_deref(),
-                    )
+                    let entries: Vec<&Point> = done.entries.iter().map(|(_, v)| v).collect();
+                    zi_full(&entries, quorum, self.config.f, self.gamma_cache.as_deref())
                 }
-                UpdateRule::WitnessOptimized => {
-                    let sets: Vec<Vec<Point>> = done
-                        .witness_sets
+                UpdateRule::WitnessOptimized => zi_witness(
+                    done.witness_sets
                         .iter()
-                        .map(|set| set.iter().map(|(_, v)| v.clone()).collect())
-                        .collect();
-                    build_zi_witness_cached(&sets, self.config.f, self.gamma_cache.as_deref())
-                }
+                        .map(|set| set.iter().map(|(_, v)| v)),
+                    self.config.f,
+                    self.gamma_cache.as_deref(),
+                ),
             };
             self.zi_sizes.push(zi.len());
             if !zi.is_empty() {

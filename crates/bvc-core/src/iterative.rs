@@ -35,9 +35,9 @@
 use crate::config::BvcConfig;
 use crate::convergence::{gamma_iterative, round_threshold};
 use crate::restricted::StateMsg;
-use crate::witness::average_state;
+use crate::witness::{average_state, gamma_point_via};
 use bvc_adversary::PointForge;
-use bvc_geometry::{gamma_point, Point, PointMultiset, SharedGammaCache};
+use bvc_geometry::{CanonicalEntries, Point, SharedGammaCache};
 use bvc_net::{Delivery, Outgoing, ProcessId, SyncProcess};
 use bvc_topology::Topology;
 use std::collections::BTreeMap;
@@ -119,22 +119,21 @@ impl IterativeBvcProcess {
     fn apply_update(&mut self, received: &[Delivery<StateMsg>], round: usize) {
         // Y_i[t]: one value per in-neighbor that reported a state for this
         // round (first wins), plus this process's own state.
-        let mut per_sender: BTreeMap<usize, Point> = BTreeMap::new();
+        let mut per_sender: BTreeMap<usize, &Point> = BTreeMap::new();
         for delivery in received {
             if delivery.msg.round == round && delivery.msg.state.dim() == self.config.d {
                 per_sender
                     .entry(delivery.from.index())
-                    .or_insert_with(|| delivery.msg.state.clone());
+                    .or_insert(&delivery.msg.state);
             }
         }
-        per_sender.insert(self.me, self.state.clone());
-        let values: Vec<Point> = per_sender.into_values().collect();
-        if values.len() > self.config.f {
-            let y = PointMultiset::new(values);
-            let z = match &self.gamma_cache {
-                Some(cache) => cache.find_point(&y, self.config.f),
-                None => gamma_point(&y, self.config.f),
-            };
+        per_sender.insert(self.me, &self.state);
+        if per_sender.len() > self.config.f {
+            let z = gamma_point_via(
+                self.gamma_cache.as_deref(),
+                CanonicalEntries::new(per_sender.into_values()).all(),
+                self.config.f,
+            );
             if let Some(z) = z {
                 self.state = average_state(&[self.state.clone(), z]);
             }

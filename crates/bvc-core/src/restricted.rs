@@ -21,7 +21,7 @@
 
 use crate::config::BvcConfig;
 use crate::convergence::{gamma, round_threshold};
-use crate::witness::{average_state, build_zi_full_cached};
+use crate::witness::{average_state, zi_full};
 use bvc_adversary::PointForge;
 use bvc_geometry::{Point, SharedGammaCache};
 use bvc_net::{broadcast_to_all, AsyncProcess, Delivery, Outgoing, ProcessId, SyncProcess};
@@ -88,10 +88,13 @@ impl RestrictedSyncProcess {
     }
 
     /// Shares a [`GammaCache`](bvc_geometry::GammaCache) with this process's
-    /// round loop.  In a synchronous round all honest processes receive the
-    /// same broadcast states, so the `C(n, n−f)` safe-area evaluations of
-    /// Step 2 are computed once per round system-wide instead of once per
-    /// process.  Cached and uncached runs produce identical states.
+    /// round loop.  Honest processes of a round receive the same *honest*
+    /// states, but an equivocating sender tells each receiver something
+    /// else, and every `(n−f)`-subset but one contains a Byzantine entry —
+    /// measured, one subset in `C(n, n−f)` is common to two receivers.  What
+    /// the cache does serve is this process's own repeated sub-multisets
+    /// once honest states coincide, and whole repeated instances through a
+    /// parent cache.  Cached and uncached runs produce identical states.
     pub fn with_gamma_cache(mut self, cache: SharedGammaCache) -> Self {
         self.gamma_cache = Some(cache);
         self
@@ -111,20 +114,19 @@ impl RestrictedSyncProcess {
     fn apply_update(&mut self, received: &[Delivery<StateMsg>], round: usize) {
         // B_i[t]: the vectors received this round (at most one per sender,
         // first wins) plus this process's own state.
-        let mut per_sender: BTreeMap<usize, Point> = BTreeMap::new();
+        let mut per_sender: BTreeMap<usize, &Point> = BTreeMap::new();
         for delivery in received {
             if delivery.msg.round == round && delivery.msg.state.dim() == self.config.d {
                 per_sender
                     .entry(delivery.from.index())
-                    .or_insert_with(|| delivery.msg.state.clone());
+                    .or_insert(&delivery.msg.state);
             }
         }
-        per_sender.insert(self.me, self.state.clone());
-        let entries: Vec<Point> = per_sender.into_values().collect();
+        per_sender.insert(self.me, &self.state);
+        let entries: Vec<&Point> = per_sender.into_values().collect();
         let quorum = self.config.n - self.config.f;
         if entries.len() >= quorum {
-            let zi =
-                build_zi_full_cached(&entries, quorum, self.config.f, self.gamma_cache.as_deref());
+            let zi = zi_full(&entries, quorum, self.config.f, self.gamma_cache.as_deref());
             if !zi.is_empty() {
                 self.state = average_state(&zi);
             }
@@ -294,17 +296,16 @@ impl RestrictedAsyncProcess {
                 return out;
             }
             // B_i[t]: own state plus the first n − f − 1 received vectors.
-            let mut entries: Vec<Point> = vec![self.state.clone()];
+            let mut entries: Vec<&Point> = vec![&self.state];
             entries.extend(
                 self.received
                     .get(&round)
                     .into_iter()
-                    .flat_map(|m| m.values().cloned())
+                    .flat_map(|m| m.values())
                     .take(quorum_others),
             );
             let quorum = self.config.n - self.config.f;
-            let zi =
-                build_zi_full_cached(&entries, quorum, self.config.f, self.gamma_cache.as_deref());
+            let zi = zi_full(&entries, quorum, self.config.f, self.gamma_cache.as_deref());
             if !zi.is_empty() {
                 self.state = average_state(&zi);
             }

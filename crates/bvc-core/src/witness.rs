@@ -18,17 +18,21 @@
 //! ([`crate::restricted`]).
 
 use bvc_geometry::combinatorics::Combinations;
-use bvc_geometry::{gamma_point, GammaCache, Point, PointMultiset};
+use bvc_geometry::{gamma_point_of, CanonicalEntries, GammaCache, Point, SubsetView};
 
-/// One deterministically chosen point of `Γ(y)`, looked up in `cache` when
-/// one is supplied and computed directly otherwise.  The cached and uncached
-/// paths return identical points (the Γ engine is a deterministic,
-/// order-invariant function of the multiset), so mixing them in one system
-/// is safe.
-fn gamma_point_via(cache: Option<&GammaCache>, y: &PointMultiset, f: usize) -> Option<Point> {
+/// One deterministically chosen point of `Γ` of the viewed sub-multiset,
+/// looked up in `cache` when one is supplied and computed directly otherwise.
+/// The cached and uncached paths return identical points (the Γ engine is a
+/// deterministic, order-invariant function of the multiset), so mixing them
+/// in one system is safe.
+pub(crate) fn gamma_point_via(
+    cache: Option<&GammaCache>,
+    view: SubsetView<'_>,
+    f: usize,
+) -> Option<Point> {
     match cache {
-        Some(cache) => cache.find_point(y, f),
-        None => gamma_point(y, f),
+        Some(cache) => cache.find_point_of(view, f),
+        None => gamma_point_of(view, f),
     }
 }
 
@@ -47,10 +51,15 @@ pub fn build_zi_full(entries: &[Point], quorum: usize, f: usize) -> Vec<Point> {
     build_zi_full_cached(entries, quorum, f, None)
 }
 
-/// [`build_zi_full`] with the `Γ` evaluations shared through a
-/// [`GammaCache`]: in a synchronous round every honest process builds `Z_i`
-/// from the same broadcast states, so the cache collapses the per-process
-/// recomputation to a single evaluation per distinct subset.
+/// [`build_zi_full`] with the `Γ` evaluations looked up in a [`GammaCache`].
+///
+/// What that buys was measured, not assumed: under a per-receiver
+/// equivocating adversary the honest processes of a synchronous round do
+/// *not* build `Z_i` from the same vector (one subset in `C(n, n−f)` is
+/// common to two receivers), so the reuse is a process's own repeated
+/// sub-multisets once honest states coincide, plus whole repeated instances
+/// through a parent cache shared across runs.  `d = 1` subsets are answered
+/// in closed form and never stored.
 ///
 /// # Panics
 ///
@@ -61,18 +70,36 @@ pub fn build_zi_full_cached(
     f: usize,
     cache: Option<&GammaCache>,
 ) -> Vec<Point> {
+    zi_full(&entries.iter().collect::<Vec<_>>(), quorum, f, cache)
+}
+
+/// [`build_zi_full_cached`] over borrowed entries, for callers whose points
+/// sit in messages or maps: the entries are put in canonical order **once**,
+/// and each subset is a borrowed view into that order — no point is cloned
+/// and nothing is sorted per subset.  `Z_i` is emitted in `Combinations`
+/// order over the positions of `entries`, so the centroid sums in the same
+/// order however the subsets are keyed.
+///
+/// # Panics
+///
+/// Panics if `entries.len() < quorum` or `quorum == 0`.
+pub(crate) fn zi_full(
+    entries: &[&Point],
+    quorum: usize,
+    f: usize,
+    cache: Option<&GammaCache>,
+) -> Vec<Point> {
     assert!(quorum > 0, "quorum must be positive");
     assert!(
         entries.len() >= quorum,
         "need at least {quorum} entries, got {}",
         entries.len()
     );
+    let mut canonical = CanonicalEntries::new(entries.iter().copied());
     let mut zi = Vec::new();
     let mut subsets = Combinations::new(entries.len(), quorum);
     while let Some(subset) = subsets.next_ref() {
-        let points: Vec<Point> = subset.iter().map(|&i| entries[i].clone()).collect();
-        let y = PointMultiset::new(points);
-        if let Some(point) = gamma_point_via(cache, &y, f) {
+        if let Some(point) = gamma_point_via(cache, canonical.subset(subset), f) {
             zi.push(point);
         }
     }
@@ -88,20 +115,34 @@ pub fn build_zi_witness(witness_sets: &[Vec<Point>], f: usize) -> Vec<Point> {
     build_zi_witness_cached(witness_sets, f, None)
 }
 
-/// [`build_zi_witness`] with the `Γ` evaluations shared through a
+/// [`build_zi_witness`] with the `Γ` evaluations looked up in a
 /// [`GammaCache`].
 pub fn build_zi_witness_cached(
     witness_sets: &[Vec<Point>],
     f: usize,
     cache: Option<&GammaCache>,
 ) -> Vec<Point> {
+    zi_witness(witness_sets.iter().map(|set| set.iter()), f, cache)
+}
+
+/// [`build_zi_witness_cached`] over borrowed sets.  Every witness set is a
+/// list of its own, so each is one whole-list view (one canonical sort per
+/// query, none per member).
+pub(crate) fn zi_witness<'a, S>(
+    witness_sets: impl IntoIterator<Item = S>,
+    f: usize,
+    cache: Option<&GammaCache>,
+) -> Vec<Point>
+where
+    S: IntoIterator<Item = &'a Point>,
+{
     let mut zi = Vec::new();
     for set in witness_sets {
-        if set.is_empty() {
+        let mut members = set.into_iter().peekable();
+        if members.peek().is_none() {
             continue;
         }
-        let y = PointMultiset::new(set.clone());
-        if let Some(point) = gamma_point_via(cache, &y, f) {
+        if let Some(point) = gamma_point_via(cache, CanonicalEntries::new(members).all(), f) {
             zi.push(point);
         }
     }
@@ -124,7 +165,7 @@ pub fn average_state(zi: &[Point]) -> Point {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bvc_geometry::ConvexHull;
+    use bvc_geometry::{ConvexHull, PointMultiset};
 
     fn pts(vals: &[f64]) -> Vec<Point> {
         vals.iter().map(|&v| Point::new(vec![v])).collect()

@@ -1,9 +1,6 @@
 //! Process-shareable memoisation of Γ queries.
 //!
-//! In a synchronous round every honest process receives the same broadcast
-//! state vectors, so all of them evaluate `Γ` of *identical* multisets —
-//! today's protocols would recompute the same intersection `n − f` times per
-//! round.  [`GammaCache`] memoises [`find_point`](GammaCache::find_point) and
+//! [`GammaCache`] memoises [`find_point`](GammaCache::find_point) and
 //! [`contains`](GammaCache::contains) results keyed by a **canonical multiset
 //! key**: the members are sorted lexicographically (under `f64::total_cmp`)
 //! and their coordinate bit patterns concatenated, so two multisets that
@@ -14,11 +11,33 @@
 //! across processes, rounds, and threads (`Arc<GammaCache>` =
 //! [`SharedGammaCache`]).
 //!
+//! A point query takes a borrowed [`SubsetView`] end to end: the key is
+//! gathered from the view (no point cloned, nothing sorted per query) and the
+//! owned canonical multiset is built only when an engine has to run.
+//!
+//! What the reuse is, as measured on the benchmark of record (`rsync-n9-d1`
+//! traffic, `Equivocate`): a Byzantine sender forges a different value per
+//! (round, receiver), so honest processes of one synchronous round do *not*
+//! hold the same received vector — one subset in `C(n, n−f)` is common to two
+//! receivers.  The hits that exist are one process asking about the same
+//! sub-multiset again once honest states coincide (36 index subsets, 4
+//! distinct multisets), plus whole repeated instances served through a
+//! long-lived parent (`svc-warm`).
+//!
+//! **The cache stores no answer the engine gives in closed form.**  A strict
+//! `d = 1` query is the 0.05 µs trimmed interval; a hit in front of it cost
+//! 445 ns and a miss-and-insert 1.8 µs, so such queries are answered straight
+//! off the view, counted as engine computations on path `d1-closed-form`,
+//! traced, and never stored.
+//!
 //! Memory is bounded: when a map reaches the configured capacity it is
 //! wholesale-cleared (deterministically; eviction can never change results,
 //! only cost).
 
-use crate::gamma::{contains_attributed, find_point_presorted, GammaAttribution};
+use crate::gamma::{
+    contains_attributed, find_point_presorted, point_of_view, CanonicalEntries, GammaAttribution,
+    SubsetView,
+};
 use crate::multiset::PointMultiset;
 use crate::point::Point;
 use crate::relaxed::{k_relaxed_point, relaxed_gamma_point, ValidityPredicate};
@@ -104,7 +123,7 @@ impl GammaCounters {
 /// The validity regime of a cached point query.  Modes that are
 /// semantically strict (`AlphaScaled(0)`, `KRelaxed(k ≥ d)`) normalise to
 /// [`ModeKey::Strict`] so they share the strict entries.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum ModeKey {
     Strict,
     Alpha(u64),
@@ -134,24 +153,19 @@ struct MultisetKey {
     bits: Vec<u64>,
 }
 
-/// Key from a multiset already in canonical order (callers that need the
-/// canonical multiset anyway — the miss path hands it to the engine —
-/// canonicalise once and reuse it here).
-fn key_of_canonical(canon: &PointMultiset, f: usize, mode: ModeKey) -> MultisetKey {
-    let bits = canon
-        .iter()
-        .flat_map(|p| p.coords().iter().map(|c| c.to_bits()))
-        .collect();
+/// Key gathered from a view (canonical by construction): no point is cloned
+/// and nothing is sorted.
+fn key_of(view: SubsetView<'_>, f: usize, mode: ModeKey) -> MultisetKey {
+    let mut bits = Vec::with_capacity(view.len() * view.dim());
+    for p in view.iter() {
+        bits.extend(p.coords().iter().map(|c| c.to_bits()));
+    }
     MultisetKey {
         f,
-        dim: canon.dim(),
+        dim: view.dim(),
         mode,
         bits,
     }
-}
-
-fn multiset_key(y: &PointMultiset, f: usize) -> MultisetKey {
-    key_of_canonical(&crate::gamma::canonical_order(y), f, ModeKey::Strict)
 }
 
 fn point_bits(p: &Point) -> Vec<u64> {
@@ -263,64 +277,18 @@ impl GammaCache {
     ///
     /// Panics if `f >= y.len()`.
     pub fn find_point(&self, y: &PointMultiset, f: usize) -> Option<Point> {
-        assert!(
-            f < y.len(),
-            "fault bound f = {f} must be smaller than |Y| = {}",
-            y.len()
-        );
-        // Canonicalise once: the key and the (miss-path) engine both need
-        // the canonical order.
-        let canon = crate::gamma::canonical_order(y);
-        let (len, d) = (canon.len(), canon.dim());
-        let (value, level, attr) = self.find_point_levelled(canon, f);
-        bvc_trace::emit(|| TraceEvent::Gamma {
-            kind: GammaQueryKind::Point,
-            cache: level,
-            path: attr.as_ref().map(|a| a.path),
-            probe_missed: attr.as_ref().is_some_and(|a| a.probe_missed),
-            len,
-            f,
-            d,
-            found: value.is_some(),
-        });
-        value
+        self.find_point_of(CanonicalEntries::new(y.points()).all(), f)
     }
 
-    /// Cache lookup + resolution without event emission: one `Gamma` trace
-    /// event must be recorded per *public* query, so parent delegation goes
-    /// through this levelled variant.  Counter bookkeeping (each cache's own
-    /// view) still happens at every level.
-    fn find_point_levelled(
-        &self,
-        canon: PointMultiset,
-        f: usize,
-    ) -> (Option<Point>, CacheLevel, Option<GammaAttribution>) {
-        let key = key_of_canonical(&canon, f, ModeKey::Strict);
-        if let Some(cached) = lock(&self.points).get(&key) {
-            self.note(CacheLevel::Local, None, false);
-            return (cached.clone(), CacheLevel::Local, None);
-        }
-        let (value, level, attr) = match &self.parent {
-            Some(parent) => {
-                let (value, parent_level, attr) = parent.find_point_levelled(canon, f);
-                (value, demote(parent_level), attr)
-            }
-            None => {
-                let (value, attr) = find_point_presorted(canon, f);
-                (value, CacheLevel::Miss, Some(attr))
-            }
-        };
-        self.note(
-            level,
-            attr.as_ref().map(|a| a.path),
-            attr.as_ref().is_some_and(|a| a.probe_missed),
-        );
-        let mut map = lock(&self.points);
-        if map.len() >= self.capacity {
-            map.clear();
-        }
-        map.insert(key, value.clone());
-        (value, level, attr)
+    /// [`find_point`](Self::find_point) of a sub-multiset named by a
+    /// borrowed view: same entry, same counters, same trace event as the
+    /// query for `view.to_multiset()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f >= view.len()`.
+    pub fn find_point_of(&self, view: SubsetView<'_>, f: usize) -> Option<Point> {
+        self.point_query(view, f, ModeKey::Strict)
     }
 
     /// Memoised [`decision_point`](crate::relaxed::decision_point): the
@@ -341,74 +309,95 @@ impl GammaCache {
         f: usize,
         mode: &ValidityPredicate,
     ) -> Option<Point> {
-        let mode_key = ModeKey::normalise(mode, y.dim());
-        if mode_key == ModeKey::Strict {
-            return self.find_point(y, f);
-        }
+        let mode = ModeKey::normalise(mode, y.dim());
+        self.point_query(CanonicalEntries::new(y.points()).all(), f, mode)
+    }
+
+    /// The one public point query: resolve, then record exactly one `Gamma`
+    /// trace event.
+    fn point_query(&self, view: SubsetView<'_>, f: usize, mode: ModeKey) -> Option<Point> {
         assert!(
-            f < y.len(),
+            f < view.len(),
             "fault bound f = {f} must be smaller than |Y| = {}",
-            y.len()
+            view.len()
         );
-        let canon = crate::gamma::canonical_order(y);
-        let (len, d) = (canon.len(), canon.dim());
-        let (value, level) = self.decision_levelled(canon, f, mode_key);
+        let (value, level, attr) = self.resolve_point(view, f, mode);
         bvc_trace::emit(|| TraceEvent::Gamma {
-            kind: GammaQueryKind::Decision,
+            kind: match mode {
+                ModeKey::Strict => GammaQueryKind::Point,
+                ModeKey::Alpha(_) | ModeKey::K(_) => GammaQueryKind::Decision,
+            },
             cache: level,
-            path: None,
-            probe_missed: false,
-            len,
+            path: attr.map(|a| a.path),
+            probe_missed: attr.is_some_and(|a| a.probe_missed),
+            len: view.len(),
             f,
-            d,
+            d: view.dim(),
             found: value.is_some(),
         });
         value
     }
 
-    /// Levelled (non-emitting) resolution of a genuinely relaxed decision
-    /// query.  Relaxed engines bypass the strict escalation ladder, so the
-    /// engine outcome carries no path attribution ([`GammaCounters`] counts
-    /// it under `unattributed`).  The k-relaxed strict leg goes through the
-    /// *public* [`find_point`](Self::find_point): it is a full strict query
-    /// in its own right and keeps its own counter increment and trace event.
-    fn decision_levelled(
+    /// Cache lookup + resolution without event emission: one `Gamma` trace
+    /// event must be recorded per *public* query, so parent delegation goes
+    /// through this levelled function.  Counter bookkeeping (each cache's own
+    /// view) still happens at every level.  Relaxed engines bypass the strict
+    /// escalation ladder, so their outcome carries no path attribution
+    /// ([`GammaCounters`] counts it under `unattributed`).
+    fn resolve_point(
         &self,
-        canon: PointMultiset,
+        view: SubsetView<'_>,
         f: usize,
-        mode_key: ModeKey,
-    ) -> (Option<Point>, CacheLevel) {
-        let key = key_of_canonical(&canon, f, mode_key.clone());
+        mode: ModeKey,
+    ) -> (Option<Point>, CacheLevel, Option<GammaAttribution>) {
+        if mode == ModeKey::Strict && view.dim() == 1 {
+            // The cache stores no answer the engine gives in closed form.
+            let (value, attr) = point_of_view(view, f);
+            self.note(CacheLevel::Miss, Some(attr.path), attr.probe_missed);
+            return (value, CacheLevel::Miss, Some(attr));
+        }
+        let key = key_of(view, f, mode);
         if let Some(cached) = lock(&self.points).get(&key) {
             self.note(CacheLevel::Local, None, false);
-            return (cached.clone(), CacheLevel::Local);
+            return (cached.clone(), CacheLevel::Local, None);
         }
-        let (value, level) = match (&self.parent, &mode_key) {
+        let (value, level, attr) = match (&self.parent, mode) {
             (Some(parent), _) => {
-                let (value, parent_level) = parent.decision_levelled(canon, f, mode_key);
-                (value, demote(parent_level))
+                let (value, parent_level, attr) = parent.resolve_point(view, f, mode);
+                (value, demote(parent_level), attr)
             }
-            (None, ModeKey::Strict) => unreachable!("strict-normalised modes use find_point"),
+            (None, ModeKey::Strict) => {
+                let (value, attr) = find_point_presorted(view.to_multiset(), f);
+                (value, CacheLevel::Miss, Some(attr))
+            }
             (None, ModeKey::Alpha(bits)) => (
-                relaxed_gamma_point(&canon, f, f64::from_bits(*bits)),
+                relaxed_gamma_point(&view.to_multiset(), f, f64::from_bits(bits)),
                 CacheLevel::Miss,
+                None,
             ),
-            // The k-relaxed rule prefers the strict Γ point; route that leg
-            // through the cache so it shares the ModeKey::Strict entry
-            // instead of re-solving the strict LP on every relaxed miss.
+            // The k-relaxed rule prefers the strict Γ point; that leg goes
+            // through the *public* query so it shares the ModeKey::Strict
+            // entry instead of re-solving the strict LP on every relaxed
+            // miss — it is a full strict query in its own right and keeps
+            // its own counter increment and trace event.
             (None, ModeKey::K(k)) => (
-                self.find_point(&canon, f)
-                    .or_else(|| k_relaxed_point(&canon, f, *k)),
+                self.find_point_of(view, f)
+                    .or_else(|| k_relaxed_point(&view.to_multiset(), f, k)),
                 CacheLevel::Miss,
+                None,
             ),
         };
-        self.note(level, None, false);
+        self.note(
+            level,
+            attr.map(|a| a.path),
+            attr.is_some_and(|a| a.probe_missed),
+        );
         let mut map = lock(&self.points);
         if map.len() >= self.capacity {
             map.clear();
         }
         map.insert(key, value.clone());
-        (value, level)
+        (value, level, attr)
     }
 
     /// Memoised [`gamma_contains`](crate::gamma_contains).
@@ -432,14 +421,21 @@ impl GammaCache {
     }
 
     /// Levelled (non-emitting) membership resolution; see
-    /// [`find_point_levelled`](Self::find_point_levelled).
+    /// [`resolve_point`](Self::resolve_point).
     fn contains_levelled(
         &self,
         y: &PointMultiset,
         f: usize,
         point: &Point,
     ) -> (bool, CacheLevel, Option<GammaPath>) {
-        let key = (multiset_key(y, f), point_bits(point));
+        if y.dim() == 1 {
+            // Closed form: answered, counted and traced, never stored.
+            let (value, path) = contains_attributed(y, f, point);
+            self.note(CacheLevel::Miss, Some(path), false);
+            return (value, CacheLevel::Miss, Some(path));
+        }
+        let members = key_of(CanonicalEntries::new(y.points()).all(), f, ModeKey::Strict);
+        let key = (members, point_bits(point));
         if let Some(&cached) = lock(&self.membership).get(&key) {
             self.note(CacheLevel::Local, None, false);
             return (cached, CacheLevel::Local, None);
@@ -603,9 +599,10 @@ mod tests {
         let cache = GammaCache::with_capacity(2);
         for i in 0..5u8 {
             let y = PointMultiset::new(vec![
-                Point::new(vec![0.0]),
-                Point::new(vec![f64::from(i)]),
-                Point::new(vec![2.0]),
+                Point::new(vec![0.0, 0.0]),
+                Point::new(vec![f64::from(i), 1.0]),
+                Point::new(vec![2.0, 0.0]),
+                Point::new(vec![1.0, 3.0]),
             ]);
             let cached = cache.find_point(&y, 1);
             let direct = gamma_point(&y, 1);
@@ -613,8 +610,29 @@ mod tests {
             if let (Some(c), Some(d)) = (cached, direct) {
                 assert!(c.approx_eq(&d, 1e-15));
             }
+            assert!((1..=2).contains(&cache.len()), "every answer is stored");
         }
-        assert!(cache.len() <= 2);
+        assert_eq!(cache.misses(), 5);
+    }
+
+    #[test]
+    fn scalar_queries_are_never_stored() {
+        // The cache stores no answer the engine gives in closed form: the
+        // same d = 1 query twice is two engine computations, no entry.
+        let cache = GammaCache::with_capacity(2);
+        let y = PointMultiset::new(vec![
+            Point::new(vec![0.0]),
+            Point::new(vec![1.0]),
+            Point::new(vec![2.0]),
+        ]);
+        for _ in 0..2 {
+            assert_eq!(cache.find_point(&y, 1), gamma_point(&y, 1));
+            assert!(cache.contains(&y, 1, &Point::new(vec![1.0])));
+        }
+        let c = cache.counters();
+        assert_eq!((cache.len(), c.hits, c.misses), (0, 0, 4));
+        assert_eq!(c.path_count(GammaPath::D1ClosedForm), 4);
+        assert!(c.is_consistent());
     }
 
     #[test]

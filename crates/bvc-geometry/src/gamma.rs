@@ -162,21 +162,46 @@ pub fn gamma_point(y: &PointMultiset, f: usize) -> Option<Point> {
 ///
 /// Panics if `f >= y.len()`.
 pub fn gamma_point_attributed(y: &PointMultiset, f: usize) -> (Option<Point>, GammaAttribution) {
+    point_of_view(CanonicalEntries::new(y.points()).all(), f)
+}
+
+/// [`gamma_point`] of a sub-multiset named by a borrowed [`SubsetView`]: the
+/// same point `gamma_point(&view.to_multiset(), f)` returns, without building
+/// the multiset when the answer is a closed form.
+///
+/// # Panics
+///
+/// Panics if `f >= view.len()`.
+pub fn gamma_point_of(view: SubsetView<'_>, f: usize) -> Option<Point> {
+    point_of_view(view, f).0
+}
+
+/// The point query over a canonical view: the `d = 1` closed form is read
+/// straight off the view; every other shape materialises the canonical
+/// multiset for the engine.
+pub(crate) fn point_of_view(view: SubsetView<'_>, f: usize) -> (Option<Point>, GammaAttribution) {
     assert!(
-        f < y.len(),
+        f < view.len(),
         "fault bound f = {f} must be smaller than |Y| = {}",
-        y.len()
+        view.len()
     );
-    if y.dim() == 1 {
+    if view.dim() == 1 {
+        let (lo, hi) = d1_interval(view.len(), f, |j| view.point(j).coord(0));
+        // The interval counts as non-empty up to `D1_TOLERANCE`, matching
+        // both the closed-form membership band and the joint LP's
+        // feasibility threshold (two intervals separated by a gap `g` give a
+        // phase-1 optimum of `g`); an inverted-within-tolerance interval
+        // yields its midpoint, which lies within the band of both ends.
+        let point = (lo <= hi + D1_TOLERANCE).then(|| Point::new(vec![0.5 * (lo + hi)]));
         return (
-            d1_find_point(y, f),
+            point,
             GammaAttribution {
                 path: GammaPath::D1ClosedForm,
                 probe_missed: false,
             },
         );
     }
-    find_point_presorted(canonical_order(y), f)
+    find_point_presorted(view.to_multiset(), f)
 }
 
 /// Returns `true` if `point ∈ Γ(y)` with fault bound `f`.
@@ -194,15 +219,6 @@ pub fn gamma_contains(y: &PointMultiset, f: usize, point: &Point) -> bool {
 ///
 /// Panics if `f >= y.len()`.
 pub fn gamma_is_empty(y: &PointMultiset, f: usize) -> bool {
-    assert!(
-        f < y.len(),
-        "fault bound f = {f} must be smaller than |Y| = {}",
-        y.len()
-    );
-    if y.dim() == 1 {
-        let (lo, hi) = d1_interval(y, f);
-        return lo > hi + D1_TOLERANCE;
-    }
     gamma_point(y, f).is_none()
 }
 
@@ -230,18 +246,134 @@ fn lexicographic(a: &Point, b: &Point) -> Ordering {
 
 /// The multiset with its members in canonical order.
 pub(crate) fn canonical_order(y: &PointMultiset) -> PointMultiset {
-    let mut pts = y.points().to_vec();
-    pts.sort_by(lexicographic);
-    PointMultiset::new(pts)
+    CanonicalEntries::new(y.points()).all().to_multiset()
 }
 
-/// The closed-form `d = 1` safe area: `[y_(f+1), y_(|Y|−f)]` of the sorted
-/// values.  Empty exactly when the lower end exceeds the upper end
-/// (`|Y| < 2f + 1`, or ties notwithstanding).
-fn d1_interval(y: &PointMultiset, f: usize) -> (f64, f64) {
-    let mut vals: Vec<f64> = y.iter().map(|p| p.coord(0)).collect();
-    vals.sort_by(f64::total_cmp);
-    (vals[f], vals[vals.len() - 1 - f])
+/// A list of points put in canonical order **once**, lending borrowed
+/// [`SubsetView`]s of its sub-multisets: Step 2 asks `Γ` about every
+/// `(n−f)`-subset of one received vector, and each of those subsets is
+/// canonically ordered by the one sort done here.
+#[derive(Debug)]
+pub struct CanonicalEntries<'a> {
+    /// The entries in canonical order, each with its position as given.
+    sorted: Vec<(usize, &'a Point)>,
+    /// Scratch of [`subset`](Self::subset), indexed by given position; all
+    /// `false` between calls.
+    picked: Vec<bool>,
+    /// Ranks (indices into `sorted`) of the view lent last, ascending.
+    members: Vec<usize>,
+}
+
+impl<'a> CanonicalEntries<'a> {
+    /// Sorts `entries` into canonical order (borrowed: no point is cloned).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entries` is empty or the points do not share a dimension.
+    pub fn new(entries: impl IntoIterator<Item = &'a Point>) -> Self {
+        let mut sorted: Vec<(usize, &Point)> = entries.into_iter().enumerate().collect();
+        assert!(!sorted.is_empty(), "a point multiset must be non-empty");
+        let dim = sorted[0].1.dim();
+        assert!(
+            sorted.iter().all(|(_, p)| p.dim() == dim),
+            "all points in a multiset must share a dimension"
+        );
+        sorted.sort_by(|a, b| lexicographic(a.1, b.1));
+        Self {
+            members: Vec::with_capacity(sorted.len()),
+            picked: Vec::new(),
+            sorted,
+        }
+    }
+
+    /// The view of every entry.
+    pub fn all(&mut self) -> SubsetView<'_> {
+        self.members.clear();
+        self.members.extend(0..self.sorted.len());
+        SubsetView {
+            sorted: &self.sorted,
+            members: &self.members,
+        }
+    }
+
+    /// The view of the sub-multiset at `positions` (indices into the entries
+    /// as given to [`new`](Self::new), in any order): its members are
+    /// gathered in canonical order by one pass over the sorted entries — no
+    /// point is cloned and nothing is sorted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `positions` is empty, repeats a position or names one out
+    /// of range.
+    pub fn subset(&mut self, positions: &[usize]) -> SubsetView<'_> {
+        assert!(!positions.is_empty(), "cannot select an empty sub-multiset");
+        self.picked.resize(self.sorted.len(), false);
+        for &i in positions {
+            assert!(!self.picked[i], "position {i} listed twice");
+            self.picked[i] = true;
+        }
+        self.members.clear();
+        for (rank, &(given, _)) in self.sorted.iter().enumerate() {
+            if std::mem::take(&mut self.picked[given]) {
+                self.members.push(rank);
+            }
+        }
+        SubsetView {
+            sorted: &self.sorted,
+            members: &self.members,
+        }
+    }
+}
+
+/// A sub-multiset named without building it: canonically sorted entries plus
+/// the ascending ranks of its members, both borrowed from a
+/// [`CanonicalEntries`] (the only constructor, which is what keeps every view
+/// in canonical order).  This is what a Γ point query takes end to end; the
+/// owned [`PointMultiset`] is built only when an engine has to run.
+#[derive(Debug, Clone, Copy)]
+pub struct SubsetView<'a> {
+    sorted: &'a [(usize, &'a Point)],
+    members: &'a [usize],
+}
+
+impl<'a> SubsetView<'a> {
+    /// The number of members, counting multiplicity.
+    pub fn len(&self) -> usize {
+        self.members.len()
+    }
+
+    /// Always `false`: [`CanonicalEntries`] lends no empty view.
+    pub fn is_empty(&self) -> bool {
+        self.members.is_empty()
+    }
+
+    /// The common dimension of the members.
+    pub fn dim(&self) -> usize {
+        self.sorted[0].1.dim()
+    }
+
+    /// The `j`-th member in canonical order.
+    fn point(&self, j: usize) -> &'a Point {
+        self.sorted[self.members[j]].1
+    }
+
+    /// The members in canonical order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &'a Point> + '_ {
+        self.members.iter().map(|&rank| self.sorted[rank].1)
+    }
+
+    /// The members as an owned multiset, in canonical order.
+    pub fn to_multiset(&self) -> PointMultiset {
+        PointMultiset::new(self.iter().cloned().collect())
+    }
+}
+
+/// The closed-form `d = 1` safe area `[y_(f+1), y_(|Y|−f)]`, read off `len`
+/// scalars that `ascending` yields in sorted order.  Empty exactly when the
+/// lower end exceeds the upper end (`|Y| < 2f + 1`, ties notwithstanding);
+/// callers compare against it under [`D1_TOLERANCE`].
+fn d1_interval(len: usize, f: usize, ascending: impl Fn(usize) -> f64) -> (f64, f64) {
+    (ascending(f), ascending(len - 1 - f))
 }
 
 /// Per-coordinate trimmed range `[y^l_(f+1), y^l_(|Y|−f)]`.  `Γ(Y)` is
@@ -264,35 +396,18 @@ pub(crate) fn trimmed_bounds(y: &PointMultiset, f: usize) -> (Vec<f64>, Vec<f64>
     (lo, hi)
 }
 
-/// Closed-form `d = 1` point selection: the midpoint of the trimmed
-/// interval (deterministic and order-invariant by construction).  The
-/// interval counts as non-empty up to [`D1_TOLERANCE`], matching both the
-/// closed-form membership band and the joint LP's feasibility threshold
-/// (two intervals separated by a gap `g` give a phase-1 optimum of `g`);
-/// an inverted-within-tolerance interval yields its midpoint, which lies
-/// within the tolerance band of both ends.
-fn d1_find_point(y: &PointMultiset, f: usize) -> Option<Point> {
-    let (lo, hi) = d1_interval(y, f);
-    (lo <= hi + D1_TOLERANCE).then(|| Point::new(vec![0.5 * (lo + hi)]))
-}
-
-/// The point engine, for a multiset already in canonical order: lets callers
-/// that computed the canonical order for other purposes (the cache builds
-/// its key from it) avoid sorting twice.
+/// The point engine for `d ≥ 2`, over a multiset already in canonical order
+/// (`d = 1` is answered in closed form by [`point_of_view`] and never gets
+/// here).
 pub(crate) fn find_point_presorted(
     canon: PointMultiset,
     f: usize,
 ) -> (Option<Point>, GammaAttribution) {
+    debug_assert!(canon.dim() > 1, "d = 1 is answered off the view");
     let attributed = |path| GammaAttribution {
         path,
         probe_missed: false,
     };
-    if canon.dim() == 1 {
-        return (
-            d1_find_point(&canon, f),
-            attributed(GammaPath::D1ClosedForm),
-        );
-    }
     if f == 0 {
         return (
             ConvexHull::common_point(&[ConvexHull::new(canon)]),
@@ -379,7 +494,9 @@ pub(crate) fn contains_attributed(y: &PointMultiset, f: usize, point: &Point) ->
         "query point dimension must match the multiset dimension"
     );
     if y.dim() == 1 {
-        let (lo, hi) = d1_interval(y, f);
+        let mut vals: Vec<f64> = y.iter().map(|p| p.coord(0)).collect();
+        vals.sort_by(f64::total_cmp);
+        let (lo, hi) = d1_interval(vals.len(), f, |j| vals[j]);
         let c = point.coord(0);
         return (
             c >= lo - D1_TOLERANCE && c <= hi + D1_TOLERANCE,

@@ -53,8 +53,8 @@ pub mod workload;
 pub use cache::{GammaCache, GammaCounters, SharedGammaCache};
 pub use gamma::{
     common_point_of_subsets, gamma_contains, gamma_is_empty, gamma_point, gamma_point_attributed,
-    gamma_subset_indices, gamma_workers, leave_one_out_intersection, lp_size, GammaAttribution,
-    SafeArea,
+    gamma_point_of, gamma_subset_indices, gamma_workers, leave_one_out_intersection, lp_size,
+    CanonicalEntries, GammaAttribution, SafeArea, SubsetView,
 };
 pub use hull::ConvexHull;
 pub use multiset::PointMultiset;
