@@ -7,12 +7,18 @@
 //! * [`ByzantineStrategy`] — named attacks on validity (outliers), agreement
 //!   (equivocation, anti-convergence corners) and liveness (crash, silence).
 //! * [`PointForge`] — deterministic, seeded forging of adversarial points for
-//!   a given strategy (used by the protocol-aware Byzantine processes in
-//!   `bvc-core`).
+//!   a given strategy, per `(round, receiver)`.
+//! * forging wrappers that put a [`PointForge`] on the wire: [`Forging`]
+//!   runs any honest process unmodified and overwrites the points it sends
+//!   (the message type says where they live: [`ForgePoints`], plus
+//!   [`RoundTagged`] on the asynchronous executor), and [`StateForger`]
+//!   reports forged round-tagged state vectors to a recipient list.  Every
+//!   Byzantine process `bvc-core` runs is one of these two.
 //! * payload-agnostic wrappers ([`CrashAfterSync`], [`SilenceTowardsSync`],
-//!   [`DuplicateSync`], [`CrashAfterAsync`], [`SilentSync`], [`SilentAsync`])
-//!   that mutate the message schedule of any inner process without needing to
-//!   understand its payloads.
+//!   [`DuplicateSync`]) that mutate the message schedule of any inner
+//!   process without needing to understand its payloads.  (The Theorem-4
+//!   "takes no steps" adversary is [`ByzantineStrategy::Silent`] /
+//!   [`ByzantineStrategy::Crash`] under a forging wrapper.)
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,5 +28,6 @@ pub mod wrappers;
 
 pub use strategy::{ByzantineStrategy, PointForge};
 pub use wrappers::{
-    CrashAfterAsync, CrashAfterSync, DuplicateSync, SilenceTowardsSync, SilentAsync, SilentSync,
+    CrashAfterSync, DuplicateSync, ForgePoints, Forging, RoundTagged, SilenceTowardsSync,
+    StateForger,
 };

@@ -7,11 +7,11 @@
 //! algorithm under an anti-convergence adversary, records the measured range
 //! after each round, and prints it next to both analytical bounds.
 
-use bvc_adversary::{ByzantineStrategy, PointForge};
+use bvc_adversary::{ByzantineStrategy, PointForge, StateForger};
 use bvc_bench::{experiment_header, fmt, honest_workload, Table};
 use bvc_core::{
-    gamma, gamma_witness_optimized, BvcConfig, BvcSession, ByzantineRestrictedSync, ProtocolKind,
-    RestrictedSyncProcess, RunConfig, UpdateRule,
+    gamma, gamma_witness_optimized, BvcConfig, BvcSession, ProtocolKind, RestrictedSyncProcess,
+    RunConfig, StateMsg, UpdateRule,
 };
 use bvc_geometry::PointMultiset;
 use bvc_net::{Delivery, ProcessId, SyncProcess};
@@ -119,13 +119,12 @@ fn main() {
         .collect();
     let mut forge = PointForge::new(ByzantineStrategy::AntiConvergence, d, 0.0, 1.0, 5);
     forge.set_honest_value(bvc_geometry::Point::uniform(d, 0.5));
-    let mut byz = ByzantineRestrictedSync::new(config.clone(), n - 1, forge);
-
     // Manual lock-step loop so the concrete process histories stay accessible.
     let rounds = 20usize;
-    let mut inboxes: Vec<Vec<Delivery<bvc_core::StateMsg>>> = vec![Vec::new(); n];
+    let mut byz = StateForger::new((0..n - 1).collect(), rounds, forge, StateMsg::new);
+    let mut inboxes: Vec<Vec<Delivery<StateMsg>>> = vec![Vec::new(); n];
     for round in 1..=rounds {
-        let mut next: Vec<Vec<Delivery<bvc_core::StateMsg>>> = vec![Vec::new(); n];
+        let mut next: Vec<Vec<Delivery<StateMsg>>> = vec![Vec::new(); n];
         for (i, process) in honest.iter_mut().enumerate() {
             for out in process.round(round, &inboxes[i]) {
                 next[out.to.index()].push(Delivery::new(ProcessId::new(i), out.msg));

@@ -11,7 +11,6 @@
 //! the reliable-channel assumption.
 
 use crate::genome::{ChaosGenome, ValidityGene};
-use bvc_core::Setting;
 use bvc_scenario::{run_scenario, Protocol, ScenarioOutcome};
 
 /// Score assigned to any genuine violation, dwarfing every heuristic term.
@@ -51,22 +50,11 @@ impl Evaluation {
 /// dimension — the line below which only a relaxed validity mode admits a
 /// run, and where the relaxed decision rule carries all the risk.
 pub fn strict_bound(protocol: Protocol, d: usize, f: usize) -> usize {
-    match protocol {
-        Protocol::Exact => Setting::ExactSync.min_processes(d, f),
-        Protocol::Approx => Setting::ApproxAsync.min_processes(d, f),
-        Protocol::RestrictedSync => Setting::RestrictedSync.min_processes(d, f),
-        Protocol::RestrictedAsync => Setting::RestrictedAsync.min_processes(d, f),
-        // The iterative protocol's resource signal is the topology
-        // sufficiency check, not an n-bound; the complete graphs the search
-        // generates always pass it.
-        Protocol::Iterative => 0,
-        // The directed kinds are governed by their graph condition plus a
-        // hard model floor that admission enforces outright — below it the
-        // run is rejected regardless of validity mode, so the floor is the
-        // strict line here too.
-        Protocol::DirectedExact => (3 * f + 1).max((d + 1) * f + 1),
-        Protocol::DirectedExactLb => (2 * f + 1).max((d + 1) * f + 1),
-    }
+    // `None` is the iterative protocol: its resource signal is the topology
+    // sufficiency check, not an n-bound, and the complete graphs the search
+    // generates always pass it.  The directed kinds' line is their hard
+    // model floor — below it admission rejects regardless of validity mode.
+    protocol.min_processes(d, f).unwrap_or(0)
 }
 
 /// Runs one genome through the scenario runner and scores it.

@@ -29,6 +29,7 @@
 //! which is what the witness optimisation of Appendix F uses to shrink `Z_i`
 //! from `C(|B_i|, n−f)` subsets to at most `n`.
 
+use bvc_adversary::{ForgePoints, RoundTagged};
 use bvc_broadcast::{RbMessage, ReliableBroadcastInstance};
 use bvc_geometry::Point;
 use std::collections::BTreeMap;
@@ -65,10 +66,10 @@ impl AadMsg {
             AadMsg::Report { round, .. } => *round,
         }
     }
+}
 
-    /// Replaces every point payload in this message by `point` (used by the
-    /// Byzantine wrapper to forge values while keeping the message shape).
-    pub fn forge_points(&mut self, point: &Point) {
+impl ForgePoints for AadMsg {
+    fn forge_points(&mut self, point: &Point) {
         match self {
             AadMsg::Rb { inner, .. } => match inner {
                 RbMessage::Init(v) | RbMessage::Echo(v) | RbMessage::Ready(v) => *v = point.clone(),
@@ -79,6 +80,12 @@ impl AadMsg {
                 }
             }
         }
+    }
+}
+
+impl RoundTagged for AadMsg {
+    fn round(&self) -> usize {
+        AadMsg::round(self)
     }
 }
 

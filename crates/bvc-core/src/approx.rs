@@ -13,8 +13,8 @@
 //!    `γ = 1/(n·C(n,n−f))` (or `1/n²` with the optimisation).
 //!
 //! [`ApproxBvcProcess`] implements the honest protocol as an
-//! [`AsyncProcess`]; [`ByzantineApproxProcess`] wraps it with a forging
-//! adversary.  Processes keep serving reliable-broadcast traffic for *earlier*
+//! [`AsyncProcess`]; a Byzantine participant is the same process under
+//! [`bvc_adversary::Forging`].  Processes keep serving reliable-broadcast traffic for *earlier*
 //! rounds even after moving on, which is what makes the exchange's totality
 //! (and hence liveness for slower processes) hold.
 
@@ -22,7 +22,6 @@ use crate::aad::{AadExchange, AadMsg};
 use crate::config::BvcConfig;
 use crate::convergence::{gamma, gamma_witness_optimized, round_threshold};
 use crate::witness::{average_state, zi_full, zi_witness};
-use bvc_adversary::PointForge;
 use bvc_geometry::{Point, SharedGammaCache};
 use bvc_net::{broadcast_to_all, AsyncProcess, Outgoing, ProcessId};
 use std::collections::BTreeMap;
@@ -241,66 +240,10 @@ impl AsyncProcess for ApproxBvcProcess {
     }
 }
 
-/// A Byzantine participant of the asynchronous protocol: runs the honest
-/// message schedule internally and forges every point it sends, per receiver
-/// (so it can equivocate), or drops messages when its strategy is silent.
-pub struct ByzantineApproxProcess {
-    inner: ApproxBvcProcess,
-    forge: PointForge,
-}
-
-impl ByzantineApproxProcess {
-    /// Creates a Byzantine process with the given forge; the inner honest
-    /// skeleton uses `nominal_input` to keep its message schedule well formed.
-    pub fn new(
-        config: BvcConfig,
-        me: usize,
-        nominal_input: Point,
-        rule: UpdateRule,
-        forge: PointForge,
-    ) -> Self {
-        Self {
-            inner: ApproxBvcProcess::new(config, me, nominal_input, rule),
-            forge,
-        }
-    }
-
-    fn corrupt(&mut self, outgoing: Vec<Outgoing<AadMsg>>) -> Vec<Outgoing<AadMsg>> {
-        let mut forged = Vec::with_capacity(outgoing.len());
-        for mut out in outgoing {
-            let round = out.msg.round();
-            if let Some(point) = self.forge.forge(round, out.to.index()) {
-                out.msg.forge_points(&point);
-                forged.push(out);
-            }
-        }
-        forged
-    }
-}
-
-impl AsyncProcess for ByzantineApproxProcess {
-    type Msg = AadMsg;
-    type Output = ApproxOutput;
-
-    fn on_start(&mut self) -> Vec<Outgoing<AadMsg>> {
-        let honest = self.inner.on_start();
-        self.corrupt(honest)
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: AadMsg) -> Vec<Outgoing<AadMsg>> {
-        let honest = self.inner.on_message(from, msg);
-        self.corrupt(honest)
-    }
-
-    fn output(&self) -> Option<ApproxOutput> {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bvc_adversary::ByzantineStrategy;
+    use bvc_adversary::{ByzantineStrategy, Forging, PointForge};
     use bvc_net::{AsyncNetwork, DeliveryPolicy};
 
     /// Runs the asynchronous algorithm with the last `f` processes Byzantine.
@@ -338,11 +281,8 @@ mod tests {
             let me = n - f + b;
             let mut forge = PointForge::new(strategy, d, 0.0, 1.0, seed + 1000 + b as u64);
             forge.set_honest_value(Point::uniform(d, 0.5));
-            processes.push(Box::new(ByzantineApproxProcess::new(
-                config.clone(),
-                me,
-                Point::uniform(d, 0.5),
-                rule,
+            processes.push(Box::new(Forging::new(
+                ApproxBvcProcess::new(config.clone(), me, Point::uniform(d, 0.5), rule),
                 forge,
             )));
         }
@@ -512,11 +452,13 @@ mod tests {
         }
         let mut forge = PointForge::new(ByzantineStrategy::AntiConvergence, 1, 0.0, 1.0, 5);
         forge.set_honest_value(Point::new(vec![0.5]));
-        processes.push(Box::new(ByzantineApproxProcess::new(
-            config.clone(),
-            3,
-            Point::new(vec![0.5]),
-            UpdateRule::WitnessOptimized,
+        processes.push(Box::new(Forging::new(
+            ApproxBvcProcess::new(
+                config.clone(),
+                3,
+                Point::new(vec![0.5]),
+                UpdateRule::WitnessOptimized,
+            ),
             forge,
         )));
         let outcome =

@@ -35,11 +35,11 @@
 //! the verdict scoring and the recorded sufficiency condition are for — a
 //! failed verdict on a condition-violating graph is data, not a bug (and the
 //! chaos engine's job is to find the ones on condition-satisfying graphs).
-//! On complete graphs the driver delegates to the real Section-2.2 protocol,
+//! On complete graphs the session delegates to the real Section-2.2 protocol,
 //! so the `K_n` behaviour is the paper's, byte-for-byte.
 
 use crate::config::BvcConfig;
-use bvc_adversary::PointForge;
+use bvc_adversary::ForgePoints;
 use bvc_geometry::relaxed::decision_point;
 use bvc_geometry::{Point, PointMultiset, SharedGammaCache, ValidityPredicate};
 use bvc_net::{Delivery, Outgoing, ProcessId, SyncProcess};
@@ -55,6 +55,16 @@ pub struct DirectedMsg {
     pub source: usize,
     /// The claimed input vector.
     pub point: Point,
+}
+
+/// Under [`bvc_adversary::Forging`] a Byzantine relayer forges the claimed
+/// point of every message and keeps the claimed source (per receiver under
+/// point-to-point; the local-broadcast executor canonicalises the batch, so
+/// per-receiver equivocation dies on the wire).
+impl ForgePoints for DirectedMsg {
+    fn forge_points(&mut self, point: &Point) {
+        self.point = point.clone();
+    }
 }
 
 /// Honest process of the directed exact-BVC protocol.
@@ -223,70 +233,10 @@ impl SyncProcess for DirectedExactProcess {
     }
 }
 
-/// A Byzantine participant of the directed protocol: runs the honest flood
-/// schedule internally and forges the claimed point of every message it
-/// relays according to a [`PointForge`] strategy (per-receiver under
-/// point-to-point; the local-broadcast executor canonicalises the batch so
-/// per-receiver equivocation dies on the wire), or stays silent when the
-/// strategy says so.
-pub struct ByzantineDirectedProcess {
-    inner: DirectedExactProcess,
-    forge: PointForge,
-}
-
-impl ByzantineDirectedProcess {
-    /// Creates a Byzantine process with the given forge.  The inner honest
-    /// skeleton floods the forge-independent nominal input so the relay
-    /// schedule stays well-formed.
-    pub fn new(
-        config: BvcConfig,
-        me: usize,
-        nominal_input: Point,
-        topology: Arc<Topology>,
-        forge: PointForge,
-    ) -> Self {
-        Self {
-            inner: DirectedExactProcess::new(config, me, nominal_input, topology),
-            forge,
-        }
-    }
-}
-
-impl SyncProcess for ByzantineDirectedProcess {
-    type Msg = DirectedMsg;
-    type Output = Point;
-
-    fn round(
-        &mut self,
-        round: usize,
-        inbox: &[Delivery<DirectedMsg>],
-    ) -> Vec<Outgoing<DirectedMsg>> {
-        let honest = self.inner.round(round, inbox);
-        let mut forged = Vec::with_capacity(honest.len());
-        for mut outgoing in honest {
-            match self.forge.forge(round, outgoing.to.index()) {
-                Some(point) => {
-                    outgoing.msg.point = point;
-                    forged.push(outgoing);
-                }
-                None => {
-                    // Strategy says: send nothing to this receiver this round.
-                }
-            }
-        }
-        forged
-    }
-
-    fn output(&self) -> Option<Point> {
-        // A Byzantine process's output is irrelevant to the problem statement.
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bvc_adversary::ByzantineStrategy;
+    use bvc_adversary::{ByzantineStrategy, Forging, PointForge};
     use bvc_net::SyncNetwork;
 
     fn config(n: usize, f: usize, d: usize) -> BvcConfig {
@@ -343,11 +293,13 @@ mod tests {
                 seed + b as u64,
             );
             forge.set_honest_value(Point::uniform(d, 0.5));
-            processes.push(Box::new(ByzantineDirectedProcess::new(
-                cfg.clone(),
-                me,
-                Point::uniform(d, cfg.lower_bound),
-                Arc::clone(&topology),
+            processes.push(Box::new(Forging::new(
+                DirectedExactProcess::new(
+                    cfg.clone(),
+                    me,
+                    Point::uniform(d, cfg.lower_bound),
+                    Arc::clone(&topology),
+                ),
                 forge,
             )));
         }

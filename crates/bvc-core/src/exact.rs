@@ -12,12 +12,13 @@
 //!    `|S| = n ≥ (d+1)f + 1`.
 //!
 //! [`ExactBvcProcess`] implements the honest protocol as a
-//! [`SyncProcess`]; [`ByzantineExactProcess`] wraps it with a
-//! [`PointForge`]-driven attack (equivocation during its own broadcast,
-//! forged relays in other instances, silence, …).
+//! [`SyncProcess`]; a Byzantine participant is the same process under
+//! [`bvc_adversary::Forging`] (equivocation during its own broadcast, forged
+//! relays in other instances, silence, …), which [`ExactMsg`] opts into by
+//! saying where its points live.
 
 use crate::config::BvcConfig;
-use bvc_adversary::PointForge;
+use bvc_adversary::ForgePoints;
 use bvc_broadcast::{BroadcastInstance, BroadcastMessage};
 use bvc_geometry::relaxed::decision_point;
 use bvc_geometry::{Point, PointMultiset, SharedGammaCache, ValidityPredicate};
@@ -33,10 +34,8 @@ pub struct ExactMsg {
     pub payload: BroadcastMessage<Point>,
 }
 
-impl ExactMsg {
-    /// Replaces every point payload in this message by `point` (used by the
-    /// Byzantine wrapper to forge values while keeping the message shape).
-    pub fn forge_points(&mut self, point: &Point) {
+impl ForgePoints for ExactMsg {
+    fn forge_points(&mut self, point: &Point) {
         match &mut self.payload {
             BroadcastMessage::Initial(v) => *v = point.clone(),
             BroadcastMessage::Relay(pairs) => {
@@ -220,65 +219,10 @@ impl SyncProcess for ExactBvcProcess {
     }
 }
 
-/// A Byzantine participant of the Exact BVC protocol: runs the honest message
-/// schedule internally and forges every point it sends according to a
-/// [`PointForge`] strategy (per-receiver, so equivocation is expressible), or
-/// stays silent when the strategy says so.
-pub struct ByzantineExactProcess {
-    inner: ExactBvcProcess,
-    forge: PointForge,
-}
-
-impl ByzantineExactProcess {
-    /// Creates a Byzantine process with the given forge.  The inner honest
-    /// skeleton uses the forge's strategy-independent "honest" value as its
-    /// nominal input so the message schedule stays well-formed.
-    pub fn new(config: BvcConfig, me: usize, nominal_input: Point, forge: PointForge) -> Self {
-        Self {
-            inner: ExactBvcProcess::new(config, me, nominal_input),
-            forge,
-        }
-    }
-
-    /// Shares a Γ cache with the inner honest skeleton (its Step-2 work is
-    /// pure overhead for an adversary, so sharing makes it nearly free).
-    pub fn with_gamma_cache(mut self, cache: SharedGammaCache) -> Self {
-        self.inner = self.inner.with_gamma_cache(cache);
-        self
-    }
-}
-
-impl SyncProcess for ByzantineExactProcess {
-    type Msg = ExactMsg;
-    type Output = Point;
-
-    fn round(&mut self, round: usize, inbox: &[Delivery<ExactMsg>]) -> Vec<Outgoing<ExactMsg>> {
-        let honest = self.inner.round(round, inbox);
-        let mut forged = Vec::with_capacity(honest.len());
-        for mut outgoing in honest {
-            match self.forge.forge(round, outgoing.to.index()) {
-                Some(point) => {
-                    outgoing.msg.forge_points(&point);
-                    forged.push(outgoing);
-                }
-                None => {
-                    // Strategy says: send nothing to this receiver this round.
-                }
-            }
-        }
-        forged
-    }
-
-    fn output(&self) -> Option<Point> {
-        // A Byzantine process's output is irrelevant to the problem statement.
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bvc_adversary::ByzantineStrategy;
+    use bvc_adversary::{ByzantineStrategy, Forging, PointForge};
     use bvc_net::SyncNetwork;
 
     fn config(n: usize, f: usize, d: usize) -> BvcConfig {
@@ -316,10 +260,8 @@ mod tests {
                 seed + b as u64,
             );
             forge.set_honest_value(Point::uniform(d, cfg.upper_bound));
-            processes.push(Box::new(ByzantineExactProcess::new(
-                cfg.clone(),
-                me,
-                Point::uniform(d, cfg.lower_bound),
+            processes.push(Box::new(Forging::new(
+                ExactBvcProcess::new(cfg.clone(), me, Point::uniform(d, cfg.lower_bound)),
                 forge,
             )));
         }

@@ -36,7 +36,6 @@ use crate::config::BvcConfig;
 use crate::convergence::{gamma_iterative, round_threshold};
 use crate::restricted::StateMsg;
 use crate::witness::{average_state, gamma_point_via};
-use bvc_adversary::PointForge;
 use bvc_geometry::{CanonicalEntries, Point, SharedGammaCache};
 use bvc_net::{Delivery, Outgoing, ProcessId, SyncProcess};
 use bvc_topology::Topology;
@@ -155,10 +154,7 @@ impl SyncProcess for IterativeBvcProcess {
             }
         }
         if round <= self.max_rounds {
-            let msg = StateMsg {
-                round,
-                state: self.state.clone(),
-            };
+            let msg = StateMsg::new(round, self.state.clone());
             self.topology
                 .out_neighbors(self.me)
                 .iter()
@@ -175,55 +171,6 @@ impl SyncProcess for IterativeBvcProcess {
 
     fn trace_state(&self) -> Option<Vec<f64>> {
         Some(self.state.coords().to_vec())
-    }
-}
-
-/// Byzantine participant of the iterative protocol: forges the state it
-/// reports, per out-neighbor.
-pub struct ByzantineIterativeProcess {
-    me: usize,
-    topology: Arc<Topology>,
-    forge: PointForge,
-}
-
-impl ByzantineIterativeProcess {
-    /// Creates the Byzantine process.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `me` is out of range for the topology.
-    pub fn new(me: usize, topology: Arc<Topology>, forge: PointForge) -> Self {
-        assert!(me < topology.len(), "process index {me} out of range");
-        Self {
-            me,
-            topology,
-            forge,
-        }
-    }
-}
-
-impl SyncProcess for ByzantineIterativeProcess {
-    type Msg = StateMsg;
-    type Output = Point;
-
-    fn round(&mut self, round: usize, _inbox: &[Delivery<StateMsg>]) -> Vec<Outgoing<StateMsg>> {
-        let mut out = Vec::new();
-        for &to in self.topology.out_neighbors(self.me) {
-            if let Some(point) = self.forge.forge(round, to) {
-                out.push(Outgoing::new(
-                    ProcessId::new(to),
-                    StateMsg {
-                        round,
-                        state: point,
-                    },
-                ));
-            }
-        }
-        out
-    }
-
-    fn output(&self) -> Option<Point> {
-        None
     }
 }
 

@@ -25,8 +25,8 @@
 //! contraction factor `γ` and the round budget) live in [`convergence`]; the
 //! session API that wires protocols, network executors and adversaries
 //! together and scores the outcome is in [`run`]: one [`RunConfig`], one
-//! [`BvcSession`] dispatching to a pluggable [`ProtocolDriver`], one
-//! [`RunReport`].
+//! [`BvcSession`] whose `run` is the single dispatch point over the seven
+//! [`ProtocolKind`]s, one [`RunReport`].
 //!
 //! # Example
 //!
@@ -68,7 +68,7 @@ pub mod validity;
 pub mod witness;
 
 pub use aad::{AadExchange, AadMsg, CompletedExchange};
-pub use approx::{ApproxBvcProcess, ApproxOutput, ByzantineApproxProcess, UpdateRule};
+pub use approx::{ApproxBvcProcess, ApproxOutput, UpdateRule};
 pub use bvc_adversary::{ByzantineStrategy, PointForge};
 pub use bvc_net::{FaultError, FaultEvent, FaultKind, FaultPlan, LinkSelector};
 pub use bvc_topology::{Sufficiency, Topology};
@@ -76,20 +76,18 @@ pub use config::{BvcConfig, BvcError, Setting};
 pub use convergence::{
     gamma, gamma_iterative, gamma_witness_optimized, guaranteed_range, round_threshold,
 };
-pub use directed::{ByzantineDirectedProcess, DirectedExactProcess, DirectedMsg};
-pub use exact::{ByzantineExactProcess, ExactBvcProcess, ExactMsg};
-pub use iterative::{iterative_round_budget, ByzantineIterativeProcess, IterativeBvcProcess};
+pub use directed::{DirectedExactProcess, DirectedMsg};
+pub use exact::{ExactBvcProcess, ExactMsg};
+pub use iterative::{iterative_round_budget, IterativeBvcProcess};
 pub use lower_bounds::{
     theorem1_control_inputs, theorem1_evidence, theorem1_inputs, theorem4_evidence,
     theorem4_inputs, Theorem1Evidence, Theorem4Evidence,
 };
 pub use restricted::{
-    restricted_round_budget, ByzantineRestrictedAsync, ByzantineRestrictedSync,
-    RestrictedAsyncProcess, RestrictedSyncProcess, StateMsg,
+    restricted_round_budget, RestrictedAsyncProcess, RestrictedSyncProcess, StateMsg,
 };
 pub use run::{
-    BroadcastModel, BvcSession, DriverOutcome, InstanceOverrides, ProtocolDriver, ProtocolKind,
-    RunConfig, RunReport, Verdict,
+    BroadcastModel, BvcSession, InstanceOverrides, ProtocolKind, RunConfig, RunReport, Verdict,
 };
 pub use validity::{
     relaxed_min_processes, require_with_mode, validity_check, ValidityCheck, ValidityMode,

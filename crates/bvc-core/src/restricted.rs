@@ -16,13 +16,12 @@
 //! the bounds above guarantee.
 //!
 //! [`RestrictedSyncProcess`] and [`RestrictedAsyncProcess`] are the honest
-//! implementations; [`ByzantineRestrictedSync`] / [`ByzantineRestrictedAsync`]
-//! are the forging adversaries.
+//! implementations; the forging adversary of both is
+//! [`bvc_adversary::StateForger`] over [`StateMsg::new`].
 
 use crate::config::BvcConfig;
 use crate::convergence::{gamma, round_threshold};
 use crate::witness::{average_state, zi_full};
-use bvc_adversary::PointForge;
 use bvc_geometry::{Point, SharedGammaCache};
 use bvc_net::{broadcast_to_all, AsyncProcess, Delivery, Outgoing, ProcessId, SyncProcess};
 use std::collections::BTreeMap;
@@ -35,6 +34,13 @@ pub struct StateMsg {
     pub round: usize,
     /// The sender's state vector `v[round − 1]`.
     pub state: Point,
+}
+
+impl StateMsg {
+    /// The round-`round` report of `state`.
+    pub fn new(round: usize, state: Point) -> Self {
+        Self { round, state }
+    }
 }
 
 /// The round budget used by both restricted algorithms: the same static
@@ -151,10 +157,7 @@ impl SyncProcess for RestrictedSyncProcess {
             broadcast_to_all(
                 self.config.n,
                 Some(ProcessId::new(self.me)),
-                &StateMsg {
-                    round,
-                    state: self.state.clone(),
-                },
+                &StateMsg::new(round, self.state.clone()),
             )
         } else {
             Vec::new()
@@ -167,49 +170,6 @@ impl SyncProcess for RestrictedSyncProcess {
 
     fn trace_state(&self) -> Option<Vec<f64>> {
         Some(self.state.coords().to_vec())
-    }
-}
-
-/// Byzantine participant of the restricted synchronous algorithm: forges the
-/// state it reports, per receiver.
-pub struct ByzantineRestrictedSync {
-    config: BvcConfig,
-    me: usize,
-    forge: PointForge,
-}
-
-impl ByzantineRestrictedSync {
-    /// Creates the Byzantine process.
-    pub fn new(config: BvcConfig, me: usize, forge: PointForge) -> Self {
-        Self { config, me, forge }
-    }
-}
-
-impl SyncProcess for ByzantineRestrictedSync {
-    type Msg = StateMsg;
-    type Output = Point;
-
-    fn round(&mut self, round: usize, _inbox: &[Delivery<StateMsg>]) -> Vec<Outgoing<StateMsg>> {
-        let mut out = Vec::new();
-        for to in 0..self.config.n {
-            if to == self.me {
-                continue;
-            }
-            if let Some(point) = self.forge.forge(round, to) {
-                out.push(Outgoing::new(
-                    ProcessId::new(to),
-                    StateMsg {
-                        round,
-                        state: point,
-                    },
-                ));
-            }
-        }
-        out
-    }
-
-    fn output(&self) -> Option<Point> {
-        None
     }
 }
 
@@ -276,10 +236,7 @@ impl RestrictedAsyncProcess {
         broadcast_to_all(
             self.config.n,
             Some(ProcessId::new(self.me)),
-            &StateMsg {
-                round,
-                state: self.state.clone(),
-            },
+            &StateMsg::new(round, self.state.clone()),
         )
     }
 
@@ -348,68 +305,10 @@ impl AsyncProcess for RestrictedAsyncProcess {
     }
 }
 
-/// Byzantine participant of the restricted asynchronous algorithm: broadcasts
-/// forged round-tagged states for every round up front and ignores everything
-/// it receives (an aggressive but simple adversary; per-receiver forging gives
-/// equivocation).
-pub struct ByzantineRestrictedAsync {
-    config: BvcConfig,
-    me: usize,
-    forge: PointForge,
-    max_rounds: usize,
-}
-
-impl ByzantineRestrictedAsync {
-    /// Creates the Byzantine process.
-    pub fn new(config: BvcConfig, me: usize, forge: PointForge) -> Self {
-        let max_rounds = restricted_round_budget(&config);
-        Self {
-            config,
-            me,
-            forge,
-            max_rounds,
-        }
-    }
-}
-
-impl AsyncProcess for ByzantineRestrictedAsync {
-    type Msg = StateMsg;
-    type Output = Point;
-
-    fn on_start(&mut self) -> Vec<Outgoing<StateMsg>> {
-        let mut out = Vec::new();
-        for round in 1..=self.max_rounds {
-            for to in 0..self.config.n {
-                if to == self.me {
-                    continue;
-                }
-                if let Some(point) = self.forge.forge(round, to) {
-                    out.push(Outgoing::new(
-                        ProcessId::new(to),
-                        StateMsg {
-                            round,
-                            state: point,
-                        },
-                    ));
-                }
-            }
-        }
-        out
-    }
-
-    fn on_message(&mut self, _from: ProcessId, _msg: StateMsg) -> Vec<Outgoing<StateMsg>> {
-        Vec::new()
-    }
-
-    fn output(&self) -> Option<Point> {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bvc_adversary::ByzantineStrategy;
+    use bvc_adversary::{ByzantineStrategy, PointForge, StateForger};
     use bvc_net::{AsyncNetwork, DeliveryPolicy, SyncNetwork};
 
     fn config(n: usize, f: usize, d: usize, eps: f64) -> BvcConfig {
@@ -444,6 +343,7 @@ mod tests {
         seed: u64,
     ) -> (Vec<Point>, Vec<Point>) {
         let cfg = config(n, f, d, eps);
+        let rounds = RestrictedSyncProcess::total_rounds(&cfg) + 2;
         let mut processes: Vec<Box<dyn SyncProcess<Msg = StateMsg, Output = Point>>> = Vec::new();
         for (i, input) in honest_inputs.iter().enumerate() {
             processes.push(Box::new(RestrictedSyncProcess::new(
@@ -456,15 +356,15 @@ mod tests {
             let me = n - f + b;
             let mut forge = PointForge::new(strategy, d, 0.0, 1.0, seed + b as u64);
             forge.set_honest_value(Point::uniform(d, 0.5));
-            processes.push(Box::new(ByzantineRestrictedSync::new(
-                cfg.clone(),
-                me,
+            processes.push(Box::new(StateForger::new(
+                (0..n).filter(|&to| to != me).collect(),
+                rounds,
                 forge,
+                StateMsg::new,
             )));
         }
         let honest: Vec<usize> = (0..n - f).collect();
-        let outcome =
-            SyncNetwork::new(processes, RestrictedSyncProcess::total_rounds(&cfg) + 2).run(&honest);
+        let outcome = SyncNetwork::new(processes, rounds).run(&honest);
         let decisions = honest
             .iter()
             .map(|&i| outcome.outputs[i].clone().expect("honest decision"))
@@ -494,10 +394,11 @@ mod tests {
             let me = n - f + b;
             let mut forge = PointForge::new(strategy, d, 0.0, 1.0, seed + b as u64);
             forge.set_honest_value(Point::uniform(d, 0.5));
-            processes.push(Box::new(ByzantineRestrictedAsync::new(
-                cfg.clone(),
-                me,
+            processes.push(Box::new(StateForger::new(
+                (0..n).filter(|&to| to != me).collect(),
+                restricted_round_budget(&cfg),
                 forge,
+                StateMsg::new,
             )));
         }
         let honest: Vec<usize> = (0..n - f).collect();

@@ -7,7 +7,7 @@
 //! and an optional shared Γ cache.  It is deliberately **protocol-agnostic**:
 //! the same config can be dispatched to any [`ProtocolKind`] through
 //! [`BvcSession`](super::BvcSession), and everything protocol-specific
-//! (admission bounds, which knobs the driver actually reads) is decided at
+//! (admission bounds, which knobs the run actually reads) is decided at
 //! validation time, in exactly one place: [`RunConfig::validate`].
 
 use crate::approx::UpdateRule;
@@ -135,17 +135,20 @@ impl ProtocolKind {
         }
     }
 
-    /// The directed models' process floor — the part of the graph condition
-    /// that does not depend on the graph (arXiv:1208.5075 needs `n ≥ 3f+1`
-    /// point-to-point; arXiv:1911.07298 weakens it to `n ≥ 2f+1` under
-    /// local broadcast; the `(d+1)f+1` decision-step floor is
-    /// model-independent).  `None` for the non-directed protocols, whose
-    /// admission goes through [`Setting`] bounds instead.
-    fn directed_floor(self, d: usize, f: usize) -> Option<usize> {
+    /// The fewest processes the protocol can be run with at dimension `d`
+    /// and `f` faults under strict validity — the one place an admission
+    /// floor is written.  For the paper's four protocols it is the
+    /// [`Setting`] bound.  For the directed kinds it is the part of the graph
+    /// condition that does not depend on the graph (arXiv:1208.5075 needs
+    /// `n ≥ 3f+1` point-to-point; arXiv:1911.07298 weakens it to `n ≥ 2f+1`
+    /// under local broadcast; the `(d+1)f+1` decision-step floor is
+    /// model-independent).  `None` for the iterative protocol, whose only
+    /// resource signal is the topology sufficiency check.
+    pub fn min_processes(self, d: usize, f: usize) -> Option<usize> {
         let equivocation_floor = match self {
             ProtocolKind::DirectedExact => 3 * f + 1,
             ProtocolKind::DirectedExactLb => 2 * f + 1,
-            _ => return None,
+            other => return other.setting().map(|setting| setting.min_processes(d, f)),
         };
         Some(equivocation_floor.max((d + 1) * f + 1))
     }
@@ -189,8 +192,8 @@ impl std::fmt::Display for ProtocolKind {
     }
 }
 
-/// One declarative description of a BVC execution, shared by all five
-/// protocol drivers.
+/// One declarative description of a BVC execution, shared by all seven
+/// protocol kinds.
 ///
 /// Build it with [`RunConfig::new`] and the chainable setters (the method
 /// names match the fields, and both match the setters of the pre-session
@@ -200,7 +203,7 @@ impl std::fmt::Display for ProtocolKind {
 /// Fields are public: the config is plain data, and nothing trusts it until
 /// it has passed [`validate`](Self::validate).
 ///
-/// Knobs a protocol does not read are ignored by its driver (e.g. the
+/// Knobs a protocol does not read are ignored by its run (e.g. the
 /// delivery policy for the synchronous protocols), exactly as the scenario
 /// schema always treated them.
 #[derive(Debug, Clone)]
@@ -425,13 +428,12 @@ impl RunConfig {
                     "the runners model at least one Byzantine process; use f >= 1".into(),
                 ));
             }
-        }
-        // The directed models' graph-independent floor is enforced here — the
-        // single admission point — while the graph-dependent part of the
-        // condition is recorded by the driver as the run's sufficiency
-        // verdict (a violating *graph* is expected data, a too-small `n`
-        // is a configuration error on every graph).
-        if let Some(floor) = protocol.directed_floor(core.d, core.f) {
+        } else if let Some(floor) = protocol.min_processes(core.d, core.f) {
+            // The directed models' graph-independent floor is enforced here —
+            // the single admission point — while the graph-dependent part of
+            // the condition is recorded by the run as its sufficiency verdict
+            // (a violating *graph* is expected data, a too-small `n` is a
+            // configuration error on every graph).
             if core.n < floor {
                 return Err(BvcError::InvalidParameter(format!(
                     "{protocol} requires n >= {floor} (model floor at f = {}, d = {}), got n = {}",
@@ -522,7 +524,7 @@ mod tests {
                     // Iterative has no closed-form bound; the directed kinds
                     // keep their graph-independent model floor under every
                     // validity mode (the flood has no relaxed variant).
-                    None => protocol.directed_floor(d, f).unwrap_or(1),
+                    None => protocol.min_processes(d, f).unwrap_or(1),
                 };
                 // One below the bound is rejected with the exact requirement…
                 if required > f + 1 {
@@ -731,10 +733,10 @@ mod tests {
         assert_eq!(ProtocolKind::DirectedExact.setting(), None);
         assert_eq!(ProtocolKind::DirectedExactLb.setting(), None);
         // The LB floor is strictly weaker where 3f+1 dominates…
-        assert_eq!(ProtocolKind::DirectedExact.directed_floor(1, 2), Some(7));
-        assert_eq!(ProtocolKind::DirectedExactLb.directed_floor(1, 2), Some(5));
+        assert_eq!(ProtocolKind::DirectedExact.min_processes(1, 2), Some(7));
+        assert_eq!(ProtocolKind::DirectedExactLb.min_processes(1, 2), Some(5));
         // …and both keep the model-independent (d+1)f+1 decision floor.
-        assert_eq!(ProtocolKind::DirectedExact.directed_floor(4, 2), Some(11));
-        assert_eq!(ProtocolKind::DirectedExactLb.directed_floor(4, 2), Some(11));
+        assert_eq!(ProtocolKind::DirectedExact.min_processes(4, 2), Some(11));
+        assert_eq!(ProtocolKind::DirectedExactLb.min_processes(4, 2), Some(11));
     }
 }

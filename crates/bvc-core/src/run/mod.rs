@@ -8,8 +8,9 @@
 //! directed graphs under point-to-point or local-broadcast delivery —
 //! validates the configuration **once**
 //! ([`RunConfig::validate`] is the only admission point in the workspace),
-//! executes the matching [`ProtocolDriver`], and scores the outcome into a
-//! unified [`RunReport`].
+//! executes it on the one run path (`drive.rs`: a single `match` on the
+//! protocol kind over a shared cast builder and one call site per executor),
+//! and scores the outcome into a unified [`RunReport`].
 //!
 //! ```
 //! use bvc_core::{BvcSession, ByzantineStrategy, ProtocolKind, RunConfig};
@@ -34,12 +35,7 @@
 pub mod config;
 pub mod report;
 
-mod approx;
-mod directed;
-mod exact;
-mod iterative;
-mod restricted_async;
-mod restricted_sync;
+mod drive;
 
 pub use config::{BroadcastModel, InstanceOverrides, ProtocolKind, RunConfig};
 pub use report::{RunReport, Verdict};
@@ -47,67 +43,37 @@ pub use report::{RunReport, Verdict};
 use crate::approx::ApproxOutput;
 use crate::config::{BvcConfig, BvcError};
 use crate::validity::validity_check;
-use bvc_adversary::{ByzantineStrategy, PointForge};
 use bvc_geometry::{GammaCache, Point, SharedGammaCache};
 use bvc_net::ExecutionStats;
 use bvc_topology::{Sufficiency, Topology};
 use std::sync::Arc;
 
-/// What a [`ProtocolDriver`] hands back to the session: the raw execution
-/// outcome, before verdict scoring and report assembly (which are uniform
-/// across protocols and live in the session).
+/// What the run path hands back to the session: the raw execution outcome,
+/// before verdict scoring and report assembly (which are uniform across
+/// protocols and live in the session).
 #[derive(Debug, Clone)]
-pub struct DriverOutcome {
+struct DriverOutcome {
     /// The honest processes' decisions, in honest-index order (processes
     /// that never decided are absent).
-    pub decisions: Vec<Point>,
+    decisions: Vec<Point>,
     /// Whether every honest process decided within the executor's budget.
-    pub terminated: bool,
+    terminated: bool,
     /// The agreement tolerance the verdict is judged at (ε, or the LP
     /// round-off allowance for exact consensus).
-    pub tolerance: f64,
+    tolerance: f64,
     /// Rounds (synchronous) or scheduler delivery steps (asynchronous)
     /// executed.
-    pub rounds: usize,
+    rounds: usize,
     /// Message statistics of the execution.
-    pub stats: ExecutionStats,
+    stats: ExecutionStats,
     /// The protocol's static round budget, if it has one.
-    pub round_budget: Option<usize>,
+    round_budget: Option<usize>,
     /// Full per-process outputs, for protocols that record them (the
     /// approximate protocol's decision + state history + `|Z_i|` sizes).
-    pub outputs: Vec<ApproxOutput>,
+    outputs: Vec<ApproxOutput>,
     /// The topology sufficiency verdict of the condition-governed protocols
     /// (iterative and the two directed exact kinds).
-    pub sufficiency: Option<Sufficiency>,
-}
-
-/// One protocol's execution strategy: consume a validated session, run the
-/// protocol over the shared net/Γ machinery, and return the raw outcome.
-///
-/// The seven built-in drivers (one per [`ProtocolKind`]) are selected by
-/// [`BvcSession::run`]; [`BvcSession::run_with`] accepts any implementation,
-/// so experimental protocols can ride the same config/report plumbing
-/// without touching it.
-pub trait ProtocolDriver {
-    /// Executes the protocol.  The session is fully validated: the inputs
-    /// have the right shape, the resilience bound holds, and
-    /// [`BvcSession::topology`] is resolved (complete graph by default).
-    /// The report's protocol and admission metadata come from the
-    /// [`ProtocolKind`] the session was bound to, not from the driver.
-    fn execute(&self, session: &BvcSession) -> DriverOutcome;
-}
-
-/// The built-in driver for a protocol kind.
-fn driver_for(kind: ProtocolKind) -> &'static dyn ProtocolDriver {
-    match kind {
-        ProtocolKind::Exact => &exact::ExactDriver,
-        ProtocolKind::Approx => &approx::ApproxDriver,
-        ProtocolKind::RestrictedSync => &restricted_sync::RestrictedSyncDriver,
-        ProtocolKind::RestrictedAsync => &restricted_async::RestrictedAsyncDriver,
-        ProtocolKind::Iterative => &iterative::IterativeDriver,
-        ProtocolKind::DirectedExact => &directed::DirectedExactDriver,
-        ProtocolKind::DirectedExactLb => &directed::DirectedExactLbDriver,
-    }
+    sufficiency: Option<Sufficiency>,
 }
 
 /// A validated, ready-to-run BVC execution: one [`RunConfig`] bound to one
@@ -175,15 +141,8 @@ impl BvcSession {
         &self.gamma_cache
     }
 
-    /// Runs the execution with the protocol's built-in driver.
+    /// Runs the execution and scores it.
     pub fn run(self) -> RunReport {
-        let driver = driver_for(self.protocol);
-        self.run_with(driver)
-    }
-
-    /// Runs the execution with a custom [`ProtocolDriver`] (the pluggable
-    /// entry point; `run()` is `run_with(<built-in driver>)`).
-    pub fn run_with(self, driver: &dyn ProtocolDriver) -> RunReport {
         bvc_trace::emit(|| bvc_trace::TraceEvent::RunOpen {
             protocol: self.protocol.name().to_string(),
             n: self.core.n,
@@ -193,7 +152,7 @@ impl BvcSession {
         // Γ queries are attributed to the run as a cache-counter delta, so a
         // config-shared cache still yields per-run totals.
         let before = self.gamma_cache.counters();
-        let mut outcome = driver.execute(&self);
+        let mut outcome = self.drive();
         outcome.stats.gamma_queries = self.gamma_cache.counters().since(&before).queries();
         self.into_report(outcome)
     }
@@ -240,48 +199,13 @@ impl BvcSession {
             config: self.config,
         }
     }
-
-    /// Extracts the decided outputs of the honest processes from an
-    /// executor's output slots, in honest-index order.
-    pub(crate) fn honest_decisions<T: Clone>(&self, outputs: &[Option<T>]) -> Vec<T> {
-        (0..self.core.honest_count())
-            .filter_map(|i| outputs[i].clone())
-            .collect()
-    }
-
-    /// The honest process indices (`0..n−f`), the executor's "must decide"
-    /// set.
-    pub(crate) fn honest_indices(&self) -> Vec<usize> {
-        (0..self.core.honest_count()).collect()
-    }
-}
-
-/// The seeded point forge of Byzantine process `index` (deterministic per
-/// `(seed, index)`, shared by all drivers).
-pub(crate) fn make_forge(
-    strategy: ByzantineStrategy,
-    config: &BvcConfig,
-    seed: u64,
-    index: usize,
-) -> PointForge {
-    let mut forge = PointForge::new(
-        strategy,
-        config.d,
-        config.lower_bound,
-        config.upper_bound,
-        seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(index as u64 + 1)),
-    );
-    forge.set_honest_value(Point::uniform(
-        config.d,
-        0.5 * (config.lower_bound + config.upper_bound),
-    ));
-    forge
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::validity::ValidityMode;
+    use bvc_adversary::ByzantineStrategy;
     use bvc_topology::Topology;
 
     fn square_inputs() -> Vec<Point> {
@@ -649,7 +573,7 @@ mod tests {
 
     #[test]
     fn directed_on_complete_graph_matches_exact_bit_for_bit() {
-        // On K_n the directed drivers delegate to the Section-2.2 protocol,
+        // On K_n the directed kinds delegate to the Section-2.2 protocol,
         // so everything observable — decisions (bit-equal), verdict, rounds,
         // message counts — matches ProtocolKind::Exact; only the recorded
         // sufficiency (absent for exact) differs.
@@ -729,36 +653,5 @@ mod tests {
             "verdict: {:?}",
             report.verdict()
         );
-    }
-
-    #[test]
-    fn run_with_accepts_a_custom_driver() {
-        /// A driver that decides the first honest input everywhere without
-        /// exchanging a single message — trivially valid, trivially agreed.
-        struct Dictator;
-        impl ProtocolDriver for Dictator {
-            fn execute(&self, session: &BvcSession) -> DriverOutcome {
-                let decision = session.config().honest_inputs[0].clone();
-                let honest = session.params().honest_count();
-                DriverOutcome {
-                    decisions: vec![decision; honest],
-                    terminated: true,
-                    tolerance: 1e-6,
-                    rounds: 0,
-                    stats: ExecutionStats::default(),
-                    round_budget: None,
-                    outputs: Vec::new(),
-                    sufficiency: None,
-                }
-            }
-        }
-        let report = BvcSession::new(
-            ProtocolKind::Exact,
-            RunConfig::new(5, 1, 2).honest_inputs(square_inputs()),
-        )
-        .unwrap()
-        .run_with(&Dictator);
-        assert!(report.verdict().all_hold());
-        assert_eq!(report.rounds(), 0);
     }
 }

@@ -1,8 +1,8 @@
 //! Process-shareable memoisation of Γ queries.
 //!
 //! [`GammaCache`] memoises [`find_point`](GammaCache::find_point) and
-//! [`contains`](GammaCache::contains) results keyed by a **canonical multiset
-//! key**: the members are sorted lexicographically (under `f64::total_cmp`)
+//! [`decision_point`](GammaCache::decision_point) results keyed by a
+//! **canonical multiset key**: the members are sorted lexicographically (under `f64::total_cmp`)
 //! and their coordinate bit patterns concatenated, so two multisets that
 //! differ only in member order share one entry.  Because every Γ query is a
 //! deterministic, order-invariant function of the multiset (see
@@ -30,13 +30,12 @@
 //! off the view, counted as engine computations on path `d1-closed-form`,
 //! traced, and never stored.
 //!
-//! Memory is bounded: when a map reaches the configured capacity it is
+//! Memory is bounded: when the map reaches the configured capacity it is
 //! wholesale-cleared (deterministically; eviction can never change results,
 //! only cost).
 
 use crate::gamma::{
-    contains_attributed, find_point_presorted, point_of_view, CanonicalEntries, GammaAttribution,
-    SubsetView,
+    find_point_presorted, point_of_view, CanonicalEntries, GammaAttribution, SubsetView,
 };
 use crate::multiset::PointMultiset;
 use crate::point::Point;
@@ -168,10 +167,6 @@ fn key_of(view: SubsetView<'_>, f: usize, mode: ModeKey) -> MultisetKey {
     }
 }
 
-fn point_bits(p: &Point) -> Vec<u64> {
-    p.coords().iter().map(|c| c.to_bits()).collect()
-}
-
 /// How a parent-chain outcome looks one level down: any ancestor hit is a
 /// parent hit for the child; an engine computation stays a miss.
 fn demote(parent_level: CacheLevel) -> CacheLevel {
@@ -191,7 +186,6 @@ fn demote(parent_level: CacheLevel) -> CacheLevel {
 #[derive(Debug)]
 pub struct GammaCache {
     points: Mutex<HashMap<MultisetKey, Option<Point>>>,
-    membership: Mutex<HashMap<(MultisetKey, Vec<u64>), bool>>,
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -225,7 +219,7 @@ impl GammaCache {
         Self::with_capacity(Self::DEFAULT_CAPACITY)
     }
 
-    /// Creates a cache holding at most `capacity` entries per query kind.
+    /// Creates a cache holding at most `capacity` entries.
     ///
     /// # Panics
     ///
@@ -234,7 +228,6 @@ impl GammaCache {
         assert!(capacity > 0, "cache capacity must be positive");
         Self {
             points: Mutex::new(HashMap::new()),
-            membership: Mutex::new(HashMap::new()),
             capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -400,75 +393,6 @@ impl GammaCache {
         (value, level, attr)
     }
 
-    /// Memoised [`gamma_contains`](crate::gamma_contains).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f >= y.len()` or the dimensions disagree.
-    pub fn contains(&self, y: &PointMultiset, f: usize, point: &Point) -> bool {
-        let (value, level, path) = self.contains_levelled(y, f, point);
-        bvc_trace::emit(|| TraceEvent::Gamma {
-            kind: GammaQueryKind::Membership,
-            cache: level,
-            path,
-            probe_missed: false,
-            len: y.len(),
-            f,
-            d: y.dim(),
-            found: value,
-        });
-        value
-    }
-
-    /// Levelled (non-emitting) membership resolution; see
-    /// [`resolve_point`](Self::resolve_point).
-    fn contains_levelled(
-        &self,
-        y: &PointMultiset,
-        f: usize,
-        point: &Point,
-    ) -> (bool, CacheLevel, Option<GammaPath>) {
-        if y.dim() == 1 {
-            // Closed form: answered, counted and traced, never stored.
-            let (value, path) = contains_attributed(y, f, point);
-            self.note(CacheLevel::Miss, Some(path), false);
-            return (value, CacheLevel::Miss, Some(path));
-        }
-        let members = key_of(CanonicalEntries::new(y.points()).all(), f, ModeKey::Strict);
-        let key = (members, point_bits(point));
-        if let Some(&cached) = lock(&self.membership).get(&key) {
-            self.note(CacheLevel::Local, None, false);
-            return (cached, CacheLevel::Local, None);
-        }
-        let (value, level, path) = match &self.parent {
-            Some(parent) => {
-                let (value, parent_level, path) = parent.contains_levelled(y, f, point);
-                (value, demote(parent_level), path)
-            }
-            None => {
-                let (value, path) = contains_attributed(y, f, point);
-                (value, CacheLevel::Miss, Some(path))
-            }
-        };
-        self.note(level, path, false);
-        let mut map = lock(&self.membership);
-        if map.len() >= self.capacity {
-            map.clear();
-        }
-        map.insert(key, value);
-        (value, level, path)
-    }
-
-    /// Memoised [`gamma_is_empty`](crate::gamma_is_empty) (piggybacks on the
-    /// `find_point` entry).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f >= y.len()`.
-    pub fn is_empty_region(&self, y: &PointMultiset, f: usize) -> bool {
-        self.find_point(y, f).is_none()
-    }
-
     /// Records this cache's own view of one resolved query.  `Local` keeps
     /// the historical `hits` semantics; both `Parent` and `Miss` count as
     /// `misses` (the query was not answered from this cache's maps), with
@@ -527,9 +451,9 @@ impl GammaCache {
         }
     }
 
-    /// Entries currently stored across both query kinds.
+    /// Entries currently stored.
     pub fn len(&self) -> usize {
-        lock(&self.points).len() + lock(&self.membership).len()
+        lock(&self.points).len()
     }
 
     /// `true` when no entry is stored.
@@ -581,20 +505,6 @@ mod tests {
     }
 
     #[test]
-    fn membership_queries_are_cached_per_point() {
-        let cache = GammaCache::new();
-        let y = square_plus_centre();
-        let inside = Point::new(vec![2.0, 2.0]);
-        let outside = Point::new(vec![9.0, 9.0]);
-        assert!(cache.contains(&y, 1, &inside));
-        assert!(!cache.contains(&y, 1, &outside));
-        assert_eq!(cache.misses(), 2);
-        assert!(cache.contains(&y, 1, &inside));
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
     fn capacity_eviction_keeps_answers_correct() {
         let cache = GammaCache::with_capacity(2);
         for i in 0..5u8 {
@@ -627,11 +537,10 @@ mod tests {
         ]);
         for _ in 0..2 {
             assert_eq!(cache.find_point(&y, 1), gamma_point(&y, 1));
-            assert!(cache.contains(&y, 1, &Point::new(vec![1.0])));
         }
         let c = cache.counters();
-        assert_eq!((cache.len(), c.hits, c.misses), (0, 0, 4));
-        assert_eq!(c.path_count(GammaPath::D1ClosedForm), 4);
+        assert_eq!((cache.len(), c.hits, c.misses), (0, 0, 2));
+        assert_eq!(c.path_count(GammaPath::D1ClosedForm), 2);
         assert!(c.is_consistent());
     }
 
@@ -643,8 +552,8 @@ mod tests {
             Point::new(vec![0.0, 1.0]),
             Point::new(vec![0.0, 0.0]),
         ]);
-        assert!(cache.is_empty_region(&y, 1));
-        assert!(cache.is_empty_region(&y, 1));
+        assert!(cache.find_point(&y, 1).is_none());
+        assert!(cache.find_point(&y, 1).is_none());
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
     }
@@ -719,11 +628,6 @@ mod tests {
                 direct.map(|p| p.coords().to_vec())
             );
         }
-        let probe = Point::new(vec![2.0, 2.0]);
-        assert_eq!(
-            chained.contains(&y, 1, &probe),
-            cold.contains(&y, 1, &probe)
-        );
     }
 
     #[test]
@@ -756,13 +660,7 @@ mod tests {
         assert!(s.is_consistent());
         assert!(parent.counters().is_consistent());
 
-        // Membership attribution lands in the path table too.
-        let probe = Point::new(vec![2.0, 2.0]);
-        let _ = child.contains(&y, 1, &probe);
         let c2 = child.counters();
-        assert_eq!(c2.queries(), 3);
-        assert!(c2.is_consistent());
-
         // Relaxed decisions are engine computations without a ladder path.
         let _ = child.decision_point(&y, 2, &ValidityPredicate::AlphaScaled(2.0));
         let c3 = child.counters();

@@ -172,19 +172,14 @@ proptest! {
         }
     }
 
-    /// Cached path: membership and emptiness answers are identical to the
-    /// uncached engine, before and after the entry is resident.
+    /// Cached path: the emptiness answer is identical to the uncached
+    /// engine, before and after the entry is resident.
     #[test]
-    fn cached_queries_agree_with_uncached(
-        pts in points(5, 2),
-        probe in prop::collection::vec(-6.0f64..6.0, 2),
-    ) {
+    fn cached_queries_agree_with_uncached(pts in points(5, 2)) {
         let y = PointMultiset::new(pts);
-        let q = Point::new(probe);
         let cache = GammaCache::new();
         for _ in 0..2 {
-            prop_assert_eq!(cache.contains(&y, 1, &q), gamma_contains(&y, 1, &q));
-            prop_assert_eq!(cache.is_empty_region(&y, 1), gamma_is_empty(&y, 1));
+            prop_assert_eq!(cache.find_point(&y, 1).is_none(), gamma_is_empty(&y, 1));
         }
         prop_assert!(cache.hits() > 0, "second pass must be served from the cache");
     }

@@ -36,7 +36,7 @@ fn verdict_json(json: &str) -> &str {
     &json[start..end]
 }
 
-fn run_with(spec: &ScenarioSpec, seed: u64, validity: Option<&ValidityMode>) -> String {
+fn run_under(spec: &ScenarioSpec, seed: u64, validity: Option<&ValidityMode>) -> String {
     run_scenario_instance(
         spec,
         seed,
@@ -53,8 +53,8 @@ fn run_with(spec: &ScenarioSpec, seed: u64, validity: Option<&ValidityMode>) -> 
 fn alpha_zero_verdicts_are_byte_identical_to_strict() {
     let spec = above_threshold_spec();
     for seed in [0, 1, 7] {
-        let strict = run_with(&spec, seed, Some(&ValidityMode::Strict));
-        let alpha_zero = run_with(&spec, seed, Some(&ValidityMode::AlphaScaled(0.0)));
+        let strict = run_under(&spec, seed, Some(&ValidityMode::Strict));
+        let alpha_zero = run_under(&spec, seed, Some(&ValidityMode::AlphaScaled(0.0)));
         assert_eq!(
             verdict_json(&strict),
             verdict_json(&alpha_zero),
@@ -67,8 +67,8 @@ fn alpha_zero_verdicts_are_byte_identical_to_strict() {
 fn k_equal_d_verdicts_are_byte_identical_to_strict() {
     let spec = above_threshold_spec();
     for seed in [0, 1, 7] {
-        let strict = run_with(&spec, seed, Some(&ValidityMode::Strict));
-        let k_d = run_with(&spec, seed, Some(&ValidityMode::KRelaxed(3)));
+        let strict = run_under(&spec, seed, Some(&ValidityMode::Strict));
+        let k_d = run_under(&spec, seed, Some(&ValidityMode::KRelaxed(3)));
         assert_eq!(
             verdict_json(&strict),
             verdict_json(&k_d),
@@ -80,13 +80,13 @@ fn k_equal_d_verdicts_are_byte_identical_to_strict() {
 #[test]
 fn undeclared_validity_keeps_the_pre_validity_json() {
     let spec = above_threshold_spec();
-    let undeclared = run_with(&spec, 3, None);
+    let undeclared = run_under(&spec, 3, None);
     assert!(
         !undeclared.contains("\"validity\": {"),
         "no declared mode ⇒ no validity metadata"
     );
     // Declared strict differs from undeclared only by the metadata object.
-    let declared = run_with(&spec, 3, Some(&ValidityMode::Strict));
+    let declared = run_under(&spec, 3, Some(&ValidityMode::Strict));
     let stripped = declared.replace(
         ", \"validity\": {\"mode\": \"strict\", \"required_n\": 9, \"satisfied\": true}",
         "",

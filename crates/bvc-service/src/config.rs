@@ -36,12 +36,6 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Γ-cache sharing across instances.
     pub cache_mode: CacheMode,
-    /// Entry capacity of the shared parent cache (`0` selects the
-    /// default).  The parent is wholesale-cleared when full, so it must be
-    /// sized to span the stream's seed cycle: a stream whose distinct Γ
-    /// queries between seed repeats exceed the capacity evicts every entry
-    /// before it can be reused and measures zero cross-instance hits.
-    pub shared_capacity: usize,
     /// Stream label, echoed in every verdict line and in the stats.
     pub label: String,
     /// Chaos-lab knob: deliberately panic the instance with this sequence
@@ -53,11 +47,15 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Default parent-cache capacity: sized for long streams of the
-    /// hardest tier-1 shapes (n = 9, d = 2 restricted rounds contribute
-    /// thousands of distinct multisets per instance; a 50-seed cycle then
-    /// needs several hundred thousand live entries for repeats to survive
-    /// until their reuse).
+    /// Entry capacity of the shared parent cache.  The parent is
+    /// wholesale-cleared when full, so it must span the stream's seed
+    /// cycle: a stream whose distinct Γ queries between seed repeats exceed
+    /// the capacity evicts every entry before it can be reused and measures
+    /// zero cross-instance hits.  Sized for long streams of the hardest
+    /// tier-1 shapes (n = 9, d = 2 restricted rounds contribute thousands of
+    /// distinct multisets per instance; a 50-seed cycle then needs several
+    /// hundred thousand live entries for repeats to survive until their
+    /// reuse).
     pub const DEFAULT_SHARED_CAPACITY: usize = 1 << 20;
 
     /// A stream over `template` with no instances yet and the defaults:
@@ -71,7 +69,6 @@ impl ServiceConfig {
             instances: Vec::new(),
             workers: 0,
             cache_mode: CacheMode::Shared,
-            shared_capacity: 0,
             label: "service".to_string(),
             panic_instance: None,
         }
@@ -99,14 +96,6 @@ impl ServiceConfig {
     /// Γ-cache sharing mode.
     pub fn cache_mode(mut self, mode: CacheMode) -> Self {
         self.cache_mode = mode;
-        self
-    }
-
-    /// Parent-cache entry capacity (`0` = the default).  Size it above the
-    /// stream's distinct Γ queries per seed cycle, or eviction erases
-    /// entries before their cross-instance reuse.
-    pub fn shared_capacity(mut self, capacity: usize) -> Self {
-        self.shared_capacity = capacity;
         self
     }
 

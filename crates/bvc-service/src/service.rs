@@ -4,11 +4,11 @@
 use crate::config::{CacheMode, ServiceConfig, ServiceError};
 use crate::pool::run_ordered;
 use crate::sink::VerdictSink;
-use crate::stats::{fmt_f64, CacheStats, LatencyStats, QueueStats, ServiceStats, WorkerStats};
+use crate::stats::{CacheStats, LatencyStats, QueueStats, ServiceStats, WorkerStats};
 use bvc_core::{BvcSession, RunReport};
 use bvc_geometry::{GammaCache, SharedGammaCache};
 use bvc_net::ExecutionStats;
-use bvc_trace::event::escape_json;
+use bvc_trace::json::Json;
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -49,48 +49,58 @@ fn ms(duration: std::time::Duration) -> f64 {
 fn verdict_line(label: &str, seq: usize, report: &RunReport) -> String {
     let config = report.config();
     let verdict = report.verdict();
-    let strategy = config.adversary.label();
-    let epsilon = match report.epsilon() {
-        Some(e) => fmt_f64(e),
-        None => "null".to_string(),
-    };
     let stats = report.stats();
-    format!(
-        "{{\"service\": \"{}\", \"instance\": {seq}, \"protocol\": \"{}\", \
-         \"n\": {}, \"f\": {}, \"d\": {}, \"seed\": {}, \"strategy\": \"{strategy}\", \
-         \"validity\": \"{}\", \"epsilon\": {epsilon}, \
-         \"verdict\": {{\"agreement\": {}, \"validity\": {}, \"termination\": {}, \
-         \"max_pairwise_distance\": {}}}, \"rounds\": {}, \
-         \"messages\": {{\"sent\": {}, \"delivered\": {}, \"dropped\": {}}}}}",
-        escape_json(label),
-        report.protocol().name(),
-        config.n,
-        config.f,
-        config.d,
-        config.seed,
-        report.validity_mode().label(),
-        verdict.agreement,
-        verdict.validity,
-        verdict.termination,
-        fmt_f64(verdict.max_pairwise_distance),
-        report.rounds(),
-        stats.messages_sent,
-        stats.messages_delivered,
-        stats.messages_dropped,
-    )
+    Json::object()
+        .field("service", label)
+        .field("instance", seq)
+        .field("protocol", report.protocol().name())
+        .field("n", config.n)
+        .field("f", config.f)
+        .field("d", config.d)
+        .field("seed", config.seed)
+        .field("strategy", config.adversary.label())
+        .field("validity", report.validity_mode().label())
+        .field("epsilon", report.epsilon().map_or(Json::Null, Json::Float))
+        .field(
+            "verdict",
+            verdict_json(
+                verdict.agreement,
+                verdict.validity,
+                verdict.termination,
+                verdict.max_pairwise_distance,
+            ),
+        )
+        .field("rounds", report.rounds())
+        .field(
+            "messages",
+            Json::object()
+                .field("sent", stats.messages_sent)
+                .field("delivered", stats.messages_delivered)
+                .field("dropped", stats.messages_dropped),
+        )
+        .to_string()
 }
 
 /// The verdict line for a contained instance panic: an all-false verdict
 /// carrying the panic message.  Still timing-free and deterministic for a
 /// deterministic panic, so pinned streams stay byte-identical.
 fn panic_line(label: &str, seq: usize, message: &str) -> String {
-    format!(
-        "{{\"service\": \"{}\", \"instance\": {seq}, \"panic\": \"{}\", \
-         \"verdict\": {{\"agreement\": false, \"validity\": false, \"termination\": false, \
-         \"max_pairwise_distance\": null}}}}",
-        escape_json(label),
-        escape_json(message),
-    )
+    Json::object()
+        .field("service", label)
+        .field("instance", seq)
+        .field("panic", message)
+        .field("verdict", verdict_json(false, false, false, f64::NAN))
+        .to_string()
+}
+
+/// The `verdict` object of both line shapes (a non-finite distance renders
+/// as `null`).
+fn verdict_json(agreement: bool, validity: bool, termination: bool, distance: f64) -> Json {
+    Json::object()
+        .field("agreement", agreement)
+        .field("validity", validity)
+        .field("termination", termination)
+        .field("max_pairwise_distance", distance)
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -134,12 +144,10 @@ impl BvcService {
         // The parent outlives every instance, so it gets a much larger
         // capacity than the per-instance children: entries must survive a
         // whole seed cycle to ever be reused (eviction is wholesale-clear).
-        let shared_capacity = match config.shared_capacity {
-            0 => ServiceConfig::DEFAULT_SHARED_CAPACITY,
-            capacity => capacity,
-        };
         let shared_cache: Option<SharedGammaCache> = match config.cache_mode {
-            CacheMode::Shared => Some(Arc::new(GammaCache::with_capacity(shared_capacity))),
+            CacheMode::Shared => Some(Arc::new(GammaCache::with_capacity(
+                ServiceConfig::DEFAULT_SHARED_CAPACITY,
+            ))),
             CacheMode::PerInstance => None,
         };
 

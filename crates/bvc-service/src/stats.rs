@@ -1,8 +1,8 @@
-//! Aggregate service statistics and the crate's deterministic JSON rules.
+//! Aggregate service statistics, rendered with the workspace's one JSON
+//! writer ([`bvc_trace::json::Json`]).
 
 use bvc_net::ExecutionStats;
-use bvc_trace::event::escape_json;
-use std::fmt::Write as _;
+use bvc_trace::json::Json;
 
 /// Instance-latency percentiles, measured from the moment a worker claims
 /// the instance to the hand-off of its verdict line (wall clock on the
@@ -168,90 +168,64 @@ impl ServiceStats {
     /// (values are measurements and vary run to run; the *shape* is
     /// stable).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push_str("{\"schema\": \"bvc-service-stats/v1\", \"service\": \"");
-        out.push_str(&escape_json(&self.label));
-        let _ = write!(
-            out,
-            "\", \"instances\": {}, \"decided\": {}, \"violated\": {}, \"panicked\": {}, \
-             \"wall_ms\": {}, \"decisions_per_sec\": {}",
-            self.instances,
-            self.decided,
-            self.violated,
-            self.panicked,
-            fmt_f64(self.wall_ms),
-            fmt_f64(self.decisions_per_sec),
-        );
-        let _ = write!(
-            out,
-            ", \"latency\": {{\"p50_ms\": {}, \"p99_ms\": {}, \"max_ms\": {}, \"mean_ms\": {}}}",
-            fmt_f64(self.latency.p50_ms),
-            fmt_f64(self.latency.p99_ms),
-            fmt_f64(self.latency.max_ms),
-            fmt_f64(self.latency.mean_ms),
-        );
-        let _ = write!(
-            out,
-            ", \"cache\": {{\"local_hits\": {}, \"local_misses\": {}, \"shared_hits\": {}, \
-             \"shared_misses\": {}, \"hit_rate\": {}, \"cross_instance_hit_rate\": {}}}",
-            self.cache.local_hits,
-            self.cache.local_misses,
-            self.cache.shared_hits,
-            self.cache.shared_misses,
-            fmt_f64(self.cache.hit_rate()),
-            fmt_f64(self.cache.cross_instance_hit_rate()),
-        );
-        let _ = write!(
-            out,
-            ", \"messages\": {{\"sent\": {}, \"delivered\": {}, \"dropped\": {}, \
-             \"gamma_queries\": {}}}",
-            self.messages.messages_sent,
-            self.messages.messages_delivered,
-            self.messages.messages_dropped,
-            self.messages.gamma_queries,
-        );
-        let _ = write!(
-            out,
-            ", \"queue\": {{\"max_depth\": {}, \"mean_depth\": {}, \"series\": [",
-            self.queue.max_depth,
-            fmt_f64(self.queue.mean_depth),
-        );
-        for (i, depth) in self.queue.series.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "{depth}");
-        }
-        out.push_str("]}");
-        out.push_str(", \"workers\": [");
-        for (i, worker) in self.workers.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"instances\": {}, \"busy_ms\": {}, \"utilization\": {}}}",
-                worker.instances,
-                fmt_f64(worker.busy_ms),
-                fmt_f64(worker.utilization),
-            );
-        }
-        out.push_str("]}");
-        out
+        let workers: Vec<Json> = self
+            .workers
+            .iter()
+            .map(|worker| {
+                Json::object()
+                    .field("instances", worker.instances)
+                    .field("busy_ms", worker.busy_ms)
+                    .field("utilization", worker.utilization)
+            })
+            .collect();
+        Json::object()
+            .field("schema", "bvc-service-stats/v1")
+            .field("service", self.label.as_str())
+            .field("instances", self.instances)
+            .field("decided", self.decided)
+            .field("violated", self.violated)
+            .field("panicked", self.panicked)
+            .field("wall_ms", self.wall_ms)
+            .field("decisions_per_sec", self.decisions_per_sec)
+            .field(
+                "latency",
+                Json::object()
+                    .field("p50_ms", self.latency.p50_ms)
+                    .field("p99_ms", self.latency.p99_ms)
+                    .field("max_ms", self.latency.max_ms)
+                    .field("mean_ms", self.latency.mean_ms),
+            )
+            .field(
+                "cache",
+                Json::object()
+                    .field("local_hits", self.cache.local_hits)
+                    .field("local_misses", self.cache.local_misses)
+                    .field("shared_hits", self.cache.shared_hits)
+                    .field("shared_misses", self.cache.shared_misses)
+                    .field("hit_rate", self.cache.hit_rate())
+                    .field(
+                        "cross_instance_hit_rate",
+                        self.cache.cross_instance_hit_rate(),
+                    ),
+            )
+            .field(
+                "messages",
+                Json::object()
+                    .field("sent", self.messages.messages_sent)
+                    .field("delivered", self.messages.messages_delivered)
+                    .field("dropped", self.messages.messages_dropped)
+                    .field("gamma_queries", self.messages.gamma_queries),
+            )
+            .field(
+                "queue",
+                Json::object()
+                    .field("max_depth", self.queue.max_depth)
+                    .field("mean_depth", self.queue.mean_depth)
+                    .field("series", self.queue.series.clone()),
+            )
+            .field("workers", workers)
+            .to_string()
     }
-}
-
-/// Shortest-round-trip float formatting matching the scenario verdict
-/// rules: non-finite renders as `null`, whole numbers keep a `.0`.
-pub(crate) fn fmt_f64(x: f64) -> String {
-    if !x.is_finite() {
-        return "null".to_string();
-    }
-    let mut s = format!("{x}");
-    if !s.contains(['.', 'e', 'E']) {
-        s.push_str(".0");
-    }
-    s
 }
 
 #[cfg(test)]
@@ -329,12 +303,5 @@ mod tests {
         );
         assert!(queue.mean_depth > 0.0);
         assert_eq!(QueueStats::from_samples(&[]), QueueStats::default());
-    }
-
-    #[test]
-    fn float_formatting_matches_the_verdict_rules() {
-        assert_eq!(fmt_f64(1.0), "1.0");
-        assert_eq!(fmt_f64(0.05), "0.05");
-        assert_eq!(fmt_f64(f64::NAN), "null");
     }
 }

@@ -104,8 +104,6 @@ impl CacheLevel {
 pub enum GammaQueryKind {
     /// Deterministic point selection (`find_point`).
     Point,
-    /// Membership test (`contains`).
-    Membership,
     /// Relaxed-validity decision point (`decision_point`, non-strict mode).
     Decision,
 }
@@ -115,7 +113,6 @@ impl GammaQueryKind {
     pub fn as_str(self) -> &'static str {
         match self {
             GammaQueryKind::Point => "point",
-            GammaQueryKind::Membership => "membership",
             GammaQueryKind::Decision => "decision",
         }
     }
@@ -230,7 +227,7 @@ pub enum TraceEvent {
     /// One Γ query through a [`GammaCache`](../bvc_geometry/struct.GammaCache.html)-style
     /// front end, with outcome attribution.
     Gamma {
-        /// Point selection, membership, or relaxed decision.
+        /// Point selection or relaxed decision.
         kind: GammaQueryKind,
         /// Which cache layer answered.
         cache: CacheLevel,
@@ -245,7 +242,7 @@ pub enum TraceEvent {
         f: usize,
         /// Dimension of the multiset.
         d: usize,
-        /// Point/decision queries: a point was found; membership: contained.
+        /// Whether a point was found (`false`: the region is empty).
         found: bool,
     },
     /// One two-phase simplex solve.

@@ -12,10 +12,8 @@
 //! cargo run --example threaded_runtime
 //! ```
 
-use bvc::adversary::{ByzantineStrategy, PointForge};
-use bvc::core::{
-    AadMsg, ApproxBvcProcess, ApproxOutput, BvcConfig, ByzantineApproxProcess, UpdateRule,
-};
+use bvc::adversary::{ByzantineStrategy, Forging, PointForge};
+use bvc::core::{AadMsg, ApproxBvcProcess, ApproxOutput, BvcConfig, UpdateRule};
 use bvc::geometry::{ConvexHull, Point, PointMultiset};
 use bvc::net::{run_threaded, AsyncProcess};
 use std::time::Duration;
@@ -52,11 +50,13 @@ fn main() {
     }
     let mut forge = PointForge::new(ByzantineStrategy::Equivocate, 2, 0.0, 1.0, 7);
     forge.set_honest_value(Point::new(vec![0.5, 0.5]));
-    processes.push(Box::new(ByzantineApproxProcess::new(
-        config.clone(),
-        5,
-        Point::new(vec![0.5, 0.5]),
-        UpdateRule::WitnessOptimized,
+    processes.push(Box::new(Forging::new(
+        ApproxBvcProcess::new(
+            config.clone(),
+            5,
+            Point::new(vec![0.5, 0.5]),
+            UpdateRule::WitnessOptimized,
+        ),
         forge,
     )));
 

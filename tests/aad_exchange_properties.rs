@@ -3,7 +3,7 @@
 //! executor, with Byzantine participants forging and equivocating — not just
 //! under the simple FIFO queue used by the unit tests.
 
-use bvc::adversary::{ByzantineStrategy, PointForge};
+use bvc::adversary::{ByzantineStrategy, ForgePoints, PointForge};
 use bvc::core::{AadExchange, AadMsg, CompletedExchange};
 use bvc::geometry::Point;
 use bvc::net::{broadcast_to_all, AsyncNetwork, AsyncProcess, DeliveryPolicy, Outgoing, ProcessId};

@@ -2,10 +2,8 @@
 //! guarantees on the deterministic event simulator and on the
 //! thread-per-process runtime.
 
-use bvc::adversary::{ByzantineStrategy, PointForge};
-use bvc::core::{
-    AadMsg, ApproxBvcProcess, ApproxOutput, BvcConfig, ByzantineApproxProcess, UpdateRule,
-};
+use bvc::adversary::{ByzantineStrategy, Forging, PointForge};
+use bvc::core::{AadMsg, ApproxBvcProcess, ApproxOutput, BvcConfig, UpdateRule};
 use bvc::geometry::{ConvexHull, Point, PointMultiset};
 use bvc::net::{run_threaded, AsyncNetwork, AsyncProcess, DeliveryPolicy};
 use std::time::Duration;
@@ -43,11 +41,13 @@ fn build_processes(
     }
     let mut forge = PointForge::new(ByzantineStrategy::Equivocate, 2, 0.0, 1.0, 77);
     forge.set_honest_value(Point::new(vec![0.5, 0.5]));
-    processes.push(Box::new(ByzantineApproxProcess::new(
-        config.clone(),
-        4,
-        Point::new(vec![0.5, 0.5]),
-        UpdateRule::WitnessOptimized,
+    processes.push(Box::new(Forging::new(
+        ApproxBvcProcess::new(
+            config.clone(),
+            4,
+            Point::new(vec![0.5, 0.5]),
+            UpdateRule::WitnessOptimized,
+        ),
         forge,
     )));
     processes
