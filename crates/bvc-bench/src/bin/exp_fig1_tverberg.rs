@@ -8,8 +8,8 @@
 
 use bvc_bench::{experiment_header, mark, Table};
 use bvc_geometry::{
-    common_point_of_partition, find_tverberg_partition, tverberg_threshold, ConvexHull, Point,
-    PointMultiset, SafeArea,
+    common_point_of_partition, find_tverberg_partition, gamma_contains, tverberg_threshold,
+    ConvexHull, Point, PointMultiset,
 };
 
 fn heptagon() -> PointMultiset {
@@ -57,10 +57,9 @@ fn main() {
             mark(hull.contains(&partition.point)),
         ]);
     }
-    let gamma = SafeArea::new(y.clone(), f);
     table.row(&[
         "common point in Γ(Y) with f = 2 (Lemma 1)".to_string(),
-        mark(gamma.contains(&partition.point)),
+        mark(gamma_contains(&y, f, &partition.point)),
     ]);
     table.row(&[
         "verification via common_point_of_partition".to_string(),

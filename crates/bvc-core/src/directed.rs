@@ -139,11 +139,6 @@ impl DirectedExactProcess {
         config.n + 1
     }
 
-    /// The claims currently held for `source`, in arrival order.
-    pub fn claims_for(&self, source: usize) -> &[Point] {
-        &self.claims[source]
-    }
-
     /// Ingests one delivered claim; returns `true` when it was new.
     fn ingest(&mut self, msg: &DirectedMsg) -> bool {
         if msg.source >= self.claims.len() || msg.point.dim() != self.config.d {

@@ -35,7 +35,8 @@ use std::sync::Arc;
 /// Agreement tolerance of the exact-consensus kinds: honest decisions are
 /// the same deterministic Γ point of the same multiset, so agreement means
 /// `max_pairwise_distance ≤ EXACT_AGREEMENT_TOLERANCE` — equality up to LP
-/// round-off.
+/// round-off.  It is the one row of the geometry tolerance table
+/// ([`bvc_geometry::tolerance`]) that lives where it is judged.
 const EXACT_AGREEMENT_TOLERANCE: f64 = 1e-6;
 
 type SyncBox<M> = Box<dyn SyncProcess<Msg = M, Output = Point>>;

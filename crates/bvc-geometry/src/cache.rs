@@ -34,12 +34,10 @@
 //! wholesale-cleared (deterministically; eviction can never change results,
 //! only cost).
 
-use crate::gamma::{
-    find_point_presorted, point_of_view, CanonicalEntries, GammaAttribution, SubsetView,
-};
+use crate::gamma::{engine_point, CanonicalEntries, GammaAttribution, SubsetView};
 use crate::multiset::PointMultiset;
 use crate::point::Point;
-use crate::relaxed::{k_relaxed_point, relaxed_gamma_point, ValidityPredicate};
+use crate::relaxed::{ModeKey, ValidityPredicate};
 use bvc_trace::{CacheLevel, GammaPath, GammaQueryKind, TraceEvent};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -116,28 +114,6 @@ impl GammaCounters {
     pub fn is_consistent(&self) -> bool {
         let engine: u64 = self.paths.iter().sum::<u64>() + self.unattributed;
         self.hits + self.parent_hits + engine == self.queries()
-    }
-}
-
-/// The validity regime of a cached point query.  Modes that are
-/// semantically strict (`AlphaScaled(0)`, `KRelaxed(k ≥ d)`) normalise to
-/// [`ModeKey::Strict`] so they share the strict entries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum ModeKey {
-    Strict,
-    Alpha(u64),
-    K(usize),
-}
-
-impl ModeKey {
-    fn normalise(mode: &ValidityPredicate, dim: usize) -> Self {
-        match mode {
-            ValidityPredicate::Strict => ModeKey::Strict,
-            ValidityPredicate::AlphaScaled(alpha) if *alpha == 0.0 => ModeKey::Strict,
-            ValidityPredicate::AlphaScaled(alpha) => ModeKey::Alpha(alpha.to_bits()),
-            ValidityPredicate::KRelaxed(k) if *k >= dim => ModeKey::Strict,
-            ValidityPredicate::KRelaxed(k) => ModeKey::K(*k),
-        }
     }
 }
 
@@ -309,11 +285,6 @@ impl GammaCache {
     /// The one public point query: resolve, then record exactly one `Gamma`
     /// trace event.
     fn point_query(&self, view: SubsetView<'_>, f: usize, mode: ModeKey) -> Option<Point> {
-        assert!(
-            f < view.len(),
-            "fault bound f = {f} must be smaller than |Y| = {}",
-            view.len()
-        );
         let (value, level, attr) = self.resolve_point(view, f, mode);
         bvc_trace::emit(|| TraceEvent::Gamma {
             kind: match mode {
@@ -334,62 +305,52 @@ impl GammaCache {
     /// Cache lookup + resolution without event emission: one `Gamma` trace
     /// event must be recorded per *public* query, so parent delegation goes
     /// through this levelled function.  Counter bookkeeping (each cache's own
-    /// view) still happens at every level.  Relaxed engines bypass the strict
-    /// escalation ladder, so their outcome carries no path attribution
-    /// ([`GammaCounters`] counts it under `unattributed`).
+    /// view) still happens at every level.  Only the strict rule attributes
+    /// a path; relaxed outcomes carry none ([`GammaCounters`] counts them
+    /// under `unattributed`).
     fn resolve_point(
         &self,
         view: SubsetView<'_>,
         f: usize,
         mode: ModeKey,
     ) -> (Option<Point>, CacheLevel, Option<GammaAttribution>) {
-        if mode == ModeKey::Strict && view.dim() == 1 {
-            // The cache stores no answer the engine gives in closed form.
-            let (value, attr) = point_of_view(view, f);
-            self.note(CacheLevel::Miss, Some(attr.path), attr.probe_missed);
-            return (value, CacheLevel::Miss, Some(attr));
-        }
-        let key = key_of(view, f, mode);
-        if let Some(cached) = lock(&self.points).get(&key) {
+        // The cache stores no answer the engine gives in closed form: a
+        // strict `d = 1` query has no key, asks no parent, leaves no entry.
+        let key = (mode != ModeKey::Strict || view.dim() > 1).then(|| key_of(view, f, mode));
+        if let Some(cached) = key
+            .as_ref()
+            .and_then(|k| lock(&self.points).get(k).cloned())
+        {
             self.note(CacheLevel::Local, None, false);
-            return (cached.clone(), CacheLevel::Local, None);
+            return (cached, CacheLevel::Local, None);
         }
-        let (value, level, attr) = match (&self.parent, mode) {
-            (Some(parent), _) => {
+        let (value, level, attr) = match (&self.parent, &key) {
+            (Some(parent), Some(_)) => {
                 let (value, parent_level, attr) = parent.resolve_point(view, f, mode);
                 (value, demote(parent_level), attr)
             }
-            (None, ModeKey::Strict) => {
-                let (value, attr) = find_point_presorted(view.to_multiset(), f);
-                (value, CacheLevel::Miss, Some(attr))
+            // The k-relaxed rule's strict leg goes through the *public*
+            // query so it shares the `ModeKey::Strict` entry instead of
+            // re-solving the strict LP on every relaxed miss — it is a full
+            // strict query in its own right and keeps its own counter
+            // increment and trace event.
+            _ => {
+                let (value, attr) = engine_point(view, f, mode, |v, f| self.find_point_of(v, f));
+                (value, CacheLevel::Miss, attr)
             }
-            (None, ModeKey::Alpha(bits)) => (
-                relaxed_gamma_point(&view.to_multiset(), f, f64::from_bits(bits)),
-                CacheLevel::Miss,
-                None,
-            ),
-            // The k-relaxed rule prefers the strict Γ point; that leg goes
-            // through the *public* query so it shares the ModeKey::Strict
-            // entry instead of re-solving the strict LP on every relaxed
-            // miss — it is a full strict query in its own right and keeps
-            // its own counter increment and trace event.
-            (None, ModeKey::K(k)) => (
-                self.find_point_of(view, f)
-                    .or_else(|| k_relaxed_point(&view.to_multiset(), f, k)),
-                CacheLevel::Miss,
-                None,
-            ),
         };
         self.note(
             level,
             attr.map(|a| a.path),
             attr.is_some_and(|a| a.probe_missed),
         );
-        let mut map = lock(&self.points);
-        if map.len() >= self.capacity {
-            map.clear();
+        if let Some(key) = key {
+            let mut map = lock(&self.points);
+            if map.len() >= self.capacity {
+                map.clear();
+            }
+            map.insert(key, value.clone());
         }
-        map.insert(key, value.clone());
         (value, level, attr)
     }
 

@@ -14,12 +14,11 @@
 //!
 //! This module provides membership tests, emptiness checks, and the
 //! deterministic point-selection rule shared by all non-faulty processes.
-//! The queries are *lazy*: subset index combinations are streamed (via
-//! [`Combinations`]) instead of materialising every `ConvexHull` up front,
-//! membership short-circuits on the first refuting hull, and the
-//! point-selection rule grows an active set of binding hulls instead of
-//! solving the monolithic `C(|Y|, |Y|−f)`-block joint LP of Section 2.2.
-//! Two exact closed forms bypass the solver entirely:
+//! The subset hulls are a `HullFamily`: built lazily from the streamed
+//! subsets, membership short-circuiting on the first refuting hull, the
+//! point found by growing an active set of binding hulls instead of solving
+//! the monolithic `C(|Y|, |Y|−f)`-block joint LP of Section 2.2.  Two exact
+//! closed forms bypass the solver entirely:
 //!
 //! * `d = 1`: `Γ(Y)` is the interval `[y_(f+1), y_(|Y|−f)]` of the sorted
 //!   multiset (drop the `f` smallest / largest members);
@@ -32,18 +31,21 @@
 //! chosen point is a function of the *multiset* (not of the arrival order of
 //! its members) — the determinism the Exact BVC algorithm's Step 2 requires,
 //! and what makes results shareable through
-//! [`GammaCache`](crate::cache::GammaCache).
+//! [`GammaCache`](crate::cache::GammaCache).  Every one of them — strict or
+//! relaxed, cached or not — is answered by `engine_point`.
 //!
 //! The module also exposes [`lp_size`], the size of the single "joint" linear
 //! program of Section 2.2, which experiment E7 compares against the paper's
 //! formula.
 
-use crate::combinatorics::{binomial, combinations, Combinations};
-use crate::hull::{ConvexHull, HULL_TOLERANCE};
+use crate::combinatorics::binomial;
+use crate::family::HullFamily;
+use crate::hull::ConvexHull;
 use crate::multiset::PointMultiset;
 use crate::point::Point;
+use crate::relaxed::{k_relaxed_point, ModeKey};
+use crate::tolerance::{D1_TOLERANCE, HULL_TOLERANCE, MEMBER_EQ_TOLERANCE};
 use bvc_trace::GammaPath;
-use std::cell::Cell;
 use std::cmp::Ordering;
 
 /// Which engine path resolved a point-selection query, plus whether the
@@ -58,91 +60,6 @@ pub struct GammaAttribution {
     /// `true` when the trimmed-box centre probe ran and failed membership
     /// before the answering path took over.
     pub probe_missed: bool,
-}
-
-/// Tolerance of the `d = 1` closed-form interval test, aligned with the LP
-/// phase-1 feasibility threshold so the closed form and the solver agree
-/// outside a vanishing boundary band.
-const D1_TOLERANCE: f64 = 1e-7;
-
-/// Tolerance under which a query point counts as *equal to* a member of `Y`
-/// for the multiplicity accept (far below the LP tolerance, so the accept
-/// can never contradict the solver).
-const MEMBER_EQ_TOLERANCE: f64 = 1e-12;
-
-/// The safe area `Γ(Y)` for a multiset `Y` and fault bound `f`, represented
-/// implicitly by its source multiset.  Defining hulls are streamed on demand
-/// by the queries rather than stored.
-#[derive(Debug, Clone)]
-pub struct SafeArea {
-    source: PointMultiset,
-    f: usize,
-}
-
-impl SafeArea {
-    /// Builds `Γ(Y)` for the multiset `y` tolerating `f` removals.  This is
-    /// cheap: no hull is materialised until a query needs it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f >= y.len()` (there must be at least one remaining member).
-    pub fn new(y: PointMultiset, f: usize) -> Self {
-        assert!(
-            f < y.len(),
-            "fault bound f = {f} must be smaller than |Y| = {}",
-            y.len()
-        );
-        Self { source: y, f }
-    }
-
-    /// The source multiset `Y`.
-    pub fn source(&self) -> &PointMultiset {
-        &self.source
-    }
-
-    /// The fault bound `f`.
-    pub fn fault_bound(&self) -> usize {
-        self.f
-    }
-
-    /// Materialises the defining hulls `H(T)`, one per `(|Y|−f)`-subset `T`,
-    /// in canonical (lexicographic) subset order.  The queries below do not
-    /// need this; it exists for diagnostics and for spelling out the naive
-    /// all-hulls formulation in tests.
-    pub fn hulls(&self) -> Vec<ConvexHull> {
-        let subset_size = self.source.len() - self.f;
-        self.source
-            .subsets_of_size(subset_size)
-            .into_iter()
-            .map(ConvexHull::new)
-            .collect()
-    }
-
-    /// Returns `true` if `point` lies in `Γ(Y)`, i.e. in every defining hull.
-    pub fn contains(&self, point: &Point) -> bool {
-        gamma_contains(&self.source, self.f, point)
-    }
-
-    /// Returns a deterministically chosen point of `Γ(Y)`, or `None` when the
-    /// safe area is empty.
-    ///
-    /// The point is a deterministic function of the multiset (members are
-    /// canonically reordered first), so every caller that supplies the same
-    /// multiset obtains the same point — which is exactly the "deterministic
-    /// function" the Exact BVC algorithm requires in Step 2.
-    pub fn find_point(&self) -> Option<Point> {
-        gamma_point(&self.source, self.f)
-    }
-
-    /// Returns `true` if `Γ(Y)` is empty.
-    pub fn is_empty_region(&self) -> bool {
-        gamma_is_empty(&self.source, self.f)
-    }
-
-    /// Lemma 1 precondition: `|Y| ≥ (d+1)f + 1` guarantees `Γ(Y) ≠ ∅`.
-    pub fn lemma1_applies(&self) -> bool {
-        self.source.len() > (self.source.dim() + 1) * self.f
-    }
 }
 
 /// Convenience wrapper: a deterministically chosen point of `Γ(y)` with fault
@@ -162,46 +79,107 @@ pub fn gamma_point(y: &PointMultiset, f: usize) -> Option<Point> {
 ///
 /// Panics if `f >= y.len()`.
 pub fn gamma_point_attributed(y: &PointMultiset, f: usize) -> (Option<Point>, GammaAttribution) {
-    point_of_view(CanonicalEntries::new(y.points()).all(), f)
+    let mut canonical = CanonicalEntries::new(y.points());
+    let (point, attribution) = engine_point(canonical.all(), f, ModeKey::Strict, gamma_point_of);
+    (point, attribution.expect("the strict rule names its path"))
 }
 
 /// [`gamma_point`] of a sub-multiset named by a borrowed [`SubsetView`]: the
 /// same point `gamma_point(&view.to_multiset(), f)` returns, without building
-/// the multiset when the answer is a closed form.
+/// the multiset when the answer is a closed form.  (Also the k-relaxed
+/// rule's strict leg when no cache is in front of the engine.)
 ///
 /// # Panics
 ///
 /// Panics if `f >= view.len()`.
 pub fn gamma_point_of(view: SubsetView<'_>, f: usize) -> Option<Point> {
-    point_of_view(view, f).0
+    engine_point(view, f, ModeKey::Strict, gamma_point_of).0
 }
 
-/// The point query over a canonical view: the `d = 1` closed form is read
-/// straight off the view; every other shape materialises the canonical
-/// multiset for the engine.
-pub(crate) fn point_of_view(view: SubsetView<'_>, f: usize) -> (Option<Point>, GammaAttribution) {
+/// **The one place a `(Y, f, mode)` point query is answered by an engine** —
+/// `gamma_point*`, [`decision_point`](crate::relaxed::decision_point) and
+/// the miss arm of [`GammaCache`](crate::cache::GammaCache) all end here, so
+/// this is where "the engine says empty" is produced:
+///
+/// * strict — the `d = 1` closed form, else the trimmed-box probe, else the
+///   [`HullFamily::gamma`] active-set search (attributed by path);
+/// * `Alpha(α)` — the [`HullFamily::dilated_gamma`] search;
+/// * `K(k)` — the strict point when it exists (it satisfies every
+///   projection), else the [`k_relaxed_point`] trimmed centre.  `strict_leg`
+///   is how that strict point is looked up: the cache passes its own public
+///   query, so the leg keeps its own entry, counter and trace event.
+///
+/// # Panics
+///
+/// Panics if `f >= view.len()` or the mode's parameter is invalid.
+pub(crate) fn engine_point(
+    view: SubsetView<'_>,
+    f: usize,
+    mode: ModeKey,
+    strict_leg: impl FnOnce(SubsetView<'_>, usize) -> Option<Point>,
+) -> (Option<Point>, Option<GammaAttribution>) {
     assert!(
         f < view.len(),
         "fault bound f = {f} must be smaller than |Y| = {}",
         view.len()
     );
+    match mode {
+        ModeKey::Strict => {
+            let (point, attribution) = strict_point(view, f);
+            (point, Some(attribution))
+        }
+        ModeKey::Alpha(bits) => {
+            let canon = view.to_multiset();
+            let mut family = HullFamily::dilated_gamma(&canon, f, f64::from_bits(bits));
+            (family.common_point().0, None)
+        }
+        ModeKey::K(k) => (
+            strict_leg(view, f).or_else(|| k_relaxed_point(&view.to_multiset(), f, k)),
+            None,
+        ),
+    }
+}
+
+/// The strict rule: the `d = 1` closed form is read straight off the view;
+/// every other shape materialises the canonical multiset, probes the trimmed
+/// centre and only then searches the family.
+fn strict_point(view: SubsetView<'_>, f: usize) -> (Option<Point>, GammaAttribution) {
+    let attributed = |path| GammaAttribution {
+        path,
+        probe_missed: false,
+    };
     if view.dim() == 1 {
         let (lo, hi) = d1_interval(view.len(), f, |j| view.point(j).coord(0));
-        // The interval counts as non-empty up to `D1_TOLERANCE`, matching
-        // both the closed-form membership band and the joint LP's
-        // feasibility threshold (two intervals separated by a gap `g` give a
-        // phase-1 optimum of `g`); an inverted-within-tolerance interval
-        // yields its midpoint, which lies within the band of both ends.
+        // Non-empty up to `D1_TOLERANCE` (the joint LP's own threshold); an
+        // inverted-within-tolerance interval yields its midpoint, which lies
+        // within the membership band of both ends.
         let point = (lo <= hi + D1_TOLERANCE).then(|| Point::new(vec![0.5 * (lo + hi)]));
-        return (
-            point,
-            GammaAttribution {
-                path: GammaPath::D1ClosedForm,
-                probe_missed: false,
-            },
-        );
+        return (point, attributed(GammaPath::D1ClosedForm));
     }
-    find_point_presorted(view.to_multiset(), f)
+    let canon = view.to_multiset();
+    if f == 0 {
+        let point = HullFamily::gamma(&canon, 0).common_point().0;
+        return (point, attributed(GammaPath::HullF0));
+    }
+    // Cheap deterministic probe before any joint LP: the centre of the
+    // trimmed bounding box.  When the honest states have converged into a
+    // tight cluster (the steady state of every iterative protocol here) the
+    // trimmed centre sits inside the cluster and passes the membership
+    // stream for a few microseconds, where the joint LP over near-duplicate
+    // generators is at its numerically worst.  The probe is order-invariant,
+    // so determinism is unaffected.
+    let (lo, hi) = trimmed_bounds(&canon, f);
+    let centre = Point::new(lo.iter().zip(&hi).map(|(l, h)| 0.5 * (l + h)).collect());
+    if contains_attributed(&canon, f, &centre).0 {
+        return (Some(centre), attributed(GammaPath::ProbeHit));
+    }
+    let (value, fell_back) = HullFamily::gamma(&canon, f).common_point();
+    let path = match fell_back {
+        true => GammaPath::NaiveFallback,
+        false => GammaPath::ActiveSetLp,
+    };
+    let probe_missed = true;
+    (value, GammaAttribution { path, probe_missed })
 }
 
 /// Returns `true` if `point ∈ Γ(y)` with fault bound `f`.
@@ -396,91 +374,6 @@ pub(crate) fn trimmed_bounds(y: &PointMultiset, f: usize) -> (Vec<f64>, Vec<f64>
     (lo, hi)
 }
 
-/// The point engine for `d ≥ 2`, over a multiset already in canonical order
-/// (`d = 1` is answered in closed form by [`point_of_view`] and never gets
-/// here).
-pub(crate) fn find_point_presorted(
-    canon: PointMultiset,
-    f: usize,
-) -> (Option<Point>, GammaAttribution) {
-    debug_assert!(canon.dim() > 1, "d = 1 is answered off the view");
-    let attributed = |path| GammaAttribution {
-        path,
-        probe_missed: false,
-    };
-    if f == 0 {
-        return (
-            ConvexHull::common_point(&[ConvexHull::new(canon)]),
-            attributed(GammaPath::HullF0),
-        );
-    }
-    // Cheap deterministic probe before any joint LP: the centre of the
-    // trimmed bounding box.  When the honest states have converged into a
-    // tight cluster (the steady state of every iterative protocol here) the
-    // trimmed centre sits inside the cluster and passes the membership
-    // stream for a few microseconds, where the joint LP over near-duplicate
-    // generators is at its numerically worst.  The probe is order-invariant,
-    // so determinism is unaffected.
-    let (lo, hi) = trimmed_bounds(&canon, f);
-    let centre = Point::new(lo.iter().zip(&hi).map(|(l, h)| 0.5 * (l + h)).collect());
-    if contains_attributed(&canon, f, &centre).0 {
-        return (Some(centre), attributed(GammaPath::ProbeHit));
-    }
-    let (value, naive_used) = find_point_active(&canon, f);
-    (
-        value,
-        GammaAttribution {
-            path: if naive_used {
-                GammaPath::NaiveFallback
-            } else {
-                GammaPath::ActiveSetLp
-            },
-            probe_missed: true,
-        },
-    )
-}
-
-/// Active-set search for a point of `Γ(Y)`: the shared working-set loop
-/// ([`ConvexHull::active_set_common_point`]) over the `(|Y|−f)`-subset
-/// hulls, materialised on demand from the streamed combination enumerator
-/// (the shared loop requests each ordinal at most once, and only in
-/// non-decreasing order, so one forward pass over the stream suffices).
-/// The second return flags whether the naive monolithic fallback ran.
-fn find_point_active(y: &PointMultiset, f: usize) -> (Option<Point>, bool) {
-    let m = y.len();
-    let k = m - f;
-    let count = usize::try_from(binomial(m, k)).unwrap_or(usize::MAX);
-    let mut stream = Combinations::new(m, k);
-    let mut index_lists: Vec<Vec<usize>> = Vec::new();
-    let hull_at = move |ordinal: usize| {
-        while index_lists.len() <= ordinal {
-            let idx = stream
-                .next_ref()
-                .expect("ordinal is below the combination count");
-            index_lists.push(idx.to_vec());
-        }
-        ConvexHull::new(y.select(&index_lists[ordinal]))
-    };
-    let naive_used = Cell::new(false);
-    let value = ConvexHull::active_set_common_point(count, hull_at, || {
-        naive_used.set(true);
-        naive_find_point(y, f)
-    });
-    (value, naive_used.get())
-}
-
-/// The naive all-LPs formulation (every hull materialised, one monolithic
-/// joint LP): the semantic reference the lazy engine falls back to on
-/// numerical disagreement.
-fn naive_find_point(y: &PointMultiset, f: usize) -> Option<Point> {
-    let hulls: Vec<ConvexHull> = y
-        .subsets_of_size(y.len() - f)
-        .into_iter()
-        .map(ConvexHull::new)
-        .collect();
-    ConvexHull::common_point(&hulls)
-}
-
 /// The membership engine, with attribution of the branch that decided it.
 pub(crate) fn contains_attributed(y: &PointMultiset, f: usize, point: &Point) -> (bool, GammaPath) {
     assert!(
@@ -498,10 +391,8 @@ pub(crate) fn contains_attributed(y: &PointMultiset, f: usize, point: &Point) ->
         vals.sort_by(f64::total_cmp);
         let (lo, hi) = d1_interval(vals.len(), f, |j| vals[j]);
         let c = point.coord(0);
-        return (
-            c >= lo - D1_TOLERANCE && c <= hi + D1_TOLERANCE,
-            GammaPath::D1ClosedForm,
-        );
+        let inside = c >= lo - D1_TOLERANCE && c <= hi + D1_TOLERANCE;
+        return (inside, GammaPath::D1ClosedForm);
     }
     if f == 0 {
         return (
@@ -529,54 +420,19 @@ pub(crate) fn contains_attributed(y: &PointMultiset, f: usize, point: &Point) ->
     {
         return (false, GammaPath::BoxReject);
     }
-    // Stream the subsets and short-circuit on the first refuting hull.
-    let mut stream = Combinations::new(y.len(), y.len() - f);
-    while let Some(idx) = stream.next_ref() {
-        if !ConvexHull::new(y.select(idx)).contains(point) {
-            return (false, GammaPath::StreamScan);
-        }
-    }
-    (true, GammaPath::StreamScan)
-}
-
-// ---------------------------------------------------------------------------
-// Subset-level helpers
-// ---------------------------------------------------------------------------
-
-/// A deterministically chosen common point of the hulls of the *given*
-/// sub-multisets of `y` (identified by index lists), or `None` if they do not
-/// intersect.
-///
-/// This is the primitive behind the witness-optimised Step 2 of the
-/// asynchronous algorithm (Appendix F): instead of intersecting the hulls of
-/// *all* `(n−f)`-subsets, only the subsets advertised by witnesses are used.
-///
-/// # Panics
-///
-/// Panics if `subsets` is empty or any index list is empty/out of range.
-pub fn common_point_of_subsets(y: &PointMultiset, subsets: &[Vec<usize>]) -> Option<Point> {
-    assert!(!subsets.is_empty(), "need at least one subset");
-    let hulls: Vec<ConvexHull> = subsets
-        .iter()
-        .map(|idx| ConvexHull::new(y.select(idx)))
-        .collect();
-    ConvexHull::common_point_lazy(&hulls)
+    let inside = HullFamily::gamma(y, f).all_contain(point);
+    (inside, GammaPath::StreamScan)
 }
 
 /// The intersection `∩_i H(Y − {i})` of the *leave-one-out* hulls of `y`
 /// (used by the necessity argument of Theorem 1, equation (16) in Appendix C):
 /// returns a point of the intersection, or `None` when it is empty.
+///
+/// # Panics
+///
+/// Panics if `y` has fewer than two members.
 pub fn leave_one_out_intersection(y: &PointMultiset) -> Option<Point> {
-    let n = y.len();
-    assert!(
-        n >= 2,
-        "leave-one-out intersection needs at least two points"
-    );
-    let all: Vec<usize> = (0..n).collect();
-    let subsets: Vec<Vec<usize>> = (0..n)
-        .map(|drop| all.iter().copied().filter(|&i| i != drop).collect())
-        .collect();
-    common_point_of_subsets(y, &subsets)
+    HullFamily::leave_one_out(y).common_point().0
 }
 
 /// Size of the joint linear program of Section 2.2 for parameters
@@ -593,16 +449,6 @@ pub fn lp_size(n: usize, f: usize, d: usize) -> (u128, u128) {
     (vars, cons)
 }
 
-/// Enumerates the index sets of all `(|y|−f)`-subsets of `y`, in the canonical
-/// (lexicographic) order used by [`SafeArea`].
-pub fn gamma_subset_indices(len: usize, f: usize) -> Vec<Vec<usize>> {
-    assert!(
-        f < len,
-        "fault bound must be smaller than the multiset size"
-    );
-    combinations(len, len - f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -614,10 +460,8 @@ mod tests {
     #[test]
     fn gamma_with_f_zero_is_the_full_hull() {
         let y = pts(&[&[0.0, 0.0], &[2.0, 0.0], &[0.0, 2.0]]);
-        let area = SafeArea::new(y, 0);
-        assert_eq!(area.hulls().len(), 1);
-        assert!(area.contains(&Point::new(vec![0.5, 0.5])));
-        assert!(!area.contains(&Point::new(vec![2.0, 2.0])));
+        assert!(gamma_contains(&y, 0, &Point::new(vec![0.5, 0.5])));
+        assert!(!gamma_contains(&y, 0, &Point::new(vec![2.0, 2.0])));
     }
 
     #[test]
@@ -626,13 +470,12 @@ mod tests {
         // all 4-subsets = [1, 3]: dropping the largest still leaves [0,3];
         // dropping the smallest leaves [1,10]; intersection [1,3].
         let y = pts(&[&[0.0], &[1.0], &[2.0], &[3.0], &[10.0]]);
-        let area = SafeArea::new(y, 1);
-        assert!(area.contains(&Point::new(vec![1.0])));
-        assert!(area.contains(&Point::new(vec![2.5])));
-        assert!(area.contains(&Point::new(vec![3.0])));
-        assert!(!area.contains(&Point::new(vec![0.5])));
-        assert!(!area.contains(&Point::new(vec![3.5])));
-        let p = area.find_point().expect("non-empty by Lemma 1");
+        assert!(gamma_contains(&y, 1, &Point::new(vec![1.0])));
+        assert!(gamma_contains(&y, 1, &Point::new(vec![2.5])));
+        assert!(gamma_contains(&y, 1, &Point::new(vec![3.0])));
+        assert!(!gamma_contains(&y, 1, &Point::new(vec![0.5])));
+        assert!(!gamma_contains(&y, 1, &Point::new(vec![3.5])));
+        let p = gamma_point(&y, 1).expect("non-empty by Lemma 1");
         assert!(p.coord(0) >= 1.0 - 1e-6 && p.coord(0) <= 3.0 + 1e-6);
     }
 
@@ -647,20 +490,16 @@ mod tests {
     fn lemma1_guarantees_nonempty_gamma_in_2d() {
         // d = 2, f = 1, need |Y| ≥ 4. Use 4 generic points.
         let y = pts(&[&[0.0, 0.0], &[4.0, 0.0], &[0.0, 4.0], &[4.0, 4.0]]);
-        let area = SafeArea::new(y, 1);
-        assert!(area.lemma1_applies());
-        let p = area.find_point().expect("Lemma 1");
-        assert!(area.contains(&p));
+        let p = gamma_point(&y, 1).expect("Lemma 1");
+        assert!(gamma_contains(&y, 1, &p));
     }
 
     #[test]
     fn lemma1_guarantees_nonempty_gamma_for_f_two() {
         // d = 2, f = 2, need |Y| ≥ 7: regular heptagon (the Figure 1 setup).
         let y = heptagon();
-        let area = SafeArea::new(y, 2);
-        assert!(area.lemma1_applies());
-        let p = area.find_point().expect("Lemma 1 for the heptagon");
-        assert!(area.contains(&p));
+        let p = gamma_point(&y, 2).expect("Lemma 1 for the heptagon");
+        assert!(gamma_contains(&y, 2, &p));
     }
 
     fn heptagon() -> PointMultiset {
@@ -740,10 +579,9 @@ mod tests {
             &[4.0, 4.0],
             &[2.0, 2.0],
         ]);
-        let area = SafeArea::new(y, 1);
-        let p = area.find_point().unwrap();
-        for hull in area.hulls() {
-            assert!(hull.contains(&p));
+        let p = gamma_point(&y, 1).unwrap();
+        for subset in y.subsets_of_size(4) {
+            assert!(ConvexHull::new(subset).contains(&p));
         }
     }
 
@@ -752,14 +590,6 @@ mod tests {
         let y = pts(&[&[0.0], &[1.0], &[2.0], &[3.0]]);
         assert!(gamma_contains(&y, 1, &Point::new(vec![1.5])));
         assert!(!gamma_contains(&y, 1, &Point::new(vec![0.1])));
-    }
-
-    #[test]
-    fn common_point_of_selected_subsets() {
-        let y = pts(&[&[0.0], &[1.0], &[2.0], &[3.0], &[4.0]]);
-        // Two overlapping subsets: {0,1,2} (hull [0,2]) and {2,3,4} (hull [2,4]).
-        let p = common_point_of_subsets(&y, &[vec![0, 1, 2], vec![2, 3, 4]]).unwrap();
-        assert!((p.coord(0) - 2.0).abs() < 1e-6);
     }
 
     #[test]
@@ -773,16 +603,10 @@ mod tests {
     }
 
     #[test]
-    fn gamma_subset_indices_counts() {
-        assert_eq!(gamma_subset_indices(5, 1).len(), 5);
-        assert_eq!(gamma_subset_indices(7, 2).len(), 21);
-    }
-
-    #[test]
     #[should_panic(expected = "smaller than")]
     fn fault_bound_too_large_panics() {
         let y = pts(&[&[0.0], &[1.0]]);
-        let _ = SafeArea::new(y, 2);
+        let _ = gamma_point(&y, 2);
     }
 
     #[test]
@@ -790,10 +614,9 @@ mod tests {
         // Y = {0, 0, 5}, f = 1: subsets of size 2 are {0,0}, {0,5}, {0,5};
         // Γ = {0} ∩ [0,5] ∩ [0,5] = {0}.
         let y = pts(&[&[0.0], &[0.0], &[5.0]]);
-        let area = SafeArea::new(y, 1);
-        assert!(area.contains(&Point::new(vec![0.0])));
-        assert!(!area.contains(&Point::new(vec![1.0])));
-        let p = area.find_point().unwrap();
+        assert!(gamma_contains(&y, 1, &Point::new(vec![0.0])));
+        assert!(!gamma_contains(&y, 1, &Point::new(vec![1.0])));
+        let p = gamma_point(&y, 1).unwrap();
         assert!(p.coord(0).abs() < 1e-6);
     }
 

@@ -8,9 +8,10 @@
 //!   (the paper's inputs and process states).
 //! * [`ConvexHull`] — implicit hulls with LP-based membership tests and a
 //!   common-point query across several hulls.
-//! * [`SafeArea`] and the `gamma_*` helpers — the operator
-//!   `Γ(Y) = ∩_{T ⊆ Y, |T| = |Y| − f} H(T)` of equation (1), the heart of both
-//!   the exact and approximate algorithms.
+//! * [`gamma_point`], [`gamma_contains`] and the other `gamma_*` functions —
+//!   the operator `Γ(Y) = ∩_{T ⊆ Y, |T| = |Y| − f} H(T)` of equation (1), the
+//!   heart of both the exact and approximate algorithms, asked directly with
+//!   `(Y, f)`; [`GammaCache`] memoises the point query.
 //! * [`ValidityPredicate`] and the `relaxed_*` helpers — the relaxed
 //!   validity conditions of Xiang & Vaidya (arXiv:1601.08067): membership in
 //!   the `(1+α)`-dilated honest hull, or of every `k`-coordinate projection
@@ -18,6 +19,8 @@
 //! * [`tverberg`] — Tverberg partitions and points (Theorem 2, Figure 1).
 //! * [`WorkloadGenerator`] — reproducible random input workloads
 //!   (probability vectors, robot positions, box-bounded inputs).
+//! * [`tolerance`] — every tolerance the `f64` path compares under, each with
+//!   the inequality it guards and its place relative to the solver's.
 //!
 //! # Example
 //!
@@ -42,19 +45,21 @@
 
 pub mod cache;
 pub mod combinatorics;
+mod family;
 pub mod gamma;
 pub mod hull;
 pub mod multiset;
 pub mod point;
 pub mod relaxed;
+pub mod tolerance;
 pub mod tverberg;
 pub mod workload;
 
 pub use cache::{GammaCache, GammaCounters, SharedGammaCache};
 pub use gamma::{
-    common_point_of_subsets, gamma_contains, gamma_is_empty, gamma_point, gamma_point_attributed,
-    gamma_point_of, gamma_subset_indices, gamma_workers, leave_one_out_intersection, lp_size,
-    CanonicalEntries, GammaAttribution, SafeArea, SubsetView,
+    gamma_contains, gamma_is_empty, gamma_point, gamma_point_attributed, gamma_point_of,
+    gamma_workers, leave_one_out_intersection, lp_size, CanonicalEntries, GammaAttribution,
+    SubsetView,
 };
 pub use hull::ConvexHull;
 pub use multiset::PointMultiset;

@@ -6,11 +6,10 @@
 //! wrapper with the vector-space operations, norms and convex-combination
 //! helpers the consensus algorithms need.
 
+pub use crate::tolerance::DEFAULT_TOLERANCE;
+use crate::tolerance::{NEGATIVE_WEIGHT_TOLERANCE, WEIGHT_SUM_TOLERANCE};
 use std::fmt;
 use std::ops::{Add, Index, Mul, Sub};
-
-/// Default tolerance used by approximate comparisons of points.
-pub const DEFAULT_TOLERANCE: f64 = 1e-7;
 
 /// A point (equivalently, a vector) in `R^d`.
 #[derive(Debug, Clone, PartialEq)]
@@ -153,11 +152,11 @@ impl Point {
         );
         let total: f64 = weights.iter().sum();
         assert!(
-            (total - 1.0).abs() < 1e-6,
+            (total - 1.0).abs() < WEIGHT_SUM_TOLERANCE,
             "convex-combination weights must sum to 1 (got {total})"
         );
         assert!(
-            weights.iter().all(|&w| w >= -1e-9),
+            weights.iter().all(|&w| w >= -NEGATIVE_WEIGHT_TOLERANCE),
             "convex-combination weights must be non-negative"
         );
         let dim = points[0].dim();

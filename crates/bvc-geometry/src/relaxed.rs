@@ -35,11 +35,16 @@
 //! and [`k_relaxed_point`] picks the trimmed-box centre and verifies its
 //! `k`-dimensional shadows against the projected safe areas.
 
-use crate::combinatorics::{binomial, Combinations};
-use crate::gamma::{canonical_order, gamma_contains, gamma_point, trimmed_bounds};
+use crate::combinatorics::Combinations;
+use crate::family::HullFamily;
+use crate::gamma::{
+    canonical_order, engine_point, gamma_contains, gamma_point, gamma_point_of, trimmed_bounds,
+    CanonicalEntries,
+};
 use crate::hull::ConvexHull;
 use crate::multiset::PointMultiset;
 use crate::point::Point;
+use crate::tolerance::D1_TOLERANCE;
 use std::fmt;
 
 /// Which validity condition a decision is judged against.
@@ -60,17 +65,6 @@ pub enum ValidityPredicate {
 }
 
 impl ValidityPredicate {
-    /// Returns `true` when this predicate is semantically the strict
-    /// condition (`Strict` itself, `AlphaScaled(0)`, or `KRelaxed(k ≥ d)`
-    /// for the given dimension).
-    pub fn is_strict_for(&self, d: usize) -> bool {
-        match self {
-            ValidityPredicate::Strict => true,
-            ValidityPredicate::AlphaScaled(alpha) => *alpha == 0.0,
-            ValidityPredicate::KRelaxed(k) => *k >= d,
-        }
-    }
-
     /// Stable display label (`strict`, `(1+0.5)-relaxed`, `2-relaxed`),
     /// used by the scenario verdicts and the campaign report.
     pub fn label(&self) -> String {
@@ -115,30 +109,19 @@ impl ValidityPredicate {
             honest.dim(),
             "query point dimension must match the input dimension"
         );
-        match self {
-            ValidityPredicate::Strict => ConvexHull::new(honest.clone()).contains(point),
-            ValidityPredicate::AlphaScaled(alpha) => {
-                assert!(
-                    alpha.is_finite() && *alpha >= 0.0,
-                    "alpha must be finite and non-negative, got {alpha}"
-                );
-                // α = 0 takes the strict path verbatim: `c + 1.0·(g − c)`
-                // is not bit-exact in floating point, and the equivalence
-                // must be byte-identical, not approximate.
-                if *alpha == 0.0 {
-                    return ConvexHull::new(honest.clone()).contains(point);
-                }
-                ConvexHull::new(dilate_about_centroid(honest, *alpha)).contains(point)
+        // α = 0 and k ≥ d take the strict path verbatim: `c + 1.0·(g − c)`
+        // is not bit-exact in floating point, and the equivalence must be
+        // byte-identical, not approximate.
+        match ModeKey::normalise(self, honest.dim()) {
+            ModeKey::Strict => ConvexHull::new(honest.clone()).contains(point),
+            ModeKey::Alpha(bits) => {
+                ConvexHull::new(dilate_about_centroid(honest, f64::from_bits(bits))).contains(point)
             }
-            ValidityPredicate::KRelaxed(k) => {
-                assert!(*k >= 1, "k must be at least 1");
-                let d = honest.dim();
-                if *k >= d {
-                    return ConvexHull::new(honest.clone()).contains(point);
-                }
+            ModeKey::K(k) => {
+                assert!(k >= 1, "k must be at least 1");
                 // Stream the C(d, k) coordinate subsets; short-circuit on the
                 // first projection whose hull rejects the projected point.
-                let mut subsets = Combinations::new(d, *k);
+                let mut subsets = Combinations::new(honest.dim(), k);
                 while let Some(coords) = subsets.next_ref() {
                     let hull = ConvexHull::new(project(honest, coords));
                     if !hull.contains(&project_point(point, coords)) {
@@ -154,6 +137,31 @@ impl ValidityPredicate {
 impl fmt::Display for ValidityPredicate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.label())
+    }
+}
+
+/// A validity mode normalised for a dimension — what the one engine
+/// dispatches on and the cache keys by.  Modes that are semantically strict
+/// (`AlphaScaled(0)`, `KRelaxed(k ≥ d)`) normalise to [`ModeKey::Strict`],
+/// so they take the strict path verbatim and share the strict entries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum ModeKey {
+    Strict,
+    /// `α > 0`, by bit pattern.
+    Alpha(u64),
+    /// `k < d`.
+    K(usize),
+}
+
+impl ModeKey {
+    pub(crate) fn normalise(mode: &ValidityPredicate, dim: usize) -> Self {
+        match mode {
+            ValidityPredicate::Strict => ModeKey::Strict,
+            ValidityPredicate::AlphaScaled(alpha) if *alpha == 0.0 => ModeKey::Strict,
+            ValidityPredicate::AlphaScaled(alpha) => ModeKey::Alpha(alpha.to_bits()),
+            ValidityPredicate::KRelaxed(k) if *k >= dim => ModeKey::Strict,
+            ValidityPredicate::KRelaxed(k) => ModeKey::K(*k),
+        }
     }
 }
 
@@ -199,13 +207,11 @@ fn project_point(p: &Point, coords: &[usize]) -> Point {
 /// `Γ_α(Y) = ∩_{T ⊆ Y, |T| = |Y| − f} dilate_α(H(T))`, or `None` when the
 /// intersection is empty (each hull is dilated about its own centroid).
 ///
-/// `Γ_0 = Γ`, so `alpha = 0` delegates to the strict engine and is
-/// byte-identical to [`gamma_point`](crate::gamma_point).  For `α > 0` the
-/// dilated hulls are intersected with the same active-set working-set loop
-/// the strict engine uses, after canonicalising the member order — the
-/// chosen point is a function of `(Y, f, α)`, which is what lets the Exact
-/// BVC decision rule below the strict threshold stay a "same deterministic
-/// function at every process".
+/// This is [`decision_point`] under `AlphaScaled(alpha)`: `Γ_0 = Γ`, so
+/// `alpha = 0` is the strict rule, byte-identical to [`gamma_point`]; for
+/// `α > 0` the dilated hulls are searched like the strict ones, in canonical
+/// member order — the chosen point is a function of `(Y, f, α)`, the "same
+/// deterministic function at every process" Exact BVC needs.
 ///
 /// `Γ_α(Y) ⊆ dilate_α(H(T))` for every `(|Y|−f)`-subset `T`; in particular,
 /// when at most `f` members of `Y` are Byzantine, any point of `Γ_α(Y)` is
@@ -216,48 +222,7 @@ fn project_point(p: &Point, coords: &[usize]) -> Point {
 ///
 /// Panics if `f >= y.len()` or `alpha` is negative or non-finite.
 pub fn relaxed_gamma_point(y: &PointMultiset, f: usize, alpha: f64) -> Option<Point> {
-    assert!(
-        f < y.len(),
-        "fault bound f = {f} must be smaller than |Y| = {}",
-        y.len()
-    );
-    assert!(
-        alpha.is_finite() && alpha >= 0.0,
-        "alpha must be finite and non-negative, got {alpha}"
-    );
-    if alpha == 0.0 {
-        return gamma_point(y, f);
-    }
-    let canon = canonical_order(y);
-    if f == 0 {
-        return ConvexHull::common_point(&[ConvexHull::new(dilate_about_centroid(&canon, alpha))]);
-    }
-    let m = canon.len();
-    let k = m - f;
-    let count = usize::try_from(binomial(m, k)).unwrap_or(usize::MAX);
-    let mut stream = Combinations::new(m, k);
-    let mut index_lists: Vec<Vec<usize>> = Vec::new();
-    let hull_at = |ordinal: usize| {
-        while index_lists.len() <= ordinal {
-            let idx = stream
-                .next_ref()
-                .expect("ordinal is below the combination count");
-            index_lists.push(idx.to_vec());
-        }
-        ConvexHull::new(dilate_about_centroid(
-            &canon.select(&index_lists[ordinal]),
-            alpha,
-        ))
-    };
-    let fallback = || {
-        let hulls: Vec<ConvexHull> = canon
-            .subsets_of_size(k)
-            .into_iter()
-            .map(|t| ConvexHull::new(dilate_about_centroid(&t, alpha)))
-            .collect();
-        ConvexHull::common_point(&hulls)
-    };
-    ConvexHull::active_set_common_point(count, hull_at, fallback)
+    decision_point(y, f, &ValidityPredicate::AlphaScaled(alpha))
 }
 
 /// Returns `true` if `point` lies in the (1+α)-relaxed safe area `Γ_α(y)`
@@ -268,27 +233,10 @@ pub fn relaxed_gamma_point(y: &PointMultiset, f: usize, alpha: f64) -> Option<Po
 /// Panics if `f >= y.len()`, the dimensions disagree, or `alpha` is negative
 /// or non-finite.
 pub fn relaxed_gamma_contains(y: &PointMultiset, f: usize, alpha: f64, point: &Point) -> bool {
-    assert!(
-        f < y.len(),
-        "fault bound f = {f} must be smaller than |Y| = {}",
-        y.len()
-    );
-    assert!(
-        alpha.is_finite() && alpha >= 0.0,
-        "alpha must be finite and non-negative, got {alpha}"
-    );
     if alpha == 0.0 {
         return gamma_contains(y, f, point);
     }
-    let m = y.len();
-    let mut stream = Combinations::new(m, m - f);
-    while let Some(idx) = stream.next_ref() {
-        let hull = ConvexHull::new(dilate_about_centroid(&y.select(idx), alpha));
-        if !hull.contains(point) {
-            return false;
-        }
-    }
-    true
+    HullFamily::dilated_gamma(y, f, alpha).all_contain(point)
 }
 
 /// A deterministically chosen point satisfying the **k-relaxed safe-area
@@ -324,7 +272,9 @@ pub fn k_relaxed_point(y: &PointMultiset, f: usize, k: usize) -> Option<Point> {
     }
     let canon = canonical_order(y);
     let (lo, hi) = trimmed_bounds(&canon, f);
-    if lo.iter().zip(&hi).any(|(l, h)| l > h) {
+    // An interval inverted by less than `D1_TOLERANCE` is not empty: the
+    // `d = 1` closed form and the projected `gamma_contains` below accept it.
+    if lo.iter().zip(&hi).any(|(l, h)| *l > h + D1_TOLERANCE) {
         return None;
     }
     let centre = Point::new(lo.iter().zip(&hi).map(|(l, h)| 0.5 * (l + h)).collect());
@@ -353,17 +303,14 @@ pub fn k_relaxed_point(y: &PointMultiset, f: usize, k: usize) -> Option<Point> {
 ///
 /// Panics if `f >= y.len()` or the mode's parameter is invalid.
 pub fn decision_point(y: &PointMultiset, f: usize, mode: &ValidityPredicate) -> Option<Point> {
-    match mode {
-        ValidityPredicate::Strict => gamma_point(y, f),
-        ValidityPredicate::AlphaScaled(alpha) => relaxed_gamma_point(y, f, *alpha),
-        ValidityPredicate::KRelaxed(k) => {
-            if *k >= y.dim() {
-                gamma_point(y, f)
-            } else {
-                gamma_point(y, f).or_else(|| k_relaxed_point(y, f, *k))
-            }
-        }
-    }
+    let mode = ModeKey::normalise(mode, y.dim());
+    engine_point(
+        CanonicalEntries::new(y.points()).all(),
+        f,
+        mode,
+        gamma_point_of,
+    )
+    .0
 }
 
 #[cfg(test)]
@@ -499,6 +446,21 @@ mod tests {
         let strict = gamma_point(&y, 1).unwrap();
         let relaxed = k_relaxed_point(&y, 1, 2).unwrap();
         assert_eq!(strict.coords(), relaxed.coords());
+    }
+
+    #[test]
+    fn k_relaxed_interval_inverted_within_tolerance_is_not_empty() {
+        // Coordinate 0's trimmed interval is [5e-8, 0.0]: inverted by less
+        // than `D1_TOLERANCE`, so — exactly as strict `d = 1` answers
+        // `gamma_point({0, 5e-8}, 1)` — the midpoint is the answer.
+        let y = pts(&[&[0.0, 1.0], &[5e-8, 1.0]]);
+        let p = k_relaxed_point(&y, 1, 1).expect("within-tolerance interval");
+        assert_eq!(p.coords(), &[2.5e-8, 1.0]);
+        let scalar = gamma_point(&pts(&[&[0.0], &[5e-8]]), 1).unwrap();
+        assert_eq!(p.coord(0), scalar.coord(0));
+        // An inversion the closed form rejects is still rejected here.
+        let far = pts(&[&[0.0, 1.0], &[1e-3, 1.0]]);
+        assert!(k_relaxed_point(&far, 1, 1).is_none());
     }
 
     #[test]

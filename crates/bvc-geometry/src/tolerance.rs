@@ -1,0 +1,63 @@
+//! Every tolerance the `f64` geometry path compares under, in one table.
+//!
+//! The solver underneath (`bvc-lp`) has three thresholds of its own, and each
+//! constant here is placed relative to them:
+//!
+//! | solver threshold | value | decides |
+//! |---|---|---|
+//! | [`bvc_lp::EPSILON`] | 1e-9 | reduced cost `< −ε` enters, ratio ties, entries `≤ ε` are zero |
+//! | [`bvc_lp::PIVOT_TOLERANCE`] | 1e-7 | a pivot element must exceed it (else the tiny-pivot fallback) |
+//! | [`bvc_lp::FEASIBILITY_TOLERANCE`] | 1e-7 | phase-1 optimum (the L1 residual of the constraints) above it ⇒ infeasible |
+//!
+//! A hull-membership or joint LP therefore *accepts* a point whose residual
+//! is at most `1e-7`.  The fast paths around the solver must never contradict
+//! that answer: an **accept** short-circuit compares far *below*
+//! `FEASIBILITY_TOLERANCE` (and below `EPSILON`), a **reject** short-circuit
+//! strictly *above* it, and a closed form that replaces the LP *at* it.
+//!
+//! | constant | value | inequality it guards | relative to the solver |
+//! |---|---|---|---|
+//! | [`GENERATOR_EQ_TOLERANCE`] | 1e-12 | `‖p − g‖∞ ≤ τ` ⇒ `p ∈ H(T)` without an LP | accept: below `EPSILON` |
+//! | [`MEMBER_EQ_TOLERANCE`] | 1e-12 | `‖p − y‖∞ ≤ τ` for more than `f` members `y` ⇒ `p ∈ Γ(Y)` | accept: below `EPSILON` |
+//! | [`D1_TOLERANCE`] | 1e-7 | `d = 1`: `Γ ≠ ∅` ⇔ `lo ≤ hi + τ`; `c ∈ Γ` ⇔ `lo − τ ≤ c ≤ hi + τ` | replaces the LP: equals `FEASIBILITY_TOLERANCE` (two intervals a gap `g` apart give a phase-1 optimum of `g`) |
+//! | [`HULL_TOLERANCE`] | 1e-6 | bounding-box and trimmed-box rejects `c < lo − τ ∨ c > hi + τ`; witness check `‖Σ αᵢgᵢ − p‖∞ ≤ τ` | reject: above `FEASIBILITY_TOLERANCE` (a coordinate `τ` outside the box is a residual `> 1e-7`) |
+//! | [`WEIGHT_SUM_TOLERANCE`] | 1e-6 | `\|Σ w − 1\| < τ` for convex-combination weights | input check; solver weights sum to 1 within `FEASIBILITY_TOLERANCE` |
+//! | [`NEGATIVE_WEIGHT_TOLERANCE`] | 1e-9 | `w ≥ −τ` for each weight | input check at `EPSILON`; weights read off the solver are clamped to `≥ 0` before they get here |
+//! | [`DEFAULT_TOLERANCE`] | 1e-7 | default `τ` of [`Point::approx_eq`](crate::Point::approx_eq) for callers | none: not read by any engine |
+//!
+//! One more lives where it is judged: `EXACT_AGREEMENT_TOLERANCE` (1e-6,
+//! `bvc-core/src/run/drive.rs`), agreement ⇔ `max_pairwise_distance ≤ τ` —
+//! honest decisions are the same Γ point of the same multiset, so it only
+//! covers LP round-off.  Nothing here is settable; the orderings above are
+//! checked at compile time below.
+
+use bvc_lp::{EPSILON, FEASIBILITY_TOLERANCE};
+
+/// Box rejects and witness verification; see the [table](self).
+pub const HULL_TOLERANCE: f64 = 1e-6;
+
+/// Default tolerance used by approximate comparisons of points.
+pub const DEFAULT_TOLERANCE: f64 = 1e-7;
+
+/// The `d = 1` closed-form interval tests; see the [table](self).
+pub const D1_TOLERANCE: f64 = 1e-7;
+
+/// A query point this close to a hull generator *is* that generator.
+pub const GENERATOR_EQ_TOLERANCE: f64 = 1e-12;
+
+/// A query point this close to a member of `Y` counts as a copy of it.
+pub const MEMBER_EQ_TOLERANCE: f64 = 1e-12;
+
+/// Convex-combination weights must sum to 1 within this.
+pub const WEIGHT_SUM_TOLERANCE: f64 = 1e-6;
+
+/// A convex-combination weight may undershoot zero by at most this.
+pub const NEGATIVE_WEIGHT_TOLERANCE: f64 = 1e-9;
+
+const _: () = assert!(
+    GENERATOR_EQ_TOLERANCE < EPSILON
+        && MEMBER_EQ_TOLERANCE < EPSILON
+        && D1_TOLERANCE == FEASIBILITY_TOLERANCE
+        && FEASIBILITY_TOLERANCE < HULL_TOLERANCE
+        && NEGATIVE_WEIGHT_TOLERANCE == EPSILON
+);

@@ -15,7 +15,7 @@
 //! [`crate::gamma`] instead, exactly as the paper prescribes.
 
 use crate::combinatorics::partitions_into_blocks;
-use crate::gamma::SafeArea;
+use crate::gamma::gamma_contains;
 use crate::hull::ConvexHull;
 use crate::multiset::PointMultiset;
 use crate::point::Point;
@@ -92,7 +92,7 @@ pub fn tverberg_point_in_gamma(y: &PointMultiset, partition: &TverbergPartition)
     if f >= y.len() {
         return false;
     }
-    SafeArea::new(y.clone(), f).contains(&partition.point)
+    gamma_contains(y, f, &partition.point)
 }
 
 /// The threshold of Tverberg's theorem: the minimum multiset size

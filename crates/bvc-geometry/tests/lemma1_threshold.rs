@@ -10,7 +10,7 @@
 //! *strictly more* robust (its closed forms and multiplicity accepts dodge
 //! the LP entirely), never less.
 
-use bvc_geometry::{gamma_contains, gamma_point, ConvexHull, Point, PointMultiset, SafeArea};
+use bvc_geometry::{gamma_contains, gamma_point, ConvexHull, Point, PointMultiset};
 
 fn pts(coords: &[&[f64]]) -> PointMultiset {
     PointMultiset::new(coords.iter().map(|c| Point::new(c.to_vec())).collect())
@@ -19,7 +19,12 @@ fn pts(coords: &[&[f64]]) -> PointMultiset {
 /// The naive Section-2.2 formulation: materialise every `(|Y|−f)`-subset
 /// hull, solve the monolithic joint LP.
 fn naive_point(y: &PointMultiset, f: usize) -> Option<Point> {
-    ConvexHull::common_point(&SafeArea::new(y.clone(), f).hulls())
+    let hulls: Vec<ConvexHull> = y
+        .subsets_of_size(y.len() - f)
+        .into_iter()
+        .map(ConvexHull::new)
+        .collect();
+    ConvexHull::common_point(&hulls)
 }
 
 /// Threshold families in d = 2, f = 1 (|Y| = 4): a triangle plus an interior

@@ -3,8 +3,8 @@
 //! workload generators.
 
 use bvc_geometry::{
-    find_tverberg_partition, gamma_point, tverberg_threshold, ConvexHull, Point, PointMultiset,
-    SafeArea, WorkloadGenerator,
+    find_tverberg_partition, gamma_contains, gamma_point, tverberg_threshold, ConvexHull, Point,
+    PointMultiset, WorkloadGenerator,
 };
 use proptest::prelude::*;
 
@@ -40,9 +40,8 @@ proptest! {
     fn gamma_with_zero_faults_is_the_hull(pts in points(4, 2)) {
         let y = PointMultiset::new(pts.clone());
         let hull = ConvexHull::new(y.clone());
-        let area = SafeArea::new(y, 0);
         let centroid = Point::centroid(&pts);
-        prop_assert_eq!(hull.contains(&centroid), area.contains(&centroid));
+        prop_assert_eq!(hull.contains(&centroid), gamma_contains(&y, 0, &centroid));
     }
 
     /// Γ is monotone in f: anything inside Γ with a larger f is inside Γ with
@@ -51,8 +50,7 @@ proptest! {
     fn gamma_is_monotone_in_f(pts in points(7, 2)) {
         let y = PointMultiset::new(pts);
         if let Some(p) = gamma_point(&y, 2) {
-            let weaker = SafeArea::new(y, 1);
-            prop_assert!(weaker.contains(&p));
+            prop_assert!(gamma_contains(&y, 1, &p));
         }
     }
 
@@ -62,8 +60,7 @@ proptest! {
     fn tverberg_partition_exists_at_threshold(pts in points(tverberg_threshold(2, 1), 2)) {
         let y = PointMultiset::new(pts);
         let partition = find_tverberg_partition(&y, 2).expect("Radon/Tverberg at threshold");
-        let area = SafeArea::new(y, 1);
-        prop_assert!(area.contains(&partition.point));
+        prop_assert!(gamma_contains(&y, 1, &partition.point));
     }
 
     /// Probability-vector workloads always produce probability vectors.

@@ -8,8 +8,8 @@
 
 use bvc_geometry::combinatorics::Combinations;
 use bvc_geometry::{
-    gamma_point, gamma_point_of, CanonicalEntries, GammaCache, Point, PointMultiset,
-    ValidityPredicate,
+    decision_point, gamma_point, gamma_point_of, CanonicalEntries, GammaCache, Point,
+    PointMultiset, ValidityPredicate,
 };
 use bvc_trace::{CacheLevel, GammaPath, TraceEvent, TraceHandle, Tracer};
 use proptest::prelude::*;
@@ -111,6 +111,41 @@ proptest! {
             } else {
                 prop_assert!(cache.hits() >= 7, "second pass is resident (d={})", d);
             }
+        }
+    }
+
+    /// `cache.decision_point(&y, f, mode)` ≡ `decision_point(&y, f, mode)` by
+    /// `to_bits` under all three modes (and the two that normalise to
+    /// strict), on the first (engine) and second (resident) pass: the cache
+    /// and the uncached rule are one dispatch.
+    #[test]
+    fn cached_decisions_equal_the_uncached_rule_bit_for_bit(
+        raw in prop::collection::vec(prop::collection::vec(-2.0f64..2.0, 3), 6),
+        kinds in prop::collection::vec(0usize..6, 6),
+    ) {
+        let modes = [
+            ValidityPredicate::Strict,
+            ValidityPredicate::AlphaScaled(0.0),
+            ValidityPredicate::AlphaScaled(0.5),
+            ValidityPredicate::KRelaxed(1),
+            ValidityPredicate::KRelaxed(2),
+            ValidityPredicate::KRelaxed(3),
+        ];
+        for d in 1..=3usize {
+            let y = PointMultiset::new(biased(&raw, &kinds, d));
+            let cache = GammaCache::new();
+            for pass in 0..2 {
+                for f in 1..=2usize {
+                    for mode in &modes {
+                        prop_assert_eq!(
+                            bits(&cache.decision_point(&y, f, mode)),
+                            bits(&decision_point(&y, f, mode)),
+                            "{}, d={}, f={}, pass {}", mode, d, f, pass
+                        );
+                    }
+                }
+            }
+            prop_assert!(cache.counters().is_consistent());
         }
     }
 

@@ -49,6 +49,16 @@ pub use workspace::SimplexWorkspace;
 /// optimality tests.
 pub const EPSILON: f64 = 1e-9;
 
+/// Phase 1 ends feasible when its optimum — the summed artificials, i.e. the
+/// L1 residual of the constraints — is at most this; anything above is an
+/// infeasibility certificate (or, after a stall, no verdict at all).
+pub const FEASIBILITY_TOLERANCE: f64 = 1e-7;
+
+/// Pivot elements at or below this are avoided (they amplify rounding
+/// error): the ratio tests admit smaller ones, down to [`EPSILON`], only
+/// when no row offers a larger one.
+pub const PIVOT_TOLERANCE: f64 = 1e-7;
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,7 +11,7 @@
 use crate::problem::{LinearProgram, Objective, Relation};
 use crate::tableau::{PivotOutcome, Tableau};
 use crate::workspace::SimplexWorkspace;
-use crate::EPSILON;
+use crate::{EPSILON, FEASIBILITY_TOLERANCE, PIVOT_TOLERANCE};
 
 /// Outcome classification of a solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -304,7 +304,7 @@ fn run_phases(
             outcome = tableau.run_simplex_lex(&eligible);
         }
         workspace.put_bool(eligible);
-        if tableau.objective_value() > 1e-7 {
+        if tableau.objective_value() > FEASIBILITY_TOLERANCE {
             // A completed phase 1 that could not zero the artificials is a
             // genuine infeasibility certificate; a *stalled* phase 1 proves
             // nothing and must not masquerade as one (downstream the Γ
@@ -331,7 +331,9 @@ fn run_phases(
         for row in 0..m {
             let basic = tableau.basic_column(row);
             if basic >= lay.artificial_start {
-                if let Some(col) = (0..n_structural).find(|&c| tableau.get(row, c).abs() > 1e-7) {
+                if let Some(col) =
+                    (0..n_structural).find(|&c| tableau.get(row, c).abs() > PIVOT_TOLERANCE)
+                {
                     tableau.pivot(row, col);
                 }
             }

@@ -11,7 +11,7 @@
 //! calls, which is what lets the compiler vectorise the inner loop.
 
 use crate::workspace::SimplexWorkspace;
-use crate::EPSILON;
+use crate::{EPSILON, PIVOT_TOLERANCE};
 
 /// Result of running the simplex iterations on a tableau.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -342,7 +342,6 @@ impl Tableau {
     /// whose ratios agree within `EPSILON` count as tied and the lowest basic
     /// variable index wins.
     fn leaving_banded(&self, entering: usize) -> Option<usize> {
-        const PIVOT_TOLERANCE: f64 = 1e-7;
         let stride = self.stride();
         let mut leaving: Option<(usize, f64)> = None;
         for row in 0..self.rows {
@@ -384,7 +383,6 @@ impl Tableau {
     /// the selection a strict total order — the anti-cycling property the
     /// banded rule's ±EPSILON tie band gives up.
     fn leaving_lexicographic(&self, entering: usize, ref_cols: &[usize]) -> Option<usize> {
-        const PIVOT_TOLERANCE: f64 = 1e-7;
         let stride = self.stride();
         let mut threshold = PIVOT_TOLERANCE;
         let mut best: Option<usize> = None;

@@ -184,8 +184,8 @@ pub use campaign::{
 };
 pub use report::{CellKey, CellStats, ViolationTable};
 pub use runner::{
-    generate_inputs, run_scenario, run_scenario_instance, run_scenario_with_topology,
-    ScenarioError, ScenarioOutcome, TopologyMeta, ValidityMeta,
+    generate_inputs, run_scenario, run_scenario_instance, ScenarioError, ScenarioOutcome,
+    TopologyMeta, ValidityMeta,
 };
 pub use schema::{
     parse_strategy, policy_name, BroadcastModel, CampaignSpec, InputSpec, Protocol, ScenarioSpec,

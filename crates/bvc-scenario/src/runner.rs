@@ -418,31 +418,6 @@ pub fn run_scenario(
     )
 }
 
-/// [`run_scenario`] with the topology axis made explicit, so callers can
-/// override the scenario's base topology per instance (the validity mode
-/// stays the scenario's own).
-///
-/// # Errors
-///
-/// Same as [`run_scenario`]; an unbuildable topology (size mismatch,
-/// infeasible degree) is a rejection.
-pub fn run_scenario_with_topology(
-    spec: &ScenarioSpec,
-    seed: u64,
-    strategy: ByzantineStrategy,
-    policy: DeliveryPolicy,
-    topology_spec: Option<&TopologySpec>,
-) -> Result<ScenarioOutcome, ScenarioError> {
-    run_scenario_instance(
-        spec,
-        seed,
-        strategy,
-        policy,
-        topology_spec,
-        spec.validity.as_ref(),
-    )
-}
-
 /// [`run_scenario`] with every campaign axis made explicit: topology *and*
 /// validity mode, so sweeps can override both per instance.
 ///

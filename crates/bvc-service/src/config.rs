@@ -80,12 +80,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Appends one instance.
-    pub fn push_instance(mut self, overrides: InstanceOverrides) -> Self {
-        self.instances.push(overrides);
-        self
-    }
-
     /// Worker threads (`0` = available parallelism; always clamped to the
     /// instance count).
     pub fn workers(mut self, workers: usize) -> Self {

@@ -32,9 +32,7 @@ pub mod tracer;
 
 pub use event::{CacheLevel, GammaPath, GammaQueryKind, TraceEvent, SCHEMA};
 pub use json::{check_trace, parse_flat, Json};
-pub use scope::{
-    current_handle, current_slot, emit, emit_timing, install, is_active, scope_token, ScopeGuard,
-};
+pub use scope::{current_handle, emit, emit_timing, install, is_active, scope_token, ScopeGuard};
 pub use tracer::{
     render_trace, run_traced, JsonlTracer, NoopTracer, TimingEntry, TraceHandle, Tracer,
 };

@@ -91,11 +91,6 @@ pub fn current_handle() -> Option<TraceHandle> {
     SCOPE.with(|scope| scope.borrow().as_ref().map(|s| s.handle.clone()))
 }
 
-/// The current scope's slot, if a scope is installed.
-pub fn current_slot() -> Option<u32> {
-    SCOPE.with(|scope| scope.borrow().as_ref().map(|s| s.slot))
-}
-
 /// A process-unique token identifying the current scope *installation* (two
 /// installs of the same slot get different tokens).  Instrumented layers
 /// whose physical state outlives a logical unit of work — the thread-local

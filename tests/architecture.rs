@@ -1,0 +1,343 @@
+//! Architecture guards: each mechanism the simplification PRs reduced to one
+//! place stays in one place, and each name or knob they retired stays gone.
+//!
+//! Std-only text checks over the checkout, so Tier-1 enforces them in any
+//! session (CI's "Guards" step is `cargo test --test architecture`).  "Outside
+//! tests" means a file with its `#[cfg(test)]` tail cut off — the first line
+//! containing `#[cfg(test)]` and everything after it, the same rule as the
+//! `sed '/#\[cfg(test)\]/,$d'` this file was ported from.  Counts are of
+//! matching *lines*, as `grep -c` counts them.
+
+use std::fs;
+use std::path::{Path, PathBuf};
+
+fn root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+/// Every file under `dir` (relative to the root), recursively, skipping
+/// build output, the git store and this file (which has to spell the names
+/// it forbids).
+fn files_under(dir: &str) -> Vec<PathBuf> {
+    fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
+        let Ok(entries) = fs::read_dir(dir) else {
+            return;
+        };
+        for entry in entries.flatten() {
+            let path = entry.path();
+            let name = entry.file_name();
+            if path.is_dir() {
+                if name != "target" && name != ".git" && name != ".bench_build" {
+                    walk(&path, out);
+                }
+            } else if !path.ends_with("tests/architecture.rs") {
+                out.push(path);
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(&root().join(dir), &mut out);
+    out.sort();
+    out
+}
+
+fn rust_files_under(dirs: &[&str]) -> Vec<PathBuf> {
+    dirs.iter()
+        .flat_map(|dir| files_under(dir))
+        .filter(|p| p.extension().is_some_and(|e| e == "rs"))
+        .collect()
+}
+
+/// The `crates/*/src` trees.
+fn crate_sources() -> Vec<PathBuf> {
+    rust_files_under(&["crates"])
+        .into_iter()
+        .filter(|p| p.components().any(|c| c.as_os_str() == "src"))
+        .collect()
+}
+
+/// The file's text, or nothing if it is not UTF-8 (no guard is about those).
+fn text(path: &Path) -> String {
+    fs::read_to_string(path).unwrap_or_default()
+}
+
+fn non_test(path: &Path) -> String {
+    text(path)
+        .lines()
+        .take_while(|line| !line.contains("#[cfg(test)]"))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+fn lines_with(text: &str, needle: &str) -> usize {
+    text.lines().filter(|line| line.contains(needle)).count()
+}
+
+fn shown(paths: &[PathBuf]) -> String {
+    let relative = |p: &PathBuf| p.strip_prefix(root()).unwrap_or(p).display().to_string();
+    paths.iter().map(relative).collect::<Vec<_>>().join("\n")
+}
+
+/// The files among `paths` whose text (as `read` gives it) has any needle.
+fn naming(paths: &[PathBuf], read: fn(&Path) -> String, needles: &[&str]) -> Vec<PathBuf> {
+    paths
+        .iter()
+        .filter(|p| {
+            let body = read(p);
+            needles.iter().any(|n| body.contains(n))
+        })
+        .cloned()
+        .collect()
+}
+
+#[test]
+fn no_deprecated_surface_and_no_ablated_knob() {
+    // Clippy already denies `deprecated` workspace-wide; with the pre-session
+    // builder shims deleted, no file may carry the escape hatch at all.
+    let escapes = naming(&rust_files_under(&["."]), text, &["allow(deprecated)"]);
+    assert!(
+        escapes.is_empty(),
+        "allow(deprecated) found (the shim surface is gone):\n{}",
+        shown(&escapes)
+    );
+    // Settable things the Γ-stack ablation deleted must not come back.
+    let revived = naming(
+        &rust_files_under(&["crates"]),
+        text,
+        &[
+            "BVC_GAMMA_WORKERS",
+            "enable_incremental",
+            "run_with_scratch",
+        ],
+    );
+    assert!(
+        revived.is_empty(),
+        "ablated knob reappeared (see crates/bvc-geometry/README.md, Ablation record):\n{}",
+        shown(&revived)
+    );
+}
+
+#[test]
+fn one_delivery_core() {
+    // Outside tests, each delivery decision is made in exactly one file of
+    // bvc-net (the contract is in the crate docs).  A second file calling any
+    // of these is the three hand-written executors growing back.
+    let net: Vec<PathBuf> = rust_files_under(&["crates/bvc-net/src"])
+        .into_iter()
+        .filter(|p| p.parent().is_some_and(|d| d.ends_with("bvc-net/src")))
+        .collect();
+    for decision in [
+        "enforce_local_broadcast(",
+        "TraceEvent::Vanish",
+        "TraceEvent::Drop",
+        ".drop_probability(",
+        ".extra_latency(",
+    ] {
+        let sites = naming(&net, non_test, &[decision]);
+        assert!(
+            sites.len() == 1,
+            "`{decision}` must appear in exactly one non-test file of bvc-net, found:\n{}",
+            shown(&sites)
+        );
+    }
+    let waivers = naming(
+        &files_under("crates/bvc-net"),
+        text,
+        &["clippy::too_many_arguments"],
+    );
+    assert!(
+        waivers.is_empty(),
+        "bvc-net allows clippy::too_many_arguments nowhere: pass a struct\n{}",
+        shown(&waivers)
+    );
+}
+
+#[test]
+fn one_benchmark() {
+    // The perf stack PR 15 retired (three bins, two committed baselines, the
+    // criterion benches and their vendored shim) may be named only by history
+    // files and by benchmark/ (whose README still relates itself to the old
+    // matrices).
+    let excused = ["CHANGES.md", "ROADMAP.md", "CHAOS.md", "ISSUE.md"];
+    let candidates: Vec<PathBuf> = files_under(".")
+        .into_iter()
+        .filter(|p| {
+            let rel = p.strip_prefix(root()).unwrap_or(p);
+            !rel.starts_with("benchmark") && !excused.iter().any(|e| rel == Path::new(e))
+        })
+        .collect();
+    let named = naming(
+        &candidates,
+        text,
+        &[
+            "perf-snapshot",
+            "perf-compare",
+            "service-snapshot",
+            "BENCH_gamma",
+            "BENCH_service",
+        ],
+    );
+    assert!(
+        named.is_empty(),
+        "the retired perf stack is named again: benchmark/ is the one benchmark\n{}",
+        shown(&named)
+    );
+    // `name = "criterion"` matches the package, not the word.
+    assert!(
+        !root().join("vendor/criterion").exists()
+            && !text(&root().join("Cargo.lock")).contains("name = \"criterion\""),
+        "the criterion shim is back: unit costs are per-layer metrics of benchmark/"
+    );
+}
+
+#[test]
+fn one_worker_pool() {
+    // Instances are run on threads by bvc-service/src/pool.rs and nowhere
+    // else (bvc-net's threaded runtime spawns one thread per *process* of a
+    // single instance, which is a different job).  A second spawn site is the
+    // service and the campaign runner mirroring each other again; a second
+    // `available_parallelism` is a second place that sizes a pool.
+    let sources = crate_sources();
+    let spawners: Vec<PathBuf> = naming(
+        &sources,
+        text,
+        &["thread::scope", "scope.spawn", "thread::spawn"],
+    )
+    .into_iter()
+    .filter(|p| !p.ends_with("bvc-service/src/pool.rs") && !p.ends_with("bvc-net/src/threaded.rs"))
+    .collect();
+    assert!(
+        spawners.is_empty(),
+        "threads are spawned outside bvc-service/src/pool.rs and bvc-net/src/threaded.rs:\n{}",
+        shown(&spawners)
+    );
+    let sizers = naming(&sources, text, &["available_parallelism"]);
+    assert!(
+        sizers.len() <= 1,
+        "available_parallelism is read in more than one file:\n{}",
+        shown(&sizers)
+    );
+}
+
+#[test]
+fn one_protocol_enum() {
+    let mirrors: Vec<PathBuf> = files_under("crates/bvc-scenario")
+        .into_iter()
+        .filter(|p| {
+            let body = text(p);
+            body.match_indices("enum Protocol").any(|(at, hit)| {
+                !body[at + hit.len()..].starts_with(|c: char| c.is_alphanumeric() || c == '_')
+            })
+        })
+        .collect();
+    assert!(
+        mirrors.is_empty(),
+        "bvc_scenario::Protocol is bvc_core::ProtocolKind: do not mirror the enum\n{}",
+        shown(&mirrors)
+    );
+}
+
+#[test]
+fn one_keyed_gamma_path() {
+    // A cache probe gathers its key from a borrowed, already canonical view.
+    // A `canonical_order(` call in the cache front end is the per-probe
+    // clone-and-sort growing back (the engine-miss path may materialise
+    // once); `find_point_levelled` is the owned-multiset path it replaced.
+    let cache = non_test(&root().join("crates/bvc-geometry/src/cache.rs"));
+    let sorts = lines_with(&cache, "canonical_order(");
+    assert!(
+        sorts <= 1,
+        "cache.rs calls canonical_order( {sorts} times outside tests: key the view, sort nothing per probe"
+    );
+    let levelled = naming(&files_under("crates"), text, &["find_point_levelled"]);
+    assert!(
+        levelled.is_empty(),
+        "find_point_levelled is back: GammaCache::resolve_point over a SubsetView is the one keyed path\n{}",
+        shown(&levelled)
+    );
+}
+
+#[test]
+fn one_run_path() {
+    // A protocol is a cast and a schedule, and bvc-core hands a cast to an
+    // executor in exactly one place per executor (run/drive.rs).  A second
+    // call site is a per-protocol driver growing back; the names below are
+    // the extension point nothing implemented.
+    let core: String = rust_files_under(&["crates/bvc-core/src"])
+        .iter()
+        .map(|p| non_test(p) + "\n")
+        .collect();
+    for executor in ["SyncNetwork::new(", "AsyncNetwork::new("] {
+        let sites = lines_with(&core, executor);
+        assert!(
+            sites == 1,
+            "`{executor}` must occur exactly once outside tests under crates/bvc-core/src, found {sites}"
+        );
+    }
+    let drivers = naming(
+        &rust_files_under(&["crates", "src", "tests", "examples"]),
+        text,
+        &["ProtocolDriver", "run_with(", "driver_for"],
+    );
+    assert!(
+        drivers.is_empty(),
+        "the pluggable-driver surface is back: BvcSession::run is the one dispatch point\n{}",
+        shown(&drivers)
+    );
+}
+
+#[test]
+fn one_hull_family() {
+    // Γ, Γ_α and the leave-one-out intersection are three constructors of
+    // bvc-geometry/src/family.rs: one place solves the joint LP, one place
+    // turns a streamed index subset into a hull, and the cache asks one
+    // engine function and knows no engine by name.
+    let geometry = rust_files_under(&["crates/bvc-geometry/src"]);
+    let joint = naming(&geometry, non_test, &["joint_candidate("]);
+    assert!(
+        joint.len() == 1,
+        "`joint_candidate(` must appear in exactly one non-test file of bvc-geometry, found:\n{}",
+        shown(&joint)
+    );
+    let builders: Vec<PathBuf> = naming(&geometry, non_test, &["ConvexHull::new("])
+        .into_iter()
+        .filter(|p| non_test(p).contains(".select("))
+        .collect();
+    assert!(
+        builders.len() == 1,
+        "subset hulls (`ConvexHull::new(` over `.select(`) must be built in exactly one non-test file of bvc-geometry, found:\n{}",
+        shown(&builders)
+    );
+    let cache = non_test(&root().join("crates/bvc-geometry/src/cache.rs"));
+    for engine in [
+        "relaxed_gamma_point",
+        "k_relaxed_point",
+        "find_point_presorted",
+    ] {
+        assert!(
+            !cache.contains(engine),
+            "cache.rs names `{engine}` outside tests: it knows keys, levels and counters, and asks engine_point"
+        );
+    }
+    let asks = lines_with(&cache, "engine_point(");
+    assert!(
+        asks == 1,
+        "cache.rs must call engine_point( exactly once outside tests, found {asks}"
+    );
+    let copies = naming(
+        &rust_files_under(&["crates", "src", "tests", "examples"]),
+        text,
+        &[
+            "find_point_active",
+            "naive_find_point",
+            "common_point_lazy",
+            "common_point_of_subsets",
+            "SafeArea",
+        ],
+    );
+    assert!(
+        copies.is_empty(),
+        "a hand-written copy of the hull family is back: HullFamily is the one loop, fallback and stream\n{}",
+        shown(&copies)
+    );
+}

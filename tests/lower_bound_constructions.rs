@@ -25,6 +25,7 @@ fn theorem1_gamma_is_also_empty_for_the_construction() {
         points.push(Point::origin(d));
         let y = PointMultiset::new(points);
         assert!(gamma_is_empty(&y, 1), "d = {d}");
+        assert!(leave_one_out_intersection(&y).is_none(), "d = {d}");
     }
 }
 
@@ -37,6 +38,10 @@ fn theorem1_control_configuration_is_feasible() {
         assert!(
             leave_one_out_intersection(&control).is_some(),
             "d = {d}: control must be feasible"
+        );
+        assert!(
+            !gamma_is_empty(&control, 1),
+            "d = {d}: same hulls, same answer"
         );
     }
 }

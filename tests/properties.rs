@@ -8,7 +8,7 @@
 
 use bvc::adversary::ByzantineStrategy;
 use bvc::core::{BvcSession, ProtocolKind, RunConfig, UpdateRule};
-use bvc::geometry::{ConvexHull, Point, PointMultiset, SafeArea};
+use bvc::geometry::{gamma_contains, gamma_point, ConvexHull, Point, PointMultiset};
 use proptest::prelude::*;
 
 fn point_strategy(d: usize) -> impl Strategy<Value = Point> {
@@ -28,11 +28,10 @@ proptest! {
     fn gamma_point_exists_and_is_in_every_subset_hull(
         y in multiset_strategy(4, 1),
     ) {
-        let area = SafeArea::new(y, 1);
-        let p = area.find_point().expect("Lemma 1: |Y| = 4 >= (1+1)*1+1");
-        prop_assert!(area.contains(&p));
-        for hull in area.hulls() {
-            prop_assert!(hull.contains(&p));
+        let p = gamma_point(&y, 1).expect("Lemma 1: |Y| = 4 >= (1+1)*1+1");
+        prop_assert!(gamma_contains(&y, 1, &p));
+        for subset in y.subsets_of_size(3) {
+            prop_assert!(ConvexHull::new(subset).contains(&p));
         }
     }
 
@@ -41,9 +40,8 @@ proptest! {
     fn gamma_point_exists_in_two_dimensions(
         y in multiset_strategy(4, 2),
     ) {
-        let area = SafeArea::new(y, 1);
-        let p = area.find_point().expect("Lemma 1: |Y| = 4 >= (2+1)*1+1... ");
-        prop_assert!(area.contains(&p));
+        let p = gamma_point(&y, 1).expect("Lemma 1: |Y| = 4 >= (2+1)*1+1... ");
+        prop_assert!(gamma_contains(&y, 1, &p));
     }
 
     /// A convex-combination witness returned by the hull reconstructs the
