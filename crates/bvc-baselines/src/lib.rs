@@ -1,24 +1,17 @@
 //! Baseline algorithms for the BVC reproduction.
 //!
-//! Two baselines the paper measures itself against (argumentatively — the
+//! The one baseline the paper measures itself against (argumentatively — the
 //! paper has no system evaluation, so the experiments in this repository make
-//! the comparisons concrete):
-//!
-//! * [`scalar_exact`] — per-dimension scalar Byzantine consensus, the naive
-//!   approach the introduction shows to violate vector validity (experiment
-//!   E8 reproduces the probability-vector counterexample and measures the
-//!   violation frequency on random workloads).
-//! * [`scalar_approx`] — the classical iterative scalar approximate-agreement
-//!   algorithm (trim `f` from each side, average the rest), the structural
-//!   ancestor of the Section 4 restricted-round algorithms.
+//! the comparison concrete): [`scalar_exact`] — per-dimension scalar Byzantine
+//! consensus, the naive approach the introduction shows to violate vector
+//! validity (experiment E8 reproduces the probability-vector counterexample
+//! and measures the violation frequency on random workloads).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod scalar_approx;
 pub mod scalar_exact;
 
-pub use scalar_approx::{run_iterative_scalar, ExtremeScalarProcess, IterativeScalarProcess};
 pub use scalar_exact::{
     per_dimension_decision, scalar_safe_interval, PerDimensionScalarProcess, ScalarPick,
 };

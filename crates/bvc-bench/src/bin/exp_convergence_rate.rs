@@ -10,8 +10,8 @@
 use bvc_adversary::{ByzantineStrategy, PointForge, StateForger};
 use bvc_bench::{experiment_header, fmt, honest_workload, Table};
 use bvc_core::{
-    gamma, gamma_witness_optimized, BvcConfig, BvcSession, ProtocolKind, RestrictedSyncProcess,
-    RunConfig, StateMsg, UpdateRule,
+    gamma, gamma_witness_optimized, BvcConfig, BvcSession, ProtocolKind, RunConfig,
+    StateExchangeProcess, StateMsg, UpdateRule,
 };
 use bvc_geometry::PointMultiset;
 use bvc_net::{Delivery, ProcessId, SyncProcess};
@@ -112,10 +112,10 @@ fn main() {
         .with_epsilon(eps)
         .expect("valid epsilon");
     let inputs = honest_workload(4242, n - f, d);
-    let mut honest: Vec<RestrictedSyncProcess> = inputs
+    let mut honest: Vec<StateExchangeProcess> = inputs
         .iter()
         .enumerate()
-        .map(|(i, p)| RestrictedSyncProcess::new(config.clone(), i, p.clone()))
+        .map(|(i, p)| StateExchangeProcess::restricted_sync(config.clone(), i, p.clone()))
         .collect();
     let mut forge = PointForge::new(ByzantineStrategy::AntiConvergence, d, 0.0, 1.0, 5);
     forge.set_honest_value(bvc_geometry::Point::uniform(d, 0.5));
@@ -140,7 +140,8 @@ fn main() {
     }
 
     let g = gamma(n, f);
-    let histories: Vec<&[bvc_geometry::Point]> = honest.iter().map(|p| p.history()).collect();
+    let histories: Vec<&[bvc_geometry::Point]> =
+        honest.iter().map(|p| p.core().history()).collect();
     let measured: Vec<f64> = (0..rounds.min(histories[0].len()))
         .map(|t| {
             PointMultiset::new(histories.iter().map(|h| h[t].clone()).collect()).coordinate_range()

@@ -236,11 +236,6 @@ fn campaign_wave(index: usize, config: &ChurnConfig, rng: &mut StdRng) -> WaveMe
     for result in run_campaign(&instances, config.jobs) {
         match result {
             Ok(outcome) => {
-                let expected = outcome
-                    .topology
-                    .as_ref()
-                    .is_some_and(|t| !t.expected_solvable)
-                    || outcome.validity.as_ref().is_some_and(|v| !v.satisfied);
                 if outcome.verdict.all_hold() {
                     metrics.passed += 1;
                     if let Some(epsilon) = outcome.epsilon {
@@ -249,7 +244,7 @@ fn campaign_wave(index: usize, config: &ChurnConfig, rng: &mut StdRng) -> WaveMe
                             metrics.near_misses += 1;
                         }
                     }
-                } else if expected {
+                } else if !outcome.expected_solvable() {
                     metrics.expected_unsolvable += 1;
                 } else {
                     metrics.violated += 1;

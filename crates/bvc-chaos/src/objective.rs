@@ -69,11 +69,7 @@ pub fn evaluate(genome: &ChaosGenome) -> Evaluation {
     };
 
     let drop_excused = outcome.faults.contains(&"drop");
-    let expected_unsolvable = outcome
-        .topology
-        .as_ref()
-        .is_some_and(|t| !t.expected_solvable)
-        || outcome.validity.as_ref().is_some_and(|v| !v.satisfied);
+    let expected_unsolvable = !outcome.expected_solvable();
     let violation = !outcome.verdict.all_hold() && !expected_unsolvable && !drop_excused;
 
     let score = if violation {

@@ -21,6 +21,7 @@
 use crate::aad::{AadExchange, AadMsg};
 use crate::config::BvcConfig;
 use crate::convergence::{gamma, gamma_witness_optimized, round_threshold};
+use crate::rounds::IterateCore;
 use crate::witness::{average_state, zi_full, zi_witness};
 use bvc_geometry::{Point, SharedGammaCache};
 use bvc_net::{broadcast_to_all, AsyncProcess, Outgoing, ProcessId};
@@ -48,23 +49,17 @@ pub struct ApproxOutput {
     pub zi_sizes: Vec<usize>,
 }
 
-/// Honest process of the asynchronous approximate BVC algorithm.
+/// Honest process of the asynchronous approximate BVC algorithm: an
+/// [`IterateCore`] whose collection rule is the AAD exchange.
 pub struct ApproxBvcProcess {
-    config: BvcConfig,
-    me: usize,
+    core: IterateCore,
     rule: UpdateRule,
-    state: Point,
     current_round: usize,
-    max_rounds: usize,
     exchanges: BTreeMap<usize, AadExchange>,
     /// Messages that arrived for rounds this process has not started yet.
     future: BTreeMap<usize, Vec<(usize, AadMsg)>>,
-    /// State at the end of each completed round (index 0 = initial state).
-    history: Vec<Point>,
     /// `|Z_i|` per completed round.
     zi_sizes: Vec<usize>,
-    decision: Option<Point>,
-    gamma_cache: Option<SharedGammaCache>,
 }
 
 impl ApproxBvcProcess {
@@ -76,23 +71,15 @@ impl ApproxBvcProcess {
     /// Panics if `me >= config.n`, `input.dim() != config.d` or
     /// `config.f == 0`.
     pub fn new(config: BvcConfig, me: usize, input: Point, rule: UpdateRule) -> Self {
-        assert!(me < config.n, "process index {me} out of range");
-        assert_eq!(input.dim(), config.d, "input dimension must equal config.d");
-        assert!(config.f >= 1, "ApproxBvcProcess requires f >= 1");
-        let max_rounds = Self::round_budget(&config, rule);
+        let budget = Self::round_budget(&config, rule);
+        let core = IterateCore::new(config, me, input, budget);
         Self {
-            history: vec![input.clone()],
-            config,
-            me,
+            core: core.requiring_a_fault("ApproxBvcProcess"),
             rule,
-            state: input,
             current_round: 0,
-            max_rounds,
             exchanges: BTreeMap::new(),
             future: BTreeMap::new(),
             zi_sizes: Vec::new(),
-            decision: None,
-            gamma_cache: None,
         }
     }
 
@@ -101,7 +88,7 @@ impl ApproxBvcProcess {
     /// `B_i[t]` sets across processes make the sharing substantial even
     /// under asynchrony.  Cached and uncached runs produce identical states.
     pub fn with_gamma_cache(mut self, cache: SharedGammaCache) -> Self {
-        self.gamma_cache = Some(cache);
+        self.core.gamma_cache = Some(cache);
         self
     }
 
@@ -115,23 +102,17 @@ impl ApproxBvcProcess {
         round_threshold(g, config.lower_bound, config.upper_bound, config.epsilon)
     }
 
-    /// The per-round states recorded so far (`history()[t]` is `v_i[t]`;
-    /// index 0 is the input).  Used by the convergence experiments.
-    pub fn history(&self) -> &[Point] {
-        &self.history
-    }
-
-    /// The current round number (0 before the first round starts).
-    pub fn current_round(&self) -> usize {
-        self.current_round
+    /// State, history, budget and decision.
+    pub fn core(&self) -> &IterateCore {
+        &self.core
     }
 
     fn fan_out(&self, msgs: Vec<AadMsg>) -> Vec<Outgoing<AadMsg>> {
         let mut out = Vec::new();
         for msg in msgs {
             out.extend(broadcast_to_all(
-                self.config.n,
-                Some(ProcessId::new(self.me)),
+                self.core.config.n,
+                Some(ProcessId::new(self.core.me)),
                 &msg,
             ));
         }
@@ -141,11 +122,11 @@ impl ApproxBvcProcess {
     fn start_round(&mut self, round: usize) -> Vec<AadMsg> {
         self.current_round = round;
         let (exchange, mut msgs) = AadExchange::start(
-            self.config.n,
-            self.config.f,
-            self.me,
+            self.core.config.n,
+            self.core.config.f,
+            self.core.me,
             round,
-            self.state.clone(),
+            self.core.state().clone(),
         );
         self.exchanges.insert(round, exchange);
         // Replay any messages that arrived for this round before we started it.
@@ -163,44 +144,35 @@ impl ApproxBvcProcess {
     /// messages to send.
     fn advance_if_complete(&mut self) -> Vec<AadMsg> {
         let mut out = Vec::new();
-        loop {
-            if self.decision.is_some() {
-                return out;
-            }
+        let (n, f) = (self.core.config.n, self.core.config.f);
+        while self.core.decision().is_none() {
             let round = self.current_round;
-            let Some(exchange) = self.exchanges.get(&round) else {
-                return out;
-            };
-            let Some(done) = exchange.completed() else {
-                return out;
+            let Some(done) = self.exchanges.get(&round).and_then(|e| e.completed()) else {
+                break;
             };
             // Step 2: build Z_i and average it.
-            let quorum = self.config.n - self.config.f;
+            let cache = self.core.gamma_cache.as_deref();
             let zi = match self.rule {
                 UpdateRule::FullSubsets => {
                     let entries: Vec<&Point> = done.entries.iter().map(|(_, v)| v).collect();
-                    zi_full(&entries, quorum, self.config.f, self.gamma_cache.as_deref())
+                    zi_full(&entries, n - f, f, cache)
                 }
                 UpdateRule::WitnessOptimized => zi_witness(
                     done.witness_sets
                         .iter()
                         .map(|set| set.iter().map(|(_, v)| v)),
-                    self.config.f,
-                    self.gamma_cache.as_deref(),
+                    f,
+                    cache,
                 ),
             };
             self.zi_sizes.push(zi.len());
-            if !zi.is_empty() {
-                self.state = average_state(&zi);
-            }
-            self.history.push(self.state.clone());
+            let next = (!zi.is_empty()).then(|| average_state(&zi));
             // Step 3: terminate after the round budget.
-            if round >= self.max_rounds {
-                self.decision = Some(self.state.clone());
-                return out;
+            if !self.core.close_round(round, next) {
+                out.extend(self.start_round(round + 1));
             }
-            out.extend(self.start_round(round + 1));
         }
+        out
     }
 }
 
@@ -219,7 +191,7 @@ impl AsyncProcess for ApproxBvcProcess {
         let mut responses = Vec::new();
         if let Some(exchange) = self.exchanges.get_mut(&round) {
             responses.extend(exchange.handle(from.index(), &msg));
-        } else if round > self.current_round && round <= self.max_rounds {
+        } else if round > self.current_round && round <= self.core.budget() {
             // A faster process is already in a later round: buffer until we
             // get there.
             self.future
@@ -232,9 +204,9 @@ impl AsyncProcess for ApproxBvcProcess {
     }
 
     fn output(&self) -> Option<ApproxOutput> {
-        self.decision.as_ref().map(|decision| ApproxOutput {
+        self.core.decision().map(|decision| ApproxOutput {
             decision: decision.clone(),
-            history: self.history.clone(),
+            history: self.core.history().to_vec(),
             zi_sizes: self.zi_sizes.clone(),
         })
     }

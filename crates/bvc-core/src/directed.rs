@@ -18,7 +18,8 @@
 //!    order via `f64::total_cmp`, so resolution is bit-deterministic and
 //!    order-independent), defaulting claim-less sources to the lower-bound
 //!    corner, and decides a point of `Γ(S)` over the resolved multiset with
-//!    the same [`decision_point`] rule as the complete-graph protocol.
+//!    the same [`decision_point`](bvc_geometry::relaxed::decision_point) rule
+//!    as the complete-graph protocol.
 //!
 //! Under **local broadcast** the network canonicalises every send batch
 //! (`bvc_net::enforce_local_broadcast`), so a Byzantine process cannot give
@@ -39,8 +40,8 @@
 //! so the `K_n` behaviour is the paper's, byte-for-byte.
 
 use crate::config::BvcConfig;
+use crate::witness::decision_via;
 use bvc_adversary::ForgePoints;
-use bvc_geometry::relaxed::decision_point;
 use bvc_geometry::{Point, PointMultiset, SharedGammaCache, ValidityPredicate};
 use bvc_net::{Delivery, Outgoing, ProcessId, SyncProcess};
 use bvc_topology::Topology;
@@ -171,10 +172,8 @@ impl DirectedExactProcess {
             })
             .collect();
         let multiset = PointMultiset::new(points);
-        self.decision = match &self.gamma_cache {
-            Some(cache) => cache.decision_point(&multiset, self.config.f, &self.validity),
-            None => decision_point(&multiset, self.config.f, &self.validity),
-        };
+        let cache = self.gamma_cache.as_deref();
+        self.decision = decision_via(cache, &multiset, self.config.f, &self.validity);
     }
 }
 

@@ -18,9 +18,9 @@
 //! saying where its points live.
 
 use crate::config::BvcConfig;
+use crate::witness::decision_via;
 use bvc_adversary::ForgePoints;
 use bvc_broadcast::{BroadcastInstance, BroadcastMessage};
-use bvc_geometry::relaxed::decision_point;
 use bvc_geometry::{Point, PointMultiset, SharedGammaCache, ValidityPredicate};
 use bvc_net::{broadcast_to_all, Delivery, Outgoing, ProcessId, SyncProcess};
 
@@ -165,19 +165,9 @@ impl ExactBvcProcess {
             })
             .collect();
         let multiset = PointMultiset::new(points);
-        self.decision = self.decide(&multiset);
+        let cache = self.gamma_cache.as_deref();
+        self.decision = decision_via(cache, &multiset, self.config.f, &self.validity);
         self.agreed_multiset = Some(multiset);
-    }
-
-    /// The Step-2 decision rule under the configured validity regime
-    /// ([`decision_point`]): all honest processes hold the identical
-    /// multiset, so the shared cache computes the (possibly relaxed)
-    /// safe-area value once system-wide.
-    fn decide(&self, multiset: &PointMultiset) -> Option<Point> {
-        match &self.gamma_cache {
-            Some(cache) => cache.decision_point(multiset, self.config.f, &self.validity),
-            None => decision_point(multiset, self.config.f, &self.validity),
-        }
     }
 
     fn outgoing_for_round(&mut self, round: usize) -> Vec<Outgoing<ExactMsg>> {

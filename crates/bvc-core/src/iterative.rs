@@ -31,16 +31,17 @@
 //! The safe-area evaluations reuse the shared Γ engine: the `d = 1` closed
 //! form, the trimmed-box probe and the [`GammaCache`](bvc_geometry::GammaCache)
 //! all apply unchanged to the per-neighborhood multisets.
+//!
+//! The honest process is [`StateExchangeProcess::iterative`]: the lock-step
+//! round of [`crate::rounds`] with the out-neighbors as recipients and the
+//! update above as Step 2.
 
 use crate::config::BvcConfig;
 use crate::convergence::{gamma_iterative, round_threshold};
-use crate::restricted::StateMsg;
+use crate::rounds::{IterateCore, StateExchangeProcess};
 use crate::witness::{average_state, gamma_point_via};
-use bvc_geometry::{CanonicalEntries, Point, SharedGammaCache};
-use bvc_net::{Delivery, Outgoing, ProcessId, SyncProcess};
+use bvc_geometry::{CanonicalEntries, Point};
 use bvc_topology::Topology;
-use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// The round budget of the iterative protocol: the Section-3.2 termination
 /// rule evaluated at the conservative incomplete-graph contraction parameter
@@ -54,130 +55,51 @@ pub fn iterative_round_budget(config: &BvcConfig) -> usize {
     )
 }
 
-/// Honest process of the iterative incomplete-graph protocol.
-pub struct IterativeBvcProcess {
-    config: BvcConfig,
-    me: usize,
-    topology: Arc<Topology>,
-    state: Point,
-    max_rounds: usize,
-    history: Vec<Point>,
-    decision: Option<Point>,
-    gamma_cache: Option<SharedGammaCache>,
-}
-
-impl IterativeBvcProcess {
-    /// Creates the honest process with index `me` and input `input` on the
-    /// given topology.
+impl StateExchangeProcess {
+    /// Honest process `me` of the iterative incomplete-graph protocol on
+    /// `topology`: every round it sends its state to its out-neighbors, and
+    /// `Y_i[t]` is what its in-neighbors reported plus its own state.  The
+    /// executor needs `iterative_round_budget + 1` rounds, the last one
+    /// closing the final inbox.
+    ///
+    /// Neighborhood multisets overlap across processes and repeat across
+    /// rounds as the states converge, which is what a shared Γ cache
+    /// collapses.
     ///
     /// # Panics
     ///
     /// Panics if `me >= config.n`, `input.dim() != config.d`, or the topology
     /// size differs from `config.n`.
-    pub fn new(config: BvcConfig, me: usize, input: Point, topology: Arc<Topology>) -> Self {
-        assert!(me < config.n, "process index {me} out of range");
-        assert_eq!(input.dim(), config.d, "input dimension must equal config.d");
+    pub fn iterative(config: BvcConfig, me: usize, input: Point, topology: &Topology) -> Self {
         assert_eq!(
             topology.len(),
             config.n,
             "topology size must match config.n"
         );
-        let max_rounds = iterative_round_budget(&config);
-        Self {
-            history: vec![input.clone()],
-            config,
-            me,
-            topology,
-            state: input,
-            max_rounds,
-            decision: None,
-            gamma_cache: None,
-        }
-    }
-
-    /// Shares a Γ cache with this process's round loop.  Neighborhood
-    /// multisets overlap across processes and repeat across rounds as the
-    /// states converge, so the cache collapses recomputation; cached and
-    /// uncached runs produce identical states.
-    pub fn with_gamma_cache(mut self, cache: SharedGammaCache) -> Self {
-        self.gamma_cache = Some(cache);
-        self
-    }
-
-    /// Total number of executor rounds needed: the round budget of exchanges
-    /// plus one closing round in which the last inbox is processed.
-    pub fn total_rounds(config: &BvcConfig) -> usize {
-        iterative_round_budget(config) + 1
-    }
-
-    /// Per-round states (`history()[t]` is `v_i[t]`, index 0 the input).
-    pub fn history(&self) -> &[Point] {
-        &self.history
-    }
-
-    fn apply_update(&mut self, received: &[Delivery<StateMsg>], round: usize) {
-        // Y_i[t]: one value per in-neighbor that reported a state for this
-        // round (first wins), plus this process's own state.
-        let mut per_sender: BTreeMap<usize, &Point> = BTreeMap::new();
-        for delivery in received {
-            if delivery.msg.round == round && delivery.msg.state.dim() == self.config.d {
-                per_sender
-                    .entry(delivery.from.index())
-                    .or_insert(&delivery.msg.state);
-            }
-        }
-        per_sender.insert(self.me, &self.state);
-        if per_sender.len() > self.config.f {
-            let z = gamma_point_via(
-                self.gamma_cache.as_deref(),
-                CanonicalEntries::new(per_sender.into_values()).all(),
-                self.config.f,
-            );
-            if let Some(z) = z {
-                self.state = average_state(&[self.state.clone(), z]);
-            }
-        }
-        self.history.push(self.state.clone());
+        let budget = iterative_round_budget(&config);
+        let core = IterateCore::new(config, me, input, budget);
+        Self::new(core, topology.out_neighbors(me).to_vec(), midpoint_to_gamma)
     }
 }
 
-impl SyncProcess for IterativeBvcProcess {
-    type Msg = StateMsg;
-    type Output = Point;
-
-    fn round(&mut self, round: usize, inbox: &[Delivery<StateMsg>]) -> Vec<Outgoing<StateMsg>> {
-        // The inbox holds the states the in-neighbors sent in round `round − 1`.
-        if round >= 2 && round <= self.max_rounds + 1 {
-            self.apply_update(inbox, round - 1);
-            if round == self.max_rounds + 1 {
-                self.decision = Some(self.state.clone());
-            }
-        }
-        if round <= self.max_rounds {
-            let msg = StateMsg::new(round, self.state.clone());
-            self.topology
-                .out_neighbors(self.me)
-                .iter()
-                .map(|&to| Outgoing::new(ProcessId::new(to), msg.clone()))
-                .collect()
-        } else {
-            Vec::new()
-        }
+/// Step 2 of arXiv:1307.2483 on `Y_i[t]`: halfway to the Γ point of the
+/// neighborhood.  The state is kept when `|Y_i[t]| ≤ f` or Γ is empty.
+fn midpoint_to_gamma(core: &IterateCore, reports: &[&Point]) -> Option<Point> {
+    let f = core.config.f;
+    if reports.len() <= f {
+        return None;
     }
-
-    fn output(&self) -> Option<Point> {
-        self.decision.clone()
-    }
-
-    fn trace_state(&self) -> Option<Vec<f64>> {
-        Some(self.state.coords().to_vec())
-    }
+    let mut neighborhood = CanonicalEntries::new(reports.iter().copied());
+    let z = gamma_point_via(core.gamma_cache.as_deref(), neighborhood.all(), f)?;
+    Some(average_state(&[core.state().clone(), z]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bvc_net::SyncNetwork;
+    use crate::restricted::StateMsg;
+    use bvc_net::{SyncNetwork, SyncProcess};
+    use std::sync::Arc;
 
     fn run_honest(
         topology: Topology,
@@ -195,16 +117,16 @@ mod tests {
             .into_iter()
             .enumerate()
             .map(|(i, input)| {
-                Box::new(IterativeBvcProcess::new(
+                Box::new(StateExchangeProcess::iterative(
                     config.clone(),
                     i,
                     input,
-                    Arc::clone(&topology),
+                    &topology,
                 )) as Box<dyn SyncProcess<Msg = StateMsg, Output = Point>>
             })
             .collect();
         let wait: Vec<usize> = (0..n).collect();
-        SyncNetwork::new(processes, IterativeBvcProcess::total_rounds(&config))
+        SyncNetwork::new(processes, iterative_round_budget(&config) + 1)
             .with_topology(topology)
             .run(&wait)
             .outputs

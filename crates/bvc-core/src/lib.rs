@@ -23,10 +23,12 @@
 //! The necessity halves of the bounds are materialised as executable
 //! constructions in [`lower_bounds`]; the convergence formulas (the
 //! contraction factor `γ` and the round budget) live in [`convergence`]; the
-//! session API that wires protocols, network executors and adversaries
-//! together and scores the outcome is in [`run`]: one [`RunConfig`], one
-//! [`BvcSession`] whose `run` is the single dispatch point over the seven
-//! [`ProtocolKind`]s, one [`RunReport`].
+//! round the iterative algorithms share (collect, Step 2, stop at the
+//! budget) is written once in [`rounds`]; the session API that wires
+//! protocols, network executors and adversaries together and scores the
+//! outcome is in [`run`]: one [`RunConfig`], one [`BvcSession`] whose `run`
+//! is the single dispatch point over the seven [`ProtocolKind`]s, one
+//! [`RunReport`].
 //!
 //! # Example
 //!
@@ -63,6 +65,7 @@ pub mod exact;
 pub mod iterative;
 pub mod lower_bounds;
 pub mod restricted;
+pub mod rounds;
 pub mod run;
 pub mod validity;
 pub mod witness;
@@ -78,14 +81,13 @@ pub use convergence::{
 };
 pub use directed::{DirectedExactProcess, DirectedMsg};
 pub use exact::{ExactBvcProcess, ExactMsg};
-pub use iterative::{iterative_round_budget, IterativeBvcProcess};
+pub use iterative::iterative_round_budget;
 pub use lower_bounds::{
     theorem1_control_inputs, theorem1_evidence, theorem1_inputs, theorem4_evidence,
     theorem4_inputs, Theorem1Evidence, Theorem4Evidence,
 };
-pub use restricted::{
-    restricted_round_budget, RestrictedAsyncProcess, RestrictedSyncProcess, StateMsg,
-};
+pub use restricted::{restricted_round_budget, RestrictedAsyncProcess, StateMsg};
+pub use rounds::{IterateCore, StateExchangeProcess};
 pub use run::{
     BroadcastModel, BvcSession, InstanceOverrides, ProtocolKind, RunConfig, RunReport, Verdict,
 };

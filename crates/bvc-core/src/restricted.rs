@@ -15,15 +15,18 @@
 //! non-faulty processes sharing at least `(d+1)f + 1` identical vectors, which
 //! the bounds above guarantee.
 //!
-//! [`RestrictedSyncProcess`] and [`RestrictedAsyncProcess`] are the honest
-//! implementations; the forging adversary of both is
+//! Both are an [`IterateCore`] under a collection rule (see [`crate::rounds`]):
+//! [`StateExchangeProcess::restricted_sync`] is the lock-step exchange with
+//! everyone as recipients, [`RestrictedAsyncProcess`] waits for the first
+//! `n − f − 1` round-`t` states.  The forging adversary of both is
 //! [`bvc_adversary::StateForger`] over [`StateMsg::new`].
 
 use crate::config::BvcConfig;
 use crate::convergence::{gamma, round_threshold};
+use crate::rounds::{IterateCore, StateExchangeProcess};
 use crate::witness::{average_state, zi_full};
 use bvc_geometry::{Point, SharedGammaCache};
-use bvc_net::{broadcast_to_all, AsyncProcess, Delivery, Outgoing, ProcessId, SyncProcess};
+use bvc_net::{broadcast_to_all, AsyncProcess, Outgoing, ProcessId};
 use std::collections::BTreeMap;
 
 /// Message of the restricted-round protocols: the sender's state vector for a
@@ -54,144 +57,49 @@ pub fn restricted_round_budget(config: &BvcConfig) -> usize {
     )
 }
 
-// ---------------------------------------------------------------------------
-// Synchronous variant
-// ---------------------------------------------------------------------------
-
-/// Honest process of the restricted-round **synchronous** algorithm
-/// (`n ≥ (d+2)f + 1`).
-pub struct RestrictedSyncProcess {
-    config: BvcConfig,
-    me: usize,
-    state: Point,
-    max_rounds: usize,
-    history: Vec<Point>,
-    decision: Option<Point>,
-    gamma_cache: Option<SharedGammaCache>,
-}
-
-impl RestrictedSyncProcess {
-    /// Creates the honest process with index `me` and input `input`.
+impl StateExchangeProcess {
+    /// Honest process `me` of the restricted-round **synchronous** algorithm
+    /// (`n ≥ (d+2)f + 1`): every round it sends its state to everyone, and
+    /// `B_i[t]` is what arrived plus its own state.  The executor needs
+    /// `restricted_round_budget + 1` rounds, the last one closing the final
+    /// inbox.
+    ///
+    /// What a shared Γ cache buys here is measured in
+    /// [`build_zi_full_cached`](crate::witness::build_zi_full_cached).
     ///
     /// # Panics
     ///
     /// Panics if `me >= config.n`, `input.dim() != config.d` or
     /// `config.f == 0`.
-    pub fn new(config: BvcConfig, me: usize, input: Point) -> Self {
-        assert!(me < config.n, "process index {me} out of range");
-        assert_eq!(input.dim(), config.d, "input dimension must equal config.d");
-        assert!(config.f >= 1, "RestrictedSyncProcess requires f >= 1");
-        let max_rounds = restricted_round_budget(&config);
-        Self {
-            history: vec![input.clone()],
-            config,
-            me,
-            state: input,
-            max_rounds,
-            decision: None,
-            gamma_cache: None,
-        }
-    }
-
-    /// Shares a [`GammaCache`](bvc_geometry::GammaCache) with this process's
-    /// round loop.  Honest processes of a round receive the same *honest*
-    /// states, but an equivocating sender tells each receiver something
-    /// else, and every `(n−f)`-subset but one contains a Byzantine entry —
-    /// measured, one subset in `C(n, n−f)` is common to two receivers.  What
-    /// the cache does serve is this process's own repeated sub-multisets
-    /// once honest states coincide, and whole repeated instances through a
-    /// parent cache.  Cached and uncached runs produce identical states.
-    pub fn with_gamma_cache(mut self, cache: SharedGammaCache) -> Self {
-        self.gamma_cache = Some(cache);
-        self
-    }
-
-    /// Total number of executor rounds needed: `max_rounds` exchange rounds
-    /// plus one closing round in which the last inbox is processed.
-    pub fn total_rounds(config: &BvcConfig) -> usize {
-        restricted_round_budget(config) + 1
-    }
-
-    /// Per-round states (`history()[t]` is `v_i[t]`, index 0 the input).
-    pub fn history(&self) -> &[Point] {
-        &self.history
-    }
-
-    fn apply_update(&mut self, received: &[Delivery<StateMsg>], round: usize) {
-        // B_i[t]: the vectors received this round (at most one per sender,
-        // first wins) plus this process's own state.
-        let mut per_sender: BTreeMap<usize, &Point> = BTreeMap::new();
-        for delivery in received {
-            if delivery.msg.round == round && delivery.msg.state.dim() == self.config.d {
-                per_sender
-                    .entry(delivery.from.index())
-                    .or_insert(&delivery.msg.state);
-            }
-        }
-        per_sender.insert(self.me, &self.state);
-        let entries: Vec<&Point> = per_sender.into_values().collect();
-        let quorum = self.config.n - self.config.f;
-        if entries.len() >= quorum {
-            let zi = zi_full(&entries, quorum, self.config.f, self.gamma_cache.as_deref());
-            if !zi.is_empty() {
-                self.state = average_state(&zi);
-            }
-        }
-        self.history.push(self.state.clone());
+    pub fn restricted_sync(config: BvcConfig, me: usize, input: Point) -> Self {
+        let budget = restricted_round_budget(&config);
+        let everyone_else = (0..config.n).filter(|&to| to != me).collect();
+        let core = IterateCore::new(config, me, input, budget);
+        let core = core.requiring_a_fault("StateExchangeProcess::restricted_sync");
+        Self::new(core, everyone_else, subset_average)
     }
 }
 
-impl SyncProcess for RestrictedSyncProcess {
-    type Msg = StateMsg;
-    type Output = Point;
-
-    fn round(&mut self, round: usize, inbox: &[Delivery<StateMsg>]) -> Vec<Outgoing<StateMsg>> {
-        // The inbox holds the state vectors sent in round `round − 1`.
-        if round >= 2 && round <= self.max_rounds + 1 {
-            self.apply_update(inbox, round - 1);
-            if round == self.max_rounds + 1 {
-                self.decision = Some(self.state.clone());
-            }
-        }
-        if round <= self.max_rounds {
-            broadcast_to_all(
-                self.config.n,
-                Some(ProcessId::new(self.me)),
-                &StateMsg::new(round, self.state.clone()),
-            )
-        } else {
-            Vec::new()
-        }
+/// Step 2 of Section 3.2 on `B_i[t]`: one Γ point per `(n−f)`-subset,
+/// averaged.  Below a quorum of reports the state is kept.
+fn subset_average(core: &IterateCore, reports: &[&Point]) -> Option<Point> {
+    let quorum = core.config.n - core.config.f;
+    if reports.len() < quorum {
+        return None;
     }
-
-    fn output(&self) -> Option<Point> {
-        self.decision.clone()
-    }
-
-    fn trace_state(&self) -> Option<Vec<f64>> {
-        Some(self.state.coords().to_vec())
-    }
+    let zi = zi_full(reports, quorum, core.config.f, core.gamma_cache.as_deref());
+    (!zi.is_empty()).then(|| average_state(&zi))
 }
-
-// ---------------------------------------------------------------------------
-// Asynchronous variant
-// ---------------------------------------------------------------------------
 
 /// Honest process of the restricted-round **asynchronous** algorithm
 /// (`n ≥ (d+4)f + 1`): in each round it broadcasts its state, waits for
 /// `n − f − 1` round-`t` states from other processes, and applies the same
 /// update rule.
 pub struct RestrictedAsyncProcess {
-    config: BvcConfig,
-    me: usize,
-    state: Point,
+    core: IterateCore,
     current_round: usize,
-    max_rounds: usize,
     /// Received state vectors per round, at most one per sender.
     received: BTreeMap<usize, BTreeMap<usize, Point>>,
-    history: Vec<Point>,
-    decision: Option<Point>,
-    gamma_cache: Option<SharedGammaCache>,
 }
 
 impl RestrictedAsyncProcess {
@@ -202,20 +110,12 @@ impl RestrictedAsyncProcess {
     /// Panics if `me >= config.n`, `input.dim() != config.d` or
     /// `config.f == 0`.
     pub fn new(config: BvcConfig, me: usize, input: Point) -> Self {
-        assert!(me < config.n, "process index {me} out of range");
-        assert_eq!(input.dim(), config.d, "input dimension must equal config.d");
-        assert!(config.f >= 1, "RestrictedAsyncProcess requires f >= 1");
-        let max_rounds = restricted_round_budget(&config);
+        let budget = restricted_round_budget(&config);
+        let core = IterateCore::new(config, me, input, budget);
         Self {
-            history: vec![input.clone()],
-            config,
-            me,
-            state: input,
+            core: core.requiring_a_fault("RestrictedAsyncProcess"),
             current_round: 0,
-            max_rounds,
             received: BTreeMap::new(),
-            decision: None,
-            gamma_cache: None,
         }
     }
 
@@ -223,57 +123,42 @@ impl RestrictedAsyncProcess {
     /// round loop; asynchronous processes see overlapping (not identical)
     /// `B_i[t]` sets, so the sharing is partial but still substantial.
     pub fn with_gamma_cache(mut self, cache: SharedGammaCache) -> Self {
-        self.gamma_cache = Some(cache);
+        self.core.gamma_cache = Some(cache);
         self
     }
 
-    /// Per-round states (`history()[t]` is `v_i[t]`, index 0 the input).
-    pub fn history(&self) -> &[Point] {
-        &self.history
+    /// State, history, budget and decision.
+    pub fn core(&self) -> &IterateCore {
+        &self.core
     }
 
-    fn broadcast_state(&self, round: usize) -> Vec<Outgoing<StateMsg>> {
+    fn start_round(&mut self, round: usize) -> Vec<Outgoing<StateMsg>> {
+        self.current_round = round;
         broadcast_to_all(
-            self.config.n,
-            Some(ProcessId::new(self.me)),
-            &StateMsg::new(round, self.state.clone()),
+            self.core.config.n,
+            Some(ProcessId::new(self.core.me)),
+            &StateMsg::new(round, self.core.state().clone()),
         )
     }
 
     fn try_advance(&mut self) -> Vec<Outgoing<StateMsg>> {
         let mut out = Vec::new();
-        loop {
-            if self.decision.is_some() {
-                return out;
-            }
+        let (n, f) = (self.core.config.n, self.core.config.f);
+        while self.core.decision().is_none() {
             let round = self.current_round;
-            let quorum_others = self.config.n - self.config.f - 1;
-            let have = self.received.get(&round).map(|m| m.len()).unwrap_or(0);
-            if have < quorum_others {
-                return out;
-            }
             // B_i[t]: own state plus the first n − f − 1 received vectors.
-            let mut entries: Vec<&Point> = vec![&self.state];
-            entries.extend(
-                self.received
-                    .get(&round)
-                    .into_iter()
-                    .flat_map(|m| m.values())
-                    .take(quorum_others),
-            );
-            let quorum = self.config.n - self.config.f;
-            let zi = zi_full(&entries, quorum, self.config.f, self.gamma_cache.as_deref());
-            if !zi.is_empty() {
-                self.state = average_state(&zi);
+            let received = self.received.get(&round).into_iter().flatten();
+            let mut entries: Vec<&Point> = vec![self.core.state()];
+            entries.extend(received.map(|(_, state)| state).take(n - f - 1));
+            if entries.len() < n - f {
+                break;
             }
-            self.history.push(self.state.clone());
-            if round >= self.max_rounds {
-                self.decision = Some(self.state.clone());
-                return out;
+            let next = subset_average(&self.core, &entries);
+            if !self.core.close_round(round, next) {
+                out.extend(self.start_round(round + 1));
             }
-            self.current_round = round + 1;
-            out.extend(self.broadcast_state(self.current_round));
         }
+        out
     }
 }
 
@@ -282,14 +167,14 @@ impl AsyncProcess for RestrictedAsyncProcess {
     type Output = Point;
 
     fn on_start(&mut self) -> Vec<Outgoing<StateMsg>> {
-        self.current_round = 1;
-        let mut out = self.broadcast_state(1);
+        let mut out = self.start_round(1);
         out.extend(self.try_advance());
         out
     }
 
     fn on_message(&mut self, from: ProcessId, msg: StateMsg) -> Vec<Outgoing<StateMsg>> {
-        if msg.state.dim() != self.config.d || msg.round == 0 || msg.round > self.max_rounds {
+        let core = &self.core;
+        if msg.state.dim() != core.config.d || msg.round == 0 || msg.round > core.budget() {
             return Vec::new();
         }
         self.received
@@ -301,7 +186,7 @@ impl AsyncProcess for RestrictedAsyncProcess {
     }
 
     fn output(&self) -> Option<Point> {
-        self.decision.clone()
+        self.core.decision().cloned()
     }
 }
 
@@ -309,7 +194,7 @@ impl AsyncProcess for RestrictedAsyncProcess {
 mod tests {
     use super::*;
     use bvc_adversary::{ByzantineStrategy, PointForge, StateForger};
-    use bvc_net::{AsyncNetwork, DeliveryPolicy, SyncNetwork};
+    use bvc_net::{AsyncNetwork, DeliveryPolicy, SyncNetwork, SyncProcess};
 
     fn config(n: usize, f: usize, d: usize, eps: f64) -> BvcConfig {
         BvcConfig::new(n, f, d)
@@ -343,10 +228,10 @@ mod tests {
         seed: u64,
     ) -> (Vec<Point>, Vec<Point>) {
         let cfg = config(n, f, d, eps);
-        let rounds = RestrictedSyncProcess::total_rounds(&cfg) + 2;
+        let rounds = restricted_round_budget(&cfg) + 3;
         let mut processes: Vec<Box<dyn SyncProcess<Msg = StateMsg, Output = Point>>> = Vec::new();
         for (i, input) in honest_inputs.iter().enumerate() {
-            processes.push(Box::new(RestrictedSyncProcess::new(
+            processes.push(Box::new(StateExchangeProcess::restricted_sync(
                 cfg.clone(),
                 i,
                 input.clone(),
@@ -486,12 +371,12 @@ mod tests {
     fn histories_record_every_round() {
         let cfg = config(4, 1, 1, 0.1);
         let budget = restricted_round_budget(&cfg);
-        let mut p = RestrictedSyncProcess::new(cfg.clone(), 0, Point::new(vec![0.5]));
+        let mut p = StateExchangeProcess::restricted_sync(cfg.clone(), 0, Point::new(vec![0.5]));
         // Drive it alone (no messages): every round it keeps its own state.
         for round in 1..=(budget + 1) {
             let _ = p.round(round, &[]);
         }
-        assert_eq!(p.history().len(), budget + 1);
+        assert_eq!(p.core().history().len(), budget + 1);
         assert!(p.output().is_some());
     }
 

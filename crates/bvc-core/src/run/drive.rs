@@ -23,10 +23,9 @@ use crate::approx::{ApproxBvcProcess, ApproxOutput};
 use crate::config::Setting;
 use crate::directed::DirectedExactProcess;
 use crate::exact::ExactBvcProcess;
-use crate::iterative::{iterative_round_budget, IterativeBvcProcess};
-use crate::restricted::{
-    restricted_round_budget, RestrictedAsyncProcess, RestrictedSyncProcess, StateMsg,
-};
+use crate::iterative::iterative_round_budget;
+use crate::restricted::{restricted_round_budget, RestrictedAsyncProcess, StateMsg};
+use crate::rounds::StateExchangeProcess;
 use bvc_adversary::{Forging, PointForge, StateForger};
 use bvc_geometry::Point;
 use bvc_net::{AsyncNetwork, AsyncProcess, SyncNetwork, SyncProcess};
@@ -84,11 +83,11 @@ impl BvcSession {
                 outcome
             }
             ProtocolKind::RestrictedSync => {
-                let rounds = RestrictedSyncProcess::total_rounds(config) + 1;
+                let rounds = restricted_round_budget(config) + 1;
                 let cast = self.cast(
                     |i, input| {
                         sync_box(
-                            RestrictedSyncProcess::new(config.clone(), i, input)
+                            StateExchangeProcess::restricted_sync(config.clone(), i, input)
                                 .with_gamma_cache(cache.clone()),
                         )
                     },
@@ -118,11 +117,11 @@ impl BvcSession {
             // variant, so a sparser graph does not become expected-solvable
             // under lenient scoring.
             ProtocolKind::Iterative => {
-                let rounds = IterativeBvcProcess::total_rounds(config);
+                let rounds = iterative_round_budget(config) + 1;
                 let cast = self.cast(
                     |i, input| {
                         sync_box(
-                            IterativeBvcProcess::new(config.clone(), i, input, topology.clone())
+                            StateExchangeProcess::iterative(config.clone(), i, input, topology)
                                 .with_gamma_cache(cache.clone()),
                         )
                     },

@@ -1,13 +1,10 @@
-//! The unified run report: one result type for all five protocols.
+//! The run report: one result type for every protocol.
 //!
-//! [`RunReport`] replaces the five per-protocol run structs of the
-//! pre-session API.  Every field that used to be scattered across
-//! `ExactBvcRun` / `ApproxBvcRun` / `RestrictedRun` / `IterativeBvcRun` is
-//! here exactly once: decisions, the scored [`Verdict`], the validity check,
-//! round/step counts, message statistics, and the topology + sufficiency
-//! metadata.  Fields a protocol does not produce are `None`/empty (e.g. the
-//! resource check of the iterative protocol, whose solvability signal is the
-//! sufficiency verdict instead).
+//! [`RunReport`] holds each result exactly once: decisions, the scored
+//! [`Verdict`], the validity check, round/step counts, message statistics,
+//! and the topology + sufficiency metadata.  Fields a protocol does not
+//! produce are `None`/empty (e.g. the resource check of the iterative
+//! protocol, whose solvability signal is the sufficiency verdict instead).
 
 use super::config::{ProtocolKind, RunConfig};
 use crate::approx::ApproxOutput;

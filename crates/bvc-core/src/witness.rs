@@ -15,16 +15,23 @@
 //!
 //! Both rules are provided here and shared by the AAD-based algorithm
 //! ([`crate::approx`]) and the restricted-round algorithms
-//! ([`crate::restricted`]).
+//! ([`crate::restricted`]).  This file is also the crate's one Γ seam — the
+//! only place that chooses between a process's cache and the bare engine
+//! (`gamma_point_via` for a view, `decision_via` for an agreed multiset).
 
 use bvc_geometry::combinatorics::Combinations;
-use bvc_geometry::{gamma_point_of, CanonicalEntries, GammaCache, Point, SubsetView};
+use bvc_geometry::relaxed::decision_point;
+use bvc_geometry::{
+    gamma_point_of, CanonicalEntries, GammaCache, Point, PointMultiset, SubsetView,
+    ValidityPredicate,
+};
 
-/// One deterministically chosen point of `Γ` of the viewed sub-multiset,
-/// looked up in `cache` when one is supplied and computed directly otherwise.
-/// The cached and uncached paths return identical points (the Γ engine is a
+/// Point query: one deterministically chosen point of `Γ` of the viewed
+/// sub-multiset, through `cache` if there is one and computed directly
+/// otherwise.  The two paths return identical points (the Γ engine is a
 /// deterministic, order-invariant function of the multiset), so mixing them
-/// in one system is safe.
+/// in one system is safe; only the cached path counts queries and emits
+/// `gamma` trace events.
 pub(crate) fn gamma_point_via(
     cache: Option<&GammaCache>,
     view: SubsetView<'_>,
@@ -33,6 +40,22 @@ pub(crate) fn gamma_point_via(
     match cache {
         Some(cache) => cache.find_point_of(view, f),
         None => gamma_point_of(view, f),
+    }
+}
+
+/// Decision query: the exact protocols' decision over the agreed multiset
+/// under a validity regime ([`decision_point`]), through `cache` if there is
+/// one — processes holding the identical multiset then compute the (possibly
+/// relaxed) safe-area value once system-wide.
+pub(crate) fn decision_via(
+    cache: Option<&GammaCache>,
+    multiset: &PointMultiset,
+    f: usize,
+    validity: &ValidityPredicate,
+) -> Option<Point> {
+    match cache {
+        Some(cache) => cache.decision_point(multiset, f, validity),
+        None => decision_point(multiset, f, validity),
     }
 }
 

@@ -237,15 +237,7 @@ impl CampaignSummary {
     pub fn add(&mut self, result: &InstanceResult) {
         match result {
             Ok(outcome) if outcome.verdict.all_hold() => self.passed += 1,
-            Ok(outcome)
-                if outcome
-                    .topology
-                    .as_ref()
-                    .is_some_and(|t| !t.expected_solvable)
-                    || outcome.validity.as_ref().is_some_and(|v| !v.satisfied) =>
-            {
-                self.expected_unsolvable += 1
-            }
+            Ok(outcome) if !outcome.expected_solvable() => self.expected_unsolvable += 1,
             Ok(_) => self.violated += 1,
             Err(_) => self.rejected += 1,
         }

@@ -201,6 +201,16 @@ pub struct ScenarioOutcome {
 }
 
 impl ScenarioOutcome {
+    /// Whether the run was set up to satisfy its verdict.  `false` on a
+    /// topology flagged insufficient up front, or below the resource bound
+    /// of its validity mode: a violated verdict there is data the campaign
+    /// set out to collect, not a regression.
+    pub fn expected_solvable(&self) -> bool {
+        let unsolvable = self.topology.as_ref().is_some_and(|t| !t.expected_solvable)
+            || self.validity.as_ref().is_some_and(|v| !v.satisfied);
+        !unsolvable
+    }
+
     /// Serialises the outcome as a single deterministic JSON line.
     pub fn to_json(&self) -> String {
         let per_process: Vec<Json> = self

@@ -185,44 +185,44 @@ fn bad<T>(message: impl Into<String>) -> Result<T, SchemaError> {
 
 type Table = BTreeMap<String, TomlValue>;
 
-fn get_usize(table: &Table, key: &str) -> Result<Option<usize>, SchemaError> {
-    match table.get(key) {
-        None => Ok(None),
-        Some(value) => match value.as_integer() {
-            Some(i) if i >= 0 => Ok(Some(i as usize)),
-            _ => bad(format!("`{key}` must be a non-negative integer")),
-        },
-    }
+/// The most seeds a `seed_range` may span and the most instances a
+/// `[service]` may stream: both sizes come from the file and become
+/// allocations, so a typo must be an error, not an allocator abort.
+const MAX_EXPANSION: usize = 1_000_000;
+
+/// The value at `key` (absent ⇒ `None`) through `read`, which answers
+/// `None` for a value that is not `what`.
+fn get<'a, T>(
+    table: &'a Table,
+    key: &str,
+    what: &str,
+    read: impl Fn(&'a TomlValue) -> Option<T>,
+) -> Result<Option<T>, SchemaError> {
+    let wrong_kind = || SchemaError(format!("`{key}` must be {what}"));
+    let value = table.get(key).map(|v| read(v).ok_or_else(wrong_kind));
+    value.transpose()
 }
 
 fn get_u64(table: &Table, key: &str) -> Result<Option<u64>, SchemaError> {
-    match table.get(key) {
-        None => Ok(None),
-        Some(value) => match value.as_integer() {
-            Some(i) if i >= 0 => Ok(Some(i as u64)),
-            _ => bad(format!("`{key}` must be a non-negative integer")),
-        },
-    }
+    get(table, key, "a non-negative integer", |v| {
+        v.as_integer().filter(|&i| i >= 0).map(|i| i as u64)
+    })
+}
+
+fn get_usize(table: &Table, key: &str) -> Result<Option<usize>, SchemaError> {
+    Ok(get_u64(table, key)?.map(|i| i as usize))
 }
 
 fn get_f64(table: &Table, key: &str) -> Result<Option<f64>, SchemaError> {
-    match table.get(key) {
-        None => Ok(None),
-        Some(value) => match value.as_float() {
-            Some(x) => Ok(Some(x)),
-            None => bad(format!("`{key}` must be a number")),
-        },
-    }
+    get(table, key, "a number", TomlValue::as_float)
 }
 
 fn get_str<'a>(table: &'a Table, key: &str) -> Result<Option<&'a str>, SchemaError> {
-    match table.get(key) {
-        None => Ok(None),
-        Some(value) => match value.as_str() {
-            Some(s) => Ok(Some(s)),
-            None => bad(format!("`{key}` must be a string")),
-        },
-    }
+    get(table, key, "a string", TomlValue::as_str)
+}
+
+fn get_bool(table: &Table, key: &str) -> Result<Option<bool>, SchemaError> {
+    get(table, key, "a boolean", TomlValue::as_bool)
 }
 
 fn require<T>(value: Option<T>, key: &str, section: &str) -> Result<T, SchemaError> {
@@ -241,30 +241,64 @@ fn known_keys(table: &Table, place: &str, keys: &[&str]) -> Result<(), SchemaErr
     }
 }
 
-fn float_list(value: &TomlValue, key: &str) -> Result<Vec<f64>, SchemaError> {
+/// The array `value` found at `key`, each item through `item`, which
+/// answers `Ok(None)` for an item of the wrong kind.  `nouns` name the items
+/// in the "must be an array of …" and the "must contain …" message.
+fn items_of<T>(
+    value: &TomlValue,
+    key: &str,
+    nouns: [&str; 2],
+    item: impl Fn(&TomlValue) -> Result<Option<T>, SchemaError>,
+) -> Result<Vec<T>, SchemaError> {
     let Some(items) = value.as_array() else {
-        return bad(format!("`{key}` must be an array of numbers"));
+        return bad(format!("`{key}` must be an array of {}", nouns[0]));
     };
+    let wrong_kind = || SchemaError(format!("`{key}` must contain {}", nouns[1]));
     items
         .iter()
-        .map(|v| {
-            v.as_float()
-                .ok_or_else(|| SchemaError(format!("`{key}` must contain only numbers")))
-        })
+        .map(|v| item(v)?.ok_or_else(wrong_kind))
         .collect()
 }
 
+/// [`items_of`] the list at `key` of `table` (absent ⇒ empty).
+fn list_of<T>(
+    table: &Table,
+    key: &str,
+    nouns: [&str; 2],
+    item: impl Fn(&TomlValue) -> Result<Option<T>, SchemaError>,
+) -> Result<Vec<T>, SchemaError> {
+    let value = table.get(key).map(|v| items_of(v, key, nouns, item));
+    value.unwrap_or(Ok(Vec::new()))
+}
+
+fn float_list(value: &TomlValue, key: &str) -> Result<Vec<f64>, SchemaError> {
+    let nouns = ["numbers", "only numbers"];
+    items_of(value, key, nouns, |v| Ok(v.as_float()))
+}
+
 fn process_list(value: &TomlValue, key: &str) -> Result<Vec<ProcessId>, SchemaError> {
-    let Some(items) = value.as_array() else {
-        return bad(format!("`{key}` must be an array of process indices"));
-    };
-    items
-        .iter()
-        .map(|v| match v.as_integer() {
-            Some(i) if i >= 0 => Ok(ProcessId::new(i as usize)),
-            _ => bad(format!("`{key}` must contain non-negative process indices")),
-        })
-        .collect()
+    let nouns = ["process indices", "non-negative process indices"];
+    items_of(value, key, nouns, |v| {
+        let index = v.as_integer().filter(|&i| i >= 0);
+        Ok(index.map(|i| ProcessId::new(i as usize)))
+    })
+}
+
+/// [`list_of`] for a list of names, each through `parse`.
+fn names_of<T>(
+    table: &Table,
+    key: &str,
+    noun: &str,
+    parse: impl Fn(&str) -> Result<T, SchemaError>,
+) -> Result<Vec<T>, SchemaError> {
+    list_of(table, key, [noun, noun], |v| {
+        v.as_str().map(&parse).transpose()
+    })
+}
+
+/// The `strategies` list of a `[campaign]` or `[service]` section.
+fn strategy_list(table: &Table) -> Result<Vec<ByzantineStrategy>, SchemaError> {
+    names_of(table, "strategies", "strategy names", parse_strategy)
 }
 
 /// Parses a Byzantine strategy name: `silent`, `fixed-outlier`,
@@ -393,13 +427,9 @@ fn parse_fault(table: &Table) -> Result<FaultEvent, SchemaError> {
             let Some(groups_value) = table.get("groups") else {
                 return bad("partition fault needs a `groups` array of process-index arrays");
             };
-            let Some(items) = groups_value.as_array() else {
-                return bad("`groups` must be an array of process-index arrays");
-            };
-            let groups = items
-                .iter()
-                .map(|g| process_list(g, "groups"))
-                .collect::<Result<Vec<_>, _>>()?;
+            let groups = items_of(groups_value, "groups", ["process-index arrays"; 2], |g| {
+                process_list(g, "groups").map(Some)
+            })?;
             FaultKind::Partition { groups }
         }
         other => {
@@ -452,13 +482,9 @@ fn parse_inputs(table: Option<&Table>, d: usize) -> Result<InputSpec, SchemaErro
             let Some(points_value) = table.get("points") else {
                 return bad("explicit inputs need a `points` array of coordinate arrays");
             };
-            let Some(items) = points_value.as_array() else {
-                return bad("`points` must be an array of coordinate arrays");
-            };
-            let points = items
-                .iter()
-                .map(|p| float_list(p, "points"))
-                .collect::<Result<Vec<_>, _>>()?;
+            let points = items_of(points_value, "points", ["coordinate arrays"; 2], |p| {
+                float_list(p, "points").map(Some)
+            })?;
             if let Some(wrong) = points.iter().find(|p| p.len() != d) {
                 return bad(format!(
                     "explicit point {wrong:?} has dimension {}, expected {d}",
@@ -511,12 +537,7 @@ fn parse_topology(table: &Table) -> Result<TopologySpec, SchemaError> {
                 }
                 edges.push((pair[0].index(), pair[1].index()));
             }
-            let undirected = match table.get("undirected") {
-                None => false,
-                Some(value) => value
-                    .as_bool()
-                    .ok_or_else(|| SchemaError("`undirected` must be a boolean".into()))?,
-            };
+            let undirected = get_bool(table, "undirected")?.unwrap_or(false);
             Ok(TopologySpec::Explicit { edges, undirected })
         }
         other => TopologySpec::parse(other).map_err(SchemaError),
@@ -569,18 +590,9 @@ fn parse_campaign(table: &Table) -> Result<CampaignSpec, SchemaError> {
             "broadcast",
         ],
     )?;
-    let mut campaign = CampaignSpec::default();
-    if let Some(value) = table.get("seeds") {
-        let Some(items) = value.as_array() else {
-            return bad("`seeds` must be an array of integers");
-        };
-        for item in items {
-            match item.as_integer() {
-                Some(i) if i >= 0 => campaign.seeds.push(i as u64),
-                _ => return bad("`seeds` must contain non-negative integers"),
-            }
-        }
-    }
+    let mut seeds = list_of(table, "seeds", ["integers", "non-negative integers"], |v| {
+        Ok(v.as_integer().filter(|&i| i >= 0).map(|i| i as u64))
+    })?;
     if let Some(range) = table.get("seed_range") {
         let items = range
             .as_array()
@@ -596,82 +608,37 @@ fn parse_campaign(table: &Table) -> Result<CampaignSpec, SchemaError> {
             return bad("`seed_range` must be [first, last] with 0 <= first <= last");
         }
         let (first, last) = (bounds[0] as u64, bounds[1] as u64);
-        campaign.seeds.extend(first..=last);
-    }
-    if let Some(value) = table.get("strategies") {
-        let Some(items) = value.as_array() else {
-            return bad("`strategies` must be an array of strategy names");
-        };
-        for item in items {
-            let Some(name) = item.as_str() else {
-                return bad("`strategies` must contain strategy names");
-            };
-            campaign.strategies.push(parse_strategy(name)?);
+        if last - first >= MAX_EXPANSION as u64 {
+            return bad(format!(
+                "`seed_range` spans more than {MAX_EXPANSION} seeds"
+            ));
         }
+        seeds.extend(first..=last);
     }
-    if let Some(value) = table.get("policies") {
-        let Some(items) = value.as_array() else {
-            return bad("`policies` must be an array of policy names");
-        };
-        for item in items {
-            let Some(name) = item.as_str() else {
-                return bad("`policies` must contain policy names");
-            };
-            campaign.policies.push(parse_policy_name(name, None)?);
-        }
-    }
-    if let Some(value) = table.get("topologies") {
-        let Some(items) = value.as_array() else {
-            return bad("`topologies` must be an array of topology names");
-        };
-        for item in items {
-            let Some(name) = item.as_str() else {
-                return bad("`topologies` must contain topology names");
-            };
-            campaign
-                .topologies
-                .push(TopologySpec::parse(name).map_err(SchemaError)?);
-        }
-    }
-    if let Some(value) = table.get("alphas") {
-        let Some(items) = value.as_array() else {
-            return bad("`alphas` must be an array of numbers");
-        };
-        for item in items {
-            match item.as_float() {
-                Some(a) if a.is_finite() && a >= 0.0 => campaign.alphas.push(a),
-                _ => return bad("`alphas` must contain finite numbers >= 0"),
-            }
-        }
-    }
-    if let Some(value) = table.get("ks") {
-        let Some(items) = value.as_array() else {
-            return bad("`ks` must be an array of positive integers");
-        };
-        for item in items {
-            match item.as_integer() {
-                Some(k) if k >= 1 => campaign.ks.push(k as usize),
-                _ => return bad("`ks` must contain positive integers"),
-            }
-        }
-    }
-    if let Some(value) = table.get("broadcast") {
-        let Some(items) = value.as_array() else {
-            return bad("`broadcast` must be an array of broadcast model names");
-        };
-        for item in items {
-            let Some(name) = item.as_str() else {
-                return bad("`broadcast` must contain broadcast model names");
-            };
-            let model = BroadcastModel::from_name(name).ok_or_else(|| {
+    let finite_non_negative = |a: &f64| a.is_finite() && *a >= 0.0;
+    Ok(CampaignSpec {
+        seeds,
+        strategies: strategy_list(table)?,
+        policies: names_of(table, "policies", "policy names", |name| {
+            parse_policy_name(name, None)
+        })?,
+        topologies: names_of(table, "topologies", "topology names", |name| {
+            TopologySpec::parse(name).map_err(SchemaError)
+        })?,
+        alphas: list_of(table, "alphas", ["numbers", "finite numbers >= 0"], |v| {
+            Ok(v.as_float().filter(finite_non_negative))
+        })?,
+        ks: list_of(table, "ks", ["positive integers"; 2], |v| {
+            Ok(v.as_integer().filter(|&k| k >= 1).map(|k| k as usize))
+        })?,
+        broadcasts: names_of(table, "broadcast", "broadcast model names", |name| {
+            BroadcastModel::from_name(name).ok_or_else(|| {
                 SchemaError(format!(
                     "unknown broadcast model `{name}` (expected point-to-point or local)"
                 ))
-            })?;
-            campaign.broadcasts.push(model);
-        }
-    }
-    Ok(campaign)
+            })
+        })?,
+    })
 }
 
 fn parse_service(table: &Table) -> Result<ServiceSpec, SchemaError> {
@@ -691,26 +658,13 @@ fn parse_service(table: &Table) -> Result<ServiceSpec, SchemaError> {
     if instances == 0 {
         return bad("`instances` must be at least 1");
     }
+    if instances > MAX_EXPANSION {
+        return bad(format!("`instances` must be at most {MAX_EXPANSION}"));
+    }
     let workers = get_usize(table, "workers")?.unwrap_or(0);
     let seed_cycle = get_u64(table, "seed_cycle")?.unwrap_or(0);
-    let mut strategies = Vec::new();
-    if let Some(value) = table.get("strategies") {
-        let Some(items) = value.as_array() else {
-            return bad("`strategies` must be an array of strategy names");
-        };
-        for item in items {
-            let Some(name) = item.as_str() else {
-                return bad("`strategies` must contain strategy names");
-            };
-            strategies.push(parse_strategy(name)?);
-        }
-    }
-    let shared_cache = match table.get("shared_cache") {
-        None => true,
-        Some(value) => value
-            .as_bool()
-            .ok_or_else(|| SchemaError("`shared_cache` must be a boolean".into()))?,
-    };
+    let strategies = strategy_list(table)?;
+    let shared_cache = get_bool(table, "shared_cache")?.unwrap_or(true);
     let sink = match get_str(table, "sink")? {
         None | Some("stdout") | Some("-") => None,
         Some(path) => Some(path.to_string()),
@@ -1221,6 +1175,50 @@ strategies = ["equivocate", "silent"]
             let wanted = format!("unknown key `{key}` in {place} (expected ");
             assert!(error.0.starts_with(&wanted), "{body:?} gave: {error}");
         }
+        // Every list key has one reader; these are its messages, verbatim.
+        for (body, wanted) in [
+            ("seeds = 3\n", "`seeds` must be an array of integers"),
+            (
+                "seeds = [-1]\n",
+                "`seeds` must contain non-negative integers",
+            ),
+            (
+                "strategies = \"silent\"\n",
+                "`strategies` must be an array of strategy names",
+            ),
+            (
+                "strategies = [1]\n",
+                "`strategies` must contain strategy names",
+            ),
+            ("policies = [1]\n", "`policies` must contain policy names"),
+            (
+                "topologies = [1]\n",
+                "`topologies` must contain topology names",
+            ),
+            (
+                "alphas = [-0.5]\n",
+                "`alphas` must contain finite numbers >= 0",
+            ),
+            ("ks = [0]\n", "`ks` must contain positive integers"),
+            (
+                "broadcast = [1]\n",
+                "`broadcast` must contain broadcast model names",
+            ),
+            // A size read from the file is checked before it is allocated.
+            (
+                "seed_range = [0, 9223372036854775807]\n",
+                "`seed_range` spans more than 1000000 seeds",
+            ),
+        ] {
+            let error = ScenarioSpec::from_toml(&format!("{base}[campaign]\n{body}")).unwrap_err();
+            assert_eq!(error.0, wanted, "{body:?}");
+        }
+        let widest = format!(
+            "{base}[campaign]\nseed_range = [5, {}]\n",
+            MAX_EXPANSION + 4
+        );
+        let campaign = ScenarioSpec::from_toml(&widest).unwrap().campaign.unwrap();
+        assert_eq!(campaign.seeds.len(), MAX_EXPANSION);
     }
 
     #[test]
@@ -1271,10 +1269,16 @@ strategies = ["equivocate", "silent"]
             "[service]\ninstances = 0\n",            // empty stream
             "[service]\ninstances = 5\nbatch = 4\n", // a key nothing reads
             "[service]\ninstances = 5\nstrategies = [\"nope\"]\n",
+            "[service]\ninstances = 9223372036854775807\n", // sizes an allocation
         ] {
             let text = format!("{base}{body}");
             assert!(ScenarioSpec::from_toml(&text).is_err(), "accepted: {body}");
         }
+        let oversized = format!("{base}[service]\ninstances = {}\n", MAX_EXPANSION + 1);
+        let error = ScenarioSpec::from_toml(&oversized).unwrap_err();
+        assert_eq!(error.0, "`instances` must be at most 1000000");
+        let largest = format!("{base}[service]\ninstances = {MAX_EXPANSION}\n");
+        assert!(ScenarioSpec::from_toml(&largest).is_ok());
     }
 
     #[test]

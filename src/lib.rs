@@ -18,8 +18,8 @@
 //! * [`core`] — the paper's algorithms: Exact BVC (synchronous), Approximate
 //!   BVC (asynchronous, AAD-style exchange), restricted-round variants, the
 //!   impossibility constructions and the convergence bounds.
-//! * [`baselines`] — per-dimension scalar consensus and iterative scalar
-//!   approximate agreement, used as baselines in the experiments.
+//! * [`baselines`] — per-dimension scalar consensus, the baseline the paper's
+//!   introduction (and experiment E8) shows to violate vector validity.
 //! * [`scenario`] — the declarative scenario engine: TOML-described runs with
 //!   fault injection (drops, latency, partitions), topology sweeps and a
 //!   parallel campaign runner emitting JSON verdicts.

@@ -341,3 +341,55 @@ fn one_hull_family() {
         shown(&copies)
     );
 }
+
+#[test]
+fn one_round_structure() {
+    // A round is collect → Step 2 → stop, written once in bvc-core/src/
+    // rounds.rs: one lock-step round body (so three `SyncProcess` impls in
+    // the crate: exact, directed, the state exchange), one place that
+    // records a round's state, and one file that chooses between a process's
+    // Γ cache and the bare engine.
+    let core = rust_files_under(&["crates/bvc-core/src"]);
+    let body: String = core.iter().map(|p| non_test(p) + "\n").collect();
+    let sync_impls = lines_with(&body, "impl SyncProcess for");
+    assert!(
+        sync_impls <= 3,
+        "`impl SyncProcess for` occurs {sync_impls} times outside tests under crates/bvc-core/src: \
+         a lock-step state exchange is a constructor of StateExchangeProcess"
+    );
+    let pushes = lines_with(&body, "history.push(");
+    assert!(
+        pushes == 1,
+        "`history.push(` must occur exactly once outside tests under crates/bvc-core/src \
+         (IterateCore::close_round), found {pushes}"
+    );
+    let forks = naming(&core, non_test, &["Some(cache) => cache."]);
+    assert!(
+        forks.len() == 1,
+        "the cache fork (`Some(cache) => cache.`) must live in exactly one non-test file of bvc-core, found:\n{}",
+        shown(&forks)
+    );
+    // The caller-less third copy of the round body stays deleted.
+    let everywhere: Vec<PathBuf> = ["crates", "src", "examples", "tests"]
+        .iter()
+        .flat_map(|dir| files_under(dir))
+        .collect();
+    let baseline = naming(
+        &everywhere,
+        text,
+        &["scalar_approx", "IterativeScalarProcess"],
+    );
+    assert!(
+        baseline.is_empty(),
+        "the iterative scalar baseline is named again (nothing ever called it):\n{}",
+        shown(&baseline)
+    );
+    // "Was this failure expected" is ScenarioOutcome::expected_solvable; the
+    // JSON-side reading in report.rs is the only other statement of the rule.
+    let predicate: String = crate_sources().iter().map(|p| non_test(p) + "\n").collect();
+    let spelled = lines_with(&predicate, "!t.expected_solvable");
+    assert!(
+        spelled == 1,
+        "`!t.expected_solvable` must occur exactly once outside tests under crates/*/src, found {spelled}"
+    );
+}
