@@ -8,6 +8,7 @@
 //! wall-clock time to solve it.
 
 use bvc_bench::{experiment_header, fmt, honest_workload, Table};
+use bvc_core::ProtocolKind;
 use bvc_geometry::{gamma_point, lp_size, PointMultiset};
 use std::time::Instant;
 
@@ -28,7 +29,9 @@ fn main() {
         "solve time (ms)",
     ]);
     for &(f, d) in &[(1usize, 2usize), (1, 3), (2, 2)] {
-        let n_min = ((d + 1) * f + 1).max(3 * f + 1);
+        let n_min = ProtocolKind::Exact
+            .min_processes(d, f)
+            .expect("closed-form bound");
         for n in n_min..=(n_min + 3) {
             let (vars, cons) = lp_size(n, f, d);
             let subsets = bvc_geometry::combinatorics::binomial(n, n - f);

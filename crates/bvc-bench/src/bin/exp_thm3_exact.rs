@@ -7,7 +7,7 @@
 
 use bvc_adversary::ByzantineStrategy;
 use bvc_bench::{experiment_header, fmt, honest_workload, mark, Table};
-use bvc_core::{BvcSession, ProtocolKind, RunConfig, Setting};
+use bvc_core::{BvcSession, ProtocolKind, RunConfig};
 
 fn main() {
     experiment_header(
@@ -30,7 +30,9 @@ fn main() {
     ]);
     let sweep = [(1usize, 1usize), (2, 1), (3, 1), (4, 1), (2, 2)];
     for &(d, f) in &sweep {
-        let n = Setting::ExactSync.min_processes(d, f);
+        let n = ProtocolKind::Exact
+            .min_processes(d, f)
+            .expect("closed-form bound");
         for (s, strategy) in ByzantineStrategy::active_attacks().into_iter().enumerate() {
             let inputs = honest_workload(40 + s as u64 + (d * 7 + f) as u64, n - f, d);
             let run = BvcSession::new(

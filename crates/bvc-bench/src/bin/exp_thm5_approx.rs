@@ -8,7 +8,7 @@
 
 use bvc_adversary::ByzantineStrategy;
 use bvc_bench::{experiment_header, fmt, honest_workload, mark, Table};
-use bvc_core::{BvcSession, ProtocolKind, RunConfig, Setting, UpdateRule};
+use bvc_core::{BvcSession, ProtocolKind, RunConfig, UpdateRule};
 
 fn main() {
     experiment_header(
@@ -37,7 +37,9 @@ fn main() {
     ];
     let sweep = [(1usize, 1usize), (2, 1), (3, 1)];
     for &(d, f) in &sweep {
-        let n = Setting::ApproxAsync.min_processes(d, f);
+        let n = ProtocolKind::Approx
+            .min_processes(d, f)
+            .expect("closed-form bound");
         for &eps in &[0.1, 0.02] {
             for (s, strategy) in adversaries.iter().enumerate() {
                 let inputs = honest_workload(300 + (d * 13 + s) as u64, n - f, d);

@@ -8,7 +8,12 @@
 
 use bvc_adversary::ByzantineStrategy;
 use bvc_bench::{experiment_header, fmt, honest_workload, mark, Table};
-use bvc_core::{BvcError, BvcSession, ProtocolKind, RunConfig, Setting};
+use bvc_core::{BvcError, BvcSession, ProtocolKind, RunConfig};
+
+/// A row of the one resilience table (both restricted kinds have one).
+fn floor(kind: ProtocolKind, d: usize, f: usize) -> usize {
+    kind.min_processes(d, f).expect("closed-form bound")
+}
 
 fn main() {
     experiment_header(
@@ -36,7 +41,7 @@ fn main() {
             ByzantineStrategy::AntiConvergence,
         ] {
             // Synchronous restricted.
-            let n = Setting::RestrictedSync.min_processes(d, f);
+            let n = floor(ProtocolKind::RestrictedSync, d, f);
             let run = BvcSession::new(
                 ProtocolKind::RestrictedSync,
                 RunConfig::new(n, f, d)
@@ -60,7 +65,7 @@ fn main() {
                 fmt(v.max_pairwise_distance, 6),
             ]);
             // Asynchronous restricted.
-            let n = Setting::RestrictedAsync.min_processes(d, f);
+            let n = floor(ProtocolKind::RestrictedAsync, d, f);
             let run = BvcSession::new(
                 ProtocolKind::RestrictedAsync,
                 RunConfig::new(n, f, d)
@@ -90,7 +95,7 @@ fn main() {
     println!("\n### the bounds are enforced (the session rejects n below the bound)\n");
     let mut table = Table::new(&["setting", "d", "f", "n requested", "required", "rejected"]);
     for &(d, f) in &[(1usize, 1usize), (2, 1)] {
-        let n_sync = Setting::RestrictedSync.min_processes(d, f);
+        let n_sync = floor(ProtocolKind::RestrictedSync, d, f);
         let err = BvcSession::new(
             ProtocolKind::RestrictedSync,
             RunConfig::new(n_sync - 1, f, d).honest_inputs(honest_workload(3, n_sync - 1 - f, d)),
@@ -103,7 +108,7 @@ fn main() {
             n_sync.to_string(),
             mark(matches!(err, Err(BvcError::InsufficientProcesses { .. }))),
         ]);
-        let n_async = Setting::RestrictedAsync.min_processes(d, f);
+        let n_async = floor(ProtocolKind::RestrictedAsync, d, f);
         let err = BvcSession::new(
             ProtocolKind::RestrictedAsync,
             RunConfig::new(n_async - 1, f, d).honest_inputs(honest_workload(4, n_async - 1 - f, d)),
@@ -123,11 +128,11 @@ fn main() {
     let mut table = Table::new(&["algorithm", "processes required"]);
     table.row(&[
         "approximate BVC with AAD exchange (Thm 5)".into(),
-        Setting::ApproxAsync.min_processes(1, 1).to_string(),
+        floor(ProtocolKind::Approx, 1, 1).to_string(),
     ]);
     table.row(&[
         "restricted asynchronous rounds (Thm 6)".into(),
-        Setting::RestrictedAsync.min_processes(1, 1).to_string(),
+        floor(ProtocolKind::RestrictedAsync, 1, 1).to_string(),
     ]);
     table.print();
     println!();

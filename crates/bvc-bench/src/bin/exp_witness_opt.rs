@@ -10,7 +10,7 @@
 
 use bvc_adversary::ByzantineStrategy;
 use bvc_bench::{experiment_header, fmt, honest_workload, mark, Table};
-use bvc_core::{BvcSession, ProtocolKind, RunConfig, Setting, UpdateRule};
+use bvc_core::{BvcSession, ProtocolKind, RunConfig, UpdateRule};
 use bvc_geometry::combinatorics::binomial;
 use std::time::Instant;
 
@@ -35,7 +35,9 @@ fn main() {
     ]);
     let eps = 0.05;
     for &(d, f) in &[(1usize, 1usize), (2, 1)] {
-        let n = Setting::ApproxAsync.min_processes(d, f);
+        let n = ProtocolKind::Approx
+            .min_processes(d, f)
+            .expect("closed-form bound");
         for rule in [UpdateRule::FullSubsets, UpdateRule::WitnessOptimized] {
             let inputs = honest_workload(900 + d as u64, n - f, d);
             let start = Instant::now();

@@ -17,15 +17,14 @@
 //! The session report serialises as a `bvc-chaos-metrics/v1` JSON document
 //! and as one Markdown row for the longitudinal `CHAOS.md` dashboard.
 
-use crate::objective::strict_bound;
 use crate::search::{sample, SearchSpace};
 use bvc_core::{InstanceOverrides, RunConfig};
 use bvc_geometry::Point;
 use bvc_scenario::{expand, run_campaign, Protocol};
 use bvc_service::{BvcService, MemorySink, ServiceConfig};
+use bvc_trace::json::Json;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
 
 /// A churn session's budget and identity.
 #[derive(Debug, Clone)]
@@ -115,53 +114,38 @@ impl ChurnReport {
     }
 
     /// The `bvc-chaos-metrics/v1` JSON document (deterministic key order,
-    /// one line).
+    /// one line), rendered by the workspace's one JSON writer.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        let _ = write!(
-            out,
-            "{{\"format\": \"bvc-chaos-metrics/v1\", \"label\": \"{}\", \"master_seed\": {}, \
-             \"instances\": {}, \"passed\": {}, \"violated\": {}, \"expected_unsolvable\": {}, \
-             \"rejected\": {}, \"near_misses\": {}, \"panicked\": {}, \"genuine\": [",
-            self.label,
-            self.master_seed,
-            self.total(|w| w.instances),
-            self.total(|w| w.passed),
-            self.total(|w| w.violated),
-            self.total(|w| w.expected_unsolvable),
-            self.total(|w| w.rejected),
-            self.total(|w| w.near_misses),
-            self.total(|w| w.panicked),
-        );
-        for (i, signature) in self.genuine_signatures().iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{signature}\"");
-        }
-        out.push_str("], \"waves\": [");
-        for (i, wave) in self.waves.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"index\": {}, \"kind\": \"{}\", \"instances\": {}, \"passed\": {}, \
-                 \"violated\": {}, \"expected_unsolvable\": {}, \"rejected\": {}, \
-                 \"near_misses\": {}, \"panicked\": {}}}",
-                wave.index,
-                wave.kind,
-                wave.instances,
-                wave.passed,
-                wave.violated,
-                wave.expected_unsolvable,
-                wave.rejected,
-                wave.near_misses,
-                wave.panicked,
-            );
-        }
-        out.push_str("]}");
-        out
+        let waves: Vec<Json> = self
+            .waves
+            .iter()
+            .map(|wave| {
+                Json::object()
+                    .field("index", wave.index)
+                    .field("kind", wave.kind)
+                    .field("instances", wave.instances)
+                    .field("passed", wave.passed)
+                    .field("violated", wave.violated)
+                    .field("expected_unsolvable", wave.expected_unsolvable)
+                    .field("rejected", wave.rejected)
+                    .field("near_misses", wave.near_misses)
+                    .field("panicked", wave.panicked)
+            })
+            .collect();
+        Json::object()
+            .field("format", "bvc-chaos-metrics/v1")
+            .field("label", self.label.as_str())
+            .field("master_seed", self.master_seed)
+            .field("instances", self.total(|w| w.instances))
+            .field("passed", self.total(|w| w.passed))
+            .field("violated", self.total(|w| w.violated))
+            .field("expected_unsolvable", self.total(|w| w.expected_unsolvable))
+            .field("rejected", self.total(|w| w.rejected))
+            .field("near_misses", self.total(|w| w.near_misses))
+            .field("panicked", self.total(|w| w.panicked))
+            .field("genuine", self.genuine_signatures())
+            .field("waves", waves)
+            .to_string()
     }
 
     /// One Markdown table row for the `CHAOS.md` longitudinal dashboard
@@ -277,7 +261,8 @@ fn service_wave(index: usize, config: &ChurnConfig, rng: &mut StdRng) -> WaveMet
     };
     let f = 1;
     let d = rng.gen_range(1..=2usize);
-    let n = strict_bound(protocol, d, f) + rng.gen_range(0..=1usize);
+    let floor = protocol.min_processes(d, f).expect("a paper protocol");
+    let n = floor + rng.gen_range(0..=1usize);
     let template = RunConfig::new(n, f, d).epsilon(0.1);
     let count = config.per_wave.max(1);
     let instances: Vec<InstanceOverrides> = (0..count)
@@ -358,6 +343,20 @@ mod tests {
         assert_eq!(report.waves[0].kind, "campaign");
         assert_eq!(report.waves[1].kind, "service");
         assert!(report.waves[1].passed + report.waves[1].violated > 0);
+    }
+
+    #[test]
+    fn metrics_json_escapes_the_label() {
+        let report = ChurnReport {
+            label: "nightly \"quoted\"".to_string(),
+            master_seed: 0,
+            waves: Vec::new(),
+        };
+        let parsed = Json::parse(&report.to_json()).expect("metrics are valid JSON");
+        assert_eq!(
+            parsed.get("label").and_then(Json::as_str),
+            Some("nightly \"quoted\"")
+        );
     }
 
     #[test]

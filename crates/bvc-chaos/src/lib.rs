@@ -35,7 +35,7 @@ pub mod shrink;
 
 pub use churn::{churn, dashboard_header, ChurnConfig, ChurnReport, WaveMetrics};
 pub use genome::{ChaosGenome, FaultGene, ValidityGene};
-pub use objective::{evaluate, strict_bound, Evaluation, VIOLATION_SCORE};
+pub use objective::{evaluate, Evaluation, VIOLATION_SCORE};
 pub use repro::{known_signatures, replay_dir, spec_signature, write_repro, ReplayResult};
 pub use search::{search, Finding, SearchConfig, SearchReport, SearchSpace};
 pub use shrink::{shrink, ShrinkResult};

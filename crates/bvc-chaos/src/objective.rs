@@ -11,7 +11,7 @@
 //! the reliable-channel assumption.
 
 use crate::genome::{ChaosGenome, ValidityGene};
-use bvc_scenario::{run_scenario, Protocol, ScenarioOutcome};
+use bvc_scenario::{run_scenario, ScenarioOutcome};
 
 /// Score assigned to any genuine violation, dwarfing every heuristic term.
 pub const VIOLATION_SCORE: f64 = 1e6;
@@ -44,17 +44,6 @@ impl Evaluation {
             None => (true, true, true),
         }
     }
-}
-
-/// The strict resource bound of the source paper for this protocol at full
-/// dimension — the line below which only a relaxed validity mode admits a
-/// run, and where the relaxed decision rule carries all the risk.
-pub fn strict_bound(protocol: Protocol, d: usize, f: usize) -> usize {
-    // `None` is the iterative protocol: its resource signal is the topology
-    // sufficiency check, not an n-bound, and the complete graphs the search
-    // generates always pass it.  The directed kinds' line is their hard
-    // model floor — below it admission rejects regardless of validity mode.
-    protocol.min_processes(d, f).unwrap_or(0)
 }
 
 /// Runs one genome through the scenario runner and scores it.
@@ -92,9 +81,13 @@ pub fn evaluate(genome: &ChaosGenome) -> Evaluation {
             // topology): failures here are anticipated, never genuine —
             // push the search back toward admissible-but-risky territory.
             score -= 50.0;
-        } else if genome.n < strict_bound(genome.protocol, genome.d, genome.f) {
-            // Admitted only by a relaxed mode: the regime where the relaxed
-            // decision rule is load-bearing.
+        } else if genome
+            .protocol
+            .min_processes(genome.d, genome.f)
+            .is_some_and(|floor| genome.n < floor)
+        {
+            // Below the strict floor yet admitted, so only by a relaxed mode:
+            // the regime where the relaxed decision rule is load-bearing.
             score += 25.0;
         }
         // Weaker relaxations are riskier: the dilated safe area Γ_α shrinks
@@ -125,6 +118,7 @@ fn rejected(message: String) -> Evaluation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bvc_scenario::Protocol;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -166,7 +160,7 @@ mod tests {
     }
 
     #[test]
-    fn below_strict_bound_relaxed_runs_earn_the_boundary_bonus() {
+    fn below_strict_floor_relaxed_runs_earn_the_boundary_bonus() {
         // Exact at d = 3, f = 1: strict bound max(3f+1, (d+1)f+1) = 5; the
         // α-relaxed family bound is 3f+1 = 4, so n = 4 is admitted only by
         // the relaxation — exactly the risky regime the bonus rewards.

@@ -10,8 +10,9 @@
 //! the restart with a finding (deduplicated by family signature).
 
 use crate::genome::{ChaosGenome, FaultGene, ValidityGene};
-use crate::objective::{evaluate, strict_bound, Evaluation};
+use crate::objective::{evaluate, Evaluation};
 use bvc_adversary::ByzantineStrategy;
+use bvc_core::{admission_floor, ValidityMode};
 use bvc_scenario::{BroadcastModel, Protocol};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -154,15 +155,15 @@ pub(crate) fn sample(rng: &mut StdRng, space: &SearchSpace) -> ChaosGenome {
         1 => ValidityGene::Alpha(rng.gen_range(0.0..=space.alpha_max)),
         _ => ValidityGene::K(rng.gen_range(1..=d)),
     };
-    // Centre n on the bound that actually admits this validity family:
-    // the strict bound for strict runs, the relaxed family's lowered bound
-    // otherwise (probing the boundary is the generic heuristic — cells
-    // below their own bound are simply rejected and scored out).
-    let bound = match validity {
-        ValidityGene::Strict => strict_bound(protocol, d, f),
-        ValidityGene::Alpha(_) => strict_bound(protocol, 1, f),
-        ValidityGene::K(k) => strict_bound(protocol, k.min(d), f),
+    // Centre n on the core's admission floor for this validity family
+    // (probing the boundary is the generic heuristic — cells below their
+    // own bound are simply rejected and scored out).
+    let mode = match validity {
+        ValidityGene::Strict => ValidityMode::Strict,
+        ValidityGene::Alpha(alpha) => ValidityMode::AlphaScaled(alpha),
+        ValidityGene::K(k) => ValidityMode::KRelaxed(k),
     };
+    let bound = admission_floor(protocol, &mode, d, f).unwrap_or(0);
     let lo = bound.saturating_sub(space.n_slack).max(f + 2);
     let hi = bound + space.n_slack;
     let n = rng.gen_range(lo..=hi);

@@ -1,29 +1,29 @@
-//! System parameters and the paper's resilience bounds.
+//! System parameters and the errors of admission.
 //!
 //! [`BvcConfig`] bundles the parameters every algorithm needs — the number of
 //! processes `n`, the fault bound `f`, the dimension `d`, the agreement
 //! parameter `ε` and the a-priori value bounds `ν ≤ x ≤ U` assumed by the
-//! termination rule of Section 3.2 — and knows the paper's four tight
-//! resilience bounds:
-//!
-//! | setting                               | bound                          |
-//! |---------------------------------------|--------------------------------|
-//! | Exact BVC, synchronous (Thm 1/3)      | `n ≥ max(3f+1, (d+1)f+1)`      |
-//! | Approximate BVC, asynchronous (Thm 4/5)| `n ≥ (d+2)f+1`                |
-//! | Restricted rounds, synchronous (Thm 6)| `n ≥ (d+2)f+1`                 |
-//! | Restricted rounds, asynchronous (Thm 6)| `n ≥ (d+4)f+1`                |
+//! termination rule of Section 3.2.  The resilience bounds are not here:
+//! [`ProtocolKind::min_processes`] is the one table of every protocol's
+//! floor, and [`RunConfig::validate`](crate::RunConfig::validate) the one
+//! place it is enforced.
 
+use crate::run::ProtocolKind;
 use std::fmt;
 
 /// Errors produced by configuration validation and the high-level runners.
+///
+/// Rejection messages name the protocol by its schema name
+/// ([`ProtocolKind::name`]), e.g. `approx requires n >= 5 processes, but only
+/// 4 were configured`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BvcError {
-    /// The number of processes is below the tight bound for the requested
-    /// algorithm.
+    /// The number of processes is below the protocol's (possibly
+    /// mode-lowered) floor.
     InsufficientProcesses {
-        /// The algorithm/setting whose bound is violated.
-        setting: Setting,
-        /// Number of processes required by the paper's bound.
+        /// The protocol whose floor is violated.
+        protocol: ProtocolKind,
+        /// Number of processes the floor requires.
         required: usize,
         /// Number of processes actually configured.
         actual: usize,
@@ -37,12 +37,12 @@ impl fmt::Display for BvcError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BvcError::InsufficientProcesses {
-                setting,
+                protocol,
                 required,
                 actual,
             } => write!(
                 f,
-                "{setting} requires n >= {required} processes, but only {actual} were configured"
+                "{protocol} requires n >= {required} processes, but only {actual} were configured"
             ),
             BvcError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
         }
@@ -50,44 +50,6 @@ impl fmt::Display for BvcError {
 }
 
 impl std::error::Error for BvcError {}
-
-/// The four algorithm settings whose resilience bounds the paper establishes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Setting {
-    /// Exact BVC in a synchronous system (Theorems 1 and 3).
-    ExactSync,
-    /// Approximate BVC in an asynchronous system (Theorems 4 and 5).
-    ApproxAsync,
-    /// Restricted-round approximate BVC, synchronous (Theorem 6).
-    RestrictedSync,
-    /// Restricted-round approximate BVC, asynchronous (Theorem 6).
-    RestrictedAsync,
-}
-
-impl Setting {
-    /// The minimum `n` the paper proves necessary and sufficient for this
-    /// setting with the given `d` and `f`.
-    pub fn min_processes(self, d: usize, f: usize) -> usize {
-        match self {
-            Setting::ExactSync => (3 * f + 1).max((d + 1) * f + 1),
-            Setting::ApproxAsync => (d + 2) * f + 1,
-            Setting::RestrictedSync => (d + 2) * f + 1,
-            Setting::RestrictedAsync => (d + 4) * f + 1,
-        }
-    }
-}
-
-impl fmt::Display for Setting {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            Setting::ExactSync => "exact synchronous BVC",
-            Setting::ApproxAsync => "approximate asynchronous BVC",
-            Setting::RestrictedSync => "restricted-round synchronous BVC",
-            Setting::RestrictedAsync => "restricted-round asynchronous BVC",
-        };
-        write!(f, "{name}")
-    }
-}
 
 /// System configuration shared by all algorithms in this crate.
 #[derive(Debug, Clone, PartialEq)]
@@ -179,51 +141,11 @@ impl BvcConfig {
     pub fn honest_count(&self) -> usize {
         self.n - self.f
     }
-
-    /// Checks the resilience bound for `setting`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BvcError::InsufficientProcesses`] when `n` is below the
-    /// paper's bound for `setting`.
-    pub fn require(&self, setting: Setting) -> Result<(), BvcError> {
-        let required = setting.min_processes(self.d, self.f);
-        if self.n < required {
-            return Err(BvcError::InsufficientProcesses {
-                setting,
-                required,
-                actual: self.n,
-            });
-        }
-        Ok(())
-    }
-
-    /// Returns `true` when `n` meets the bound for `setting`.
-    pub fn satisfies(&self, setting: Setting) -> bool {
-        self.require(setting).is_ok()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn minimum_process_counts_match_the_paper() {
-        // d = 1 collapses to the scalar bounds.
-        assert_eq!(Setting::ExactSync.min_processes(1, 1), 4);
-        assert_eq!(Setting::ApproxAsync.min_processes(1, 1), 4);
-        // d = 3, f = 1: exact needs max(4, 5) = 5; approx needs 6.
-        assert_eq!(Setting::ExactSync.min_processes(3, 1), 5);
-        assert_eq!(Setting::ApproxAsync.min_processes(3, 1), 6);
-        // d = 2, f = 2: exact max(7, 7) = 7; approx 9; restricted async 13.
-        assert_eq!(Setting::ExactSync.min_processes(2, 2), 7);
-        assert_eq!(Setting::ApproxAsync.min_processes(2, 2), 9);
-        assert_eq!(Setting::RestrictedSync.min_processes(2, 2), 9);
-        assert_eq!(Setting::RestrictedAsync.min_processes(2, 2), 13);
-        // Small d keeps the 3f + 1 term active for exact consensus.
-        assert_eq!(Setting::ExactSync.min_processes(1, 3), 10);
-    }
 
     #[test]
     fn config_validation_rejects_bad_shapes() {
@@ -245,42 +167,8 @@ mod tests {
     }
 
     #[test]
-    fn require_reports_the_tight_bound() {
-        let config = BvcConfig::new(5, 1, 3).unwrap();
-        assert!(config.satisfies(Setting::ExactSync));
-        let err = config.require(Setting::ApproxAsync).unwrap_err();
-        match err {
-            BvcError::InsufficientProcesses {
-                required, actual, ..
-            } => {
-                assert_eq!(required, 6);
-                assert_eq!(actual, 5);
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
-    }
-
-    #[test]
-    fn error_messages_are_informative() {
-        let config = BvcConfig::new(4, 1, 3).unwrap();
-        let err = config.require(Setting::RestrictedAsync).unwrap_err();
-        let text = err.to_string();
-        assert!(text.contains("restricted-round asynchronous"));
-        assert!(text.contains("8"));
-        assert!(text.contains("4"));
-    }
-
-    #[test]
     fn honest_count() {
         let config = BvcConfig::new(7, 2, 2).unwrap();
         assert_eq!(config.honest_count(), 5);
-    }
-
-    #[test]
-    fn f_zero_is_always_feasible() {
-        let config = BvcConfig::new(2, 0, 5).unwrap();
-        assert!(config.satisfies(Setting::ExactSync));
-        assert!(config.satisfies(Setting::ApproxAsync));
-        assert!(config.satisfies(Setting::RestrictedAsync));
     }
 }

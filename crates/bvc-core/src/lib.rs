@@ -5,7 +5,8 @@
 //! to `f` processes are Byzantine.  The decision of every non-faulty process
 //! must lie in the convex hull of the non-faulty inputs (validity) and the
 //! decisions must agree (exactly, or within ε per coordinate).  This crate
-//! implements the paper's four algorithms with their tight resilience bounds:
+//! implements the paper's four algorithms with their tight resilience bounds
+//! (the rows of [`ProtocolKind::min_processes`], the one table):
 //!
 //! | algorithm | module | bound |
 //! |-----------|--------|-------|
@@ -75,7 +76,7 @@ pub use approx::{ApproxBvcProcess, ApproxOutput, UpdateRule};
 pub use bvc_adversary::{ByzantineStrategy, PointForge};
 pub use bvc_net::{FaultError, FaultEvent, FaultKind, FaultPlan, LinkSelector};
 pub use bvc_topology::{Sufficiency, Topology};
-pub use config::{BvcConfig, BvcError, Setting};
+pub use config::{BvcConfig, BvcError};
 pub use convergence::{
     gamma, gamma_iterative, gamma_witness_optimized, guaranteed_range, round_threshold,
 };
@@ -91,9 +92,7 @@ pub use rounds::{IterateCore, StateExchangeProcess};
 pub use run::{
     BroadcastModel, BvcSession, InstanceOverrides, ProtocolKind, RunConfig, RunReport, Verdict,
 };
-pub use validity::{
-    relaxed_min_processes, require_with_mode, validity_check, ValidityCheck, ValidityMode,
-};
+pub use validity::{admission_floor, ValidityCheck, ValidityMode};
 pub use witness::{
     average_state, build_zi_full, build_zi_full_cached, build_zi_witness, build_zi_witness_cached,
 };

@@ -11,8 +11,8 @@
 //! validation time, in exactly one place: [`RunConfig::validate`].
 
 use crate::approx::UpdateRule;
-use crate::config::{BvcConfig, BvcError, Setting};
-use crate::validity::{require_with_mode, ValidityMode};
+use crate::config::{BvcConfig, BvcError};
+use crate::validity::{admission_floor, ValidityMode};
 use bvc_adversary::ByzantineStrategy;
 use bvc_geometry::{Point, SharedGammaCache};
 use bvc_net::{DeliveryPolicy, FaultPlan};
@@ -119,38 +119,41 @@ impl ProtocolKind {
         )
     }
 
-    /// The paper setting whose resilience bound admits this protocol —
-    /// `None` for the iterative and directed protocols, which have no
-    /// closed-form bound (their resource signal is the topology sufficiency
-    /// check, recorded in the report; the directed kinds additionally
-    /// enforce their model's `n` floor at validation).
-    pub fn setting(self) -> Option<Setting> {
-        match self {
-            ProtocolKind::Exact => Some(Setting::ExactSync),
-            ProtocolKind::Approx => Some(Setting::ApproxAsync),
-            ProtocolKind::RestrictedSync => Some(Setting::RestrictedSync),
-            ProtocolKind::RestrictedAsync => Some(Setting::RestrictedAsync),
-            ProtocolKind::Iterative => None,
-            ProtocolKind::DirectedExact | ProtocolKind::DirectedExactLb => None,
-        }
+    /// Whether this is one of the source paper's four complete-graph
+    /// protocols: the kinds that model at least one Byzantine process, are
+    /// admitted down to a relaxed validity mode's family bound
+    /// ([`admission_floor`]), and record a
+    /// [`ValidityCheck`](crate::ValidityCheck) with every run.  The other
+    /// three are governed by a graph condition, recorded as the run's
+    /// sufficiency verdict.
+    pub fn is_paper_protocol(self) -> bool {
+        matches!(
+            self,
+            ProtocolKind::Exact
+                | ProtocolKind::Approx
+                | ProtocolKind::RestrictedSync
+                | ProtocolKind::RestrictedAsync
+        )
     }
 
     /// The fewest processes the protocol can be run with at dimension `d`
-    /// and `f` faults under strict validity — the one place an admission
-    /// floor is written.  For the paper's four protocols it is the
-    /// [`Setting`] bound.  For the directed kinds it is the part of the graph
-    /// condition that does not depend on the graph (arXiv:1208.5075 needs
-    /// `n ≥ 3f+1` point-to-point; arXiv:1911.07298 weakens it to `n ≥ 2f+1`
-    /// under local broadcast; the `(d+1)f+1` decision-step floor is
-    /// model-independent).  `None` for the iterative protocol, whose only
-    /// resource signal is the topology sufficiency check.
+    /// and `f` faults under strict validity — the one resilience table: the
+    /// paper's four rows (Theorems 1/3, 4/5 and 6), the directed floors, and
+    /// `None` for the iterative protocol, whose only resource signal is the
+    /// topology sufficiency check.  For the directed kinds the floor is the
+    /// part of the graph condition that does not depend on the graph
+    /// (arXiv:1208.5075 needs `n ≥ 3f+1` point-to-point; arXiv:1911.07298
+    /// weakens it to `n ≥ 2f+1` under local broadcast; the `(d+1)f+1`
+    /// decision-step floor is model-independent).
     pub fn min_processes(self, d: usize, f: usize) -> Option<usize> {
-        let equivocation_floor = match self {
-            ProtocolKind::DirectedExact => 3 * f + 1,
-            ProtocolKind::DirectedExactLb => 2 * f + 1,
-            other => return other.setting().map(|setting| setting.min_processes(d, f)),
-        };
-        Some(equivocation_floor.max((d + 1) * f + 1))
+        let decision_floor = (d + 1) * f + 1;
+        Some(match self {
+            ProtocolKind::Exact | ProtocolKind::DirectedExact => (3 * f + 1).max(decision_floor),
+            ProtocolKind::DirectedExactLb => (2 * f + 1).max(decision_floor),
+            ProtocolKind::Approx | ProtocolKind::RestrictedSync => (d + 2) * f + 1,
+            ProtocolKind::RestrictedAsync => (d + 4) * f + 1,
+            ProtocolKind::Iterative => return None,
+        })
     }
 }
 
@@ -380,16 +383,16 @@ impl RunConfig {
     ///
     /// In order: structural validation (`n`, `d`, `f < n`, value bounds,
     /// and ε for the protocols judged against it — exact consensus ignores
-    /// the knob), the mode-aware resilience bound for the protocol's
-    /// [`Setting`] (the iterative protocol has none — its solvability signal
-    /// is the recorded topology sufficiency check), the `f ≥ 1` requirement
-    /// of the four complete-graph protocols, the input shape, and the
-    /// topology size.
+    /// the knob), the protocol's mode-aware floor from
+    /// [`ProtocolKind::min_processes`] (the iterative protocol has none — its
+    /// solvability signal is the recorded topology sufficiency check), the
+    /// `f ≥ 1` requirement of the four complete-graph protocols, the input
+    /// shape, and the topology size.
     ///
     /// # Errors
     ///
     /// Returns [`BvcError::InsufficientProcesses`] when `n` is below the
-    /// protocol's (possibly mode-lowered) bound, and
+    /// protocol's (possibly mode-lowered) floor, and
     /// [`BvcError::InvalidParameter`] for every structural violation.
     pub fn validate(&self, protocol: ProtocolKind) -> Result<(), BvcError> {
         self.prepare(protocol).map(|_| ())
@@ -421,25 +424,23 @@ impl RunConfig {
         if protocol.uses_epsilon() {
             core = core.with_epsilon(self.epsilon)?;
         }
-        if let Some(setting) = protocol.setting() {
-            require_with_mode(setting, &self.validity, core.n, core.d, core.f)?;
-            if core.f == 0 {
-                return Err(BvcError::InvalidParameter(
-                    "the runners model at least one Byzantine process; use f >= 1".into(),
-                ));
-            }
-        } else if let Some(floor) = protocol.min_processes(core.d, core.f) {
-            // The directed models' graph-independent floor is enforced here —
-            // the single admission point — while the graph-dependent part of
-            // the condition is recorded by the run as its sufficiency verdict
-            // (a violating *graph* is expected data, a too-small `n` is a
-            // configuration error on every graph).
-            if core.n < floor {
-                return Err(BvcError::InvalidParameter(format!(
-                    "{protocol} requires n >= {floor} (model floor at f = {}, d = {}), got n = {}",
-                    core.f, core.d, core.n
-                )));
-            }
+        // One admission branch for every kind: below its (mode-lowered)
+        // floor is a configuration error on every graph.  For the directed
+        // kinds the graph-dependent part of the condition is recorded by the
+        // run as its sufficiency verdict instead.
+        if let Some(required) = admission_floor(protocol, &self.validity, core.d, core.f)
+            .filter(|&required| core.n < required)
+        {
+            return Err(BvcError::InsufficientProcesses {
+                protocol,
+                required,
+                actual: core.n,
+            });
+        }
+        if protocol.is_paper_protocol() && core.f == 0 {
+            return Err(BvcError::InvalidParameter(
+                "the runners model at least one Byzantine process; use f >= 1".into(),
+            ));
         }
         if self.honest_inputs.len() != core.honest_count() {
             return Err(BvcError::InvalidParameter(format!(
@@ -490,7 +491,7 @@ pub struct InstanceOverrides {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::validity::relaxed_min_processes;
+    use crate::validity::validity_check;
 
     fn inputs(count: usize, d: usize) -> Vec<Point> {
         (0..count)
@@ -498,11 +499,12 @@ mod tests {
             .collect()
     }
 
-    /// The centralised admission check, table-driven over all five protocols
-    /// × three validity modes: one `validate` call per cell, each held to
-    /// the family bound of `require_with_mode` — the per-builder drift this
-    /// table replaces is structurally impossible now, and the table is the
-    /// regression net proving it.
+    /// The centralised admission check, table-driven over all seven
+    /// protocols × three validity modes: one `validate` call per cell, each
+    /// held to the family bound of `admission_floor` and rejected with the
+    /// one typed error — the per-builder drift this table replaces is
+    /// structurally impossible now, and the table is the regression net
+    /// proving it.
     #[test]
     fn admission_table_over_protocols_and_validity_modes() {
         let modes = [
@@ -513,44 +515,29 @@ mod tests {
         let (d, f) = (3usize, 2usize);
         for protocol in ProtocolKind::ALL {
             for mode in modes {
-                // The family bound the mode admits at: the strict bound
+                // The family bound the mode admits at: the strict floor
                 // evaluated at the relaxation family's effective dimension
-                // (1 for both relaxed families here).
-                let required = match protocol.setting() {
-                    Some(setting) => match mode {
-                        ValidityMode::Strict => setting.min_processes(d, f),
-                        _ => setting.min_processes(1, f),
-                    },
-                    // Iterative has no closed-form bound; the directed kinds
-                    // keep their graph-independent model floor under every
-                    // validity mode (the flood has no relaxed variant).
-                    None => protocol.min_processes(d, f).unwrap_or(1),
-                };
+                // (1 for both relaxed families here) for the paper's
+                // protocols.  The directed kinds keep their graph-independent
+                // model floor under every validity mode (the flood has no
+                // relaxed variant); iterative has no floor.
+                let relaxed = protocol.is_paper_protocol() && mode != ValidityMode::Strict;
+                let family_d = if relaxed { 1 } else { d };
+                let required = protocol.min_processes(family_d, f).unwrap_or(1);
                 // One below the bound is rejected with the exact requirement…
                 if required > f + 1 {
                     let below = RunConfig::new(required - 1, f, d)
                         .honest_inputs(inputs(required - 1 - f, d))
                         .validity_mode(mode);
-                    match below.validate(protocol) {
+                    assert_eq!(
+                        below.validate(protocol),
                         Err(BvcError::InsufficientProcesses {
-                            required: r,
-                            actual,
-                            ..
-                        }) => {
-                            assert_eq!(r, required, "{protocol} / {mode:?}");
-                            assert_eq!(actual, required - 1, "{protocol} / {mode:?}");
-                        }
-                        // The directed kinds have no Setting; their model
-                        // floor rejects as a structural violation naming the
-                        // required n.
-                        Err(BvcError::InvalidParameter(msg)) if protocol.setting().is_none() => {
-                            assert!(
-                                msg.contains(&format!("n >= {required}")),
-                                "{protocol} / {mode:?}: {msg}"
-                            );
-                        }
-                        other => panic!("{protocol} / {mode:?}: expected rejection, got {other:?}"),
-                    }
+                            protocol,
+                            required,
+                            actual: required - 1,
+                        }),
+                        "{protocol} / {mode:?}"
+                    );
                 }
                 // …and the bound itself is admitted.
                 let at = RunConfig::new(required.max(f + 2), f, d)
@@ -562,7 +549,66 @@ mod tests {
         }
     }
 
-    /// The admission bound agrees with `relaxed_min_processes`' *family*
+    /// The one resilience table, all seven kinds.
+    #[test]
+    fn min_processes_is_the_resilience_table() {
+        use ProtocolKind::*;
+        // (protocol, d, f, floor) — the paper's four rows first.
+        let rows = [
+            // d = 1 collapses to the scalar bounds.
+            (Exact, 1, 1, 4),
+            (Approx, 1, 1, 4),
+            (RestrictedSync, 1, 1, 4),
+            (RestrictedAsync, 1, 1, 6),
+            // d = 3, f = 1: exact needs max(4, 5) = 5; approx needs 6;
+            // restricted async 8.
+            (Exact, 3, 1, 5),
+            (Approx, 3, 1, 6),
+            (RestrictedAsync, 3, 1, 8),
+            // d = 2, f = 2: exact max(7, 7) = 7; approx 9; restricted async 13.
+            (Exact, 2, 2, 7),
+            (Approx, 2, 2, 9),
+            (RestrictedSync, 2, 2, 9),
+            (RestrictedAsync, 2, 2, 13),
+            // Small d keeps the 3f + 1 term active for exact consensus.
+            (Exact, 1, 3, 10),
+            // The directed floors: the LB floor is strictly weaker where
+            // 3f+1 dominates…
+            (DirectedExact, 1, 2, 7),
+            (DirectedExactLb, 1, 2, 5),
+            // …and both keep the model-independent (d+1)f+1 decision floor.
+            (DirectedExact, 4, 2, 11),
+            (DirectedExactLb, 4, 2, 11),
+        ];
+        for (protocol, d, f, floor) in rows {
+            assert_eq!(
+                protocol.min_processes(d, f),
+                Some(floor),
+                "{protocol} d={d} f={f}"
+            );
+        }
+        for protocol in ProtocolKind::ALL {
+            // f = 0 is always feasible for a kind with a floor…
+            let fault_free = (protocol != Iterative).then_some(1);
+            assert_eq!(protocol.min_processes(5, 0), fault_free, "{protocol}");
+            // …and only the iterative protocol has none.
+            assert_eq!(
+                protocol.min_processes(2, 1).is_none(),
+                protocol == Iterative
+            );
+        }
+        // n = 5, d = 3, f = 1 meets the exact floor but not approx's, and the
+        // rejection names the protocol and both counts.
+        let config = RunConfig::new(5, 1, 3).honest_inputs(inputs(4, 3));
+        config.validate(Exact).expect("5 >= max(4, 5)");
+        let err = config.validate(Approx).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "approx requires n >= 6 processes, but only 5 were configured"
+        );
+    }
+
+    /// The admission bound agrees with the recorded requirement's *family*
     /// variant for every cell — `validate` is the only gate, and it is the
     /// same gate for every protocol.
     #[test]
@@ -570,8 +616,8 @@ mod tests {
         // For modes whose decision rule actually relaxes (exact at k = 1 /
         // α > 0), the recorded requirement equals the admission bound.
         let mode = ValidityMode::KRelaxed(1);
-        let required = relaxed_min_processes(Setting::ExactSync, &mode, 3, 2);
-        assert_eq!(required, 7);
+        let check = validity_check(ProtocolKind::Exact, mode, 7, 3, 2).expect("recorded");
+        assert_eq!(check.required_n, 7);
         assert!(RunConfig::new(7, 2, 3)
             .honest_inputs(inputs(5, 3))
             .validity_mode(mode)
@@ -588,7 +634,7 @@ mod tests {
         for protocol in ProtocolKind::ALL {
             let config = RunConfig::new(6, 0, 2).honest_inputs(inputs(6, 2));
             let result = config.validate(protocol);
-            if protocol.setting().is_none() {
+            if !protocol.is_paper_protocol() {
                 result.unwrap_or_else(|e| panic!("{protocol} accepts f = 0: {e}"));
             } else {
                 assert!(
@@ -723,20 +769,15 @@ mod tests {
         assert!(!ProtocolKind::Exact.uses_epsilon());
         assert!(ProtocolKind::Iterative.uses_epsilon());
         assert_eq!(ProtocolKind::RestrictedAsync.name(), "restricted-async");
-        assert_eq!(ProtocolKind::Iterative.setting(), None);
+        assert!(!ProtocolKind::Iterative.is_paper_protocol());
         assert_eq!(ProtocolKind::DirectedExact.name(), "directed-exact");
         assert_eq!(ProtocolKind::DirectedExactLb.name(), "directed-exact-lb");
         assert!(!ProtocolKind::DirectedExact.is_async());
         assert!(!ProtocolKind::DirectedExactLb.is_async());
         assert!(!ProtocolKind::DirectedExact.uses_epsilon());
         assert!(!ProtocolKind::DirectedExactLb.uses_epsilon());
-        assert_eq!(ProtocolKind::DirectedExact.setting(), None);
-        assert_eq!(ProtocolKind::DirectedExactLb.setting(), None);
-        // The LB floor is strictly weaker where 3f+1 dominates…
-        assert_eq!(ProtocolKind::DirectedExact.min_processes(1, 2), Some(7));
-        assert_eq!(ProtocolKind::DirectedExactLb.min_processes(1, 2), Some(5));
-        // …and both keep the model-independent (d+1)f+1 decision floor.
-        assert_eq!(ProtocolKind::DirectedExact.min_processes(4, 2), Some(11));
-        assert_eq!(ProtocolKind::DirectedExactLb.min_processes(4, 2), Some(11));
+        assert!(!ProtocolKind::DirectedExact.is_paper_protocol());
+        assert!(!ProtocolKind::DirectedExactLb.is_paper_protocol());
+        assert!(ProtocolKind::RestrictedAsync.is_paper_protocol());
     }
 }

@@ -20,7 +20,6 @@
 
 use super::{BvcSession, DriverOutcome, ProtocolKind};
 use crate::approx::{ApproxBvcProcess, ApproxOutput};
-use crate::config::Setting;
 use crate::directed::DirectedExactProcess;
 use crate::exact::ExactBvcProcess;
 use crate::iterative::iterative_round_budget;
@@ -150,8 +149,9 @@ impl BvcSession {
                 } else {
                     topology.directed_exact_sufficiency(config.f, config.d)
                 };
-                let exact_admits = config.f >= 1
-                    && config.n >= Setting::ExactSync.min_processes(config.d, config.f);
+                let exact_floor = ProtocolKind::Exact.min_processes(config.d, config.f);
+                let exact_admits =
+                    config.f >= 1 && exact_floor.is_some_and(|floor| config.n >= floor);
                 let mut outcome = if topology.is_complete() && exact_admits {
                     self.drive_exact()
                 } else {

@@ -174,15 +174,13 @@ impl BvcSession {
                 verdict.agreement, verdict.validity, verdict.termination
             ),
         });
-        let validity = self.protocol.setting().map(|setting| {
-            validity_check(
-                setting,
-                self.config.validity,
-                self.core.n,
-                self.core.d,
-                self.core.f,
-            )
-        });
+        let validity = validity_check(
+            self.protocol,
+            self.config.validity,
+            self.core.n,
+            self.core.d,
+            self.core.f,
+        );
         let epsilon = self.protocol.uses_epsilon().then_some(self.core.epsilon);
         RunReport {
             protocol: self.protocol,

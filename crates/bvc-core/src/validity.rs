@@ -15,9 +15,10 @@
 //!
 //! The exact statements of 1601.08067 are finer-grained than this model
 //! (separate necessity results per relaxation and per `k`); refining
-//! `relaxed_min_processes` against them is a recorded ROADMAP follow-up.
+//! `validity_check`'s requirement against them is a recorded ROADMAP
+//! follow-up.
 
-use crate::config::{BvcError, Setting};
+use crate::run::ProtocolKind;
 pub use bvc_geometry::ValidityPredicate as ValidityMode;
 
 /// The relaxed-regime resource check recorded in run results: which validity
@@ -37,88 +38,74 @@ pub struct ValidityCheck {
     pub satisfied: bool,
 }
 
-/// The minimum `n` for `setting` under the given validity mode: the strict
-/// bound of the source paper evaluated at the mode's effective dimension
-/// (`d` for strict, `k` for `k`-relaxed, `1` for `(1+α)`-relaxed, `α > 0`)
-/// — **for protocols whose decision rule actually relaxes**.  Today that is
-/// the exact algorithm only: approx and the restricted-round variants score
-/// and admit under the mode but still run the strict update rule (a ROADMAP
-/// follow-up), so relaxing validity cannot make a below-strict-bound run of
-/// theirs succeed, and their recorded requirement stays the strict one —
-/// otherwise anticipated failures would be tallied as regressions.
-pub fn relaxed_min_processes(setting: Setting, mode: &ValidityMode, d: usize, f: usize) -> usize {
-    let d_eff = match setting {
+/// Builds the [`ValidityCheck`] a run records: the minimum `n` for
+/// `protocol` under the run's validity mode is its floor in
+/// [`ProtocolKind::min_processes`] evaluated at the mode's effective
+/// dimension (`d` for strict, `k` for `k`-relaxed, `1` for `(1+α)`-relaxed,
+/// `α > 0`) — **for protocols whose decision rule actually relaxes**.  Today
+/// that is the exact algorithm only: approx and the restricted-round variants
+/// score and admit under the mode but still run the strict update rule (a
+/// ROADMAP follow-up), so relaxing validity cannot make a below-strict-bound
+/// run of theirs succeed, and their recorded requirement stays the strict one
+/// — otherwise anticipated failures would be tallied as regressions.  `None`
+/// for the kinds that are not [paper protocols](ProtocolKind::is_paper_protocol),
+/// whose resource signal is the topology sufficiency verdict.
+pub(crate) fn validity_check(
+    protocol: ProtocolKind,
+    mode: ValidityMode,
+    n: usize,
+    d: usize,
+    f: usize,
+) -> Option<ValidityCheck> {
+    if !protocol.is_paper_protocol() {
+        return None;
+    }
+    let d_eff = match (protocol, mode) {
         // The exact decision rule relaxes, but its k-relaxed fallback (the
         // trimmed-centre rule) is only complete for k = 1: for 1 < k < d it
         // can fail projection verification at any n, so the recorded
         // requirement stays the strict one — a non-decision there must be
         // flagged as anticipated, not promised away by a lowered bound.
-        Setting::ExactSync => match mode {
-            ValidityMode::KRelaxed(k) if *k > 1 && *k < d => d,
-            _ => mode.effective_dim(d),
-        },
-        Setting::ApproxAsync | Setting::RestrictedSync | Setting::RestrictedAsync => d,
+        (ProtocolKind::Exact, ValidityMode::KRelaxed(k)) if k > 1 && k < d => d,
+        (ProtocolKind::Exact, _) => mode.effective_dim(d),
+        _ => d,
     };
-    setting.min_processes(d_eff, f)
-}
-
-/// Builds the [`ValidityCheck`] a run records for `setting`.
-pub fn validity_check(
-    setting: Setting,
-    mode: ValidityMode,
-    n: usize,
-    d: usize,
-    f: usize,
-) -> ValidityCheck {
-    let required_n = relaxed_min_processes(setting, &mode, d, f);
-    ValidityCheck {
+    let required_n = protocol.min_processes(d_eff, f)?;
+    Some(ValidityCheck {
         mode,
         required_n,
         satisfied: n >= required_n,
-    }
+    })
 }
 
-/// The effective dimension of a mode's *relaxation family*, used for
-/// admission: a scenario sweeping `α` (or `k`) is solving the relaxed
+/// The fewest processes admission accepts for `protocol` under `mode` — the
+/// one admission-floor query, read by
+/// [`RunConfig::validate`](crate::RunConfig::validate) and by samplers that
+/// want only admissible shapes.  Strict runs are held to the protocol's floor
+/// exactly.  The paper's protocols under a relaxed mode are admitted down to
+/// the floor at the mode's *relaxation family* dimension (that is the point
+/// of the relaxation — e.g. an Exact BVC run at `n = 8 < (d+1)f+1 = 9` is
+/// admissible under `(1+α)`-relaxed validity, where only `3f+1 = 7` processes
+/// are required): a scenario sweeping `α` (or `k`) is solving the relaxed
 /// problem, whose lowered bound admits it — including the `α = 0` cells of
-/// the sweep, which execute (with behaviour byte-identical to strict) and
-/// are then *recorded* against the strict requirement (`satisfied = false`
-/// below it), exactly like topology sweeps record expected-unsolvable
-/// substrates instead of refusing to run them.
-fn family_dim(mode: &ValidityMode, d: usize) -> usize {
-    match mode {
-        ValidityMode::Strict => d,
-        ValidityMode::AlphaScaled(_) => 1,
-        ValidityMode::KRelaxed(k) => (*k).clamp(1, d),
-    }
-}
-
-/// Mode-aware admission: strict runs are held to the paper's tight bound
-/// exactly as before; relaxed runs are admitted down to the family's lowered
-/// threshold (that is the point of the relaxation — e.g. an Exact BVC run at
-/// `n = 8 < (d+1)f+1 = 9` is admissible under `(1+α)`-relaxed validity,
-/// where only `3f+1 = 7` processes are required).
-///
-/// # Errors
-///
-/// Returns [`BvcError::InsufficientProcesses`] with the mode's (possibly
-/// lowered) requirement when `n` is below it.
-pub fn require_with_mode(
-    setting: Setting,
+/// the sweep, which execute (with behaviour byte-identical to strict) and are
+/// then *recorded* against the strict requirement (`satisfied = false` below
+/// it), exactly like topology sweeps record expected-unsolvable substrates
+/// instead of refusing to run them.  The directed kinds keep their floor
+/// under every mode (the flood has no relaxed variant); `None` for the
+/// iterative protocol, which has no floor.
+pub fn admission_floor(
+    protocol: ProtocolKind,
     mode: &ValidityMode,
-    n: usize,
     d: usize,
     f: usize,
-) -> Result<(), BvcError> {
-    let required = setting.min_processes(family_dim(mode, d), f);
-    if n < required {
-        return Err(BvcError::InsufficientProcesses {
-            setting,
-            required,
-            actual: n,
-        });
-    }
-    Ok(())
+) -> Option<usize> {
+    let family_d = match (protocol.is_paper_protocol(), mode) {
+        (true, ValidityMode::AlphaScaled(_)) => 1,
+        (true, ValidityMode::KRelaxed(k)) => (*k).clamp(1, d),
+        _ => d,
+    };
+    protocol.min_processes(family_d, f)
 }
 
 /// The shared strict-validity test assertion (deduplicated from the per-file
@@ -142,16 +129,19 @@ pub(crate) fn assert_strict_validity(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ProtocolKind::{Exact, RestrictedAsync, RestrictedSync};
+
+    /// The requirement a run of `protocol` records under `mode`.
+    fn required(protocol: ProtocolKind, mode: ValidityMode, d: usize, f: usize) -> Option<usize> {
+        validity_check(protocol, mode, 0, d, f).map(|check| check.required_n)
+    }
 
     #[test]
     fn strict_mode_reproduces_the_paper_bounds() {
+        assert_eq!(required(Exact, ValidityMode::Strict, 3, 1), Some(5));
         assert_eq!(
-            relaxed_min_processes(Setting::ExactSync, &ValidityMode::Strict, 3, 1),
-            5
-        );
-        assert_eq!(
-            relaxed_min_processes(Setting::ApproxAsync, &ValidityMode::Strict, 2, 2),
-            9
+            required(ProtocolKind::Approx, ValidityMode::Strict, 2, 2),
+            Some(9)
         );
     }
 
@@ -159,33 +149,23 @@ mod tests {
     fn alpha_relaxation_drops_the_dimension_term() {
         // Exact: max(3f+1, (d_eff+1)f+1) with d_eff = 1 is 3f+1.
         assert_eq!(
-            relaxed_min_processes(Setting::ExactSync, &ValidityMode::AlphaScaled(0.5), 3, 2),
-            7
+            required(Exact, ValidityMode::AlphaScaled(0.5), 3, 2),
+            Some(7)
         );
         // α = 0 is the strict condition and keeps the strict bound.
         assert_eq!(
-            relaxed_min_processes(Setting::ExactSync, &ValidityMode::AlphaScaled(0.0), 3, 2),
-            9
+            required(Exact, ValidityMode::AlphaScaled(0.0), 3, 2),
+            Some(9)
         );
         // Protocols without a relaxed decision rule keep the strict
         // requirement — relaxed scoring cannot make their runs succeed
         // below it, so failures there must be flagged as anticipated.
         assert_eq!(
-            relaxed_min_processes(
-                Setting::RestrictedAsync,
-                &ValidityMode::AlphaScaled(1.0),
-                3,
-                1
-            ),
-            8
+            required(RestrictedAsync, ValidityMode::AlphaScaled(1.0), 3, 1),
+            Some(8)
         );
-        let check = validity_check(
-            Setting::RestrictedSync,
-            ValidityMode::AlphaScaled(1.0),
-            8,
-            3,
-            2,
-        );
+        let check = validity_check(RestrictedSync, ValidityMode::AlphaScaled(1.0), 8, 3, 2)
+            .expect("a paper protocol records its check");
         assert_eq!(check.required_n, 11, "strict (d+2)f+1: no relaxed rule");
         assert!(!check.satisfied);
     }
@@ -194,12 +174,12 @@ mod tests {
     fn k_relaxation_interpolates_between_scalar_and_strict() {
         let f = 1;
         let d = 4;
-        let strict = relaxed_min_processes(Setting::ExactSync, &ValidityMode::Strict, d, f);
-        let k1 = relaxed_min_processes(Setting::ExactSync, &ValidityMode::KRelaxed(1), d, f);
-        let k2 = relaxed_min_processes(Setting::ExactSync, &ValidityMode::KRelaxed(2), d, f);
-        let kd = relaxed_min_processes(Setting::ExactSync, &ValidityMode::KRelaxed(d), d, f);
-        assert_eq!(strict, 6); // max(3f+1, (4+1)f+1)
-        assert_eq!(k1, 4); // 3f+1 floor: the k = 1 rule is complete
+        let strict = required(Exact, ValidityMode::Strict, d, f);
+        let k1 = required(Exact, ValidityMode::KRelaxed(1), d, f);
+        let k2 = required(Exact, ValidityMode::KRelaxed(2), d, f);
+        let kd = required(Exact, ValidityMode::KRelaxed(d), d, f);
+        assert_eq!(strict, Some(6)); // max(3f+1, (4+1)f+1)
+        assert_eq!(k1, Some(4)); // 3f+1 floor: the k = 1 rule is complete
         assert_eq!(k2, strict, "no complete 1 < k < d rule: strict bound");
         assert_eq!(kd, strict);
         assert!(k1 <= k2 && k2 <= kd);
@@ -208,28 +188,46 @@ mod tests {
     #[test]
     fn admission_is_lowered_only_for_relaxed_modes() {
         // n = 8 < 9 = strict Exact bound at d = 3, f = 2 …
-        assert!(require_with_mode(Setting::ExactSync, &ValidityMode::Strict, 8, 3, 2).is_err());
+        assert_eq!(admission_floor(Exact, &ValidityMode::Strict, 3, 2), Some(9));
         // … but admissible under (1+α)-relaxed validity (requires 3f+1 = 7).
-        assert!(
-            require_with_mode(Setting::ExactSync, &ValidityMode::AlphaScaled(0.5), 8, 3, 2).is_ok()
+        assert_eq!(
+            admission_floor(Exact, &ValidityMode::AlphaScaled(0.5), 3, 2),
+            Some(7)
         );
-        let check = validity_check(Setting::ExactSync, ValidityMode::AlphaScaled(0.5), 8, 3, 2);
+        let check = validity_check(Exact, ValidityMode::AlphaScaled(0.5), 8, 3, 2).unwrap();
         assert_eq!(check.required_n, 7);
         assert!(check.satisfied);
-        let strict = validity_check(Setting::ExactSync, ValidityMode::Strict, 8, 3, 2);
+        let strict = validity_check(Exact, ValidityMode::Strict, 8, 3, 2).unwrap();
         assert_eq!(strict.required_n, 9);
         assert!(!strict.satisfied);
+        // Only the paper's protocols record a check; the directed floor does
+        // not move under a relaxed mode, and the iterative protocol has none.
+        let directed = ProtocolKind::DirectedExact;
+        assert_eq!(
+            validity_check(directed, ValidityMode::Strict, 8, 3, 2),
+            None
+        );
+        assert_eq!(
+            admission_floor(directed, &ValidityMode::AlphaScaled(0.5), 3, 2),
+            Some(9)
+        );
+        let iterative = ProtocolKind::Iterative;
+        assert_eq!(
+            admission_floor(iterative, &ValidityMode::Strict, 3, 2),
+            None
+        );
     }
 
     #[test]
     fn alpha_zero_cells_are_admitted_but_recorded_unsatisfied() {
         // The α = 0 cell of an alpha sweep runs (family admission) …
-        assert!(
-            require_with_mode(Setting::ExactSync, &ValidityMode::AlphaScaled(0.0), 8, 3, 2).is_ok()
+        assert_eq!(
+            admission_floor(Exact, &ValidityMode::AlphaScaled(0.0), 3, 2),
+            Some(7)
         );
         // … but its recorded check reflects the strict requirement it is
         // actually held to, so its expected violations are flagged up front.
-        let zero = validity_check(Setting::ExactSync, ValidityMode::AlphaScaled(0.0), 8, 3, 2);
+        let zero = validity_check(Exact, ValidityMode::AlphaScaled(0.0), 8, 3, 2).unwrap();
         assert_eq!(zero.required_n, 9);
         assert!(!zero.satisfied);
     }

@@ -92,13 +92,13 @@ impl TopologyMeta {
         protocol: Protocol,
         sufficiency: &bvc_topology::Sufficiency,
     ) -> Self {
-        let expected_solvable = match protocol {
-            // Unknown is treated as expected, so surprises surface loudly
-            // instead of being excused by an unchecked condition.
-            Protocol::Iterative | Protocol::DirectedExact | Protocol::DirectedExactLb => {
-                !matches!(sufficiency, bvc_topology::Sufficiency::Violated(_))
-            }
-            _ => topology.is_complete(),
+        // The graph-governed kinds: unknown is treated as expected, so
+        // surprises surface loudly instead of being excused by an unchecked
+        // condition.
+        let expected_solvable = if protocol.is_paper_protocol() {
+            topology.is_complete()
+        } else {
+            !matches!(sufficiency, bvc_topology::Sufficiency::Violated(_))
         };
         Self {
             kind: topology.label().to_string(),
@@ -124,7 +124,7 @@ pub struct ValidityMeta {
     /// The k of `k`-relaxed modes.
     pub k: Option<usize>,
     /// The (possibly lowered) minimum `n` for the protocol under this mode
-    /// (`None` for the iterative protocol, whose resource signal is the
+    /// (`None` for the graph-governed kinds, whose resource signal is the
     /// topology sufficiency check).
     pub required_n: Option<usize>,
     /// Whether the run meets its resource requirement.  A violated verdict
@@ -134,36 +134,22 @@ pub struct ValidityMeta {
 }
 
 impl ValidityMeta {
-    fn params(mode: &ValidityMode) -> (Option<f64>, Option<usize>) {
-        match mode {
+    /// The metadata of a run scored under `mode`, with the run's recorded
+    /// resource check — `None` for the graph-governed kinds, which have no
+    /// closed-form `n` bound: their expected-solvable signal lives in the
+    /// topology metadata.
+    fn new(mode: &ValidityMode, check: Option<&ValidityCheck>) -> Self {
+        let (alpha, k) = match mode {
             ValidityMode::Strict => (None, None),
             ValidityMode::AlphaScaled(a) => (Some(*a), None),
             ValidityMode::KRelaxed(k) => (None, Some(*k)),
-        }
-    }
-
-    fn from_check(check: &ValidityCheck) -> Self {
-        let (alpha, k) = Self::params(&check.mode);
-        Self {
-            mode: check.mode.label(),
-            alpha,
-            k,
-            required_n: Some(check.required_n),
-            satisfied: check.satisfied,
-        }
-    }
-
-    /// For the iterative protocol, which has no closed-form `n` bound: the
-    /// expected-solvable signal lives in the topology metadata (sufficiency
-    /// evaluated at the mode's effective dimension).
-    fn from_mode(mode: &ValidityMode) -> Self {
-        let (alpha, k) = Self::params(mode);
+        };
         Self {
             mode: mode.label(),
             alpha,
             k,
-            required_n: None,
-            satisfied: true,
+            required_n: check.map(|check| check.required_n),
+            satisfied: check.is_none_or(|check| check.satisfied),
         }
     }
 }
@@ -486,12 +472,10 @@ pub fn run_scenario_instance(
             .map(|t| TopologyMeta::from_topology(t, spec.protocol, spec.f, spec.d)),
     };
     // Validity metadata only when the scenario declared (or swept) a mode;
-    // the iterative protocol has no closed-form resource check, so its
+    // the graph-governed kinds have no closed-form resource check, so their
     // metadata carries the mode alone.
-    let validity_meta = validity.map(|_| match report.validity() {
-        Some(check) => ValidityMeta::from_check(check),
-        None => ValidityMeta::from_mode(report.validity_mode()),
-    });
+    let validity_meta =
+        validity.map(|_| ValidityMeta::new(report.validity_mode(), report.validity()));
     let policy_label = if spec.protocol.is_async() {
         policy_name(&policy)
     } else {

@@ -89,6 +89,9 @@ pub enum CacheLevel {
 }
 
 impl CacheLevel {
+    /// All variants, in wire order.
+    pub const ALL: [CacheLevel; 3] = [CacheLevel::Local, CacheLevel::Parent, CacheLevel::Miss];
+
     /// Stable wire name of the level.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -109,6 +112,9 @@ pub enum GammaQueryKind {
 }
 
 impl GammaQueryKind {
+    /// All variants, in wire order.
+    pub const ALL: [GammaQueryKind; 2] = [GammaQueryKind::Point, GammaQueryKind::Decision];
+
     /// Stable wire name of the kind.
     pub fn as_str(self) -> &'static str {
         match self {

@@ -15,7 +15,7 @@
 
 use std::fmt::Write as _;
 
-use crate::event::escape_json_into;
+use crate::event::{escape_json_into, CacheLevel, GammaPath, GammaQueryKind};
 use std::collections::BTreeMap;
 
 /// A JSON value being assembled.
@@ -435,9 +435,11 @@ pub fn parse_flat(line: &str) -> Result<BTreeMap<String, Json>, String> {
     Ok(map)
 }
 
-/// Required fields (beyond `ev`/`slot`/`seq`) per event kind, with a coarse
-/// type letter: `u` unsigned int, `n` number-or-null, `b` bool, `s` string,
-/// `S` string-or-null, `U` unsigned-int-or-null.
+/// Required fields (beyond `ev`/`slot`/`seq`) per event kind, with a type
+/// letter: `u` unsigned int, `n` number-or-null, `b` bool, `s` string, `U`
+/// unsigned-int-or-null, `r` comma-separated process indices, and the wire
+/// names of an enum — `k` a [`GammaQueryKind`], `c` a [`CacheLevel`], `p` a
+/// [`GammaPath`] or null.
 const EVENT_FIELDS: &[(&str, &[(&str, char)])] = &[
     (
         "run_open",
@@ -460,16 +462,16 @@ const EVENT_FIELDS: &[(&str, &[(&str, char)])] = &[
         &[
             ("time", 'u'),
             ("from", 'u'),
-            ("receivers", 's'),
+            ("receivers", 'r'),
             ("slots", 'u'),
         ],
     ),
     (
         "gamma",
         &[
-            ("kind", 's'),
-            ("cache", 's'),
-            ("path", 'S'),
+            ("kind", 'k'),
+            ("cache", 'c'),
+            ("path", 'p'),
             ("probe_missed", 'b'),
             ("len", 'u'),
             ("f", 'u'),
@@ -501,13 +503,25 @@ const EVENT_FIELDS: &[(&str, &[(&str, char)])] = &[
 ];
 
 fn type_ok(value: &Json, ty: char) -> bool {
+    // A wire name some variant's own `as_str` writes.
+    fn named<T: Copy>(value: &Json, all: &[T], as_str: fn(T) -> &'static str) -> bool {
+        value
+            .as_str()
+            .is_some_and(|name| all.iter().any(|&v| as_str(v) == name))
+    }
     match ty {
         'u' => value.as_u64().is_some(),
         'n' => *value == Json::Null || value.as_f64().is_some(),
         'b' => value.as_bool().is_some(),
         's' => value.as_str().is_some(),
-        'S' => *value == Json::Null || value.as_str().is_some(),
         'U' => *value == Json::Null || value.as_u64().is_some(),
+        'r' => value.as_str().is_some_and(|list| {
+            list.split(',')
+                .all(|index| !index.is_empty() && index.bytes().all(|b| b.is_ascii_digit()))
+        }),
+        'k' => named(value, &GammaQueryKind::ALL, GammaQueryKind::as_str),
+        'c' => named(value, &CacheLevel::ALL, CacheLevel::as_str),
+        'p' => *value == Json::Null || named(value, &GammaPath::ALL, GammaPath::as_str),
         _ => unreachable!("unknown type letter"),
     }
 }
@@ -544,9 +558,15 @@ pub fn check_trace(text: &str) -> Result<usize, String> {
             .iter()
             .find(|(kind, _)| *kind == ev)
             .ok_or(format!("line {lineno}: unknown event kind `{ev}`"))?;
-        for key in ["slot", "seq"] {
-            if fields.get(key).and_then(Json::as_u64).is_none() {
-                return Err(format!("line {lineno}: missing or non-integer `{key}`"));
+        // A slot is a `u32` (`TraceEvent::to_json`), a seq a `u64`.
+        for (key, max) in [("slot", u64::from(u32::MAX)), ("seq", u64::MAX)] {
+            if fields
+                .get(key)
+                .and_then(Json::as_u64)
+                .filter(|&v| v <= max)
+                .is_none()
+            {
+                return Err(format!("line {lineno}: missing or out-of-range `{key}`"));
             }
         }
         for (field, ty) in spec.1 {
@@ -554,7 +574,7 @@ pub fn check_trace(text: &str) -> Result<usize, String> {
                 Some(value) if type_ok(value, *ty) => {}
                 Some(_) => {
                     return Err(format!(
-                        "line {lineno}: field `{field}` of `{ev}` has the wrong type"
+                        "line {lineno}: field `{field}` of `{ev}` has the wrong type or value"
                     ))
                 }
                 None => return Err(format!("line {lineno}: `{ev}` is missing field `{field}`")),
@@ -759,6 +779,14 @@ mod tests {
             (good.replace("}\n", "} trailing\n"), "trailing"),
             (good.replace("\"round\": 1", "\"round\": 1.5"), "wrong type"),
             (good.replace("\"round\": 1", "\"round\": -1"), "wrong type"),
+            (
+                good.replace("\"slot\": 0", "\"slot\": 99999999999"),
+                "`slot`",
+            ),
+            (
+                good.replace("\"slot\": 0", "\"slot\": 4294967296"),
+                "`slot`",
+            ),
         ] {
             let error = check_trace(&format!("{header}{bad}")).unwrap_err();
             assert!(error.starts_with("line 2: "), "{bad:?} gave: {error}");
@@ -780,6 +808,32 @@ mod tests {
         for bad in ["1e", "--1", "0x1", "1_0", "NaN"] {
             let spelt = good.replace("\"round\": 1", &format!("\"round\": {bad}"));
             assert!(check_trace(&format!("{header}{spelt}")).is_err(), "{spelt}");
+        }
+        let top_slot = good.replace("\"slot\": 0", &format!("\"slot\": {}", u32::MAX));
+        assert_eq!(check_trace(&format!("{header}{top_slot}")), Ok(1));
+        // Enum-valued and list-valued fields take exactly what an emitter
+        // can write: the variants' own wire names, and process indices.
+        let gamma = "{\"ev\": \"gamma\", \"slot\": 0, \"seq\": 0, \"kind\": \"point\", \
+                     \"cache\": \"miss\", \"path\": \"probe-hit\", \"probe_missed\": false, \
+                     \"len\": 9, \"f\": 2, \"d\": 2, \"found\": true}\n";
+        let broadcast = "{\"ev\": \"local_broadcast\", \"slot\": 1, \"seq\": 4, \"time\": 2, \
+                         \"from\": 1, \"receivers\": \"0,2,3\", \"slots\": 1}\n";
+        assert_eq!(check_trace(&format!("{header}{gamma}{broadcast}")), Ok(2));
+        let null_path = gamma.replace("\"probe-hit\"", "null");
+        assert_eq!(check_trace(&format!("{header}{null_path}")), Ok(1));
+        for bad in [
+            gamma.replace("\"miss\"", "\"bogus\""),
+            gamma.replace("\"probe-hit\"", "\"bogus\""),
+            gamma.replace("\"point\"", "\"bogus\""),
+            gamma.replace("\"miss\"", "null"),
+            broadcast.replace("\"0,2,3\"", "\"a,b\""),
+            broadcast.replace("\"0,2,3\"", "\"\""),
+            broadcast.replace("\"0,2,3\"", "\"0,,3\""),
+            broadcast.replace("\"0,2,3\"", "\"0, 2\""),
+            broadcast.replace("\"0,2,3\"", "\"-1\""),
+        ] {
+            let error = check_trace(&format!("{header}{bad}")).unwrap_err();
+            assert!(error.contains("wrong type"), "{bad:?} gave: {error}");
         }
     }
 

@@ -12,7 +12,9 @@
 //! cargo run --example impossibility_walkthrough
 //! ```
 
-use bvc::core::{theorem1_evidence, theorem1_inputs, theorem4_evidence, theorem4_inputs, Setting};
+use bvc::core::{
+    theorem1_evidence, theorem1_inputs, theorem4_evidence, theorem4_inputs, ProtocolKind,
+};
 use bvc::geometry::{leave_one_out_intersection, ConvexHull, PointMultiset};
 
 fn main() {
@@ -56,7 +58,7 @@ fn main() {
     println!(
         "   Exact BVC therefore needs n >= (d+1)f + 1 = {} processes (Theorem 1); our runner\n   enforces exactly that bound: minimum n = {}.",
         d + 2,
-        Setting::ExactSync.min_processes(d, 1)
+        ProtocolKind::Exact.min_processes(d, 1).expect("closed-form bound")
     );
 
     println!();
@@ -97,7 +99,7 @@ fn main() {
     println!(
         "   Approximate BVC therefore needs n >= (d+2)f + 1 = {} processes (Theorem 4); the\n   runner's enforced minimum is {}.",
         (d + 2) + 1,
-        Setting::ApproxAsync.min_processes(d, 1)
+        ProtocolKind::Approx.min_processes(d, 1).expect("closed-form bound")
     );
 
     // Sanity: the hull of the honest inputs of the Theorem 4 construction is

@@ -393,3 +393,28 @@ fn one_round_structure() {
         "`!t.expected_solvable` must occur exactly once outside tests under crates/*/src, found {spelled}"
     );
 }
+
+#[test]
+fn one_resilience_table() {
+    // Every floor is a row of ProtocolKind::min_processes: the four-variant
+    // mirror of ProtocolKind and the chaos lab's restatement stay deleted…
+    let restated = naming(
+        &rust_files_under(&["crates", "src", "examples", "tests"]),
+        text,
+        &["enum Setting", "Setting::", "strict_bound"],
+    );
+    assert!(
+        restated.is_empty(),
+        "a second resilience table is back: ProtocolKind::min_processes is the one\n{}",
+        shown(&restated)
+    );
+    // …and each paper-specific row is written on exactly one line.
+    let sources: String = crate_sources().iter().map(|p| non_test(p) + "\n").collect();
+    for row in ["(d + 2) * f + 1", "(d + 4) * f + 1"] {
+        let lines = lines_with(&sources, row);
+        assert!(
+            lines == 1,
+            "`{row}` must occur on exactly one line outside tests under crates/*/src, found {lines}"
+        );
+    }
+}

@@ -6,7 +6,7 @@
 use bvc::adversary::ByzantineStrategy;
 use bvc::core::{
     gamma, gamma_witness_optimized, guaranteed_range, round_threshold, BvcConfig, BvcSession,
-    ProtocolKind, RunConfig, Setting, UpdateRule,
+    ProtocolKind, RunConfig, UpdateRule,
 };
 use bvc::geometry::{Point, WorkloadGenerator};
 
@@ -60,7 +60,7 @@ fn executions_respect_their_static_budget_and_epsilon() {
     let mut workload = WorkloadGenerator::new(31);
     for &(d, eps) in &[(1usize, 0.1f64), (2, 0.1)] {
         let f = 1;
-        let n = Setting::ApproxAsync.min_processes(d, f);
+        let n = ProtocolKind::Approx.min_processes(d, f).unwrap();
         let inputs: Vec<Point> = workload.box_points(n - f, d, 0.0, 1.0).into_points();
         let run = BvcSession::new(
             ProtocolKind::Approx,

@@ -3,8 +3,11 @@
 //! strategies — and the session refuses to run below the bounds.
 
 use bvc::adversary::ByzantineStrategy;
-use bvc::core::{BvcError, BvcSession, ProtocolKind, RunConfig, RunReport, Setting, UpdateRule};
+use bvc::core::{
+    BvcError, BvcSession, InstanceOverrides, ProtocolKind, RunConfig, RunReport, UpdateRule,
+};
 use bvc::geometry::{Point, WorkloadGenerator};
+use bvc::service::{BvcService, ServiceConfig, ServiceError};
 
 fn honest_inputs(seed: u64, count: usize, d: usize) -> Vec<Point> {
     WorkloadGenerator::new(seed)
@@ -22,7 +25,7 @@ fn run(kind: ProtocolKind, config: RunConfig) -> RunReport {
 fn exact_bvc_at_the_tight_bound_for_several_dimensions() {
     // For each (d, f), run with exactly n = max(3f+1, (d+1)f+1) processes.
     for &(d, f) in &[(1usize, 1usize), (2, 1), (3, 1), (2, 2)] {
-        let n = Setting::ExactSync.min_processes(d, f);
+        let n = ProtocolKind::Exact.min_processes(d, f).unwrap();
         for (s, strategy) in ByzantineStrategy::active_attacks().into_iter().enumerate() {
             let inputs = honest_inputs(100 + s as u64, n - f, d);
             let report = run(
@@ -65,7 +68,7 @@ fn approximate_bvc_at_the_tight_bound() {
     // n = (d+2)f+1 for d ∈ {1, 2}, f = 1.
     for &d in &[1usize, 2usize] {
         let f = 1;
-        let n = Setting::ApproxAsync.min_processes(d, f);
+        let n = ProtocolKind::Approx.min_processes(d, f).unwrap();
         let inputs = honest_inputs(200 + d as u64, n - f, d);
         let report = run(
             ProtocolKind::Approx,
@@ -129,7 +132,7 @@ fn approximate_bvc_full_rule_matches_witness_rule_guarantees() {
 #[test]
 fn restricted_sync_at_its_bound_and_rejected_below() {
     // d = 2, f = 1: restricted synchronous needs n >= 5 (one more than exact).
-    let n = Setting::RestrictedSync.min_processes(2, 1);
+    let n = ProtocolKind::RestrictedSync.min_processes(2, 1).unwrap();
     assert_eq!(n, 5);
     let report = run(
         ProtocolKind::RestrictedSync,
@@ -160,7 +163,7 @@ fn restricted_sync_at_its_bound_and_rejected_below() {
 fn restricted_async_at_its_bound_and_rejected_below() {
     // d = 1, f = 1: restricted asynchronous needs n >= 6 (2f more than the
     // AAD-based algorithm).
-    let n = Setting::RestrictedAsync.min_processes(1, 1);
+    let n = ProtocolKind::RestrictedAsync.min_processes(1, 1).unwrap();
     assert_eq!(n, 6);
     let report = run(
         ProtocolKind::RestrictedAsync,
@@ -185,6 +188,36 @@ fn restricted_async_at_its_bound_and_rejected_below() {
         err,
         BvcError::InsufficientProcesses { required: 6, .. }
     ));
+}
+
+#[test]
+fn directed_kinds_below_their_floor_are_insufficient_processes_at_every_entry() {
+    // d = 1, f = 2: point-to-point needs max(3f+1, (d+1)f+1) = 7, local
+    // broadcast max(2f+1, (d+1)f+1) = 5 — on every graph, so one below is
+    // the same typed rejection as the paper's kinds, through the session
+    // and through the service.
+    for (kind, floor) in [
+        (ProtocolKind::DirectedExact, 7),
+        (ProtocolKind::DirectedExactLb, 5),
+    ] {
+        assert_eq!(kind.min_processes(1, 2), Some(floor));
+        let n = floor - 1;
+        let config = RunConfig::new(n, 2, 1).honest_inputs(honest_inputs(31, n - 2, 1));
+        let expected = BvcError::InsufficientProcesses {
+            protocol: kind,
+            required: floor,
+            actual: n,
+        };
+        let err = BvcSession::new(kind, config.clone()).expect_err("below the floor");
+        assert_eq!(err, expected, "{kind} through BvcSession::new");
+        let stream = ServiceConfig::new(kind, config).instances(vec![InstanceOverrides::default()]);
+        match BvcService::new(stream).err() {
+            Some(ServiceError::Instance { index: 0, source }) => {
+                assert_eq!(source, expected, "{kind} through BvcService::new");
+            }
+            other => panic!("{kind}: expected an instance rejection, got {other:?}"),
+        }
+    }
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! `RunConfig` is protocol-agnostic data, and dispatching it to different
 //! drivers changes the execution — never the configuration-derived facts.
 
-use bvc::core::{BvcSession, ProtocolKind, RunConfig, Setting, ValidityMode};
+use bvc::core::{BvcSession, ProtocolKind, RunConfig, ValidityMode};
 use bvc::geometry::{ConvexHull, Point, PointMultiset};
 use proptest::prelude::*;
 
@@ -50,12 +50,12 @@ proptest! {
         prop_assert_eq!(&exact_check.mode, &ValidityMode::Strict);
         prop_assert!(exact_check.satisfied && restricted_check.satisfied);
         prop_assert_eq!(
-            exact_check.required_n,
-            Setting::ExactSync.min_processes(1, 1)
+            Some(exact_check.required_n),
+            ProtocolKind::Exact.min_processes(1, 1)
         );
         prop_assert_eq!(
-            restricted_check.required_n,
-            Setting::RestrictedSync.min_processes(1, 1)
+            Some(restricted_check.required_n),
+            ProtocolKind::RestrictedSync.min_processes(1, 1)
         );
 
         // The executions differ per protocol, but both are scored against
