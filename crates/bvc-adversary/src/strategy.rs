@@ -59,7 +59,7 @@ pub enum ByzantineStrategy {
 }
 
 impl ByzantineStrategy {
-    /// All strategies that actively forge values (used by experiment sweeps).
+    /// All strategies that actively forge values (swept by the resilience and property tests).
     pub fn active_attacks() -> Vec<ByzantineStrategy> {
         vec![
             ByzantineStrategy::FixedOutlier,

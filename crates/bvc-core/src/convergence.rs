@@ -11,8 +11,9 @@
 //! and Appendix F's witness optimisation improves this to `γ = 1 / n²`.  The
 //! termination rule of the algorithm (Step 3) runs for
 //! `1 + ⌈ log_{1/(1−γ)} ((U − ν)/ε) ⌉` rounds.  This module computes those
-//! quantities; experiment E5 compares the measured per-round contraction with
-//! these bounds.
+//! quantities; the facade's `range_stays_under_the_equation_13_envelope`
+//! (`tests/convergence_and_budgets.rs`) asserts that the measured per-round
+//! range stays under the `(1 − γ)^t` envelope they imply.
 
 use bvc_geometry::combinatorics::binomial;
 

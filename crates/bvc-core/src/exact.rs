@@ -118,12 +118,6 @@ impl ExactBvcProcess {
         config.f + 3
     }
 
-    /// The identical multiset `S` obtained at the end of Step 1, once
-    /// available.
-    pub fn agreed_multiset(&self) -> Option<&PointMultiset> {
-        self.agreed_multiset.as_ref()
-    }
-
     fn broadcast_rounds(&self) -> usize {
         self.config.f + 2
     }

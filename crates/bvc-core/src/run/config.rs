@@ -382,8 +382,9 @@ impl RunConfig {
     /// there is deliberately no other place that checks a resource bound.
     ///
     /// In order: structural validation (`n`, `d`, `f < n`, value bounds,
-    /// and ε for the protocols judged against it — exact consensus ignores
-    /// the knob), the protocol's mode-aware floor from
+    /// ε for the protocols judged against it — exact consensus ignores
+    /// the knob — and a positive step cap for the asynchronous ones), the
+    /// protocol's mode-aware floor from
     /// [`ProtocolKind::min_processes`] (the iterative protocol has none — its
     /// solvability signal is the recorded topology sufficiency check), the
     /// `f ≥ 1` requirement of the four complete-graph protocols, the input
@@ -423,6 +424,12 @@ impl RunConfig {
         // matching the pre-session builder, which had no ε setter.
         if protocol.uses_epsilon() {
             core = core.with_epsilon(self.epsilon)?;
+        }
+        // Likewise the step cap, which only the asynchronous executor reads.
+        if protocol.is_async() && self.max_steps == 0 {
+            return Err(BvcError::InvalidParameter(
+                "max_steps must be positive".into(),
+            ));
         }
         // One admission branch for every kind: below its (mode-lowered)
         // floor is a configuration error on every graph.  For the directed
@@ -539,12 +546,22 @@ mod tests {
                         "{protocol} / {mode:?}"
                     );
                 }
-                // …and the bound itself is admitted.
+                // …and the bound itself is admitted…
                 let at = RunConfig::new(required.max(f + 2), f, d)
                     .honest_inputs(inputs(required.max(f + 2) - f, d))
                     .validity_mode(mode);
                 at.validate(protocol)
                     .unwrap_or_else(|e| panic!("{protocol} / {mode:?}: {e}"));
+                // …unless it asks the asynchronous executor for zero steps
+                // (the synchronous kinds never read the cap).
+                let no_steps = at.max_steps(0).validate(protocol);
+                match protocol.is_async() {
+                    true => assert!(
+                        matches!(no_steps, Err(BvcError::InvalidParameter(_))),
+                        "{protocol} / {mode:?}: max_steps = 0 gave {no_steps:?}"
+                    ),
+                    false => assert_eq!(no_steps, Ok(()), "{protocol} / {mode:?}"),
+                }
             }
         }
     }

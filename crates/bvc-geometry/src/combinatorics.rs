@@ -96,7 +96,7 @@ impl Iterator for Combinations {
 }
 
 /// The binomial coefficient `C(n, k)` computed in `u128` to avoid overflow for
-/// the parameter ranges the experiments sweep, saturating at `u128::MAX`.
+/// the parameter ranges the protocols run at, saturating at `u128::MAX`.
 pub fn binomial(n: usize, k: usize) -> u128 {
     if k > n {
         return 0;
@@ -117,7 +117,7 @@ pub fn binomial(n: usize, k: usize) -> u128 {
 /// The number of such partitions is the Stirling number of the second kind
 /// `S(n, blocks)`; callers are expected to keep `n` small (the Tverberg
 /// brute-force search only runs on the multisets of size `(d+1)f + 1` that the
-/// experiments use).
+/// tests use).
 pub fn partitions_into_blocks(n: usize, blocks: usize) -> Vec<Vec<Vec<usize>>> {
     if blocks == 0 || blocks > n {
         return Vec::new();

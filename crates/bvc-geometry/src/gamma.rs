@@ -34,11 +34,10 @@
 //! [`GammaCache`](crate::cache::GammaCache).  Every one of them — strict or
 //! relaxed, cached or not — is answered by `engine_point`.
 //!
-//! The module also exposes [`lp_size`], the size of the single "joint" linear
-//! program of Section 2.2, which experiment E7 compares against the paper's
-//! formula.
+//! Lemma 1 at the floor `n = max(3f+1, (d+1)f+1)` and three points above it
+//! is asserted by `tests/lemma1_threshold.rs`
+//! (`gamma_point_exists_from_the_floor_up`).
 
-use crate::combinatorics::binomial;
 use crate::family::HullFamily;
 use crate::hull::ConvexHull;
 use crate::multiset::PointMultiset;
@@ -435,20 +434,6 @@ pub fn leave_one_out_intersection(y: &PointMultiset) -> Option<Point> {
     HullFamily::leave_one_out(y).common_point().0
 }
 
-/// Size of the joint linear program of Section 2.2 for parameters
-/// `(n, f, d)`: returns `(variables, constraints)` where
-/// `variables = d + C(n, n−f)·(n−f)` and
-/// `constraints = C(n, n−f)·(d + 1 + n − f)`.
-///
-/// Saturates at `u128::MAX` for out-of-range parameters.
-pub fn lp_size(n: usize, f: usize, d: usize) -> (u128, u128) {
-    assert!(f < n, "f must be smaller than n");
-    let subsets = binomial(n, n - f);
-    let vars = (d as u128).saturating_add(subsets.saturating_mul((n - f) as u128));
-    let cons = subsets.saturating_mul((d + 1 + n - f) as u128);
-    (vars, cons)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -593,13 +578,27 @@ mod tests {
     }
 
     #[test]
-    fn lp_size_matches_paper_formula() {
-        // n = 4, f = 1, d = 3: C(4,3) = 4 subsets,
-        // vars = 3 + 4*3 = 15, constraints = 4*(3+1+3) = 28.
-        assert_eq!(lp_size(4, 1, 3), (15, 28));
-        // n = 7, f = 2, d = 2: C(7,5) = 21, vars = 2 + 21*5 = 107,
-        // constraints = 21*(2+1+5) = 168.
-        assert_eq!(lp_size(7, 2, 2), (107, 168));
+    fn per_coordinate_scalar_decision_leaves_the_honest_hull() {
+        // Section 1's motivating example.  Scalar Byzantine consensus run on
+        // each coordinate may decide the (f+1)-th smallest value, so its
+        // decision is the lower corner of the trimmed box.  With the faulty
+        // process reporting the origin, that corner is (1/6, 1/6, 1/6): every
+        // coordinate lies within the honest range of that coordinate, yet
+        // the vector is not a probability vector and so is outside the hull.
+        let honest = [
+            [2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0],
+            [1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0],
+            [1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0],
+        ];
+        let reported = pts(&[&honest[0], &honest[1], &honest[2], &[0.0, 0.0, 0.0]]);
+        let (lo, _) = trimmed_bounds(&reported, 1);
+        let scalar = Point::new(lo);
+        assert!(scalar.approx_eq(&Point::uniform(3, 1.0 / 6.0), 1e-12));
+        let hull = ConvexHull::new(pts(&[&honest[0], &honest[1], &honest[2]]));
+        assert!(
+            !hull.contains(&scalar),
+            "{scalar} must violate vector validity"
+        );
     }
 
     #[test]

@@ -58,8 +58,7 @@ pub mod workload;
 pub use cache::{GammaCache, GammaCounters, SharedGammaCache};
 pub use gamma::{
     gamma_contains, gamma_is_empty, gamma_point, gamma_point_attributed, gamma_point_of,
-    gamma_workers, leave_one_out_intersection, lp_size, CanonicalEntries, GammaAttribution,
-    SubsetView,
+    gamma_workers, leave_one_out_intersection, CanonicalEntries, GammaAttribution, SubsetView,
 };
 pub use hull::ConvexHull;
 pub use multiset::PointMultiset;

@@ -9,8 +9,9 @@
 //! The paper notes (end of Section 2.2) that no polynomial-time algorithm is
 //! known for computing Tverberg points in arbitrary dimension; consistently
 //! with that, this module implements a **brute-force search** over canonical
-//! set partitions, intended for the small instances used in tests, the
-//! Figure 1 reproduction and the geometry experiments.  The consensus
+//! set partitions, intended for small instances such as Figure 1's heptagon
+//! (asserted by `heptagon_has_three_part_tverberg_partition` and
+//! `tverberg_point_lies_in_gamma` below).  The consensus
 //! algorithms themselves never call it — they use the LP of
 //! [`crate::gamma`] instead, exactly as the paper prescribes.
 

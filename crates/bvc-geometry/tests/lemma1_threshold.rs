@@ -10,7 +10,10 @@
 //! *strictly more* robust (its closed forms and multiplicity accepts dodge
 //! the LP entirely), never less.
 
-use bvc_geometry::{gamma_contains, gamma_point, ConvexHull, Point, PointMultiset};
+use bvc_geometry::{
+    gamma_contains, gamma_point, tverberg_threshold, ConvexHull, Point, PointMultiset,
+    WorkloadGenerator,
+};
 
 fn pts(coords: &[&[f64]]) -> PointMultiset {
     PointMultiset::new(coords.iter().map(|c| Point::new(c.to_vec())).collect())
@@ -59,6 +62,22 @@ fn lazy_accepts_whatever_the_naive_path_accepts_near_the_point_threshold() {
                 gamma_contains(&y, 1, p),
                 "offset {offset}: naive point {p} rejected by lazy membership"
             );
+        }
+    }
+}
+
+#[test]
+fn gamma_point_exists_from_the_floor_up() {
+    // Lemma 1 on generic inputs: n points drawn uniformly from [0, 1]^d have
+    // a safe point for every n from the exact-consensus floor
+    // max(3f+1, (d+1)f+1) to three above it.
+    for (f, d) in [(1, 2), (1, 3), (2, 2)] {
+        let floor = tverberg_threshold(d, f).max(3 * f + 1);
+        for n in floor..=floor + 3 {
+            let y = WorkloadGenerator::new(1000 + n as u64).box_points(n, d, 0.0, 1.0);
+            let p = gamma_point(&y, f)
+                .unwrap_or_else(|| panic!("n={n} f={f} d={d}: Lemma 1 promises a point"));
+            assert!(gamma_contains(&y, f, &p), "n={n} f={f} d={d}: {p}");
         }
     }
 }

@@ -18,8 +18,6 @@
 //! * [`core`] — the paper's algorithms: Exact BVC (synchronous), Approximate
 //!   BVC (asynchronous, AAD-style exchange), restricted-round variants, the
 //!   impossibility constructions and the convergence bounds.
-//! * [`baselines`] — per-dimension scalar consensus, the baseline the paper's
-//!   introduction (and experiment E8) shows to violate vector validity.
 //! * [`scenario`] — the declarative scenario engine: TOML-described runs with
 //!   fault injection (drops, latency, partitions), topology sweeps and a
 //!   parallel campaign runner emitting JSON verdicts.
@@ -62,7 +60,6 @@
 #![warn(missing_docs)]
 
 pub use bvc_adversary as adversary;
-pub use bvc_baselines as baselines;
 pub use bvc_broadcast as broadcast;
 pub use bvc_core as core;
 pub use bvc_geometry as geometry;

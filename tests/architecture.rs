@@ -191,6 +191,60 @@ fn one_benchmark() {
 }
 
 #[test]
+fn claims_are_tests() {
+    // Each of the paper's claims is an assertion of a Tier-1 test, stated
+    // once.  The experiment binaries that printed them as yes/NO tables, and
+    // the scalar baseline only they called, stay deleted.  `bvc-bench` is a
+    // prefix of `bvc-benchmark`, so the names are matched quoted,
+    // underscored or as a path segment.
+    for gone in ["crates/bvc-bench", "crates/bvc-baselines"] {
+        assert!(
+            !root().join(gone).exists(),
+            "{gone} is back: a claim of the paper is a test assertion, not a printed table"
+        );
+    }
+    let files = files_under(".");
+    let printouts: Vec<PathBuf> = files
+        .iter()
+        .filter(|p| {
+            let name = p.file_name().unwrap_or_default().to_string_lossy();
+            name.starts_with("exp_") && name.ends_with(".rs")
+        })
+        .cloned()
+        .collect();
+    assert!(
+        printouts.is_empty(),
+        "an exp_* printout is back: assert its claim in a test instead\n{}",
+        shown(&printouts)
+    );
+    // Code, manifests, lock and CI; the history files are markdown.
+    let manifests: Vec<PathBuf> = files
+        .into_iter()
+        .filter(|p| {
+            let kind = p.extension().and_then(|e| e.to_str()).unwrap_or_default();
+            ["rs", "toml", "yml", "lock"].contains(&kind)
+        })
+        .collect();
+    let named = naming(
+        &manifests,
+        text,
+        &[
+            "bvc_bench",
+            "bvc_baselines",
+            "\"bvc-bench\"",
+            "\"bvc-baselines\"",
+            "bvc-bench/",
+            "bvc-baselines/",
+        ],
+    );
+    assert!(
+        named.is_empty(),
+        "the deleted experiment or baseline crate is named again:\n{}",
+        shown(&named)
+    );
+}
+
+#[test]
 fn one_worker_pool() {
     // Instances are run on threads by bvc-service/src/pool.rs and nowhere
     // else (bvc-net's threaded runtime spawns one thread per *process* of a

@@ -5,8 +5,8 @@ use bvc::core::{theorem1_control_inputs, theorem1_evidence, theorem4_evidence};
 use bvc::geometry::{gamma_is_empty, leave_one_out_intersection, Point, PointMultiset};
 
 #[test]
-fn theorem1_standard_basis_construction_is_infeasible_up_to_dimension_five() {
-    for d in 1..=5 {
+fn theorem1_standard_basis_construction_is_infeasible_up_to_dimension_six() {
+    for d in 1..=6 {
         let evidence = theorem1_evidence(d);
         assert_eq!(evidence.n, d + 1);
         assert!(
@@ -20,7 +20,7 @@ fn theorem1_standard_basis_construction_is_infeasible_up_to_dimension_five() {
 fn theorem1_gamma_is_also_empty_for_the_construction() {
     // The Γ operator with f = 1 on the same inputs is empty as well (it is
     // the same intersection when |Y| = d + 1).
-    for d in 1..=4 {
+    for d in 1..=6 {
         let mut points: Vec<Point> = (0..d).map(|i| Point::standard_basis(d, i)).collect();
         points.push(Point::origin(d));
         let y = PointMultiset::new(points);
@@ -33,8 +33,9 @@ fn theorem1_gamma_is_also_empty_for_the_construction() {
 fn theorem1_control_configuration_is_feasible() {
     // Adding one more (interior) point makes the intersection non-empty:
     // the impossibility is a property of n = d + 1, not of the machinery.
-    for d in 1..=4 {
+    for d in 1..=6 {
         let control = theorem1_control_inputs(d);
+        assert_eq!(control.len(), d + 2);
         assert!(
             leave_one_out_intersection(&control).is_some(),
             "d = {d}: control must be feasible"
@@ -48,7 +49,7 @@ fn theorem1_control_configuration_is_feasible() {
 
 #[test]
 fn theorem4_forced_decisions_violate_epsilon_agreement() {
-    for d in 1..=4 {
+    for d in 1..=6 {
         for &eps in &[0.1, 0.01] {
             let evidence = theorem4_evidence(d, eps);
             assert_eq!(evidence.n, d + 2);
@@ -73,8 +74,8 @@ fn theorem4_every_process_is_forced_to_its_own_input() {
 fn sufficiency_and_necessity_meet_with_no_gap() {
     // The constructions are infeasible with n = (d+1)f (exact) and n = (d+2)f
     // (approximate) when f = 1, while the algorithms run successfully at
-    // n = (d+1)f + 1 and (d+2)f + 1 — the experiments in EXPERIMENTS.md make
-    // the sufficiency side concrete; here we spot-check d = 2.
+    // n = (d+1)f + 1 and (d+2)f + 1 — tests/resilience_bounds.rs asserts the
+    // sufficiency side at every shape; here we spot-check d = 2.
     use bvc::adversary::ByzantineStrategy;
     use bvc::core::{BvcSession, ProtocolKind, RunConfig};
     let d = 2;

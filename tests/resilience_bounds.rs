@@ -6,6 +6,7 @@ use bvc::adversary::ByzantineStrategy;
 use bvc::core::{
     BvcError, BvcSession, InstanceOverrides, ProtocolKind, RunConfig, RunReport, UpdateRule,
 };
+use bvc::geometry::combinatorics::binomial;
 use bvc::geometry::{Point, WorkloadGenerator};
 use bvc::service::{BvcService, ServiceConfig, ServiceError};
 
@@ -24,7 +25,8 @@ fn run(kind: ProtocolKind, config: RunConfig) -> RunReport {
 #[test]
 fn exact_bvc_at_the_tight_bound_for_several_dimensions() {
     // For each (d, f), run with exactly n = max(3f+1, (d+1)f+1) processes.
-    for &(d, f) in &[(1usize, 1usize), (2, 1), (3, 1), (2, 2)] {
+    // Every run takes f + 2 broadcast rounds plus the closing round.
+    for &(d, f) in &[(1usize, 1usize), (2, 1), (3, 1), (4, 1), (2, 2)] {
         let n = ProtocolKind::Exact.min_processes(d, f).unwrap();
         for (s, strategy) in ByzantineStrategy::active_attacks().into_iter().enumerate() {
             let inputs = honest_inputs(100 + s as u64, n - f, d);
@@ -40,6 +42,7 @@ fn exact_bvc_at_the_tight_bound_for_several_dimensions() {
                 "d={d} f={f} n={n} strategy={strategy:?}: verdict {:?}",
                 report.verdict()
             );
+            assert_eq!(report.rounds(), f + 3, "d={d} f={f} strategy={strategy:?}");
         }
     }
 }
@@ -63,29 +66,45 @@ fn exact_bvc_refuses_to_run_below_the_bound() {
     }
 }
 
-#[test]
-fn approximate_bvc_at_the_tight_bound() {
-    // n = (d+2)f+1 for d ∈ {1, 2}, f = 1.
-    for &d in &[1usize, 2usize] {
+/// Theorem 5 at one ε: every guarantee holds with n = (d+2)f+1 for
+/// d ∈ {1, 2, 3}, f = 1, under three forging strategies.
+fn approximate_bvc_holds_at_the_tight_bound(eps: f64) {
+    let strategies = [
+        ByzantineStrategy::FixedOutlier,
+        ByzantineStrategy::Equivocate,
+        ByzantineStrategy::AntiConvergence,
+    ];
+    for d in 1..=3 {
         let f = 1;
         let n = ProtocolKind::Approx.min_processes(d, f).unwrap();
-        let inputs = honest_inputs(200 + d as u64, n - f, d);
-        let report = run(
-            ProtocolKind::Approx,
-            RunConfig::new(n, f, d)
-                .honest_inputs(inputs)
-                .adversary(ByzantineStrategy::AntiConvergence)
-                .epsilon(0.1)
-                .update_rule(UpdateRule::WitnessOptimized)
-                .seed(11),
-        );
-        assert!(
-            report.verdict().all_hold(),
-            "d={d} n={n}: verdict {:?}",
-            report.verdict()
-        );
-        assert!(report.verdict().max_pairwise_distance <= 0.1);
+        for (s, strategy) in strategies.into_iter().enumerate() {
+            let report = run(
+                ProtocolKind::Approx,
+                RunConfig::new(n, f, d)
+                    .honest_inputs(honest_inputs(200 + d as u64, n - f, d))
+                    .adversary(strategy)
+                    .epsilon(eps)
+                    .update_rule(UpdateRule::WitnessOptimized)
+                    .seed(11 + s as u64),
+            );
+            let verdict = report.verdict();
+            assert!(
+                verdict.all_hold() && verdict.max_pairwise_distance <= eps,
+                "d={d} n={n} eps={eps} strategy={strategy:?}: verdict {verdict:?}"
+            );
+        }
     }
+}
+
+#[test]
+fn approximate_bvc_at_the_tight_bound() {
+    approximate_bvc_holds_at_the_tight_bound(0.1);
+}
+
+// A separate test so the two ε run on separate test threads.
+#[test]
+fn approximate_bvc_at_the_tight_bound_with_a_finer_epsilon() {
+    approximate_bvc_holds_at_the_tight_bound(0.02);
 }
 
 #[test]
@@ -108,86 +127,93 @@ fn approximate_bvc_refuses_to_run_below_the_bound() {
 
 #[test]
 fn approximate_bvc_full_rule_matches_witness_rule_guarantees() {
-    let n = 4;
-    let d = 1;
-    let inputs = honest_inputs(42, n - 1, d);
-    for rule in [UpdateRule::FullSubsets, UpdateRule::WitnessOptimized] {
-        let report = run(
-            ProtocolKind::Approx,
-            RunConfig::new(n, 1, d)
-                .honest_inputs(inputs.clone())
-                .adversary(ByzantineStrategy::Equivocate)
-                .epsilon(0.05)
-                .update_rule(rule)
-                .seed(5),
-        );
+    // Both Step-2 rules hold at the tight bound.  Z_i has one point per
+    // (n−f)-subset of B_i under the full rule, at most C(n, n−f), and one
+    // per witness under Appendix F's rule, at most n.
+    let f = 1;
+    for d in [1, 2] {
+        let n = ProtocolKind::Approx.min_processes(d, f).unwrap();
+        let inputs = honest_inputs(42, n - f, d);
+        for (rule, bound) in [
+            (UpdateRule::FullSubsets, binomial(n, n - f)),
+            (UpdateRule::WitnessOptimized, n as u128),
+        ] {
+            let report = run(
+                ProtocolKind::Approx,
+                RunConfig::new(n, f, d)
+                    .honest_inputs(inputs.clone())
+                    .adversary(ByzantineStrategy::Equivocate)
+                    .epsilon(0.05)
+                    .update_rule(rule)
+                    .seed(5),
+            );
+            assert!(
+                report.verdict().all_hold(),
+                "d={d} rule {rule:?}: {:?}",
+                report.verdict()
+            );
+            let mut sizes = report.outputs().iter().flat_map(|o| &o.zi_sizes);
+            assert!(
+                sizes.all(|&size| size as u128 <= bound),
+                "d={d} rule {rule:?}: some |Z_i| exceeds {bound}"
+            );
+        }
+    }
+}
+
+/// Theorem 6 for one restricted kind: at each `(d, f, floor)` row the kind
+/// holds under attack with exactly `floor` processes and is rejected with
+/// one fewer.
+fn restricted_at_its_bound_and_rejected_below(
+    kind: ProtocolKind,
+    rows: [(usize, usize, usize); 2],
+) {
+    for (d, f, floor) in rows {
+        assert_eq!(kind.min_processes(d, f), Some(floor), "{kind} d={d} f={f}");
+        for strategy in [
+            ByzantineStrategy::FixedOutlier,
+            ByzantineStrategy::AntiConvergence,
+        ] {
+            let report = run(
+                kind,
+                RunConfig::new(floor, f, d)
+                    .honest_inputs(honest_inputs(600 + d as u64, floor - f, d))
+                    .adversary(strategy)
+                    .epsilon(0.1)
+                    .seed(5),
+            );
+            assert!(
+                report.verdict().all_hold(),
+                "{kind} d={d} f={f} strategy={strategy:?}: verdict {:?}",
+                report.verdict()
+            );
+        }
+        let below =
+            RunConfig::new(floor - 1, f, d).honest_inputs(honest_inputs(3, floor - 1 - f, d));
+        let err = BvcSession::new(kind, below).expect_err("below the bound");
         assert!(
-            report.verdict().all_hold(),
-            "rule {rule:?}: {:?}",
-            report.verdict()
+            matches!(err, BvcError::InsufficientProcesses { required, .. } if required == floor),
+            "{kind} d={d} f={f}: {err:?}"
         );
     }
 }
 
 #[test]
 fn restricted_sync_at_its_bound_and_rejected_below() {
-    // d = 2, f = 1: restricted synchronous needs n >= 5 (one more than exact).
-    let n = ProtocolKind::RestrictedSync.min_processes(2, 1).unwrap();
-    assert_eq!(n, 5);
-    let report = run(
+    // (d+2)f+1: one more process than exact consensus at d = 2.
+    restricted_at_its_bound_and_rejected_below(
         ProtocolKind::RestrictedSync,
-        RunConfig::new(n, 1, 2)
-            .honest_inputs(honest_inputs(55, n - 1, 2))
-            .adversary(ByzantineStrategy::FixedOutlier)
-            .epsilon(0.1)
-            .seed(3),
+        [(1, 1, 4), (2, 1, 5)],
     );
-    assert!(
-        report.verdict().all_hold(),
-        "verdict: {:?}",
-        report.verdict()
-    );
-
-    let err = BvcSession::new(
-        ProtocolKind::RestrictedSync,
-        RunConfig::new(4, 1, 2).honest_inputs(honest_inputs(56, 3, 2)),
-    )
-    .expect_err("below the bound");
-    assert!(matches!(
-        err,
-        BvcError::InsufficientProcesses { required: 5, .. }
-    ));
 }
 
 #[test]
 fn restricted_async_at_its_bound_and_rejected_below() {
-    // d = 1, f = 1: restricted asynchronous needs n >= 6 (2f more than the
-    // AAD-based algorithm).
-    let n = ProtocolKind::RestrictedAsync.min_processes(1, 1).unwrap();
-    assert_eq!(n, 6);
-    let report = run(
+    // (d+4)f+1: 2f more than the AAD-based algorithm.
+    restricted_at_its_bound_and_rejected_below(
         ProtocolKind::RestrictedAsync,
-        RunConfig::new(n, 1, 1)
-            .honest_inputs(honest_inputs(77, n - 1, 1))
-            .adversary(ByzantineStrategy::AntiConvergence)
-            .epsilon(0.1)
-            .seed(21),
+        [(1, 1, 6), (2, 1, 7)],
     );
-    assert!(
-        report.verdict().all_hold(),
-        "verdict: {:?}",
-        report.verdict()
-    );
-
-    let err = BvcSession::new(
-        ProtocolKind::RestrictedAsync,
-        RunConfig::new(5, 1, 1).honest_inputs(honest_inputs(78, 4, 1)),
-    )
-    .expect_err("below the bound");
-    assert!(matches!(
-        err,
-        BvcError::InsufficientProcesses { required: 6, .. }
-    ));
 }
 
 #[test]
