@@ -15,8 +15,8 @@
 //!
 //! All types here are pure per-process state machines: they produce and
 //! consume protocol messages but perform no I/O, so they can be driven by the
-//! synchronous round executor, the asynchronous simulator or the threaded
-//! runtime from `bvc-net`, with Byzantine behaviours injected by `bvc-adversary`.
+//! synchronous round executor or the asynchronous simulator from `bvc-net`,
+//! with Byzantine behaviours injected by `bvc-adversary`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

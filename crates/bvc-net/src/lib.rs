@@ -4,7 +4,7 @@
 //! share one network — `n` processes on a **complete graph** of **reliable
 //! FIFO channels** — and differ only in timing.  So does this crate.
 //!
-//! # One delivery core, three schedulers
+//! # One delivery core, two schedulers
 //!
 //! What happens to a send is decided in one crate-private module, `links`;
 //! the executors only decide *when* a queued message moves:
@@ -15,24 +15,20 @@
 //! * [`AsyncNetwork`] — a deterministic, seeded, adversarially scheduled
 //!   event simulator (Section 3's model): a message is in its channel at
 //!   once, and the [`DeliveryPolicy`] picks one ready channel per step.
-//! * [`run_threaded`] / [`run_threaded_with`] — one OS thread per process
-//!   over `std::sync::mpsc` channels, used by the examples and the
-//!   cross-executor integration tests; the operating system schedules.
 //!
 //! Protocols are written once against the [`SyncProcess`] / [`AsyncProcess`]
-//! traits and run on any executor that matches their timing model.
+//! traits and run on the executor that matches their timing model.
 //!
 //! # Delivery order contract
 //!
-//! Each batch a process emits at time `now` (a round, a scheduler tick, or a
-//! thread's local delivery count) goes through these steps, in this order,
-//! in every executor:
+//! Each batch a process emits at time `now` (a round or a scheduler tick)
+//! goes through these steps, in this order, in both executors:
 //!
 //! 1. **Canonicalise** — under the **local-broadcast** model of Khan, Tseng
-//!    & Vaidya (arXiv:1911.07298; `with_local_broadcast`,
-//!    [`run_threaded_with`]) the batch is rewritten by
-//!    [`enforce_local_broadcast`] so all receivers observe the same payloads
-//!    and per-receiver Byzantine equivocation is structurally impossible.
+//!    & Vaidya (arXiv:1911.07298; `with_local_broadcast`) the batch is
+//!    rewritten by [`enforce_local_broadcast`] so all receivers observe the
+//!    same payloads and per-receiver Byzantine equivocation is structurally
+//!    impossible.
 //!    This happens *before* any per-link step, so fault plans still compose
 //!    per link.  Off by default (point-to-point channels, the paper's model).
 //! 2. **Count** — every message of the batch counts as sent by its sender.
@@ -58,9 +54,6 @@
 //!    channel delivers only its head, and only once the head is due and no
 //!    active partition blocks the link, so per-link order survives every
 //!    fault; delivery counts for the receiver and traces `Deliver`.
-//!
-//! Fault plans are layered over the two simulated executors; the threaded
-//! runtime runs the same steps with an empty plan.
 //!
 //! # Example
 //!
@@ -97,7 +90,6 @@ pub mod faults;
 mod links;
 pub mod process;
 pub mod sync;
-pub mod threaded;
 
 pub use asim::{AsyncNetwork, AsyncOutcome, AsyncProcess, DeliveryPolicy};
 pub use bvc_topology::Topology;
@@ -107,4 +99,3 @@ pub use process::{
     ProcessId,
 };
 pub use sync::{SyncNetwork, SyncOutcome, SyncProcess};
-pub use threaded::{run_threaded, run_threaded_with, ThreadedOutcome};

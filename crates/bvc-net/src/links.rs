@@ -1,11 +1,10 @@
 //! The delivery core: what happens to a send, decided in one place.
 //!
-//! Every executor hands a process's outgoing batch to a [`Gate`], which
+//! Both executors hand a process's outgoing batch to a [`Gate`], which
 //! applies the crate's [delivery order contract](crate#delivery-order-contract)
-//! and keeps the books; the simulated executors queue what the gate lets
-//! through in [`Links`], the `n × n` reliable FIFO channels of the paper's
-//! model.  Nothing here decides *when* a message moves — that is the three
-//! schedulers' only job.
+//! and keeps the books, and queue what the gate lets through in [`Links`],
+//! the `n × n` reliable FIFO channels of the paper's model.  Nothing here
+//! decides *when* a message moves — that is the two schedulers' only job.
 
 use crate::faults::FaultPlan;
 use crate::process::{enforce_local_broadcast, ExecutionStats, Outgoing};
@@ -22,7 +21,6 @@ const DROP_STREAM: u64 = 0xFA01_7FA0_17FA_017F;
 
 /// The admission half of the core: the network an execution runs on
 /// (topology, fault plan, delivery model) plus its message accounting.
-#[derive(Clone)]
 pub(crate) struct Gate {
     n: usize,
     /// `None` is the paper's complete graph: every link exists.
@@ -213,6 +211,19 @@ impl<M: Clone> Links<M> {
     /// Whether any message is still queued, ready or not.
     pub(crate) fn any_pending(&self) -> bool {
         self.channels.iter().any(|queue| !queue.is_empty())
+    }
+
+    /// The first time after `now` at which [`ready`](Self::ready) can change
+    /// or a fault window opens: the earliest later head due time or window
+    /// start or end.  Between `now` and it, no channel becomes ready and no
+    /// window is announced; `None` when nothing is scheduled after `now`.
+    pub(crate) fn next_change(&self, now: usize) -> Option<usize> {
+        let heads = self.channels.iter().filter_map(|queue| queue.front());
+        let windows = self.gate.faults.events().iter();
+        (heads.map(|&(due, _)| due))
+            .chain(windows.flat_map(|event| [event.start, event.end()]))
+            .filter(|&at| at > now)
+            .min()
     }
 }
 
@@ -443,6 +454,7 @@ mod tests {
                 if at > 0 {
                     assert!(!links.ready(at - 1, 0, to), "{name}: ready early");
                     assert!(links.take(at - 1, 0, to).is_none(), "{name}: taken early");
+                    assert_eq!(links.next_change(at - 1), Some(at), "{name}: stall jump");
                 }
                 assert!(links.ready(at, 0, to), "{name}: not ready when due");
                 let mut taken = Vec::new();

@@ -87,16 +87,6 @@ pub fn broadcast_to_all<M: Clone>(
         .collect()
 }
 
-/// The decided outputs among `outputs[i]` for `i` in `indices`, in order;
-/// undecided and out-of-range entries are skipped.  Backs the `outputs_of`
-/// method of every executor's outcome type.
-pub(crate) fn outputs_of<'a, O>(outputs: &'a [Option<O>], indices: &[usize]) -> Vec<&'a O> {
-    indices
-        .iter()
-        .filter_map(|&i| outputs.get(i).and_then(|o| o.as_ref()))
-        .collect()
-}
-
 /// Canonicalises one sender's outgoing batch under the **local-broadcast**
 /// delivery guarantee (Khan, Tseng & Vaidya, arXiv:1911.07298): all
 /// out-neighbors of a sender observe the same message, so per-receiver

@@ -10,7 +10,7 @@
 //!
 //! This module is only the scheduler.  What happens to each send — topology,
 //! local broadcast, injected faults, accounting — is the crate's
-//! [delivery core](crate#one-delivery-core-three-schedulers).
+//! [delivery core](crate#one-delivery-core-two-schedulers).
 //!
 //! Byzantine processes are ordinary [`SyncProcess`] implementations — they may
 //! return arbitrary messages, including different messages to different
@@ -19,7 +19,7 @@
 
 use crate::faults::FaultPlan;
 use crate::links::{Gate, Links};
-use crate::process::{outputs_of, Delivery, ExecutionStats, Outgoing, ProcessId};
+use crate::process::{Delivery, ExecutionStats, Outgoing, ProcessId};
 use bvc_topology::Topology;
 use std::sync::Arc;
 
@@ -101,14 +101,6 @@ pub struct SyncOutcome<O> {
     pub stats: ExecutionStats,
 }
 
-impl<O> SyncOutcome<O> {
-    /// Outputs of the processes whose indices appear in `indices`, in order;
-    /// `None` entries are skipped.
-    pub fn outputs_of(&self, indices: &[usize]) -> Vec<&O> {
-        outputs_of(&self.outputs, indices)
-    }
-}
-
 /// The synchronous executor over `n` processes (complete graph by default).
 pub struct SyncNetwork<M, O> {
     processes: Vec<Box<dyn SyncProcess<Msg = M, Output = O>>>,
@@ -170,16 +162,6 @@ impl<M: Clone, O: Clone> SyncNetwork<M, O> {
     pub fn with_faults(mut self, faults: FaultPlan, seed: u64) -> Self {
         self.gate.set_faults(faults, seed);
         self
-    }
-
-    /// Number of processes.
-    pub fn len(&self) -> usize {
-        self.processes.len()
-    }
-
-    /// Always `false`; the constructor rejects empty process sets.
-    pub fn is_empty(&self) -> bool {
-        self.processes.is_empty()
     }
 
     /// Runs rounds until every process listed in `wait_for` has produced an
@@ -327,13 +309,6 @@ mod tests {
         assert_eq!(outcome.stats.messages_sent, 12);
         assert_eq!(outcome.stats.messages_delivered, 12);
         assert_eq!(outcome.stats.steps, 2);
-    }
-
-    #[test]
-    fn outputs_of_selects_indices() {
-        let outcome = summing_network(&[1, 2, 3, 4], 2).run(&[0, 1, 2, 3]);
-        let selected = outcome.outputs_of(&[1, 3]);
-        assert_eq!(selected, vec![&10, &10]);
     }
 
     #[test]

@@ -1,14 +1,13 @@
-//! The three executors keep the same books: one toy process, one ring, the
-//! same sends — on-link, off-topology and out-of-range — counted and traced
-//! identically whether rounds, a seeded scheduler or real threads move them.
+//! Both executors keep the same books: one toy process, one ring, the same
+//! sends — on-link, off-topology and out-of-range — counted and traced
+//! identically whether lock-step rounds or a seeded scheduler move them.
 
 use bvc_net::{
-    run_threaded_with, AsyncNetwork, AsyncProcess, Delivery, DeliveryPolicy, ExecutionStats,
-    Outgoing, ProcessId, SyncNetwork, SyncProcess, Topology,
+    AsyncNetwork, AsyncProcess, Delivery, DeliveryPolicy, ExecutionStats, Outgoing, ProcessId,
+    SyncNetwork, SyncProcess, Topology,
 };
 use bvc_trace::{TraceEvent, TraceHandle, Tracer};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 const N: usize = 4;
 
@@ -69,7 +68,7 @@ impl AsyncProcess for Chatter {
     }
 }
 
-/// Tallies `(send, vanish)` events, from whichever thread emits them.
+/// Tallies `(send, vanish)` events.
 struct Tally(Arc<Mutex<(usize, usize)>>);
 
 impl Tracer for Tally {
@@ -100,7 +99,7 @@ fn chatter(id: usize) -> Box<Chatter> {
 }
 
 #[test]
-fn all_three_executors_keep_the_same_books() {
+fn both_executors_keep_the_same_books() {
     let everyone: Vec<usize> = (0..N).collect();
     let runs = [
         (
@@ -123,22 +122,6 @@ fn all_three_executors_keep_the_same_books() {
                     .with_topology(Topology::ring(N))
                     .run(&everyone)
                     .stats
-            }),
-        ),
-        (
-            "threaded",
-            traced(|| {
-                let processes =
-                    (0..N).map(|i| chatter(i) as Box<dyn AsyncProcess<Msg = _, Output = _> + Send>);
-                let outcome = run_threaded_with(
-                    processes.collect(),
-                    Topology::ring(N),
-                    false,
-                    &everyone,
-                    Duration::from_secs(30),
-                );
-                assert!(outcome.completed);
-                outcome.stats
             }),
         ),
     ];

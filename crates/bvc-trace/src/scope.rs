@@ -86,7 +86,7 @@ pub fn emit(event: impl FnOnce() -> TraceEvent) {
 }
 
 /// The current scope's handle, for layers that need to measure timing or
-/// hand the handle to a thread they spawn (the threaded executor).
+/// hand the handle to their worker threads (the service's worker pool).
 pub fn current_handle() -> Option<TraceHandle> {
     SCOPE.with(|scope| scope.borrow().as_ref().map(|s| s.handle.clone()))
 }

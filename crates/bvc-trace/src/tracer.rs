@@ -5,8 +5,8 @@
 //! position `(slot, seq)` and sorts by that key at [`finish`]
 //! (stable, so events of one slot keep emission order).  Single-threaded
 //! executions emit everything under one slot, so emission order is
-//! preserved; the threaded executor registers one slot per process thread,
-//! canonicalising whatever physical interleaving occurred into per-process
+//! preserved; the service's worker pool registers one slot per instance,
+//! canonicalising whatever physical interleaving occurred into per-instance
 //! streams.
 //!
 //! [`finish`]: TraceHandle::finish

@@ -247,10 +247,9 @@ fn claims_are_tests() {
 #[test]
 fn one_worker_pool() {
     // Instances are run on threads by bvc-service/src/pool.rs and nowhere
-    // else (bvc-net's threaded runtime spawns one thread per *process* of a
-    // single instance, which is a different job).  A second spawn site is the
-    // service and the campaign runner mirroring each other again; a second
-    // `available_parallelism` is a second place that sizes a pool.
+    // else.  A second spawn site is the service and the campaign runner
+    // mirroring each other again; a second `available_parallelism` is a
+    // second place that sizes a pool.
     let sources = crate_sources();
     let spawners: Vec<PathBuf> = naming(
         &sources,
@@ -258,11 +257,11 @@ fn one_worker_pool() {
         &["thread::scope", "scope.spawn", "thread::spawn"],
     )
     .into_iter()
-    .filter(|p| !p.ends_with("bvc-service/src/pool.rs") && !p.ends_with("bvc-net/src/threaded.rs"))
+    .filter(|p| !p.ends_with("bvc-service/src/pool.rs"))
     .collect();
     assert!(
         spawners.is_empty(),
-        "threads are spawned outside bvc-service/src/pool.rs and bvc-net/src/threaded.rs:\n{}",
+        "threads are spawned outside bvc-service/src/pool.rs:\n{}",
         shown(&spawners)
     );
     let sizers = naming(&sources, text, &["available_parallelism"]);
@@ -270,6 +269,36 @@ fn one_worker_pool() {
         sizers.len() <= 1,
         "available_parallelism is read in more than one file:\n{}",
         shown(&sizers)
+    );
+}
+
+#[test]
+fn two_schedulers() {
+    // bvc-net has two executors: lock-step rounds and the seeded event
+    // simulator, whose `DeliveryPolicy` is the one scheduling choice and
+    // replays from its seed.  An OS-scheduled runtime only samples
+    // schedules and cannot replay one, so none may come back — and no crate
+    // source spawns a detached thread (the pool's `thread::scope` is the one
+    // place threads start).
+    let spawns = naming(&crate_sources(), text, &["thread::spawn"]);
+    assert!(
+        spawns.is_empty(),
+        "thread::spawn under crates/*/src: bvc-service/src/pool.rs's scope is the one thread start\n{}",
+        shown(&spawns)
+    );
+    let runtime: Vec<PathBuf> = rust_files_under(&["."])
+        .into_iter()
+        .filter(|p| {
+            let body = text(p);
+            p.ends_with("threaded.rs")
+                || body.contains("run_threaded")
+                || body.contains("ThreadedOutcome")
+        })
+        .collect();
+    assert!(
+        runtime.is_empty(),
+        "the threaded runtime is back: SyncNetwork and AsyncNetwork are the two schedulers\n{}",
+        shown(&runtime)
     );
 }
 

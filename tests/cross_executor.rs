@@ -1,12 +1,13 @@
-//! Integration tests: the same protocol state machines deliver the same
-//! guarantees on the deterministic event simulator and on the
-//! thread-per-process runtime.
+//! Integration tests: the asynchronous approximate BVC protocol meets its
+//! guarantees under every schedule in a table of seeded and adversarial
+//! delivery policies on the deterministic event simulator.  Each row is a
+//! reproducible schedule: a failing row replays exactly from its policy and
+//! seed.
 
 use bvc::adversary::{ByzantineStrategy, Forging, PointForge};
 use bvc::core::{AadMsg, ApproxBvcProcess, ApproxOutput, BvcConfig, UpdateRule};
 use bvc::geometry::{ConvexHull, Point, PointMultiset};
-use bvc::net::{run_threaded, AsyncNetwork, AsyncProcess, DeliveryPolicy};
-use std::time::Duration;
+use bvc::net::{AsyncNetwork, AsyncProcess, DeliveryPolicy, ProcessId};
 
 fn config() -> BvcConfig {
     BvcConfig::new(5, 1, 2)
@@ -28,9 +29,8 @@ fn honest_inputs() -> Vec<Point> {
 
 fn build_processes(
     config: &BvcConfig,
-) -> Vec<Box<dyn AsyncProcess<Msg = AadMsg, Output = ApproxOutput> + Send>> {
-    let mut processes: Vec<Box<dyn AsyncProcess<Msg = AadMsg, Output = ApproxOutput> + Send>> =
-        Vec::new();
+) -> Vec<Box<dyn AsyncProcess<Msg = AadMsg, Output = ApproxOutput>>> {
+    let mut processes: Vec<Box<dyn AsyncProcess<Msg = AadMsg, Output = ApproxOutput>>> = Vec::new();
     for (i, input) in honest_inputs().iter().enumerate() {
         processes.push(Box::new(ApproxBvcProcess::new(
             config.clone(),
@@ -53,15 +53,18 @@ fn build_processes(
     processes
 }
 
-fn check(decisions: &[Point], epsilon: f64) {
+fn check(decisions: &[Point], epsilon: f64, row: &str) {
     let hull = ConvexHull::new(PointMultiset::new(honest_inputs()));
     for d in decisions {
-        assert!(hull.contains(d), "decision {d} escaped the honest hull");
+        assert!(
+            hull.contains(d),
+            "{row}: decision {d} escaped the honest hull"
+        );
     }
     for pair in decisions.windows(2) {
         assert!(
             pair[0].linf_distance(&pair[1]) <= epsilon,
-            "spread exceeds epsilon"
+            "{row}: spread exceeds epsilon"
         );
     }
 }
@@ -69,52 +72,44 @@ fn check(decisions: &[Point], epsilon: f64) {
 #[test]
 fn simulator_execution_meets_the_guarantees() {
     let config = config();
-    // The simulator needs non-Send boxes; rebuild with the plain trait object.
-    let mut processes: Vec<Box<dyn AsyncProcess<Msg = AadMsg, Output = ApproxOutput>>> = Vec::new();
-    for p in build_processes(&config) {
-        processes.push(p);
-    }
+    let processes = build_processes(&config);
     let outcome =
         AsyncNetwork::new(processes, DeliveryPolicy::RandomFair, 31, 2_000_000).run(&[0, 1, 2, 3]);
     assert!(outcome.completed);
     let decisions: Vec<Point> = (0..4)
         .map(|i| outcome.outputs[i].as_ref().unwrap().decision.clone())
         .collect();
-    check(&decisions, config.epsilon);
+    check(&decisions, config.epsilon, "RandomFair at seed 31");
 }
 
-#[test]
-fn threaded_execution_meets_the_same_guarantees() {
-    let config = config();
-    let processes = build_processes(&config);
-    let outcome = run_threaded(processes, &[0, 1, 2, 3], Duration::from_secs(120));
-    assert!(outcome.completed, "threads must decide within the deadline");
-    let decisions: Vec<Point> = (0..4)
-        .map(|i| outcome.outputs[i].as_ref().unwrap().decision.clone())
+/// The schedule table: `RandomFair` at seeds 1–10 and 13, and each
+/// adversarial policy at seed 13.
+fn schedules() -> Vec<(DeliveryPolicy, u64)> {
+    let random = (1..=10).chain([13]);
+    let mut table: Vec<(DeliveryPolicy, u64)> = random
+        .map(|seed| (DeliveryPolicy::RandomFair, seed))
         .collect();
-    check(&decisions, config.epsilon);
+    for policy in [
+        DeliveryPolicy::RoundRobin,
+        DeliveryPolicy::DelayFrom(vec![ProcessId::new(0)]),
+        DeliveryPolicy::DelayTo(vec![ProcessId::new(1)]),
+    ] {
+        table.push((policy, 13));
+    }
+    table
 }
 
 #[test]
 fn adversarial_scheduling_policies_all_meet_the_guarantees() {
     let config = config();
-    for policy in [
-        DeliveryPolicy::RandomFair,
-        DeliveryPolicy::RoundRobin,
-        DeliveryPolicy::DelayFrom(vec![bvc::net::ProcessId::new(0)]),
-        DeliveryPolicy::DelayTo(vec![bvc::net::ProcessId::new(1)]),
-    ] {
-        let mut processes: Vec<Box<dyn AsyncProcess<Msg = AadMsg, Output = ApproxOutput>>> =
-            Vec::new();
-        for p in build_processes(&config) {
-            processes.push(p);
-        }
-        let outcome =
-            AsyncNetwork::new(processes, policy.clone(), 13, 3_000_000).run(&[0, 1, 2, 3]);
-        assert!(outcome.completed, "policy {policy:?} blocked termination");
+    for (policy, seed) in schedules() {
+        let row = format!("policy {policy:?} at seed {seed}");
+        let processes = build_processes(&config);
+        let outcome = AsyncNetwork::new(processes, policy, seed, 3_000_000).run(&[0, 1, 2, 3]);
+        assert!(outcome.completed, "{row}: blocked termination");
         let decisions: Vec<Point> = (0..4)
             .map(|i| outcome.outputs[i].as_ref().unwrap().decision.clone())
             .collect();
-        check(&decisions, config.epsilon);
+        check(&decisions, config.epsilon, &row);
     }
 }
