@@ -149,11 +149,12 @@ impl BvcSession {
             f: self.core.f,
             d: self.core.d,
         });
-        // Γ queries are attributed to the run as a cache-counter delta, so a
+        // Γ queries are attributed to the run as a hit + miss delta, so a
         // config-shared cache still yields per-run totals.
-        let before = self.gamma_cache.counters();
+        let queries = |cache: &SharedGammaCache| cache.hits() + cache.misses();
+        let before = queries(&self.gamma_cache);
         let mut outcome = self.drive();
-        outcome.stats.gamma_queries = self.gamma_cache.counters().since(&before).queries();
+        outcome.stats.gamma_queries = queries(&self.gamma_cache) - before;
         self.into_report(outcome)
     }
 

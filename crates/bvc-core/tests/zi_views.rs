@@ -86,18 +86,16 @@ proptest! {
             let reference = bits(&zi_by_cloning(&entries, 5, 1));
             prop_assert_eq!(bits(&build_zi_full(&entries, 5, 1)), reference.clone(), "d={}", d);
             let cache = GammaCache::new();
-            for pass in 0..2 {
-                prop_assert_eq!(
+            let (events, closed_form) = gamma_events(|| for pass in 0..2 {
+                assert_eq!(
                     bits(&build_zi_full_cached(&entries, 5, 1, Some(&cache))),
                     reference.clone(),
-                    "d={}, pass {}", d, pass
+                    "d={d}, pass {pass}"
                 );
-            }
-            prop_assert!(cache.counters().is_consistent());
-            prop_assert_eq!(cache.counters().queries(), 12);
+            });
+            prop_assert_eq!((events, cache.hits() + cache.misses()), (12, 12));
             if d == 1 {
-                prop_assert_eq!((cache.len(), cache.hits()), (0, 0));
-                prop_assert_eq!(cache.counters().path_count(GammaPath::D1ClosedForm), 12);
+                prop_assert_eq!((cache.len(), cache.hits(), closed_form), (0, 0, 12));
             } else {
                 prop_assert!(cache.hits() >= 6, "the second pass is resident");
             }

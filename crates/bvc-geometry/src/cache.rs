@@ -33,89 +33,25 @@
 //! Memory is bounded: when the map reaches the configured capacity it is
 //! wholesale-cleared (deterministically; eviction can never change results,
 //! only cost).
+//!
+//! **A query is counted once, in its trace event.**  Every public query
+//! leaves exactly one `gamma` event naming the cache level that answered it,
+//! the engine path and the probe outcome; `trace-report` and the benchmark
+//! of record read the partition from there.  The cache itself keeps two
+//! counters, `hits` and `misses` — what `ServiceStats`' hit rates and a
+//! run's `gamma_queries` need.
 
 use crate::gamma::{engine_point, CanonicalEntries, GammaAttribution, SubsetView};
 use crate::multiset::PointMultiset;
 use crate::point::Point;
 use crate::relaxed::{ModeKey, ValidityPredicate};
-use bvc_trace::{CacheLevel, GammaPath, GammaQueryKind, TraceEvent};
+use bvc_trace::{CacheLevel, GammaQueryKind, TraceEvent};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A Γ-results cache shared between the processes of a run.
 pub type SharedGammaCache = Arc<GammaCache>;
-
-/// A snapshot of a cache's query counters: the overall hit/miss split plus
-/// the per-path attribution of engine computations.  Two snapshots
-/// subtracted ([`since`](Self::since)) bound the queries of one run even
-/// when the cache is shared across runs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GammaCounters {
-    /// Queries answered from this cache's own maps.
-    pub hits: u64,
-    /// Queries this cache had to resolve elsewhere (parent chain or engine).
-    pub misses: u64,
-    /// The subset of `misses` answered by an ancestor cache.
-    pub parent_hits: u64,
-    /// Engine computations where the trimmed-box probe ran and missed.
-    pub probe_misses: u64,
-    /// Engine computations with no path attribution (relaxed-validity
-    /// decision rules, which bypass the strict engine ladder).
-    pub unattributed: u64,
-    /// Engine computations per [`GammaPath`] (indexed by
-    /// [`GammaPath::index`]).
-    pub paths: [u64; GammaPath::ALL.len()],
-}
-
-impl GammaCounters {
-    /// Total queries observed: hits plus misses.
-    pub fn queries(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    /// Engine computations attributed to `path`.
-    pub fn path_count(&self, path: GammaPath) -> u64 {
-        self.paths[path.index()]
-    }
-
-    /// Counter deltas since an earlier snapshot of the same cache.
-    pub fn since(&self, earlier: &GammaCounters) -> GammaCounters {
-        let mut paths = [0u64; GammaPath::ALL.len()];
-        for (i, slot) in paths.iter_mut().enumerate() {
-            *slot = self.paths[i].saturating_sub(earlier.paths[i]);
-        }
-        GammaCounters {
-            hits: self.hits.saturating_sub(earlier.hits),
-            misses: self.misses.saturating_sub(earlier.misses),
-            parent_hits: self.parent_hits.saturating_sub(earlier.parent_hits),
-            probe_misses: self.probe_misses.saturating_sub(earlier.probe_misses),
-            unattributed: self.unattributed.saturating_sub(earlier.unattributed),
-            paths,
-        }
-    }
-
-    /// Field-wise sum (for aggregating per-instance deltas).
-    pub fn absorb(&mut self, other: &GammaCounters) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.parent_hits += other.parent_hits;
-        self.probe_misses += other.probe_misses;
-        self.unattributed += other.unattributed;
-        for (slot, add) in self.paths.iter_mut().zip(other.paths.iter()) {
-            *slot += add;
-        }
-    }
-
-    /// Every query is accounted for exactly once: local hits, parent hits,
-    /// attributed engine paths, and unattributed engine computations sum to
-    /// [`queries`](Self::queries).  (The trace stream's Γ breakdown relies
-    /// on the same partition.)
-    pub fn is_consistent(&self) -> bool {
-        let engine: u64 = self.paths.iter().sum::<u64>() + self.unattributed;
-        self.hits + self.parent_hits + engine == self.queries()
-    }
-}
 
 /// Canonical identity of a `(Y, f, mode)` query: the fault bound, the
 /// dimension, the validity regime, and the bit patterns of the canonically
@@ -163,12 +99,10 @@ fn demote(parent_level: CacheLevel) -> CacheLevel {
 pub struct GammaCache {
     points: Mutex<HashMap<MultisetKey, Option<Point>>>,
     capacity: usize,
+    /// Queries answered from this cache's own map.
     hits: AtomicU64,
+    /// Queries resolved elsewhere: by the parent chain or the engine.
     misses: AtomicU64,
-    parent_hits: AtomicU64,
-    probe_misses: AtomicU64,
-    unattributed: AtomicU64,
-    paths: [AtomicU64; GammaPath::ALL.len()],
     parent: Option<SharedGammaCache>,
 }
 
@@ -207,10 +141,6 @@ impl GammaCache {
             capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            parent_hits: AtomicU64::new(0),
-            probe_misses: AtomicU64::new(0),
-            unattributed: AtomicU64::new(0),
-            paths: std::array::from_fn(|_| AtomicU64::new(0)),
             parent: None,
         }
     }
@@ -234,11 +164,6 @@ impl GammaCache {
         }
     }
 
-    /// The parent cache misses are delegated to, if any.
-    pub fn parent(&self) -> Option<&SharedGammaCache> {
-        self.parent.as_ref()
-    }
-
     /// Memoised [`gamma_point`](crate::gamma_point): the deterministically
     /// chosen point of `Γ(y)`, or `None` when the safe area is empty.
     ///
@@ -250,8 +175,8 @@ impl GammaCache {
     }
 
     /// [`find_point`](Self::find_point) of a sub-multiset named by a
-    /// borrowed view: same entry, same counters, same trace event as the
-    /// query for `view.to_multiset()`.
+    /// borrowed view: same entry, same trace event as the query for
+    /// `view.to_multiset()`.
     ///
     /// # Panics
     ///
@@ -304,10 +229,9 @@ impl GammaCache {
 
     /// Cache lookup + resolution without event emission: one `Gamma` trace
     /// event must be recorded per *public* query, so parent delegation goes
-    /// through this levelled function.  Counter bookkeeping (each cache's own
-    /// view) still happens at every level.  Only the strict rule attributes
-    /// a path; relaxed outcomes carry none ([`GammaCounters`] counts them
-    /// under `unattributed`).
+    /// through this levelled function.  Each cache on the chain still counts
+    /// its own hit or miss.  Only the strict rule attributes a path; relaxed
+    /// outcomes carry none.
     fn resolve_point(
         &self,
         view: SubsetView<'_>,
@@ -321,7 +245,7 @@ impl GammaCache {
             .as_ref()
             .and_then(|k| lock(&self.points).get(k).cloned())
         {
-            self.note(CacheLevel::Local, None, false);
+            self.note(CacheLevel::Local);
             return (cached, CacheLevel::Local, None);
         }
         let (value, level, attr) = match (&self.parent, &key) {
@@ -332,18 +256,14 @@ impl GammaCache {
             // The k-relaxed rule's strict leg goes through the *public*
             // query so it shares the `ModeKey::Strict` entry instead of
             // re-solving the strict LP on every relaxed miss — it is a full
-            // strict query in its own right and keeps its own counter
-            // increment and trace event.
+            // strict query in its own right and keeps its own count and
+            // trace event.
             _ => {
                 let (value, attr) = engine_point(view, f, mode, |v, f| self.find_point_of(v, f));
                 (value, CacheLevel::Miss, attr)
             }
         };
-        self.note(
-            level,
-            attr.map(|a| a.path),
-            attr.is_some_and(|a| a.probe_missed),
-        );
+        self.note(level);
         if let Some(key) = key {
             let mut map = lock(&self.points);
             if map.len() >= self.capacity {
@@ -354,34 +274,14 @@ impl GammaCache {
         (value, level, attr)
     }
 
-    /// Records this cache's own view of one resolved query.  `Local` keeps
-    /// the historical `hits` semantics; both `Parent` and `Miss` count as
-    /// `misses` (the query was not answered from this cache's maps), with
-    /// the finer split carried by `parent_hits` / the path counters.
-    fn note(&self, level: CacheLevel, path: Option<GammaPath>, probe_missed: bool) {
+    /// Records this cache's own view of one resolved query: `Local` is a
+    /// hit; `Parent` and `Miss` are both misses of this cache's map (the
+    /// finer split is the trace event's).
+    fn note(&self, level: CacheLevel) {
         match level {
-            CacheLevel::Local => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-            }
-            CacheLevel::Parent => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.parent_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            CacheLevel::Miss => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                match path {
-                    Some(p) => {
-                        self.paths[p.index()].fetch_add(1, Ordering::Relaxed);
-                        if probe_missed {
-                            self.probe_misses.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    None => {
-                        self.unattributed.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
+            CacheLevel::Local => self.hits.fetch_add(1, Ordering::Relaxed),
+            CacheLevel::Parent | CacheLevel::Miss => self.misses.fetch_add(1, Ordering::Relaxed),
+        };
     }
 
     /// Queries answered from the cache.
@@ -389,27 +289,10 @@ impl GammaCache {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Queries that had to be computed.
+    /// Queries this cache's own map could not answer (the parent chain or
+    /// the engine did).
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of every counter (hit/miss split, parent hits, and per-path
-    /// engine attribution).  Snapshots taken around a run and subtracted
-    /// with [`GammaCounters::since`] isolate that run's queries.
-    pub fn counters(&self) -> GammaCounters {
-        let mut paths = [0u64; GammaPath::ALL.len()];
-        for (slot, counter) in paths.iter_mut().zip(self.paths.iter()) {
-            *slot = counter.load(Ordering::Relaxed);
-        }
-        GammaCounters {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            parent_hits: self.parent_hits.load(Ordering::Relaxed),
-            probe_misses: self.probe_misses.load(Ordering::Relaxed),
-            unattributed: self.unattributed.load(Ordering::Relaxed),
-            paths,
-        }
     }
 
     /// Entries currently stored.
@@ -427,6 +310,33 @@ impl GammaCache {
 mod tests {
     use super::*;
     use crate::gamma_point;
+    use bvc_trace::{GammaPath, TraceHandle, Tracer};
+
+    /// Cache level and engine path of one `gamma` event.
+    type Served = (CacheLevel, Option<GammaPath>);
+
+    /// Collects what every `gamma` event says about how it was served.
+    struct Levels(Arc<Mutex<Vec<Served>>>);
+
+    impl Tracer for Levels {
+        fn record(&mut self, _slot: u32, _seq: u64, event: &TraceEvent) {
+            if let TraceEvent::Gamma { cache, path, .. } = event {
+                lock(&self.0).push((*cache, *path));
+            }
+        }
+    }
+
+    /// The `gamma` events `run` leaves, in order.
+    fn traced(run: impl FnOnce()) -> Vec<Served> {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        {
+            let handle = TraceHandle::new(Box::new(Levels(Arc::clone(&seen))), false);
+            let _scope = bvc_trace::install(handle, 0);
+            run();
+        }
+        let seen = lock(&seen).clone();
+        seen
+    }
 
     fn square_plus_centre() -> PointMultiset {
         PointMultiset::new(vec![
@@ -496,13 +406,16 @@ mod tests {
             Point::new(vec![1.0]),
             Point::new(vec![2.0]),
         ]);
-        for _ in 0..2 {
-            assert_eq!(cache.find_point(&y, 1), gamma_point(&y, 1));
-        }
-        let c = cache.counters();
-        assert_eq!((cache.len(), c.hits, c.misses), (0, 0, 2));
-        assert_eq!(c.path_count(GammaPath::D1ClosedForm), 2);
-        assert!(c.is_consistent());
+        let events = traced(|| {
+            for _ in 0..2 {
+                assert_eq!(cache.find_point(&y, 1), gamma_point(&y, 1));
+            }
+        });
+        assert_eq!((cache.len(), cache.hits(), cache.misses()), (0, 0, 2));
+        assert_eq!(
+            events,
+            [(CacheLevel::Miss, Some(GammaPath::D1ClosedForm)); 2]
+        );
     }
 
     #[test]
@@ -571,7 +484,6 @@ mod tests {
         assert!(a.approx_eq(&b, 0.0), "parent answers are bit-identical");
         assert_eq!((second.hits(), second.misses()), (0, 1));
         assert_eq!((parent.hits(), parent.misses()), (1, 1));
-        assert!(second.parent().is_some());
     }
 
     #[test]
@@ -592,46 +504,37 @@ mod tests {
     }
 
     #[test]
-    fn counters_partition_queries_by_level_and_path() {
+    fn one_event_per_public_query_names_its_level_and_path() {
         let parent = GammaCache::shared();
         let child = GammaCache::with_parent(Arc::clone(&parent));
-        let y = square_plus_centre();
-
-        // Engine computation through the chain: both caches record a miss,
-        // both attribute the engine path; neither records a parent hit.
-        let _ = child.find_point(&y, 1);
-        let c = child.counters();
-        assert_eq!((c.hits, c.misses, c.parent_hits), (0, 1, 0));
-        assert_eq!(c.paths.iter().sum::<u64>(), 1);
-        assert!(c.is_consistent());
-
-        // Local hit: only `hits` moves.
-        let _ = child.find_point(&y, 1);
-        let c = child.counters();
-        assert_eq!((c.hits, c.misses), (1, 1));
-        assert!(c.is_consistent());
-
-        // A sibling child misses locally but the parent answers: that is a
-        // parent hit, not an engine path.
         let sibling = GammaCache::with_parent(Arc::clone(&parent));
-        let _ = sibling.find_point(&y, 1);
-        let s = sibling.counters();
-        assert_eq!((s.hits, s.misses, s.parent_hits), (0, 1, 1));
-        assert_eq!(s.paths.iter().sum::<u64>(), 0);
-        assert!(s.is_consistent());
-        assert!(parent.counters().is_consistent());
-
-        let c2 = child.counters();
-        // Relaxed decisions are engine computations without a ladder path.
-        let _ = child.decision_point(&y, 2, &ValidityPredicate::AlphaScaled(2.0));
-        let c3 = child.counters();
-        assert_eq!(c3.unattributed, 1);
-        assert!(c3.is_consistent());
-
-        // Deltas between snapshots isolate a window.
-        let delta = c3.since(&c2);
-        assert_eq!(delta.queries(), 1);
-        assert_eq!(delta.unattributed, 1);
+        let y = square_plus_centre();
+        let relaxed = ValidityPredicate::AlphaScaled(2.0);
+        let events = traced(|| {
+            // Engine computation through the chain: one event, path named.
+            let _ = child.find_point(&y, 1);
+            // Local hit.
+            let _ = child.find_point(&y, 1);
+            // A sibling misses locally but the parent answers.
+            let _ = sibling.find_point(&y, 1);
+            // A relaxed decision is an engine computation without a path.
+            let _ = child.decision_point(&y, 2, &relaxed);
+        });
+        use CacheLevel::{Local, Miss, Parent};
+        assert_eq!(
+            events,
+            [
+                (Miss, Some(GammaPath::ProbeHit)),
+                (Local, None),
+                (Parent, None),
+                (Miss, None)
+            ]
+        );
+        // Each cache counts only its own map: a parent answer is a miss of
+        // the child, a hit of the parent.
+        assert_eq!((child.hits(), child.misses()), (1, 2));
+        assert_eq!((sibling.hits(), sibling.misses()), (0, 1));
+        assert_eq!((parent.hits(), parent.misses()), (1, 2));
     }
 
     #[test]

@@ -27,6 +27,12 @@
 //!   per-coordinate trimmed range `[y^l_(f+1), y^l_(|Y|−f)]` lies outside
 //!   some subset hull.
 //!
+//! A strict point query builds at most one family: its trimmed-centre probe
+//! streams the family's hulls and, on a miss, the active-set search reuses
+//! the hulls the probe built.  Membership answers a `bool` and names no
+//! path; which path answered a *point* query is a [`GammaAttribution`],
+//! written into that query's one `gamma` trace event.
+//!
 //! All point-valued queries canonicalise the multiset order first, so the
 //! chosen point is a function of the *multiset* (not of the arrival order of
 //! its members) — the determinism the Exact BVC algorithm's Step 2 requires,
@@ -49,8 +55,8 @@ use std::cmp::Ordering;
 
 /// Which engine path resolved a point-selection query, plus whether the
 /// trimmed-box probe was tried and missed on the way there.  This is the
-/// raw material of the Γ hot-path breakdown: the cache front end counts it
-/// and the trace stream carries it (the benchmark of record computes
+/// raw material of the Γ hot-path breakdown: the query's `gamma` trace event
+/// carries it, and nothing else counts it (the benchmark of record computes
 /// `geometry.fast_path_pct` from those events).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GammaAttribution {
@@ -166,13 +172,15 @@ fn strict_point(view: SubsetView<'_>, f: usize) -> (Option<Point>, GammaAttribut
     // trimmed centre sits inside the cluster and passes the membership
     // stream for a few microseconds, where the joint LP over near-duplicate
     // generators is at its numerically worst.  The probe is order-invariant,
-    // so determinism is unaffected.
+    // so determinism is unaffected.  A miss searches the same family: the
+    // hulls the probe built are not built again.
     let (lo, hi) = trimmed_bounds(&canon, f);
     let centre = Point::new(lo.iter().zip(&hi).map(|(l, h)| 0.5 * (l + h)).collect());
-    if contains_attributed(&canon, f, &centre).0 {
+    let mut family = HullFamily::gamma(&canon, f);
+    if family_contains(&mut family, &canon, f, (&lo, &hi), &centre) {
         return (Some(centre), attributed(GammaPath::ProbeHit));
     }
-    let (value, fell_back) = HullFamily::gamma(&canon, f).common_point();
+    let (value, fell_back) = family.common_point();
     let path = match fell_back {
         true => GammaPath::NaiveFallback,
         false => GammaPath::ActiveSetLp,
@@ -185,9 +193,30 @@ fn strict_point(view: SubsetView<'_>, f: usize) -> (Option<Point>, GammaAttribut
 ///
 /// # Panics
 ///
-/// Panics if `f >= y.len()`.
+/// Panics if `f >= y.len()` or `point` is not of `y`'s dimension.
 pub fn gamma_contains(y: &PointMultiset, f: usize, point: &Point) -> bool {
-    contains_attributed(y, f, point).0
+    assert!(
+        f < y.len(),
+        "fault bound f = {f} must be smaller than |Y| = {}",
+        y.len()
+    );
+    assert_eq!(
+        point.dim(),
+        y.dim(),
+        "query point dimension must match the multiset dimension"
+    );
+    if y.dim() == 1 {
+        let mut vals: Vec<f64> = y.iter().map(|p| p.coord(0)).collect();
+        vals.sort_by(f64::total_cmp);
+        let (lo, hi) = d1_interval(vals.len(), f, |j| vals[j]);
+        let c = point.coord(0);
+        return c >= lo - D1_TOLERANCE && c <= hi + D1_TOLERANCE;
+    }
+    if f == 0 {
+        return ConvexHull::new(y.clone()).contains(point);
+    }
+    let (lo, hi) = trimmed_bounds(y, f);
+    family_contains(&mut HullFamily::gamma(y, f), y, f, (&lo, &hi), point)
 }
 
 /// Returns `true` if `Γ(y)` is empty for fault bound `f`.
@@ -373,54 +402,32 @@ pub(crate) fn trimmed_bounds(y: &PointMultiset, f: usize) -> (Vec<f64>, Vec<f64>
     (lo, hi)
 }
 
-/// The membership engine, with attribution of the branch that decided it.
-pub(crate) fn contains_attributed(y: &PointMultiset, f: usize, point: &Point) -> (bool, GammaPath) {
-    assert!(
-        f < y.len(),
-        "fault bound f = {f} must be smaller than |Y| = {}",
-        y.len()
-    );
-    assert_eq!(
-        point.dim(),
-        y.dim(),
-        "query point dimension must match the multiset dimension"
-    );
-    if y.dim() == 1 {
-        let mut vals: Vec<f64> = y.iter().map(|p| p.coord(0)).collect();
-        vals.sort_by(f64::total_cmp);
-        let (lo, hi) = d1_interval(vals.len(), f, |j| vals[j]);
-        let c = point.coord(0);
-        let inside = c >= lo - D1_TOLERANCE && c <= hi + D1_TOLERANCE;
-        return (inside, GammaPath::D1ClosedForm);
-    }
-    if f == 0 {
-        return (
-            ConvexHull::new(y.clone()).contains(point),
-            GammaPath::HullF0,
-        );
-    }
-    // Multiplicity accept: a point equal to more than `f` members survives
-    // every removal of `f` members.
+/// Membership of `point` in the intersection of `family`, the `f > 0` Γ
+/// family of `y` whose trimmed range is `bounds`, behind two exact
+/// short-circuits: a point equal to more than `f` members survives every
+/// removal of `f` members, and `Γ(y)` lies inside the trimmed range.  Only
+/// then is the family streamed (short-circuiting on the first refuting
+/// hull); the hulls it builds stay built for the caller.
+fn family_contains(
+    family: &mut HullFamily<'_>,
+    y: &PointMultiset,
+    f: usize,
+    (lo, hi): (&[f64], &[f64]),
+    point: &Point,
+) -> bool {
     let copies = y
         .iter()
         .filter(|g| g.approx_eq(point, MEMBER_EQ_TOLERANCE))
         .count();
     if copies > f {
-        return (true, GammaPath::MultiplicityAccept);
+        return true;
     }
-    // Trimmed bounding-box reject: Γ(Y) lies inside the per-coordinate
-    // trimmed range.
-    let (lo, hi) = trimmed_bounds(y, f);
-    if point
+    let outside = point
         .coords()
         .iter()
-        .zip(lo.iter().zip(&hi))
-        .any(|(&c, (&l, &h))| c < l - HULL_TOLERANCE || c > h + HULL_TOLERANCE)
-    {
-        return (false, GammaPath::BoxReject);
-    }
-    let inside = HullFamily::gamma(y, f).all_contain(point);
-    (inside, GammaPath::StreamScan)
+        .zip(lo.iter().zip(hi))
+        .any(|(&c, (&l, &h))| c < l - HULL_TOLERANCE || c > h + HULL_TOLERANCE);
+    !outside && family.all_contain(point)
 }
 
 /// The intersection `∩_i H(Y − {i})` of the *leave-one-out* hulls of `y`
@@ -687,27 +694,6 @@ mod tests {
             attr.path,
             GammaPath::ActiveSetLp | GammaPath::NaiveFallback
         ));
-    }
-
-    #[test]
-    fn membership_attribution_names_the_deciding_branch() {
-        let y = pts(&[
-            &[0.0, 0.0],
-            &[4.0, 0.0],
-            &[0.0, 4.0],
-            &[4.0, 4.0],
-            &[2.0, 2.0],
-        ]);
-        let (ok, path) = contains_attributed(&y, 1, &Point::new(vec![-1.0, 2.0]));
-        assert!(!ok);
-        assert_eq!(path, GammaPath::BoxReject);
-        let (ok, path) = contains_attributed(&y, 1, &Point::new(vec![2.0, 2.0]));
-        assert!(ok);
-        assert_eq!(path, GammaPath::StreamScan);
-        let dup = pts(&[&[1.0, 1.0], &[1.0, 1.0], &[9.0, 0.0], &[0.0, 9.0]]);
-        let (ok, path) = contains_attributed(&dup, 1, &Point::new(vec![1.0, 1.0]));
-        assert!(ok);
-        assert_eq!(path, GammaPath::MultiplicityAccept);
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub mod tolerance;
 pub mod tverberg;
 pub mod workload;
 
-pub use cache::{GammaCache, GammaCounters, SharedGammaCache};
+pub use cache::{GammaCache, SharedGammaCache};
 pub use gamma::{
     gamma_contains, gamma_is_empty, gamma_point, gamma_point_attributed, gamma_point_of,
     gamma_workers, leave_one_out_intersection, CanonicalEntries, GammaAttribution, SubsetView,

@@ -28,7 +28,6 @@ pub struct SimplexWorkspace {
     usize_slots: Vec<Vec<usize>>,
     bool_slots: Vec<Vec<bool>>,
     reuses: u64,
-    allocations: u64,
     /// Trace-scope token of the previous solve, for the logical `reused`
     /// flag of the traced simplex event (see [`SimplexWorkspace::stamp_scope`]).
     trace_stamp: Option<u64>,
@@ -55,7 +54,6 @@ impl SimplexWorkspace {
             usize_slots: (0..NUM_CLASSES).map(|_| Vec::new()).collect(),
             bool_slots: (0..NUM_CLASSES).map(|_| Vec::new()).collect(),
             reuses: 0,
-            allocations: 0,
             trace_stamp: None,
         }
     }
@@ -87,11 +85,6 @@ impl SimplexWorkspace {
         self.reuses
     }
 
-    /// How many buffer requests required a fresh allocation.
-    pub fn allocations(&self) -> u64 {
-        self.allocations
-    }
-
     pub(crate) fn take_f64(&mut self, len: usize) -> Vec<f64> {
         let class = class_of(len);
         let parked = std::mem::take(&mut self.f64_slots[class]);
@@ -102,7 +95,6 @@ impl SimplexWorkspace {
             buf.resize(len, 0.0);
             return buf;
         }
-        self.allocations += 1;
         let mut buf = Vec::with_capacity(1usize << class);
         buf.resize(len, 0.0);
         buf
@@ -128,7 +120,6 @@ impl SimplexWorkspace {
             buf.resize(len, 0);
             return buf;
         }
-        self.allocations += 1;
         let mut buf = Vec::with_capacity(1usize << class);
         buf.resize(len, 0);
         buf
@@ -154,7 +145,6 @@ impl SimplexWorkspace {
             buf.resize(len, value);
             return buf;
         }
-        self.allocations += 1;
         let mut buf = Vec::with_capacity(1usize << class);
         buf.resize(len, value);
         buf
@@ -194,7 +184,6 @@ mod tests {
         assert_eq!(again.len(), 120);
         assert!(again.iter().all(|&v| v == 0.0));
         assert_eq!(ws.reuses(), 1);
-        assert_eq!(ws.allocations(), 1);
     }
 
     #[test]
@@ -205,7 +194,7 @@ mod tests {
         // A much larger request must not be served by the small buffer.
         let large = ws.take_f64(1000);
         assert_eq!(large.len(), 1000);
-        assert_eq!(ws.allocations(), 2);
+        assert_eq!(ws.reuses(), 0);
     }
 
     #[test]

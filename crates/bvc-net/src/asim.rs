@@ -108,16 +108,6 @@ impl<M: Clone, O: Clone> AsyncNetwork<M, O> {
         }
     }
 
-    /// Switches the executor to the **local-broadcast** delivery model (step 1
-    /// of the [delivery order contract](crate#delivery-order-contract)): a
-    /// (Byzantine) sender cannot tell different receivers different things in
-    /// the same step (its start batch, or its reaction to one delivery).  Off
-    /// by default (point-to-point channels).
-    pub fn with_local_broadcast(mut self, on: bool) -> Self {
-        self.gate.set_local_broadcast(on);
-        self
-    }
-
     /// Restricts delivery to the links of `topology` (the complete graph is
     /// the default); a message addressed across a missing link vanishes —
     /// step 4 of the [delivery order contract](crate#delivery-order-contract)
@@ -453,7 +443,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Local-broadcast delivery
+    // Point-to-point channels (no local-broadcast model)
     // ------------------------------------------------------------------
 
     /// Process 0 equivocates at start: 1 to process 1, 2 to process 2.
@@ -494,40 +484,16 @@ mod tests {
         }
     }
 
-    fn async_equivocation_network() -> AsyncNetwork<u64, u64> {
+    #[test]
+    fn async_point_to_point_permits_equivocation() {
         let processes: Vec<Box<dyn AsyncProcess<Msg = u64, Output = u64>>> = vec![
             Box::new(AsyncEquivocator),
             Box::new(AsyncListener { heard: None }),
             Box::new(AsyncListener { heard: None }),
         ];
-        AsyncNetwork::new(processes, DeliveryPolicy::RoundRobin, 0, 100)
-    }
-
-    #[test]
-    fn async_point_to_point_permits_equivocation() {
-        let outcome = async_equivocation_network().run(&[1, 2]);
+        let outcome = AsyncNetwork::new(processes, DeliveryPolicy::RoundRobin, 0, 100).run(&[1, 2]);
         assert_eq!(outcome.outputs[1], Some(1));
         assert_eq!(outcome.outputs[2], Some(2));
-    }
-
-    #[test]
-    fn async_local_broadcast_forces_receiver_consistency() {
-        let outcome = async_equivocation_network()
-            .with_local_broadcast(true)
-            .run(&[1, 2]);
-        assert_eq!(outcome.outputs[1], Some(1));
-        assert_eq!(outcome.outputs[2], Some(1));
-    }
-
-    #[test]
-    fn async_local_broadcast_is_identity_for_honest_broadcasters() {
-        let all: Vec<usize> = (0..4).collect();
-        let plain = summer_network(&[1, 2, 3, 4], DeliveryPolicy::RandomFair, 42).run(&all);
-        let lb = summer_network(&[1, 2, 3, 4], DeliveryPolicy::RandomFair, 42)
-            .with_local_broadcast(true)
-            .run(&all);
-        assert_eq!(plain.outputs, lb.outputs);
-        assert_eq!(plain.stats, lb.stats);
     }
 
     // ------------------------------------------------------------------

@@ -25,12 +25,14 @@
 //! goes through these steps, in this order, in both executors:
 //!
 //! 1. **Canonicalise** — under the **local-broadcast** model of Khan, Tseng
-//!    & Vaidya (arXiv:1911.07298; `with_local_broadcast`) the batch is
-//!    rewritten by [`enforce_local_broadcast`] so all receivers observe the
-//!    same payloads and per-receiver Byzantine equivocation is structurally
-//!    impossible.
+//!    & Vaidya (arXiv:1911.07298; [`SyncNetwork::with_local_broadcast`]) the
+//!    batch is rewritten by [`enforce_local_broadcast`] so all receivers
+//!    observe the same payloads and per-receiver Byzantine equivocation is
+//!    structurally impossible.
 //!    This happens *before* any per-link step, so fault plans still compose
-//!    per link.  Off by default (point-to-point channels, the paper's model).
+//!    per link.  Off by default (point-to-point channels, the paper's model),
+//!    and synchronous only: no asynchronous protocol has a broadcast model,
+//!    so [`AsyncNetwork`] has no such switch and skips this step.
 //! 2. **Count** — every message of the batch counts as sent by its sender.
 //!
 //! Then, per message in emission order:

@@ -349,9 +349,16 @@ fn sync_rounds_plan(plan: &FaultPlan) -> FaultPlan {
 
 /// Row-major lattice over `[lo, hi]^d`, truncated to `count` points.
 fn grid_points(count: usize, d: usize, lo: f64, hi: f64) -> Vec<Point> {
-    // Smallest per-axis resolution whose lattice covers `count` points.
+    // Smallest per-axis resolution whose lattice covers `count` points; a
+    // lattice too large to count in `usize` covers it already.
+    let covers = |k: usize| {
+        u32::try_from(d)
+            .ok()
+            .and_then(|d| k.checked_pow(d))
+            .is_none_or(|cells| cells >= count)
+    };
     let mut k = 1usize;
-    while k.pow(d as u32) < count {
+    while !covers(k) {
         k += 1;
     }
     let coordinate = |i: usize| {
@@ -642,9 +649,15 @@ mod tests {
 
     #[test]
     fn bound_violations_surface_as_rejections() {
-        let mut s = spec("approx");
-        s.n = 4; // (d+2)f+1 = 5 > 4
-        let err = run_scenario(&s, 0, s.strategy, s.policy.clone()).unwrap_err();
-        assert!(matches!(err, ScenarioError::Rejected(_)));
+        // (d+2)f+1 = 5 > 4; at d = 70 the grid generator must still produce
+        // its n − f points (its lattice size overflows `usize`) so admission
+        // can reject.
+        for d in [2, 70] {
+            let mut s = spec("approx");
+            (s.n, s.d) = (4, d);
+            assert_eq!(generate_inputs(&s, 0).unwrap().len(), 3, "d = {d}");
+            let err = run_scenario(&s, 0, s.strategy, s.policy.clone()).unwrap_err();
+            assert!(matches!(err, ScenarioError::Rejected(_)), "d = {d}");
+        }
     }
 }

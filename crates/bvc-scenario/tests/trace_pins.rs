@@ -6,12 +6,12 @@
 //!    identical `bvc-trace/v1` document, and for service streams the same
 //!    holds across worker counts (per-instance slots + per-slot sequence
 //!    numbers canonicalise scheduling);
-//! 3. event-stream invariants: every `round_open` is closed, `delivered`
-//!    never exceeds `sent`, and every engine-computed Γ query is path-
-//!    attributed;
+//! 3. event-stream invariants on every run path: every `round_open` is
+//!    closed, `delivered` never exceeds `sent`, and every engine-computed Γ
+//!    point query is path-attributed;
 //! 4. the Γ totals recorded in `ExecutionStats` / `ServiceStats` equal the
 //!    per-path call counts in the trace — the contract `trace-report`'s
-//!    hot-path breakdown relies on.
+//!    hot-path breakdown relies on (the trace is the only per-path account).
 
 use bvc_core::{InstanceOverrides, ProtocolKind, RunConfig};
 use bvc_geometry::{Point, WorkloadGenerator};
@@ -208,53 +208,109 @@ fn trace_is_byte_deterministic_and_transparent_for_the_pinned_scenario() {
     }
 }
 
-#[test]
-fn event_invariants_hold_on_a_sync_trace() {
-    let spec = small_spec();
-    let (outcome, lines) =
-        capture(|| run_scenario(&spec, 3, spec.strategy, spec.policy.clone()).unwrap());
-    let events = parsed(&lines);
+/// One scenario per run path, each with Γ traffic of its own: the trace is
+/// the only partition of a run's Γ queries, so it must account for all of
+/// them on every path.  Exact under k-relaxed validity counts two queries
+/// per Step-2 miss — the `decision` query and its strict leg.
+fn run_path_specs() -> Vec<(&'static str, ScenarioSpec)> {
+    [
+        (
+            "approx",
+            "protocol = \"approx\"\nn = 5\nf = 1\nd = 2\nepsilon = 0.1\n",
+        ),
+        (
+            "restricted-async",
+            "protocol = \"restricted-async\"\nn = 6\nf = 1\nd = 1\nepsilon = 0.1\n",
+        ),
+        (
+            "iterative",
+            "protocol = \"iterative\"\nn = 8\nf = 0\nd = 1\nepsilon = 0.05\n\
+             [topology]\nkind = \"ring\"\n",
+        ),
+        (
+            "directed-exact",
+            "protocol = \"directed-exact\"\nn = 8\nf = 1\nd = 2\n\
+             [topology]\nkind = \"random-regular:4\"\n[adversary]\nstrategy = \"crash:1\"\n",
+        ),
+        (
+            "exact-k-relaxed",
+            "protocol = \"exact\"\nn = 5\nf = 1\nd = 2\nvalidity = \"k-relaxed\"\nk = 1\n",
+        ),
+    ]
+    .into_iter()
+    .map(|(name, body)| {
+        let spec = spec_from(&format!("[scenario]\nname = \"{name}\"\n{body}"));
+        (name, spec)
+    })
+    .chain([("restricted-sync", small_spec())])
+    .collect()
+}
 
-    // Every round_open is closed (and vice versa), per slot.
-    let mut opened: BTreeSet<(u64, u64)> = BTreeSet::new();
-    let mut closed: BTreeSet<(u64, u64)> = BTreeSet::new();
-    let (mut sent, mut delivered) = (0u64, 0u64);
-    let mut gamma_total = 0u64;
-    for map in &events {
-        let slot = map.get("slot").and_then(Json::as_u64).unwrap_or(0);
-        match str_field(map, "ev") {
-            "round_open" => {
-                let round = map.get("round").and_then(Json::as_u64).unwrap();
-                opened.insert((slot, round));
-            }
-            "round_close" => {
-                let round = map.get("round").and_then(Json::as_u64).unwrap();
-                closed.insert((slot, round));
-            }
-            "send" => sent += 1,
-            "deliver" => delivered += 1,
-            "gamma" => {
-                gamma_total += 1;
-                // Engine-computed point/membership queries are always
-                // path-attributed; only relaxed decision-kind queries may
-                // go unattributed.
-                if str_field(map, "cache") == "miss" && str_field(map, "kind") != "decision" {
-                    assert!(
-                        map.get("path").and_then(Json::as_str).is_some(),
-                        "miss without path attribution: {map:?}"
-                    );
+#[test]
+fn event_invariants_hold_on_every_run_path() {
+    for (name, spec) in run_path_specs() {
+        let (outcome, lines) =
+            capture(|| run_scenario(&spec, 3, spec.strategy, spec.policy.clone()).unwrap());
+
+        // Every round_open is closed (and vice versa), per slot.
+        let mut opened: BTreeSet<(u64, u64)> = BTreeSet::new();
+        let mut closed: BTreeSet<(u64, u64)> = BTreeSet::new();
+        let (mut sent, mut delivered) = (0u64, 0u64);
+        let mut gamma_kinds: BTreeMap<String, u64> = BTreeMap::new();
+        for map in parsed(&lines) {
+            let slot = map.get("slot").and_then(Json::as_u64).unwrap_or(0);
+            match str_field(&map, "ev") {
+                "round_open" => {
+                    let round = map.get("round").and_then(Json::as_u64).unwrap();
+                    opened.insert((slot, round));
                 }
+                "round_close" => {
+                    let round = map.get("round").and_then(Json::as_u64).unwrap();
+                    closed.insert((slot, round));
+                }
+                "send" => sent += 1,
+                "deliver" => delivered += 1,
+                "gamma" => {
+                    *gamma_kinds
+                        .entry(str_field(&map, "kind").into())
+                        .or_default() += 1;
+                    // Engine-computed point queries are always
+                    // path-attributed; only relaxed decision-kind queries
+                    // go unattributed.
+                    if str_field(&map, "cache") == "miss" && str_field(&map, "kind") != "decision" {
+                        assert!(
+                            map.get("path").and_then(Json::as_str).is_some(),
+                            "{name}: miss without path attribution: {map:?}"
+                        );
+                    }
+                }
+                _ => {}
             }
-            _ => {}
+        }
+        assert_eq!(opened, closed, "{name}: every round_open must be closed");
+        assert_eq!(
+            opened.is_empty(),
+            spec.protocol.is_async(),
+            "{name}: sync runs open rounds"
+        );
+        assert!(
+            delivered <= sent,
+            "{name}: delivered {delivered} > sent {sent}"
+        );
+        let gamma_total: u64 = gamma_kinds.values().sum();
+        assert!(gamma_total > 0, "{name}: Γ work happened");
+        assert_eq!(
+            gamma_total, outcome.stats.gamma_queries,
+            "{name}: trace Γ events must equal the ExecutionStats total"
+        );
+        if name == "exact-k-relaxed" {
+            assert_eq!(
+                gamma_kinds.len(),
+                2,
+                "{name}: decision and strict leg: {gamma_kinds:?}"
+            );
         }
     }
-    assert_eq!(opened, closed, "every round_open must be closed");
-    assert!(!opened.is_empty(), "sync runs open rounds");
-    assert!(delivered <= sent, "delivered {delivered} > sent {sent}");
-    assert_eq!(
-        gamma_total, outcome.stats.gamma_queries,
-        "trace Γ events must equal the ExecutionStats total"
-    );
 }
 
 /// The acceptance pin: on the n = 9, f = 2, d = 2 restricted-sync trace the

@@ -13,11 +13,9 @@ use std::fmt::Write as _;
 /// `{"schema": "bvc-trace/v1"}`.
 pub const SCHEMA: &str = "bvc-trace/v1";
 
-/// Which fast path resolved a Γ query (point selection or membership).
-///
-/// The first five variants attribute point-selection queries, mirroring the
-/// engine's escalation ladder; the remaining variants attribute membership
-/// tests.
+/// Which engine path resolved a Γ point query: the `path` field of its
+/// `gamma` event, mirroring the engine's escalation ladder.  Membership
+/// tests answer a `bool` and name no path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GammaPath {
     /// `d = 1` closed-form trimmed interval (point: its midpoint).
@@ -31,13 +29,9 @@ pub enum GammaPath {
     /// The naive monolithic joint LP the active set falls back to on
     /// numerical disagreement.
     NaiveFallback,
-    /// Membership accepted because the query point equals more than `f`
-    /// members of the multiset.
-    MultiplicityAccept,
-    /// Membership rejected by the per-coordinate trimmed bounding box.
-    BoxReject,
-    /// Membership decided by streaming subset hulls (short-circuits on the
-    /// first refuting hull).
+    /// Written by no emitter: kept only because the benchmark of record
+    /// names it among the engine paths; it goes with that benchmark's next
+    /// change.
     StreamScan,
 }
 
@@ -50,31 +44,19 @@ impl GammaPath {
             GammaPath::ProbeHit => "probe-hit",
             GammaPath::ActiveSetLp => "active-set-lp",
             GammaPath::NaiveFallback => "naive-fallback",
-            GammaPath::MultiplicityAccept => "multiplicity-accept",
-            GammaPath::BoxReject => "box-reject",
             GammaPath::StreamScan => "stream-scan",
         }
     }
 
-    /// All variants, in wire order (index = [`Self::index`]).
-    pub const ALL: [GammaPath; 8] = [
+    /// All variants, in wire order.
+    pub const ALL: [GammaPath; 6] = [
         GammaPath::D1ClosedForm,
         GammaPath::HullF0,
         GammaPath::ProbeHit,
         GammaPath::ActiveSetLp,
         GammaPath::NaiveFallback,
-        GammaPath::MultiplicityAccept,
-        GammaPath::BoxReject,
         GammaPath::StreamScan,
     ];
-
-    /// Dense index of the variant (for counter arrays).
-    pub fn index(self) -> usize {
-        Self::ALL
-            .iter()
-            .position(|&p| p == self)
-            .expect("ALL covers every variant")
-    }
 }
 
 /// Which cache layer answered a Γ query.
@@ -537,12 +519,5 @@ mod tests {
         };
         assert!(ev.to_json(0, 0).contains("bad \\\"quote\\\"\\nline"));
         assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-    }
-
-    #[test]
-    fn path_indices_are_dense_and_stable() {
-        for (i, p) in GammaPath::ALL.iter().enumerate() {
-            assert_eq!(p.index(), i);
-        }
     }
 }

@@ -163,13 +163,15 @@ impl Json {
         }
     }
 
-    /// The numeric payload as `u64`, if this is a non-negative integer
-    /// (however it was spelt: `3`, `3.0` and `3e0` are one JSON number).
+    /// The numeric payload as `u64`, if this is a non-negative integer below
+    /// 2^64 (however it was spelt: `3`, `3.0` and `3e0` are one JSON number;
+    /// `1e30` is no `u64`, and a saturating cast must not make it one).
     pub fn as_u64(&self) -> Option<u64> {
+        const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
         match self {
             Json::Int(i) if *i >= 0 => Some(*i as u64),
             Json::UInt(u) => Some(*u),
-            Json::Float(x) if *x >= 0.0 && x.fract() == 0.0 => Some(*x as u64),
+            Json::Float(x) if *x >= 0.0 && *x < TWO_POW_64 && x.fract() == 0.0 => Some(*x as u64),
             _ => None,
         }
     }
@@ -687,6 +689,7 @@ mod tests {
         assert_eq!(Json::parse("1e3").unwrap().as_u64(), Some(1000));
         assert_eq!(Json::parse("2.5").unwrap().as_u64(), None);
         assert_eq!(Json::parse("-7").unwrap().as_u64(), None);
+        assert_eq!(Json::parse("1e30").unwrap().as_u64(), None);
     }
 
     #[test]
@@ -779,6 +782,11 @@ mod tests {
             (good.replace("}\n", "} trailing\n"), "trailing"),
             (good.replace("\"round\": 1", "\"round\": 1.5"), "wrong type"),
             (good.replace("\"round\": 1", "\"round\": -1"), "wrong type"),
+            (
+                good.replace("\"round\": 1", "\"round\": 1e30"),
+                "wrong type",
+            ),
+            (good.replace("\"seq\": 0", "\"seq\": 1e30"), "`seq`"),
             (
                 good.replace("\"slot\": 0", "\"slot\": 99999999999"),
                 "`slot`",

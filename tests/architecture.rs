@@ -501,3 +501,33 @@ fn one_resilience_table() {
         );
     }
 }
+
+#[test]
+fn one_gamma_account() {
+    // A Γ query is counted once, in its `gamma` trace event (cache level,
+    // engine path, probe outcome).  The cache keeps its own hits and misses
+    // and nothing else; membership answers a bool and names no path.
+    let named = naming(
+        &rust_files_under(&["crates", "src", "tests", "examples"]),
+        text,
+        &[
+            "GammaCounters",
+            "contains_attributed",
+            "MultiplicityAccept",
+            "BoxReject",
+            "path_count(",
+            "is_consistent(",
+        ],
+    );
+    assert!(
+        named.is_empty(),
+        "a second account of Γ queries is back: the gamma trace event is the one\n{}",
+        shown(&named)
+    );
+    let cache = non_test(&root().join("crates/bvc-geometry/src/cache.rs"));
+    let increments = lines_with(&cache, "fetch_add(");
+    assert!(
+        increments == 2,
+        "cache.rs must have exactly two `fetch_add(` lines outside tests (hits, misses), found {increments}"
+    );
+}
