@@ -9,11 +9,13 @@
 //! * `[[array-of-tables]]` headers;
 //! * `key = value` pairs with bare keys;
 //! * values: basic `"strings"` (with `\" \\ \n \t` escapes), integers,
-//!   floats, booleans, and (possibly nested, possibly multi-line) arrays.
+//!   floats, booleans, and (possibly nested, possibly multi-line) arrays,
+//!   at most [`MAX_DEPTH`] deep.
 //!
 //! Inline tables, literal strings, dates and dotted keys on the left-hand
 //! side are intentionally out of scope and produce a parse error.
 
+use bvc_trace::json::MAX_DEPTH;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -211,7 +213,7 @@ pub fn parse(text: &str) -> Result<BTreeMap<String, TomlValue>, TomlError> {
             value_text.push_str(strip_comment(next_raw).trim());
         }
         let mut cursor = Cursor::new(&value_text, line_no);
-        let value = cursor.parse_value()?;
+        let value = cursor.parse_value(0)?;
         cursor.skip_whitespace();
         if !cursor.at_end() {
             return err(
@@ -334,11 +336,18 @@ impl<'a> Cursor<'a> {
             .collect()
     }
 
-    fn parse_value(&mut self) -> Result<TomlValue, TomlError> {
+    /// `depth` is the number of arrays enclosing the value.  Arrays nest at
+    /// most [`MAX_DEPTH`] deep: the parser recurses per level, so a long run
+    /// of `[` would otherwise overflow the stack and abort the process.
+    fn parse_value(&mut self, depth: usize) -> Result<TomlValue, TomlError> {
         self.skip_whitespace();
         match self.peek() {
             Some('"') => self.parse_string(),
-            Some('[') => self.parse_array(),
+            Some('[') if depth == MAX_DEPTH => err(
+                self.line_no,
+                format!("arrays nested deeper than {MAX_DEPTH}"),
+            ),
+            Some('[') => self.parse_array(depth + 1),
             Some('{') => err(self.line_no, "inline tables are not supported"),
             Some(c) if c == 't' || c == 'f' => self.parse_bool(),
             Some(c) if c.is_ascii_digit() || c == '-' || c == '+' || c == '.' => {
@@ -371,7 +380,7 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn parse_array(&mut self) -> Result<TomlValue, TomlError> {
+    fn parse_array(&mut self, depth: usize) -> Result<TomlValue, TomlError> {
         self.bump(); // opening bracket
         let mut items = Vec::new();
         loop {
@@ -384,7 +393,7 @@ impl<'a> Cursor<'a> {
                 None => return err(self.line_no, "unterminated array"),
                 _ => {}
             }
-            items.push(self.parse_value()?);
+            items.push(self.parse_value(depth)?);
             self.skip_whitespace();
             match self.peek() {
                 Some(',') => {
@@ -538,5 +547,19 @@ x = 1
         assert!(parse("[unclosed").is_err());
         let error = parse("\n\nboom").unwrap_err();
         assert_eq!(error.line, 3);
+    }
+
+    #[test]
+    fn array_nesting_is_capped() {
+        // 400 KB of brackets used to overflow the stack and abort the process.
+        let deep = 200_000;
+        let doc = format!("name = {}{}", "[".repeat(deep), "]".repeat(deep));
+        let error = parse(&doc).unwrap_err();
+        assert_eq!(error.message, "arrays nested deeper than 128");
+        let error = crate::ScenarioSpec::from_toml(&doc).unwrap_err();
+        assert!(error.to_string().contains("nested deeper"), "{error}");
+        let deepest = format!("x = {}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok(), "the limit itself parses");
+        assert!(parse(&format!("x = [{}]", &deepest[4..])).is_err());
     }
 }

@@ -7,6 +7,8 @@
 //! ([`crate::TraceHandle::record_timing`]), which is explicitly outside the
 //! determinism contract.
 
+use crate::json::{parse_flat, write_string, Json};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Schema tag of the trace stream; the first line of every trace file is
@@ -294,173 +296,209 @@ pub fn escape_json(s: &str) -> String {
     out
 }
 
-/// Formats an `f64` deterministically for the trace stream: shortest
-/// round-trip representation, `null` for non-finite values.
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+/// One field value's `bvc-trace/v1` format, in both directions: the writer
+/// ([`TraceEvent::to_json`]) and the reader ([`TraceEvent::from_json`]) go
+/// through the same impl, so each format is written once.
+trait Wire: Sized {
+    /// Appends the value as JSON.
+    fn put(&self, out: &mut String);
+    /// Reads the value back (`None`: the wrong type, or out of range).
+    fn take(value: &Json) -> Option<Self>;
+}
+
+/// Non-negative integers, range-checked on the way in (a `slot` is a `u32`).
+macro_rules! wire_integer {
+    ($($int:ty),*) => {$(
+        impl Wire for $int {
+            fn put(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+
+            fn take(value: &Json) -> Option<Self> {
+                value.as_u64().and_then(|v| v.try_into().ok())
+            }
+        }
+    )*};
+}
+wire_integer!(u32, u64, usize);
+
+/// Enums, as the wire name their own `as_str` writes.
+macro_rules! wire_name {
+    ($($name:ty),*) => {$(
+        impl Wire for $name {
+            fn put(&self, out: &mut String) {
+                write_string(out, self.as_str());
+            }
+
+            fn take(value: &Json) -> Option<Self> {
+                let name = value.as_str()?;
+                Self::ALL.into_iter().find(|v| v.as_str() == name)
+            }
+        }
+    )*};
+}
+wire_name!(GammaQueryKind, CacheLevel, GammaPath);
+
+impl Wire for String {
+    fn put(&self, out: &mut String) {
+        write_string(out, self);
+    }
+
+    fn take(value: &Json) -> Option<Self> {
+        value.as_str().map(str::to_owned)
     }
 }
 
-impl TraceEvent {
-    /// Stable wire name of the event kind (the `ev` field).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::RunOpen { .. } => "run_open",
-            TraceEvent::Admission { .. } => "admission",
-            TraceEvent::ValidityCheck { .. } => "validity_check",
-            TraceEvent::RoundOpen { .. } => "round_open",
-            TraceEvent::RoundClose { .. } => "round_close",
-            TraceEvent::FaultWindow { .. } => "fault_window",
-            TraceEvent::Send { .. } => "send",
-            TraceEvent::Deliver { .. } => "deliver",
-            TraceEvent::Drop { .. } => "drop",
-            TraceEvent::Vanish { .. } => "vanish",
-            TraceEvent::LocalBroadcast { .. } => "local_broadcast",
-            TraceEvent::Gamma { .. } => "gamma",
-            TraceEvent::Simplex { .. } => "simplex",
-            TraceEvent::SpanOpen { .. } => "span_open",
-            TraceEvent::SpanClose { .. } => "span_close",
+impl Wire for bool {
+    fn put(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+
+    fn take(value: &Json) -> Option<Self> {
+        value.as_bool()
+    }
+}
+
+/// The shortest round-trip form, and `null` for a non-finite value (JSON
+/// has no `Infinity`).
+impl Wire for f64 {
+    fn put(&self, out: &mut String) {
+        if self.is_finite() {
+            let _ = write!(out, "{self}");
+        } else {
+            out.push_str("null");
         }
     }
 
-    /// Serializes the event as one `bvc-trace/v1` JSON line (no trailing
-    /// newline), tagged with its logical position `(slot, seq)`.
-    pub fn to_json(&self, slot: u32, seq: u64) -> String {
-        let mut out = format!(
-            "{{\"ev\": \"{}\", \"slot\": {slot}, \"seq\": {seq}",
-            self.kind()
-        );
+    fn take(value: &Json) -> Option<Self> {
+        value.as_f64()
+    }
+}
+
+/// `null` for `None`.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, out: &mut String) {
         match self {
-            TraceEvent::RunOpen { protocol, n, f, d } => {
-                out.push_str(&format!(
-                    ", \"protocol\": \"{}\", \"n\": {n}, \"f\": {f}, \"d\": {d}",
-                    escape_json(protocol)
-                ));
+            Some(value) => value.put(out),
+            None => out.push_str("null"),
+        }
+    }
+
+    fn take(value: &Json) -> Option<Self> {
+        match value {
+            Json::Null => Some(None),
+            value => T::take(value).map(Some),
+        }
+    }
+}
+
+/// The `receivers` set: one string of comma-joined process indices, not a
+/// JSON array, so a trace line stays flat (see `json::parse_flat`).
+impl Wire for Vec<usize> {
+    fn put(&self, out: &mut String) {
+        let list: Vec<String> = self.iter().map(usize::to_string).collect();
+        write_string(out, &list.join(","));
+    }
+
+    fn take(value: &Json) -> Option<Self> {
+        let digits = |index: &str| index.bytes().all(|b| b.is_ascii_digit());
+        (value.as_str()?.split(','))
+            .map(|index| index.parse().ok().filter(|_| digits(index)))
+            .collect()
+    }
+}
+
+/// Appends `, "key": value`.
+fn put(out: &mut String, key: &str, value: &impl Wire) {
+    let _ = write!(out, ", \"{key}\": ");
+    value.put(out);
+}
+
+/// Reads field `key` of an `ev` line.
+fn take<T: Wire>(fields: &BTreeMap<String, Json>, ev: &str, key: &str) -> Result<T, String> {
+    let value = (fields.get(key)).ok_or_else(|| format!("`{ev}` is missing field `{key}`"))?;
+    T::take(value).ok_or_else(|| format!("field `{key}` of `{ev}` has the wrong type or value"))
+}
+
+/// The `slot` or `seq` of a line, in range for its type.
+fn position<T: Wire>(fields: &BTreeMap<String, Json>, key: &str) -> Result<T, String> {
+    (fields.get(key).and_then(T::take)).ok_or_else(|| format!("missing or out-of-range `{key}`"))
+}
+
+/// The `bvc-trace/v1` schema, written once: each variant's `ev` name and
+/// its payload fields in wire order (a field's JSON key is its name).  It
+/// expands to [`TraceEvent::kind`], [`TraceEvent::to_json`] and
+/// [`TraceEvent::from_json`]; a variant pattern and a struct literal name
+/// every field, so a field missing here does not compile.
+macro_rules! schema {
+    ($($variant:ident = $ev:literal { $($field:ident),* })*) => {
+        impl TraceEvent {
+            /// Stable wire name of the event kind (the `ev` field).
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(TraceEvent::$variant { .. } => $ev,)*
+                }
             }
-            TraceEvent::Admission { ok, detail } => {
-                out.push_str(&format!(
-                    ", \"ok\": {ok}, \"detail\": \"{}\"",
-                    escape_json(detail)
-                ));
+
+            /// Serializes the event as one `bvc-trace/v1` JSON line (no
+            /// trailing newline), tagged with its logical position
+            /// `(slot, seq)`.
+            pub fn to_json(&self, slot: u32, seq: u64) -> String {
+                let mut out = String::from("{\"ev\": ");
+                write_string(&mut out, self.kind());
+                put(&mut out, "slot", &slot);
+                put(&mut out, "seq", &seq);
+                match self {
+                    $(TraceEvent::$variant { $($field),* } => {
+                        $(put(&mut out, stringify!($field), $field);)*
+                    })*
+                }
+                out.push('}');
+                out
             }
-            TraceEvent::ValidityCheck { ok, detail } => {
-                out.push_str(&format!(
-                    ", \"ok\": {ok}, \"detail\": \"{}\"",
-                    escape_json(detail)
-                ));
-            }
-            TraceEvent::RoundOpen { round } => {
-                out.push_str(&format!(", \"round\": {round}"));
-            }
-            TraceEvent::RoundClose { round, spread } => {
-                let spread = match spread {
-                    Some(v) => fmt_f64(*v),
-                    None => "null".to_string(),
+
+            /// Decodes one `bvc-trace/v1` line back into its `(slot, seq,
+            /// event)`: the inverse of [`TraceEvent::to_json`].  Numbers
+            /// may be spelt any way JSON allows, and fields the event does
+            /// not have are ignored.
+            ///
+            /// # Errors
+            ///
+            /// Returns a message naming the first violation: malformed or
+            /// nested JSON, a missing or unknown `ev`, an out-of-range
+            /// `slot` / `seq`, or a missing or ill-typed payload field.
+            pub fn from_json(line: &str) -> Result<(u32, u64, TraceEvent), String> {
+                let fields = parse_flat(line)?;
+                let ev = fields.get("ev").and_then(Json::as_str).ok_or("missing `ev`")?;
+                let (slot, seq) = (position(&fields, "slot")?, position(&fields, "seq")?);
+                let event = match ev {
+                    $($ev => TraceEvent::$variant {
+                        $($field: take(&fields, ev, stringify!($field))?,)*
+                    },)*
+                    other => return Err(format!("unknown event kind `{other}`")),
                 };
-                out.push_str(&format!(", \"round\": {round}, \"spread\": {spread}"));
-            }
-            TraceEvent::FaultWindow {
-                round,
-                kind,
-                detail,
-            } => {
-                out.push_str(&format!(
-                    ", \"round\": {round}, \"kind\": \"{}\", \"detail\": \"{}\"",
-                    escape_json(kind),
-                    escape_json(detail)
-                ));
-            }
-            TraceEvent::Send { time, from, to }
-            | TraceEvent::Deliver { time, from, to }
-            | TraceEvent::Drop { time, from, to }
-            | TraceEvent::Vanish { time, from, to } => {
-                out.push_str(&format!(
-                    ", \"time\": {time}, \"from\": {from}, \"to\": {to}"
-                ));
-            }
-            TraceEvent::LocalBroadcast {
-                time,
-                from,
-                receivers,
-                slots,
-            } => {
-                // Flat-line schema: the receiver set is one comma-joined
-                // string field, not a JSON array (the v1 parser is
-                // deliberately flat — see `json::parse_flat`).
-                let receivers = receivers
-                    .iter()
-                    .map(|r| r.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",");
-                out.push_str(&format!(
-                    ", \"time\": {time}, \"from\": {from}, \
-                     \"receivers\": \"{receivers}\", \"slots\": {slots}"
-                ));
-            }
-            TraceEvent::Gamma {
-                kind,
-                cache,
-                path,
-                probe_missed,
-                len,
-                f,
-                d,
-                found,
-            } => {
-                let path = match path {
-                    Some(p) => format!("\"{}\"", p.as_str()),
-                    None => "null".to_string(),
-                };
-                out.push_str(&format!(
-                    ", \"kind\": \"{}\", \"cache\": \"{}\", \"path\": {path}, \
-                     \"probe_missed\": {probe_missed}, \"len\": {len}, \"f\": {f}, \
-                     \"d\": {d}, \"found\": {found}",
-                    kind.as_str(),
-                    cache.as_str()
-                ));
-            }
-            TraceEvent::Simplex {
-                rows,
-                cols,
-                pivots,
-                class,
-                reused,
-                status,
-            } => {
-                out.push_str(&format!(
-                    ", \"rows\": {rows}, \"cols\": {cols}, \"pivots\": {pivots}, \
-                     \"class\": {class}, \"reused\": {reused}, \"status\": \"{}\"",
-                    escape_json(status)
-                ));
-            }
-            TraceEvent::SpanOpen { instance, label } => {
-                out.push_str(&format!(
-                    ", \"instance\": {instance}, \"label\": \"{}\"",
-                    escape_json(label)
-                ));
-            }
-            TraceEvent::SpanClose {
-                instance,
-                decided,
-                violated,
-                rounds,
-            } => {
-                let rounds = match rounds {
-                    Some(r) => r.to_string(),
-                    None => "null".to_string(),
-                };
-                out.push_str(&format!(
-                    ", \"instance\": {instance}, \"decided\": {decided}, \
-                     \"violated\": {violated}, \"rounds\": {rounds}"
-                ));
+                Ok((slot, seq, event))
             }
         }
-        out.push('}');
-        out
-    }
+    };
+}
+
+schema! {
+    RunOpen = "run_open" { protocol, n, f, d }
+    Admission = "admission" { ok, detail }
+    ValidityCheck = "validity_check" { ok, detail }
+    RoundOpen = "round_open" { round }
+    RoundClose = "round_close" { round, spread }
+    FaultWindow = "fault_window" { round, kind, detail }
+    Send = "send" { time, from, to }
+    Deliver = "deliver" { time, from, to }
+    Drop = "drop" { time, from, to }
+    Vanish = "vanish" { time, from, to }
+    LocalBroadcast = "local_broadcast" { time, from, receivers, slots }
+    Gamma = "gamma" { kind, cache, path, probe_missed, len, f, d, found }
+    Simplex = "simplex" { rows, cols, pivots, class, reused, status }
+    SpanOpen = "span_open" { instance, label }
+    SpanClose = "span_close" { instance, decided, violated, rounds }
 }
 
 #[cfg(test)]
@@ -519,5 +557,172 @@ mod tests {
         };
         assert!(ev.to_json(0, 0).contains("bad \\\"quote\\\"\\nline"));
         assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    }
+    /// One event of every variant, at edge positions and with every value
+    /// format's corner: escapes, `null`s, a non-round float.
+    #[test]
+    fn from_json_inverts_to_json_for_every_variant() {
+        let awkward = "tab\t \"quote\" back\\slash \u{1} é\nline".to_string();
+        let events = [
+            TraceEvent::RunOpen {
+                protocol: awkward.clone(),
+                n: 9,
+                f: 2,
+                d: 2,
+            },
+            TraceEvent::Admission {
+                ok: false,
+                detail: awkward.clone(),
+            },
+            TraceEvent::ValidityCheck {
+                ok: true,
+                detail: String::new(),
+            },
+            TraceEvent::RoundOpen { round: usize::MAX },
+            TraceEvent::RoundClose {
+                round: 3,
+                spread: None,
+            },
+            TraceEvent::RoundClose {
+                round: 4,
+                spread: Some(0.1 + 0.2),
+            },
+            TraceEvent::RoundClose {
+                round: 5,
+                spread: Some(1e-300),
+            },
+            TraceEvent::FaultWindow {
+                round: 1,
+                kind: "partition".into(),
+                detail: awkward.clone(),
+            },
+            TraceEvent::Send {
+                time: 0,
+                from: 1,
+                to: 2,
+            },
+            TraceEvent::Deliver {
+                time: 1,
+                from: 2,
+                to: 0,
+            },
+            TraceEvent::Drop {
+                time: 2,
+                from: 0,
+                to: 1,
+            },
+            TraceEvent::Vanish {
+                time: 3,
+                from: 4,
+                to: 3,
+            },
+            TraceEvent::LocalBroadcast {
+                time: 2,
+                from: 1,
+                receivers: vec![7],
+                slots: 1,
+            },
+            TraceEvent::LocalBroadcast {
+                time: 2,
+                from: 1,
+                receivers: vec![0, 2, 3, usize::MAX],
+                slots: 2,
+            },
+            TraceEvent::Gamma {
+                kind: GammaQueryKind::Decision,
+                cache: CacheLevel::Local,
+                path: None,
+                probe_missed: false,
+                len: 9,
+                f: 2,
+                d: 2,
+                found: false,
+            },
+            TraceEvent::Simplex {
+                rows: 4,
+                cols: 12,
+                pivots: u64::MAX,
+                class: 6,
+                reused: true,
+                status: awkward.clone(),
+            },
+            TraceEvent::SpanOpen {
+                instance: u64::MAX,
+                label: awkward,
+            },
+            TraceEvent::SpanClose {
+                instance: 0,
+                decided: true,
+                violated: false,
+                rounds: None,
+            },
+            TraceEvent::SpanClose {
+                instance: 1,
+                decided: false,
+                violated: true,
+                rounds: Some(17),
+            },
+        ];
+        let gammas = (GammaQueryKind::ALL.iter()).flat_map(|&kind| {
+            CacheLevel::ALL.iter().flat_map(move |&cache| {
+                (GammaPath::ALL.iter().map(Some).chain([None])).map(move |path| TraceEvent::Gamma {
+                    kind,
+                    cache,
+                    path: path.copied(),
+                    probe_missed: true,
+                    len: 7,
+                    f: 1,
+                    d: 3,
+                    found: true,
+                })
+            })
+        });
+        let positions = [(0, 0), (u32::MAX, u64::MAX), (7, 1 << 53)];
+        for (i, event) in events.into_iter().chain(gammas).enumerate() {
+            let (slot, seq) = positions[i % positions.len()];
+            let line = event.to_json(slot, seq);
+            assert_eq!(
+                TraceEvent::from_json(&line),
+                Ok((slot, seq, event)),
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_golden_trace_line_decodes_and_re_encodes_to_itself() {
+        let golden = include_str!("../../../scenarios/trace/trace_smoke.golden.jsonl");
+        let mut lines = golden.lines();
+        assert_eq!(lines.next(), Some("{\"schema\": \"bvc-trace/v1\"}"));
+        for line in lines {
+            let (slot, seq, event) = TraceEvent::from_json(line).unwrap();
+            assert_eq!(event.to_json(slot, seq), line);
+        }
+    }
+
+    #[test]
+    fn from_json_names_the_first_violation() {
+        let line = TraceEvent::RoundOpen { round: 1 }.to_json(0, 0);
+        for (bad, error) in [
+            (
+                line.replace("\"round\": 1", "\"round\": true"),
+                "field `round` of `round_open` has the wrong type or value",
+            ),
+            (
+                line.replace(", \"round\": 1", ""),
+                "`round_open` is missing field `round`",
+            ),
+            (
+                line.replace("round_open", "round_opened"),
+                "unknown event kind `round_opened`",
+            ),
+            (line.replace("\"ev\": \"round_open\", ", ""), "missing `ev`"),
+            (
+                line.replace("\"seq\": 0", "\"seq\": -1"),
+                "missing or out-of-range `seq`",
+            ),
+        ] {
+            assert_eq!(TraceEvent::from_json(&bad), Err(error.to_string()), "{bad}");
+        }
     }
 }

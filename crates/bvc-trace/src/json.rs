@@ -1,5 +1,5 @@
 //! The workspace's one JSON value — a deterministic writer and a reader —
-//! and the `bvc-trace/v1` schema validator built on it.
+//! and the `bvc-trace/v1` document check built on it.
 //!
 //! Verdicts must be **byte-identical** for identical scenario + seed (the
 //! determinism property tests pin this), so the writer keeps insertion order,
@@ -10,12 +10,13 @@
 //! over verdict JSONL, `trace-report` over trace lines.  It is a
 //! straightforward recursive-descent parser over the JSON grammar (objects
 //! keep field order, numbers map back to `Int`/`UInt`/`Float`).  Trace lines
-//! are flat objects, so [`parse_flat`] is that reader plus three conditions,
-//! which doubles as a schema guard for `trace-report --check`.
+//! are flat objects, so [`parse_flat`] is that reader plus three conditions;
+//! [`TraceEvent::from_json`] decodes its result, and [`check_trace`] is "the
+//! header names the schema and every line decodes".
 
 use std::fmt::Write as _;
 
-use crate::event::{escape_json_into, CacheLevel, GammaPath, GammaQueryKind};
+use crate::event::{escape_json_into, TraceEvent, SCHEMA};
 use std::collections::BTreeMap;
 
 /// A JSON value being assembled.
@@ -106,7 +107,7 @@ impl Json {
 }
 
 /// A quoted string literal, escaped by the workspace's one escape table.
-fn write_string(out: &mut String, s: &str) {
+pub(crate) fn write_string(out: &mut String, s: &str) {
     out.push('"');
     escape_json_into(out, s);
     out.push('"');
@@ -202,8 +203,9 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
 
 /// Containers may nest this deep (verdict lines nest 3).  The parser
 /// recurses per level and reads files from outside the program, so without a
-/// bound a long run of `[` overflows the stack and aborts the process.
-const MAX_DEPTH: usize = 128;
+/// bound a long run of `[` overflows the stack and aborts the process.  The
+/// scenario TOML reader caps its arrays at the same depth.
+pub const MAX_DEPTH: usize = 128;
 
 /// `depth` is the number of containers enclosing the value at `pos`.
 fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
@@ -326,12 +328,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multibyte sequences pass through).
-                let rest = std::str::from_utf8(&bytes[*pos..])
+                // Copy the whole run up to the next quote or backslash: it
+                // starts and ends next to ASCII bytes, so on char boundaries,
+                // and each byte is decoded once.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|b| matches!(b, b'"' | b'\\'))
+                    .map_or(bytes.len(), |len| *pos + len);
+                let text = std::str::from_utf8(&bytes[*pos..run])
                     .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                let c = rest.chars().next().expect("non-empty by the guard above");
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(text);
+                *pos = run;
             }
         }
     }
@@ -437,111 +444,26 @@ pub fn parse_flat(line: &str) -> Result<BTreeMap<String, Json>, String> {
     Ok(map)
 }
 
-/// Required fields (beyond `ev`/`slot`/`seq`) per event kind, with a type
-/// letter: `u` unsigned int, `n` number-or-null, `b` bool, `s` string, `U`
-/// unsigned-int-or-null, `r` comma-separated process indices, and the wire
-/// names of an enum — `k` a [`GammaQueryKind`], `c` a [`CacheLevel`], `p` a
-/// [`GammaPath`] or null.
-const EVENT_FIELDS: &[(&str, &[(&str, char)])] = &[
-    (
-        "run_open",
-        &[("protocol", 's'), ("n", 'u'), ("f", 'u'), ("d", 'u')],
-    ),
-    ("admission", &[("ok", 'b'), ("detail", 's')]),
-    ("validity_check", &[("ok", 'b'), ("detail", 's')]),
-    ("round_open", &[("round", 'u')]),
-    ("round_close", &[("round", 'u'), ("spread", 'n')]),
-    (
-        "fault_window",
-        &[("round", 'u'), ("kind", 's'), ("detail", 's')],
-    ),
-    ("send", &[("time", 'u'), ("from", 'u'), ("to", 'u')]),
-    ("deliver", &[("time", 'u'), ("from", 'u'), ("to", 'u')]),
-    ("drop", &[("time", 'u'), ("from", 'u'), ("to", 'u')]),
-    ("vanish", &[("time", 'u'), ("from", 'u'), ("to", 'u')]),
-    (
-        "local_broadcast",
-        &[
-            ("time", 'u'),
-            ("from", 'u'),
-            ("receivers", 'r'),
-            ("slots", 'u'),
-        ],
-    ),
-    (
-        "gamma",
-        &[
-            ("kind", 'k'),
-            ("cache", 'c'),
-            ("path", 'p'),
-            ("probe_missed", 'b'),
-            ("len", 'u'),
-            ("f", 'u'),
-            ("d", 'u'),
-            ("found", 'b'),
-        ],
-    ),
-    (
-        "simplex",
-        &[
-            ("rows", 'u'),
-            ("cols", 'u'),
-            ("pivots", 'u'),
-            ("class", 'u'),
-            ("reused", 'b'),
-            ("status", 's'),
-        ],
-    ),
-    ("span_open", &[("instance", 'u'), ("label", 's')]),
-    (
-        "span_close",
-        &[
-            ("instance", 'u'),
-            ("decided", 'b'),
-            ("violated", 'b'),
-            ("rounds", 'U'),
-        ],
-    ),
-];
-
-fn type_ok(value: &Json, ty: char) -> bool {
-    // A wire name some variant's own `as_str` writes.
-    fn named<T: Copy>(value: &Json, all: &[T], as_str: fn(T) -> &'static str) -> bool {
-        value
-            .as_str()
-            .is_some_and(|name| all.iter().any(|&v| as_str(v) == name))
-    }
-    match ty {
-        'u' => value.as_u64().is_some(),
-        'n' => *value == Json::Null || value.as_f64().is_some(),
-        'b' => value.as_bool().is_some(),
-        's' => value.as_str().is_some(),
-        'U' => *value == Json::Null || value.as_u64().is_some(),
-        'r' => value.as_str().is_some_and(|list| {
-            list.split(',')
-                .all(|index| !index.is_empty() && index.bytes().all(|b| b.is_ascii_digit()))
-        }),
-        'k' => named(value, &GammaQueryKind::ALL, GammaQueryKind::as_str),
-        'c' => named(value, &CacheLevel::ALL, CacheLevel::as_str),
-        'p' => *value == Json::Null || named(value, &GammaPath::ALL, GammaPath::as_str),
-        _ => unreachable!("unknown type letter"),
-    }
-}
-
-/// Validates a full trace document (header + event lines) against the
-/// `bvc-trace/v1` schema.  Returns the number of event lines.
+/// Validates a full trace document against the `bvc-trace/v1` schema: the
+/// header names it, and every event line decodes
+/// ([`TraceEvent::from_json`]).  Returns the number of event lines.
 ///
 /// # Errors
 ///
 /// Returns a message naming the first offending line (1-based).
 pub fn check_trace(text: &str) -> Result<usize, String> {
+    read_trace(text, |_| {})
+}
+
+/// [`check_trace`], handing each decoded event to `visit` in file order.
+pub(crate) fn read_trace(text: &str, mut visit: impl FnMut(TraceEvent)) -> Result<usize, String> {
     let mut lines = text.lines().enumerate();
     let Some((_, header)) = lines.next() else {
         return Err("empty trace: missing schema header".into());
     };
     let header = parse_flat(header).map_err(|e| format!("line 1: {e}"))?;
     match header.get("schema").and_then(Json::as_str) {
-        Some(schema) if schema == crate::event::SCHEMA => {}
+        Some(schema) if schema == SCHEMA => {}
         Some(other) => return Err(format!("line 1: unknown schema `{other}`")),
         None => return Err("line 1: missing `schema` field".into()),
     }
@@ -551,37 +473,9 @@ pub fn check_trace(text: &str) -> Result<usize, String> {
         if line.is_empty() {
             return Err(format!("line {lineno}: empty line"));
         }
-        let fields = parse_flat(line).map_err(|e| format!("line {lineno}: {e}"))?;
-        let ev = fields
-            .get("ev")
-            .and_then(Json::as_str)
-            .ok_or(format!("line {lineno}: missing `ev`"))?;
-        let spec = EVENT_FIELDS
-            .iter()
-            .find(|(kind, _)| *kind == ev)
-            .ok_or(format!("line {lineno}: unknown event kind `{ev}`"))?;
-        // A slot is a `u32` (`TraceEvent::to_json`), a seq a `u64`.
-        for (key, max) in [("slot", u64::from(u32::MAX)), ("seq", u64::MAX)] {
-            if fields
-                .get(key)
-                .and_then(Json::as_u64)
-                .filter(|&v| v <= max)
-                .is_none()
-            {
-                return Err(format!("line {lineno}: missing or out-of-range `{key}`"));
-            }
-        }
-        for (field, ty) in spec.1 {
-            match fields.get(*field) {
-                Some(value) if type_ok(value, *ty) => {}
-                Some(_) => {
-                    return Err(format!(
-                        "line {lineno}: field `{field}` of `{ev}` has the wrong type or value"
-                    ))
-                }
-                None => return Err(format!("line {lineno}: `{ev}` is missing field `{field}`")),
-            }
-        }
+        let (_, _, event) =
+            TraceEvent::from_json(line).map_err(|e| format!("line {lineno}: {e}"))?;
+        visit(event);
         count += 1;
     }
     Ok(count)
@@ -843,6 +737,19 @@ mod tests {
             let error = check_trace(&format!("{header}{bad}")).unwrap_err();
             assert!(error.contains("wrong type"), "{bad:?} gave: {error}");
         }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Each char used to re-validate the rest of the input as UTF-8: a
+        // 200 k-char value took a second, and this one would take minutes.
+        let value = format!("{}\"\\\n{}", "é".repeat(1 << 20), "x".repeat(2 << 20));
+        assert!(value.len() > 4 << 20, "a 4 MiB value, escapes included");
+        let line = Json::object().field("detail", value.as_str()).to_string();
+        assert_eq!(
+            Json::parse(&line).unwrap().get("detail"),
+            Some(&Json::Str(value))
+        );
     }
 
     /// What the full grammar admits beyond a strictly flat one-line reader:

@@ -531,3 +531,37 @@ fn one_gamma_account() {
         "cache.rs must have exactly two `fetch_add(` lines outside tests (hits, misses), found {increments}"
     );
 }
+
+#[test]
+fn one_trace_schema() {
+    // The bvc-trace/v1 schema is written once, in event.rs's `schema!`
+    // table: `to_json` writes a line, `from_json` reads it back, `check_trace`
+    // is "every line decodes", and the report matches decoded events.  A
+    // field table, a type letter or a string-keyed field reader is a second
+    // copy growing back.
+    let copies = naming(
+        &rust_files_under(&["."]),
+        text,
+        &[
+            "EVENT_FIELDS",
+            "type_ok(",
+            "field_u(",
+            "field_s(",
+            "field_b(",
+        ],
+    );
+    assert!(
+        copies.is_empty(),
+        "a second copy of the trace schema is back: TraceEvent::from_json is the one reader\n{}",
+        shown(&copies)
+    );
+    // The binary is argument parsing around `bvc_trace::report`, which
+    // decodes each line once.
+    let bin = text(&root().join("crates/bvc-trace/src/bin/trace_report.rs"));
+    for reader in ["parse_flat", "check_trace"] {
+        assert!(
+            !bin.contains(reader),
+            "trace_report.rs calls `{reader}`: the report reads the trace itself, once"
+        );
+    }
+}

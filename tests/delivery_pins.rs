@@ -4,11 +4,13 @@
 //! define "the same behaviour" for a delivery or driver refactor — the golden
 //! trace, the verdict corpus and the pinned chaos counterexamples — would
 //! otherwise run only under `--workspace` or in CI.  This replays the
-//! committed pin files (it adds none):
+//! committed pin files (it adds one, the report pin):
 //!
 //! * `scenarios/trace/trace_smoke.toml` under a JSONL tracer, byte-compared
 //!   with `scenarios/trace/trace_smoke.golden.jsonl` (every `send`,
 //!   `deliver` and round event of one restricted-sync run, in order);
+//! * the `trace-report` of that golden trace, byte-compared with
+//!   `scenarios/trace/trace_smoke.report.md`;
 //! * one base instance per `scenarios/*.toml`, byte-compared with
 //!   `crates/bvc-scenario/tests/corpus/catalogue_single.jsonl` (all seven
 //!   protocols, both simulated executors, faults, topologies, local
@@ -68,6 +70,13 @@ fn trace_smoke_reproduces_the_golden_trace() {
         assert_eq!(fresh, pinned, "trace line {} drifted", index + 1);
     }
     assert_eq!(trace, golden, "trace length drifted");
+}
+
+#[test]
+fn golden_trace_report_is_pinned() {
+    let golden = read("scenarios/trace/trace_smoke.golden.jsonl");
+    let report = bvc::trace::report(&golden).expect("the golden trace decodes");
+    assert_eq!(report, read("scenarios/trace/trace_smoke.report.md"));
 }
 
 #[test]
