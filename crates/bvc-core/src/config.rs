@@ -31,7 +31,21 @@ pub enum BvcError {
     /// A parameter is structurally invalid (zero dimension, `ε ≤ 0`, bad
     /// bounds, wrong number of inputs, …).
     InvalidParameter(String),
+    /// An input coordinate or value bound exceeds
+    /// [`MAX_INPUT_MAGNITUDE`] in magnitude.
+    InputTooLarge {
+        /// The offending value.
+        value: f64,
+    },
 }
+
+/// The largest input coordinate (and value bound) admitted, in magnitude.
+/// The Γ engine multiplies coordinate differences (orientation signs, LP
+/// pivots), and the forged values of the shipped strategies reach about
+/// twelve times the value span, so a product of two stays far below
+/// `f64::MAX` (about 1.8e308); past it the engine would build non-finite
+/// points.
+pub const MAX_INPUT_MAGNITUDE: f64 = 1e150;
 
 impl fmt::Display for BvcError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -45,6 +59,10 @@ impl fmt::Display for BvcError {
                 "{protocol} requires n >= {required} processes, but only {actual} were configured"
             ),
             BvcError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
+            BvcError::InputTooLarge { value } => write!(
+                f,
+                "input value {value:e} exceeds the admitted magnitude {MAX_INPUT_MAGNITUDE:e}"
+            ),
         }
     }
 }

@@ -76,7 +76,7 @@ pub use approx::{ApproxBvcProcess, ApproxOutput, UpdateRule};
 pub use bvc_adversary::{ByzantineStrategy, PointForge};
 pub use bvc_net::{FaultError, FaultEvent, FaultKind, FaultPlan, LinkSelector};
 pub use bvc_topology::{Sufficiency, Topology};
-pub use config::{BvcConfig, BvcError};
+pub use config::{BvcConfig, BvcError, MAX_INPUT_MAGNITUDE};
 pub use convergence::{
     gamma, gamma_iterative, gamma_witness_optimized, guaranteed_range, round_threshold,
 };

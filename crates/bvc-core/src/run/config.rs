@@ -11,7 +11,7 @@
 //! validation time, in exactly one place: [`RunConfig::validate`].
 
 use crate::approx::UpdateRule;
-use crate::config::{BvcConfig, BvcError};
+use crate::config::{BvcConfig, BvcError, MAX_INPUT_MAGNITUDE};
 use crate::validity::{admission_floor, ValidityMode};
 use bvc_adversary::ByzantineStrategy;
 use bvc_geometry::{Point, SharedGammaCache};
@@ -388,13 +388,15 @@ impl RunConfig {
     /// [`ProtocolKind::min_processes`] (the iterative protocol has none — its
     /// solvability signal is the recorded topology sufficiency check), the
     /// `f ≥ 1` requirement of the four complete-graph protocols, the input
-    /// shape, and the topology size.
+    /// shape, the input magnitude, and the topology size.
     ///
     /// # Errors
     ///
     /// Returns [`BvcError::InsufficientProcesses`] when `n` is below the
-    /// protocol's (possibly mode-lowered) floor, and
-    /// [`BvcError::InvalidParameter`] for every structural violation.
+    /// protocol's (possibly mode-lowered) floor,
+    /// [`BvcError::InputTooLarge`] for an input coordinate or value bound
+    /// beyond [`MAX_INPUT_MAGNITUDE`], and [`BvcError::InvalidParameter`]
+    /// for every structural violation.
     pub fn validate(&self, protocol: ProtocolKind) -> Result<(), BvcError> {
         self.prepare(protocol).map(|_| ())
     }
@@ -462,6 +464,13 @@ impl RunConfig {
                 bad.dim(),
                 core.d
             )));
+        }
+        let values = self.honest_inputs.iter().flat_map(Point::coords);
+        if let Some(&value) = values
+            .chain([&core.lower_bound, &core.upper_bound])
+            .find(|v| v.abs() > MAX_INPUT_MAGNITUDE)
+        {
+            return Err(BvcError::InputTooLarge { value });
         }
         let topology = match &self.topology {
             None => Topology::complete(core.n),

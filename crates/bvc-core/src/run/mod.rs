@@ -285,6 +285,27 @@ mod tests {
     }
 
     #[test]
+    fn session_rejects_inputs_beyond_the_magnitude_bound() {
+        let huge = Point::new(vec![1e155, -1e155]);
+        let mut inputs = square_inputs();
+        inputs[2] = huge;
+        let err = BvcSession::new(
+            ProtocolKind::RestrictedSync,
+            RunConfig::new(5, 1, 2).honest_inputs(inputs),
+        )
+        .expect_err("an input beyond MAX_INPUT_MAGNITUDE");
+        assert_eq!(err, BvcError::InputTooLarge { value: 1e155 });
+        let err = BvcSession::new(
+            ProtocolKind::RestrictedSync,
+            RunConfig::new(5, 1, 2)
+                .honest_inputs(square_inputs())
+                .value_bounds(0.0, 1e300),
+        )
+        .expect_err("a value bound beyond MAX_INPUT_MAGNITUDE");
+        assert_eq!(err, BvcError::InputTooLarge { value: 1e300 });
+    }
+
+    #[test]
     fn approx_session_happy_path() {
         let report = session(
             ProtocolKind::Approx,

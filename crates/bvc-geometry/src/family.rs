@@ -237,7 +237,7 @@ pub(crate) fn joint_common_point(hulls: &[&ConvexHull]) -> Option<Point> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::gamma::{canonical_order, gamma_is_empty, leave_one_out_intersection};
     use proptest::prelude::*;
@@ -249,7 +249,7 @@ mod tests {
     /// The nudge is along `x_1`, so it stays inside that hyperplane; a nudge
     /// *off* it makes a sliver thinner than the solver's tolerance, where
     /// the search is known to be wrong (`known_false_empties`).
-    fn biased(raw: &[Vec<f64>], kinds: &[usize], d: usize) -> PointMultiset {
+    pub(crate) fn biased(raw: &[Vec<f64>], kinds: &[usize], d: usize) -> PointMultiset {
         let mut out: Vec<Point> = Vec::new();
         for (i, (coords, kind)) in raw.iter().zip(kinds).enumerate() {
             let mut coords = coords[..d].to_vec();

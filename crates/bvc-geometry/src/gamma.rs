@@ -29,9 +29,11 @@
 //!
 //! A strict point query builds at most one family: its trimmed-centre probe
 //! streams the family's hulls and, on a miss, the active-set search reuses
-//! the hulls the probe built.  Membership answers a `bool` and names no
-//! path; which path answered a *point* query is a [`GammaAttribution`],
-//! written into that query's one `gamma` trace event.
+//! the hulls the probe built.  At `d = 2` a miss first asks the depth
+//! region (`depth.rs`: halfplanes through member pairs, no simplex) for a
+//! candidate, kept only if the same hulls accept it.  Membership answers a
+//! `bool` and names no path; which path answered a *point* query is a
+//! [`GammaAttribution`], written into that query's one `gamma` trace event.
 //!
 //! All point-valued queries canonicalise the multiset order first, so the
 //! chosen point is a function of the *multiset* (not of the arrival order of
@@ -44,6 +46,7 @@
 //! is asserted by `tests/lemma1_threshold.rs`
 //! (`gamma_point_exists_from_the_floor_up`).
 
+use crate::depth;
 use crate::family::HullFamily;
 use crate::hull::ConvexHull;
 use crate::multiset::PointMultiset;
@@ -106,8 +109,9 @@ pub fn gamma_point_of(view: SubsetView<'_>, f: usize) -> Option<Point> {
 /// the miss arm of [`GammaCache`](crate::cache::GammaCache) all end here, so
 /// this is where "the engine says empty" is produced:
 ///
-/// * strict — the `d = 1` closed form, else the trimmed-box probe, else the
-///   [`HullFamily::gamma`] active-set search (attributed by path);
+/// * strict — the `d = 1` closed form, else the trimmed-box probe, else (at
+///   `d = 2`) a verified depth-region point, else the [`HullFamily::gamma`]
+///   active-set search (attributed by path);
 /// * `Alpha(α)` — the [`HullFamily::dilated_gamma`] search;
 /// * `K(k)` — the strict point when it exists (it satisfies every
 ///   projection), else the [`k_relaxed_point`] trimmed centre.  `strict_leg`
@@ -146,8 +150,9 @@ pub(crate) fn engine_point(
 }
 
 /// The strict rule: the `d = 1` closed form is read straight off the view;
-/// every other shape materialises the canonical multiset, probes the trimmed
-/// centre and only then searches the family.
+/// every other shape materialises the canonical multiset and probes the
+/// trimmed centre; on a miss a `d = 2` shape tries its depth region, and
+/// only then is the family searched.
 fn strict_point(view: SubsetView<'_>, f: usize) -> (Option<Point>, GammaAttribution) {
     let attributed = |path| GammaAttribution {
         path,
@@ -180,12 +185,22 @@ fn strict_point(view: SubsetView<'_>, f: usize) -> (Option<Point>, GammaAttribut
     if family_contains(&mut family, &canon, f, (&lo, &hi), &centre) {
         return (Some(centre), attributed(GammaPath::ProbeHit));
     }
+    let probe_missed = true;
+    // In the plane a miss is answered by the depth region (no simplex),
+    // accepted only by the same hull-membership test the active-set search
+    // accepts on; an empty clip or a refuted candidate searches as before,
+    // so emptiness is still the search's to decide.
+    if canon.dim() == 2 {
+        if let Some(z) = depth::candidate(&canon, f, (&lo, &hi)).filter(|z| family.all_contain(z)) {
+            let path = GammaPath::DepthRegion;
+            return (Some(z), GammaAttribution { path, probe_missed });
+        }
+    }
     let (value, fell_back) = family.common_point();
     let path = match fell_back {
         true => GammaPath::NaiveFallback,
         false => GammaPath::ActiveSetLp,
     };
-    let probe_missed = true;
     (value, GammaAttribution { path, probe_missed })
 }
 
@@ -444,6 +459,8 @@ pub fn leave_one_out_intersection(y: &PointMultiset) -> Option<Point> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::family::tests::biased;
+    use proptest::prelude::*;
 
     fn pts(coords: &[&[f64]]) -> PointMultiset {
         PointMultiset::new(coords.iter().map(|c| Point::new(c.to_vec())).collect())
@@ -707,5 +724,103 @@ mod tests {
         let p = gamma_point(&y, 1).expect("within-tolerance interval");
         assert!(gamma_contains(&y, 1, &p));
         assert!(gamma_contains(&y, 1, &Point::new(vec![2.5e-8])));
+    }
+
+    /// Depth-region fixtures: each misses the probe, and the depth region
+    /// (not the active-set search) answers it.
+    fn assert_depth_region(y: &PointMultiset, f: usize) -> Point {
+        let (p, attr) = gamma_point_attributed(y, f);
+        assert_eq!(attr.path, GammaPath::DepthRegion, "{y:?}");
+        assert!(attr.probe_missed);
+        let p = p.expect("the depth region answers");
+        for subset in y.subsets_of_size(y.len() - f) {
+            assert!(ConvexHull::new(subset).contains(&p), "{p} leaves a hull");
+        }
+        p
+    }
+
+    #[test]
+    fn depth_region_answers_the_sheared_heptagon() {
+        // The heptagon turned by 1/4 radian and sheared by x += y/4: Γ with
+        // f = 2 is the (sheared) inner heptagon cut by the chords
+        // v_i v_{i+3}, centred on the origin, and the trimmed-box centre
+        // falls outside it.
+        let y = PointMultiset::new(
+            (0..7)
+                .map(|k| {
+                    let theta = 0.25 + 2.0 * std::f64::consts::PI * k as f64 / 7.0;
+                    Point::new(vec![theta.cos() + 0.25 * theta.sin(), theta.sin()])
+                })
+                .collect(),
+        );
+        let p = assert_depth_region(&y, 2);
+        assert!(p.approx_eq(&Point::origin(2), 1e-9), "{p}");
+    }
+
+    #[test]
+    fn depth_region_finds_the_radon_point_of_four_points_in_convex_position() {
+        // Γ of a convex quadrilateral with f = 1 is the crossing of its
+        // diagonals (0,0)–(4,3) and (3,0)–(0,1): (12/13, 9/13).
+        let y = pts(&[&[0.0, 0.0], &[3.0, 0.0], &[4.0, 3.0], &[0.0, 1.0]]);
+        let p = assert_depth_region(&y, 1);
+        assert!(
+            p.approx_eq(&Point::new(vec![12.0 / 13.0, 9.0 / 13.0]), 1e-8),
+            "{p}"
+        );
+    }
+
+    #[test]
+    fn depth_region_answers_with_the_member_inside_the_triangle() {
+        // Three corners and one member inside their triangle: Γ is that
+        // member, returned exactly.
+        let y = pts(&[&[0.0, 0.0], &[4.0, 0.0], &[0.0, 4.0], &[1.0, 1.0]]);
+        assert_eq!(assert_depth_region(&y, 1), Point::new(vec![1.0, 1.0]));
+    }
+
+    /// `raw` as a cluster whose members lie within about 1e-7 of the first,
+    /// plus the last one scaled a hundredfold: the shape that emptied a
+    /// clip whose orientation signs ignored round-off.
+    fn clustered_plus_outlier(raw: &[Vec<f64>]) -> PointMultiset {
+        let (last, cluster) = raw.split_last().expect("non-empty");
+        let centre = &cluster[0];
+        let mut out: Vec<Point> = cluster
+            .iter()
+            .map(|r| Point::new(vec![centre[0] + 1e-7 * r[1], centre[1] + 1e-7 * r[2]]))
+            .collect();
+        out.push(Point::new(vec![100.0 * last[0], 100.0 * last[1]]));
+        PointMultiset::new(out)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The strict path against the all-hulls joint LP (the oracle) on
+        /// `d = 2` inputs: it answers whenever the oracle does, and every
+        /// answer lies in every materialised subset hull.
+        #[test]
+        fn strict_path_answers_whenever_the_all_hulls_lp_does(
+            raw in prop::collection::vec(prop::collection::vec(-2.0f64..2.0, 3), 7),
+            kinds in prop::collection::vec(0usize..6, 7),
+        ) {
+            for y in [biased(&raw, &kinds, 2), clustered_plus_outlier(&raw)] {
+                for f in 1..=2usize {
+                    let hulls: Vec<ConvexHull> = y
+                        .subsets_of_size(y.len() - f)
+                        .into_iter()
+                        .map(ConvexHull::new)
+                        .collect();
+                    let oracle = HullFamily::gamma(&canonical_order(&y), f).joint_common_point();
+                    let found = gamma_point(&y, f);
+                    prop_assert!(
+                        found.is_some() || oracle.is_none(),
+                        "f = {}: the oracle found {:?}, the strict path nothing for {:?}",
+                        f, oracle, y
+                    );
+                    if let Some(p) = &found {
+                        prop_assert!(hulls.iter().all(|h| h.contains(p)), "{} leaves a hull of {:?}", p, y);
+                    }
+                }
+            }
+        }
     }
 }

@@ -45,6 +45,7 @@
 
 pub mod cache;
 pub mod combinatorics;
+mod depth;
 mod family;
 pub mod gamma;
 pub mod hull;

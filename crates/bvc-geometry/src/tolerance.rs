@@ -23,6 +23,7 @@
 //! | [`HULL_TOLERANCE`] | 1e-6 | bounding-box and trimmed-box rejects `c < lo − τ ∨ c > hi + τ`; witness check `‖Σ αᵢgᵢ − p‖∞ ≤ τ` | reject: above `FEASIBILITY_TOLERANCE` (a coordinate `τ` outside the box is a residual `> 1e-7`) |
 //! | [`WEIGHT_SUM_TOLERANCE`] | 1e-6 | `\|Σ w − 1\| < τ` for convex-combination weights | input check; solver weights sum to 1 within `FEASIBILITY_TOLERANCE` |
 //! | [`NEGATIVE_WEIGHT_TOLERANCE`] | 1e-9 | `w ≥ −τ` for each weight | input check at `EPSILON`; weights read off the solver are clamped to `≥ 0` before they get here |
+//! | [`DEPTH_SLACK`] | 1e-9 | `d = 2` depth region: a point within `τ` (a distance: unit normals) of every kept halfplane and of the trimmed box is a *candidate* | accept a candidate: below `FEASIBILITY_TOLERANCE`, and only after the hull-membership LPs accept it too |
 //! | [`DEFAULT_TOLERANCE`] | 1e-7 | default `τ` of [`Point::approx_eq`](crate::Point::approx_eq) for callers | none: not read by any engine |
 //!
 //! One more lives where it is judged: `EXACT_AGREEMENT_TOLERANCE` (1e-6,
@@ -35,6 +36,9 @@ use bvc_lp::{EPSILON, FEASIBILITY_TOLERANCE};
 
 /// Box rejects and witness verification; see the [table](self).
 pub const HULL_TOLERANCE: f64 = 1e-6;
+
+/// Slack of the `d = 2` depth-region candidate; see the [table](self).
+pub const DEPTH_SLACK: f64 = 1e-9;
 
 /// Default tolerance used by approximate comparisons of points.
 pub const DEFAULT_TOLERANCE: f64 = 1e-7;
@@ -60,4 +64,5 @@ const _: () = assert!(
         && D1_TOLERANCE == FEASIBILITY_TOLERANCE
         && FEASIBILITY_TOLERANCE < HULL_TOLERANCE
         && NEGATIVE_WEIGHT_TOLERANCE == EPSILON
+        && DEPTH_SLACK < FEASIBILITY_TOLERANCE
 );

@@ -309,6 +309,13 @@ pub fn generate_inputs(spec: &ScenarioSpec, seed: u64) -> Result<Vec<Point>, Sce
             .points()
             .to_vec(),
         InputSpec::RandomBall { center, radius } => {
+            // A draw is `c + u` with `u` uniform on `[−r, r]`, a span of
+            // `2r`: past the finite range it is not a point.
+            if center.iter().any(|c| !(c.abs() + 2.0 * radius).is_finite()) {
+                return Err(ScenarioError::BadInputs(format!(
+                    "random-ball centre {center:?} with radius {radius} leaves the finite range"
+                )));
+            }
             let centre = Point::new(center.clone());
             generator
                 .clustered(count, &centre, *radius)
@@ -659,5 +666,40 @@ mod tests {
             let err = run_scenario(&s, 0, s.strategy, s.policy.clone()).unwrap_err();
             assert!(matches!(err, ScenarioError::Rejected(_)), "d = {d}");
         }
+    }
+
+    #[test]
+    fn inputs_beyond_the_magnitude_bound_are_rejected_not_a_panic() {
+        // Finite but huge inputs would overflow the d = 2 Γ engine's
+        // products into a non-finite point; admission rejects them.
+        let shape = "[scenario]\nname = \"t\"\nprotocol = \"restricted-sync\"\n\
+                     n = 5\nf = 1\nd = 2\n[adversary]\nstrategy = \"equivocate\"\n";
+        let corners = |c: &str| {
+            format!(
+                "{shape}[inputs]\ngenerator = \"explicit\"\n\
+                 points = [[{c}, {c}], [{c}, -{c}], [-{c}, {c}], [-{c}, -{c}]]\n"
+            )
+        };
+        let ball = format!("{shape}[inputs]\ngenerator = \"random-ball\"\nradius = 1e300\n");
+        for toml in [corners("1e155"), corners("1e308"), ball] {
+            let s = ScenarioSpec::from_toml(&toml).unwrap();
+            let err = run_scenario(&s, 0, s.strategy, s.policy.clone()).unwrap_err();
+            assert!(
+                matches!(&err, ScenarioError::Rejected(m) if m.contains("admitted magnitude")),
+                "{err}"
+            );
+        }
+        // At the bound the run goes ahead.
+        let s = ScenarioSpec::from_toml(&corners("1e150")).unwrap();
+        assert!(run_scenario(&s, 0, s.strategy, s.policy.clone()).is_ok());
+        // A ball whose draws overflow is refused before any point is built.
+        let ball = format!(
+            "{shape}[inputs]\ngenerator = \"random-ball\"\ncenter = [1e308, 1e308]\nradius = 1e308\n"
+        );
+        let s = ScenarioSpec::from_toml(&ball).unwrap();
+        assert!(matches!(
+            generate_inputs(&s, 0),
+            Err(ScenarioError::BadInputs(_))
+        ));
     }
 }

@@ -26,6 +26,10 @@ pub enum GammaPath {
     HullF0,
     /// The trimmed-box centre probe passed the membership stream.
     ProbeHit,
+    /// `d = 2` after a probe miss: a point of the depth region cut out by
+    /// member-pair halfplanes (no simplex), accepted by every subset hull's
+    /// membership test.
+    DepthRegion,
     /// The active-set LP loop over streamed subset hulls.
     ActiveSetLp,
     /// The naive monolithic joint LP the active set falls back to on
@@ -44,6 +48,7 @@ impl GammaPath {
             GammaPath::D1ClosedForm => "d1-closed-form",
             GammaPath::HullF0 => "f0-hull",
             GammaPath::ProbeHit => "probe-hit",
+            GammaPath::DepthRegion => "depth-region",
             GammaPath::ActiveSetLp => "active-set-lp",
             GammaPath::NaiveFallback => "naive-fallback",
             GammaPath::StreamScan => "stream-scan",
@@ -51,10 +56,11 @@ impl GammaPath {
     }
 
     /// All variants, in wire order.
-    pub const ALL: [GammaPath; 6] = [
+    pub const ALL: [GammaPath; 7] = [
         GammaPath::D1ClosedForm,
         GammaPath::HullF0,
         GammaPath::ProbeHit,
+        GammaPath::DepthRegion,
         GammaPath::ActiveSetLp,
         GammaPath::NaiveFallback,
         GammaPath::StreamScan,

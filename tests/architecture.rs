@@ -426,6 +426,44 @@ fn one_hull_family() {
 }
 
 #[test]
+fn one_depth_engine() {
+    // The d = 2 depth region is one module, `bvc-geometry/src/depth.rs`,
+    // asked from one place: `gamma::strict_point` after a probe miss.  Its
+    // answers are verified by the hull family's membership test and its
+    // failures fall through to the one active-set search, so the joint LP
+    // still lives in one file and the cache knows no engine by name.
+    let geometry = rust_files_under(&["crates/bvc-geometry/src"]);
+    let callers: Vec<PathBuf> = naming(&geometry, text, &["depth::"])
+        .into_iter()
+        .filter(|p| !p.ends_with("depth.rs"))
+        .collect();
+    assert!(
+        callers.len() == 1 && callers[0].ends_with("bvc-geometry/src/gamma.rs"),
+        "the depth module must be called from gamma.rs only, found:\n{}",
+        shown(&callers)
+    );
+    let asks = lines_with(
+        &non_test(&root().join("crates/bvc-geometry/src/gamma.rs")),
+        "depth::candidate(",
+    );
+    assert!(
+        asks == 1,
+        "gamma.rs must ask depth::candidate( exactly once, found {asks}"
+    );
+    let cache = non_test(&root().join("crates/bvc-geometry/src/cache.rs"));
+    assert!(
+        !cache.contains("depth"),
+        "cache.rs names the depth engine: it knows keys, levels and counters, and asks engine_point"
+    );
+    let joint = naming(&geometry, non_test, &["joint_candidate("]);
+    assert!(
+        joint.len() == 1 && joint[0].ends_with("bvc-geometry/src/family.rs"),
+        "`joint_candidate(` must stay in family.rs alone, found:\n{}",
+        shown(&joint)
+    );
+}
+
+#[test]
 fn one_round_structure() {
     // A round is collect → Step 2 → stop, written once in bvc-core/src/
     // rounds.rs: one lock-step round body (so three `SyncProcess` impls in
