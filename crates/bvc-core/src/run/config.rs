@@ -110,8 +110,7 @@ impl ProtocolKind {
     }
 
     /// Whether the protocol is judged against ε-agreement (every protocol
-    /// except the exact-consensus family, whose agreement is equality up to
-    /// LP round-off).
+    /// except the exact-consensus family, whose agreement is equality).
     pub fn uses_epsilon(self) -> bool {
         !matches!(
             self,

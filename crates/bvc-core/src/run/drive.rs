@@ -30,13 +30,6 @@ use bvc_geometry::Point;
 use bvc_net::{AsyncNetwork, AsyncProcess, SyncNetwork, SyncProcess};
 use std::sync::Arc;
 
-/// Agreement tolerance of the exact-consensus kinds: honest decisions are
-/// the same deterministic Γ point of the same multiset, so agreement means
-/// `max_pairwise_distance ≤ EXACT_AGREEMENT_TOLERANCE` — equality up to LP
-/// round-off.  It is the one row of the geometry tolerance table
-/// ([`bvc_geometry::tolerance`]) that lives where it is judged.
-const EXACT_AGREEMENT_TOLERANCE: f64 = 1e-6;
-
 type SyncBox<M> = Box<dyn SyncProcess<Msg = M, Output = Point>>;
 type AsyncBox<M, O> = Box<dyn AsyncProcess<Msg = M, Output = O>>;
 
@@ -173,7 +166,7 @@ impl BvcSession {
                         cast,
                         DirectedExactProcess::total_rounds(config),
                         local_broadcast,
-                        EXACT_AGREEMENT_TOLERANCE,
+                        0.0,
                     )
                 };
                 outcome.sufficiency = Some(sufficiency);
@@ -202,12 +195,7 @@ impl BvcSession {
                 sync_box(Forging::new(skeleton, forge))
             },
         );
-        self.run_sync(
-            cast,
-            ExactBvcProcess::total_rounds(config),
-            false,
-            EXACT_AGREEMENT_TOLERANCE,
-        )
+        self.run_sync(cast, ExactBvcProcess::total_rounds(config), false, 0.0)
     }
 
     /// The cast: honest process `i` on honest input `i` for `i < n − f`,
@@ -257,7 +245,10 @@ impl BvcSession {
             .collect()
     }
 
-    /// The synchronous executor, waited on the honest processes.
+    /// The synchronous executor, waited on the honest processes and judged
+    /// at `tolerance`: ε, or 0 for the exact kinds, whose honest decisions
+    /// are the same deterministic Γ point of the same multiset, so agreement
+    /// is equality.
     fn run_sync<M: Clone>(
         &self,
         cast: Vec<SyncBox<M>>,

@@ -58,8 +58,8 @@ struct DriverOutcome {
     decisions: Vec<Point>,
     /// Whether every honest process decided within the executor's budget.
     terminated: bool,
-    /// The agreement tolerance the verdict is judged at (ε, or the LP
-    /// round-off allowance for exact consensus).
+    /// The agreement tolerance the verdict is judged at (ε, or 0 for exact
+    /// consensus: equality).
     tolerance: f64,
     /// Rounds (synchronous) or scheduler delivery steps (asynchronous)
     /// executed.

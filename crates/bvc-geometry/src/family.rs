@@ -239,7 +239,9 @@ pub(crate) fn joint_common_point(hulls: &[&ConvexHull]) -> Option<Point> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::gamma::{canonical_order, gamma_is_empty, leave_one_out_intersection};
+    use crate::gamma::{
+        canonical_order, gamma_contains, gamma_is_empty, gamma_point, leave_one_out_intersection,
+    };
     use proptest::prelude::*;
 
     /// `raw[i]` cut to `d` coordinates and bent by `kinds[i]`, biased toward
@@ -247,8 +249,8 @@ pub(crate) mod tests {
     /// earlier one nudged by 1e-9, a point on the hyperplane `x_d = 0`
     /// (collinear in `d = 2`, coplanar in `d = 3`), or a grid-snapped one.
     /// The nudge is along `x_1`, so it stays inside that hyperplane; a nudge
-    /// *off* it makes a sliver thinner than the solver's tolerance, where
-    /// the search is known to be wrong (`known_false_empties`).
+    /// *off* it makes a sliver thinner than the solver's tolerance, which
+    /// `known_false_empties` pins with fixed coordinates.
     pub(crate) fn biased(raw: &[Vec<f64>], kinds: &[usize], d: usize) -> PointMultiset {
         let mut out: Vec<Point> = Vec::new();
         for (i, (coords, kind)) in raw.iter().zip(kinds).enumerate() {
@@ -295,6 +297,9 @@ pub(crate) mod tests {
             raw in prop::collection::vec(prop::collection::vec(-2.0f64..2.0, 3), 6),
             kinds in prop::collection::vec(0usize..6, 6),
             probe in prop::collection::vec(-1.0f64..1.0, 3),
+            wide in prop::collection::vec(prop::collection::vec(-2.0f64..2.0, 3), 10),
+            wide_kinds in prop::collection::vec(0usize..6, 10),
+            wide_draw in 0usize..4,
         ) {
             for d in 2..=3usize {
                 let y = &canonical_order(&biased(&raw, &kinds, d));
@@ -320,6 +325,18 @@ pub(crate) mod tests {
                     .collect();
                 check(|| HullFamily::leave_one_out(y), &loo, &probes);
             }
+            // The shape of the paper's `exact-n10-d3` Γ(S) query, 45 hulls,
+            // in about a quarter of the cases: its all-hulls oracle is a
+            // 180-row LP, and one that stalls runs the solver's whole
+            // iteration cap (tens of seconds in a debug build).
+            if wide_draw == 0 {
+                let y = &canonical_order(&biased(&wide, &wide_kinds, 3));
+                let mut probes: Vec<Point> = y.points().to_vec();
+                probes.push(Point::centroid(y.points()));
+                let strict: Vec<ConvexHull> =
+                    y.subsets_of_size(y.len() - 2).into_iter().map(ConvexHull::new).collect();
+                check(|| HullFamily::gamma(y, 2), &strict, &probes);
+            }
         }
 
         /// Theorem 1 is Γ with `f = 1`: the leave-one-out hulls are the
@@ -340,13 +357,11 @@ pub(crate) mod tests {
         }
     }
 
-    /// Two inputs the generator above produced with the nudge along `x_d`,
-    /// on which "the working set is infeasible" is read as "the intersection
-    /// is empty" and is false.  Neither is reachable from the corpus; both
-    /// are what `engine_point`'s next engine and the above-bound check are
-    /// for (ROADMAP, first open item).
+    /// Inputs on which a phase 1 that stopped `Unbounded` used to be read as
+    /// "the working set is infeasible", hence "the intersection is empty",
+    /// which is false: two slivers the generator above produced with the
+    /// nudge along `x_d`, and one Γ(S) of the paper's algorithm.
     #[test]
-    #[ignore = "known false empties of the active-set search on sub-tolerance slivers"]
     fn known_false_empties() {
         let pts = |rows: &[[f64; 3]]| {
             PointMultiset::new(rows.iter().map(|r| Point::new(r.to_vec())).collect())
@@ -378,5 +393,21 @@ pub(crate) mod tests {
         ]);
         assert!(leave_one_out_intersection(&radon).is_some());
         assert!(!gamma_is_empty(&radon, 1));
+        // n = 10, f = 2, d = 3, above the Lemma-1 bound: the Γ(S) of
+        // `bvc-benchmark instance --workload exact-n10-d3 --seed 1 --index 23`.
+        let exact = pts(&[
+            [0.18409555864261629, 0.5564821051921288, 0.944962382779557],
+            [0.9437003801971682, 0.8318845321339408, 0.43237773668746327],
+            [0.9442451465314556, 0.958889964868586, 0.08345774216875468],
+            [0.1819286454438327, 0.9808937485744164, 0.4455601378178221],
+            [0.9798036277553392, 0.7445154052209547, 0.6452014409129365],
+            [0.6958808053356172, 0.6394916694038625, 0.8809612744642666],
+            [0.13147483965723128, 0.9474975652439268, 0.5693078700492274],
+            [0.39372870503823654, 0.587410909097146, 0.9259462837008557],
+            [0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0],
+        ]);
+        let point = gamma_point(&exact, 2).expect("Γ(S) is non-empty above the bound");
+        assert!(gamma_contains(&exact, 2, &point));
     }
 }

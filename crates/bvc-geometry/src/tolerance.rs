@@ -5,9 +5,9 @@
 //!
 //! | solver threshold | value | decides |
 //! |---|---|---|
-//! | [`bvc_lp::EPSILON`] | 1e-9 | reduced cost `< −ε` enters, ratio ties, entries `≤ ε` are zero |
+//! | [`bvc_lp::EPSILON`] | 1e-9 | reduced cost `< −ε` enters, entries `≤ ε` are zero (ratio ties are exact: the lexicographic rule) |
 //! | [`bvc_lp::PIVOT_TOLERANCE`] | 1e-7 | a pivot element must exceed it (else the tiny-pivot fallback) |
-//! | [`bvc_lp::FEASIBILITY_TOLERANCE`] | 1e-7 | phase-1 optimum (the L1 residual of the constraints) above it ⇒ infeasible |
+//! | [`bvc_lp::FEASIBILITY_TOLERANCE`] | 1e-7 | phase-1 optimum (the L1 residual of the constraints) above it ⇒ infeasible (a phase 1 that did not end optimal ⇒ stalled) |
 //!
 //! A hull-membership or joint LP therefore *accepts* a point whose residual
 //! is at most `1e-7`.  The fast paths around the solver must never contradict
@@ -26,11 +26,8 @@
 //! | [`DEPTH_SLACK`] | 1e-9 | `d = 2` depth region: a point within `τ` (a distance: unit normals) of every kept halfplane and of the trimmed box is a *candidate* | accept a candidate: below `FEASIBILITY_TOLERANCE`, and only after the hull-membership LPs accept it too |
 //! | [`DEFAULT_TOLERANCE`] | 1e-7 | default `τ` of [`Point::approx_eq`](crate::Point::approx_eq) for callers | none: not read by any engine |
 //!
-//! One more lives where it is judged: `EXACT_AGREEMENT_TOLERANCE` (1e-6,
-//! `bvc-core/src/run/drive.rs`), agreement ⇔ `max_pairwise_distance ≤ τ` —
-//! honest decisions are the same Γ point of the same multiset, so it only
-//! covers LP round-off.  Nothing here is settable; the orderings above are
-//! checked at compile time below.
+//! Nothing here is settable; the orderings above are checked at compile time
+//! below.
 
 use bvc_lp::{EPSILON, FEASIBILITY_TOLERANCE};
 

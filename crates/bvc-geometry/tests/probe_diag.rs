@@ -6,10 +6,10 @@
 //! degenerate phase-1 LP that stalled the banded simplex, corrupted the
 //! tableau, and sent the engine to the naive all-hulls fallback (over a
 //! second per query in debug builds) which then *mis-reported* the
-//! sub-tolerance Lemma-1 sliver as empty.  The lexicographic stall recovery
-//! in `bvc-lp` fixed both, so the diagnostic is now a latency-free
-//! regression test: every seed must find its Γ point, and none may take the
-//! naive fallback.  No timing assertions — only the engine path taken,
+//! sub-tolerance Lemma-1 sliver as empty.  The lexicographic leaving rule
+//! fixed both — first as a recovery run after a stall, now as `bvc-lp`'s
+//! only pivot rule — so the diagnostic is a latency-free regression test:
+//! every seed must find its Γ point, and none may take the naive fallback.  No timing assertions — only the engine path taken,
 //! which is deterministic.
 
 use bvc_geometry::{gamma_point_attributed, PointMultiset, WorkloadGenerator};
@@ -29,8 +29,8 @@ fn n10_f2_d3_corpus_finds_points_without_the_naive_fallback() {
         assert_ne!(
             attribution.path,
             GammaPath::NaiveFallback,
-            "seed {seed}: the stall recovery must keep the active-set loop \
-             off the naive all-hulls fallback"
+            "seed {seed}: the lexicographic rule must keep the active-set \
+             loop off the naive all-hulls fallback"
         );
     }
 }

@@ -6,7 +6,8 @@
 //! linear programming"; the paper assumes an LP solver exists.  The allowed
 //! dependency set for this reproduction contains no LP crate, so this crate
 //! implements the classical **two-phase primal simplex method** on a dense
-//! tableau, with Bland's anti-cycling rule.
+//! tableau, with the lexicographic leaving rule, which in exact arithmetic
+//! cannot revisit a basis.
 //!
 //! The solver is deliberately small and predictable rather than fast: the LPs
 //! produced by the consensus geometry are tiny (tens of variables, tens of
@@ -51,7 +52,8 @@ pub const EPSILON: f64 = 1e-9;
 
 /// Phase 1 ends feasible when its optimum — the summed artificials, i.e. the
 /// L1 residual of the constraints — is at most this; anything above is an
-/// infeasibility certificate (or, after a stall, no verdict at all).
+/// infeasibility certificate if phase 1 ended optimal, and no verdict at all
+/// otherwise.
 pub const FEASIBILITY_TOLERANCE: f64 = 1e-7;
 
 /// Pivot elements at or below this are avoided (they amplify rounding

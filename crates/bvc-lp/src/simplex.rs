@@ -22,8 +22,9 @@ pub enum SolveStatus {
     Infeasible,
     /// The feasible region is unbounded in the optimisation direction.
     Unbounded,
-    /// The solver hit its iteration cap before resolving the program
-    /// (numerical stalling on degenerate input): neither feasibility nor
+    /// Phase 1 ended without a verdict — it hit its iteration cap, or
+    /// reported its bounded objective unbounded (numerical noise) — with a
+    /// residual above the feasibility tolerance: neither feasibility nor
     /// infeasibility is certified.  Callers that rely on `Infeasible` as a
     /// proof of emptiness must treat this outcome separately.
     Stalled,
@@ -65,17 +66,11 @@ pub struct Solution {
 }
 
 impl Solution {
-    fn infeasible(num_variables: usize) -> Self {
+    /// A solve that found no point: all-zero placeholder values, NaN
+    /// objective.
+    fn without_point(status: SolveStatus, num_variables: usize) -> Self {
         Self {
-            status: SolveStatus::Infeasible,
-            values: vec![0.0; num_variables],
-            objective_value: f64::NAN,
-        }
-    }
-
-    fn unbounded(num_variables: usize) -> Self {
-        Self {
-            status: SolveStatus::Unbounded,
+            status,
             values: vec![0.0; num_variables],
             objective_value: f64::NAN,
         }
@@ -280,43 +275,19 @@ fn run_phases(
         }
         tableau.price_out_basis();
         let eligible = workspace.take_bool(total_cols, true);
-        // The phase-1 objective is bounded below by zero, so an "unbounded"
-        // outcome can only be numerical noise; the decision is made on the
-        // attained objective value.
-        let mut outcome = tableau.run_simplex(&eligible);
-        if outcome == PivotOutcome::Stalled {
-            // The banded ratio test cycled on degenerate input, and by the
-            // time the iteration cap fires the tableau has ground thousands
-            // of near-tolerance pivots of rounding error into itself —
-            // continuing from that basis is hopeless.  Rebuild the tableau
-            // from the problem and redo phase 1 under the lexicographic
-            // rule, which cannot revisit a basis when started from the
-            // identity basis and so terminates in a modest number of pivots
-            // before error can accumulate.  Solves that finish inside the
-            // primary budget never reach this path, keeping their pivot
-            // sequences (and trace streams) bit-identical.
-            tableau.clear();
-            fill_tableau(lp, lay, tableau);
-            for col in lay.artificial_start..total_cols {
-                tableau.set_objective_coefficient(col, 1.0);
-            }
-            tableau.price_out_basis();
-            outcome = tableau.run_simplex_lex(&eligible);
-        }
+        let outcome = tableau.run_simplex(&eligible);
         workspace.put_bool(eligible);
         if tableau.objective_value() > FEASIBILITY_TOLERANCE {
-            // A completed phase 1 that could not zero the artificials is a
-            // genuine infeasibility certificate; a *stalled* phase 1 proves
-            // nothing and must not masquerade as one (downstream the Γ
-            // engine reads `Infeasible` as an emptiness proof).
-            if outcome == PivotOutcome::Stalled {
-                return Solution {
-                    status: SolveStatus::Stalled,
-                    values: vec![0.0; lp.num_variables()],
-                    objective_value: f64::NAN,
-                };
-            }
-            return Solution::infeasible(lp.num_variables());
+            // Only a phase 1 that ended optimal and could not zero the
+            // artificials certifies infeasibility.  Its objective is bounded
+            // below by zero, so an `Unbounded` outcome is numerical noise,
+            // and a capped one proves nothing: both are `Stalled`, never an
+            // emptiness proof for the Γ engine downstream.
+            let status = match outcome {
+                PivotOutcome::Optimal => SolveStatus::Infeasible,
+                PivotOutcome::Unbounded | PivotOutcome::Stalled => SolveStatus::Stalled,
+            };
+            return Solution::without_point(status, lp.num_variables());
         }
         if mode == SolveMode::FeasibilityOnly {
             return Solution {
@@ -378,7 +349,7 @@ fn run_phases(
     let outcome = tableau.run_simplex(&eligible);
     workspace.put_bool(eligible);
     if outcome == PivotOutcome::Unbounded {
-        return Solution::unbounded(lp.num_variables());
+        return Solution::without_point(SolveStatus::Unbounded, lp.num_variables());
     }
     // A phase-2 stall still has a feasible basic solution (phase 1
     // succeeded), which is all the feasibility-style programs served here
@@ -542,8 +513,8 @@ mod tests {
 
     #[test]
     fn degenerate_program_terminates() {
-        // A degenerate LP where multiple bases describe the same vertex;
-        // Bland's rule must still terminate.
+        // A degenerate LP where multiple bases describe the same vertex: the
+        // lexicographic rule must still terminate.
         let mut lp = LinearProgram::new(2, Objective::Maximize);
         lp.set_objective_coefficient(0, 1.0);
         lp.set_objective_coefficient(1, 1.0);

@@ -1,4 +1,4 @@
-//! Dense simplex tableau with Bland's anti-cycling pivot rule.
+//! Dense simplex tableau with the lexicographic anti-cycling pivot rule.
 //!
 //! The tableau stores the constraint matrix in *canonical form*: every row has
 //! an associated basic variable whose column is a unit vector, and the last
@@ -43,21 +43,9 @@ pub(crate) struct Tableau {
 
 impl Tableau {
     /// Creates a tableau of `rows` constraint rows and `cols` structural
-    /// columns, all zeros, with an (invalid) all-zero basis that the caller
-    /// must fill in.
-    #[cfg(test)]
-    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
-        Self {
-            rows,
-            cols,
-            data: vec![0.0; (rows + 1) * (cols + 1)],
-            basis: vec![0; rows],
-            pivots: 0,
-        }
-    }
-
-    /// Like [`Tableau::zeros`] but with buffers leased from `workspace`;
-    /// return them with [`Tableau::recycle`] when the solve is done.
+    /// columns, all zeros, with buffers leased from `workspace` and an
+    /// (invalid) all-zero basis that the caller must fill in; return the
+    /// buffers with [`Tableau::recycle`] when the solve is done.
     pub(crate) fn from_workspace(
         rows: usize,
         cols: usize,
@@ -83,19 +71,6 @@ impl Tableau {
         workspace.put_usize(self.basis);
     }
 
-    /// Zeroes every entry (constraint rows, objective row, RHS) while keeping
-    /// the accumulated pivot count, so the two-phase driver can re-fill the
-    /// tableau from the problem for a recovery run.  The basis is left to the
-    /// subsequent re-fill to restore.
-    pub(crate) fn clear(&mut self) {
-        self.data.fill(0.0);
-    }
-
-    #[allow(dead_code)]
-    pub(crate) fn rows(&self) -> usize {
-        self.rows
-    }
-
     pub(crate) fn cols(&self) -> usize {
         self.cols
     }
@@ -104,14 +79,6 @@ impl Tableau {
     #[inline]
     fn stride(&self) -> usize {
         self.cols + 1
-    }
-
-    /// Constraint row `row` (including its RHS entry) as a slice.
-    #[cfg(test)]
-    #[inline]
-    pub(crate) fn row(&self, row: usize) -> &[f64] {
-        let stride = self.stride();
-        &self.data[row * stride..(row + 1) * stride]
     }
 
     /// Constraint row `row` (including its RHS entry) as a mutable slice.
@@ -255,64 +222,18 @@ impl Tableau {
     }
 
     /// Runs simplex iterations (minimisation) until optimality or
-    /// unboundedness, using Bland's rule: entering variable is the
-    /// lowest-index column with a negative reduced cost, leaving variable is
-    /// chosen by the minimum-ratio test with lowest basic index as the tie
-    /// breaker.  `eligible` restricts the columns allowed to enter the basis
-    /// (used by phase 2 to keep artificial columns out).
+    /// unboundedness.  The entering column is the lowest-index eligible one
+    /// with a negative reduced cost (`eligible` keeps artificial columns out
+    /// in phase 2); the leaving row is chosen by the lexicographic ratio test
+    /// ([`Tableau::leaving_lexicographic`]) against the basis at entry.  That
+    /// basis is an identity over a non-negative RHS, so every row starts
+    /// lex-positive, the objective row rises strictly in lexicographic order
+    /// with each pivot, and in exact arithmetic no basis is ever revisited.
     ///
-    /// Every solve that terminates within the iteration budget pivots exactly
-    /// as it always has; [`PivotOutcome::Stalled`] hands control back to the
-    /// two-phase driver, which rebuilds the tableau and re-runs it under the
-    /// lexicographic rule ([`Tableau::run_simplex_lex`]) rather than letting
-    /// a cycling pass keep grinding rounding error into the data.
+    /// The iteration cap is the backstop for rounding error; reaching it
+    /// returns [`PivotOutcome::Stalled`], whose basic solution proves
+    /// nothing about the optimum.
     pub(crate) fn run_simplex(&mut self, eligible: &[bool]) -> PivotOutcome {
-        debug_assert_eq!(eligible.len(), self.cols);
-        let stride = self.stride();
-        // An upper bound on iterations that is generous enough never to
-        // trigger for well-conditioned inputs but protects against numerical
-        // cycling.  Simplex visits O(rows) bases on the programs this crate
-        // serves; a linear cap keeps the degenerate worst case (tolerance-
-        // based Bland tie-breaking can stall on near-duplicate generators)
-        // bounded in tens of milliseconds instead of seconds, while leaving
-        // two orders of magnitude of headroom over the typical pivot count.
-        let max_iterations = 1000 + 50 * (self.rows + self.cols);
-        for _ in 0..max_iterations {
-            // Bland's rule: first eligible column with negative reduced cost.
-            let objective_row = &self.data[self.rows * stride..self.rows * stride + self.cols];
-            let entering = objective_row
-                .iter()
-                .zip(eligible)
-                .position(|(&cost, &ok)| ok && cost < -EPSILON);
-            let entering = match entering {
-                Some(col) => col,
-                None => return PivotOutcome::Optimal,
-            };
-            match self.leaving_banded(entering) {
-                Some(row) => self.pivot(row, entering),
-                None => return PivotOutcome::Unbounded,
-            }
-        }
-        // Reaching the iteration cap indicates numerical trouble (tolerance-
-        // based Bland tie-breaking can stall on near-duplicate generators).
-        // The current point is feasible but the objective value proves
-        // nothing, so the caller must not read optimality — in particular a
-        // stalled phase 1 must not be misread as an infeasibility
-        // certificate.
-        PivotOutcome::Stalled
-    }
-
-    /// Runs simplex iterations under the **lexicographic** leaving rule: the
-    /// leaving row minimises the ratio vector `(rhs, ref₀, ref₁, …) / aᵣ`
-    /// lexicographically, where the reference columns are the basis columns
-    /// at entry.  Started from the initial identity basis (slacks and
-    /// artificials, non-negative RHS) the reference rows are lex-positive, so
-    /// no basis ever repeats and the walk terminates without the long
-    /// degenerate cycles that corrupt the tableau numerically.  This is the
-    /// recovery path for solves the banded rule reported as stalled; the
-    /// driver re-fills the tableau before calling it, because a stalled
-    /// tableau has already accumulated unbounded rounding error.
-    pub(crate) fn run_simplex_lex(&mut self, eligible: &[bool]) -> PivotOutcome {
         debug_assert_eq!(eligible.len(), self.cols);
         let stride = self.stride();
         let ref_cols = self.basis.clone();
@@ -335,95 +256,49 @@ impl Tableau {
         PivotOutcome::Stalled
     }
 
-    /// Tolerance-banded minimum-ratio test.  Pivot elements below
-    /// `PIVOT_TOLERANCE` are avoided (they amplify rounding error); if only
-    /// tiny positive entries exist, the largest of them is used as a fallback
-    /// rather than declaring the problem unbounded on numerical noise.  Rows
-    /// whose ratios agree within `EPSILON` count as tied and the lowest basic
-    /// variable index wins.
-    fn leaving_banded(&self, entering: usize) -> Option<usize> {
-        let stride = self.stride();
-        let mut leaving: Option<(usize, f64)> = None;
-        for row in 0..self.rows {
-            let a = self.data[row * stride + entering];
-            if a > PIVOT_TOLERANCE {
-                let ratio = self.data[row * stride + self.cols] / a;
-                match leaving {
-                    None => leaving = Some((row, ratio)),
-                    Some((best_row, best_ratio)) => {
-                        let better = ratio < best_ratio - EPSILON
-                            || (ratio < best_ratio + EPSILON
-                                && self.basis[row] < self.basis[best_row]);
-                        if better {
-                            leaving = Some((row, ratio));
-                        }
-                    }
-                }
-            }
-        }
-        if leaving.is_none() {
-            // Fallback: the largest positive-but-tiny pivot entry.
-            let mut best: Option<(usize, f64)> = None;
-            for row in 0..self.rows {
-                let a = self.data[row * stride + entering];
-                if a > EPSILON && best.is_none_or(|(_, b)| a > b) {
-                    best = Some((row, a));
-                }
-            }
-            return best.map(|(row, _)| row);
-        }
-        leaving.map(|(row, _)| row)
-    }
-
     /// Lexicographic minimum-ratio test.  Rows with a pivot entry above
     /// `PIVOT_TOLERANCE` compete (falling back to anything above `EPSILON`
-    /// when none exist, mirroring the banded rule's tiny-pivot fallback);
-    /// among them the winner minimises `(rhs, ref₀, ref₁, …) / aᵣ`
+    /// when none exist, rather than declaring unboundedness on numerical
+    /// noise); among them the winner minimises `(rhs, ref₀, ref₁, …) / aᵣ`
     /// lexicographically with exact comparisons at every level, which makes
-    /// the selection a strict total order — the anti-cycling property the
-    /// banded rule's ±EPSILON tie band gives up.
+    /// the selection a strict total order.  The incumbent's first-level
+    /// ratio is kept, so only a tie divides again.
     fn leaving_lexicographic(&self, entering: usize, ref_cols: &[usize]) -> Option<usize> {
         let stride = self.stride();
-        let mut threshold = PIVOT_TOLERANCE;
-        let mut best: Option<usize> = None;
-        loop {
+        for threshold in [PIVOT_TOLERANCE, EPSILON] {
+            let mut best: Option<(usize, f64)> = None;
             for row in 0..self.rows {
                 let a = self.data[row * stride + entering];
                 if a <= threshold {
                     continue;
                 }
-                best = match best {
-                    None => Some(row),
-                    Some(b) => {
-                        if self.lex_ratio_less(row, b, entering, ref_cols) {
-                            Some(row)
-                        } else {
-                            Some(b)
-                        }
+                let ratio = self.data[row * stride + self.cols] / a;
+                let better = match best {
+                    None => true,
+                    Some((b, best_ratio)) => {
+                        ratio < best_ratio
+                            || (ratio == best_ratio
+                                && self.ref_ratio_less(row, b, entering, ref_cols))
                     }
                 };
+                if better {
+                    best = Some((row, ratio));
+                }
             }
-            if best.is_some() || threshold <= EPSILON {
-                return best;
+            if best.is_some() {
+                return best.map(|(row, _)| row);
             }
-            // No comfortably-sized pivot entry: admit tiny ones rather than
-            // declaring unboundedness on numerical noise.
-            threshold = EPSILON;
         }
+        None
     }
 
-    /// Returns `true` when row `r`'s ratio vector `(rhs, ref₀, ref₁, …)/aᵣ`
+    /// Breaks a first-level tie: `true` when row `r`'s `(ref₀, ref₁, …)/aᵣ`
     /// is lexicographically smaller than row `b`'s.  Comparisons are exact;
     /// equal prefixes fall through to the next reference column, and fully
     /// identical vectors keep the incumbent (stable choice).
-    fn lex_ratio_less(&self, r: usize, b: usize, entering: usize, ref_cols: &[usize]) -> bool {
+    fn ref_ratio_less(&self, r: usize, b: usize, entering: usize, ref_cols: &[usize]) -> bool {
         let ar = self.get(r, entering);
         let ab = self.get(b, entering);
-        let x = self.rhs(r) / ar;
-        let y = self.rhs(b) / ab;
-        if x != y {
-            return x < y;
-        }
         for &c in ref_cols {
             let x = self.get(r, c) / ar;
             let y = self.get(b, c) / ab;
@@ -438,6 +313,29 @@ impl Tableau {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Tableau {
+        /// Like [`Tableau::from_workspace`], on fresh buffers.
+        fn zeros(rows: usize, cols: usize) -> Self {
+            Self {
+                rows,
+                cols,
+                data: vec![0.0; (rows + 1) * (cols + 1)],
+                basis: vec![0; rows],
+                pivots: 0,
+            }
+        }
+
+        fn rows(&self) -> usize {
+            self.rows
+        }
+
+        /// Constraint row `row` (including its RHS entry) as a slice.
+        fn row(&self, row: usize) -> &[f64] {
+            let stride = self.stride();
+            &self.data[row * stride..(row + 1) * stride]
+        }
+    }
 
     /// Builds the standard-form tableau for:
     /// minimise -3x0 - 2x1  s.t.  x0 + x1 + s0 = 4,  x0 + s1 = 2.

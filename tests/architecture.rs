@@ -603,3 +603,34 @@ fn one_trace_schema() {
         );
     }
 }
+
+#[test]
+fn one_pivot_rule() {
+    // bvc-lp pivots under one leaving rule, the lexicographic one, which
+    // cannot revisit a basis.  A second ratio test or simplex loop beside
+    // it, or a recovery path that refills a tableau and reruns phase 1
+    // after a stall, is the fork this guard keeps out.
+    let lp = rust_files_under(&["crates/bvc-lp/src"]);
+    for needle in ["fn leaving_", "fn run_simplex"] {
+        let found: usize = lp.iter().map(|p| lines_with(&text(p), needle)).sum();
+        assert!(
+            found == 1,
+            "crates/bvc-lp/src must define `{needle}` once, found {found}: one pivot rule"
+        );
+    }
+    let simplex = non_test(&root().join("crates/bvc-lp/src/simplex.rs"));
+    let fills = lines_with(&simplex, "fill_tableau(");
+    assert!(
+        fills == 2,
+        "simplex.rs must define fill_tableau and call it once, found {fills} lines: a refilled tableau is a rerun"
+    );
+    let runs = lines_with(&simplex, ".run_simplex(");
+    assert!(
+        runs == 2,
+        "simplex.rs must run the simplex once per phase, found {runs} calls"
+    );
+    assert!(
+        !simplex.contains(".clear()"),
+        "simplex.rs clears a tableau: there is no rerun to clear it for"
+    );
+}
