@@ -13,16 +13,17 @@
 //! caller moves messages between instances.  The Exact BVC process multiplexes
 //! `n` of these, one per source, over the synchronous network executor.
 
-use crate::eig::{EigTree, Label};
+use crate::eig::EigTree;
+use std::sync::Arc;
 
 /// Payload of a broadcast-protocol message for one instance.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BroadcastMessage<V> {
     /// Round 1: the source's value.
     Initial(V),
-    /// Rounds 2..=f+2: EIG relays (pairs of label and value) for EIG round
-    /// `round − 1`.
-    Relay(Vec<(Label, V)>),
+    /// Rounds 2..=f+2: the EIG relay for EIG round `round − 1`, values in
+    /// the wire order of [`crate::eig`], shared by every receiver.
+    Relay(Arc<[V]>),
 }
 
 /// Per-process state machine for one Byzantine broadcast instance (one
@@ -113,9 +114,7 @@ impl<V: Clone + PartialEq> BroadcastInstance<V> {
                 .unwrap_or_else(|| self.default.clone());
             self.tree.set_input(input);
         }
-        let relays = self.tree.messages_for_round(eig_round);
-        self.tree.apply_own_relays(eig_round);
-        Some(BroadcastMessage::Relay(relays))
+        Some(BroadcastMessage::Relay(self.tree.relay(eig_round).into()))
     }
 
     /// Handles a message received from `from` during round `round`.
@@ -133,9 +132,9 @@ impl<V: Clone + PartialEq> BroadcastInstance<V> {
                     self.received_from_source = Some(value.clone());
                 }
             }
-            BroadcastMessage::Relay(pairs) => {
+            BroadcastMessage::Relay(values) => {
                 if round >= 2 && round <= self.rounds() {
-                    self.tree.receive(round - 1, from, pairs);
+                    self.tree.receive(round - 1, from, values);
                 }
             }
         }
@@ -210,6 +209,10 @@ mod tests {
             .collect()
     }
 
+    fn relay(values: impl IntoIterator<Item = i64>) -> Option<BroadcastMessage<i64>> {
+        Some(BroadcastMessage::Relay(values.into_iter().collect()))
+    }
+
     #[test]
     fn honest_source_value_is_adopted_by_all() {
         let decisions = run_broadcast(4, 1, 0, 42, &[], |_, _, _| None);
@@ -224,12 +227,8 @@ mod tests {
             if round == 1 {
                 None
             } else {
-                Some(BroadcastMessage::Relay(vec![
-                    (vec![], 900 + to as i64),
-                    (vec![0], 800 + to as i64),
-                    (vec![1], 700 + to as i64),
-                    (vec![3], 600 + to as i64),
-                ]))
+                // Longer than an honest relay in both EIG rounds.
+                relay([900, 800, 700, 600].map(|v| v + to as i64))
             }
         });
         assert_eq!(decisions, vec![42, 42, 42]);
@@ -244,7 +243,7 @@ mod tests {
             if round == 1 {
                 Some(BroadcastMessage::Initial(100 + to as i64))
             } else {
-                Some(BroadcastMessage::Relay(vec![(vec![1], 500 + to as i64)]))
+                relay([500 + to as i64])
             }
         });
         assert_eq!(decisions.len(), 3);
@@ -264,10 +263,7 @@ mod tests {
             if round == 1 {
                 None
             } else {
-                Some(BroadcastMessage::Relay(vec![(
-                    vec![],
-                    (round * 100 + from * 10 + to) as i64,
-                )]))
+                relay([(round * 100 + from * 10 + to) as i64])
             }
         });
         assert_eq!(decisions, vec![13; 5]);
@@ -280,7 +276,7 @@ mod tests {
             if from == 1 && round == 1 {
                 Some(BroadcastMessage::Initial((to % 3) as i64))
             } else if round >= 2 {
-                Some(BroadcastMessage::Relay(vec![(vec![], to as i64)]))
+                relay([to as i64])
             } else {
                 None
             }
@@ -294,12 +290,17 @@ mod tests {
         let mut inst = BroadcastInstance::new(4, 1, 1, 0, 0i64);
         // An Initial from a non-source process must be ignored.
         inst.receive(1, 2, &BroadcastMessage::Initial(99));
-        // A Relay in round 1 must be ignored.
-        inst.receive(1, 0, &BroadcastMessage::Relay(vec![(vec![], 99)]));
+        // A Relay in round 1, past the last round or from a sender out of
+        // range must be ignored.
+        inst.receive(1, 0, &BroadcastMessage::Relay(Arc::from([99])));
+        inst.receive(4, 0, &BroadcastMessage::Relay(Arc::from([99])));
+        inst.receive(2, 7, &BroadcastMessage::Relay(Arc::from([99])));
         // Now the genuine initial from the source.
         inst.receive(1, 0, &BroadcastMessage::Initial(5));
         let _ = inst.message_for_round(2);
         assert_eq!(inst.tree.value(&[]), Some(&5));
+        assert_eq!(inst.tree.value(&[1]), Some(&5));
+        assert_eq!(inst.tree.value(&[0]), None);
     }
 
     #[test]

@@ -7,7 +7,11 @@
 //!   the Exact BVC algorithm.  Built as the classical reduction "source sends,
 //!   then everyone runs EIG consensus on what they received":
 //!   [`EigTree`] implements the consensus core, [`BroadcastInstance`] the
-//!   per-source broadcast state machine (`f + 2` synchronous rounds).
+//!   per-source broadcast state machine (`f + 2` synchronous rounds).  The
+//!   tree is a flat arena of interned value ids, node `(l₀ … l_{k−1})` at
+//!   `start[k] + rank` with digit `l_j − #{i < j : l_i < l_j}` in base
+//!   `n − j`; a relay is the sender's values in that order, labels implied,
+//!   shared by every receiver behind one `Arc`.
 //! * **Asynchronous reliable broadcast** (`n ≥ 3f + 1`) — the first building
 //!   block of the AAD-style exchange used by the Approximate BVC algorithm.
 //!   [`ReliableBroadcastInstance`] implements Bracha-style echo broadcast with
@@ -26,5 +30,5 @@ pub mod eig;
 pub mod reliable;
 
 pub use broadcast::{BroadcastInstance, BroadcastMessage};
-pub use eig::{strict_majority, EigTree, Label};
+pub use eig::EigTree;
 pub use reliable::{RbMessage, RbStep, ReliableBroadcastInstance};

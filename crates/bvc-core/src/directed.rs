@@ -312,7 +312,7 @@ mod tests {
             .collect();
         for pair in decisions.windows(2) {
             assert!(
-                pair[0].approx_eq(pair[1], 1e-7),
+                pair[0] == pair[1],
                 "agreement violated: {} vs {}",
                 pair[0],
                 pair[1]

@@ -23,6 +23,7 @@ use bvc_adversary::ForgePoints;
 use bvc_broadcast::{BroadcastInstance, BroadcastMessage};
 use bvc_geometry::{Point, PointMultiset, SharedGammaCache, ValidityPredicate};
 use bvc_net::{broadcast_to_all, Delivery, Outgoing, ProcessId, SyncProcess};
+use std::sync::Arc;
 
 /// Message exchanged by the Exact BVC protocol: a Byzantine-broadcast message
 /// tagged with the instance (source) it belongs to.
@@ -38,11 +39,8 @@ impl ForgePoints for ExactMsg {
     fn forge_points(&mut self, point: &Point) {
         match &mut self.payload {
             BroadcastMessage::Initial(v) => *v = point.clone(),
-            BroadcastMessage::Relay(pairs) => {
-                for (_, v) in pairs.iter_mut() {
-                    *v = point.clone();
-                }
-            }
+            // Copy-on-write: the honest copies sharing this relay keep theirs.
+            BroadcastMessage::Relay(values) => Arc::make_mut(values).fill(point.clone()),
         }
     }
 }
@@ -266,7 +264,7 @@ mod tests {
     fn assert_agreement(decisions: &[Point]) {
         for pair in decisions.windows(2) {
             assert!(
-                pair[0].approx_eq(&pair[1], 1e-7),
+                pair[0] == pair[1],
                 "agreement violated: {} vs {}",
                 pair[0],
                 pair[1]
@@ -381,19 +379,24 @@ mod tests {
 
     #[test]
     fn forge_points_rewrites_payloads() {
-        let mut msg = ExactMsg {
+        let honest_values = vec![Point::new(vec![1.0, 2.0]), Point::new(vec![3.0, 4.0])];
+        let honest = ExactMsg {
             source: 0,
-            payload: BroadcastMessage::Relay(vec![
-                (vec![], Point::new(vec![1.0, 2.0])),
-                (vec![1], Point::new(vec![3.0, 4.0])),
-            ]),
+            payload: BroadcastMessage::Relay(honest_values.clone().into()),
         };
+        let mut msg = honest.clone();
         msg.forge_points(&Point::new(vec![9.0, 9.0]));
-        if let BroadcastMessage::Relay(pairs) = &msg.payload {
-            assert!(pairs.iter().all(|(_, v)| v.coords() == [9.0, 9.0]));
+        if let BroadcastMessage::Relay(values) = &msg.payload {
+            assert_eq!(values.len(), 2);
+            assert!(values.iter().all(|v| v.coords() == [9.0, 9.0]));
         } else {
             panic!("payload kind changed");
         }
+        // The honest copy shared the relay and keeps its values.
+        assert_eq!(
+            honest.payload,
+            BroadcastMessage::Relay(honest_values.into())
+        );
     }
 
     #[test]

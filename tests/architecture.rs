@@ -634,3 +634,37 @@ fn one_pivot_rule() {
         "simplex.rs clears a tableau: there is no rerun to clear it for"
     );
 }
+
+#[test]
+fn flat_eig() {
+    // An EIG tree is one level-indexed arena of interned value ids, and a
+    // relay is a positional value slice shared behind one `Arc`: the label
+    // of each value is implied by round, sender and position.  A label map,
+    // a label on the wire or a majority over cloned values is the old tree
+    // growing back.
+    let eig = non_test(&root().join("crates/bvc-broadcast/src/eig.rs"));
+    assert!(
+        !eig.contains("HashMap"),
+        "eig.rs names `HashMap` outside tests: the tree is one flat arena"
+    );
+    let broadcast = non_test(&root().join("crates/bvc-broadcast/src/broadcast.rs"));
+    let relays: Vec<&str> = broadcast
+        .lines()
+        .map(str::trim)
+        .filter(|line| line.starts_with("Relay("))
+        .collect();
+    assert!(
+        relays == ["Relay(Arc<[V]>),"],
+        "broadcast.rs's `Relay` variant must be `Relay(Arc<[V]>)`, found {relays:?}: a relay holds values, no label"
+    );
+    let retired = naming(
+        &rust_files_under(&["crates", "src", "tests", "examples", "benchmark/src"]),
+        non_test,
+        &["strict_majority", "type Label", "labels_at_level"],
+    );
+    assert!(
+        retired.is_empty(),
+        "a label-keyed EIG tree is back\n{}",
+        shown(&retired)
+    );
+}
