@@ -66,15 +66,23 @@ pub struct ApproxBvcProcess {
 
 impl ApproxBvcProcess {
     /// Creates the honest process with index `me` and input vector `input`,
-    /// using the given update rule.
+    /// using the given update rule and asking Γ through `cache`, the run's
+    /// (both update rules): overlapping `B_i[t]` sets across processes make
+    /// the sharing substantial even under asynchrony.
     ///
     /// # Panics
     ///
     /// Panics if `me >= config.n`, `input.dim() != config.d` or
     /// `config.f == 0`.
-    pub fn new(config: BvcConfig, me: usize, input: Point, rule: UpdateRule) -> Self {
+    pub fn new(
+        config: BvcConfig,
+        me: usize,
+        input: Point,
+        rule: UpdateRule,
+        cache: SharedGammaCache,
+    ) -> Self {
         let budget = Self::round_budget(&config, rule);
-        let core = IterateCore::new(config, me, input, budget);
+        let core = IterateCore::new(config, me, input, budget, cache);
         Self {
             core: core.requiring_a_fault("ApproxBvcProcess"),
             rule,
@@ -83,15 +91,6 @@ impl ApproxBvcProcess {
             future: BTreeMap::new(),
             zi_sizes: Vec::new(),
         }
-    }
-
-    /// Shares a [`GammaCache`](bvc_geometry::GammaCache) with the Step-2
-    /// subset evaluations of this process (both update rules); overlapping
-    /// `B_i[t]` sets across processes make the sharing substantial even
-    /// under asynchrony.  Cached and uncached runs produce identical states.
-    pub fn with_gamma_cache(mut self, cache: SharedGammaCache) -> Self {
-        self.core.gamma_cache = Some(cache);
-        self
     }
 
     /// The number of asynchronous rounds the termination rule of Step 3
@@ -153,7 +152,7 @@ impl ApproxBvcProcess {
                 break;
             };
             // Step 2: build Z_i and average it.
-            let cache = self.core.gamma_cache.as_deref();
+            let cache = &self.core.gamma_cache;
             let zi = match self.rule {
                 UpdateRule::FullSubsets => {
                     let entries: Vec<&Point> = done.entries.iter().map(|(_, v)| v).collect();
@@ -218,6 +217,7 @@ impl AsyncProcess for ApproxBvcProcess {
 mod tests {
     use super::*;
     use bvc_adversary::{ByzantineStrategy, Forging, PointForge};
+    use bvc_geometry::GammaCache;
     use bvc_net::{AsyncNetwork, DeliveryPolicy};
 
     /// Runs the asynchronous algorithm with the last `f` processes Byzantine.
@@ -241,6 +241,7 @@ mod tests {
             .unwrap()
             .with_value_bounds(0.0, 1.0)
             .unwrap();
+        let cache = GammaCache::shared();
         let mut processes: Vec<Box<dyn AsyncProcess<Msg = AadMsg, Output = ApproxOutput>>> =
             Vec::new();
         for (i, input) in honest_inputs.iter().enumerate() {
@@ -249,16 +250,16 @@ mod tests {
                 i,
                 input.clone(),
                 rule,
+                cache.clone(),
             )));
         }
         for b in 0..f {
             let me = n - f + b;
             let mut forge = PointForge::new(strategy, d, 0.0, 1.0, seed + 1000 + b as u64);
             forge.set_honest_value(Point::uniform(d, 0.5));
-            processes.push(Box::new(Forging::new(
-                ApproxBvcProcess::new(config.clone(), me, Point::uniform(d, 0.5), rule),
-                forge,
-            )));
+            let mid = Point::uniform(d, 0.5);
+            let skeleton = ApproxBvcProcess::new(config.clone(), me, mid, rule, cache.clone());
+            processes.push(Box::new(Forging::new(skeleton, forge)));
         }
         let honest: Vec<usize> = (0..n - f).collect();
         let outcome = AsyncNetwork::new(processes, policy, seed, 2_000_000).run(&honest);
@@ -414,6 +415,7 @@ mod tests {
         let f = 1;
         let config = BvcConfig::new(n, f, 1).unwrap().with_epsilon(0.05).unwrap();
         let inputs = [0.0, 0.5, 1.0];
+        let cache = GammaCache::shared();
         let mut processes: Vec<Box<dyn AsyncProcess<Msg = AadMsg, Output = ApproxOutput>>> =
             Vec::new();
         for (i, v) in inputs.iter().enumerate() {
@@ -422,6 +424,7 @@ mod tests {
                 i,
                 Point::new(vec![*v]),
                 UpdateRule::WitnessOptimized,
+                cache.clone(),
             )));
         }
         let mut forge = PointForge::new(ByzantineStrategy::AntiConvergence, 1, 0.0, 1.0, 5);
@@ -432,6 +435,7 @@ mod tests {
                 3,
                 Point::new(vec![0.5]),
                 UpdateRule::WitnessOptimized,
+                cache,
             ),
             forge,
         )));
@@ -474,6 +478,7 @@ mod tests {
     #[should_panic(expected = "requires f >= 1")]
     fn zero_faults_rejected() {
         let config = BvcConfig::new(3, 0, 1).unwrap();
-        let _ = ApproxBvcProcess::new(config, 0, Point::new(vec![0.0]), UpdateRule::FullSubsets);
+        let rule = UpdateRule::FullSubsets;
+        let _ = ApproxBvcProcess::new(config, 0, Point::new(vec![0.0]), rule, GammaCache::shared());
     }
 }

@@ -40,7 +40,6 @@
 //! so the `K_n` behaviour is the paper's, byte-for-byte.
 
 use crate::config::BvcConfig;
-use crate::witness::decision_via;
 use bvc_adversary::ForgePoints;
 use bvc_geometry::{Point, PointMultiset, SharedGammaCache, ValidityPredicate};
 use bvc_net::{Delivery, Outgoing, ProcessId, SyncProcess};
@@ -80,19 +79,27 @@ pub struct DirectedExactProcess {
     /// Claims learned this round and not yet relayed.
     fresh: Vec<DirectedMsg>,
     decision: Option<Point>,
-    gamma_cache: Option<SharedGammaCache>,
+    gamma_cache: SharedGammaCache,
     validity: ValidityPredicate,
 }
 
 impl DirectedExactProcess {
     /// Creates the honest process with index `me` and input vector `input`
-    /// on `topology`.
+    /// on `topology`, deciding through `gamma_cache`, the run's: processes
+    /// that resolve the same multiset compute the decision point once
+    /// system-wide, exactly like the complete-graph protocol.
     ///
     /// # Panics
     ///
     /// Panics if `me >= config.n`, `input.dim() != config.d`, or the
     /// topology covers a different number of processes.
-    pub fn new(config: BvcConfig, me: usize, input: Point, topology: Arc<Topology>) -> Self {
+    pub fn new(
+        config: BvcConfig,
+        me: usize,
+        input: Point,
+        topology: Arc<Topology>,
+        gamma_cache: SharedGammaCache,
+    ) -> Self {
         assert!(me < config.n, "process index {me} out of range");
         assert_eq!(input.dim(), config.d, "input dimension must equal config.d");
         assert_eq!(
@@ -112,7 +119,7 @@ impl DirectedExactProcess {
                 point: input,
             }],
             decision: None,
-            gamma_cache: None,
+            gamma_cache,
             validity: ValidityPredicate::Strict,
         }
     }
@@ -122,14 +129,6 @@ impl DirectedExactProcess {
     /// (`crate::exact::ExactBvcProcess::with_validity_mode`).
     pub fn with_validity_mode(mut self, mode: ValidityPredicate) -> Self {
         self.validity = mode;
-        self
-    }
-
-    /// Shares a Γ cache: processes that resolve the same multiset compute
-    /// the decision point once system-wide, exactly like the complete-graph
-    /// protocol.
-    pub fn with_gamma_cache(mut self, cache: SharedGammaCache) -> Self {
-        self.gamma_cache = Some(cache);
         self
     }
 
@@ -172,8 +171,8 @@ impl DirectedExactProcess {
             })
             .collect();
         let multiset = PointMultiset::new(points);
-        let cache = self.gamma_cache.as_deref();
-        self.decision = decision_via(cache, &multiset, self.config.f, &self.validity);
+        let cache = &self.gamma_cache;
+        self.decision = cache.decision_point(&multiset, self.config.f, &self.validity);
     }
 }
 
@@ -231,6 +230,7 @@ impl SyncProcess for DirectedExactProcess {
 mod tests {
     use super::*;
     use bvc_adversary::{ByzantineStrategy, Forging, PointForge};
+    use bvc_geometry::GammaCache;
     use bvc_net::SyncNetwork;
 
     fn config(n: usize, f: usize, d: usize) -> BvcConfig {
@@ -267,6 +267,7 @@ mod tests {
         assert_eq!(honest_inputs.len(), n - f);
         let cfg = config(n, f, d);
         let topology = Arc::new(topology);
+        let cache = GammaCache::shared();
         let mut processes: Vec<Box<dyn SyncProcess<Msg = DirectedMsg, Output = Point>>> =
             Vec::new();
         for (i, input) in honest_inputs.iter().enumerate() {
@@ -275,6 +276,7 @@ mod tests {
                 i,
                 input.clone(),
                 Arc::clone(&topology),
+                cache.clone(),
             )));
         }
         for b in 0..f {
@@ -293,6 +295,7 @@ mod tests {
                     me,
                     Point::uniform(d, cfg.lower_bound),
                     Arc::clone(&topology),
+                    cache.clone(),
                 ),
                 forge,
             )));
@@ -419,6 +422,7 @@ mod tests {
         let path = Topology::from_edges(3, &[(0, 1), (1, 2), (2, 0)], false).unwrap();
         let cfg = config(3, 0, 1);
         let topology = Arc::new(path);
+        let cache = GammaCache::shared();
         let mut processes: Vec<Box<dyn SyncProcess<Msg = DirectedMsg, Output = Point>>> =
             Vec::new();
         for i in 0..3 {
@@ -427,6 +431,7 @@ mod tests {
                 i,
                 Point::new(vec![i as f64 / 2.0]),
                 Arc::clone(&topology),
+                cache.clone(),
             )));
         }
         let outcome = SyncNetwork::new(processes, DirectedExactProcess::total_rounds(&cfg))
@@ -445,9 +450,11 @@ mod tests {
     fn lex_resolution_is_order_independent() {
         let cfg = config(3, 0, 2);
         let t = Arc::new(Topology::complete(3));
-        let mut a =
-            DirectedExactProcess::new(cfg.clone(), 0, Point::new(vec![0.9, 0.9]), t.clone());
-        let mut b = DirectedExactProcess::new(cfg, 0, Point::new(vec![0.9, 0.9]), t);
+        let input = Point::new(vec![0.9, 0.9]);
+        let process =
+            |cfg, input| DirectedExactProcess::new(cfg, 0, input, t.clone(), GammaCache::shared());
+        let mut a = process(cfg.clone(), input.clone());
+        let mut b = process(cfg, input);
         let claims = [
             DirectedMsg {
                 source: 1,

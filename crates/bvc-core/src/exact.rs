@@ -18,7 +18,6 @@
 //! saying where its points live.
 
 use crate::config::BvcConfig;
-use crate::witness::decision_via;
 use bvc_adversary::ForgePoints;
 use bvc_broadcast::{BroadcastInstance, BroadcastMessage};
 use bvc_geometry::{Point, PointMultiset, SharedGammaCache, ValidityPredicate};
@@ -52,19 +51,23 @@ pub struct ExactBvcProcess {
     instances: Vec<BroadcastInstance<Point>>,
     agreed_multiset: Option<PointMultiset>,
     decision: Option<Point>,
-    gamma_cache: Option<SharedGammaCache>,
+    gamma_cache: SharedGammaCache,
     validity: ValidityPredicate,
 }
 
 impl ExactBvcProcess {
-    /// Creates the honest process with index `me` and input vector `input`.
+    /// Creates the honest process with index `me` and input vector `input`,
+    /// deciding through `gamma_cache`, the run's: since Step 1 leaves every
+    /// non-faulty process with the *identical* multiset `S`, a shared cache
+    /// computes the Step-2 decision point once per system instead of once
+    /// per process.
     ///
     /// # Panics
     ///
     /// Panics if `me >= config.n`, `input.dim() != config.d`, or
     /// `config.f == 0` (with no faults the problem is a plain deterministic
     /// exchange; the runners handle that case separately).
-    pub fn new(config: BvcConfig, me: usize, input: Point) -> Self {
+    pub fn new(config: BvcConfig, me: usize, input: Point, gamma_cache: SharedGammaCache) -> Self {
         assert!(me < config.n, "process index {me} out of range");
         assert_eq!(input.dim(), config.d, "input dimension must equal config.d");
         assert!(config.f >= 1, "ExactBvcProcess requires f >= 1");
@@ -79,7 +82,7 @@ impl ExactBvcProcess {
             instances,
             agreed_multiset: None,
             decision: None,
-            gamma_cache: None,
+            gamma_cache,
             validity: ValidityPredicate::Strict,
         }
     }
@@ -96,17 +99,6 @@ impl ExactBvcProcess {
     /// agreement requires.
     pub fn with_validity_mode(mut self, mode: ValidityPredicate) -> Self {
         self.validity = mode;
-        self
-    }
-
-    /// Shares a [`GammaCache`](bvc_geometry::GammaCache) with this process:
-    /// since Step 1 leaves every non-faulty process with the *identical*
-    /// multiset `S`, a shared cache computes the Step-2 decision point once
-    /// per system instead of once per process.  Cached and uncached decisions
-    /// are identical (the Γ point is a deterministic function of the
-    /// multiset), so partially cached deployments stay safe.
-    pub fn with_gamma_cache(mut self, cache: SharedGammaCache) -> Self {
-        self.gamma_cache = Some(cache);
         self
     }
 
@@ -157,8 +149,8 @@ impl ExactBvcProcess {
             })
             .collect();
         let multiset = PointMultiset::new(points);
-        let cache = self.gamma_cache.as_deref();
-        self.decision = decision_via(cache, &multiset, self.config.f, &self.validity);
+        let cache = &self.gamma_cache;
+        self.decision = cache.decision_point(&multiset, self.config.f, &self.validity);
         self.agreed_multiset = Some(multiset);
     }
 
@@ -205,6 +197,7 @@ impl SyncProcess for ExactBvcProcess {
 mod tests {
     use super::*;
     use bvc_adversary::{ByzantineStrategy, Forging, PointForge};
+    use bvc_geometry::GammaCache;
     use bvc_net::SyncNetwork;
 
     fn config(n: usize, f: usize, d: usize) -> BvcConfig {
@@ -224,12 +217,14 @@ mod tests {
     ) -> (Vec<Point>, Vec<Point>) {
         assert_eq!(honest_inputs.len(), n - f);
         let cfg = config(n, f, d);
+        let cache = GammaCache::shared();
         let mut processes: Vec<Box<dyn SyncProcess<Msg = ExactMsg, Output = Point>>> = Vec::new();
         for (i, input) in honest_inputs.iter().enumerate() {
             processes.push(Box::new(ExactBvcProcess::new(
                 cfg.clone(),
                 i,
                 input.clone(),
+                cache.clone(),
             )));
         }
         for b in 0..f {
@@ -242,10 +237,9 @@ mod tests {
                 seed + b as u64,
             );
             forge.set_honest_value(Point::uniform(d, cfg.upper_bound));
-            processes.push(Box::new(Forging::new(
-                ExactBvcProcess::new(cfg.clone(), me, Point::uniform(d, cfg.lower_bound)),
-                forge,
-            )));
+            let corner = Point::uniform(d, cfg.lower_bound);
+            let skeleton = ExactBvcProcess::new(cfg.clone(), me, corner, cache.clone());
+            processes.push(Box::new(Forging::new(skeleton, forge)));
         }
         let honest_indices: Vec<usize> = (0..n - f).collect();
         let outcome =
@@ -403,6 +397,6 @@ mod tests {
     #[should_panic(expected = "requires f >= 1")]
     fn zero_faults_rejected_by_process() {
         let cfg = config(3, 0, 2);
-        let _ = ExactBvcProcess::new(cfg, 0, Point::new(vec![0.0, 0.0]));
+        let _ = ExactBvcProcess::new(cfg, 0, Point::new(vec![0.0, 0.0]), GammaCache::shared());
     }
 }

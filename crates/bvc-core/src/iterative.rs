@@ -39,8 +39,8 @@
 use crate::config::BvcConfig;
 use crate::convergence::{gamma_iterative, round_threshold};
 use crate::rounds::{IterateCore, StateExchangeProcess};
-use crate::witness::{average_state, gamma_point_via};
-use bvc_geometry::{CanonicalEntries, Point};
+use crate::witness::average_state;
+use bvc_geometry::{CanonicalEntries, Point, SharedGammaCache};
 use bvc_topology::Topology;
 
 /// The round budget of the iterative protocol: the Section-3.2 termination
@@ -62,22 +62,28 @@ impl StateExchangeProcess {
     /// executor needs `iterative_round_budget + 1` rounds, the last one
     /// closing the final inbox.
     ///
-    /// Neighborhood multisets overlap across processes and repeat across
-    /// rounds as the states converge, which is what a shared Γ cache
-    /// collapses.
+    /// Step 2 asks Γ through `cache`, the run's: neighborhood multisets
+    /// overlap across processes and repeat across rounds as the states
+    /// converge, which is what a shared Γ cache collapses.
     ///
     /// # Panics
     ///
     /// Panics if `me >= config.n`, `input.dim() != config.d`, or the topology
     /// size differs from `config.n`.
-    pub fn iterative(config: BvcConfig, me: usize, input: Point, topology: &Topology) -> Self {
+    pub fn iterative(
+        config: BvcConfig,
+        me: usize,
+        input: Point,
+        topology: &Topology,
+        cache: SharedGammaCache,
+    ) -> Self {
         assert_eq!(
             topology.len(),
             config.n,
             "topology size must match config.n"
         );
         let budget = iterative_round_budget(&config);
-        let core = IterateCore::new(config, me, input, budget);
+        let core = IterateCore::new(config, me, input, budget, cache);
         Self::new(core, topology.out_neighbors(me).to_vec(), midpoint_to_gamma)
     }
 }
@@ -90,7 +96,7 @@ fn midpoint_to_gamma(core: &IterateCore, reports: &[&Point]) -> Option<Point> {
         return None;
     }
     let mut neighborhood = CanonicalEntries::new(reports.iter().copied());
-    let z = gamma_point_via(core.gamma_cache.as_deref(), neighborhood.all(), f)?;
+    let z = core.gamma_cache.find_point_of(neighborhood.all(), f)?;
     Some(average_state(&[core.state().clone(), z]))
 }
 
@@ -98,6 +104,7 @@ fn midpoint_to_gamma(core: &IterateCore, reports: &[&Point]) -> Option<Point> {
 mod tests {
     use super::*;
     use crate::restricted::StateMsg;
+    use bvc_geometry::GammaCache;
     use bvc_net::{SyncNetwork, SyncProcess};
     use std::sync::Arc;
 
@@ -113,6 +120,7 @@ mod tests {
             .with_epsilon(epsilon)
             .unwrap();
         let topology = Arc::new(topology);
+        let cache = GammaCache::shared();
         let processes: Vec<Box<dyn SyncProcess<Msg = StateMsg, Output = Point>>> = inputs
             .into_iter()
             .enumerate()
@@ -122,6 +130,7 @@ mod tests {
                     i,
                     input,
                     &topology,
+                    cache.clone(),
                 )) as Box<dyn SyncProcess<Msg = StateMsg, Output = Point>>
             })
             .collect();

@@ -93,6 +93,4 @@ pub use run::{
     BroadcastModel, BvcSession, InstanceOverrides, ProtocolKind, RunConfig, RunReport, Verdict,
 };
 pub use validity::{admission_floor, ValidityCheck, ValidityMode};
-pub use witness::{
-    average_state, build_zi_full, build_zi_full_cached, build_zi_witness, build_zi_witness_cached,
-};
+pub use witness::{average_state, build_zi_full_cached, build_zi_witness_cached};

@@ -62,19 +62,23 @@ impl StateExchangeProcess {
     /// (`n ≥ (d+2)f + 1`): every round it sends its state to everyone, and
     /// `B_i[t]` is what arrived plus its own state.  The executor needs
     /// `restricted_round_budget + 1` rounds, the last one closing the final
-    /// inbox.
-    ///
-    /// What a shared Γ cache buys here is measured in
+    /// inbox.  Step 2 asks Γ through `cache`, the run's; what that buys here
+    /// is measured in
     /// [`build_zi_full_cached`](crate::witness::build_zi_full_cached).
     ///
     /// # Panics
     ///
     /// Panics if `me >= config.n`, `input.dim() != config.d` or
     /// `config.f == 0`.
-    pub fn restricted_sync(config: BvcConfig, me: usize, input: Point) -> Self {
+    pub fn restricted_sync(
+        config: BvcConfig,
+        me: usize,
+        input: Point,
+        cache: SharedGammaCache,
+    ) -> Self {
         let budget = restricted_round_budget(&config);
         let everyone_else = (0..config.n).filter(|&to| to != me).collect();
-        let core = IterateCore::new(config, me, input, budget);
+        let core = IterateCore::new(config, me, input, budget, cache);
         let core = core.requiring_a_fault("StateExchangeProcess::restricted_sync");
         Self::new(core, everyone_else, subset_average)
     }
@@ -87,7 +91,7 @@ fn subset_average(core: &IterateCore, reports: &[&Point]) -> Option<Point> {
     if reports.len() < quorum {
         return None;
     }
-    let zi = zi_full(reports, quorum, core.config.f, core.gamma_cache.as_deref());
+    let zi = zi_full(reports, quorum, core.config.f, &core.gamma_cache);
     (!zi.is_empty()).then(|| average_state(&zi))
 }
 
@@ -103,28 +107,23 @@ pub struct RestrictedAsyncProcess {
 }
 
 impl RestrictedAsyncProcess {
-    /// Creates the honest process with index `me` and input `input`.
+    /// Creates the honest process with index `me` and input `input`, asking
+    /// Γ through `cache`, the run's: asynchronous processes see overlapping
+    /// (not identical) `B_i[t]` sets, so the sharing is partial but still
+    /// substantial.
     ///
     /// # Panics
     ///
     /// Panics if `me >= config.n`, `input.dim() != config.d` or
     /// `config.f == 0`.
-    pub fn new(config: BvcConfig, me: usize, input: Point) -> Self {
+    pub fn new(config: BvcConfig, me: usize, input: Point, cache: SharedGammaCache) -> Self {
         let budget = restricted_round_budget(&config);
-        let core = IterateCore::new(config, me, input, budget);
+        let core = IterateCore::new(config, me, input, budget, cache);
         Self {
             core: core.requiring_a_fault("RestrictedAsyncProcess"),
             current_round: 0,
             received: BTreeMap::new(),
         }
-    }
-
-    /// Shares a [`GammaCache`](bvc_geometry::GammaCache) with this process's
-    /// round loop; asynchronous processes see overlapping (not identical)
-    /// `B_i[t]` sets, so the sharing is partial but still substantial.
-    pub fn with_gamma_cache(mut self, cache: SharedGammaCache) -> Self {
-        self.core.gamma_cache = Some(cache);
-        self
     }
 
     /// State, history, budget and decision.
@@ -194,6 +193,7 @@ impl AsyncProcess for RestrictedAsyncProcess {
 mod tests {
     use super::*;
     use bvc_adversary::{ByzantineStrategy, PointForge, StateForger};
+    use bvc_geometry::GammaCache;
     use bvc_net::{AsyncNetwork, DeliveryPolicy, SyncNetwork, SyncProcess};
 
     fn config(n: usize, f: usize, d: usize, eps: f64) -> BvcConfig {
@@ -229,12 +229,14 @@ mod tests {
     ) -> (Vec<Point>, Vec<Point>) {
         let cfg = config(n, f, d, eps);
         let rounds = restricted_round_budget(&cfg) + 3;
+        let cache = GammaCache::shared();
         let mut processes: Vec<Box<dyn SyncProcess<Msg = StateMsg, Output = Point>>> = Vec::new();
         for (i, input) in honest_inputs.iter().enumerate() {
             processes.push(Box::new(StateExchangeProcess::restricted_sync(
                 cfg.clone(),
                 i,
                 input.clone(),
+                cache.clone(),
             )));
         }
         for b in 0..f {
@@ -267,12 +269,14 @@ mod tests {
         seed: u64,
     ) -> (Vec<Point>, Vec<Point>) {
         let cfg = config(n, f, d, eps);
+        let cache = GammaCache::shared();
         let mut processes: Vec<Box<dyn AsyncProcess<Msg = StateMsg, Output = Point>>> = Vec::new();
         for (i, input) in honest_inputs.iter().enumerate() {
             processes.push(Box::new(RestrictedAsyncProcess::new(
                 cfg.clone(),
                 i,
                 input.clone(),
+                cache.clone(),
             )));
         }
         for b in 0..f {
@@ -371,7 +375,12 @@ mod tests {
     fn histories_record_every_round() {
         let cfg = config(4, 1, 1, 0.1);
         let budget = restricted_round_budget(&cfg);
-        let mut p = StateExchangeProcess::restricted_sync(cfg.clone(), 0, Point::new(vec![0.5]));
+        let mut p = StateExchangeProcess::restricted_sync(
+            cfg.clone(),
+            0,
+            Point::new(vec![0.5]),
+            GammaCache::shared(),
+        );
         // Drive it alone (no messages): every round it keeps its own state.
         for round in 1..=(budget + 1) {
             let _ = p.round(round, &[]);

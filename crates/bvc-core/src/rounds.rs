@@ -31,18 +31,24 @@ pub struct IterateCore {
     history: Vec<Point>,
     budget: usize,
     decision: Option<Point>,
-    /// Step 2 asks Γ through it when set (see `witness::gamma_point_via`).
-    pub(crate) gamma_cache: Option<SharedGammaCache>,
+    /// The run's Γ cache: Step 2 asks every Γ point through it.
+    pub(crate) gamma_cache: SharedGammaCache,
 }
 
 impl IterateCore {
     /// The core of process `me` starting from `input`, deciding when round
-    /// `budget` closes.
+    /// `budget` closes, asking Γ through `gamma_cache`.
     ///
     /// # Panics
     ///
     /// Panics if `me >= config.n` or `input.dim() != config.d`.
-    pub(crate) fn new(config: BvcConfig, me: usize, input: Point, budget: usize) -> Self {
+    pub(crate) fn new(
+        config: BvcConfig,
+        me: usize,
+        input: Point,
+        budget: usize,
+        gamma_cache: SharedGammaCache,
+    ) -> Self {
         assert!(me < config.n, "process index {me} out of range");
         assert_eq!(input.dim(), config.d, "input dimension must equal config.d");
         Self {
@@ -51,7 +57,7 @@ impl IterateCore {
             me,
             budget,
             decision: None,
-            gamma_cache: None,
+            gamma_cache,
         }
     }
 
@@ -119,13 +125,6 @@ impl StateExchangeProcess {
         }
     }
 
-    /// Shares a [`GammaCache`](bvc_geometry::GammaCache) with this process's
-    /// Step 2.  Cached and uncached runs produce identical states.
-    pub fn with_gamma_cache(mut self, cache: SharedGammaCache) -> Self {
-        self.core.gamma_cache = Some(cache);
-        self
-    }
-
     /// State, history, budget and decision.
     pub fn core(&self) -> &IterateCore {
         &self.core
@@ -176,6 +175,7 @@ mod tests {
     use super::*;
     use crate::approx::{ApproxBvcProcess, UpdateRule};
     use crate::restricted::RestrictedAsyncProcess;
+    use bvc_geometry::GammaCache;
     use bvc_net::AsyncProcess;
     use bvc_topology::Topology;
     use std::collections::VecDeque;
@@ -191,10 +191,11 @@ mod tests {
     fn constructors() -> [(&'static str, Build); 2] {
         [
             ("restricted_sync", |config, input| {
-                StateExchangeProcess::restricted_sync(config, 0, input)
+                StateExchangeProcess::restricted_sync(config, 0, input, GammaCache::shared())
             }),
             ("iterative", |config, input| {
-                StateExchangeProcess::iterative(config, 0, input, &Topology::complete(4))
+                let k4 = Topology::complete(4);
+                StateExchangeProcess::iterative(config, 0, input, &k4, GammaCache::shared())
             }),
         ]
     }
@@ -342,15 +343,17 @@ mod tests {
     #[test]
     fn asynchronous_processes_decide_exactly_when_the_budget_round_closes() {
         let inputs = |n: usize| (0..n).map(move |i| Point::new(vec![i as f64 / n as f64]));
-        let approx = inputs(4).enumerate().map(|(i, input)| {
-            ApproxBvcProcess::new(config(), i, input, UpdateRule::WitnessOptimized)
-        });
+        let cache = GammaCache::shared();
+        let rule = UpdateRule::WitnessOptimized;
+        let approx = inputs(4)
+            .enumerate()
+            .map(|(i, input)| ApproxBvcProcess::new(config(), i, input, rule, cache.clone()));
         run_checked(approx.collect(), ApproxBvcProcess::core);
         // n ≥ (d + 4)f + 1 = 6.
         let config = BvcConfig::new(6, 1, 1).unwrap().with_epsilon(0.2).unwrap();
         let restricted = inputs(6)
             .enumerate()
-            .map(|(i, input)| RestrictedAsyncProcess::new(config.clone(), i, input));
+            .map(|(i, input)| RestrictedAsyncProcess::new(config.clone(), i, input, cache.clone()));
         run_checked(restricted.collect(), RestrictedAsyncProcess::core);
     }
 }

@@ -13,10 +13,11 @@
 //! [`BvcSession::run_sync`] and [`BvcSession::run_async`].
 //!
 //! A Byzantine process is never protocol code: it is the honest process of
-//! the same protocol under [`Forging`] (its skeleton gets a nominal input
-//! and, where the honest ones have it, the run's Γ cache — but never the
-//! validity mode), or a [`StateForger`] for the protocols whose message is a
-//! bare state vector.
+//! the same protocol under [`Forging`] (its skeleton is built by the same
+//! closure as the honest processes, on a nominal input, and so asks Γ
+//! through the run's cache like every other cast member — but never gets
+//! the validity mode), or a [`StateForger`] for the protocols whose message
+//! is a bare state vector and which asks no Γ.
 
 use super::{BvcSession, DriverOutcome, ProtocolKind};
 use crate::approx::{ApproxBvcProcess, ApproxOutput};
@@ -55,18 +56,12 @@ impl BvcSession {
             ProtocolKind::Exact => self.drive_exact(),
             ProtocolKind::Approx => {
                 let mid = Point::uniform(config.d, 0.5 * (config.lower_bound + config.upper_bound));
+                let process = |me, input| {
+                    ApproxBvcProcess::new(config.clone(), me, input, rc.update_rule, cache.clone())
+                };
                 let cast = self.cast(
-                    |i, input| {
-                        async_box(
-                            ApproxBvcProcess::new(config.clone(), i, input, rc.update_rule)
-                                .with_gamma_cache(cache.clone()),
-                        )
-                    },
-                    |me, forge| {
-                        let skeleton =
-                            ApproxBvcProcess::new(config.clone(), me, mid.clone(), rc.update_rule);
-                        async_box(Forging::new(skeleton, forge))
-                    },
+                    |i, input| async_box(process(i, input)),
+                    |me, forge| async_box(Forging::new(process(me, mid.clone()), forge)),
                 );
                 let (mut outcome, outputs) =
                     self.run_async(cast, |output: &ApproxOutput| output.decision.clone());
@@ -78,10 +73,12 @@ impl BvcSession {
                 let rounds = restricted_round_budget(config) + 1;
                 let cast = self.cast(
                     |i, input| {
-                        sync_box(
-                            StateExchangeProcess::restricted_sync(config.clone(), i, input)
-                                .with_gamma_cache(cache.clone()),
-                        )
+                        sync_box(StateExchangeProcess::restricted_sync(
+                            config.clone(),
+                            i,
+                            input,
+                            cache.clone(),
+                        ))
                     },
                     |me, forge| sync_box(state_forger(everyone_but(me), rounds, forge)),
                 );
@@ -91,10 +88,12 @@ impl BvcSession {
                 let rounds = restricted_round_budget(config);
                 let cast = self.cast(
                     |i, input| {
-                        async_box(
-                            RestrictedAsyncProcess::new(config.clone(), i, input)
-                                .with_gamma_cache(cache.clone()),
-                        )
+                        async_box(RestrictedAsyncProcess::new(
+                            config.clone(),
+                            i,
+                            input,
+                            cache.clone(),
+                        ))
                     },
                     |me, forge| async_box(state_forger(everyone_but(me), rounds, forge)),
                 );
@@ -112,10 +111,13 @@ impl BvcSession {
                 let rounds = iterative_round_budget(config) + 1;
                 let cast = self.cast(
                     |i, input| {
-                        sync_box(
-                            StateExchangeProcess::iterative(config.clone(), i, input, topology)
-                                .with_gamma_cache(cache.clone()),
-                        )
+                        sync_box(StateExchangeProcess::iterative(
+                            config.clone(),
+                            i,
+                            input,
+                            topology,
+                            cache.clone(),
+                        ))
                     },
                     |me, forge| {
                         let out_neighbors = topology.out_neighbors(me).to_vec();
@@ -150,16 +152,17 @@ impl BvcSession {
                 } else {
                     let corner = Point::uniform(config.d, config.lower_bound);
                     let flood = |me, input| {
-                        DirectedExactProcess::new(config.clone(), me, input, topology.clone())
+                        let topology = topology.clone();
+                        DirectedExactProcess::new(
+                            config.clone(),
+                            me,
+                            input,
+                            topology,
+                            cache.clone(),
+                        )
                     };
                     let cast = self.cast(
-                        |i, input| {
-                            sync_box(
-                                flood(i, input)
-                                    .with_validity_mode(rc.validity)
-                                    .with_gamma_cache(cache.clone()),
-                            )
-                        },
+                        |i, input| sync_box(flood(i, input).with_validity_mode(rc.validity)),
                         |me, forge| sync_box(Forging::new(flood(me, corner.clone()), forge)),
                     );
                     self.run_sync(
@@ -181,19 +184,10 @@ impl BvcSession {
         let config = &self.core;
         let cache = &self.gamma_cache;
         let corner = Point::uniform(config.d, config.lower_bound);
+        let process = |me, input| ExactBvcProcess::new(config.clone(), me, input, cache.clone());
         let cast = self.cast(
-            |i, input| {
-                sync_box(
-                    ExactBvcProcess::new(config.clone(), i, input)
-                        .with_validity_mode(self.config.validity)
-                        .with_gamma_cache(cache.clone()),
-                )
-            },
-            |me, forge| {
-                let skeleton = ExactBvcProcess::new(config.clone(), me, corner.clone())
-                    .with_gamma_cache(cache.clone());
-                sync_box(Forging::new(skeleton, forge))
-            },
+            |i, input| sync_box(process(i, input).with_validity_mode(self.config.validity)),
+            |me, forge| sync_box(Forging::new(process(me, corner.clone()), forge)),
         );
         self.run_sync(cast, ExactBvcProcess::total_rounds(config), false, 0.0)
     }

@@ -15,68 +15,24 @@
 //!
 //! Both rules are provided here and shared by the AAD-based algorithm
 //! ([`crate::approx`]) and the restricted-round algorithms
-//! ([`crate::restricted`]).  This file is also the crate's one Γ seam — the
-//! only place that chooses between a process's cache and the bare engine
-//! (`gamma_point_via` for a view, `decision_via` for an agreed multiset).
+//! ([`crate::restricted`]).  Every Γ point they add is asked of a
+//! [`GammaCache`]: a process passes its run's cache, and a public
+//! `build_zi_*_cached` call given `None` gets a fresh one for that call.  A
+//! cached answer is the engine's (a Γ point is a deterministic function of
+//! the multiset), and every query leaves one `gamma` trace event.
 
 use bvc_geometry::combinatorics::Combinations;
-use bvc_geometry::relaxed::decision_point;
-use bvc_geometry::{
-    gamma_point_of, CanonicalEntries, GammaCache, Point, PointMultiset, SubsetView,
-    ValidityPredicate,
-};
-
-/// Point query: one deterministically chosen point of `Γ` of the viewed
-/// sub-multiset, through `cache` if there is one and computed directly
-/// otherwise.  The two paths return identical points (the Γ engine is a
-/// deterministic, order-invariant function of the multiset), so mixing them
-/// in one system is safe; only the cached path counts queries and emits
-/// `gamma` trace events.
-pub(crate) fn gamma_point_via(
-    cache: Option<&GammaCache>,
-    view: SubsetView<'_>,
-    f: usize,
-) -> Option<Point> {
-    match cache {
-        Some(cache) => cache.find_point_of(view, f),
-        None => gamma_point_of(view, f),
-    }
-}
-
-/// Decision query: the exact protocols' decision over the agreed multiset
-/// under a validity regime ([`decision_point`]), through `cache` if there is
-/// one — processes holding the identical multiset then compute the (possibly
-/// relaxed) safe-area value once system-wide.
-pub(crate) fn decision_via(
-    cache: Option<&GammaCache>,
-    multiset: &PointMultiset,
-    f: usize,
-    validity: &ValidityPredicate,
-) -> Option<Point> {
-    match cache {
-        Some(cache) => cache.decision_point(multiset, f, validity),
-        None => decision_point(multiset, f, validity),
-    }
-}
+use bvc_geometry::{CanonicalEntries, GammaCache, Point};
 
 /// Builds `Z_i` with the full rule: one `Γ` point per `(n−f)`-subset of
-/// `entries`.
+/// `entries`, each looked up in `cache` (a fresh cache when `None`).
 ///
 /// `entries` are the values of the tuples in `B_i[t]` (order irrelevant);
 /// `quorum` is `n − f` and `f` the fault bound used inside `Γ`.
 /// Subsets whose `Γ` is empty (possible only when `quorum < (d+1)f + 1`,
 /// i.e. below the resilience bound) are skipped.
 ///
-/// # Panics
-///
-/// Panics if `entries.len() < quorum` or `quorum == 0`.
-pub fn build_zi_full(entries: &[Point], quorum: usize, f: usize) -> Vec<Point> {
-    build_zi_full_cached(entries, quorum, f, None)
-}
-
-/// [`build_zi_full`] with the `Γ` evaluations looked up in a [`GammaCache`].
-///
-/// What that buys was measured, not assumed: under a per-receiver
+/// What a shared cache buys was measured, not assumed: under a per-receiver
 /// equivocating adversary the honest processes of a synchronous round do
 /// *not* build `Z_i` from the same vector (one subset in `C(n, n−f)` is
 /// common to two receivers), so the reuse is a process's own repeated
@@ -93,7 +49,9 @@ pub fn build_zi_full_cached(
     f: usize,
     cache: Option<&GammaCache>,
 ) -> Vec<Point> {
-    zi_full(&entries.iter().collect::<Vec<_>>(), quorum, f, cache)
+    let fresh = GammaCache::new();
+    let entries: Vec<&Point> = entries.iter().collect();
+    zi_full(&entries, quorum, f, cache.unwrap_or(&fresh))
 }
 
 /// [`build_zi_full_cached`] over borrowed entries, for callers whose points
@@ -110,7 +68,7 @@ pub(crate) fn zi_full(
     entries: &[&Point],
     quorum: usize,
     f: usize,
-    cache: Option<&GammaCache>,
+    cache: &GammaCache,
 ) -> Vec<Point> {
     assert!(quorum > 0, "quorum must be positive");
     assert!(
@@ -122,7 +80,7 @@ pub(crate) fn zi_full(
     let mut zi = Vec::new();
     let mut subsets = Combinations::new(entries.len(), quorum);
     while let Some(subset) = subsets.next_ref() {
-        if let Some(point) = gamma_point_via(cache, canonical.subset(subset), f) {
+        if let Some(point) = cache.find_point_of(canonical.subset(subset), f) {
             zi.push(point);
         }
     }
@@ -130,22 +88,19 @@ pub(crate) fn zi_full(
 }
 
 /// Builds `Z_i` with the witness-optimised rule: one `Γ` point per witness-
-/// advertised subset (each subset is a list of tuple values of size `n − f`).
+/// advertised subset (each subset is a list of tuple values of size `n − f`),
+/// each looked up in `cache` (a fresh cache when `None`).
 ///
 /// Subsets whose `Γ` is empty are skipped (they cannot arise for parameters
 /// meeting the paper's bounds).
-pub fn build_zi_witness(witness_sets: &[Vec<Point>], f: usize) -> Vec<Point> {
-    build_zi_witness_cached(witness_sets, f, None)
-}
-
-/// [`build_zi_witness`] with the `Γ` evaluations looked up in a
-/// [`GammaCache`].
 pub fn build_zi_witness_cached(
     witness_sets: &[Vec<Point>],
     f: usize,
     cache: Option<&GammaCache>,
 ) -> Vec<Point> {
-    zi_witness(witness_sets.iter().map(|set| set.iter()), f, cache)
+    let fresh = GammaCache::new();
+    let sets = witness_sets.iter().map(|set| set.iter());
+    zi_witness(sets, f, cache.unwrap_or(&fresh))
 }
 
 /// [`build_zi_witness_cached`] over borrowed sets.  Every witness set is a
@@ -154,7 +109,7 @@ pub fn build_zi_witness_cached(
 pub(crate) fn zi_witness<'a, S>(
     witness_sets: impl IntoIterator<Item = S>,
     f: usize,
-    cache: Option<&GammaCache>,
+    cache: &GammaCache,
 ) -> Vec<Point>
 where
     S: IntoIterator<Item = &'a Point>,
@@ -165,7 +120,7 @@ where
         if members.peek().is_none() {
             continue;
         }
-        if let Some(point) = gamma_point_via(cache, CanonicalEntries::new(members).all(), f) {
+        if let Some(point) = cache.find_point_of(CanonicalEntries::new(members).all(), f) {
             zi.push(point);
         }
     }
@@ -197,7 +152,7 @@ mod tests {
     #[test]
     fn full_rule_produces_binomial_many_points() {
         // 4 entries, quorum 3, f = 1 (d = 1 so quorum ≥ (d+1)f+1 = 3 holds).
-        let zi = build_zi_full(&pts(&[0.0, 1.0, 2.0, 10.0]), 3, 1);
+        let zi = build_zi_full_cached(&pts(&[0.0, 1.0, 2.0, 10.0]), 3, 1, None);
         assert_eq!(zi.len(), 4); // C(4,3)
     }
 
@@ -205,7 +160,7 @@ mod tests {
     fn full_rule_points_lie_in_the_entry_hull() {
         let entries = pts(&[0.0, 1.0, 2.0, 10.0]);
         let hull = ConvexHull::new(PointMultiset::new(entries.clone()));
-        for z in build_zi_full(&entries, 3, 1) {
+        for z in build_zi_full_cached(&entries, 3, 1, None) {
             assert!(hull.contains(&z));
         }
     }
@@ -213,14 +168,14 @@ mod tests {
     #[test]
     fn witness_rule_produces_one_point_per_set() {
         let sets = vec![pts(&[0.0, 1.0, 2.0]), pts(&[1.0, 2.0, 3.0])];
-        let zi = build_zi_witness(&sets, 1);
+        let zi = build_zi_witness_cached(&sets, 1, None);
         assert_eq!(zi.len(), 2);
     }
 
     #[test]
     fn witness_rule_skips_empty_sets() {
         let sets = vec![Vec::new(), pts(&[0.0, 1.0, 2.0])];
-        let zi = build_zi_witness(&sets, 1);
+        let zi = build_zi_witness_cached(&sets, 1, None);
         assert_eq!(zi.len(), 1);
     }
 
@@ -231,7 +186,7 @@ mod tests {
         // least n − 2f = 2 honest values — in particular far below the
         // outlier.
         let entries = pts(&[0.9, 1.0, 1.1, 1000.0]);
-        for z in build_zi_full(&entries, 3, 1) {
+        for z in build_zi_full_cached(&entries, 3, 1, None) {
             assert!(
                 z.coord(0) <= 1.1 + 1e-6,
                 "Γ point dragged by the outlier: {z}"
@@ -254,11 +209,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "need at least")]
     fn full_rule_with_too_few_entries_panics() {
-        let _ = build_zi_full(&pts(&[0.0]), 2, 1);
+        let _ = build_zi_full_cached(&pts(&[0.0]), 2, 1, None);
     }
 
     #[test]
-    fn cached_zi_matches_uncached_zi() {
+    fn shared_cache_zi_matches_fresh_cache_zi() {
         let cache = GammaCache::new();
         let entries = vec![
             Point::new(vec![0.0, 0.0]),
@@ -267,10 +222,10 @@ mod tests {
             Point::new(vec![1.0, 1.0]),
             Point::new(vec![5.0, 5.0]),
         ];
-        let plain = build_zi_full(&entries, 4, 1);
+        let fresh = build_zi_full_cached(&entries, 4, 1, None);
         let cached = build_zi_full_cached(&entries, 4, 1, Some(&cache));
-        assert_eq!(plain.len(), cached.len());
-        for (a, b) in plain.iter().zip(&cached) {
+        assert_eq!(fresh.len(), cached.len());
+        for (a, b) in fresh.iter().zip(&cached) {
             assert!(a.approx_eq(b, 1e-15), "{a} vs {b}");
         }
         // A second pass is served from the cache and still identical.
@@ -291,7 +246,7 @@ mod tests {
             Point::new(vec![1.0, 1.0]),
             Point::new(vec![5.0, 5.0]),
         ];
-        let zi = build_zi_full(&entries, 4, 1);
+        let zi = build_zi_full_cached(&entries, 4, 1, None);
         assert_eq!(zi.len(), 5); // C(5,4)
         let hull = ConvexHull::new(PointMultiset::new(entries));
         assert!(zi.iter().all(|z| hull.contains(z)));

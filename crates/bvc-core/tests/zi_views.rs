@@ -1,9 +1,10 @@
 //! Step 2's `Z_i` built from borrowed views against the formulation it
 //! replaced — one cloned, separately canonicalised `PointMultiset` per
-//! subset — bit for bit, cached and uncached, and one `gamma` trace event per
-//! subset on both the memoised (`d = 2`) and closed-form (`d = 1`) routes.
+//! subset — bit for bit, through a shared cache and a fresh one, and one
+//! `gamma` trace event per subset on both the memoised (`d = 2`) and
+//! closed-form (`d = 1`) routes.
 
-use bvc_core::{build_zi_full, build_zi_full_cached, build_zi_witness, build_zi_witness_cached};
+use bvc_core::{build_zi_full_cached, build_zi_witness_cached};
 use bvc_geometry::combinatorics::{binomial, Combinations};
 use bvc_geometry::{gamma_point, GammaCache, Point, PointMultiset};
 use bvc_trace::{GammaPath, TraceEvent, TraceHandle, Tracer};
@@ -84,7 +85,12 @@ proptest! {
         for d in 1..=3usize {
             let entries = biased(&raw, &kinds, d);
             let reference = bits(&zi_by_cloning(&entries, 5, 1));
-            prop_assert_eq!(bits(&build_zi_full(&entries, 5, 1)), reference.clone(), "d={}", d);
+            prop_assert_eq!(
+                bits(&build_zi_full_cached(&entries, 5, 1, None)),
+                reference.clone(),
+                "d={}",
+                d
+            );
             let cache = GammaCache::new();
             let (events, closed_form) = gamma_events(|| for pass in 0..2 {
                 assert_eq!(
@@ -106,7 +112,7 @@ proptest! {
                 .iter()
                 .filter_map(|set| gamma_point(&PointMultiset::new(set.to_vec()), 1))
                 .collect();
-            prop_assert_eq!(bits(&build_zi_witness(&sets, 1)), bits(&direct));
+            prop_assert_eq!(bits(&build_zi_witness_cached(&sets, 1, None)), bits(&direct));
             prop_assert_eq!(
                 bits(&build_zi_witness_cached(&sets, 1, Some(&cache))),
                 bits(&direct)
@@ -131,7 +137,8 @@ fn one_gamma_event_per_subset_on_the_cached_and_the_closed_form_route() {
             assert_eq!(events, subsets, "d={d}, pass {pass}");
             assert_eq!(closed_form, if d == 1 { subsets } else { 0 });
         }
-        // Uncached, the engine is asked directly and no event is owed.
-        assert_eq!(gamma_events(|| drop(build_zi_full(&entries, 7, 2))).0, 0);
+        // A fresh cache (`None`) owes the same one event per subset.
+        let fresh = gamma_events(|| drop(build_zi_full_cached(&entries, 7, 2, None)));
+        assert_eq!(fresh.0, subsets, "d={d}, fresh cache");
     }
 }

@@ -29,14 +29,16 @@
 //! usable as deterministic decision rules.
 //!
 //! The module also provides the relaxed safe-area queries the Exact BVC
-//! decision rule needs below the strict threshold:
-//! [`relaxed_gamma_point`] intersects the *dilated* `(|Y|−f)`-subset hulls
-//! (non-empty for large enough `α` whenever the subsets are full-dimensional)
-//! and [`k_relaxed_point`] picks the trimmed-box centre and verifies its
-//! `k`-dimensional shadows against the projected safe areas.
+//! decision rule needs below the strict threshold, behind one entry point,
+//! [`decision_point`]: under `AlphaScaled(α)` it picks a point of the
+//! (1+α)-relaxed safe area `Γ_α(Y) = ∩_{T ⊆ Y, |T| = |Y| − f} dilate_α(H(T))`
+//! (each hull dilated about its own centroid; non-empty for large enough `α`
+//! whenever the subsets are full-dimensional, and `Γ_0 = Γ`), and under
+//! `KRelaxed(k)` [`k_relaxed_point`] picks the trimmed-box centre and
+//! verifies its `k`-dimensional shadows against the projected safe areas.
+//! Membership in `Γ_α(Y)` is `HullFamily::dilated_gamma(y, f, α).all_contain`.
 
 use crate::combinatorics::Combinations;
-use crate::family::HullFamily;
 use crate::gamma::{
     canonical_order, engine_point, gamma_contains, gamma_point, gamma_point_of, trimmed_bounds,
     CanonicalEntries,
@@ -203,42 +205,6 @@ fn project_point(p: &Point, coords: &[usize]) -> Point {
     Point::new(coords.iter().map(|&l| p.coord(l)).collect())
 }
 
-/// A deterministically chosen point of the **(1+α)-relaxed safe area**
-/// `Γ_α(Y) = ∩_{T ⊆ Y, |T| = |Y| − f} dilate_α(H(T))`, or `None` when the
-/// intersection is empty (each hull is dilated about its own centroid).
-///
-/// This is [`decision_point`] under `AlphaScaled(alpha)`: `Γ_0 = Γ`, so
-/// `alpha = 0` is the strict rule, byte-identical to [`gamma_point`]; for
-/// `α > 0` the dilated hulls are searched like the strict ones, in canonical
-/// member order — the chosen point is a function of `(Y, f, α)`, the "same
-/// deterministic function at every process" Exact BVC needs.
-///
-/// `Γ_α(Y) ⊆ dilate_α(H(T))` for every `(|Y|−f)`-subset `T`; in particular,
-/// when at most `f` members of `Y` are Byzantine, any point of `Γ_α(Y)` is
-/// in the dilated hull of the honest members — i.e. relaxed decisions built
-/// on this query satisfy `(1+α)`-relaxed validity by construction.
-///
-/// # Panics
-///
-/// Panics if `f >= y.len()` or `alpha` is negative or non-finite.
-pub fn relaxed_gamma_point(y: &PointMultiset, f: usize, alpha: f64) -> Option<Point> {
-    decision_point(y, f, &ValidityPredicate::AlphaScaled(alpha))
-}
-
-/// Returns `true` if `point` lies in the (1+α)-relaxed safe area `Γ_α(y)`
-/// (every dilated `(|y|−f)`-subset hull contains it).
-///
-/// # Panics
-///
-/// Panics if `f >= y.len()`, the dimensions disagree, or `alpha` is negative
-/// or non-finite.
-pub fn relaxed_gamma_contains(y: &PointMultiset, f: usize, alpha: f64, point: &Point) -> bool {
-    if alpha == 0.0 {
-        return gamma_contains(y, f, point);
-    }
-    HullFamily::dilated_gamma(y, f, alpha).all_contain(point)
-}
-
 /// A deterministically chosen point satisfying the **k-relaxed safe-area
 /// condition**: its projection onto every `k`-coordinate subset lies in the
 /// strict safe area of the correspondingly projected multiset.
@@ -316,6 +282,7 @@ pub fn decision_point(y: &PointMultiset, f: usize, mode: &ValidityPredicate) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::family::HullFamily;
     use crate::gamma_point;
     use crate::workload::WorkloadGenerator;
 
@@ -371,12 +338,12 @@ mod tests {
     }
 
     #[test]
-    fn relaxed_gamma_point_at_alpha_zero_is_gamma_point() {
+    fn alpha_scaled_decision_at_alpha_zero_is_gamma_point() {
         let mut gen = WorkloadGenerator::new(11);
         for _ in 0..8 {
             let y = gen.box_points(5, 2, 0.0, 1.0);
             let strict = gamma_point(&y, 1);
-            let relaxed = relaxed_gamma_point(&y, 1, 0.0);
+            let relaxed = decision_point(&y, 1, &ValidityPredicate::AlphaScaled(0.0));
             assert_eq!(strict.is_some(), relaxed.is_some());
             if let (Some(a), Some(b)) = (strict, relaxed) {
                 assert_eq!(a.coords(), b.coords(), "α = 0 must be byte-identical");
@@ -385,7 +352,7 @@ mod tests {
     }
 
     #[test]
-    fn relaxed_gamma_point_recovers_empty_safe_areas() {
+    fn alpha_scaled_decision_recovers_empty_safe_areas() {
         // |Y| = 5, f = 2, d = 2 is below the Lemma-1 threshold 7, and this
         // box workload's Γ is indeed empty; the (|Y|−f)-subsets have 3 > d
         // members, so their dilated hulls are full-dimensional and meet once
@@ -393,11 +360,12 @@ mod tests {
         let y = WorkloadGenerator::new(0).box_points(5, 2, 0.0, 1.0);
         assert!(gamma_point(&y, 2).is_none(), "below threshold: Γ = ∅");
         assert!(
-            relaxed_gamma_point(&y, 2, 0.25).is_none(),
+            decision_point(&y, 2, &ValidityPredicate::AlphaScaled(0.25)).is_none(),
             "small dilation does not yet close the gap"
         );
-        let p = relaxed_gamma_point(&y, 2, 2.0).expect("dilated hulls intersect");
-        assert!(relaxed_gamma_contains(&y, 2, 2.0, &p));
+        let p = decision_point(&y, 2, &ValidityPredicate::AlphaScaled(2.0))
+            .expect("dilated hulls intersect");
+        assert!(HullFamily::dilated_gamma(&y, 2, 2.0).all_contain(&p));
         // The relaxed point satisfies (1+α)-relaxed validity w.r.t. any
         // (|Y|−f)-subset playing the role of the honest inputs.
         let honest = y.select(&[0, 1, 2]);
@@ -405,7 +373,7 @@ mod tests {
     }
 
     #[test]
-    fn relaxed_gamma_point_is_order_invariant() {
+    fn alpha_scaled_decision_is_order_invariant() {
         let a = pts(&[
             &[0.0, 0.0],
             &[4.0, 0.0],
@@ -416,8 +384,8 @@ mod tests {
         let mut reordered = a.points().to_vec();
         reordered.reverse();
         let b = PointMultiset::new(reordered);
-        let pa = relaxed_gamma_point(&a, 2, 2.0).unwrap();
-        let pb = relaxed_gamma_point(&b, 2, 2.0).unwrap();
+        let pa = decision_point(&a, 2, &ValidityPredicate::AlphaScaled(2.0)).unwrap();
+        let pb = decision_point(&b, 2, &ValidityPredicate::AlphaScaled(2.0)).unwrap();
         assert_eq!(pa.coords(), pb.coords());
     }
 

@@ -8,11 +8,11 @@
 
 use crate::toml::{parse, TomlValue};
 use bvc_adversary::ByzantineStrategy;
-use bvc_core::ValidityMode;
 /// Which algorithm a scenario exercises, and the delivery guarantee the
 /// directed pair assumes: the session API's own enums, so a schema name is
 /// parsed once ([`Protocol::from_name`]) and dispatched unmapped.
 pub use bvc_core::{BroadcastModel, ProtocolKind as Protocol};
+use bvc_core::{RunConfig, ValidityMode};
 use bvc_net::{DeliveryPolicy, FaultEvent, FaultKind, FaultPlan, LinkSelector, ProcessId};
 use bvc_topology::TopologySpec;
 use std::collections::BTreeMap;
@@ -736,11 +736,13 @@ impl ScenarioSpec {
         let n = require(get_usize(scenario, "n")?, "n", "scenario")?;
         let f = require(get_usize(scenario, "f")?, "f", "scenario")?;
         let d = require(get_usize(scenario, "d")?, "d", "scenario")?;
-        let epsilon = get_f64(scenario, "epsilon")?.unwrap_or(0.01);
-        let seed = get_u64(scenario, "seed")?.unwrap_or(0);
-        let max_steps = get_usize(scenario, "max_steps")?.unwrap_or(5_000_000);
+        // An omitted key takes the run's default: RunConfig::new states them once.
+        let defaults = RunConfig::new(n, f, d);
+        let epsilon = get_f64(scenario, "epsilon")?.unwrap_or(defaults.epsilon);
+        let seed = get_u64(scenario, "seed")?.unwrap_or(defaults.seed);
+        let max_steps = get_usize(scenario, "max_steps")?.unwrap_or(defaults.max_steps);
         let value_bounds = match scenario.get("value_bounds") {
-            None => (0.0, 1.0),
+            None => defaults.value_bounds,
             Some(value) => {
                 let bounds = float_list(value, "value_bounds")?;
                 if bounds.len() != 2 {
@@ -761,12 +763,12 @@ impl ScenarioSpec {
                     "adversary",
                 )?)?
             }
-            None => ByzantineStrategy::Equivocate,
+            None => defaults.adversary,
         };
 
         let policy = match root.get("delivery").and_then(|v| v.as_table()) {
             Some(delivery) => parse_policy(delivery)?,
-            None => DeliveryPolicy::RandomFair,
+            None => defaults.delivery_policy,
         };
 
         let mut faults = FaultPlan::new();

@@ -467,9 +467,8 @@ fn one_depth_engine() {
 fn one_round_structure() {
     // A round is collect → Step 2 → stop, written once in bvc-core/src/
     // rounds.rs: one lock-step round body (so three `SyncProcess` impls in
-    // the crate: exact, directed, the state exchange), one place that
-    // records a round's state, and one file that chooses between a process's
-    // Γ cache and the bare engine.
+    // the crate: exact, directed, the state exchange) and one place that
+    // records a round's state.
     let core = rust_files_under(&["crates/bvc-core/src"]);
     let body: String = core.iter().map(|p| non_test(p) + "\n").collect();
     let sync_impls = lines_with(&body, "impl SyncProcess for");
@@ -483,12 +482,6 @@ fn one_round_structure() {
         pushes == 1,
         "`history.push(` must occur exactly once outside tests under crates/bvc-core/src \
          (IterateCore::close_round), found {pushes}"
-    );
-    let forks = naming(&core, non_test, &["Some(cache) => cache."]);
-    assert!(
-        forks.len() == 1,
-        "the cache fork (`Some(cache) => cache.`) must live in exactly one non-test file of bvc-core, found:\n{}",
-        shown(&forks)
     );
     // The caller-less third copy of the round body stays deleted.
     let everywhere: Vec<PathBuf> = ["crates", "src", "examples", "tests"]
@@ -512,6 +505,50 @@ fn one_round_structure() {
     assert!(
         spelled == 1,
         "`!t.expected_solvable` must occur exactly once outside tests under crates/*/src, found {spelled}"
+    );
+}
+
+#[test]
+fn one_gamma_seam() {
+    // Every bvc-core process, Byzantine skeletons included, takes the run's
+    // Γ cache as a required constructor argument and asks Γ through it: no
+    // cache-or-engine fork, no optional cache builder, no call to the bare
+    // engine.  The only optional cache is the `build_zi_*_cached` argument
+    // (`None` = a fresh cache for the call) and RunConfig's cross-run share.
+    let core = rust_files_under(&["crates/bvc-core/src"]);
+    let uncached = naming(
+        &core,
+        non_test,
+        &[
+            "Some(cache) => cache.",
+            "gamma_point_of(",
+            "with_gamma_cache",
+        ],
+    );
+    assert!(
+        uncached.is_empty(),
+        "a bvc-core process asks Γ around the run's cache again (a cache fork, the bare engine or an optional cache builder):\n{}",
+        shown(&uncached)
+    );
+    let body = |p: &PathBuf| non_test(p) + "\n";
+    let optional: String = core.iter().map(body).collect();
+    let arguments = lines_with(&optional, "Option<&GammaCache>");
+    let witness = lines_with(
+        &non_test(&root().join("crates/bvc-core/src/witness.rs")),
+        "cache: Option<&GammaCache>,",
+    );
+    assert!(
+        arguments == 2 && witness == 2,
+        "`Option<&GammaCache>` may appear only in the two build_zi_*_cached signatures of witness.rs, \
+         found {arguments} line(s) in bvc-core, {witness} of them there"
+    );
+    let fields = naming(&core, non_test, &["Option<SharedGammaCache>"]);
+    assert!(
+        fields
+            .iter()
+            .all(|p| p.ends_with("crates/bvc-core/src/run/config.rs")),
+        "an optional Γ cache outside RunConfig (the cross-run share):\n{}",
+        shown(&fields)
     );
 }
 

@@ -9,7 +9,7 @@ use bvc::core::{
     gamma, gamma_witness_optimized, guaranteed_range, round_threshold, BvcConfig, BvcSession,
     ProtocolKind, RunConfig, StateExchangeProcess, StateMsg, UpdateRule,
 };
-use bvc::geometry::{Point, PointMultiset, WorkloadGenerator};
+use bvc::geometry::{GammaCache, Point, PointMultiset, WorkloadGenerator};
 use bvc::net::{Delivery, DeliveryPolicy, ProcessId, SyncProcess};
 
 /// Asserts `ρ[t] ≤ (1 − γ)^t · ρ[0]` (equation (13)) at every recorded round.
@@ -57,10 +57,11 @@ fn range_stays_under_the_equation_13_envelope() {
     let config = BvcConfig::new(n, f, d)
         .and_then(|c| c.with_epsilon(eps))
         .expect("valid parameters");
+    let cache = GammaCache::shared();
     let mut honest: Vec<StateExchangeProcess> = inputs(4242)
         .into_iter()
         .enumerate()
-        .map(|(i, p)| StateExchangeProcess::restricted_sync(config.clone(), i, p))
+        .map(|(i, p)| StateExchangeProcess::restricted_sync(config.clone(), i, p, cache.clone()))
         .collect();
     let mut forge = PointForge::new(ByzantineStrategy::AntiConvergence, d, 0.0, 1.0, 5);
     forge.set_honest_value(Point::uniform(d, 0.5));

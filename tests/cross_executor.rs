@@ -6,7 +6,7 @@
 
 use bvc::adversary::{ByzantineStrategy, Forging, PointForge};
 use bvc::core::{AadMsg, ApproxBvcProcess, ApproxOutput, BvcConfig, UpdateRule};
-use bvc::geometry::{ConvexHull, Point, PointMultiset};
+use bvc::geometry::{ConvexHull, GammaCache, Point, PointMultiset};
 use bvc::net::{AsyncNetwork, AsyncProcess, DeliveryPolicy, ProcessId};
 
 fn config() -> BvcConfig {
@@ -30,6 +30,7 @@ fn honest_inputs() -> Vec<Point> {
 fn build_processes(
     config: &BvcConfig,
 ) -> Vec<Box<dyn AsyncProcess<Msg = AadMsg, Output = ApproxOutput>>> {
+    let cache = GammaCache::shared();
     let mut processes: Vec<Box<dyn AsyncProcess<Msg = AadMsg, Output = ApproxOutput>>> = Vec::new();
     for (i, input) in honest_inputs().iter().enumerate() {
         processes.push(Box::new(ApproxBvcProcess::new(
@@ -37,6 +38,7 @@ fn build_processes(
             i,
             input.clone(),
             UpdateRule::WitnessOptimized,
+            cache.clone(),
         )));
     }
     let mut forge = PointForge::new(ByzantineStrategy::Equivocate, 2, 0.0, 1.0, 77);
@@ -47,6 +49,7 @@ fn build_processes(
             4,
             Point::new(vec![0.5, 0.5]),
             UpdateRule::WitnessOptimized,
+            cache,
         ),
         forge,
     )));
