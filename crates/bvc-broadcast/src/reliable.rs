@@ -19,6 +19,12 @@
 //!
 //! [`ReliableBroadcastInstance`] is a pure state machine for a single
 //! `(sender, tag)` slot; the caller routes [`RbMessage`]s between processes.
+//! Only the slot's designated sender can open it: an `Init` from any other
+//! process is ignored, as EIG's `BroadcastInstance::receive` ignores an
+//! `Initial` that does not come from the source.  Otherwise a Byzantine
+//! process could start a broadcast in an honest process's name, and an echo
+//! quorum for its forged value would break Property 3.  Echoes and readies
+//! are tallied per distinct value, each sender counted once.
 
 /// Message kinds of the echo-broadcast protocol for one `(sender, tag)` slot.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,38 +58,75 @@ impl<V> RbStep<V> {
     }
 }
 
+/// Distinct senders per value, each sender counted once: the
+/// `value → sender count` table of the echo and ready quorums.
+#[derive(Debug, Clone)]
+struct Tally<V> {
+    heard: Vec<bool>,
+    counts: Vec<(V, usize)>,
+}
+
+impl<V: Clone + PartialEq> Tally<V> {
+    fn new(n: usize) -> Self {
+        Self {
+            heard: vec![false; n],
+            counts: Vec::new(),
+        }
+    }
+
+    /// Counts `from`'s first message, `value`; returns how many distinct
+    /// senders have sent `value` so far, or `None` if `from` was heard.
+    fn add(&mut self, from: usize, value: &V) -> Option<usize> {
+        if std::mem::replace(&mut self.heard[from], true) {
+            return None;
+        }
+        Some(match self.counts.iter_mut().find(|(v, _)| v == value) {
+            Some((_, count)) => {
+                *count += 1;
+                *count
+            }
+            None => {
+                self.counts.push((value.clone(), 1));
+                1
+            }
+        })
+    }
+}
+
 /// Per-process state machine for one reliable-broadcast slot.
 #[derive(Debug, Clone)]
 pub struct ReliableBroadcastInstance<V> {
     n: usize,
     f: usize,
-    /// Echo records: (process index, value).
-    echoes: Vec<(usize, V)>,
-    /// Ready records: (process index, value).
-    readies: Vec<(usize, V)>,
+    /// The designated sender: the only process whose `Init` counts.
+    sender: usize,
+    echoes: Tally<V>,
+    readies: Tally<V>,
     sent_echo: bool,
     sent_ready: bool,
     delivered: Option<V>,
 }
 
 impl<V: Clone + PartialEq> ReliableBroadcastInstance<V> {
-    /// Creates the state machine for a system of `n` processes tolerating `f`
-    /// Byzantine faults.
+    /// Creates the state machine of `sender`'s slot for a system of `n`
+    /// processes tolerating `f` Byzantine faults.
     ///
     /// # Panics
     ///
-    /// Panics unless `n ≥ 3f + 1` and `f ≥ 1`.
-    pub fn new(n: usize, f: usize) -> Self {
+    /// Panics unless `n ≥ 3f + 1`, `f ≥ 1` and `sender < n`.
+    pub fn new(n: usize, f: usize, sender: usize) -> Self {
         assert!(f >= 1, "reliable broadcast instance expects f >= 1");
         assert!(
             n > 3 * f,
             "reliable broadcast requires n >= 3f + 1 (n = {n}, f = {f})"
         );
+        assert!(sender < n, "sender {sender} out of range");
         Self {
             n,
             f,
-            echoes: Vec::new(),
-            readies: Vec::new(),
+            sender,
+            echoes: Tally::new(n),
+            readies: Tally::new(n),
             sent_echo: false,
             sent_ready: false,
             delivered: None,
@@ -93,7 +136,8 @@ impl<V: Clone + PartialEq> ReliableBroadcastInstance<V> {
     /// Starts the broadcast as the designated sender with value `value`:
     /// returns the `Init` to broadcast (the instance also processes its own
     /// `Init`/`Echo` internally).
-    pub fn start_as_sender(&mut self, me: usize, value: V) -> RbStep<V> {
+    pub fn start_as_sender(&mut self, value: V) -> RbStep<V> {
+        let me = self.sender;
         let mut step = self.handle(me, me, &RbMessage::Init(value.clone()));
         step.broadcast.insert(0, RbMessage::Init(value));
         step
@@ -109,9 +153,10 @@ impl<V: Clone + PartialEq> ReliableBroadcastInstance<V> {
         let mut step = RbStep::empty();
         match msg {
             RbMessage::Init(value) => {
-                // Echo the first Init seen (Byzantine senders may send several
-                // different Inits; only the first is echoed).
-                if !self.sent_echo {
+                // Echo the first Init seen from the sender (a Byzantine
+                // sender may send several different Inits; only the first is
+                // echoed).  An Init from anyone else is an impersonation.
+                if from == self.sender && !self.sent_echo {
                     self.sent_echo = true;
                     let echo = RbMessage::Echo(value.clone());
                     step.broadcast.push(echo.clone());
@@ -122,26 +167,23 @@ impl<V: Clone + PartialEq> ReliableBroadcastInstance<V> {
                 }
             }
             RbMessage::Echo(value) => {
-                if !self.echoes.iter().any(|(p, _)| *p == from) {
-                    self.echoes.push((from, value.clone()));
-                    let matching = self.echoes.iter().filter(|(_, v)| v == value).count();
-                    // Quorum of n − f matching echoes triggers Ready.
+                // Quorum of n − f matching echoes triggers Ready.
+                if let Some(matching) = self.echoes.add(from, value) {
                     if matching >= self.n - self.f && !self.sent_ready {
                         self.send_ready(me, value.clone(), &mut step);
                     }
                 }
             }
             RbMessage::Ready(value) => {
-                if !self.readies.iter().any(|(p, _)| *p == from) {
-                    self.readies.push((from, value.clone()));
-                    let matching = self.readies.iter().filter(|(_, v)| v == value).count();
+                if let Some(matching) = self.readies.add(from, value) {
                     // Amplification: f + 1 Readys for a value we have not
                     // endorsed yet ⇒ send our own Ready.
                     if matching > self.f && !self.sent_ready {
                         self.send_ready(me, value.clone(), &mut step);
                     }
-                    // Delivery: 2f + 1 matching Readys.
-                    let matching = self.readies.iter().filter(|(_, v)| v == value).count();
+                    // Delivery: 2f + 1 matching Readys.  (Our own Ready, if
+                    // just sent, was counted by its self-delivery, which
+                    // delivers first if that reaches the quorum.)
                     if matching > 2 * self.f && self.delivered.is_none() {
                         self.delivered = Some(value.clone());
                         step.delivered = Some(value.clone());
@@ -187,7 +229,7 @@ mod tests {
         byzantine: &[usize],
     ) -> Vec<Option<i32>> {
         let mut instances: Vec<ReliableBroadcastInstance<i32>> = (0..n)
-            .map(|_| ReliableBroadcastInstance::new(n, f))
+            .map(|_| ReliableBroadcastInstance::new(n, f, sender))
             .collect();
         let mut queue: VecDeque<(usize, usize, RbMessage<i32>)> = VecDeque::new();
 
@@ -203,7 +245,7 @@ mod tests {
         // An honest sender also processes its own Init.
         if !byzantine.contains(&sender) {
             if let Some(v) = inits(sender) {
-                let step = instances[sender].start_as_sender(sender, v);
+                let step = instances[sender].start_as_sender(v);
                 for m in step.broadcast {
                     if matches!(m, RbMessage::Init(_)) {
                         continue; // already queued above
@@ -279,8 +321,17 @@ mod tests {
     }
 
     #[test]
+    fn only_the_designated_sender_opens_its_slot() {
+        let mut inst = ReliableBroadcastInstance::new(4, 1, 1);
+        let step = inst.handle(0, 3, &RbMessage::Init(9));
+        assert!(step.broadcast.is_empty(), "an impersonated Init is ignored");
+        let step = inst.handle(0, 1, &RbMessage::Init(5));
+        assert_eq!(step.broadcast, vec![RbMessage::Echo(5)]);
+    }
+
+    #[test]
     fn duplicate_echoes_from_one_process_count_once() {
-        let mut inst = ReliableBroadcastInstance::new(4, 1);
+        let mut inst = ReliableBroadcastInstance::new(4, 1, 0);
         // Three echoes are needed (n − f = 3); two copies from the same
         // process must not suffice together with one other.
         let _ = inst.handle(0, 1, &RbMessage::Echo(7));
@@ -298,7 +349,7 @@ mod tests {
 
     #[test]
     fn ready_amplification_from_f_plus_one_readys() {
-        let mut inst = ReliableBroadcastInstance::new(4, 1);
+        let mut inst = ReliableBroadcastInstance::new(4, 1, 0);
         // f + 1 = 2 Readys for value 3 must trigger our own Ready even though
         // we never saw an Init or enough Echos.
         let _ = inst.handle(0, 1, &RbMessage::Ready(3));
@@ -314,6 +365,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "n >= 3f + 1")]
     fn insufficient_processes_panics() {
-        let _ = ReliableBroadcastInstance::<i32>::new(5, 2);
+        let _ = ReliableBroadcastInstance::<i32>::new(5, 2, 0);
     }
 }

@@ -25,6 +25,13 @@
 //!   one *non-faulty* common witness, whose reported `n − f` tuples are
 //!   contained in both B sets — exactly Property 1.
 //!
+//! Nothing is rescanned per message.  Reliable broadcast tallies echoes and
+//! readies per distinct value; the exchange keeps the number of delivered
+//! tuples and, per reporter, the number of tuples of its report not yet
+//! delivered here with the reported value.  That count is set when the
+//! report arrives and lowered by each matching first delivery; a reporter
+//! whose count reaches zero is a witness.
+//!
 //! The completed exchange also exposes the witnesses' reported tuple sets,
 //! which is what the witness optimisation of Appendix F uses to shrink `Z_i`
 //! from `C(|B_i|, n−f)` subsets to at most `n`.
@@ -110,8 +117,13 @@ pub struct AadExchange {
     round: usize,
     rb: Vec<ReliableBroadcastInstance<Point>>,
     delivered: Vec<Option<Point>>,
+    /// How many entries of `delivered` are `Some`.
+    delivered_count: usize,
     /// First report received from each process (later reports are ignored).
     reports: BTreeMap<usize, Vec<(usize, Point)>>,
+    /// Per reporter, how many tuples of its report are not yet delivered
+    /// here with the reported value (meaningful while it is in `reports`).
+    missing: Vec<usize>,
     witnesses: BTreeSet<usize>,
     sent_report: bool,
     completion: Option<CompletedExchange>,
@@ -128,7 +140,7 @@ impl AadExchange {
     pub fn start(n: usize, f: usize, me: usize, round: usize, value: Point) -> (Self, Vec<AadMsg>) {
         assert!(me < n, "process index {me} out of range");
         let rb: Vec<ReliableBroadcastInstance<Point>> = (0..n)
-            .map(|_| ReliableBroadcastInstance::new(n, f))
+            .map(|origin| ReliableBroadcastInstance::new(n, f, origin))
             .collect();
         let mut exchange = Self {
             n,
@@ -137,12 +149,14 @@ impl AadExchange {
             round,
             rb,
             delivered: vec![None; n],
+            delivered_count: 0,
             reports: BTreeMap::new(),
+            missing: vec![0; n],
             witnesses: BTreeSet::new(),
             sent_report: false,
             completion: None,
         };
-        let step = exchange.rb[me].start_as_sender(me, value);
+        let step = exchange.rb[me].start_as_sender(value);
         let mut out: Vec<AadMsg> = step
             .broadcast
             .into_iter()
@@ -153,7 +167,7 @@ impl AadExchange {
             })
             .collect();
         if let Some(v) = step.delivered {
-            exchange.record_delivery(me, v, &mut out);
+            exchange.record_delivery(me, v);
         }
         exchange.refresh(&mut out);
         (exchange, out)
@@ -166,7 +180,7 @@ impl AadExchange {
 
     /// Number of tuples delivered so far.
     pub fn delivered_count(&self) -> usize {
-        self.delivered.iter().filter(|d| d.is_some()).count()
+        self.delivered_count
     }
 
     /// Number of witnesses acquired so far.
@@ -199,7 +213,7 @@ impl AadExchange {
                     inner,
                 }));
                 if let Some(v) = step.delivered {
-                    self.record_delivery(*origin, v, &mut out);
+                    self.record_delivery(*origin, v);
                 }
             }
             AadMsg::Report { entries, .. } => {
@@ -209,7 +223,7 @@ impl AadExchange {
                 if !self.reports.contains_key(&from) {
                     let sane = Self::sanitize_report(self.n, entries);
                     if sane.len() >= self.n - self.f {
-                        self.reports.insert(from, sane);
+                        self.add_report(from, sane);
                     }
                 }
             }
@@ -227,18 +241,46 @@ impl AadExchange {
             .collect()
     }
 
-    fn record_delivery(&mut self, origin: usize, value: Point, _out: &mut Vec<AadMsg>) {
-        if self.delivered[origin].is_none() {
-            self.delivered[origin] = Some(value);
+    /// Files `reporter`'s report with its count of tuples still missing
+    /// here; a reporter with none missing is a witness.
+    fn add_report(&mut self, reporter: usize, entries: Vec<(usize, Point)>) {
+        let missing = (entries.iter())
+            .filter(|(origin, value)| self.delivered[*origin].as_ref() != Some(value))
+            .count();
+        self.missing[reporter] = missing;
+        if missing == 0 {
+            self.witnesses.insert(reporter);
         }
+        self.reports.insert(reporter, entries);
     }
 
-    /// Re-evaluates report sending, witness membership and completion after
-    /// any state change.
+    /// Records the first delivery for `origin`, and lowers the missing count
+    /// of every pending report that lists this very tuple: a reporter is a
+    /// witness once every tuple it reported has been delivered here with the
+    /// same value.
+    fn record_delivery(&mut self, origin: usize, value: Point) {
+        if self.delivered[origin].is_some() {
+            return;
+        }
+        // A witness's tuples are all delivered, so none of them is this one.
+        for (&reporter, entries) in &self.reports {
+            if entries.iter().any(|(o, v)| *o == origin && *v == value) {
+                self.missing[reporter] -= 1;
+                if self.missing[reporter] == 0 {
+                    self.witnesses.insert(reporter);
+                }
+            }
+        }
+        self.delivered[origin] = Some(value);
+        self.delivered_count += 1;
+    }
+
+    /// Sends this process's report and completes the exchange once their
+    /// thresholds are met.
     fn refresh(&mut self, out: &mut Vec<AadMsg>) {
         let quorum = self.n - self.f;
         // Send our own report once we hold n − f tuples.
-        if !self.sent_report && self.delivered_count() >= quorum {
+        if !self.sent_report && self.delivered_count >= quorum {
             self.sent_report = true;
             let entries: Vec<(usize, Point)> = self
                 .delivered
@@ -248,29 +290,16 @@ impl AadExchange {
                 .take(quorum)
                 .collect();
             // Self-deliver the report: we are trivially our own witness.
-            self.reports.insert(self.me, entries.clone());
+            self.add_report(self.me, entries.clone());
             out.push(AadMsg::Report {
                 round: self.round,
                 entries,
             });
         }
-        // Witness check: a reporter is a witness once every tuple it reported
-        // has been delivered here with the same value.
-        for (&reporter, entries) in self.reports.iter() {
-            if self.witnesses.contains(&reporter) {
-                continue;
-            }
-            let all_present = entries
-                .iter()
-                .all(|(origin, value)| self.delivered[*origin].as_ref() == Some(value));
-            if all_present {
-                self.witnesses.insert(reporter);
-            }
-        }
         // Completion: n − f witnesses and n − f tuples.
         if self.completion.is_none()
             && self.witnesses.len() >= quorum
-            && self.delivered_count() >= quorum
+            && self.delivered_count >= quorum
         {
             let entries: Vec<(usize, Point)> = self
                 .delivered
@@ -297,9 +326,22 @@ mod tests {
     use super::*;
     use std::collections::VecDeque;
 
+    /// The witness rule the counters replaced, kept as their oracle: every
+    /// reporter all of whose reported tuples are delivered with its value.
+    fn rescanned_witnesses(exchange: &AadExchange) -> BTreeSet<usize> {
+        (exchange.reports.iter())
+            .filter(|(_, entries)| {
+                (entries.iter())
+                    .all(|(origin, value)| exchange.delivered[*origin].as_ref() == Some(value))
+            })
+            .map(|(&reporter, _)| reporter)
+            .collect()
+    }
+
     /// Runs one exchange round among `n` processes, `byz` of which are silent
-    /// Byzantine processes, under FIFO per-channel scheduling.  Returns the
-    /// exchanges after quiescence.
+    /// Byzantine processes, under FIFO per-channel scheduling, checking the
+    /// counters against a rescan after every message.  Returns the exchanges
+    /// after quiescence.
     fn run_exchange(n: usize, f: usize, byz: &[usize], values: &[f64]) -> Vec<AadExchange> {
         let mut exchanges = Vec::new();
         let mut queue: VecDeque<(usize, usize, AadMsg)> = VecDeque::new();
@@ -321,6 +363,10 @@ mod tests {
                 continue;
             }
             let responses = exchanges[to].handle(from, &msg);
+            let exchange = &exchanges[to];
+            assert_eq!(exchange.witnesses, rescanned_witnesses(exchange));
+            let delivered = exchange.delivered.iter().flatten().count();
+            assert_eq!(exchange.delivered_count, delivered);
             for response in responses {
                 for dest in 0..n {
                     if dest != to {

@@ -211,6 +211,10 @@ impl AsyncProcess for ApproxBvcProcess {
             zi_sizes: self.zi_sizes.clone(),
         })
     }
+
+    fn is_decided(&self) -> bool {
+        self.core.decision().is_some()
+    }
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //! [delivery core](crate#one-delivery-core-two-schedulers).
 
 use crate::faults::FaultPlan;
-use crate::links::{Gate, Links};
+use crate::links::{Gate, ReadyLinks};
 use crate::process::{ExecutionStats, Outgoing, ProcessId};
 use bvc_topology::Topology;
 use rand::rngs::StdRng;
@@ -39,6 +39,13 @@ pub trait AsyncProcess {
 
     /// The process's decision, once reached.
     fn output(&self) -> Option<Self::Output>;
+
+    /// Whether the process has decided: what the executor asks after every
+    /// delivery, so a process whose [`output`](Self::output) is costly to
+    /// build answers it without building it.
+    fn is_decided(&self) -> bool {
+        self.output().is_some()
+    }
 }
 
 /// Scheduling policy of the asynchronous adversary.
@@ -146,7 +153,7 @@ impl<M: Clone, O: Clone> AsyncNetwork<M, O> {
         let n = self.processes.len();
         let mut rng = StdRng::seed_from_u64(self.seed);
         let tick_cap = self.max_steps.saturating_add(self.gate.quiescent_at());
-        let mut links = Links::new(self.gate);
+        let mut links = ReadyLinks::new(self.gate);
         let mut round_robin_cursor = 0usize;
         let mut now = 0usize;
         let mut steps = 0usize;
@@ -154,59 +161,53 @@ impl<M: Clone, O: Clone> AsyncNetwork<M, O> {
         // A message is in its channel the moment it is sent (no transit
         // time); only the scheduler and the fault plan hold it back.
         for (index, process) in self.processes.iter_mut().enumerate() {
-            links.send(now, 0, index, process.on_start());
+            links.send(index, process.on_start());
         }
 
         let decided = |processes: &[Box<dyn AsyncProcess<Msg = M, Output = O>>]| {
-            wait_for.iter().all(|&i| processes[i].output().is_some())
+            wait_for.iter().all(|&i| processes[i].is_decided())
         };
 
         while steps < self.max_steps && now < tick_cap {
-            links.gate.announce_fault_windows(now, "ticks");
+            links.links.gate.announce_fault_windows(now, "ticks");
             if decided(&self.processes) {
                 break;
             }
-            let eligible: Vec<(usize, usize)> = (0..n)
-                .flat_map(|from| (0..n).map(move |to| (from, to)))
-                .filter(|&(from, to)| links.ready(now, from, to))
-                .collect();
-            if eligible.is_empty() {
+            if links.ready_channels().is_empty() {
                 if links.any_pending() {
                     // Everything in flight is fault-blocked: skip the ticks
                     // at which nothing can change.
-                    now = links.next_change(now).map_or(tick_cap, |t| t.min(tick_cap));
+                    now = links.next_change().map_or(tick_cap, |t| t.min(tick_cap));
+                    links.advance(now);
                     continue;
                 }
                 break;
             }
-            let (from, to) = self
-                .policy
-                .pick(&eligible, &mut rng, &mut round_robin_cursor);
-            let msg = links
-                .take(now, from, to)
-                .expect("channel picked among the ready ones");
+            let channel =
+                self.policy
+                    .pick(links.ready_channels(), n, &mut rng, &mut round_robin_cursor);
+            let msg = links.take(channel);
             steps += 1;
             now += 1;
+            links.advance(now);
+            let (from, to) = (channel / n, channel % n);
             let outgoing = self.processes[to].on_message(ProcessId::new(from), msg);
-            links.send(now, 0, to, outgoing);
+            links.send(to, outgoing);
         }
 
         AsyncOutcome {
             completed: decided(&self.processes),
             outputs: self.processes.iter().map(|p| p.output()).collect(),
-            stats: links.gate.finish(steps),
+            stats: links.links.gate.finish(steps),
         }
     }
 }
 
 impl DeliveryPolicy {
-    /// The channel this policy delivers from next, among the `ready` ones.
-    fn pick(
-        &self,
-        ready: &[(usize, usize)],
-        rng: &mut StdRng,
-        cursor: &mut usize,
-    ) -> (usize, usize) {
+    /// The channel (`from * n + to`) this policy delivers from next, among
+    /// the `ready` ones (ascending).
+    fn pick(&self, ready: &[usize], n: usize, rng: &mut StdRng, cursor: &mut usize) -> usize {
+        let listed = |list: &[ProcessId], i: usize| list.iter().any(|p| p.index() == i);
         match self {
             DeliveryPolicy::RandomFair => ready[rng.gen_range(0..ready.len())],
             DeliveryPolicy::RoundRobin => {
@@ -214,34 +215,22 @@ impl DeliveryPolicy {
                 *cursor = cursor.wrapping_add(1);
                 choice
             }
-            DeliveryPolicy::DelayFrom(slow) => {
-                let preferred: Vec<(usize, usize)> = ready
-                    .iter()
-                    .copied()
-                    .filter(|&(from, _)| !slow.iter().any(|p| p.index() == from))
-                    .collect();
-                let pool = if preferred.is_empty() {
-                    ready
-                } else {
-                    &preferred
-                };
-                pool[rng.gen_range(0..pool.len())]
-            }
-            DeliveryPolicy::DelayTo(slow) => {
-                let preferred: Vec<(usize, usize)> = ready
-                    .iter()
-                    .copied()
-                    .filter(|&(_, to)| !slow.iter().any(|p| p.index() == to))
-                    .collect();
-                let pool = if preferred.is_empty() {
-                    ready
-                } else {
-                    &preferred
-                };
-                pool[rng.gen_range(0..pool.len())]
-            }
+            DeliveryPolicy::DelayFrom(list) => pick_preferred(ready, rng, |c| !listed(list, c / n)),
+            DeliveryPolicy::DelayTo(list) => pick_preferred(ready, rng, |c| !listed(list, c % n)),
         }
     }
+}
+
+/// A uniform draw among the `preferred` ready channels, or among all of them
+/// when none is preferred; indexes in place, drawing what a draw from the
+/// filtered list would.
+fn pick_preferred(ready: &[usize], rng: &mut StdRng, preferred: impl Fn(usize) -> bool) -> usize {
+    let count = ready.iter().filter(|&&c| preferred(c)).count();
+    if count == 0 {
+        return ready[rng.gen_range(0..ready.len())];
+    }
+    let k = rng.gen_range(0..count);
+    (ready.iter().copied().filter(|&c| preferred(c)).nth(k)).expect("k < count")
 }
 
 #[cfg(test)]

@@ -19,6 +19,20 @@
 //! Protocols are written once against the [`SyncProcess`] / [`AsyncProcess`]
 //! traits and run on the executor that matches their timing model.
 //!
+//! The asynchronous scheduler never scans the `n²` channels for one that can
+//! deliver: `links` keeps a *ready set* up to date.  Every queued head is in
+//! exactly one of three states — *ready* (due and not partition-blocked;
+//! the ready list, ascending by `from * n + to`), *waiting* (not yet due; a
+//! min-heap on its due tick) or *parked* (due but blocked by a partition).
+//! A head is classified when it changes, on a send into an empty channel and
+//! on a take; a waiting head moves when the clock reaches its due tick; and
+//! every head is reclassified when the clock crosses a fault-window boundary,
+//! the only ticks at which a partition can block or release a link — so
+//! parked heads move only there.  The ready list is in the order the scan
+//! produced, so a [`DeliveryPolicy`] draws the same channel from the same
+//! RNG state.  [`SyncNetwork`] drains every channel each round and keeps no
+//! ready set.
+//!
 //! # Delivery order contract
 //!
 //! Each batch a process emits at time `now` (a round or a scheduler tick)

@@ -3,8 +3,10 @@
 //! Both executors hand a process's outgoing batch to a [`Gate`], which
 //! applies the crate's [delivery order contract](crate#delivery-order-contract)
 //! and keeps the books, and queue what the gate lets through in [`Links`],
-//! the `n × n` reliable FIFO channels of the paper's model.  Nothing here
-//! decides *when* a message moves — that is the two schedulers' only job.
+//! the `n × n` reliable FIFO channels of the paper's model.  The
+//! asynchronous scheduler reads them through [`ReadyLinks`], which keeps the
+//! set of channels that can deliver up to date.  Nothing here decides
+//! *when* a message moves — that is the two schedulers' only job.
 
 use crate::faults::FaultPlan;
 use crate::process::{enforce_local_broadcast, ExecutionStats, Outgoing};
@@ -12,7 +14,8 @@ use bvc_topology::Topology;
 use bvc_trace::TraceEvent;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 /// Decorrelates the drop stream from the scheduling stream of the same seed,
@@ -192,7 +195,7 @@ impl<M: Clone> Links<M> {
     /// Whether `from → to` can deliver at time `at`: its head has come due
     /// and no partition blocks the link.  A head that cannot move blocks the
     /// channel behind it, which is what keeps every link FIFO under faults.
-    pub(crate) fn ready(&self, at: usize, from: usize, to: usize) -> bool {
+    fn ready(&self, at: usize, from: usize, to: usize) -> bool {
         self.channels[from * self.gate.n + to]
             .front()
             .is_some_and(|&(due, _)| due <= at && !self.gate.faults.blocked(at, from, to))
@@ -207,32 +210,193 @@ impl<M: Clone> Links<M> {
         self.gate.delivered(at, from, to);
         Some(msg)
     }
+}
+
+/// [`Links`] plus the set of channels that can deliver at the clock, kept up
+/// to date as heads change instead of rescanned per delivery: the
+/// asynchronous scheduler's view of the channels.
+///
+/// Every queued head is in exactly one of three states: *ready* (due and
+/// not partition-blocked), *waiting* (not yet due) or *parked* (due but
+/// blocked).  A head is classified when it changes — on a send into an empty
+/// channel and on a take; a waiting head moves when [`advance`](Self::advance)
+/// passes its due time; and every head is reclassified when the clock
+/// crosses a fault-window boundary, the only ticks at which
+/// [`FaultPlan::blocked`] can change, so parked heads move only there.
+pub(crate) struct ReadyLinks<M> {
+    pub(crate) links: Links<M>,
+    set: ReadySet,
+    /// Every window start and end, ascending and deduplicated.
+    boundaries: Vec<usize>,
+    /// Index of the first boundary after the clock.
+    next_boundary: usize,
+}
+
+/// The classification of the heads of [`ReadyLinks`] at `clock`.
+struct ReadySet {
+    clock: usize,
+    /// Channel ids `from * n + to` of the ready heads, ascending: the
+    /// from-major order a scan over every channel yields.
+    ready: Vec<usize>,
+    /// `(due, channel)` of the waiting heads, earliest first.
+    waiting: BinaryHeap<Reverse<(usize, usize)>>,
+    /// Whether a partition active at the clock blocks each channel.
+    blocked: Vec<bool>,
+    /// Messages queued over all channels, ready or not.
+    pending: usize,
+}
+
+impl ReadySet {
+    /// Files `channel`'s head, due at `due`, as ready, waiting or parked.
+    fn classify(&mut self, channel: usize, due: usize) {
+        if due > self.clock {
+            self.waiting.push(Reverse((due, channel)));
+        } else if !self.blocked[channel] {
+            if let Err(at) = self.ready.binary_search(&channel) {
+                self.ready.insert(at, channel);
+            }
+        }
+    }
+}
+
+impl<M: Clone> ReadyLinks<M> {
+    /// Empty channels behind `gate`, with the clock at tick 0.
+    pub(crate) fn new(gate: Gate) -> Self {
+        let mut boundaries: Vec<usize> = (gate.faults.events().iter())
+            .flat_map(|event| [event.start, event.end()])
+            .collect();
+        boundaries.sort_unstable();
+        boundaries.dedup();
+        let next_boundary = boundaries.partition_point(|&at| at == 0);
+        let channels = gate.n * gate.n;
+        let mut links = Self {
+            links: Links::new(gate),
+            set: ReadySet {
+                clock: 0,
+                ready: Vec::with_capacity(channels),
+                waiting: BinaryHeap::with_capacity(channels),
+                blocked: vec![false; channels],
+                pending: 0,
+            },
+            boundaries,
+            next_boundary,
+        };
+        links.reclassify();
+        links
+    }
+
+    /// Admits `from`'s `batch` at the clock (no transit time) and queues the
+    /// survivors on their channels.
+    pub(crate) fn send(&mut self, from: usize, batch: Vec<Outgoing<M>>) {
+        let (n, channels, set) = (self.links.gate.n, &mut self.links.channels, &mut self.set);
+        self.links
+            .gate
+            .admit(set.clock, 0, from, batch, |to, due, msg| {
+                let channel = from * n + to;
+                let queue = &mut channels[channel];
+                queue.push_back((due, msg));
+                set.pending += 1;
+                if queue.len() == 1 {
+                    set.classify(channel, due);
+                }
+            });
+    }
+
+    /// Moves the clock forward to `now`: heads that have come due leave the
+    /// waiting heap, and a crossed window boundary reclassifies every head.
+    pub(crate) fn advance(&mut self, now: usize) {
+        debug_assert!(now >= self.set.clock, "the clock only moves forward");
+        self.set.clock = now;
+        let crossed = (self.boundaries[self.next_boundary..].iter())
+            .take_while(|&&at| at <= now)
+            .count();
+        if crossed > 0 {
+            self.next_boundary += crossed;
+            self.reclassify();
+            return;
+        }
+        while let Some(&Reverse((due, channel))) = self.set.waiting.peek() {
+            if due > now {
+                break;
+            }
+            self.set.waiting.pop();
+            self.set.classify(channel, due);
+        }
+    }
+
+    /// Recomputes the blocked links at the clock and refiles every head.
+    fn reclassify(&mut self) {
+        let (n, faults, set) = (self.links.gate.n, &self.links.gate.faults, &mut self.set);
+        for (channel, blocked) in set.blocked.iter_mut().enumerate() {
+            *blocked = faults.blocked(set.clock, channel / n, channel % n);
+        }
+        set.ready.clear();
+        set.waiting.clear();
+        for (channel, queue) in self.links.channels.iter().enumerate() {
+            if let Some(&(due, _)) = queue.front() {
+                set.classify(channel, due);
+            }
+        }
+    }
+
+    /// The ready channel ids, ascending (from-major).
+    pub(crate) fn ready_channels(&self) -> &[usize] {
+        &self.set.ready
+    }
+
+    /// Delivers the head of the ready `channel` at the clock.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channel` is not ready.
+    pub(crate) fn take(&mut self, channel: usize) -> M {
+        let set = &mut self.set;
+        let at = (set.ready.binary_search(&channel)).expect("only a ready channel delivers");
+        let queue = &mut self.links.channels[channel];
+        let (_, msg) = queue.pop_front().expect("a ready channel has a head");
+        set.pending -= 1;
+        match queue.front() {
+            // Due already, and the link was open a moment ago: still ready.
+            Some(&(due, _)) if due <= set.clock => {}
+            Some(&(due, _)) => {
+                set.ready.remove(at);
+                set.waiting.push(Reverse((due, channel)));
+            }
+            None => {
+                set.ready.remove(at);
+            }
+        }
+        let n = self.links.gate.n;
+        self.links
+            .gate
+            .delivered(set.clock, channel / n, channel % n);
+        msg
+    }
 
     /// Whether any message is still queued, ready or not.
     pub(crate) fn any_pending(&self) -> bool {
-        self.channels.iter().any(|queue| !queue.is_empty())
+        self.set.pending > 0
     }
 
-    /// The first time after `now` at which [`ready`](Self::ready) can change
-    /// or a fault window opens: the earliest later head due time or window
-    /// start or end.  Between `now` and it, no channel becomes ready and no
-    /// window is announced; `None` when nothing is scheduled after `now`.
-    pub(crate) fn next_change(&self, now: usize) -> Option<usize> {
-        let heads = self.channels.iter().filter_map(|queue| queue.front());
-        let windows = self.gate.faults.events().iter();
-        (heads.map(|&(due, _)| due))
-            .chain(windows.flat_map(|event| [event.start, event.end()]))
-            .filter(|&at| at > now)
-            .min()
+    /// The first tick after the clock at which a channel can become ready or
+    /// a fault window opens or closes: the earliest waiting head or the next
+    /// window boundary.  Between the clock and it, no channel becomes ready
+    /// and no window is announced; `None` when nothing is scheduled.
+    pub(crate) fn next_change(&self) -> Option<usize> {
+        let head = self.set.waiting.peek().map(|&Reverse((due, _))| due);
+        let boundary = self.boundaries.get(self.next_boundary).copied();
+        head.into_iter().chain(boundary).min()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::asim::{AsyncNetwork, AsyncProcess, DeliveryPolicy};
     use crate::faults::{FaultEvent, FaultKind, LinkSelector};
-    use crate::process::ProcessId;
+    use crate::process::{broadcast_to_all, ProcessId};
     use bvc_trace::{TraceHandle, Tracer};
+    use proptest::prelude::*;
     use std::sync::Mutex;
 
     struct Capture(Arc<Mutex<Vec<TraceEvent>>>);
@@ -454,7 +618,8 @@ mod tests {
                 if at > 0 {
                     assert!(!links.ready(at - 1, 0, to), "{name}: ready early");
                     assert!(links.take(at - 1, 0, to).is_none(), "{name}: taken early");
-                    assert_eq!(links.next_change(at - 1), Some(at), "{name}: stall jump");
+                    let jump = scan_next_change(&links, at - 1);
+                    assert_eq!(jump, Some(at), "{name}: stall jump");
                 }
                 assert!(links.ready(at, 0, to), "{name}: not ready when due");
                 let mut taken = Vec::new();
@@ -482,6 +647,263 @@ mod tests {
                 assert_eq!(stats.per_process[0].dropped, case.dropped, "{name}");
                 assert_eq!(stats.messages_delivered, taken.len(), "{name}");
                 assert_eq!(stats.per_process[to].delivered, taken.len(), "{name}");
+            }
+        }
+    }
+
+    /// The scan the ready set replaced, kept as its oracle: every channel,
+    /// from-major, tested against the fault plan at `at`.
+    fn scan_ready<M: Clone>(links: &Links<M>, at: usize) -> Vec<usize> {
+        let n = links.gate.n;
+        (0..n * n)
+            .filter(|&c| links.ready(at, c / n, c % n))
+            .collect()
+    }
+
+    /// The fold `next_change` replaced: the earliest head due time or window
+    /// start or end after `now`.
+    fn scan_next_change<M>(links: &Links<M>, now: usize) -> Option<usize> {
+        let heads = links.channels.iter().filter_map(|queue| queue.front());
+        let windows = links.gate.faults.events().iter();
+        (heads.map(|&(due, _)| due))
+            .chain(windows.flat_map(|event| [event.start, event.end()]))
+            .filter(|&at| at > now)
+            .min()
+    }
+
+    /// A seeded plan over `n` processes and ticks `[0, horizon)`: latency
+    /// windows with varied `extra`, partitions that open and heal mid-run,
+    /// and drops.
+    fn random_plan(rng: &mut StdRng, n: usize, horizon: usize) -> FaultPlan {
+        fn some(rng: &mut StdRng, n: usize) -> Vec<ProcessId> {
+            (0..n)
+                .filter(|_| rng.gen_bool(0.4))
+                .map(ProcessId::new)
+                .collect()
+        }
+        fn selector(rng: &mut StdRng, n: usize) -> LinkSelector {
+            match rng.gen_range(0..4usize) {
+                0 => LinkSelector::All,
+                1 => LinkSelector::From(some(rng, n)),
+                2 => LinkSelector::To(some(rng, n)),
+                _ => LinkSelector::Between(some(rng, n), some(rng, n)),
+            }
+        }
+        let mut plan = FaultPlan::new();
+        for _ in 0..rng.gen_range(1..6usize) {
+            let kind = match rng.gen_range(0..3usize) {
+                0 => FaultKind::Latency {
+                    extra: rng.gen_range(0..12usize),
+                    links: selector(rng, n),
+                },
+                1 => FaultKind::Partition {
+                    groups: (0..rng.gen_range(1..3usize))
+                        .map(|_| some(rng, n))
+                        .collect(),
+                },
+                _ => FaultKind::Drop {
+                    rate: rng.gen_range(0.0..0.5),
+                    links: selector(rng, n),
+                },
+            };
+            let start = rng.gen_range(0..horizon);
+            let duration = rng.gen_range(1..horizon / 2);
+            plan.push(FaultEvent {
+                kind,
+                start,
+                duration,
+            })
+            .unwrap();
+        }
+        plan
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn the_ready_set_is_the_scan_at_every_step(seed in 0u64..1 << 40) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(2..6usize);
+            let mut gate = Gate::new(n);
+            gate.set_faults(random_plan(&mut rng, n, 80), seed);
+            let mut links = ReadyLinks::new(gate);
+            let mut payload = 0u32;
+            for step in 0..400 {
+                match rng.gen_range(0..10usize) {
+                    0..=3 => {
+                        let batch = (0..rng.gen_range(1..4usize))
+                            .map(|_| {
+                                payload += 1;
+                                Outgoing::new(ProcessId::new(rng.gen_range(0..n)), payload)
+                            })
+                            .collect();
+                        links.send(rng.gen_range(0..n), batch);
+                    }
+                    4..=7 if !links.ready_channels().is_empty() => {
+                        let ready = links.ready_channels();
+                        let channel = ready[rng.gen_range(0..ready.len())];
+                        let head = links.links.channels[channel].front().map(|&(_, m)| m);
+                        prop_assert_eq!(Some(links.take(channel)), head, "step {}", step);
+                    }
+                    8 => links.advance(links.set.clock + rng.gen_range(0..5usize)),
+                    _ => {
+                        if let Some(at) = links.next_change() {
+                            links.advance(at);
+                        }
+                    }
+                }
+                let now = links.set.clock;
+                prop_assert_eq!(links.ready_channels(), &scan_ready(&links.links, now)[..], "step {}", step);
+                let jump = scan_next_change(&links.links, now);
+                prop_assert_eq!(links.next_change(), jump, "step {}", step);
+                let queued = links.links.channels.iter().any(|q| !q.is_empty());
+                prop_assert_eq!(links.any_pending(), queued, "step {}", step);
+            }
+        }
+    }
+
+    const HOPS: u32 = 5;
+
+    /// Traffic for the full-run check: every process greets every other at
+    /// start, and a delivery of hop count `h < HOPS` sends `h + 1` back to
+    /// the sender and on to process `(me + h + 1) % n`.  Nobody decides.
+    struct Gossip {
+        me: usize,
+        n: usize,
+    }
+
+    impl AsyncProcess for Gossip {
+        type Msg = u32;
+        type Output = ();
+
+        fn on_start(&mut self) -> Vec<Outgoing<u32>> {
+            broadcast_to_all(self.n, Some(ProcessId::new(self.me)), &0)
+        }
+
+        fn on_message(&mut self, from: ProcessId, hops: u32) -> Vec<Outgoing<u32>> {
+            if hops >= HOPS {
+                return Vec::new();
+            }
+            let on = ProcessId::new((self.me + hops as usize + 1) % self.n);
+            vec![Outgoing::new(from, hops + 1), Outgoing::new(on, hops + 1)]
+        }
+
+        fn output(&self) -> Option<()> {
+            None
+        }
+    }
+
+    fn gossip(n: usize) -> Vec<Box<dyn AsyncProcess<Msg = u32, Output = ()>>> {
+        (0..n)
+            .map(|me| Box::new(Gossip { me, n }) as Box<dyn AsyncProcess<Msg = u32, Output = ()>>)
+            .collect()
+    }
+
+    /// The executor loop the ready set replaced, kept as an oracle: the scan
+    /// over every channel per delivery, the fold for stall jumps, and the
+    /// pick that filters a fresh preferred list.  Waits for process 0.
+    fn scanning_run(
+        n: usize,
+        policy: &DeliveryPolicy,
+        seed: u64,
+        max_steps: usize,
+        faults: FaultPlan,
+    ) -> ExecutionStats {
+        let mut processes = gossip(n);
+        let mut gate = Gate::new(n);
+        gate.set_faults(faults, seed);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let tick_cap = max_steps.saturating_add(gate.quiescent_at());
+        let mut links = Links::new(gate);
+        let (mut cursor, mut now, mut steps) = (0usize, 0usize, 0usize);
+        for (index, process) in processes.iter_mut().enumerate() {
+            links.send(now, 0, index, process.on_start());
+        }
+        while steps < max_steps && now < tick_cap {
+            links.gate.announce_fault_windows(now, "ticks");
+            if processes[0].output().is_some() {
+                break;
+            }
+            let eligible: Vec<(usize, usize)> = (scan_ready(&links, now).into_iter())
+                .map(|c| (c / n, c % n))
+                .collect();
+            if eligible.is_empty() {
+                if links.channels.iter().any(|q| !q.is_empty()) {
+                    now = scan_next_change(&links, now).map_or(tick_cap, |t| t.min(tick_cap));
+                    continue;
+                }
+                break;
+            }
+            let slow = |list: &[ProcessId], i: usize| list.iter().any(|p| p.index() == i);
+            let pool: Vec<(usize, usize)> = match policy {
+                DeliveryPolicy::DelayFrom(list) => eligible
+                    .iter()
+                    .copied()
+                    .filter(|&(from, _)| !slow(list, from))
+                    .collect(),
+                DeliveryPolicy::DelayTo(list) => eligible
+                    .iter()
+                    .copied()
+                    .filter(|&(_, to)| !slow(list, to))
+                    .collect(),
+                _ => Vec::new(),
+            };
+            let pool = if pool.is_empty() { &eligible } else { &pool };
+            let (from, to) = match policy {
+                DeliveryPolicy::RoundRobin => {
+                    cursor += 1;
+                    pool[(cursor - 1) % pool.len()]
+                }
+                _ => pool[rng.gen_range(0..pool.len())],
+            };
+            let msg = links.take(now, from, to).expect("picked among the ready");
+            steps += 1;
+            now += 1;
+            let outgoing = processes[to].on_message(ProcessId::new(from), msg);
+            links.send(now, 0, to, outgoing);
+        }
+        links.gate.finish(steps)
+    }
+
+    fn traced<T>(run: impl FnOnce() -> T) -> (T, Vec<TraceEvent>) {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let tracer = Box::new(Capture(Arc::clone(&log)));
+        let scope = bvc_trace::install(TraceHandle::new(tracer, false), 0);
+        let out = run();
+        drop(scope);
+        let events = log.lock().unwrap().clone();
+        (out, events)
+    }
+
+    #[test]
+    fn every_policy_schedules_exactly_what_the_scanning_executor_did() {
+        const N: usize = 5;
+        let slow = vec![ProcessId::new(0), ProcessId::new(3)];
+        let policies = [
+            DeliveryPolicy::RandomFair,
+            DeliveryPolicy::RoundRobin,
+            DeliveryPolicy::DelayFrom(slow.clone()),
+            DeliveryPolicy::DelayTo(slow),
+        ];
+        for seed in 0..12u64 {
+            let plan = random_plan(&mut StdRng::seed_from_u64(seed), N, 400);
+            for policy in &policies {
+                let max_steps = 2_000;
+                let (old, old_trace) =
+                    traced(|| scanning_run(N, policy, seed, max_steps, plan.clone()));
+                let (new, new_trace) = traced(|| {
+                    AsyncNetwork::new(gossip(N), policy.clone(), seed, max_steps)
+                        .with_faults(plan.clone())
+                        .run(&[0])
+                        .stats
+                });
+                assert!(
+                    old.steps > 100,
+                    "seed {seed}, {policy:?}: too little traffic"
+                );
+                assert_eq!(new, old, "seed {seed}, {policy:?}: accounting");
+                assert!(new_trace == old_trace, "seed {seed}, {policy:?}: schedule");
             }
         }
     }

@@ -4,6 +4,7 @@
 //! under the simple FIFO queue used by the unit tests.
 
 use bvc::adversary::{ByzantineStrategy, ForgePoints, PointForge};
+use bvc::broadcast::RbMessage;
 use bvc::core::{AadExchange, AadMsg, CompletedExchange};
 use bvc::geometry::Point;
 use bvc::net::{broadcast_to_all, AsyncNetwork, AsyncProcess, DeliveryPolicy, Outgoing, ProcessId};
@@ -260,4 +261,87 @@ fn witness_sets_are_quorum_sized_and_verified() {
             }
         }
     }
+}
+
+/// A Byzantine process that opens a reliable broadcast in an honest
+/// process's name: at start it sends `Init(forged)` for `origin` to
+/// `victims`, then echoes and readies the forged value to everyone, and is
+/// silent afterwards.
+struct Impersonator {
+    n: usize,
+    origin: usize,
+    victims: Vec<usize>,
+    forged: Point,
+}
+
+impl AsyncProcess for Impersonator {
+    type Msg = AadMsg;
+    type Output = CompletedExchange;
+
+    fn on_start(&mut self) -> Vec<Outgoing<AadMsg>> {
+        let rb = |inner| AadMsg::Rb {
+            round: 1,
+            origin: self.origin,
+            inner,
+        };
+        let mut out: Vec<Outgoing<AadMsg>> = (self.victims.iter())
+            .map(|&to| Outgoing::new(ProcessId::new(to), rb(RbMessage::Init(self.forged.clone()))))
+            .collect();
+        for inner in [
+            RbMessage::Echo(self.forged.clone()),
+            RbMessage::Ready(self.forged.clone()),
+        ] {
+            out.extend(broadcast_to_all(
+                self.n,
+                Some(ProcessId::new(self.n - 1)),
+                &rb(inner),
+            ));
+        }
+        out
+    }
+
+    fn on_message(&mut self, _from: ProcessId, _msg: AadMsg) -> Vec<Outgoing<AadMsg>> {
+        Vec::new()
+    }
+
+    fn output(&self) -> Option<CompletedExchange> {
+        None
+    }
+}
+
+#[test]
+fn property_3_holds_when_a_byzantine_process_impersonates_an_honest_origin() {
+    // n = 4, f = 1: process 3 sends Init([9.0]) for origin 1 to processes 0
+    // and 2, then echoes and readies it; the schedule delivers all of that
+    // ahead of the honest start messages.  Only origin 1 may open its own
+    // broadcast, so every honest process must still hold origin 1's true
+    // value (or no tuple for it).
+    let (n, f) = (4, 1);
+    let honest_count = n - f;
+    let mut processes: Vec<Box<dyn AsyncProcess<Msg = AadMsg, Output = CompletedExchange>>> = (0
+        ..honest_count)
+        .map(|i| {
+            let value = Point::new(vec![i as f64 / honest_count as f64]);
+            Box::new(OneRound::new(n, f, i, value))
+                as Box<dyn AsyncProcess<Msg = AadMsg, Output = CompletedExchange>>
+        })
+        .collect();
+    processes.push(Box::new(Impersonator {
+        n,
+        origin: 1,
+        victims: vec![0, 2],
+        forged: Point::new(vec![9.0]),
+    }));
+    let honest: Vec<usize> = (0..honest_count).collect();
+    let slow = honest.iter().copied().map(ProcessId::new).collect();
+    let outcome =
+        AsyncNetwork::new(processes, DeliveryPolicy::DelayFrom(slow), 1, 10_000).run(&honest);
+    assert!(
+        outcome.completed,
+        "every honest process must finish the exchange"
+    );
+    let results: Vec<CompletedExchange> = (outcome.outputs.into_iter().take(honest_count))
+        .map(|done| done.expect("completed exchange"))
+        .collect();
+    check_properties(&results, n, f, honest_count);
 }

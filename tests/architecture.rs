@@ -273,6 +273,26 @@ fn one_worker_pool() {
 }
 
 #[test]
+fn incremental_ready_set() {
+    // The asynchronous scheduler draws from the ready set `ReadyLinks` keeps
+    // up to date (links.rs).  Asking every channel whether it can deliver,
+    // once per delivery, is the n² scan growing back; it survives only as
+    // links.rs's test oracle.
+    let asim = non_test(&root().join("crates/bvc-net/src/asim.rs"));
+    let per_channel = lines_with(&asim, "links.ready(");
+    let scans = (asim.lines())
+        .filter(|line| {
+            line.contains("(0..n)") || line.contains("in 0..n") || line.contains("0..n * n")
+        })
+        .count();
+    assert!(
+        per_channel == 0 && scans == 0,
+        "asim.rs outside tests asks channels one by one ({per_channel} `links.ready(` lines, \
+         {scans} `0..n` scans): pick from `ReadyLinks::ready_channels`"
+    );
+}
+
+#[test]
 fn two_schedulers() {
     // bvc-net has two executors: lock-step rounds and the seeded event
     // simulator, whose `DeliveryPolicy` is the one scheduling choice and
