@@ -13,7 +13,7 @@
 //!     --protocols takes a comma-separated list of schema protocol names
 //!     to attack (default exact,restricted-sync,approx — the pinned CI
 //!     trajectory).  Listing a directed kind (directed-exact,
-//!     directed-exact-lb) additionally unlocks the digraph-aware genome
+//!     directed-exact-lb) additionally unlocks the digraph-aware mutation
 //!     operators: topology sampling/rewiring and broadcast-model flips.
 //!
 //! chaos-run --churn [--seed S] [--waves W] [--per-wave P] [--jobs J]
@@ -140,12 +140,12 @@ fn run_search(args: &Args) -> Result<ExitCode, String> {
     let known = known_signatures(&repros).map_err(|e| e.to_string())?;
     let mut unpinned = 0usize;
     for finding in &report.findings {
-        let shrunk = shrink(&finding.genome, finding.flags);
-        let signature = shrunk.genome.signature();
+        let shrunk = shrink(&finding.spec, finding.flags);
+        let signature = &shrunk.spec.name;
         println!(
             "chaos-run: violation {} (flags a={} v={} t={}) shrunk to {} in {} step(s) \
              [{} evaluation(s)]",
-            finding.signature,
+            finding.spec.name,
             finding.flags.0,
             finding.flags.1,
             finding.flags.2,
@@ -153,7 +153,7 @@ fn run_search(args: &Args) -> Result<ExitCode, String> {
             shrunk.steps.len(),
             shrunk.evaluations,
         );
-        if known.contains(&signature) || known.contains(&finding.signature) {
+        if known.contains(signature) || known.contains(&finding.spec.name) {
             println!(
                 "chaos-run:   family already pinned under {}",
                 repros.display()
@@ -161,11 +161,11 @@ fn run_search(args: &Args) -> Result<ExitCode, String> {
             continue;
         }
         if pin {
-            let eval = evaluate(&shrunk.genome);
+            let eval = evaluate(&shrunk.spec);
             let outcome = eval
                 .outcome
-                .ok_or_else(|| "shrunk genome no longer runs".to_string())?;
-            let path = write_repro(&repros, &shrunk.genome, &outcome.to_json(), seed)
+                .ok_or_else(|| "shrunk spec no longer runs".to_string())?;
+            let path = write_repro(&repros, &shrunk.spec, &outcome.to_json(), seed)
                 .map_err(|e| e.to_string())?;
             println!("chaos-run:   pinned new reproducer {}", path.display());
         } else {

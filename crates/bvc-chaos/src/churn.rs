@@ -4,8 +4,8 @@
 //! A churn session alternates two kinds of waves, all derived from one
 //! master seed so a session is exactly reproducible:
 //!
-//! * **campaign waves** sample boundary-centred genomes from the same
-//!   [`SearchSpace`](crate::search::SearchSpace) the adversary search uses
+//! * **campaign waves** sample boundary-centred specs from the same
+//!   [`SearchSpace`] the adversary search uses
 //!   and run them through the parallel campaign runner, tallying verdicts,
 //!   near-misses (ε-agreement runs that decided within 20 % of the ε
 //!   budget) and any genuine violations;
@@ -201,22 +201,17 @@ pub fn churn(config: &ChurnConfig) -> ChurnReport {
     }
 }
 
-/// One campaign wave: sampled boundary genomes through the campaign runner.
+/// One campaign wave: sampled boundary specs through the campaign runner.
 fn campaign_wave(index: usize, config: &ChurnConfig, rng: &mut StdRng) -> WaveMetrics {
     let mut metrics = WaveMetrics {
         index,
         kind: "campaign",
+        instances: config.per_wave,
         ..WaveMetrics::default()
     };
-    let mut instances = Vec::with_capacity(config.per_wave);
-    for _ in 0..config.per_wave {
-        let genome = sample(rng, &config.space);
-        metrics.instances += 1;
-        match genome.to_spec() {
-            Ok(spec) => instances.extend(expand(0, &spec)),
-            Err(_) => metrics.rejected += 1,
-        }
-    }
+    let instances: Vec<_> = (0..config.per_wave)
+        .flat_map(|_| expand(0, &sample(rng, &config.space)))
+        .collect();
     for result in run_campaign(&instances, config.jobs) {
         match result {
             Ok(outcome) => {
@@ -232,8 +227,8 @@ fn campaign_wave(index: usize, config: &ChurnConfig, rng: &mut StdRng) -> WaveMe
                     metrics.expected_unsolvable += 1;
                 } else {
                     metrics.violated += 1;
-                    // Genome TOMLs name the scenario with its family
-                    // signature, so the verdict already carries it.
+                    // Lab specs are named by their family signature, so
+                    // the verdict already carries it.
                     metrics.genuine.push(outcome.scenario.clone());
                 }
             }

@@ -1,6 +1,6 @@
-//! Genome evaluation and the search objective.
+//! Spec evaluation and the search objective.
 //!
-//! One evaluation = one deterministic scenario run.  The score rewards, in
+//! One evaluation = one deterministic run of the spec as given.  The score rewards, in
 //! order of magnitude: an outright **genuine** verdict violation (the search
 //! target), then generic *danger heuristics* that give hill-climbing a
 //! gradient toward one — operating below the strict resource bound under a
@@ -10,17 +10,16 @@
 //! satisfied, the substrate was declared solvable, and no drop fault broke
 //! the reliable-channel assumption.
 
-use crate::genome::{ChaosGenome, ValidityGene};
-use bvc_scenario::{run_scenario, ScenarioOutcome};
+use bvc_scenario::{run_scenario, ScenarioOutcome, ScenarioSpec, ValidityMode};
 
 /// Score assigned to any genuine violation, dwarfing every heuristic term.
 pub const VIOLATION_SCORE: f64 = 1e6;
 
-/// The outcome of evaluating one genome.
+/// The outcome of evaluating one spec.
 #[derive(Debug, Clone)]
 pub struct Evaluation {
     /// The scenario outcome, when the instance ran (`None` ⇒ rejected at
-    /// schema parse or admission).
+    /// admission).
     pub outcome: Option<ScenarioOutcome>,
     /// The rejection message, when it did not.
     pub rejected: Option<String>,
@@ -46,13 +45,9 @@ impl Evaluation {
     }
 }
 
-/// Runs one genome through the scenario runner and scores it.
-pub fn evaluate(genome: &ChaosGenome) -> Evaluation {
-    let spec = match genome.to_spec() {
-        Ok(spec) => spec,
-        Err(e) => return rejected(e.to_string()),
-    };
-    let outcome = match run_scenario(&spec, genome.seed, spec.strategy, spec.policy.clone()) {
+/// Runs one spec through the scenario runner and scores it.
+pub fn evaluate(spec: &ScenarioSpec) -> Evaluation {
+    let outcome = match run_scenario(spec, spec.seed, spec.strategy, spec.policy.clone()) {
         Ok(outcome) => outcome,
         Err(e) => return rejected(e.to_string()),
     };
@@ -81,10 +76,10 @@ pub fn evaluate(genome: &ChaosGenome) -> Evaluation {
             // topology): failures here are anticipated, never genuine —
             // push the search back toward admissible-but-risky territory.
             score -= 50.0;
-        } else if genome
+        } else if spec
             .protocol
-            .min_processes(genome.d, genome.f)
-            .is_some_and(|floor| genome.n < floor)
+            .min_processes(spec.d, spec.f)
+            .is_some_and(|floor| spec.n < floor)
         {
             // Below the strict floor yet admitted, so only by a relaxed mode:
             // the regime where the relaxed decision rule is load-bearing.
@@ -92,7 +87,7 @@ pub fn evaluate(genome: &ChaosGenome) -> Evaluation {
         }
         // Weaker relaxations are riskier: the dilated safe area Γ_α shrinks
         // monotonically as α does.
-        if let ValidityGene::Alpha(alpha) = genome.validity {
+        if let Some(ValidityMode::AlphaScaled(alpha)) = spec.validity {
             score += 10.0 / (1.0 + alpha);
         }
         score
@@ -118,31 +113,41 @@ fn rejected(message: String) -> Evaluation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bvc_scenario::Protocol;
+    use crate::search::fit;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
-    fn base_genome() -> ChaosGenome {
-        ChaosGenome {
-            protocol: Protocol::Exact,
-            n: 4,
-            f: 1,
-            d: 1,
-            epsilon: 0.1,
-            seed: 0,
-            points: vec![vec![0.2], vec![0.5], vec![0.8]],
-            strategy: "equivocate".to_string(),
-            validity: ValidityGene::Strict,
-            topology: None,
-            faults: Vec::new(),
-            round_robin: false,
-            max_steps: 200_000,
-        }
+    fn base_spec() -> ScenarioSpec {
+        let text = r#"
+[scenario]
+name = "exact-n4f1d1-strict"
+protocol = "exact"
+n = 4
+f = 1
+d = 1
+epsilon = 0.1
+seed = 0
+max_steps = 200000
+
+[inputs]
+generator = "explicit"
+points = [[0.2], [0.5], [0.8]]
+"#;
+        ScenarioSpec::from_toml(text).expect("the base spec parses")
+    }
+
+    /// The base spec after `edit`, refitted with coordinates drawn from `seed`.
+    fn reshaped(edit: impl FnOnce(&mut ScenarioSpec), seed: u64) -> ScenarioSpec {
+        let mut spec = base_spec();
+        edit(&mut spec);
+        let mut rng = StdRng::seed_from_u64(seed);
+        fit(&mut spec, || rng.gen_range(0.0..=1.0));
+        spec
     }
 
     #[test]
     fn a_passing_run_scores_low_and_is_not_a_violation() {
-        let eval = evaluate(&base_genome());
+        let eval = evaluate(&base_spec());
         assert!(!eval.violation);
         assert!(eval.rejected.is_none());
         assert!(eval.score < VIOLATION_SCORE);
@@ -150,11 +155,9 @@ mod tests {
     }
 
     #[test]
-    fn an_inadmissible_genome_is_rejected_with_minus_infinity() {
-        let mut g = base_genome();
-        g.n = 3; // below the exact strict bound 3f+1 = 4
-        g.fix_points(&mut StdRng::seed_from_u64(0));
-        let eval = evaluate(&g);
+    fn an_inadmissible_spec_is_rejected_with_minus_infinity() {
+        // n = 3 is below the exact strict bound 3f+1 = 4.
+        let eval = evaluate(&reshaped(|s| s.n = 3, 0));
         assert!(eval.rejected.is_some());
         assert_eq!(eval.score, f64::NEG_INFINITY);
     }
@@ -164,12 +167,14 @@ mod tests {
         // Exact at d = 3, f = 1: strict bound max(3f+1, (d+1)f+1) = 5; the
         // α-relaxed family bound is 3f+1 = 4, so n = 4 is admitted only by
         // the relaxation — exactly the risky regime the bonus rewards.
-        let mut g = base_genome();
-        g.d = 3;
-        g.n = 4;
-        g.validity = ValidityGene::Alpha(3.0);
-        g.fix_points(&mut StdRng::seed_from_u64(7));
-        let eval = evaluate(&g);
+        let spec = reshaped(
+            |s| {
+                s.d = 3;
+                s.validity = Some(ValidityMode::AlphaScaled(3.0));
+            },
+            7,
+        );
+        let eval = evaluate(&spec);
         assert!(eval.rejected.is_none(), "relaxed admission must hold");
         if !eval.violation {
             assert!(eval.score >= 25.0, "boundary bonus missing: {}", eval.score);

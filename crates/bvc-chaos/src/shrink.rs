@@ -1,36 +1,33 @@
-//! Counterexample shrinking: minimize a violating genome while preserving
+//! Counterexample shrinking: minimize a violating spec while preserving
 //! the violation.
 //!
 //! The shrinker is **rng-free and deterministic**: it applies a fixed
 //! sequence of reduction passes — drop fault events, halve fault windows,
 //! round input coordinates, canonicalise α / seed / strategy / delivery,
-//! shed processes — keeping a reduction only if the reduced genome still
+//! shed processes — keeping a reduction only if the reduced spec still
 //! produces a *genuine* violation with the **same verdict flags** as the
-//! original.  Passes repeat to a fixpoint, which is what makes shrinking
-//! idempotent: re-shrinking a shrunk genome changes nothing (pinned by the
-//! property tests).
+//! original.  A reduction that would change nothing is not tried.  Passes
+//! repeat to a fixpoint, which is what makes shrinking idempotent:
+//! re-shrinking a shrunk spec changes nothing (pinned by the property
+//! tests).
 
-use crate::genome::{ChaosGenome, ValidityGene};
 use crate::objective::evaluate;
+use crate::search::{edit_faults, fit, points_mut};
+use bvc_adversary::ByzantineStrategy;
+use bvc_core::{FaultEvent, FaultKind};
+use bvc_net::DeliveryPolicy;
+use bvc_scenario::{ScenarioSpec, ValidityMode};
 
-/// The result of shrinking one violating genome.
+/// The result of shrinking one violating spec.
 #[derive(Debug, Clone)]
 pub struct ShrinkResult {
-    /// The minimized genome (equal to the input when nothing reduced).
-    pub genome: ChaosGenome,
+    /// The minimized spec (equal to the input when nothing reduced).
+    pub spec: ScenarioSpec,
     /// The accepted reduction steps, in application order — deterministic
     /// for a deterministic input.
     pub steps: Vec<String>,
-    /// Genome evaluations spent shrinking.
+    /// Spec evaluations spent shrinking.
     pub evaluations: usize,
-}
-
-/// Whether `genome` still exhibits the original violation: a genuine
-/// violation whose verdict flags match `flags` exactly.
-fn preserves(genome: &ChaosGenome, flags: (bool, bool, bool), evaluations: &mut usize) -> bool {
-    *evaluations += 1;
-    let eval = evaluate(genome);
-    eval.violation && eval.verdict_flags() == flags
 }
 
 /// Rounds `x` to `decimals` decimal places.
@@ -39,27 +36,63 @@ fn round_to(x: f64, decimals: u32) -> f64 {
     (x * scale).round() / scale
 }
 
-/// Shrinks `genome`, which must currently violate with verdict `flags`
-/// (from [`Evaluation::verdict_flags`](crate::objective::Evaluation::verdict_flags)).
-pub fn shrink(genome: &ChaosGenome, flags: (bool, bool, bool)) -> ShrinkResult {
-    let mut best = genome.clone();
-    let mut steps = Vec::new();
-    let mut evaluations = 0usize;
+impl ShrinkResult {
+    /// Tries one reduction: `edit` applied to a copy of the incumbent, kept
+    /// (and logged as `step`) iff it changed something and the original
+    /// violation — a genuine one with verdict `flags` — survives it.
+    fn attempt(
+        &mut self,
+        flags: (bool, bool, bool),
+        step: impl Into<String>,
+        edit: impl FnOnce(&mut ScenarioSpec),
+    ) -> bool {
+        let mut candidate = self.spec.clone();
+        edit(&mut candidate);
+        fit(&mut candidate, || {
+            unreachable!("no reduction adds an honest process")
+        });
+        if candidate == self.spec {
+            return false;
+        }
+        self.evaluations += 1;
+        let eval = evaluate(&candidate);
+        let kept = eval.violation && eval.verdict_flags() == flags;
+        if kept {
+            self.spec = candidate;
+            self.steps.push(step.into());
+        }
+        kept
+    }
+}
 
-    // Each pass returns true if it changed the genome; the outer loop runs
-    // the whole pass list to a fixpoint (bounded, since every accepted
-    // reduction strictly simplifies the genome).
+/// Shrinks `spec`, which must currently violate with verdict `flags`
+/// (from [`Evaluation::verdict_flags`](crate::objective::Evaluation::verdict_flags)).
+///
+/// # Panics
+///
+/// If `spec` does not list exactly `n − f` explicit points of dimension
+/// `d`, as every spec the search builds does.
+pub fn shrink(spec: &ScenarioSpec, flags: (bool, bool, bool)) -> ShrinkResult {
+    let mut s = ShrinkResult {
+        spec: spec.clone(),
+        steps: Vec::new(),
+        evaluations: 0,
+    };
+
+    // The outer loop runs the whole pass list to a fixpoint (bounded, since
+    // every accepted reduction strictly simplifies the spec).
     for _round in 0..8 {
         let mut changed = false;
 
         // Pass 1: drop fault events one at a time.
         let mut i = 0;
-        while i < best.faults.len() {
-            let mut candidate = best.clone();
-            candidate.faults.remove(i);
-            if preserves(&candidate, flags, &mut evaluations) {
-                best = candidate;
-                steps.push(format!("drop-fault:{i}"));
+        while i < s.spec.faults.events().len() {
+            let drop_fault = |c: &mut ScenarioSpec| {
+                edit_faults(c, |e| {
+                    e.remove(i);
+                })
+            };
+            if s.attempt(flags, format!("drop-fault:{i}"), drop_fault) {
                 changed = true;
             } else {
                 i += 1;
@@ -67,140 +100,82 @@ pub fn shrink(genome: &ChaosGenome, flags: (bool, bool, bool)) -> ShrinkResult {
         }
 
         // Pass 2: halve remaining fault windows and delays.
-        for i in 0..best.faults.len() {
-            let fault = best.faults[i];
-            if fault.duration > 1 || fault.extra > 1 {
-                let mut candidate = best.clone();
-                candidate.faults[i].duration = (fault.duration / 2).max(1);
-                candidate.faults[i].extra = (fault.extra / 2).max(1);
-                if preserves(&candidate, flags, &mut evaluations) {
-                    best = candidate;
-                    steps.push(format!("halve-window:{i}"));
-                    changed = true;
-                }
-            }
+        for i in 0..s.spec.faults.events().len() {
+            let event = s.spec.faults.events()[i].clone();
+            let FaultKind::Latency { extra, links } = event.kind else {
+                continue;
+            };
+            let halved = FaultEvent {
+                kind: FaultKind::Latency {
+                    extra: (extra / 2).max(1),
+                    links,
+                },
+                start: event.start,
+                duration: (event.duration / 2).max(1),
+            };
+            let halve = |c: &mut ScenarioSpec| edit_faults(c, |e| e[i] = halved);
+            changed |= s.attempt(flags, format!("halve-window:{i}"), halve);
         }
 
         // Pass 3: round every input coordinate (coarse first).
         for decimals in [1u32, 2] {
-            let rounded: Vec<Vec<f64>> = best
-                .points
-                .iter()
-                .map(|p| p.iter().map(|c| round_to(*c, decimals)).collect())
-                .collect();
-            if rounded != best.points {
-                let mut candidate = best.clone();
-                candidate.points = rounded;
-                if preserves(&candidate, flags, &mut evaluations) {
-                    best = candidate;
-                    steps.push(format!("round-inputs:{decimals}"));
+            let round = |c: &mut ScenarioSpec| {
+                for x in points_mut(c).iter_mut().flatten() {
+                    *x = round_to(*x, decimals);
+                }
+            };
+            if s.attempt(flags, format!("round-inputs:{decimals}"), round) {
+                changed = true;
+                break;
+            }
+        }
+
+        // Pass 4: round α (coarse first).
+        if let Some(ValidityMode::AlphaScaled(alpha)) = s.spec.validity {
+            for decimals in [1u32, 2] {
+                let rounded = Some(ValidityMode::AlphaScaled(round_to(alpha, decimals)));
+                if s.attempt(flags, format!("round-alpha:{decimals}"), |c| {
+                    c.validity = rounded
+                }) {
                     changed = true;
                     break;
                 }
             }
         }
 
-        // Pass 4: round α (coarse first).
-        if let ValidityGene::Alpha(alpha) = best.validity {
-            for decimals in [1u32, 2] {
-                let rounded = round_to(alpha, decimals);
-                if rounded != alpha {
-                    let mut candidate = best.clone();
-                    candidate.validity = ValidityGene::Alpha(rounded);
-                    if preserves(&candidate, flags, &mut evaluations) {
-                        best = candidate;
-                        steps.push(format!("round-alpha:{decimals}"));
-                        changed = true;
-                        break;
-                    }
-                }
-            }
-        }
-
-        // Pass 5: canonical seed.
-        if best.seed != 0 {
-            let mut candidate = best.clone();
-            candidate.seed = 0;
-            if preserves(&candidate, flags, &mut evaluations) {
-                best = candidate;
-                steps.push("zero-seed".to_string());
-                changed = true;
-            }
-        }
-
-        // Pass 6: default delivery schedule.
-        if best.round_robin {
-            let mut candidate = best.clone();
-            candidate.round_robin = false;
-            if preserves(&candidate, flags, &mut evaluations) {
-                best = candidate;
-                steps.push("default-delivery".to_string());
-                changed = true;
-            }
-        }
-
-        // Pass 7: canonical strategy (equivocation is the zoo's default).
-        if best.strategy != "equivocate" {
-            let mut candidate = best.clone();
-            candidate.strategy = "equivocate".to_string();
-            if preserves(&candidate, flags, &mut evaluations) {
-                best = candidate;
-                steps.push("canonical-strategy".to_string());
-                changed = true;
-            }
-        }
-
-        // Pass 8: drop the declared topology — a directed finding that
-        // still reproduces on the complete graph is the simpler reproducer
-        // (and usually a deeper one: it survived losing its cut structure).
-        if best.topology.is_some() {
-            let mut candidate = best.clone();
-            candidate.topology = None;
-            if preserves(&candidate, flags, &mut evaluations) {
-                best = candidate;
-                steps.push("drop-topology".to_string());
-                changed = true;
-            }
-        }
+        // Passes 5–8: canonical seed, default delivery schedule, canonical
+        // strategy (equivocation is the zoo's default), and no declared
+        // topology — a directed finding that still reproduces on the
+        // complete graph is the simpler reproducer (and usually a deeper
+        // one: it survived losing its cut structure).
+        changed |= s.attempt(flags, "zero-seed", |c| c.seed = 0);
+        changed |= s.attempt(flags, "default-delivery", |c| {
+            c.policy = DeliveryPolicy::RandomFair
+        });
+        changed |= s.attempt(flags, "canonical-strategy", |c| {
+            c.strategy = ByzantineStrategy::Equivocate
+        });
+        changed |= s.attempt(flags, "drop-topology", |c| c.topology = None);
 
         // Pass 9: shed processes (dropping the last honest input point).
-        while best.n > best.f + 2 {
-            let mut candidate = best.clone();
-            candidate.n -= 1;
-            candidate.points.truncate(candidate.n - candidate.f);
-            if preserves(&candidate, flags, &mut evaluations) {
-                best = candidate;
-                steps.push("shrink-n".to_string());
-                changed = true;
-            } else {
-                break;
-            }
+        while s.spec.n > s.spec.f + 2 && s.attempt(flags, "shrink-n", |c| c.n -= 1) {
+            changed = true;
         }
 
-        // Pass 10: fewer Byzantine processes (honest inputs are kept, so
-        // the freed id becomes an extra honest process only if a point
-        // exists for it — instead we shrink n in lockstep to keep shape).
-        if best.f > 1 {
-            let mut candidate = best.clone();
-            candidate.f -= 1;
-            candidate.n -= 1;
-            if preserves(&candidate, flags, &mut evaluations) {
-                best = candidate;
-                steps.push("shrink-f".to_string());
-                changed = true;
-            }
+        // Pass 10: fewer Byzantine processes, shrinking n in lockstep so
+        // the honest inputs keep their shape.
+        if s.spec.f > 1 {
+            changed |= s.attempt(flags, "shrink-f", |c| {
+                c.f -= 1;
+                c.n -= 1;
+            });
         }
 
         if !changed {
             break;
         }
     }
-
-    ShrinkResult {
-        genome: best,
-        steps,
-        evaluations,
-    }
+    s
 }
 
 #[cfg(test)]

@@ -7,15 +7,15 @@
 //!    search trace, findings and shrink step sequence;
 //! 2. **Preservation** — a shrunk reproducer still exhibits the original
 //!    violation, with the same verdict flags;
-//! 3. **Idempotence** — shrinking a shrunk genome changes nothing.
+//! 3. **Idempotence** — shrinking a shrunk spec changes nothing.
 //!
 //! The searches here run over a deliberately tiny space (exact protocol,
 //! d = 1, small n) so the whole file stays debug-mode cheap; the acid-test
 //! rediscovery of the small-α family runs in release mode via
 //! `chaos-run --search` in CI instead.
 
-use bvc_chaos::{evaluate, search, shrink, ChaosGenome, SearchConfig, ValidityGene};
-use bvc_scenario::Protocol;
+use bvc_chaos::{evaluate, search, shrink, SearchConfig};
+use bvc_scenario::{Protocol, ScenarioSpec};
 
 /// A tiny, debug-cheap search configuration.
 fn tiny_config(master_seed: u64) -> SearchConfig {
@@ -28,29 +28,37 @@ fn tiny_config(master_seed: u64) -> SearchConfig {
     config
 }
 
-/// A hand-built violating genome in the small-α family (exact consensus
+/// A hand-built violating spec in the small-α family (exact consensus
 /// admitted by the α-relaxation below the strict bound, Γ_α empty), used
 /// to exercise the shrinker even on seeds whose search finds nothing.
-fn alpha_family_genome() -> ChaosGenome {
-    ChaosGenome {
-        protocol: Protocol::Exact,
-        n: 4,
-        f: 1,
-        d: 3,
-        epsilon: 0.1,
-        seed: 7,
-        points: vec![
-            vec![0.05, 0.5, 0.95],
-            vec![0.9, 0.1, 0.4],
-            vec![0.3, 0.8, 0.2],
-        ],
-        strategy: "anti-convergence".to_string(),
-        validity: ValidityGene::Alpha(0.05),
-        topology: None,
-        faults: Vec::new(),
-        round_robin: false,
-        max_steps: 200_000,
-    }
+fn alpha_family_spec() -> ScenarioSpec {
+    ScenarioSpec::from_toml(
+        r#"
+[scenario]
+name = "exact-n4f1d3-alpha"
+protocol = "exact"
+n = 4
+f = 1
+d = 3
+epsilon = 0.1
+seed = 7
+max_steps = 200000
+validity = "alpha-relaxed"
+alpha = 0.05
+
+[inputs]
+generator = "explicit"
+points = [
+    [0.05, 0.5, 0.95],
+    [0.9, 0.1, 0.4],
+    [0.3, 0.8, 0.2],
+]
+
+[adversary]
+strategy = "anti-convergence"
+"#,
+    )
+    .expect("the small-α fixture parses")
 }
 
 #[test]
@@ -62,13 +70,12 @@ fn the_same_master_seed_reproduces_the_search_byte_for_byte() {
         assert_eq!(a.evaluations, b.evaluations);
         assert_eq!(a.findings.len(), b.findings.len());
         for (fa, fb) in a.findings.iter().zip(&b.findings) {
-            assert_eq!(fa.signature, fb.signature);
-            assert_eq!(fa.genome, fb.genome, "finding genomes diverged");
+            assert_eq!(fa.spec, fb.spec, "finding specs diverged");
             // The shrink sequence is a pure function of the finding.
-            let sa = shrink(&fa.genome, fa.flags);
-            let sb = shrink(&fb.genome, fb.flags);
+            let sa = shrink(&fa.spec, fa.flags);
+            let sb = shrink(&fb.spec, fb.flags);
             assert_eq!(sa.steps, sb.steps, "shrink steps diverged for seed {seed}");
-            assert_eq!(sa.genome, sb.genome);
+            assert_eq!(sa.spec, sb.spec);
         }
     }
 }
@@ -76,13 +83,13 @@ fn the_same_master_seed_reproduces_the_search_byte_for_byte() {
 #[test]
 fn shrunk_reproducers_still_exhibit_the_original_violation() {
     let mut shrunk_any = false;
-    for genome in violating_genomes() {
-        let original = evaluate(&genome);
+    for spec in violating_specs() {
+        let original = evaluate(&spec);
         assert!(original.violation, "fixture must violate before shrinking");
         let flags = original.verdict_flags();
 
-        let result = shrink(&genome, flags);
-        let replay = evaluate(&result.genome);
+        let result = shrink(&spec, flags);
+        let replay = evaluate(&result.spec);
         assert!(
             replay.violation,
             "shrinking lost the violation (steps: {:?})",
@@ -101,37 +108,37 @@ fn shrunk_reproducers_still_exhibit_the_original_violation() {
 
 #[test]
 fn shrinking_is_idempotent() {
-    for genome in violating_genomes() {
-        let flags = evaluate(&genome).verdict_flags();
-        let once = shrink(&genome, flags);
-        let twice = shrink(&once.genome, flags);
+    for spec in violating_specs() {
+        let flags = evaluate(&spec).verdict_flags();
+        let once = shrink(&spec, flags);
+        let twice = shrink(&once.spec, flags);
         assert!(
             twice.steps.is_empty(),
-            "re-shrinking a shrunk genome still reduced it: {:?}",
+            "re-shrinking a shrunk spec still reduced it: {:?}",
             twice.steps
         );
-        assert_eq!(once.genome, twice.genome);
+        assert_eq!(once.spec, twice.spec);
     }
 }
 
-/// Violating genomes to shrink: the hand-built small-α fixture (seed
+/// Violating specs to shrink: the hand-built small-α fixture (seed
 /// variants) plus anything the tiny searches find.
-fn violating_genomes() -> Vec<ChaosGenome> {
-    let mut genomes = Vec::new();
+fn violating_specs() -> Vec<ScenarioSpec> {
+    let mut specs = Vec::new();
     for seed in [7u64, 123] {
-        let mut genome = alpha_family_genome();
-        genome.seed = seed;
-        if evaluate(&genome).violation {
-            genomes.push(genome);
+        let mut spec = alpha_family_spec();
+        spec.seed = seed;
+        if evaluate(&spec).violation {
+            specs.push(spec);
         }
     }
     for master_seed in [0u64, 17] {
         let report = search(&tiny_config(master_seed));
-        genomes.extend(report.findings.into_iter().map(|f| f.genome));
+        specs.extend(report.findings.into_iter().map(|f| f.spec));
     }
     assert!(
-        !genomes.is_empty(),
+        !specs.is_empty(),
         "the hand-built small-α fixture must violate"
     );
-    genomes
+    specs
 }

@@ -38,7 +38,7 @@ pub enum UpdateRule {
 
 /// Decision of an honest asynchronous process, together with the per-round
 /// telemetry that the facade's `tests/convergence_and_budgets.rs` and
-/// `tests/resilience_bounds.rs` assert on (ρ[t] under the equation-(13)
+/// `tests/resilience_bounds.rs` assert on (`ρ[t]` under the equation-(13)
 /// envelope, `|Z_i|` under its Appendix F bound).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ApproxOutput {

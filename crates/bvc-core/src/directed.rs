@@ -125,8 +125,8 @@ impl DirectedExactProcess {
     }
 
     /// Selects the validity regime of the resolution-step decision rule,
-    /// mirroring [`ExactBvcProcess::with_validity_mode`]
-    /// (`crate::exact::ExactBvcProcess::with_validity_mode`).
+    /// mirroring
+    /// [`ExactBvcProcess::with_validity_mode`](crate::exact::ExactBvcProcess::with_validity_mode).
     pub fn with_validity_mode(mut self, mode: ValidityPredicate) -> Self {
         self.validity = mode;
         self

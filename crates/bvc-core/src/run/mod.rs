@@ -125,11 +125,6 @@ impl BvcSession {
         &self.config
     }
 
-    /// The validated core parameters (`n`/`f`/`d`, ε, value bounds).
-    pub fn params(&self) -> &BvcConfig {
-        &self.core
-    }
-
     /// The resolved communication topology (complete graph unless the
     /// config declared otherwise).
     pub fn topology(&self) -> &Arc<Topology> {

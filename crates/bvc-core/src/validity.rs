@@ -2,8 +2,9 @@
 //!
 //! The verdict scoring of every runner used to hard-code the strict validity
 //! condition (decision ∈ hull of honest inputs).  This module threads the
-//! [`ValidityPredicate`] of `bvc-geometry` — strict, `(1+α)`-relaxed, or
-//! `k`-relaxed (Xiang & Vaidya, arXiv:1601.08067) — through the runners as a
+//! [`ValidityPredicate`](bvc_geometry::ValidityPredicate) of `bvc-geometry`
+//! — strict, `(1+α)`-relaxed, or `k`-relaxed (Xiang & Vaidya,
+//! arXiv:1601.08067) — through the runners as a
 //! [`ValidityMode`], and models the relaxed paper's headline result as a
 //! **resource check**: relaxing validity lowers the `(d+1)f+1`-type process
 //! requirement of the strict problem, because the relaxed condition only

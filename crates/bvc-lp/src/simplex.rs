@@ -75,11 +75,6 @@ impl Solution {
             objective_value: f64::NAN,
         }
     }
-
-    /// Returns `true` when the solve found an optimal point.
-    pub fn is_optimal(&self) -> bool {
-        self.status == SolveStatus::Optimal
-    }
 }
 
 /// Standard-form layout: how original variables and constraint rows map onto
@@ -551,14 +546,6 @@ mod tests {
         let s = lp.solve();
         assert_eq!(s.status, SolveStatus::Optimal);
         assert_close(s.values[0], 3.0);
-    }
-
-    #[test]
-    fn solution_is_optimal_helper() {
-        let mut lp = LinearProgram::new(1, Objective::Minimize);
-        lp.set_objective_coefficient(0, 1.0);
-        let s = lp.solve();
-        assert!(s.is_optimal());
     }
 
     #[test]

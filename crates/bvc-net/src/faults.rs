@@ -39,10 +39,8 @@ pub enum LinkSelector {
     From(Vec<ProcessId>),
     /// Links whose receiver is one of the listed processes.
     To(Vec<ProcessId>),
-    /// Links between the two sets, in either direction.
-    Between(Vec<ProcessId>, Vec<ProcessId>),
     /// Only the directed links sender-set → receiver-set (the reverse
-    /// direction is *not* covered; use [`LinkSelector::Between`] for both).
+    /// direction is *not* covered).
     Directed(Vec<ProcessId>, Vec<ProcessId>),
 }
 
@@ -54,9 +52,6 @@ impl LinkSelector {
             LinkSelector::All => true,
             LinkSelector::From(senders) => has(senders, from),
             LinkSelector::To(receivers) => has(receivers, to),
-            LinkSelector::Between(a, b) => {
-                (has(a, from) && has(b, to)) || (has(b, from) && has(a, to))
-            }
             LinkSelector::Directed(senders, receivers) => has(senders, from) && has(receivers, to),
         }
     }
@@ -292,9 +287,6 @@ mod tests {
         assert!(from.covers(2, 0) && !from.covers(0, 2));
         let to = LinkSelector::To(ids(&[1]));
         assert!(to.covers(0, 1) && !to.covers(1, 0));
-        let between = LinkSelector::Between(ids(&[0]), ids(&[3]));
-        assert!(between.covers(0, 3) && between.covers(3, 0));
-        assert!(!between.covers(0, 1) && !between.covers(1, 3));
         let directed = LinkSelector::Directed(ids(&[0]), ids(&[3]));
         assert!(directed.covers(0, 3));
         assert!(

@@ -682,11 +682,10 @@ mod tests {
                 .collect()
         }
         fn selector(rng: &mut StdRng, n: usize) -> LinkSelector {
-            match rng.gen_range(0..4usize) {
+            match rng.gen_range(0..3usize) {
                 0 => LinkSelector::All,
                 1 => LinkSelector::From(some(rng, n)),
-                2 => LinkSelector::To(some(rng, n)),
-                _ => LinkSelector::Between(some(rng, n), some(rng, n)),
+                _ => LinkSelector::To(some(rng, n)),
             }
         }
         let mut plan = FaultPlan::new();

@@ -15,7 +15,7 @@
 //! Verdict lines stream to stdout (default), or to the scenario's declared
 //! `sink`, or to `--out` (highest precedence) — one JSON object per
 //! instance, in admission order, written as each instance's turn comes up.
-//! The aggregate [`ServiceStats`](bvc_service::ServiceStats) — decisions/sec,
+//! The aggregate [`ServiceStats`] — decisions/sec,
 //! latency percentiles, Γ-cache reuse, per-worker load — go to stderr as a
 //! human summary and, with `--stats`, to a JSON file.  Exit code 0 means
 //! every verdict held; 1 means some verdict was violated; 2 means the

@@ -35,6 +35,4 @@ pub use event::{CacheLevel, GammaPath, GammaQueryKind, TraceEvent, SCHEMA};
 pub use json::{check_trace, parse_flat, Json};
 pub use report::report;
 pub use scope::{current_handle, emit, emit_timing, install, is_active, scope_token, ScopeGuard};
-pub use tracer::{
-    render_trace, run_traced, JsonlTracer, NoopTracer, TimingEntry, TraceHandle, Tracer,
-};
+pub use tracer::{render_trace, run_traced, JsonlTracer, TimingEntry, TraceHandle, Tracer};

@@ -1,4 +1,4 @@
-//! The [`Tracer`] trait, its two built-in implementations, and the
+//! The [`Tracer`] trait, its built-in JSONL implementation, and the
 //! cheap-clone [`TraceHandle`] that threads a tracer through scopes.
 //!
 //! Determinism: [`JsonlTracer`] buffers events tagged with their logical
@@ -21,21 +21,11 @@ pub trait Tracer: Send {
     fn record(&mut self, slot: u32, seq: u64, event: &TraceEvent);
 
     /// Consumes the buffered stream: returns serialized JSONL lines in the
-    /// canonical `(slot, seq)` order.  Tracers that do not buffer (the
-    /// no-op) return an empty vector.
+    /// canonical `(slot, seq)` order.  Tracers that do not buffer return an
+    /// empty vector.
     fn take_lines(&mut self) -> Vec<String> {
         Vec::new()
     }
-}
-
-/// Discards every event.  Useful to measure tracing overhead and as the
-/// explicit "off" tracer; when no scope is installed at all, `emit` never
-/// constructs the event in the first place.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopTracer;
-
-impl Tracer for NoopTracer {
-    fn record(&mut self, _slot: u32, _seq: u64, _event: &TraceEvent) {}
 }
 
 /// Buffers events and serializes them to `bvc-trace/v1` JSON lines.

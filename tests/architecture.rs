@@ -725,3 +725,32 @@ fn flat_eig() {
         shown(&retired)
     );
 }
+
+#[test]
+fn one_scenario_vocabulary() {
+    // The chaos lab samples, mutates, shrinks and runs
+    // `bvc_scenario::ScenarioSpec` itself.  A genome type mirroring the
+    // spec field by field, or a TOML round trip on every evaluation, is the
+    // second description growing back: TOML is read and written only at the
+    // reproducer boundary, repro.rs.
+    let chaos = rust_files_under(&["crates/bvc-chaos/src"]);
+    let mirrors = naming(
+        &chaos,
+        non_test,
+        &["ChaosGenome", "ValidityGene", "FaultGene"],
+    );
+    assert!(
+        mirrors.is_empty(),
+        "a mirror of ScenarioSpec is back in the chaos lab: the spec is the genome\n{}",
+        shown(&mirrors)
+    );
+    let parsers: Vec<PathBuf> = naming(&chaos, non_test, &["from_toml"])
+        .into_iter()
+        .filter(|p| !p.ends_with("crates/bvc-chaos/src/repro.rs"))
+        .collect();
+    assert!(
+        parsers.is_empty(),
+        "chaos lab code outside repro.rs parses TOML: evaluation runs the spec it is given\n{}",
+        shown(&parsers)
+    );
+}
