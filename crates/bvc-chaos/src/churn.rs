@@ -17,6 +17,7 @@
 //! The session report serialises as a `bvc-chaos-metrics/v1` JSON document
 //! and as one Markdown row for the longitudinal `CHAOS.md` dashboard.
 
+use crate::objective::fault_excused;
 use crate::search::{sample, SearchSpace};
 use bvc_core::{InstanceOverrides, RunConfig};
 use bvc_geometry::Point;
@@ -70,7 +71,9 @@ pub struct WaveMetrics {
     pub passed: usize,
     /// Genuine violations (unexcused failed verdicts / contained panics).
     pub violated: usize,
-    /// Failed verdicts that were flagged expected-unsolvable up front.
+    /// Failed verdicts excused up front: flagged expected-unsolvable, or
+    /// run under a fault window outside the protocol's model
+    /// ([`fault_excused`]).
     pub expected_unsolvable: usize,
     /// Instances rejected at admission.
     pub rejected: usize,
@@ -223,7 +226,7 @@ fn campaign_wave(index: usize, config: &ChurnConfig, rng: &mut StdRng) -> WaveMe
                             metrics.near_misses += 1;
                         }
                     }
-                } else if !outcome.expected_solvable() {
+                } else if !outcome.expected_solvable() || fault_excused(&outcome) {
                     metrics.expected_unsolvable += 1;
                 } else {
                     metrics.violated += 1;

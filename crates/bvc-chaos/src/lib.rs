@@ -36,7 +36,7 @@ pub mod search;
 pub mod shrink;
 
 pub use churn::{churn, dashboard_header, ChurnConfig, ChurnReport, WaveMetrics};
-pub use objective::{evaluate, Evaluation, VIOLATION_SCORE};
+pub use objective::{evaluate, fault_excused, Evaluation, VIOLATION_SCORE};
 pub use repro::{known_signatures, replay_dir, spec_signature, write_repro, ReplayResult};
 pub use search::{search, Finding, SearchConfig, SearchReport, SearchSpace};
 pub use shrink::{shrink, ShrinkResult};

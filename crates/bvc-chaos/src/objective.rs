@@ -7,8 +7,8 @@
 //! relaxed validity mode, weaker relaxations (smaller α), larger decision
 //! spread relative to ε, and longer runs.  A violation only counts as
 //! genuine when nothing excused it up front: the resource check was
-//! satisfied, the substrate was declared solvable, and no drop fault broke
-//! the reliable-channel assumption.
+//! satisfied, the substrate was declared solvable, and no fault window
+//! stepped outside the protocol's model ([`fault_excused`]).
 
 use bvc_scenario::{run_scenario, ScenarioOutcome, ScenarioSpec, ValidityMode};
 
@@ -52,9 +52,8 @@ pub fn evaluate(spec: &ScenarioSpec) -> Evaluation {
         Err(e) => return rejected(e.to_string()),
     };
 
-    let drop_excused = outcome.faults.contains(&"drop");
     let expected_unsolvable = !outcome.expected_solvable();
-    let violation = !outcome.verdict.all_hold() && !expected_unsolvable && !drop_excused;
+    let violation = !outcome.verdict.all_hold() && !expected_unsolvable && !fault_excused(&outcome);
 
     let score = if violation {
         VIOLATION_SCORE
@@ -99,6 +98,19 @@ pub fn evaluate(spec: &ScenarioSpec) -> Evaluation {
         violation,
         score,
     }
+}
+
+/// Whether a fault window of the run stepped outside the protocol's model,
+/// so a failed verdict under it is expected data, not a finding: a drop
+/// breaks the reliable channels every protocol assumes, and on a
+/// synchronous protocol a latency or partition window holds a message past
+/// the round it was sent in, which breaks synchrony.
+pub fn fault_excused(outcome: &ScenarioOutcome) -> bool {
+    let synchronous = !outcome.protocol.is_async();
+    outcome
+        .faults
+        .iter()
+        .any(|&kind| kind == "drop" || (synchronous && matches!(kind, "latency" | "partition")))
 }
 
 fn rejected(message: String) -> Evaluation {
@@ -160,6 +172,66 @@ points = [[0.2], [0.5], [0.8]]
         let eval = evaluate(&reshaped(|s| s.n = 3, 0));
         assert!(eval.rejected.is_some());
         assert_eq!(eval.score, f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn a_latency_window_on_a_synchronous_protocol_excuses_its_violation() {
+        // What `chaos-run --search --seed 3 --restarts 6 --iters 12
+        // --protocols directed-exact,directed-exact-lb,exact` shrank to before
+        // the excuse: n = 5 is above exact's strict floor 4, and the one
+        // latency window holds ten of process 2's messages to process 0 past
+        // their round.
+        let text = r#"
+[scenario]
+name = "exact-n5f1d2-strict"
+protocol = "exact"
+n = 5
+f = 1
+d = 2
+epsilon = 0.1
+seed = 0
+max_steps = 400000
+
+[inputs]
+generator = "explicit"
+points = [[0.4, 0.2], [0.7, 0.3], [0.3, 0.9], [0.8, 0.5]]
+
+[adversary]
+strategy = "equivocate"
+
+[[faults]]
+kind = "latency"
+extra = 3
+from = [2]
+to = [0]
+start = 2
+duration = 2
+"#;
+        let spec = ScenarioSpec::from_toml(text).expect("the pinned spec parses");
+        let eval = evaluate(&spec);
+        let outcome = eval.outcome.as_ref().expect("admitted above the floor");
+        assert_eq!(eval.verdict_flags(), (false, false, true));
+        assert!(outcome.expected_solvable());
+        assert_eq!(
+            (
+                outcome.stats.messages_sent,
+                outcome.stats.messages_delivered
+            ),
+            (220, 210)
+        );
+        assert!(fault_excused(outcome));
+        assert!(!eval.violation, "a held message breaks synchrony");
+        assert!(eval.score < VIOLATION_SCORE);
+        // An asynchronous protocol's model has no rounds to miss: the same
+        // window there excuses nothing.
+        let mut asynchronous = outcome.clone();
+        asynchronous.protocol = bvc_scenario::Protocol::Approx;
+        assert!(!fault_excused(&asynchronous));
+        asynchronous.faults = vec!["latency", "drop"];
+        assert!(
+            fault_excused(&asynchronous),
+            "a drop excuses on any protocol"
+        );
     }
 
     #[test]

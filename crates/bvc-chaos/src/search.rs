@@ -12,9 +12,11 @@
 //! Every spec the lab builds keeps two invariants, restored by one helper
 //! after each change: exactly `n − f` explicit honest points of dimension
 //! `d`, and `name` equal to its family signature ([`spec_signature`]).
-//! The lab's faults are latency windows on single directed links; drop
-//! faults break the reliable-channel assumption, so a violation under them
-//! is expected data and would poison the objective.
+//! The lab's faults are latency windows on single directed links.  On a
+//! synchronous protocol such a window holds messages past their round, so
+//! a violation under it is expected data, like one under a drop fault
+//! (which breaks the reliable-channel assumption), and is not a finding
+//! ([`fault_excused`](crate::objective::fault_excused)).
 
 use crate::objective::{evaluate, Evaluation};
 use crate::repro::spec_signature;

@@ -22,7 +22,7 @@ use crate::aad::{AadExchange, AadMsg};
 use crate::config::BvcConfig;
 use crate::convergence::{gamma, gamma_witness_optimized, round_threshold};
 use crate::rounds::IterateCore;
-use crate::witness::{average_state, zi_full, zi_witness};
+use crate::witness::{average_state, zi_witness};
 use bvc_geometry::{Point, SharedGammaCache};
 use bvc_net::{broadcast_to_all, AsyncProcess, Outgoing, ProcessId};
 use std::collections::BTreeMap;
@@ -153,21 +153,23 @@ impl ApproxBvcProcess {
             };
             // Step 2: build Z_i and average it.
             let cache = &self.core.gamma_cache;
-            let zi = match self.rule {
+            let (next, zi_size) = match self.rule {
                 UpdateRule::FullSubsets => {
                     let entries: Vec<&Point> = done.entries.iter().map(|(_, v)| v).collect();
-                    zi_full(&entries, n - f, f, cache)
+                    cache.subset_centroid(&entries, n - f, f)
                 }
-                UpdateRule::WitnessOptimized => zi_witness(
-                    done.witness_sets
-                        .iter()
-                        .map(|set| set.iter().map(|(_, v)| v)),
-                    f,
-                    cache,
-                ),
+                UpdateRule::WitnessOptimized => {
+                    let zi = zi_witness(
+                        done.witness_sets
+                            .iter()
+                            .map(|set| set.iter().map(|(_, v)| v)),
+                        f,
+                        cache,
+                    );
+                    ((!zi.is_empty()).then(|| average_state(&zi)), zi.len())
+                }
             };
-            self.zi_sizes.push(zi.len());
-            let next = (!zi.is_empty()).then(|| average_state(&zi));
+            self.zi_sizes.push(zi_size);
             // Step 3: terminate after the round budget.
             if !self.core.close_round(round, next) {
                 out.extend(self.start_round(round + 1));

@@ -24,7 +24,6 @@
 use crate::config::BvcConfig;
 use crate::convergence::{gamma, round_threshold};
 use crate::rounds::{IterateCore, StateExchangeProcess};
-use crate::witness::{average_state, zi_full};
 use bvc_geometry::{Point, SharedGammaCache};
 use bvc_net::{broadcast_to_all, AsyncProcess, Outgoing, ProcessId};
 use std::collections::BTreeMap;
@@ -91,8 +90,10 @@ fn subset_average(core: &IterateCore, reports: &[&Point]) -> Option<Point> {
     if reports.len() < quorum {
         return None;
     }
-    let zi = zi_full(reports, quorum, core.config.f, &core.gamma_cache);
-    (!zi.is_empty()).then(|| average_state(&zi))
+    let (average, _) = core
+        .gamma_cache
+        .subset_centroid(reports, quorum, core.config.f);
+    average
 }
 
 /// Honest process of the restricted-round **asynchronous** algorithm

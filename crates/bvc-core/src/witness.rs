@@ -13,15 +13,21 @@
 //!   advertised by this process's witnesses, giving `|Z_i| ≤ n` and improving
 //!   the contraction constant to `γ = 1/n²`.
 //!
-//! Both rules are provided here and shared by the AAD-based algorithm
+//! A process never holds the full rule's `Z_i`: the AAD-based algorithm
 //! ([`crate::approx`]) and the restricted-round algorithms
-//! ([`crate::restricted`]).  Every Γ point they add is asked of a
-//! [`GammaCache`]: a process passes its run's cache, and a public
+//! ([`crate::restricted`]) take the new state straight from
+//! [`GammaCache::subset_centroid`], which at `d = 1` reads every subset's
+//! closed-form interval off one sort and averages the midpoints as they
+//! stream.  [`build_zi_full_cached`] materialises `Z_i` one
+//! [`GammaCache::find_point_of`] per subset — the rule as written, and the
+//! oracle the fold is tested against (`tests/zi_views.rs`) — and
+//! [`average_state`] of it is bit for bit that centroid.  The witness rule
+//! lives here and feeds [`crate::approx`].  Every Γ point either rule adds is
+//! asked of a [`GammaCache`]: a process passes its run's cache, and a public
 //! `build_zi_*_cached` call given `None` gets a fresh one for that call.  A
 //! cached answer is the engine's (a Γ point is a deterministic function of
 //! the multiset), and every query leaves one `gamma` trace event.
 
-use bvc_geometry::combinatorics::Combinations;
 use bvc_geometry::{CanonicalEntries, GammaCache, Point};
 
 /// Builds `Z_i` with the full rule: one `Γ` point per `(n−f)`-subset of
@@ -38,7 +44,9 @@ use bvc_geometry::{CanonicalEntries, GammaCache, Point};
 /// common to two receivers), so the reuse is a process's own repeated
 /// sub-multisets once honest states coincide, plus whole repeated instances
 /// through a parent cache shared across runs.  `d = 1` subsets are answered
-/// in closed form and never stored.
+/// in closed form and never stored.  `Z_i` is emitted in `Combinations`
+/// order over the positions of `entries`, the order
+/// [`GammaCache::subset_centroid`] sums in.
 ///
 /// # Panics
 ///
@@ -51,40 +59,7 @@ pub fn build_zi_full_cached(
 ) -> Vec<Point> {
     let fresh = GammaCache::new();
     let entries: Vec<&Point> = entries.iter().collect();
-    zi_full(&entries, quorum, f, cache.unwrap_or(&fresh))
-}
-
-/// [`build_zi_full_cached`] over borrowed entries, for callers whose points
-/// sit in messages or maps: the entries are put in canonical order **once**,
-/// and each subset is a borrowed view into that order — no point is cloned
-/// and nothing is sorted per subset.  `Z_i` is emitted in `Combinations`
-/// order over the positions of `entries`, so the centroid sums in the same
-/// order however the subsets are keyed.
-///
-/// # Panics
-///
-/// Panics if `entries.len() < quorum` or `quorum == 0`.
-pub(crate) fn zi_full(
-    entries: &[&Point],
-    quorum: usize,
-    f: usize,
-    cache: &GammaCache,
-) -> Vec<Point> {
-    assert!(quorum > 0, "quorum must be positive");
-    assert!(
-        entries.len() >= quorum,
-        "need at least {quorum} entries, got {}",
-        entries.len()
-    );
-    let mut canonical = CanonicalEntries::new(entries.iter().copied());
-    let mut zi = Vec::new();
-    let mut subsets = Combinations::new(entries.len(), quorum);
-    while let Some(subset) = subsets.next_ref() {
-        if let Some(point) = cache.find_point_of(canonical.subset(subset), f) {
-            zi.push(point);
-        }
-    }
-    zi
+    cache.unwrap_or(&fresh).subset_points(&entries, quorum, f)
 }
 
 /// Builds `Z_i` with the witness-optimised rule: one `Γ` point per witness-

@@ -46,6 +46,7 @@
 //! is asserted by `tests/lemma1_threshold.rs`
 //! (`gamma_point_exists_from_the_floor_up`).
 
+use crate::combinatorics::Combinations;
 use crate::depth;
 use crate::family::HullFamily;
 use crate::hull::ConvexHull;
@@ -160,10 +161,7 @@ fn strict_point(view: SubsetView<'_>, f: usize) -> (Option<Point>, GammaAttribut
     };
     if view.dim() == 1 {
         let (lo, hi) = d1_interval(view.len(), f, |j| view.point(j).coord(0));
-        // Non-empty up to `D1_TOLERANCE` (the joint LP's own threshold); an
-        // inverted-within-tolerance interval yields its midpoint, which lies
-        // within the membership band of both ends.
-        let point = (lo <= hi + D1_TOLERANCE).then(|| Point::new(vec![0.5 * (lo + hi)]));
+        let point = d1_midpoint(lo, hi).map(|mid| Point::new(vec![mid]));
         return (point, attributed(GammaPath::D1ClosedForm));
     }
     let canon = view.to_multiset();
@@ -395,6 +393,80 @@ impl<'a> SubsetView<'a> {
 /// callers compare against it under [`D1_TOLERANCE`].
 fn d1_interval(len: usize, f: usize, ascending: impl Fn(usize) -> f64) -> (f64, f64) {
     (ascending(f), ascending(len - 1 - f))
+}
+
+/// The strict `d = 1` point of the interval `[lo, hi]`: its midpoint, or
+/// `None` when it is empty.  Non-empty up to [`D1_TOLERANCE`] (the joint
+/// LP's own threshold); an inverted-within-tolerance interval yields its
+/// midpoint, which lies within the membership band of both ends.
+fn d1_midpoint(lo: f64, hi: f64) -> Option<f64> {
+    (lo <= hi + D1_TOLERANCE).then_some(0.5 * (lo + hi))
+}
+
+/// The most entries [`d1_subset_midpoints`] takes: a subset is a set of
+/// ranks held in one `u64`.
+pub(crate) const D1_FOLD_ENTRIES: usize = u64::BITS as usize;
+
+/// Step 2's strict `d = 1` rule over every `quorum`-subset of `entries`, off
+/// **one** sort: `each` is called once per subset, in [`Combinations`] order
+/// over the positions of `entries`, with the subset's [`d1_midpoint`] — the
+/// value `gamma_point_of` gives that subset's view, bit for bit.  A subset
+/// is a set of ranks into the sorted scalars, and its interval ends are read
+/// by rank through [`d1_interval`]: no view, no point, no per-subset sort.
+///
+/// # Panics
+///
+/// Panics if `quorum == 0`, `entries.len() < quorum`, `f >= quorum`, more
+/// than [`D1_FOLD_ENTRIES`] entries are given or one is not
+/// one-dimensional.
+pub(crate) fn d1_subset_midpoints(
+    entries: &[&Point],
+    quorum: usize,
+    f: usize,
+    mut each: impl FnMut(Option<f64>),
+) {
+    assert!(0 < quorum && quorum <= entries.len() && entries.len() <= D1_FOLD_ENTRIES);
+    assert!(
+        f < quorum,
+        "fault bound f = {f} must be smaller than |Y| = {quorum}"
+    );
+    assert!(
+        entries.iter().all(|p| p.dim() == 1),
+        "all points in a multiset must share a dimension"
+    );
+    // The canonical order at d = 1 is `total_cmp` on the one coordinate;
+    // members that tie are bit-identical, so how ties rank is immaterial.
+    let mut order: Vec<usize> = (0..entries.len()).collect();
+    order.sort_by(|&a, &b| entries[a].coord(0).total_cmp(&entries[b].coord(0)));
+    let ascending: Vec<f64> = order.iter().map(|&i| entries[i].coord(0)).collect();
+    let mut rank = vec![0; entries.len()];
+    for (r, &i) in order.iter().enumerate() {
+        rank[i] = r;
+    }
+    let mut subsets = Combinations::new(entries.len(), quorum);
+    while let Some(subset) = subsets.next_ref() {
+        let members = subset.iter().fold(0u64, |set, &i| set | 1 << rank[i]);
+        let (lo, hi) = d1_interval(quorum, f, |j| ascending[nth_member(members, quorum, j)]);
+        each(d1_midpoint(lo, hi));
+    }
+}
+
+/// The rank of the `j`-th (0-based, ascending) of the `len` members of the
+/// rank set `members`, counted off from the nearer end: Step 2's interval
+/// ends sit `f` members in from either side.
+fn nth_member(mut members: u64, len: usize, j: usize) -> usize {
+    let from_top = len - 1 - j;
+    if j <= from_top {
+        for _ in 0..j {
+            members &= members - 1;
+        }
+        members.trailing_zeros() as usize
+    } else {
+        for _ in 0..from_top {
+            members ^= 1 << (63 - members.leading_zeros());
+        }
+        63 - members.leading_zeros() as usize
+    }
 }
 
 /// Per-coordinate trimmed range `[y^l_(f+1), y^l_(|Y|−f)]`.  `Γ(Y)` is

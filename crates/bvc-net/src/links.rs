@@ -144,8 +144,11 @@ impl Gate {
     }
 
     /// Traces the fault windows that open at `now`; `unit` names the clock
-    /// ("rounds", "ticks").
+    /// ("rounds", "ticks").  Untraced, the plan is not walked at all.
     pub(crate) fn announce_fault_windows(&self, now: usize, unit: &str) {
+        if !bvc_trace::is_active() {
+            return;
+        }
         for event in self.faults.events() {
             if event.start == now {
                 bvc_trace::emit(|| TraceEvent::FaultWindow {

@@ -628,6 +628,58 @@ fn one_gamma_account() {
 }
 
 #[test]
+fn one_step2_fold() {
+    // Step 2 of the iterative algorithms is one call: the centroid of every
+    // (n−f)-subset's Γ point comes from `GammaCache::subset_centroid`,
+    // which at d = 1 reads each subset's interval by rank off one sort.  A
+    // protocol that builds `Z_i` with `zi_full` and averages it is the
+    // per-subset `Point` fold growing back.
+    for file in [
+        "crates/bvc-core/src/restricted.rs",
+        "crates/bvc-core/src/approx.rs",
+    ] {
+        let body = non_test(&root().join(file));
+        assert!(
+            !(body.contains("zi_full") && body.contains("average_state")),
+            "{file} averages a `zi_full` Z_i outside tests: ask GammaCache::subset_centroid"
+        );
+    }
+    // The d = 1 interval is read in one place, `d1_interval`, and its
+    // emptiness test and midpoint are written once, in `d1_midpoint`.
+    let defining = naming(&crate_sources(), non_test, &["fn d1_interval("]);
+    assert!(
+        shown(&defining) == "crates/bvc-geometry/src/gamma.rs",
+        "`fn d1_interval(` must be defined once, in gamma.rs; found in:\n{}",
+        shown(&defining)
+    );
+    let gamma = non_test(&root().join("crates/bvc-geometry/src/gamma.rs"));
+    for rule in ["(lo <= hi + D1_TOLERANCE)", "0.5 * (lo + hi)"] {
+        let copies = lines_with(&gamma, rule);
+        assert!(
+            copies == 1,
+            "gamma.rs writes `{rule}` {copies} times outside tests: the d = 1 rule is `d1_midpoint`"
+        );
+    }
+    // Nothing around the engine reads scalar intervals itself: the cache
+    // and the Step-2 callers name no coordinate, rank end or tolerance.
+    let step2: Vec<PathBuf> = [
+        "crates/bvc-geometry/src/cache.rs",
+        "crates/bvc-core/src/witness.rs",
+        "crates/bvc-core/src/restricted.rs",
+        "crates/bvc-core/src/approx.rs",
+    ]
+    .iter()
+    .map(|file| root().join(file))
+    .collect();
+    let readers = naming(&step2, non_test, &["coord(0)", "- 1 - f", "D1_TOLERANCE"]);
+    assert!(
+        readers.is_empty(),
+        "a d = 1 interval is computed outside `d1_interval`:\n{}",
+        shown(&readers)
+    );
+}
+
+#[test]
 fn one_trace_schema() {
     // The bvc-trace/v1 schema is written once, in event.rs's `schema!`
     // table: `to_json` writes a line, `from_json` reads it back, `check_trace`
