@@ -14,25 +14,9 @@
 //! a fallback, never a wrong answer.
 
 use crate::multiset::PointMultiset;
+use crate::planar::{orient, Xy};
 use crate::point::Point;
 use crate::tolerance::DEPTH_SLACK;
-
-/// Shewchuk's `ccwerrboundA`, `(3 + 16ε)ε`: an orientation determinant
-/// `l − r` computed in `f64` has the sign of the exact one whenever its
-/// magnitude exceeds this times `|l| + |r|`.
-const ORIENT_ERROR_BOUND: f64 = 3.330_669_073_875_472e-16;
-
-type Xy = [f64; 2];
-
-/// The sign of `(q − p) × (x − p)`: `Some(true)` left of the directed line
-/// `p → q`, `Some(false)` right of it, `None` when the `f64` value is inside
-/// its error bound and the side is not known.
-fn orient(p: Xy, q: Xy, x: Xy) -> Option<bool> {
-    let l = (q[0] - p[0]) * (x[1] - p[1]);
-    let r = (q[1] - p[1]) * (x[0] - p[0]);
-    let det = l - r;
-    (det.abs() > ORIENT_ERROR_BOUND * (l.abs() + r.abs())).then_some(det > 0.0)
-}
 
 /// The closed halfplane `{ x : normal · (x − through) ≥ 0 }`, `normal` a
 /// unit vector so that [`DEPTH_SLACK`] is a distance.

@@ -10,9 +10,13 @@
 //! Both reduce to a small linear-programming feasibility problem (find
 //! `α ≥ 0`, `Σα = 1`, `Σ α_i t_i = p`), which is how Section 2.2 of the paper
 //! treats them.  Membership runs the solver in feasibility-only mode (no
-//! witness extraction) and is preceded by two exact short-circuits — a
-//! bounding-box reject and a generator-equality accept — that dispose of most
-//! queries the Γ engine generates without touching the solver at all.
+//! witness extraction) and is preceded by three short-circuits that dispose
+//! of most queries the Γ engine generates without touching the solver at all:
+//! a bounding-box reject, a generator-equality accept and, for `d = 2`, the
+//! polygon's orientation-sign test (accept strictly inside every edge or
+//! within [`GENERATOR_EQ_TOLERANCE`] of an edge, reject beyond an edge line by
+//! more than [`HULL_TOLERANCE`] times `max(1, |c|)`, `c` the line's distance
+//! from the origin; only the band between the two reaches the LP).
 //!
 //! The common-point query over several hulls — one LP that decides whether
 //! they share a point and, if so, produces one — is
@@ -23,6 +27,7 @@
 
 use crate::family::joint_common_point;
 use crate::multiset::PointMultiset;
+use crate::planar::{Polygon, Side};
 use crate::point::Point;
 use bvc_lp::{LinearProgram, Objective, Relation, SolveStatus};
 
@@ -30,7 +35,8 @@ use crate::tolerance::GENERATOR_EQ_TOLERANCE;
 pub use crate::tolerance::HULL_TOLERANCE;
 
 /// A convex hull `H(T)` of a multiset of points, represented implicitly by its
-/// generating points (plus their cached axis-aligned bounding box).
+/// generating points (plus their cached axis-aligned bounding box and, in the
+/// plane, their polygon).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConvexHull {
     generators: PointMultiset,
@@ -38,6 +44,9 @@ pub struct ConvexHull {
     lower: Vec<f64>,
     /// Per-coordinate maximum of the generators.
     upper: Vec<f64>,
+    /// For `d = 2`, the strictly convex polygon of the generators; `None`
+    /// in other dimensions and for collinear or converged generators.
+    polygon: Option<Polygon>,
 }
 
 impl ConvexHull {
@@ -45,10 +54,16 @@ impl ConvexHull {
     pub fn new(generators: PointMultiset) -> Self {
         let lower = generators.coordinate_min().into_coords();
         let upper = generators.coordinate_max().into_coords();
+        let polygon = if generators.dim() == 2 {
+            Polygon::of(generators.iter().map(|g| [g.coord(0), g.coord(1)]))
+        } else {
+            None
+        };
         Self {
             generators,
             lower,
             upper,
+            polygon,
         }
     }
 
@@ -90,9 +105,10 @@ impl ConvexHull {
 
     /// Returns `true` if `point` lies in this hull (within LP tolerance).
     ///
-    /// Fast paths: a bounding-box reject and a generator-equality accept skip
-    /// the solver entirely; otherwise the membership LP runs in
-    /// feasibility-only mode (phase 1 of the two-phase simplex, no witness).
+    /// Fast paths: a bounding-box reject, a generator-equality accept and,
+    /// when the hull has a polygon, its orientation-sign test skip the solver
+    /// entirely; otherwise the membership LP runs in feasibility-only mode
+    /// (phase 1 of the two-phase simplex, no witness).
     ///
     /// # Panics
     ///
@@ -108,6 +124,13 @@ impl ConvexHull {
         }
         if self.equals_a_generator(point) {
             return true;
+        }
+        if let Some(polygon) = &self.polygon {
+            match polygon.side([point.coord(0), point.coord(1)]) {
+                Side::Inside => return true,
+                Side::Outside => return false,
+                Side::Band => {}
+            }
         }
         self.membership_lp(point).solve_feasibility() == SolveStatus::Optimal
     }
@@ -189,6 +212,10 @@ fn normalise(weights: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bvc_trace::{TraceEvent, TraceHandle, Tracer};
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn triangle() -> ConvexHull {
         ConvexHull::new(PointMultiset::new(vec![
@@ -328,5 +355,244 @@ mod tests {
         let hull = triangle();
         let p = ConvexHull::common_point(std::slice::from_ref(&hull)).unwrap();
         assert!(hull.contains(&p));
+    }
+
+    /// Counts the `simplex` events of a run.
+    struct Solves(Arc<AtomicUsize>);
+
+    impl Tracer for Solves {
+        fn record(&mut self, _slot: u32, _seq: u64, event: &TraceEvent) {
+            if matches!(event, TraceEvent::Simplex { .. }) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// `run`'s answer and the number of LPs it solved.
+    fn solves<T>(run: impl FnOnce() -> T) -> (T, usize) {
+        let count = Arc::new(AtomicUsize::new(0));
+        let value = {
+            let handle = TraceHandle::new(Box::new(Solves(Arc::clone(&count))), false);
+            let _scope = bvc_trace::install(handle, 0);
+            run()
+        };
+        (value, count.load(Ordering::Relaxed))
+    }
+
+    fn planar(points: &[[f64; 2]]) -> ConvexHull {
+        ConvexHull::new(PointMultiset::new(
+            points.iter().map(|p| Point::new(p.to_vec())).collect(),
+        ))
+    }
+
+    #[test]
+    fn planar_hull_answers_off_the_band_without_an_lp() {
+        let hull = triangle();
+        assert!(hull.polygon.is_some());
+        assert_eq!(
+            solves(|| hull.contains(&Point::new(vec![0.5, 0.5]))),
+            (true, 0)
+        );
+        assert_eq!(
+            solves(|| hull.contains(&Point::new(vec![1.5, 1.5]))),
+            (false, 0)
+        );
+        // On an edge: within 1e-12 of the polygon, an accept.  Just outside
+        // an edge: the band, where the LP decides.
+        assert_eq!(
+            solves(|| hull.contains(&Point::new(vec![1.0, 1.0]))),
+            (true, 0)
+        );
+        assert_eq!(
+            solves(|| hull.contains(&Point::new(vec![1.0, -1e-9]))),
+            (true, 1)
+        );
+    }
+
+    #[test]
+    fn far_from_the_origin_the_reject_margin_grows_with_the_lps_reach() {
+        // A sharp corner about 400 from the origin: `near` is 2.4e-5 beyond
+        // the edge line `a′ → b`, a residual of 6e-8 to the LP, which
+        // accepts (found by the differential test below when the margin
+        // was a bare HULL_TOLERANCE); `far`, 2.4e-3 beyond, is 6e-6.
+        let a = [-337.103_036_637_493_2, -315.224_631_264_828_8];
+        let a_prime = [-337.103_036_637_393_2, -315.224_631_264_828_8];
+        let b = [-560.289_956_588_613_4, 587.674_046_938_747_8];
+        let c = [-843.857_247_890_129_9, -313.829_042_569_148_56];
+        let hull = planar(&[a, a_prime, b, c]);
+        let near = Point::new(vec![-337.103_036_637_443_2, -315.224_531_264_828_84]);
+        assert!(hull.membership_lp(&near).solve_feasibility() == SolveStatus::Optimal);
+        assert_eq!(solves(|| hull.contains(&near)), (true, 1));
+        let far = Point::new(vec![-337.103_036_637_443_2, -315.214_631_264_828_8]);
+        assert!(hull.membership_lp(&far).solve_feasibility() != SolveStatus::Optimal);
+        assert_eq!(solves(|| hull.contains(&far)), (false, 0));
+    }
+
+    #[test]
+    fn degenerate_planar_hulls_have_no_polygon_and_take_the_lp() {
+        for (generators, inside, outside) in [
+            // Collinear.
+            (
+                vec![[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]],
+                [0.5, 0.5],
+                [1.0, 0.5],
+            ),
+            // Two points, each twice: a converged pair.
+            (
+                vec![[0.0, 0.0], [2.0, 1.0], [0.0, 0.0], [2.0, 1.0]],
+                [1.0, 0.5],
+                [1.0, 0.9],
+            ),
+            // A collinear triple on the boundary of a triangle.
+            (
+                vec![[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 1.0]],
+                [1.0, 0.5],
+                [1.8, 0.8],
+            ),
+        ] {
+            let hull = planar(&generators);
+            assert!(hull.polygon.is_none(), "{generators:?} has a polygon");
+            let (answer, lps) = solves(|| hull.contains(&Point::new(inside.to_vec())));
+            assert!(
+                answer && lps == 1,
+                "{generators:?}: {inside:?} gave {answer} after {lps} LPs"
+            );
+            let (answer, lps) = solves(|| hull.contains(&Point::new(outside.to_vec())));
+            assert!(
+                !answer && lps == 1,
+                "{generators:?}: {outside:?} gave {answer} after {lps} LPs"
+            );
+        }
+    }
+
+    /// Generators of a differential case: `count` points of `raw` times
+    /// `scale`, each after the first few turned by its `kind` into a
+    /// duplicate, a collinear point, a sliver's apex or a near-duplicate of
+    /// the points before it.
+    fn awkward_generators(raw: &[f64], kinds: &[usize], count: usize, scale: f64) -> Vec<[f64; 2]> {
+        let mut out: Vec<[f64; 2]> = Vec::with_capacity(count);
+        for i in 0..count {
+            let own = [raw[2 * i] * scale, raw[2 * i + 1] * scale];
+            let point = match (kinds[i], i) {
+                (1, 1..) => out[i - 1],
+                (2, 2..) => {
+                    let (a, b) = (out[i - 2], out[i - 1]);
+                    let t = raw[2 * i].abs() * 2.0;
+                    [a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])]
+                }
+                (3, 2..) => {
+                    let (a, b) = (out[i - 2], out[i - 1]);
+                    let lift = 1e-9 * scale * raw[2 * i + 1].signum();
+                    [
+                        (a[0] + b[0]) / 2.0 - lift * (b[1] - a[1]),
+                        (a[1] + b[1]) / 2.0 + lift * (b[0] - a[0]),
+                    ]
+                }
+                (4, 1..) => [out[i - 1][0] + 1e-13 * scale, out[i - 1][1]],
+                _ => own,
+            };
+            out.push(point);
+        }
+        out
+    }
+
+    /// Query points for a differential case: every generator; every pair's
+    /// midpoint and points off it along the pair line's normal, from 1e-12
+    /// to 1e-3 of the scale away on each side; and where two segments
+    /// between the first five generators cross, the crossing (a Radon
+    /// point of those four).
+    fn awkward_queries(generators: &[[f64; 2]], scale: f64) -> Vec<[f64; 2]> {
+        let mut out = generators.to_vec();
+        for (i, &a) in generators.iter().enumerate() {
+            for &b in &generators[i + 1..] {
+                let mid = [(a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0];
+                out.push(mid);
+                let length = (b[0] - a[0]).hypot(b[1] - a[1]);
+                if length == 0.0 {
+                    continue;
+                }
+                let normal = [-(b[1] - a[1]) / length, (b[0] - a[0]) / length];
+                for offset in [1e-12, 1e-7, 5e-7, 2e-6, 1e-4, 1e-3 * scale] {
+                    for sign in [-1.0, 1.0] {
+                        let step = sign * offset;
+                        out.push([mid[0] + step * normal[0], mid[1] + step * normal[1]]);
+                    }
+                }
+            }
+        }
+        let first = &generators[..generators.len().min(5)];
+        for (i, j, k, l) in disjoint_pairs(first.len()) {
+            let (p, r) = (
+                first[i],
+                [first[j][0] - first[i][0], first[j][1] - first[i][1]],
+            );
+            let (q, s) = (
+                first[k],
+                [first[l][0] - first[k][0], first[l][1] - first[k][1]],
+            );
+            let denom = r[0] * s[1] - r[1] * s[0];
+            if denom == 0.0 {
+                continue;
+            }
+            let t = ((q[0] - p[0]) * s[1] - (q[1] - p[1]) * s[0]) / denom;
+            let u = ((q[0] - p[0]) * r[1] - (q[1] - p[1]) * r[0]) / denom;
+            if (0.0..=1.0).contains(&t) && (0.0..=1.0).contains(&u) {
+                out.push([p[0] + t * r[0], p[1] + t * r[1]]);
+            }
+        }
+        out
+    }
+
+    /// Every `(i, j, k, l)` with `i < j`, `k < l`, `i < k` and the four
+    /// distinct, below `n`.
+    fn disjoint_pairs(n: usize) -> Vec<(usize, usize, usize, usize)> {
+        let mut out = Vec::new();
+        for i in 0..n {
+            for j in i + 1..n {
+                for k in i + 1..n {
+                    for l in k + 1..n {
+                        if j != k && j != l {
+                            out.push((i, j, k, l));
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Whenever the polygon's sign test decides, the membership LP
+        /// agrees, over 3–8 generators with duplicates, collinear points,
+        /// slivers and near-duplicates, coordinates from 1e-3 to 1e3.
+        #[test]
+        fn planar_filter_agrees_with_the_membership_lp(
+            raw in prop::collection::vec(-1.0f64..1.0, 16),
+            kinds in prop::collection::vec(0usize..6, 8),
+            count in 3usize..9,
+            exponent in 0i32..7,
+        ) {
+            let scale = 10f64.powi(exponent - 3);
+            let generators = awkward_generators(&raw, &kinds, count, scale);
+            let hull = planar(&generators);
+            if let Some(polygon) = &hull.polygon {
+                for query in awkward_queries(&generators, scale) {
+                    let side = polygon.side(query);
+                    if side == Side::Band {
+                        continue;
+                    }
+                    let point = Point::new(query.to_vec());
+                    let lp = hull.membership_lp(&point).solve_feasibility() == SolveStatus::Optimal;
+                    prop_assert!(
+                        lp == (side == Side::Inside),
+                        "{:?} of {:?} is {:?}, the LP says {}",
+                        query, generators, side, lp
+                    );
+                    prop_assert_eq!(hull.contains(&point), lp);
+                }
+            }
+        }
     }
 }

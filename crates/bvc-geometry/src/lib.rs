@@ -50,6 +50,7 @@ mod family;
 pub mod gamma;
 pub mod hull;
 pub mod multiset;
+mod planar;
 pub mod point;
 pub mod relaxed;
 pub mod tolerance;

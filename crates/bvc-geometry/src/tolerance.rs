@@ -18,9 +18,12 @@
 //! | constant | value | inequality it guards | relative to the solver |
 //! |---|---|---|---|
 //! | [`GENERATOR_EQ_TOLERANCE`] | 1e-12 | `‖p − g‖∞ ≤ τ` ⇒ `p ∈ H(T)` without an LP | accept: below `EPSILON` |
+//! | [`GENERATOR_EQ_TOLERANCE`], planar near accept | 1e-12 | `d = 2` hull polygon: the Euclidean distance from `p` to an edge segment (not its line), plus `8ε` times the largest coordinate magnitude for rounding, `≤ τ` ⇒ `p ∈ H(T)` without an LP | accept: below `EPSILON` (the nearest polygon point leaves a residual `≤ √2·τ`) |
 //! | [`MEMBER_EQ_TOLERANCE`] | 1e-12 | `‖p − y‖∞ ≤ τ` for more than `f` members `y` ⇒ `p ∈ Γ(Y)` | accept: below `EPSILON` |
 //! | [`D1_TOLERANCE`] | 1e-7 | `d = 1`: `Γ ≠ ∅` ⇔ `lo ≤ hi + τ`; `c ∈ Γ` ⇔ `lo − τ ≤ c ≤ hi + τ` | replaces the LP: equals `FEASIBILITY_TOLERANCE` (two intervals a gap `g` apart give a phase-1 optimum of `g`) |
 //! | [`HULL_TOLERANCE`] | 1e-6 | bounding-box and trimmed-box rejects `c < lo − τ ∨ c > hi + τ`; witness check `‖Σ αᵢgᵢ − p‖∞ ≤ τ` | reject: above `FEASIBILITY_TOLERANCE` (a coordinate `τ` outside the box is a residual `> 1e-7`) |
+//! | [`HULL_TOLERANCE`], planar reject | 1e-6 | `d = 2` hull polygon: `p` more than `τ · max(1, \|c\|)` (a distance) beyond an edge line lying `c` from the origin ⇒ `p ∉ H(T)` without an LP | reject: the membership LP's residual is then at least `τ`, ten times `FEASIBILITY_TOLERANCE` (weights summing to `s ≠ 1` reach `\|c\|·\|1 − s\|` further for `\|1 − s\|` of residual) |
+//! | Shewchuk's `ccwerrboundA` (`planar.rs`) | 3.33e-16 | an orientation determinant `l − r` whose magnitude exceeds it times `\|l\| + \|r\|` has its computed sign; `p` left of every edge of a `d = 2` hull polygon so ⇒ `p ∈ H(T)` without an LP | accept: exact, strictly inside |
 //! | [`WEIGHT_SUM_TOLERANCE`] | 1e-6 | `\|Σ w − 1\| < τ` for convex-combination weights | input check; solver weights sum to 1 within `FEASIBILITY_TOLERANCE` |
 //! | [`NEGATIVE_WEIGHT_TOLERANCE`] | 1e-9 | `w ≥ −τ` for each weight | input check at `EPSILON`; weights read off the solver are clamped to `≥ 0` before they get here |
 //! | [`DEPTH_SLACK`] | 1e-9 | `d = 2` depth region: a point within `τ` (a distance: unit normals) of every kept halfplane and of the trimmed box is a *candidate* | accept a candidate: below `FEASIBILITY_TOLERANCE`, and only after the hull-membership LPs accept it too |

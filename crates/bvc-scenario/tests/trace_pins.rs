@@ -185,10 +185,11 @@ fn trace_is_byte_deterministic_and_transparent_for_the_pinned_scenario() {
             "same scenario + seed must yield a byte-identical trace"
         );
         // The run's first Γ query misses its trimmed-centre probe, i.e. some
-        // subset hull refuted the centre; no LP runs before that query, so
-        // the refuting hull's membership solve is an `infeasible` simplex
-        // event ahead of the `gamma` event — on the querying slot, whether
-        // the scan walks five hulls or 45.
+        // subset hull refuted the centre.  In R³ no LP runs before that
+        // query, so the refuting hull's membership solve is an `infeasible`
+        // simplex event ahead of the `gamma` event, on the querying slot
+        // (the scan walks 45 hulls).  In the plane each hull refutes by its
+        // polygon's orientation signs, and no `infeasible` solve is traced.
         let events = parsed(&lines_a);
         let first_gamma = events
             .iter()
@@ -198,11 +199,13 @@ fn trace_is_byte_deterministic_and_transparent_for_the_pinned_scenario() {
             events[first_gamma].get("probe_missed"),
             Some(&Json::Bool(true))
         );
-        assert!(
-            events[..first_gamma].iter().any(|m| {
-                str_field(m, "ev") == "simplex" && str_field(m, "status") == "infeasible"
-            }),
-            "{}: the probe's refuting solve must be traced",
+        let refuting = events[..first_gamma]
+            .iter()
+            .any(|m| str_field(m, "ev") == "simplex" && str_field(m, "status") == "infeasible");
+        assert_eq!(
+            refuting,
+            spec.d > 2,
+            "{}: the probe's refuting solve must be traced exactly when d > 2",
             spec.name
         );
     }

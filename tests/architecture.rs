@@ -484,6 +484,40 @@ fn one_depth_engine() {
 }
 
 #[test]
+fn one_planar_predicate() {
+    // The plane has one orientation predicate, Shewchuk's static filter,
+    // written once in `bvc-geometry/src/planar.rs`: the depth region keeps
+    // member halfplanes by it, and a d = 2 hull builds its polygon with it
+    // and answers membership by its signs.  A hull's membership LP runs only
+    // in the band the polygon's sign test leaves open.
+    let geometry = rust_files_under(&["crates/bvc-geometry/src"]);
+    for needle in [
+        "const ORIENT_ERROR_BOUND",
+        "3.330_669_073_875_472e-16",
+        "fn orient(",
+    ] {
+        let defining = naming(&geometry, text, &[needle]);
+        let copies: usize = geometry.iter().map(|p| lines_with(&text(p), needle)).sum();
+        assert!(
+            copies == 1 && shown(&defining) == "crates/bvc-geometry/src/planar.rs",
+            "`{needle}` must be written once, in planar.rs; found {copies} in:\n{}",
+            shown(&defining)
+        );
+    }
+    let hull = non_test(&root().join("crates/bvc-geometry/src/hull.rs"));
+    let contains = hull
+        .split("pub fn contains(")
+        .nth(1)
+        .and_then(|rest| rest.split("\n    }\n").next())
+        .unwrap_or_default();
+    let (sign, lp) = (contains.find(".side("), contains.find("membership_lp("));
+    assert!(
+        matches!((sign, lp), (Some(sign), Some(lp)) if sign < lp),
+        "ConvexHull::contains must ask its polygon's `.side(` before `membership_lp(`"
+    );
+}
+
+#[test]
 fn one_round_structure() {
     // A round is collect → Step 2 → stop, written once in bvc-core/src/
     // rounds.rs: one lock-step round body (so three `SyncProcess` impls in

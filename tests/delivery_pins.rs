@@ -101,7 +101,7 @@ fn catalogue_base_instances_reproduce_the_corpus() {
 #[test]
 fn pinned_repros_reproduce_their_expected_verdicts() {
     let files = toml_files("scenarios/repros");
-    assert_eq!(files.len(), 9, "one pair per pinned counterexample family");
+    assert_eq!(files.len(), 11, "one pair per pinned counterexample family");
     for file in &files {
         let (name, spec) = load(file);
         let expected = file.with_extension("expected");
