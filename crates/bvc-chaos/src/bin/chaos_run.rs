@@ -31,6 +31,10 @@
 //! All modes accept `--trace PATH`: the whole session runs under a trace
 //! scope and its deterministic `bvc-trace/v1` event stream is written to
 //! PATH (verdicts and metrics stay byte-identical with and without it).
+//!
+//! The command line is read strictly: two modes, a flag of another mode, a
+//! flag given twice, a missing value (or a flag where a value belongs) and
+//! a replay directory without reproducers are each an error, exit 2.
 
 use bvc_chaos::{
     churn, dashboard_header, evaluate, known_signatures, replay_dir, search, shrink, write_repro,
@@ -54,17 +58,94 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
+/// The three modes; exactly one is given.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Mode {
+    Search,
+    Churn,
+    Replay,
+}
+
+impl Mode {
+    fn of(flag: &str) -> Option<Self> {
+        match flag {
+            "--search" => Some(Mode::Search),
+            "--churn" => Some(Mode::Churn),
+            "--replay" => Some(Mode::Replay),
+            _ => None,
+        }
+    }
+
+    /// The flags the mode takes (its own, `--trace` and its options), each
+    /// with whether it takes a value.
+    fn flags(self) -> &'static [(&'static str, bool)] {
+        match self {
+            Mode::Search => &[
+                ("--search", false),
+                ("--trace", true),
+                ("--seed", true),
+                ("--restarts", true),
+                ("--iters", true),
+                ("--repros", true),
+                ("--pin", false),
+                ("--protocols", true),
+            ],
+            Mode::Churn => &[
+                ("--churn", false),
+                ("--trace", true),
+                ("--seed", true),
+                ("--waves", true),
+                ("--per-wave", true),
+                ("--jobs", true),
+                ("--label", true),
+                ("--metrics", true),
+                ("--dashboard", true),
+            ],
+            Mode::Replay => &[("--replay", true), ("--trace", true)],
+        }
+    }
+}
+
+/// The command line, read strictly: one mode, only that mode's flags, each
+/// at most once, every value present and not itself a flag.
 struct Args {
-    flags: Vec<String>,
+    mode: Mode,
+    /// The flags given, each with its value.
+    given: Vec<(&'static str, Option<String>)>,
 }
 
 impl Args {
+    fn parse(raw: &[String]) -> Result<Self, String> {
+        let mut modes = raw.iter().filter_map(|arg| Mode::of(arg));
+        let (Some(mode), None) = (modes.next(), modes.next()) else {
+            return Err("give exactly one of --search, --churn, --replay".to_string());
+        };
+        let mut given: Vec<(&'static str, Option<String>)> = Vec::new();
+        let mut rest = raw.iter();
+        while let Some(arg) = rest.next() {
+            let Some(&(flag, takes_value)) = mode.flags().iter().find(|(f, _)| f == arg) else {
+                return Err(format!("unexpected argument `{arg}`"));
+            };
+            if given.iter().any(|(f, _)| *f == flag) {
+                return Err(format!("{flag} given twice"));
+            }
+            let value = match takes_value {
+                false => None,
+                true => match rest.next() {
+                    Some(value) if !value.starts_with("--") => Some(value.clone()),
+                    _ => return Err(format!("{flag} needs a value")),
+                },
+            };
+            given.push((flag, value));
+        }
+        Ok(Self { mode, given })
+    }
+
     fn value(&self, name: &str) -> Option<&str> {
-        self.flags
+        self.given
             .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.flags.get(i + 1))
-            .map(String::as_str)
+            .find(|(flag, _)| *flag == name)
+            .and_then(|(_, value)| value.as_deref())
     }
 
     fn parsed<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
@@ -77,30 +158,28 @@ impl Args {
     }
 
     fn has(&self, name: &str) -> bool {
-        self.flags.iter().any(|a| a == name)
+        self.given.iter().any(|(flag, _)| *flag == name)
     }
 }
 
 fn main() -> ExitCode {
-    let args = Args {
-        flags: std::env::args().skip(1).collect(),
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let args = match Args::parse(&raw) {
+        Ok(args) => args,
+        Err(message) => {
+            eprintln!("chaos-run: {message}");
+            return usage();
+        }
     };
     let trace = args.value("--trace").map(PathBuf::from);
-    let run = bvc_trace::run_traced(trace.as_deref(), || {
-        if args.has("--search") {
-            Some(run_search(&args))
-        } else if args.has("--churn") {
-            Some(run_churn(&args))
-        } else if args.has("--replay") {
-            Some(run_replay(&args))
-        } else {
-            None
-        }
+    let run = bvc_trace::run_traced(trace.as_deref(), || match args.mode {
+        Mode::Search => run_search(&args),
+        Mode::Churn => run_churn(&args),
+        Mode::Replay => run_replay(&args),
     });
     match run {
-        Ok(None) => usage(),
-        Ok(Some(Ok(code))) => code,
-        Ok(Some(Err(message))) => {
+        Ok(Ok(code)) => code,
+        Ok(Err(message)) => {
             eprintln!("chaos-run: {message}");
             ExitCode::from(2)
         }
@@ -239,13 +318,10 @@ fn append_dashboard_row(path: &Path, row: &str) -> std::io::Result<()> {
 }
 
 fn run_replay(args: &Args) -> Result<ExitCode, String> {
-    let dir = args
-        .value("--replay")
-        .ok_or_else(|| "--replay needs a directory".to_string())?;
+    let dir = args.value("--replay").expect("--replay takes a value");
     let results = replay_dir(Path::new(dir)).map_err(|e| format!("{dir}: {e}"))?;
     if results.is_empty() {
-        println!("chaos-run: no reproducers under {dir}");
-        return Ok(ExitCode::SUCCESS);
+        return Err(format!("no reproducers under {dir}"));
     }
     let mut failed = 0usize;
     for result in &results {

@@ -14,9 +14,9 @@
 //!    the claimed source.  After `n` relay rounds every claim known to an
 //!    honest process has reached every honest process it can reach.
 //! 2. **Deterministic resolution.**  Each process resolves every source to
-//!    the lexicographically smallest claim it holds for that source (total
-//!    order via `f64::total_cmp`, so resolution is bit-deterministic and
-//!    order-independent), defaulting claim-less sources to the lower-bound
+//!    the smallest claim it holds for that source in the canonical order
+//!    ([`canonical_cmp`]: lexicographic under `f64::total_cmp`, so
+//!    resolution is bit-deterministic and order-independent), defaulting claim-less sources to the lower-bound
 //!    corner, and decides a point of `Γ(S)` over the resolved multiset with
 //!    the same [`decision_point`](bvc_geometry::relaxed::decision_point) rule
 //!    as the complete-graph protocol.
@@ -41,7 +41,7 @@
 
 use crate::config::BvcConfig;
 use bvc_adversary::ForgePoints;
-use bvc_geometry::{Point, PointMultiset, SharedGammaCache, ValidityPredicate};
+use bvc_geometry::{canonical_cmp, Point, PointMultiset, SharedGammaCache, ValidityPredicate};
 use bvc_net::{Delivery, Outgoing, ProcessId, SyncProcess};
 use bvc_topology::Topology;
 use std::sync::Arc;
@@ -154,9 +154,8 @@ impl DirectedExactProcess {
         true
     }
 
-    /// Resolves every source to its lexicographically smallest claim
-    /// (`f64::total_cmp` per coordinate, so ties and NaN payloads still
-    /// order deterministically), defaulting claim-less sources to the
+    /// Resolves every source to its smallest claim under [`canonical_cmp`]
+    /// (so ties and NaN payloads still order deterministically), defaulting claim-less sources to the
     /// lower-bound corner, and decides over the resolved multiset.
     fn conclude(&mut self) {
         let default = Point::uniform(self.config.d, self.config.lower_bound);
@@ -165,7 +164,7 @@ impl DirectedExactProcess {
             .iter()
             .map(|set| {
                 set.iter()
-                    .min_by(|a, b| lex_cmp(a, b))
+                    .min_by(|a, b| canonical_cmp(a.coords(), b.coords()))
                     .cloned()
                     .unwrap_or_else(|| default.clone())
             })
@@ -174,16 +173,6 @@ impl DirectedExactProcess {
         let cache = &self.gamma_cache;
         self.decision = cache.decision_point(&multiset, self.config.f, &self.validity);
     }
-}
-
-/// Lexicographic order on coordinate vectors via `f64::total_cmp`.
-fn lex_cmp(a: &Point, b: &Point) -> std::cmp::Ordering {
-    a.coords()
-        .iter()
-        .zip(b.coords())
-        .map(|(x, y)| x.total_cmp(y))
-        .find(|o| o.is_ne())
-        .unwrap_or(std::cmp::Ordering::Equal)
 }
 
 impl SyncProcess for DirectedExactProcess {

@@ -49,13 +49,12 @@
 use crate::combinatorics::Combinations;
 use crate::depth;
 use crate::family::HullFamily;
-use crate::hull::ConvexHull;
+use crate::hull::{ConvexHull, RejectBox};
 use crate::multiset::PointMultiset;
-use crate::point::Point;
+use crate::point::{canonical_cmp, Point};
 use crate::relaxed::{k_relaxed_point, ModeKey};
-use crate::tolerance::{D1_TOLERANCE, HULL_TOLERANCE, MEMBER_EQ_TOLERANCE};
+use crate::tolerance::{D1_TOLERANCE, GENERATOR_EQ_TOLERANCE};
 use bvc_trace::GammaPath;
-use std::cmp::Ordering;
 
 /// Which engine path resolved a point-selection query, plus whether the
 /// trimmed-box probe was tried and missed on the way there.  This is the
@@ -178,7 +177,7 @@ fn strict_point(view: SubsetView<'_>, f: usize) -> (Option<Point>, GammaAttribut
     // so determinism is unaffected.  A miss searches the same family: the
     // hulls the probe built are not built again.
     let (lo, hi) = trimmed_bounds(&canon, f);
-    let centre = Point::new(lo.iter().zip(&hi).map(|(l, h)| 0.5 * (l + h)).collect());
+    let centre = trimmed_centre(&lo, &hi);
     let mut family = HullFamily::gamma(&canon, f);
     if family_contains(&mut family, &canon, f, (&lo, &hi), &centre) {
         return (Some(centre), attributed(GammaPath::ProbeHit));
@@ -218,17 +217,15 @@ pub fn gamma_contains(y: &PointMultiset, f: usize, point: &Point) -> bool {
         y.dim(),
         "query point dimension must match the multiset dimension"
     );
-    if y.dim() == 1 {
-        let mut vals: Vec<f64> = y.iter().map(|p| p.coord(0)).collect();
-        vals.sort_by(f64::total_cmp);
-        let (lo, hi) = d1_interval(vals.len(), f, |j| vals[j]);
-        let c = point.coord(0);
-        return c >= lo - D1_TOLERANCE && c <= hi + D1_TOLERANCE;
-    }
-    if f == 0 {
+    if f == 0 && y.dim() > 1 {
         return ConvexHull::new(y.clone()).contains(point);
     }
+    // At d = 1 the trimmed range is `Γ(y)` itself.
     let (lo, hi) = trimmed_bounds(y, f);
+    if y.dim() == 1 {
+        let c = point.coord(0);
+        return c >= lo[0] - D1_TOLERANCE && c <= hi[0] + D1_TOLERANCE;
+    }
     family_contains(&mut HullFamily::gamma(y, f), y, f, (&lo, &hi), point)
 }
 
@@ -252,18 +249,8 @@ pub fn gamma_workers() -> usize {
 // The Γ engine
 // ---------------------------------------------------------------------------
 
-/// Lexicographic member order under `f64::total_cmp`, the canonical order
-/// all point-valued Γ queries normalise to.
-fn lexicographic(a: &Point, b: &Point) -> Ordering {
-    a.coords()
-        .iter()
-        .zip(b.coords())
-        .map(|(x, y)| x.total_cmp(y))
-        .find(|o| o.is_ne())
-        .unwrap_or(Ordering::Equal)
-}
-
-/// The multiset with its members in canonical order.
+/// The multiset with its members in [canonical order](canonical_cmp), the
+/// order all point-valued Γ queries normalise to.
 pub(crate) fn canonical_order(y: &PointMultiset) -> PointMultiset {
     CanonicalEntries::new(y.points()).all().to_multiset()
 }
@@ -297,7 +284,7 @@ impl<'a> CanonicalEntries<'a> {
             sorted.iter().all(|(_, p)| p.dim() == dim),
             "all points in a multiset must share a dimension"
         );
-        sorted.sort_by(|a, b| lexicographic(a.1, b.1));
+        sorted.sort_by(|a, b| canonical_cmp(a.1.coords(), b.1.coords()));
         Self {
             members: Vec::with_capacity(sorted.len()),
             picked: Vec::new(),
@@ -399,7 +386,7 @@ fn d1_interval(len: usize, f: usize, ascending: impl Fn(usize) -> f64) -> (f64, 
 /// `None` when it is empty.  Non-empty up to [`D1_TOLERANCE`] (the joint
 /// LP's own threshold); an inverted-within-tolerance interval yields its
 /// midpoint, which lies within the membership band of both ends.
-fn d1_midpoint(lo: f64, hi: f64) -> Option<f64> {
+pub(crate) fn d1_midpoint(lo: f64, hi: f64) -> Option<f64> {
     (lo <= hi + D1_TOLERANCE).then_some(0.5 * (lo + hi))
 }
 
@@ -434,10 +421,10 @@ pub(crate) fn d1_subset_midpoints(
         entries.iter().all(|p| p.dim() == 1),
         "all points in a multiset must share a dimension"
     );
-    // The canonical order at d = 1 is `total_cmp` on the one coordinate;
-    // members that tie are bit-identical, so how ties rank is immaterial.
+    // Members that tie in the canonical order are bit-identical, so how
+    // ties rank is immaterial.
     let mut order: Vec<usize> = (0..entries.len()).collect();
-    order.sort_by(|&a, &b| entries[a].coord(0).total_cmp(&entries[b].coord(0)));
+    order.sort_by(|&a, &b| canonical_cmp(entries[a].coords(), entries[b].coords()));
     let ascending: Vec<f64> = order.iter().map(|&i| entries[i].coord(0)).collect();
     let mut rank = vec![0; entries.len()];
     for (r, &i) in order.iter().enumerate() {
@@ -489,12 +476,19 @@ pub(crate) fn trimmed_bounds(y: &PointMultiset, f: usize) -> (Vec<f64>, Vec<f64>
     (lo, hi)
 }
 
+/// The centre of the trimmed box `[lo, hi]`: the strict rule's probe and the
+/// k-relaxed rule's candidate.
+pub(crate) fn trimmed_centre(lo: &[f64], hi: &[f64]) -> Point {
+    Point::new(lo.iter().zip(hi).map(|(l, h)| 0.5 * (l + h)).collect())
+}
+
 /// Membership of `point` in the intersection of `family`, the `f > 0` Γ
 /// family of `y` whose trimmed range is `bounds`, behind two exact
 /// short-circuits: a point equal to more than `f` members survives every
-/// removal of `f` members, and `Γ(y)` lies inside the trimmed range.  Only
-/// then is the family streamed (short-circuiting on the first refuting
-/// hull); the hulls it builds stay built for the caller.
+/// removal of `f` members, and `Γ(y)` lies inside the trimmed range (a point
+/// outside its [`RejectBox`] is outside some subset hull).  Only then is the
+/// family streamed (short-circuiting on the first refuting hull); the hulls
+/// it builds stay built for the caller.
 fn family_contains(
     family: &mut HullFamily<'_>,
     y: &PointMultiset,
@@ -504,17 +498,10 @@ fn family_contains(
 ) -> bool {
     let copies = y
         .iter()
-        .filter(|g| g.approx_eq(point, MEMBER_EQ_TOLERANCE))
+        .filter(|g| g.approx_eq(point, GENERATOR_EQ_TOLERANCE))
         .count();
-    if copies > f {
-        return true;
-    }
-    let outside = point
-        .coords()
-        .iter()
-        .zip(lo.iter().zip(hi))
-        .any(|(&c, (&l, &h))| c < l - HULL_TOLERANCE || c > h + HULL_TOLERANCE);
-    !outside && family.all_contain(point)
+    copies > f
+        || (!RejectBox::new(lo.to_vec(), hi.to_vec()).rejects(point) && family.all_contain(point))
 }
 
 /// The intersection `∩_i H(Y − {i})` of the *leave-one-out* hulls of `y`
@@ -736,6 +723,36 @@ mod tests {
         ]);
         assert!(!gamma_contains(&y, 1, &Point::new(vec![4.0, 4.0])));
         assert!(!gamma_contains(&y, 1, &Point::new(vec![-1.0, 2.0])));
+    }
+
+    #[test]
+    fn far_from_the_origin_the_trimmed_box_reject_leaves_the_lps_reach_alone() {
+        // Every 5-subset keeps three of the four members on y = 1000, so
+        // (1002, 1000 − δ) is δ below a face of each subset hull and of the
+        // trimmed box.  Below a face 1000 from the origin is towards the
+        // origin, within the membership LP's reach: all six LPs accept.
+        let y = pts(&[
+            &[1000.0, 1000.0],
+            &[1001.0, 1000.0],
+            &[1003.0, 1000.0],
+            &[1004.0, 1000.0],
+            &[1000.0, 1004.0],
+            &[1004.0, 1004.0],
+        ]);
+        let hulls: Vec<ConvexHull> = y
+            .subsets_of_size(5)
+            .into_iter()
+            .map(ConvexHull::new)
+            .collect();
+        for delta in [2e-6, 1e-5, 5e-5] {
+            let p = Point::new(vec![1002.0, 1000.0 - delta]);
+            assert!(gamma_contains(&y, 1, &p), "δ = {delta}");
+            for hull in &hulls {
+                assert!(hull.contains(&p), "δ = {delta}");
+                let witness = hull.convex_combination(&p);
+                assert!(witness.is_some(), "δ = {delta}: a subset LP rejects");
+            }
+        }
     }
 
     #[test]

@@ -14,9 +14,11 @@
 //! of most queries the Γ engine generates without touching the solver at all:
 //! a bounding-box reject, a generator-equality accept and, for `d = 2`, the
 //! polygon's orientation-sign test (accept strictly inside every edge or
-//! within [`GENERATOR_EQ_TOLERANCE`] of an edge, reject beyond an edge line by
-//! more than [`HULL_TOLERANCE`] times `max(1, |c|)`, `c` the line's distance
-//! from the origin; only the band between the two reaches the LP).
+//! within [`GENERATOR_EQ_TOLERANCE`] of an edge; only the band between that
+//! and the reject reaches the LP).  Both rejects, the box's faces and the
+//! polygon's edges, are one rule: a point beyond a supporting line by more
+//! than [`reject_margin`] (`tolerance.rs`), which grows with the line's
+//! distance from the origin because the LP's reach does.
 //!
 //! The common-point query over several hulls — one LP that decides whether
 //! they share a point and, if so, produces one — is
@@ -31,19 +33,45 @@ use crate::planar::{Polygon, Side};
 use crate::point::Point;
 use bvc_lp::{LinearProgram, Objective, Relation, SolveStatus};
 
-use crate::tolerance::GENERATOR_EQ_TOLERANCE;
 pub use crate::tolerance::HULL_TOLERANCE;
+use crate::tolerance::{reject_margin, GENERATOR_EQ_TOLERANCE};
+
+/// An axis-aligned box with each face moved out by its [`reject_margin`]: a
+/// point outside it is beyond a face of the box by more than the membership
+/// LP forgives.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct RejectBox {
+    below: Vec<f64>,
+    above: Vec<f64>,
+}
+
+impl RejectBox {
+    /// The reject box of `[lower, upper]`, widened in place: a face at bound
+    /// `b` is a unit normal lying `|b|` from the origin.
+    pub(crate) fn new(mut below: Vec<f64>, mut above: Vec<f64>) -> Self {
+        let margin = |bound: f64| reject_margin(1.0, bound.abs());
+        below.iter_mut().for_each(|lo| *lo -= margin(*lo));
+        above.iter_mut().for_each(|hi| *hi += margin(*hi));
+        Self { below, above }
+    }
+
+    /// `true` when some coordinate of `point` lies outside the box.
+    #[inline]
+    pub(crate) fn rejects(&self, point: &Point) -> bool {
+        let faces = self.below.iter().zip(&self.above);
+        let outside = |(&c, (&lo, &hi)): (&f64, (&f64, &f64))| c < lo || c > hi;
+        point.coords().iter().zip(faces).any(outside)
+    }
+}
 
 /// A convex hull `H(T)` of a multiset of points, represented implicitly by its
-/// generating points (plus their cached axis-aligned bounding box and, in the
-/// plane, their polygon).
+/// generating points (plus their cached reject box and, in the plane, their
+/// polygon).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConvexHull {
     generators: PointMultiset,
-    /// Per-coordinate minimum of the generators.
-    lower: Vec<f64>,
-    /// Per-coordinate maximum of the generators.
-    upper: Vec<f64>,
+    /// The generators' bounding box, widened by the reject margin.
+    reject_box: RejectBox,
     /// For `d = 2`, the strictly convex polygon of the generators; `None`
     /// in other dimensions and for collinear or converged generators.
     polygon: Option<Polygon>,
@@ -52,8 +80,10 @@ pub struct ConvexHull {
 impl ConvexHull {
     /// Creates the hull of the given generating multiset.
     pub fn new(generators: PointMultiset) -> Self {
-        let lower = generators.coordinate_min().into_coords();
-        let upper = generators.coordinate_max().into_coords();
+        let reject_box = RejectBox::new(
+            generators.coordinate_min().into_coords(),
+            generators.coordinate_max().into_coords(),
+        );
         let polygon = if generators.dim() == 2 {
             Polygon::of(generators.iter().map(|g| [g.coord(0), g.coord(1)]))
         } else {
@@ -61,8 +91,7 @@ impl ConvexHull {
         };
         Self {
             generators,
-            lower,
-            upper,
+            reject_box,
             polygon,
         }
     }
@@ -75,23 +104,6 @@ impl ConvexHull {
     /// The ambient dimension `d`.
     pub fn dim(&self) -> usize {
         self.generators.dim()
-    }
-
-    /// The axis-aligned bounding box of the generators, as
-    /// `(per-coordinate minima, per-coordinate maxima)`.
-    pub fn bounding_box(&self) -> (&[f64], &[f64]) {
-        (&self.lower, &self.upper)
-    }
-
-    /// `true` when `point` lies outside the bounding box by more than the
-    /// hull tolerance — a certificate that the membership LP would reject it.
-    #[inline]
-    fn bounding_box_rejects(&self, point: &Point) -> bool {
-        point
-            .coords()
-            .iter()
-            .zip(self.lower.iter().zip(&self.upper))
-            .any(|(&c, (&lo, &hi))| c < lo - HULL_TOLERANCE || c > hi + HULL_TOLERANCE)
     }
 
     /// `true` when `point` coincides with one of the generators (within
@@ -119,7 +131,7 @@ impl ConvexHull {
             self.dim(),
             "query point dimension must match the hull dimension"
         );
-        if self.bounding_box_rejects(point) {
+        if self.reject_box.rejects(point) {
             return false;
         }
         if self.equals_a_generator(point) {
@@ -165,14 +177,16 @@ impl ConvexHull {
             return None;
         }
         let clamped: Vec<f64> = solution.values.iter().map(|&w| w.max(0.0)).collect();
-        let weights = normalise(&clamped);
-        // Double-check the witness numerically before handing it out.
+        let total: f64 = clamped.iter().sum();
+        let weights = match total > 0.0 {
+            true => clamped.iter().map(|w| w / total).collect(),
+            false => clamped,
+        };
+        // Double-check the witness numerically before handing it out: it
+        // must not land beyond the reject margin of `point`'s own box.
         let reconstructed = Point::convex_combination(self.generators.points(), &weights);
-        if reconstructed.approx_eq(point, HULL_TOLERANCE) {
-            Some(weights)
-        } else {
-            None
-        }
+        let around = RejectBox::new(point.coords().to_vec(), point.coords().to_vec());
+        (!around.rejects(&reconstructed)).then_some(weights)
     }
 
     /// Returns a point common to all the given hulls, if one exists.
@@ -199,14 +213,6 @@ impl ConvexHull {
         );
         joint_common_point(&hulls.iter().collect::<Vec<_>>())
     }
-}
-
-fn normalise(weights: &[f64]) -> Vec<f64> {
-    let total: f64 = weights.iter().sum();
-    if total <= 0.0 {
-        return weights.to_vec();
-    }
-    weights.iter().map(|w| w / total).collect()
 }
 
 #[cfg(test)]
@@ -243,11 +249,12 @@ mod tests {
     }
 
     #[test]
-    fn bounding_box_matches_generators() {
+    fn reject_box_widens_each_face_by_its_margin() {
+        // Faces within 1 of the origin move out by HULL_TOLERANCE, farther
+        // ones by HULL_TOLERANCE times their bound.
         let hull = triangle();
-        let (lo, hi) = hull.bounding_box();
-        assert_eq!(lo, &[0.0, 0.0]);
-        assert_eq!(hi, &[2.0, 2.0]);
+        assert_eq!(hull.reject_box.below, vec![-1e-6; 2]);
+        assert_eq!(hull.reject_box.above, vec![2.0 + 2e-6; 2]);
     }
 
     #[test]
@@ -468,7 +475,8 @@ mod tests {
     /// Generators of a differential case: `count` points of `raw` times
     /// `scale`, each after the first few turned by its `kind` into a
     /// duplicate, a collinear point, a sliver's apex or a near-duplicate of
-    /// the points before it.
+    /// the points before it, or into a point level with the lowest of them
+    /// in one coordinate (an edge on a face of the bounding box).
     fn awkward_generators(raw: &[f64], kinds: &[usize], count: usize, scale: f64) -> Vec<[f64; 2]> {
         let mut out: Vec<[f64; 2]> = Vec::with_capacity(count);
         for i in 0..count {
@@ -489,6 +497,13 @@ mod tests {
                     ]
                 }
                 (4, 1..) => [out[i - 1][0] + 1e-13 * scale, out[i - 1][1]],
+                (5, 1..) => {
+                    let low = |l: usize| out.iter().map(|p| p[l]).fold(f64::INFINITY, f64::min);
+                    match i % 2 {
+                        0 => [own[0], low(1)],
+                        _ => [low(0), own[1]],
+                    }
+                }
                 _ => own,
             };
             out.push(point);
@@ -561,36 +576,114 @@ mod tests {
         out
     }
 
+    /// The membership LP's answer at `query`, once `contains` is asserted
+    /// to give the same.
+    fn agrees_with_the_lp(hull: &ConvexHull, query: &[f64]) -> bool {
+        let point = Point::new(query.to_vec());
+        let lp = hull.membership_lp(&point).solve_feasibility() == SolveStatus::Optimal;
+        assert!(
+            hull.contains(&point) == lp,
+            "{query:?} of {:?}: the LP says {lp}, contains the opposite",
+            hull.generators
+        );
+        lp
+    }
+
+    #[test]
+    fn far_from_the_origin_the_box_reject_leaves_the_lps_reach_alone() {
+        // The triangle sits 1000 from the origin, and (1001, 1000 − 2e-6)
+        // is 2e-6 below its bottom face: weights summing to 1 + 2e-9 reach
+        // it at a residual of about 2e-9, so the LP accepts.
+        let hull = planar(&[[1000.0, 1000.0], [1002.0, 1000.0], [1000.0, 1002.0]]);
+        assert!(agrees_with_the_lp(&hull, &[1001.0, 1000.0 - 2e-6]));
+    }
+
+    #[test]
+    fn a_tetrahedron_far_from_the_origin_keeps_the_band_below_each_face() {
+        let hull = ConvexHull::new(PointMultiset::new(vec![
+            Point::new(vec![1000.0, 1000.0, 1000.0]),
+            Point::new(vec![1002.0, 1000.0, 1000.0]),
+            Point::new(vec![1000.0, 1002.0, 1000.0]),
+            Point::new(vec![1000.0, 1000.0, 1002.0]),
+        ]));
+        for offset in [2e-6, 1e-5, 5e-5, 1e-4] {
+            let below = [1000.5, 1000.5, 1000.0 - offset];
+            assert!(agrees_with_the_lp(&hull, &below), "{offset}");
+        }
+        // Far enough below, the box reject answers, and the LP agrees.
+        assert!(!agrees_with_the_lp(&hull, &[1000.5, 1000.5, 999.99]));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Whenever the polygon's sign test decides, the membership LP
-        /// agrees, over 3–8 generators with duplicates, collinear points,
-        /// slivers and near-duplicates, coordinates from 1e-3 to 1e3.
+        /// agrees, and `contains` agrees with the LP at every query, the box
+        /// reject's included, over 3–8 generators with duplicates, collinear
+        /// points, slivers, near-duplicates and edges on the bounding box,
+        /// coordinates from 1e-3 to 1e3, shifted off the origin by up to
+        /// twice the scale (the membership LP reaches past a face towards
+        /// the origin, not away from it).
         #[test]
         fn planar_filter_agrees_with_the_membership_lp(
             raw in prop::collection::vec(-1.0f64..1.0, 16),
             kinds in prop::collection::vec(0usize..6, 8),
             count in 3usize..9,
             exponent in 0i32..7,
+            shift in 0usize..3,
         ) {
             let scale = 10f64.powi(exponent - 3);
-            let generators = awkward_generators(&raw, &kinds, count, scale);
+            let shift = shift as f64 * scale;
+            let generators: Vec<[f64; 2]> = awkward_generators(&raw, &kinds, count, scale)
+                .into_iter()
+                .map(|[x, y]| [x + shift, y + shift])
+                .collect();
             let hull = planar(&generators);
-            if let Some(polygon) = &hull.polygon {
-                for query in awkward_queries(&generators, scale) {
+            for query in awkward_queries(&generators, scale) {
+                let lp = agrees_with_the_lp(&hull, &query);
+                if let Some(polygon) = &hull.polygon {
                     let side = polygon.side(query);
-                    if side == Side::Band {
-                        continue;
-                    }
-                    let point = Point::new(query.to_vec());
-                    let lp = hull.membership_lp(&point).solve_feasibility() == SolveStatus::Optimal;
                     prop_assert!(
-                        lp == (side == Side::Inside),
+                        side == Side::Band || lp == (side == Side::Inside),
                         "{:?} of {:?} is {:?}, the LP says {}",
                         query, generators, side, lp
                     );
-                    prop_assert_eq!(hull.contains(&point), lp);
+                }
+            }
+        }
+
+        /// The box reject in three dimensions: generators on and inside the
+        /// box `[s, 2s]³` for scales `s` from 1e-3 to 1e3, queries beyond
+        /// each face by 1e-7 to 1e-3 of the scale, at the face's centre and
+        /// beyond each generator lying on it; `contains` agrees with the LP.
+        #[test]
+        fn box_reject_agrees_with_the_membership_lp_in_three_dimensions(
+            corners in prop::collection::vec(0usize..2, 8),
+            inner in prop::collection::vec(0.0f64..1.0, 6),
+            exponent in 0i32..7,
+        ) {
+            let scale = 10f64.powi(exponent - 3);
+            let corner = |i: usize| [(i & 1) as f64, (i >> 1 & 1) as f64, (i >> 2 & 1) as f64];
+            let mut unit: Vec<[f64; 3]> = (0..8).filter(|&i| corners[i] == 1).map(corner).collect();
+            unit.extend([corner(0), corner(7), [inner[0], inner[1], inner[2]], [inner[3], inner[4], inner[5]]]);
+            let generators: Vec<[f64; 3]> = unit
+                .iter()
+                .map(|u| [scale * (1.0 + u[0]), scale * (1.0 + u[1]), scale * (1.0 + u[2])])
+                .collect();
+            let hull = ConvexHull::new(PointMultiset::new(
+                generators.iter().map(|g| Point::new(g.to_vec())).collect(),
+            ));
+            for axis in 0..3 {
+                for (face, outward) in [(scale, -1.0), (2.0 * scale, 1.0)] {
+                    let mut feet = vec![[1.5 * scale; 3]];
+                    feet.extend(generators.iter().filter(|g| g[axis] == face));
+                    for foot in feet {
+                        for fraction in [1e-7, 1e-6, 1e-5, 1e-4, 1e-3] {
+                            let mut query = foot;
+                            query[axis] = face + outward * fraction * scale;
+                            agrees_with_the_lp(&hull, &query);
+                        }
+                    }
                 }
             }
         }

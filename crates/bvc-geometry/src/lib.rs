@@ -64,7 +64,7 @@ pub use gamma::{
 };
 pub use hull::ConvexHull;
 pub use multiset::PointMultiset;
-pub use point::{Point, DEFAULT_TOLERANCE};
+pub use point::{canonical_cmp, Point, DEFAULT_TOLERANCE};
 pub use relaxed::{decision_point, dilate_about_centroid, k_relaxed_point, ValidityPredicate};
 pub use tverberg::{
     common_point_of_partition, find_radon_partition, find_tverberg_partition, tverberg_threshold,

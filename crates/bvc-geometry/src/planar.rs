@@ -6,20 +6,25 @@
 //! `d = 2` [`ConvexHull`](crate::ConvexHull) builds its [`Polygon`] with it
 //! and asks [`Polygon::side`] before any linear program: inside every edge
 //! for certain, or within [`GENERATOR_EQ_TOLERANCE`] of the polygon, is an
-//! accept; beyond an edge line by more than [`HULL_TOLERANCE`] (a distance,
-//! grown with the line's distance from the origin) is a reject; the band
-//! between the two goes to the membership LP as before.
+//! accept; beyond an edge line by more than its [`reject_margin`] is a
+//! reject; the band between the two goes to the membership LP as before.
 //!
-//! Why the reject margin grows: the membership LP (`Σ α = 1`, `Σ α_i g_i =
-//! x`, `α ≥ 0`) accepts when its L1 residual is at most
-//! `FEASIBILITY_TOLERANCE`, and weights summing to `s ≠ 1` trade residual in
-//! the `Σ α = 1` row for reach.  For `x` a distance `δ` beyond an edge line
-//! lying `c` from the origin, the residual is at least `|1 − s| + max(0, c +
-//! δ − s·c)`, whose minimum over `s` is `δ / max(1, |c|)`.  So `δ >
-//! HULL_TOLERANCE · max(1, |c|)` leaves the LP a residual above
-//! `HULL_TOLERANCE`, ten times its threshold.
+//! The reject is the hull's one reject rule (`tolerance.rs`), the same the
+//! bounding-box faces use, and this is why its margin grows with the line's
+//! distance from the origin: the membership LP (`Σ α = 1`, `Σ α_i g_i = x`,
+//! `α ≥ 0`) accepts when its L1 residual is at most `FEASIBILITY_TOLERANCE`,
+//! and weights summing to `s ≠ 1` trade residual in the `Σ α = 1` row for
+//! reach.  For `x` a distance `δ` beyond an edge line lying `c` from the
+//! origin, the residual is at least `|1 − s| + max(0, c + δ − s·c)`, whose
+//! minimum over `s` is `δ / max(1, |c|)`.  So `δ > HULL_TOLERANCE · max(1,
+//! |c|)` leaves the LP a residual above `HULL_TOLERANCE`, ten times its
+//! threshold.  For an edge `e = b − a` the cross product `e × (x − a)` is
+//! `|e|` times a signed distance, and the edge line lies `|a × e| / |e|`
+//! from the origin, so in the cross product's units the margin is
+//! `reject_margin(|e|, |a × e|)`.
 
-use crate::tolerance::{GENERATOR_EQ_TOLERANCE, HULL_TOLERANCE};
+use crate::point::canonical_cmp;
+use crate::tolerance::{reject_margin, GENERATOR_EQ_TOLERANCE};
 
 /// Shewchuk's `ccwerrboundA`, `(3 + 16ε)ε`: an orientation determinant
 /// `l − r` computed in `f64` has the sign of the exact one whenever its
@@ -51,9 +56,8 @@ pub(crate) enum Side {
     /// [`GENERATOR_EQ_TOLERANCE`] of an edge: in the hull, or nearer to it
     /// than the generator-equality accept allows.
     Inside,
-    /// Beyond some edge line by more than [`HULL_TOLERANCE`] times
-    /// `max(1, |c|)`, `c` the line's distance from the origin: outside the
-    /// hull by more than the membership LP forgives (module docs).
+    /// Beyond some edge line by more than its [`reject_margin`]: outside
+    /// the hull by more than the membership LP forgives (module docs).
     Outside,
     /// Neither: the membership LP decides.
     Band,
@@ -75,7 +79,7 @@ impl Polygon {
     /// converged point sets.
     pub(crate) fn of(points: impl Iterator<Item = Xy>) -> Option<Self> {
         let mut sorted: Vec<Xy> = points.collect();
-        sorted.sort_unstable_by(|a, b| a[0].total_cmp(&b[0]).then(a[1].total_cmp(&b[1])));
+        sorted.sort_unstable_by(|a, b| canonical_cmp(a, b));
         sorted.dedup();
         if sorted.len() < 3 {
             return None;
@@ -95,10 +99,10 @@ impl Polygon {
     }
 
     /// The three-way membership test: [`Side::Outside`] when some edge line
-    /// has `x` beyond it by more than [`HULL_TOLERANCE`] times `max(1, |c|)`
-    /// (a distance, the computed cross product's error bound taken off
-    /// first), [`Side::Inside`] when `x` is left of every edge for certain
-    /// or [touches](Self::touches) the polygon, else [`Side::Band`].
+    /// has `x` beyond it by more than its [`reject_margin`] (the computed
+    /// cross product's error bound taken off first), [`Side::Inside`] when
+    /// `x` is left of every edge for certain or [touches](Self::touches) the
+    /// polygon, else [`Side::Band`].
     pub(crate) fn side(&self, x: Xy) -> Side {
         let mut inside = true;
         let next = self.vertices.iter().cycle().skip(1);
@@ -107,7 +111,11 @@ impl Polygon {
             // The margin is worked out only past an edge `x` is certainly
             // beyond.
             let beyond = -det - error;
-            if beyond > 0.0 && beyond > reject_margin(a, b) {
+            let margin = || {
+                let e = [b[0] - a[0], b[1] - a[1]];
+                reject_margin(e[0].hypot(e[1]), (a[0] * e[1] - a[1] * e[0]).abs())
+            };
+            if beyond > 0.0 && beyond > margin() {
                 return Side::Outside;
             }
             inside &= det > error;
@@ -139,16 +147,6 @@ impl Polygon {
             gap + 8.0 * f64::EPSILON * magnitude <= GENERATOR_EQ_TOLERANCE
         })
     }
-}
-
-/// How far `(b − a) × (x − a)` may fall below zero before `x` is rejected:
-/// `HULL_TOLERANCE · max(|e|, |a × e|)`, `e = b − a`.  That is a distance of
-/// `HULL_TOLERANCE · max(1, |c|)` beyond the line `a → b`, which lies `c =
-/// |a × e| / |e|` from the origin, both sides times `|e|`.
-fn reject_margin(a: Xy, b: Xy) -> f64 {
-    let e = [b[0] - a[0], b[1] - a[1]];
-    let offset = (a[0] * e[1] - a[1] * e[0]).abs();
-    HULL_TOLERANCE * e[0].hypot(e[1]).max(offset)
 }
 
 /// Pushes `p` onto the chain `hull[floor..]` after popping each vertex that

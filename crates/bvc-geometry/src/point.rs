@@ -8,6 +8,7 @@
 
 pub use crate::tolerance::DEFAULT_TOLERANCE;
 use crate::tolerance::{NEGATIVE_WEIGHT_TOLERANCE, WEIGHT_SUM_TOLERANCE};
+use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, Index, Mul, Sub};
 
@@ -196,6 +197,18 @@ impl Point {
     }
 }
 
+/// The canonical order of coordinate vectors: lexicographic under
+/// `f64::total_cmp`, so it is total and bit-deterministic (`-0.0` sorts
+/// before `0.0`).  Γ queries put their members in this order, a `d = 2` hull
+/// sorts its polygon's vertices by it, and the directed protocol resolves a
+/// source's claims to their minimum under it.
+#[inline]
+pub fn canonical_cmp(a: &[f64], b: &[f64]) -> Ordering {
+    a.iter()
+        .zip(b)
+        .fold(Ordering::Equal, |order, (x, y)| order.then(x.total_cmp(y)))
+}
+
 impl Index<usize> for Point {
     type Output = f64;
 
@@ -371,6 +384,14 @@ mod tests {
         let b = Point::new(vec![1e-8, -1e-8]);
         assert!(a.approx_eq(&b, DEFAULT_TOLERANCE));
         assert!(!a.approx_eq(&b, 1e-9));
+    }
+
+    #[test]
+    fn canonical_order_is_lexicographic_and_total() {
+        assert_eq!(canonical_cmp(&[1.0, 5.0], &[2.0, 0.0]), Ordering::Less);
+        assert_eq!(canonical_cmp(&[1.0, 5.0], &[1.0, 0.0]), Ordering::Greater);
+        assert_eq!(canonical_cmp(&[-0.0], &[0.0]), Ordering::Less);
+        assert_eq!(canonical_cmp(&[0.5, 0.5], &[0.5, 0.5]), Ordering::Equal);
     }
 
     #[test]

@@ -40,13 +40,12 @@
 
 use crate::combinatorics::Combinations;
 use crate::gamma::{
-    canonical_order, engine_point, gamma_contains, gamma_point, gamma_point_of, trimmed_bounds,
-    CanonicalEntries,
+    canonical_order, d1_midpoint, engine_point, gamma_contains, gamma_point, gamma_point_of,
+    trimmed_bounds, trimmed_centre, CanonicalEntries,
 };
 use crate::hull::ConvexHull;
 use crate::multiset::PointMultiset;
 use crate::point::Point;
-use crate::tolerance::D1_TOLERANCE;
 use std::fmt;
 
 /// Which validity condition a decision is judged against.
@@ -238,12 +237,17 @@ pub fn k_relaxed_point(y: &PointMultiset, f: usize, k: usize) -> Option<Point> {
     }
     let canon = canonical_order(y);
     let (lo, hi) = trimmed_bounds(&canon, f);
-    // An interval inverted by less than `D1_TOLERANCE` is not empty: the
-    // `d = 1` closed form and the projected `gamma_contains` below accept it.
-    if lo.iter().zip(&hi).any(|(l, h)| *l > h + D1_TOLERANCE) {
+    // A trimmed interval is empty by the `d = 1` rule, so an interval
+    // inverted within its tolerance is not: the projected `gamma_contains`
+    // below accepts it.
+    if lo
+        .iter()
+        .zip(&hi)
+        .any(|(&l, &h)| d1_midpoint(l, h).is_none())
+    {
         return None;
     }
-    let centre = Point::new(lo.iter().zip(&hi).map(|(l, h)| 0.5 * (l + h)).collect());
+    let centre = trimmed_centre(&lo, &hi);
     let mut subsets = Combinations::new(d, k);
     while let Some(coords) = subsets.next_ref() {
         let projected = project(&canon, coords);

@@ -17,12 +17,9 @@
 //!
 //! | constant | value | inequality it guards | relative to the solver |
 //! |---|---|---|---|
-//! | [`GENERATOR_EQ_TOLERANCE`] | 1e-12 | `‖p − g‖∞ ≤ τ` ⇒ `p ∈ H(T)` without an LP | accept: below `EPSILON` |
-//! | [`GENERATOR_EQ_TOLERANCE`], planar near accept | 1e-12 | `d = 2` hull polygon: the Euclidean distance from `p` to an edge segment (not its line), plus `8ε` times the largest coordinate magnitude for rounding, `≤ τ` ⇒ `p ∈ H(T)` without an LP | accept: below `EPSILON` (the nearest polygon point leaves a residual `≤ √2·τ`) |
-//! | [`MEMBER_EQ_TOLERANCE`] | 1e-12 | `‖p − y‖∞ ≤ τ` for more than `f` members `y` ⇒ `p ∈ Γ(Y)` | accept: below `EPSILON` |
+//! | [`GENERATOR_EQ_TOLERANCE`] | 1e-12 | `‖p − g‖∞ ≤ τ` ⇒ `p ∈ H(T)` for a generator `g`, and `p ∈ Γ(Y)` when it holds for more than `f` members `g` of `Y`; `d = 2` hull polygon: the Euclidean distance from `p` to an edge segment (not its line), plus `8ε` times the largest coordinate magnitude for rounding, `≤ τ` ⇒ `p ∈ H(T)` | accept: below `EPSILON` (the nearest polygon point leaves a residual `≤ √2·τ`) |
 //! | [`D1_TOLERANCE`] | 1e-7 | `d = 1`: `Γ ≠ ∅` ⇔ `lo ≤ hi + τ`; `c ∈ Γ` ⇔ `lo − τ ≤ c ≤ hi + τ` | replaces the LP: equals `FEASIBILITY_TOLERANCE` (two intervals a gap `g` apart give a phase-1 optimum of `g`) |
-//! | [`HULL_TOLERANCE`] | 1e-6 | bounding-box and trimmed-box rejects `c < lo − τ ∨ c > hi + τ`; witness check `‖Σ αᵢgᵢ − p‖∞ ≤ τ` | reject: above `FEASIBILITY_TOLERANCE` (a coordinate `τ` outside the box is a residual `> 1e-7`) |
-//! | [`HULL_TOLERANCE`], planar reject | 1e-6 | `d = 2` hull polygon: `p` more than `τ · max(1, \|c\|)` (a distance) beyond an edge line lying `c` from the origin ⇒ `p ∉ H(T)` without an LP | reject: the membership LP's residual is then at least `τ`, ten times `FEASIBILITY_TOLERANCE` (weights summing to `s ≠ 1` reach `\|c\|·\|1 − s\|` further for `\|1 − s\|` of residual) |
+//! | [`HULL_TOLERANCE`], through [`reject_margin`] | 1e-6 | a supporting line with normal `e`, lying `c` from the origin, has `p` beyond it by more than `reject_margin(\|e\|, \|c\|·\|e\|)`, i.e. a distance `τ · max(1, \|c\|)` ⇒ `p ∉ H(T)` without an LP.  The lines: each face of a hull's bounding box and of the trimmed box (`e` a unit axis, `c` the face's bound); each edge of a `d = 2` hull polygon (`e` the edge, `\|c\|·\|e\| = \|a × e\|`); and each coordinate of the witness check `Σ αᵢgᵢ` against `p` (a box around `p`) | reject: the membership LP's residual is then at least `τ`, ten times `FEASIBILITY_TOLERANCE` (weights summing to `s ≠ 1` reach `\|c\|·\|1 − s\|` further for `\|1 − s\|` of residual, so a point `δ` beyond leaves a residual of at least `δ / max(1, \|c\|)`) |
 //! | Shewchuk's `ccwerrboundA` (`planar.rs`) | 3.33e-16 | an orientation determinant `l − r` whose magnitude exceeds it times `\|l\| + \|r\|` has its computed sign; `p` left of every edge of a `d = 2` hull polygon so ⇒ `p ∈ H(T)` without an LP | accept: exact, strictly inside |
 //! | [`WEIGHT_SUM_TOLERANCE`] | 1e-6 | `\|Σ w − 1\| < τ` for convex-combination weights | input check; solver weights sum to 1 within `FEASIBILITY_TOLERANCE` |
 //! | [`NEGATIVE_WEIGHT_TOLERANCE`] | 1e-9 | `w ≥ −τ` for each weight | input check at `EPSILON`; weights read off the solver are clamped to `≥ 0` before they get here |
@@ -34,8 +31,17 @@
 
 use bvc_lp::{EPSILON, FEASIBILITY_TOLERANCE};
 
-/// Box rejects and witness verification; see the [table](self).
+/// The reject rule's scale; read it only through [`reject_margin`].
 pub const HULL_TOLERANCE: f64 = 1e-6;
+
+/// How far a point may lie beyond a supporting line of a hull, measured in
+/// units of the line's normal `e` (`scale = |e|`, `offset = |c|·|e|` for a
+/// line `c` from the origin), before it is certainly outside: every reject
+/// short-circuit compares against this, and nothing else; see the
+/// [table](self).
+pub fn reject_margin(scale: f64, offset: f64) -> f64 {
+    HULL_TOLERANCE * scale.max(offset)
+}
 
 /// Slack of the `d = 2` depth-region candidate; see the [table](self).
 pub const DEPTH_SLACK: f64 = 1e-9;
@@ -46,11 +52,9 @@ pub const DEFAULT_TOLERANCE: f64 = 1e-7;
 /// The `d = 1` closed-form interval tests; see the [table](self).
 pub const D1_TOLERANCE: f64 = 1e-7;
 
-/// A query point this close to a hull generator *is* that generator.
+/// A query point this close to a hull generator, or to a member of `Y`, is a
+/// copy of it.
 pub const GENERATOR_EQ_TOLERANCE: f64 = 1e-12;
-
-/// A query point this close to a member of `Y` counts as a copy of it.
-pub const MEMBER_EQ_TOLERANCE: f64 = 1e-12;
 
 /// Convex-combination weights must sum to 1 within this.
 pub const WEIGHT_SUM_TOLERANCE: f64 = 1e-6;
@@ -60,7 +64,6 @@ pub const NEGATIVE_WEIGHT_TOLERANCE: f64 = 1e-9;
 
 const _: () = assert!(
     GENERATOR_EQ_TOLERANCE < EPSILON
-        && MEMBER_EQ_TOLERANCE < EPSILON
         && D1_TOLERANCE == FEASIBILITY_TOLERANCE
         && FEASIBILITY_TOLERANCE < HULL_TOLERANCE
         && NEGATIVE_WEIGHT_TOLERANCE == EPSILON

@@ -840,3 +840,83 @@ fn one_scenario_vocabulary() {
         shown(&parsers)
     );
 }
+
+#[test]
+fn one_membership_rule() {
+    // Hull and Γ membership have one reject rule, `reject_margin` in
+    // `bvc-geometry/src/tolerance.rs`: a point beyond a supporting line by
+    // more than `HULL_TOLERANCE · max(scale, offset)`.  The hull's box
+    // faces, the trimmed box's faces, the polygon's edges and the witness
+    // check all compare against it; a bare `HULL_TOLERANCE` in a comparison
+    // is a reject that the membership LP can contradict far from the origin.
+    let code = |path: &Path| -> Vec<String> {
+        non_test(path)
+            .lines()
+            .filter(|line| !line.trim_start().starts_with("//"))
+            .map(str::to_string)
+            .collect()
+    };
+    let tolerance = root().join("crates/bvc-geometry/src/tolerance.rs");
+    for path in crate_sources() {
+        let lines = code(&path);
+        let bare: Vec<&String> = if path == tolerance {
+            let body = non_test(&path);
+            let rule = body
+                .split("pub fn reject_margin(")
+                .nth(1)
+                .and_then(|rest| rest.split("\n}\n").next())
+                .unwrap_or_default();
+            assert!(
+                lines_with(rule, "HULL_TOLERANCE") == 1,
+                "tolerance.rs must define `pub fn reject_margin(` from HULL_TOLERANCE"
+            );
+            lines
+                .iter()
+                .filter(|line| line.contains("HULL_TOLERANCE") && !rule.contains(line.as_str()))
+                .filter(|line| !line.contains("pub const HULL_TOLERANCE"))
+                .filter(|line| !line.contains("FEASIBILITY_TOLERANCE < HULL_TOLERANCE"))
+                .collect()
+        } else {
+            lines
+                .iter()
+                .filter(|line| line.contains("HULL_TOLERANCE"))
+                .filter(|line| !line.trim_start().starts_with("use ") && !line.contains("pub use "))
+                .collect()
+        };
+        assert!(
+            bare.is_empty(),
+            "{} compares against HULL_TOLERANCE outside `reject_margin`:\n{}",
+            shown(std::slice::from_ref(&path)),
+            bare.iter()
+                .map(|l| l.as_str())
+                .collect::<Vec<_>>()
+                .join("\n")
+        );
+    }
+    // One equality tolerance, and one canonical order: the lexicographic
+    // `total_cmp` order of coordinate vectors is `bvc_geometry::canonical_cmp`.
+    let retired = naming(
+        &rust_files_under(&["."]),
+        text,
+        &["MEMBER_EQ_TOLERANCE", "fn lex_cmp"],
+    );
+    assert!(
+        retired.is_empty(),
+        "a second equality tolerance or lexicographic order is back:\n{}",
+        shown(&retired)
+    );
+    let orders: Vec<PathBuf> = crate_sources()
+        .into_iter()
+        .filter(|p| lines_with(&non_test(p), ".total_cmp(") > 0)
+        .collect();
+    let copies: usize = orders
+        .iter()
+        .map(|p| lines_with(&non_test(p), ".total_cmp("))
+        .sum();
+    assert!(
+        copies == 1 && shown(&orders) == "crates/bvc-geometry/src/point.rs",
+        "the canonical order must be written once, `canonical_cmp` in point.rs; \
+         `.total_cmp(` found {copies} times in:\n{}",
+        shown(&orders)
+    );
+}
