@@ -27,13 +27,18 @@
 //!   per-coordinate trimmed range `[y^l_(f+1), y^l_(|Y|−f)]` lies outside
 //!   some subset hull.
 //!
-//! A strict point query builds at most one family: its trimmed-centre probe
-//! streams the family's hulls and, on a miss, the active-set search reuses
-//! the hulls the probe built.  At `d = 2` a miss first asks the depth
-//! region (`depth.rs`: halfplanes through member pairs, no simplex) for a
-//! candidate, kept only if the same hulls accept it.  Membership answers a
-//! `bool` and names no path; which path answered a *point* query is a
-//! [`GammaAttribution`], written into that query's one `gamma` trace event.
+//! A strict point query builds at most one family and one membership test:
+//! its trimmed-centre probe asks the test and, on a miss, the active-set
+//! search reuses the hulls the test built.  At `d = 2` a miss first asks the
+//! depth region (`depth.rs`: halfplanes through member pairs, no simplex)
+//! for a candidate, kept only if the same test accepts it.  In the plane
+//! that test is an exact Tukey-depth count (`depth::verdict`): `Inside`
+//! answers with no hull, and `Outside` names the one subset whose hull is
+//! asked first, so a reject is the hull test's own and the family is
+//! streamed only when that hull accepts (the LP tolerance band).  Membership
+//! answers a `bool` and names no path; which path answered a *point* query
+//! is a [`GammaAttribution`], written into that query's one `gamma` trace
+//! event.
 //!
 //! All point-valued queries canonicalise the multiset order first, so the
 //! chosen point is a function of the *multiset* (not of the arrival order of
@@ -47,10 +52,11 @@
 //! (`gamma_point_exists_from_the_floor_up`).
 
 use crate::combinatorics::Combinations;
-use crate::depth;
+use crate::depth::{self, Verdict};
 use crate::family::HullFamily;
 use crate::hull::{ConvexHull, RejectBox};
 use crate::multiset::PointMultiset;
+use crate::planar::Xy;
 use crate::point::{canonical_cmp, Point};
 use crate::relaxed::{k_relaxed_point, ModeKey};
 use crate::tolerance::{D1_TOLERANCE, GENERATOR_EQ_TOLERANCE};
@@ -168,32 +174,49 @@ fn strict_point(view: SubsetView<'_>, f: usize) -> (Option<Point>, GammaAttribut
         let point = HullFamily::gamma(&canon, 0).common_point().0;
         return (point, attributed(GammaPath::HullF0));
     }
+    let (lo, hi) = trimmed_bounds(&canon, f);
+    probe_then_search(&mut Membership::new(&canon, f, (&lo, &hi)))
+}
+
+/// The strict rule for `f > 0`, `d ≥ 2`, over the membership test of
+/// `Γ(y)`: the probe, the depth region at `d = 2`, then the active-set
+/// search over the test's own family.
+fn probe_then_search(membership: &mut Membership<'_>) -> (Option<Point>, GammaAttribution) {
+    let (lo, hi) = membership.bounds;
     // Cheap deterministic probe before any joint LP: the centre of the
     // trimmed bounding box.  When the honest states have converged into a
     // tight cluster (the steady state of every iterative protocol here) the
     // trimmed centre sits inside the cluster and passes the membership
-    // stream for a few microseconds, where the joint LP over near-duplicate
+    // test for a few microseconds, where the joint LP over near-duplicate
     // generators is at its numerically worst.  The probe is order-invariant,
     // so determinism is unaffected.  A miss searches the same family: the
     // hulls the probe built are not built again.
-    let (lo, hi) = trimmed_bounds(&canon, f);
-    let centre = trimmed_centre(&lo, &hi);
-    let mut family = HullFamily::gamma(&canon, f);
-    if family_contains(&mut family, &canon, f, (&lo, &hi), &centre) {
-        return (Some(centre), attributed(GammaPath::ProbeHit));
+    let centre = trimmed_centre(lo, hi);
+    if membership.contains(&centre) {
+        let path = GammaPath::ProbeHit;
+        return (
+            Some(centre),
+            GammaAttribution {
+                path,
+                probe_missed: false,
+            },
+        );
     }
     let probe_missed = true;
     // In the plane a miss is answered by the depth region (no simplex),
-    // accepted only by the same hull-membership test the active-set search
-    // accepts on; an empty clip or a refuted candidate searches as before,
-    // so emptiness is still the search's to decide.
-    if canon.dim() == 2 {
-        if let Some(z) = depth::candidate(&canon, f, (&lo, &hi)).filter(|z| family.all_contain(z)) {
+    // accepted only by the same membership test; an empty clip or a refuted
+    // candidate searches as before, so emptiness is still the search's to
+    // decide.
+    if membership.y.dim() == 2 {
+        let f = membership.f;
+        if let Some(z) = depth::candidate(membership.plane_points(), f, (lo, hi))
+            .filter(|z| membership.contains(z))
+        {
             let path = GammaPath::DepthRegion;
             return (Some(z), GammaAttribution { path, probe_missed });
         }
     }
-    let (value, fell_back) = family.common_point();
+    let (value, fell_back) = membership.family.common_point();
     let path = match fell_back {
         true => GammaPath::NaiveFallback,
         false => GammaPath::ActiveSetLp,
@@ -226,7 +249,7 @@ pub fn gamma_contains(y: &PointMultiset, f: usize, point: &Point) -> bool {
         let c = point.coord(0);
         return c >= lo[0] - D1_TOLERANCE && c <= hi[0] + D1_TOLERANCE;
     }
-    family_contains(&mut HullFamily::gamma(y, f), y, f, (&lo, &hi), point)
+    Membership::new(y, f, (&lo, &hi)).contains(point)
 }
 
 /// Returns `true` if `Γ(y)` is empty for fault bound `f`.
@@ -482,26 +505,77 @@ pub(crate) fn trimmed_centre(lo: &[f64], hi: &[f64]) -> Point {
     Point::new(lo.iter().zip(hi).map(|(l, h)| 0.5 * (l + h)).collect())
 }
 
-/// Membership of `point` in the intersection of `family`, the `f > 0` Γ
-/// family of `y` whose trimmed range is `bounds`, behind two exact
-/// short-circuits: a point equal to more than `f` members survives every
-/// removal of `f` members, and `Γ(y)` lies inside the trimmed range (a point
-/// outside its [`RejectBox`] is outside some subset hull).  Only then is the
-/// family streamed (short-circuiting on the first refuting hull); the hulls
-/// it builds stay built for the caller.
-fn family_contains(
-    family: &mut HullFamily<'_>,
-    y: &PointMultiset,
+/// Membership in `Γ(y)`, `f > 0`, `d ≥ 2`, with what the questions read
+/// built at most once, and only when a question needs it: the family of
+/// subset hulls, the trimmed box's [`RejectBox`] and, in the plane, the
+/// members as plane points.
+struct Membership<'a> {
+    y: &'a PointMultiset,
     f: usize,
-    (lo, hi): (&[f64], &[f64]),
-    point: &Point,
-) -> bool {
-    let copies = y
-        .iter()
-        .filter(|g| g.approx_eq(point, GENERATOR_EQ_TOLERANCE))
-        .count();
-    copies > f
-        || (!RejectBox::new(lo.to_vec(), hi.to_vec()).rejects(point) && family.all_contain(point))
+    /// The trimmed range `[lo, hi]`, which holds `Γ(y)`.
+    bounds: (&'a [f64], &'a [f64]),
+    /// The `(|y|−f)`-subset hulls, built as questions need them and kept for
+    /// the active-set search.
+    family: HullFamily<'a>,
+    /// The trimmed range widened by its reject margin.
+    trimmed: Option<RejectBox>,
+    /// At `d = 2`, the members of `y` in its order.
+    planar: Option<Vec<Xy>>,
+}
+
+impl<'a> Membership<'a> {
+    /// The test for `Γ(y)` whose trimmed range is `bounds`.
+    fn new(y: &'a PointMultiset, f: usize, bounds: (&'a [f64], &'a [f64])) -> Self {
+        Self {
+            y,
+            f,
+            bounds,
+            family: HullFamily::gamma(y, f),
+            trimmed: None,
+            planar: None,
+        }
+    }
+
+    /// The members of a planar `y` as plane points, in its order.
+    fn plane_points(&mut self) -> &[Xy] {
+        let y = self.y;
+        self.planar
+            .get_or_insert_with(|| y.iter().map(|p| [p.coord(0), p.coord(1)]).collect())
+    }
+
+    /// Whether `point ∈ Γ(y)`, behind two exact short-circuits: a point
+    /// equal to more than `f` members survives every removal of `f`
+    /// members, and `Γ(y)` lies inside the trimmed range (a point outside
+    /// its [`RejectBox`] is outside some subset hull).  In the plane the
+    /// depth count then answers `Inside` with no hull, or names the subset
+    /// whose hull the family asks first; elsewhere the family is streamed.
+    /// Either way a reject is a subset hull's own, short-circuiting on the
+    /// first that refutes `point`.
+    fn contains(&mut self, point: &Point) -> bool {
+        let copies = self
+            .y
+            .iter()
+            .filter(|g| g.approx_eq(point, GENERATOR_EQ_TOLERANCE))
+            .count();
+        if copies > self.f {
+            return true;
+        }
+        let (lo, hi) = self.bounds;
+        let trimmed = self
+            .trimmed
+            .get_or_insert_with(|| RejectBox::new(lo.to_vec(), hi.to_vec()));
+        if trimmed.rejects(point) {
+            return false;
+        }
+        if self.y.dim() != 2 {
+            return self.family.all_contain(point);
+        }
+        let f = self.f;
+        match depth::verdict(self.plane_points(), f, [point.coord(0), point.coord(1)]) {
+            Verdict::Inside => true,
+            Verdict::Outside(keep) => self.family.all_contain_from(&keep, point),
+        }
+    }
 }
 
 /// The intersection `∩_i H(Y − {i})` of the *leave-one-out* hulls of `y`
@@ -828,22 +902,40 @@ mod tests {
         p
     }
 
-    #[test]
-    fn depth_region_answers_the_sheared_heptagon() {
-        // The heptagon turned by 1/4 radian and sheared by x += y/4: Γ with
-        // f = 2 is the (sheared) inner heptagon cut by the chords
-        // v_i v_{i+3}, centred on the origin, and the trimmed-box centre
-        // falls outside it.
-        let y = PointMultiset::new(
+    /// The heptagon turned by 1/4 radian and sheared by x += y/4: Γ with
+    /// f = 2 is the (sheared) inner heptagon cut by the chords v_i v_{i+3},
+    /// centred on the origin, and the trimmed-box centre falls outside it.
+    fn sheared_heptagon() -> PointMultiset {
+        PointMultiset::new(
             (0..7)
                 .map(|k| {
                     let theta = 0.25 + 2.0 * std::f64::consts::PI * k as f64 / 7.0;
                     Point::new(vec![theta.cos() + 0.25 * theta.sin(), theta.sin()])
                 })
                 .collect(),
-        );
-        let p = assert_depth_region(&y, 2);
+        )
+    }
+
+    #[test]
+    fn depth_region_answers_the_sheared_heptagon() {
+        let p = assert_depth_region(&sheared_heptagon(), 2);
         assert!(p.approx_eq(&Point::origin(2), 1e-9), "{p}");
+    }
+
+    #[test]
+    fn a_planar_probe_miss_builds_at_most_one_of_the_subset_hulls() {
+        // Streaming the family to refute the probe and then verifying the
+        // depth candidate against every hull built all C(7, 5) = 21; the
+        // depth count builds only the hull it names against the probe.
+        let y = canonical_order(&sheared_heptagon());
+        let (lo, hi) = trimmed_bounds(&y, 2);
+        let mut membership = Membership::new(&y, 2, (&lo, &hi));
+        let (p, attribution) = probe_then_search(&mut membership);
+        assert!(p.is_some());
+        assert_eq!(attribution.path, GammaPath::DepthRegion);
+        assert!(attribution.probe_missed);
+        let built = membership.family.hulls_built();
+        assert!(built <= 1, "{built} of 21 subset hulls built");
     }
 
     #[test]

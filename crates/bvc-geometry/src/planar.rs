@@ -9,6 +9,13 @@
 //! accept; beyond an edge line by more than its [`reject_margin`] is a
 //! reject; the band between the two goes to the membership LP as before.
 //!
+//! [`orient_exact`] is the same predicate with a second, exact stage behind
+//! the filter: when the filter is unsure, the determinant is summed exactly
+//! from its sixteen error-free product terms (`two_sum`, `two_product`,
+//! Shewchuk's expansion sum), so it always names a side or says "on the
+//! line".  Γ membership by Tukey depth (`depth.rs`) counts members by
+//! it; hull polygons and depth candidates keep reading the filtered answer.
+//!
 //! The reject is the hull's one reject rule (`tolerance.rs`), the same the
 //! bounding-box faces use, and this is why its margin grows with the line's
 //! distance from the origin: the membership LP (`Σ α = 1`, `Σ α_i g_i = x`,
@@ -25,6 +32,7 @@
 
 use crate::point::canonical_cmp;
 use crate::tolerance::{reject_margin, GENERATOR_EQ_TOLERANCE};
+use std::cmp::Ordering;
 
 /// Shewchuk's `ccwerrboundA`, `(3 + 16ε)ε`: an orientation determinant
 /// `l − r` computed in `f64` has the sign of the exact one whenever its
@@ -47,6 +55,74 @@ fn cross(p: Xy, q: Xy, x: Xy) -> (f64, f64) {
 pub(crate) fn orient(p: Xy, q: Xy, x: Xy) -> Option<bool> {
     let (det, error) = cross(p, q, x);
     (det.abs() > error).then_some(det > 0.0)
+}
+
+/// The exact sign of `(q − p) × (x − p)`: [`Ordering::Greater`] left of the
+/// directed line `p → q`, [`Ordering::Less`] right of it,
+/// [`Ordering::Equal`] on it.  The static filter answers first; only when it
+/// is unsure is the determinant summed exactly.  Exact means: every non-zero
+/// coordinate at least about `1e-138` in magnitude (every term is then a
+/// multiple of `2^-1022`, so none is lost to underflow) and below `1e150`
+/// (no product overflows), the range admission enforces from above.
+pub(crate) fn orient_exact(p: Xy, q: Xy, x: Xy) -> Ordering {
+    let (det, error) = cross(p, q, x);
+    if det.abs() > error {
+        return sign(det);
+    }
+    // Each difference is exact as two terms, so the determinant is exactly
+    // the sixteen products of `u × v`, each exact as two terms.
+    let u = [two_sum(q[0], -p[0]), two_sum(q[1], -p[1])];
+    let v = [two_sum(x[0], -p[0]), two_sum(x[1], -p[1])];
+    let mut sum = [0.0; 16];
+    let mut len = 0;
+    for ((a, b), weight) in [((u[0], v[1]), 1.0), ((u[1], v[0]), -1.0)] {
+        for (a, b) in [(a.0, b.0), (a.0, b.1), (a.1, b.0), (a.1, b.1)] {
+            let (product, error) = two_product(a, weight * b);
+            for term in [product, error] {
+                grow(&mut sum, &mut len, term);
+            }
+        }
+    }
+    // The expansion is non-overlapping and in increasing magnitude, so its
+    // largest non-zero component carries the sign of the whole.
+    sum[..len]
+        .iter()
+        .rev()
+        .find(|&&c| c != 0.0)
+        .map_or(Ordering::Equal, |&c| sign(c))
+}
+
+/// The sign of a finite `x`, as its order against zero.
+fn sign(x: f64) -> Ordering {
+    x.partial_cmp(&0.0).expect("coordinates are finite")
+}
+
+/// `a + b` as the rounded sum and its exact error (Knuth's two-sum).
+fn two_sum(a: f64, b: f64) -> (f64, f64) {
+    let sum = a + b;
+    let b_virtual = sum - a;
+    let a_virtual = sum - b_virtual;
+    (sum, (a - a_virtual) + (b - b_virtual))
+}
+
+/// `a · b` as the rounded product and its exact error, by a fused
+/// multiply-add.
+fn two_product(a: f64, b: f64) -> (f64, f64) {
+    let product = a * b;
+    (product, a.mul_add(b, -product))
+}
+
+/// Adds `term` to the expansion `sum[..len]` exactly (Shewchuk's
+/// Grow-Expansion, zeros kept), lengthening it by one.
+fn grow(sum: &mut [f64; 16], len: &mut usize, term: f64) {
+    let mut carry = term;
+    for component in &mut sum[..*len] {
+        let (s, error) = two_sum(carry, *component);
+        *component = error;
+        carry = s;
+    }
+    sum[*len] = carry;
+    *len += 1;
 }
 
 /// Where a query point lies relative to a [`Polygon`].
@@ -166,6 +242,7 @@ fn extend(hull: &mut Vec<Xy>, floor: usize, p: Xy) -> Option<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn polygon(points: &[Xy]) -> Option<Polygon> {
         Polygon::of(points.iter().copied())
@@ -179,6 +256,73 @@ mod tests {
         // 0.1 + 0.2 is not 0.3 in f64, and the filter does not pretend to
         // know which side the rounded point fell on.
         assert_eq!(orient([0.0, 0.0], [0.1, 0.2], [0.3, 0.6]), None);
+    }
+
+    #[test]
+    fn the_exact_stage_names_the_side_the_filter_does_not_know() {
+        // The doubles nearest 0.2 and 0.6 are exactly twice those nearest
+        // 0.1 and 0.3, so the three points are exactly collinear.
+        let (o, p, q) = ([0.0, 0.0], [0.1, 0.2], [0.3, 0.6]);
+        assert_eq!(orient_exact(o, p, q), Ordering::Equal);
+        // One ulp off the line, either way.
+        assert_eq!(
+            orient_exact(o, p, [0.3, 0.6f64.next_up()]),
+            Ordering::Greater
+        );
+        assert_eq!(
+            orient_exact(o, p, [0.3, 0.6f64.next_down()]),
+            Ordering::Less
+        );
+        // The filter's certain answers are passed through.
+        assert_eq!(orient_exact(o, [1.0, 0.0], [0.5, 1.0]), Ordering::Greater);
+        assert_eq!(orient_exact(o, [1.0, 0.0], [0.5, -1.0]), Ordering::Less);
+        // Far from the origin, a one-ulp step off a long line.
+        let (a, b) = ([1e6, 1e6], [1e6 + 3.0, 1e6 + 1.0]);
+        let c = [1e6 + 3e6, 1e6 + 1e6];
+        assert_eq!(orient(a, b, c), None);
+        assert_eq!(orient_exact(a, b, c), Ordering::Equal);
+        assert_eq!(
+            orient_exact(a, b, [c[0], c[1].next_up()]),
+            Ordering::Greater
+        );
+    }
+
+    /// `(q − p) × (x − p)` in `i128`, exact for coordinates below `2^60`.
+    fn i128_orientation(p: [i64; 2], q: [i64; 2], x: [i64; 2]) -> Ordering {
+        let d = |a: i64, b: i64| i128::from(a) - i128::from(b);
+        (d(q[0], p[0]) * d(x[1], p[1]) - d(q[1], p[1]) * d(x[0], p[0])).cmp(&0)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Integer coordinates up to `2^40` are exact in `f64`, their
+        /// products are not: the exact stage against an `i128` determinant,
+        /// on random triples and on triples built collinear and then
+        /// nudged by at most one unit, where the filter is unsure.
+        #[test]
+        fn the_exact_stage_agrees_with_an_integer_determinant(
+            corners in prop::collection::vec(0u64..1 << 41, 6),
+            step in prop::collection::vec(0u64..1 << 21, 2),
+            scale in 0u64..1 << 19,
+            nudge in prop::collection::vec(0u64..3, 2),
+        ) {
+            let signed = |v: u64, half: u64| v as i64 - half as i64;
+            let at = |i: usize| [signed(corners[i], 1 << 40), signed(corners[i + 1], 1 << 40)];
+            let float = |v: [i64; 2]| [v[0] as f64, v[1] as f64];
+            let (p, q, x) = (at(0), at(2), at(4));
+            prop_assert_eq!(orient_exact(float(p), float(q), float(x)), i128_orientation(p, q, x));
+            // p, p + s, p + k·s off by a unit: every coordinate below 2^41.
+            let p = [p[0] / 2, p[1] / 2];
+            let s = [signed(step[0], 1 << 20), signed(step[1], 1 << 20)];
+            let k = scale as i64;
+            let q = [p[0] + s[0], p[1] + s[1]];
+            let x = [
+                p[0] + k * s[0] + signed(nudge[0], 1),
+                p[1] + k * s[1] + signed(nudge[1], 1),
+            ];
+            prop_assert_eq!(orient_exact(float(p), float(q), float(x)), i128_orientation(p, q, x));
+        }
     }
 
     #[test]

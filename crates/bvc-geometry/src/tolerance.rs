@@ -21,9 +21,10 @@
 //! | [`D1_TOLERANCE`] | 1e-7 | `d = 1`: `Γ ≠ ∅` ⇔ `lo ≤ hi + τ`; `c ∈ Γ` ⇔ `lo − τ ≤ c ≤ hi + τ` | replaces the LP: equals `FEASIBILITY_TOLERANCE` (two intervals a gap `g` apart give a phase-1 optimum of `g`) |
 //! | [`HULL_TOLERANCE`], through [`reject_margin`] | 1e-6 | a supporting line with normal `e`, lying `c` from the origin, has `p` beyond it by more than `reject_margin(\|e\|, \|c\|·\|e\|)`, i.e. a distance `τ · max(1, \|c\|)` ⇒ `p ∉ H(T)` without an LP.  The lines: each face of a hull's bounding box and of the trimmed box (`e` a unit axis, `c` the face's bound); each edge of a `d = 2` hull polygon (`e` the edge, `\|c\|·\|e\| = \|a × e\|`); and each coordinate of the witness check `Σ αᵢgᵢ` against `p` (a box around `p`) | reject: the membership LP's residual is then at least `τ`, ten times `FEASIBILITY_TOLERANCE` (weights summing to `s ≠ 1` reach `\|c\|·\|1 − s\|` further for `\|1 − s\|` of residual, so a point `δ` beyond leaves a residual of at least `δ / max(1, \|c\|)`) |
 //! | Shewchuk's `ccwerrboundA` (`planar.rs`) | 3.33e-16 | an orientation determinant `l − r` whose magnitude exceeds it times `\|l\| + \|r\|` has its computed sign; `p` left of every edge of a `d = 2` hull polygon so ⇒ `p ∈ H(T)` without an LP | accept: exact, strictly inside |
+//! | the exact stage of `orient_exact` (`planar.rs`) | none: exact | runs only after the static bound above leaves a sign unsure, and sums the determinant exactly from its sixteen error-free product terms.  `d = 2` Γ membership counts members on each side of every line through `p` and a member by it: every closed halfplane through `p` holding more than `f` members ⇒ `p ∈ Γ(Y)` without a hull | accept: exact (`p` is in every subset hull, so no hull test rejects it); an `Outside` count only names the subset hull whose own test (box, polygon, LP band) then decides |
 //! | [`WEIGHT_SUM_TOLERANCE`] | 1e-6 | `\|Σ w − 1\| < τ` for convex-combination weights | input check; solver weights sum to 1 within `FEASIBILITY_TOLERANCE` |
 //! | [`NEGATIVE_WEIGHT_TOLERANCE`] | 1e-9 | `w ≥ −τ` for each weight | input check at `EPSILON`; weights read off the solver are clamped to `≥ 0` before they get here |
-//! | [`DEPTH_SLACK`] | 1e-9 | `d = 2` depth region: a point within `τ` (a distance: unit normals) of every kept halfplane and of the trimmed box is a *candidate* | accept a candidate: below `FEASIBILITY_TOLERANCE`, and only after the hull-membership LPs accept it too |
+//! | [`DEPTH_SLACK`] | 1e-9 | `d = 2` depth region: a point within `τ` (a distance: unit normals) of every kept halfplane and of the trimmed box is a *candidate* | accept a candidate: below `FEASIBILITY_TOLERANCE`, and only after the Γ membership test (the exact depth count, else the subset hulls) accepts it too |
 //! | [`DEFAULT_TOLERANCE`] | 1e-7 | default `τ` of [`Point::approx_eq`](crate::Point::approx_eq) for callers | none: not read by any engine |
 //!
 //! Nothing here is settable; the orderings above are checked at compile time

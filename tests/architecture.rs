@@ -393,8 +393,9 @@ fn one_run_path() {
 fn one_hull_family() {
     // Γ, Γ_α and the leave-one-out intersection are three constructors of
     // bvc-geometry/src/family.rs: one place solves the joint LP, one place
-    // turns a streamed index subset into a hull, and the cache asks one
-    // engine function and knows no engine by name.
+    // turns an index subset (streamed, or named by the depth count) into a
+    // hull, and the cache asks one engine function and knows no engine by
+    // name.
     let geometry = rust_files_under(&["crates/bvc-geometry/src"]);
     let joint = naming(&geometry, non_test, &["joint_candidate("]);
     assert!(
@@ -448,10 +449,13 @@ fn one_hull_family() {
 #[test]
 fn one_depth_engine() {
     // The d = 2 depth region is one module, `bvc-geometry/src/depth.rs`,
-    // asked from one place: `gamma::strict_point` after a probe miss.  Its
-    // answers are verified by the hull family's membership test and its
-    // failures fall through to the one active-set search, so the joint LP
-    // still lives in one file and the cache knows no engine by name.
+    // asked from gamma.rs alone: its candidate once, after a probe miss, and
+    // its exact depth count once, in the one Γ membership test.  A depth
+    // `Inside` is a proof of membership and answers with no hull; an
+    // `Outside` names the subset hull the family asks first, so every reject
+    // and every band case is the hull test's own.  Candidates that fail fall
+    // through to the one active-set search, so the joint LP still lives in
+    // one file and the cache knows no engine by name.
     let geometry = rust_files_under(&["crates/bvc-geometry/src"]);
     let callers: Vec<PathBuf> = naming(&geometry, text, &["depth::"])
         .into_iter()
@@ -462,14 +466,14 @@ fn one_depth_engine() {
         "the depth module must be called from gamma.rs only, found:\n{}",
         shown(&callers)
     );
-    let asks = lines_with(
-        &non_test(&root().join("crates/bvc-geometry/src/gamma.rs")),
-        "depth::candidate(",
-    );
-    assert!(
-        asks == 1,
-        "gamma.rs must ask depth::candidate( exactly once, found {asks}"
-    );
+    let gamma = non_test(&root().join("crates/bvc-geometry/src/gamma.rs"));
+    for question in ["depth::candidate(", "depth::verdict("] {
+        let asks = lines_with(&gamma, question);
+        assert!(
+            asks == 1,
+            "gamma.rs must ask {question} exactly once, found {asks}"
+        );
+    }
     let cache = non_test(&root().join("crates/bvc-geometry/src/cache.rs"));
     assert!(
         !cache.contains("depth"),
@@ -489,12 +493,17 @@ fn one_planar_predicate() {
     // written once in `bvc-geometry/src/planar.rs`: the depth region keeps
     // member halfplanes by it, and a d = 2 hull builds its polygon with it
     // and answers membership by its signs.  A hull's membership LP runs only
-    // in the band the polygon's sign test leaves open.
+    // in the band the polygon's sign test leaves open.  Its exact stage
+    // (error-free sums and products, an expansion sum) is written there
+    // once too, behind the same filter, and is what the depth count asks.
     let geometry = rust_files_under(&["crates/bvc-geometry/src"]);
     for needle in [
         "const ORIENT_ERROR_BOUND",
         "3.330_669_073_875_472e-16",
         "fn orient(",
+        "fn orient_exact(",
+        "fn two_sum(",
+        "fn two_product(",
     ] {
         let defining = naming(&geometry, text, &[needle]);
         let copies: usize = geometry.iter().map(|p| lines_with(&text(p), needle)).sum();
@@ -504,6 +513,20 @@ fn one_planar_predicate() {
             shown(&defining)
         );
     }
+    let planar = root().join("crates/bvc-geometry/src/planar.rs");
+    let elsewhere: Vec<PathBuf> = naming(
+        &rust_files_under(&["crates", "src", "tests", "examples", "benchmark/src"]),
+        text,
+        &["two_sum", "two_product"],
+    )
+    .into_iter()
+    .filter(|p| *p != planar)
+    .collect();
+    assert!(
+        elsewhere.is_empty(),
+        "`two_sum` and `two_product` belong to planar.rs's exact stage alone, found in:\n{}",
+        shown(&elsewhere)
+    );
     let hull = non_test(&root().join("crates/bvc-geometry/src/hull.rs"));
     let contains = hull
         .split("pub fn contains(")
