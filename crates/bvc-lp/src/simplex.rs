@@ -269,9 +269,9 @@ fn run_phases(
             tableau.set_objective_coefficient(col, 1.0);
         }
         tableau.price_out_basis();
-        let eligible = workspace.take_bool(total_cols, true);
+        let eligible = workspace.take(total_cols, true);
         let outcome = tableau.run_simplex(&eligible);
-        workspace.put_bool(eligible);
+        workspace.put(eligible);
         if tableau.objective_value() > FEASIBILITY_TOLERANCE {
             // Only a phase 1 that ended optimal and could not zero the
             // artificials certifies infeasibility.  Its objective is bounded
@@ -337,12 +337,12 @@ fn run_phases(
         }
     }
     tableau.price_out_basis();
-    let mut eligible = workspace.take_bool(total_cols, false);
+    let mut eligible = workspace.take(total_cols, false);
     for e in eligible.iter_mut().take(n_structural) {
         *e = true;
     }
     let outcome = tableau.run_simplex(&eligible);
-    workspace.put_bool(eligible);
+    workspace.put(eligible);
     if outcome == PivotOutcome::Unbounded {
         return Solution::without_point(SolveStatus::Unbounded, lp.num_variables());
     }

@@ -54,8 +54,8 @@ impl Tableau {
         Self {
             rows,
             cols,
-            data: workspace.take_f64((rows + 1) * (cols + 1)),
-            basis: workspace.take_usize(rows),
+            data: workspace.take((rows + 1) * (cols + 1), 0.0),
+            basis: workspace.take(rows, 0),
             pivots: 0,
         }
     }
@@ -67,8 +67,8 @@ impl Tableau {
 
     /// Hands the tableau's buffers back to `workspace` for reuse.
     pub(crate) fn recycle(self, workspace: &mut SimplexWorkspace) {
-        workspace.put_f64(self.data);
-        workspace.put_usize(self.basis);
+        workspace.put(self.data);
+        workspace.put(self.basis);
     }
 
     pub(crate) fn cols(&self) -> usize {

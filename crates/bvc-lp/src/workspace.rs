@@ -21,12 +21,71 @@ use std::cell::RefCell;
 /// buffers of up to 2^30 elements — far beyond any LP this workspace serves).
 const NUM_CLASSES: usize = 31;
 
+/// Parked buffers of one element type, one slot per size class.
+#[derive(Debug)]
+pub(crate) struct Pool<T>(Vec<Vec<T>>);
+
+impl<T: Clone> Pool<T> {
+    fn new() -> Self {
+        Self((0..NUM_CLASSES).map(|_| Vec::new()).collect())
+    }
+
+    /// A buffer of `len` copies of `value`, and whether the parked buffer
+    /// of its class served it.
+    fn take(&mut self, len: usize, value: T) -> (Vec<T>, bool) {
+        let class = class_of(len);
+        let mut buf = std::mem::take(&mut self.0[class]);
+        let reused = buf.capacity() >= len;
+        match reused {
+            true => buf.clear(),
+            false => buf = Vec::with_capacity(1usize << class),
+        }
+        buf.resize(len, value);
+        (buf, reused)
+    }
+
+    /// Parks `buf` in the class of its capacity, unless a larger one is
+    /// parked there.
+    fn put(&mut self, buf: Vec<T>) {
+        if buf.capacity() == 0 {
+            return;
+        }
+        let class = (buf.capacity().ilog2() as usize).min(NUM_CLASSES - 1);
+        if self.0[class].capacity() < buf.capacity() {
+            self.0[class] = buf;
+        }
+    }
+}
+
+/// An element type the workspace pools: each has its own [`Pool`].
+pub(crate) trait Pooled: Clone + Sized {
+    fn pool(workspace: &mut SimplexWorkspace) -> &mut Pool<Self>;
+}
+
+impl Pooled for f64 {
+    fn pool(workspace: &mut SimplexWorkspace) -> &mut Pool<Self> {
+        &mut workspace.floats
+    }
+}
+
+impl Pooled for usize {
+    fn pool(workspace: &mut SimplexWorkspace) -> &mut Pool<Self> {
+        &mut workspace.indices
+    }
+}
+
+impl Pooled for bool {
+    fn pool(workspace: &mut SimplexWorkspace) -> &mut Pool<Self> {
+        &mut workspace.flags
+    }
+}
+
 /// An arena-style pool of simplex buffers, keyed by size class.
 #[derive(Debug)]
 pub struct SimplexWorkspace {
-    f64_slots: Vec<Vec<f64>>,
-    usize_slots: Vec<Vec<usize>>,
-    bool_slots: Vec<Vec<bool>>,
+    floats: Pool<f64>,
+    indices: Pool<usize>,
+    flags: Pool<bool>,
     reuses: u64,
     /// Trace-scope token of the previous solve, for the logical `reused`
     /// flag of the traced simplex event (see [`SimplexWorkspace::stamp_scope`]).
@@ -50,9 +109,9 @@ impl SimplexWorkspace {
     /// Creates an empty workspace; buffers are allocated lazily on first use.
     pub fn new() -> Self {
         Self {
-            f64_slots: (0..NUM_CLASSES).map(|_| Vec::new()).collect(),
-            usize_slots: (0..NUM_CLASSES).map(|_| Vec::new()).collect(),
-            bool_slots: (0..NUM_CLASSES).map(|_| Vec::new()).collect(),
+            floats: Pool::new(),
+            indices: Pool::new(),
+            flags: Pool::new(),
             reuses: 0,
             trace_stamp: None,
         }
@@ -67,16 +126,11 @@ impl SimplexWorkspace {
     /// are never cleared when tracing is off.
     pub fn stamp_scope(&mut self, token: Option<u64>) {
         if self.trace_stamp != token {
-            self.trace_stamp = token;
-            for slot in &mut self.f64_slots {
-                *slot = Vec::new();
-            }
-            for slot in &mut self.usize_slots {
-                *slot = Vec::new();
-            }
-            for slot in &mut self.bool_slots {
-                *slot = Vec::new();
-            }
+            *self = Self {
+                reuses: self.reuses,
+                trace_stamp: token,
+                ..Self::new()
+            };
         }
     }
 
@@ -85,79 +139,17 @@ impl SimplexWorkspace {
         self.reuses
     }
 
-    pub(crate) fn take_f64(&mut self, len: usize) -> Vec<f64> {
-        let class = class_of(len);
-        let parked = std::mem::take(&mut self.f64_slots[class]);
-        if parked.capacity() >= len {
-            self.reuses += 1;
-            let mut buf = parked;
-            buf.clear();
-            buf.resize(len, 0.0);
-            return buf;
-        }
-        let mut buf = Vec::with_capacity(1usize << class);
-        buf.resize(len, 0.0);
+    /// A buffer of `len` copies of `value`, from the pool when its class
+    /// holds one large enough.
+    pub(crate) fn take<T: Pooled>(&mut self, len: usize, value: T) -> Vec<T> {
+        let (buf, reused) = T::pool(self).take(len, value);
+        self.reuses += u64::from(reused);
         buf
     }
 
-    pub(crate) fn put_f64(&mut self, buf: Vec<f64>) {
-        if buf.capacity() == 0 {
-            return;
-        }
-        let class = (buf.capacity().ilog2() as usize).min(NUM_CLASSES - 1);
-        if self.f64_slots[class].capacity() < buf.capacity() {
-            self.f64_slots[class] = buf;
-        }
-    }
-
-    pub(crate) fn take_usize(&mut self, len: usize) -> Vec<usize> {
-        let class = class_of(len);
-        let parked = std::mem::take(&mut self.usize_slots[class]);
-        if parked.capacity() >= len {
-            self.reuses += 1;
-            let mut buf = parked;
-            buf.clear();
-            buf.resize(len, 0);
-            return buf;
-        }
-        let mut buf = Vec::with_capacity(1usize << class);
-        buf.resize(len, 0);
-        buf
-    }
-
-    pub(crate) fn put_usize(&mut self, buf: Vec<usize>) {
-        if buf.capacity() == 0 {
-            return;
-        }
-        let class = (buf.capacity().ilog2() as usize).min(NUM_CLASSES - 1);
-        if self.usize_slots[class].capacity() < buf.capacity() {
-            self.usize_slots[class] = buf;
-        }
-    }
-
-    pub(crate) fn take_bool(&mut self, len: usize, value: bool) -> Vec<bool> {
-        let class = class_of(len);
-        let parked = std::mem::take(&mut self.bool_slots[class]);
-        if parked.capacity() >= len {
-            self.reuses += 1;
-            let mut buf = parked;
-            buf.clear();
-            buf.resize(len, value);
-            return buf;
-        }
-        let mut buf = Vec::with_capacity(1usize << class);
-        buf.resize(len, value);
-        buf
-    }
-
-    pub(crate) fn put_bool(&mut self, buf: Vec<bool>) {
-        if buf.capacity() == 0 {
-            return;
-        }
-        let class = (buf.capacity().ilog2() as usize).min(NUM_CLASSES - 1);
-        if self.bool_slots[class].capacity() < buf.capacity() {
-            self.bool_slots[class] = buf;
-        }
+    /// Hands `buf` back for a later [`take`](Self::take).
+    pub(crate) fn put<T: Pooled>(&mut self, buf: Vec<T>) {
+        T::pool(self).put(buf);
     }
 }
 
@@ -177,10 +169,10 @@ mod tests {
     #[test]
     fn buffers_are_reused_within_a_size_class() {
         let mut ws = SimplexWorkspace::new();
-        let buf = ws.take_f64(100);
+        let buf = ws.take(100, 0.0);
         assert_eq!(buf.len(), 100);
-        ws.put_f64(buf);
-        let again = ws.take_f64(120); // same class (128)
+        ws.put(buf);
+        let again = ws.take(120, 0.0); // same class (128)
         assert_eq!(again.len(), 120);
         assert!(again.iter().all(|&v| v == 0.0));
         assert_eq!(ws.reuses(), 1);
@@ -189,10 +181,10 @@ mod tests {
     #[test]
     fn different_size_classes_use_different_slots() {
         let mut ws = SimplexWorkspace::new();
-        let small = ws.take_f64(10);
-        ws.put_f64(small);
+        let small = ws.take(10, 0.0);
+        ws.put(small);
         // A much larger request must not be served by the small buffer.
-        let large = ws.take_f64(1000);
+        let large = ws.take(1000, 0.0);
         assert_eq!(large.len(), 1000);
         assert_eq!(ws.reuses(), 0);
     }
@@ -200,20 +192,20 @@ mod tests {
     #[test]
     fn returned_buffers_come_back_cleared() {
         let mut ws = SimplexWorkspace::new();
-        let mut buf = ws.take_usize(8);
+        let mut buf = ws.take(8, 0usize);
         buf[3] = 42;
-        ws.put_usize(buf);
-        let again = ws.take_usize(8);
+        ws.put(buf);
+        let again = ws.take(8, 0usize);
         assert!(again.iter().all(|&v| v == 0));
     }
 
     #[test]
     fn bool_buffers_honour_fill_value() {
         let mut ws = SimplexWorkspace::new();
-        let buf = ws.take_bool(5, true);
+        let buf = ws.take(5, true);
         assert!(buf.iter().all(|&b| b));
-        ws.put_bool(buf);
-        let again = ws.take_bool(4, false);
+        ws.put(buf);
+        let again = ws.take(4, false);
         assert!(again.iter().all(|&b| !b));
     }
 }
