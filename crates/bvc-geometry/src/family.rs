@@ -21,11 +21,11 @@
 //! process order, because Theorem 1 indexes its hulls by process.
 
 use crate::combinatorics::{binomial, combination_rank, Combinations};
-use crate::hull::ConvexHull;
+use crate::hull::{local_combination_lp, ConvexHull};
 use crate::multiset::PointMultiset;
 use crate::point::Point;
 use crate::relaxed::dilate_about_centroid;
-use bvc_lp::{LinearProgram, Objective, Relation, SolveStatus};
+use bvc_lp::SolveStatus;
 
 /// The index subsets of a family, in the order its hulls are numbered.
 enum Subsets {
@@ -251,46 +251,18 @@ fn build(members: &PointMultiset, subset: &[usize], alpha: f64) -> ConvexHull {
     })
 }
 
-/// Builds the joint common-point LP of Section 2.2 over the given hulls: a
+/// Solves the joint common-point LP of Section 2.2 over the given hulls — a
 /// free point variable `z ∈ R^d` plus one block of convex-combination
-/// variables per hull.
-fn joint_lp(hulls: &[&ConvexHull]) -> LinearProgram {
-    let d = hulls[0].dim();
-    let total_alpha: usize = hulls.iter().map(|h| h.generators().len()).sum();
-    let num_vars = d + total_alpha;
-    let mut lp = LinearProgram::new(num_vars, Objective::Minimize);
-    for zi in 0..d {
-        lp.mark_free(zi);
-    }
-    let mut offset = d;
-    for hull in hulls {
-        let k = hull.generators().len();
-        // Σ α = 1 for this hull.
-        let mut row = vec![0.0; num_vars];
-        for a in 0..k {
-            row[offset + a] = 1.0;
-        }
-        lp.add_constraint(row, Relation::Equal, 1.0);
-        // z - Σ α_i g_i = 0 per coordinate.
-        for l in 0..d {
-            let mut row = vec![0.0; num_vars];
-            row[l] = 1.0;
-            for (a, g) in hull.generators().iter().enumerate() {
-                row[offset + a] = -g.coord(l);
-            }
-            lp.add_constraint(row, Relation::Equal, 0.0);
-        }
-        offset += k;
-    }
-    lp
-}
-
-/// Solves the joint LP over `hulls` and returns the solver status plus the
-/// candidate point (unverified).
+/// variables per hull, relative to the first hull's first generator — and
+/// returns the solver status plus the candidate point (unverified), that
+/// generator added back.
 fn joint_candidate(hulls: &[&ConvexHull]) -> (SolveStatus, Option<Point>) {
-    let solution = joint_lp(hulls).solve();
-    let candidate = (solution.status == SolveStatus::Optimal)
-        .then(|| Point::new(solution.values[..hulls[0].dim()].to_vec()));
+    let solution = local_combination_lp(hulls, None).solve();
+    let reference = hulls[0].generators().point(0).coords();
+    let candidate = (solution.status == SolveStatus::Optimal).then(|| {
+        let local = solution.values[..reference.len()].iter();
+        Point::new(local.zip(reference).map(|(z, o)| z + o).collect())
+    });
     (solution.status, candidate)
 }
 

@@ -593,6 +593,7 @@ pub fn leave_one_out_intersection(y: &PointMultiset) -> Option<Point> {
 mod tests {
     use super::*;
     use crate::family::tests::biased;
+    use crate::hull::tests::{dyadic_points, dyadic_shift, moved, near_segments};
     use proptest::prelude::*;
 
     fn pts(coords: &[&[f64]]) -> PointMultiset {
@@ -800,32 +801,96 @@ mod tests {
     }
 
     #[test]
-    fn far_from_the_origin_the_trimmed_box_reject_leaves_the_lps_reach_alone() {
+    fn far_from_the_origin_the_trimmed_box_reject_answers_as_at_the_origin() {
         // Every 5-subset keeps three of the four members on y = 1000, so
         // (1002, 1000 − δ) is δ below a face of each subset hull and of the
-        // trimmed box.  Below a face 1000 from the origin is towards the
-        // origin, within the membership LP's reach: all six LPs accept.
-        let y = pts(&[
-            &[1000.0, 1000.0],
-            &[1001.0, 1000.0],
-            &[1003.0, 1000.0],
-            &[1004.0, 1000.0],
-            &[1000.0, 1004.0],
-            &[1004.0, 1004.0],
-        ]);
-        let hulls: Vec<ConvexHull> = y
-            .subsets_of_size(5)
-            .into_iter()
-            .map(ConvexHull::new)
-            .collect();
-        for delta in [2e-6, 1e-5, 5e-5] {
+        // trimmed box.  Moved by −1000 to the origin (exactly), Γ and each
+        // subset hull give the same answer, which is the LP's: inside its
+        // band (5e-8) an accept, past it a reject.
+        let rows: [[f64; 2]; 6] = [
+            [1000.0, 1000.0],
+            [1001.0, 1000.0],
+            [1003.0, 1000.0],
+            [1004.0, 1000.0],
+            [1000.0, 1004.0],
+            [1004.0, 1004.0],
+        ];
+        let multiset = |t: f64| {
+            PointMultiset::new(
+                rows.iter()
+                    .map(|r| Point::new(vec![r[0] + t, r[1] + t]))
+                    .collect(),
+            )
+        };
+        let (y, home) = (multiset(0.0), multiset(-1000.0));
+        let hulls = |y: &PointMultiset| -> Vec<ConvexHull> {
+            y.subsets_of_size(5)
+                .into_iter()
+                .map(ConvexHull::new)
+                .collect()
+        };
+        let (far_hulls, home_hulls) = (hulls(&y), hulls(&home));
+        for (delta, inside) in [
+            (5e-8, true),
+            (5e-7, false),
+            (2e-6, false),
+            (1e-5, false),
+            (5e-5, false),
+        ] {
             let p = Point::new(vec![1002.0, 1000.0 - delta]);
-            assert!(gamma_contains(&y, 1, &p), "δ = {delta}");
-            for hull in &hulls {
-                assert!(hull.contains(&p), "δ = {delta}");
-                let witness = hull.convex_combination(&p);
-                assert!(witness.is_some(), "δ = {delta}: a subset LP rejects");
+            let q = Point::new(vec![2.0, (1000.0 - delta) - 1000.0]);
+            assert_eq!(gamma_contains(&y, 1, &p), inside, "δ = {delta}");
+            assert_eq!(gamma_contains(&home, 1, &q), inside, "δ = {delta}");
+            for (far, home) in far_hulls.iter().zip(&home_hulls) {
+                for (hull, point) in [(far, &p), (home, &q)] {
+                    assert_eq!(hull.contains(point), inside, "δ = {delta}: {point}");
+                    let witness = hull.convex_combination(point);
+                    assert_eq!(witness.is_some(), inside, "δ = {delta}: the LP at {point}");
+                }
             }
+        }
+    }
+
+    /// [`gamma_does_not_depend_on_the_origin`]'s check of one `Y`.
+    fn same_gamma_moved<const D: usize>(members: &[[f64; D]], f: usize, t: [f64; D], step: i32) {
+        let multiset = |points: &[[f64; D]]| {
+            PointMultiset::new(points.iter().map(|p| Point::new(p.to_vec())).collect())
+        };
+        let (y, moved_y) = (multiset(members), multiset(&moved(members, t)));
+        let nudge = 2f64.powi(-step);
+        let (lo, hi) = trimmed_bounds(&y, f);
+        let centre: [f64; D] = std::array::from_fn(|l| (lo[l] + hi[l]) / 2.0);
+        let mut queries = members.to_vec();
+        let chain = (1..members.len()).map(|i| (i - 1, i));
+        queries.extend(near_segments(
+            members,
+            chain.chain([(0, members.len() - 1)]),
+            step,
+        ));
+        for l in 0..D {
+            for face in [lo[l], lo[l] - nudge, hi[l], hi[l] + nudge] {
+                let mut query = centre;
+                query[l] = face;
+                queries.push(query);
+            }
+        }
+        for (query, moved_query) in queries.iter().zip(moved(&queries, t)) {
+            let (p, moved_p) = (Point::new(query.to_vec()), Point::new(moved_query.to_vec()));
+            assert_eq!(
+                gamma_contains(&moved_y, f, &moved_p),
+                gamma_contains(&y, f, &p),
+                "{p} in Γ of {y:?}, f = {f}, moved by {t:?}"
+            );
+        }
+        let (here, there) = (gamma_point(&y, f), gamma_point(&moved_y, f));
+        let back =
+            there.map(|p| Point::new(p.coords().iter().zip(t).map(|(c, t)| c - t).collect()));
+        match (&here, &back) {
+            (Some(a), Some(b)) => assert!(
+                a.approx_eq(b, 1e-8),
+                "{a} and {b}: Γ of {y:?}, f = {f}, t = {t:?}"
+            ),
+            _ => panic!("Γ of {y:?}, f = {f}: {here:?} here, {back:?} moved by {t:?} and back"),
         }
     }
 
@@ -974,6 +1039,27 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Γ does not depend on where the origin is.  `Y` at the Lemma-1
+        /// threshold `|Y| = (d+1)f + 1` on a dyadic grid, for `d = 2, 3` and
+        /// `f = 1, 2`, and `Y` moved by `t` ∈ {±2^10, ±2^20} per axis, which
+        /// is exact: `gamma_contains` gives the same answer at every member,
+        /// on segments between members and 2^-30 to 2^-17 off them, and at
+        /// the trimmed box's faces and 2^-30 to 2^-17 beyond them; and
+        /// `gamma_point` finds a point at both positions, the two within
+        /// 1e-8 of each other once `t` is subtracted (a rounding at `2^20`
+        /// is `2^-33`, about 1.2e-10; 2000 cases gave at most 1.05e-9).
+        #[test]
+        fn gamma_does_not_depend_on_the_origin(
+            grid in prop::collection::vec(-(1i32 << 20)..1 << 20, 27),
+            step in 17i32..31,
+            choice in prop::collection::vec(0usize..4, 3),
+        ) {
+            for f in 1..=2usize {
+                same_gamma_moved::<2>(&dyadic_points(&grid, 3 * f + 1), f, dyadic_shift(&choice), step);
+                same_gamma_moved::<3>(&dyadic_points(&grid, 4 * f + 1), f, dyadic_shift(&choice), step);
+            }
+        }
 
         /// The strict path against the all-hulls joint LP (the oracle) on
         /// `d = 2` inputs: it answers whenever the oracle does, and every

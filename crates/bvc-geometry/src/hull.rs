@@ -9,16 +9,19 @@
 //!
 //! Both reduce to a small linear-programming feasibility problem (find
 //! `α ≥ 0`, `Σα = 1`, `Σ α_i t_i = p`), which is how Section 2.2 of the paper
-//! treats them.  Membership runs the solver in feasibility-only mode (no
-//! witness extraction) and is preceded by three short-circuits that dispose
-//! of most queries the Γ engine generates without touching the solver at all:
+//! treats them.  The program is written relative to a generator `o`
+//! (`local_combination_lp`): `Σ α_i (t_i − o) = p − o`, so its answer does
+//! not depend on where the origin is.  Membership runs the solver in
+//! feasibility-only mode (no witness extraction) and is preceded by three
+//! short-circuits that dispose of most queries the Γ engine generates
+//! without touching the solver at all:
 //! a bounding-box reject, a generator-equality accept and, for `d = 2`, the
 //! polygon's orientation-sign test (accept strictly inside every edge or
 //! within [`GENERATOR_EQ_TOLERANCE`] of an edge; only the band between that
 //! and the reject reaches the LP).  Both rejects, the box's faces and the
 //! polygon's edges, are one rule: a point beyond a supporting line by more
-//! than [`reject_margin`] (`tolerance.rs`), which grows with the line's
-//! distance from the origin because the LP's reach does.
+//! than [`reject_margin`] (`tolerance.rs`), one distance wherever the hull
+//! lies, because the LP's reach past a face is its residual.
 //!
 //! The common-point query over several hulls — one LP that decides whether
 //! they share a point and, if so, produces one — is
@@ -46,12 +49,12 @@ pub(crate) struct RejectBox {
 }
 
 impl RejectBox {
-    /// The reject box of `[lower, upper]`, widened in place: a face at bound
-    /// `b` is a unit normal lying `|b|` from the origin.
+    /// The reject box of `[lower, upper]`, widened in place: each face has
+    /// a unit normal, so each moves out by the same margin.
     pub(crate) fn new(mut below: Vec<f64>, mut above: Vec<f64>) -> Self {
-        let margin = |bound: f64| reject_margin(1.0, bound.abs());
-        below.iter_mut().for_each(|lo| *lo -= margin(*lo));
-        above.iter_mut().for_each(|hi| *hi += margin(*hi));
+        let margin = reject_margin(1.0);
+        below.iter_mut().for_each(|lo| *lo -= margin);
+        above.iter_mut().for_each(|hi| *hi += margin);
         Self { below, above }
     }
 
@@ -147,17 +150,10 @@ impl ConvexHull {
         self.membership_lp(point).solve_feasibility() == SolveStatus::Optimal
     }
 
-    /// The feasibility program `Σ α = 1`, `Σ α_i g_i = point`, `α ≥ 0`.
+    /// The feasibility program `Σ α = 1`, `Σ α_i (g_i − o) = point − o`,
+    /// `α ≥ 0`, for `o` the first generator.
     fn membership_lp(&self, point: &Point) -> LinearProgram {
-        let k = self.generators.len();
-        let d = self.dim();
-        let mut lp = LinearProgram::new(k, Objective::Minimize);
-        lp.add_constraint(vec![1.0; k], Relation::Equal, 1.0);
-        for l in 0..d {
-            let coeffs: Vec<f64> = self.generators.iter().map(|g| g.coord(l)).collect();
-            lp.add_constraint(coeffs, Relation::Equal, point.coord(l));
-        }
-        lp
+        local_combination_lp(&[self], Some(point))
     }
 
     /// Returns convex-combination weights `α` over the generators such that
@@ -176,12 +172,13 @@ impl ConvexHull {
         if solution.status != SolveStatus::Optimal {
             return None;
         }
-        let clamped: Vec<f64> = solution.values.iter().map(|&w| w.max(0.0)).collect();
-        let total: f64 = clamped.iter().sum();
-        let weights = match total > 0.0 {
-            true => clamped.iter().map(|w| w / total).collect(),
-            false => clamped,
-        };
+        // The program reaches `o + Σ α_i (g_i − o)` for `o = g_0`, so the
+        // reference's weight is what the others leave of 1; should clamping
+        // leave them above 1, they shrink towards `o`.
+        let mut weights: Vec<f64> = solution.values.iter().map(|&w| w.max(0.0)).collect();
+        let others = weights[1..].iter().sum::<f64>().max(1.0);
+        weights[1..].iter_mut().for_each(|w| *w /= others);
+        weights[0] = (1.0 - weights[1..].iter().sum::<f64>()).max(0.0);
         // Double-check the witness numerically before handing it out: it
         // must not land beyond the reject margin of `point`'s own box.
         let reconstructed = Point::convex_combination(self.generators.points(), &weights);
@@ -215,8 +212,50 @@ impl ConvexHull {
     }
 }
 
+/// The LP "each hull's block of weights is a convex combination of its
+/// generators reaching `target`", written relative to the first hull's first
+/// generator `o`: per hull `Σ α = 1` and, per coordinate `l`,
+/// `Σ α_i (g_i − o)_l = (p − o)_l` for a fixed point `p`, or
+/// `z_l − Σ α_i (g_i − o)_l = 0` for the free point `z` (columns `0..d`,
+/// ahead of the weights, itself relative to `o`).  Phase 1 lets the weights
+/// fall short of `Σ α = 1`, which pulls the combination towards `o`, a point
+/// of the first hull, so the membership LP reaches past a face by no more
+/// than its residual wherever the hull lies.  Every LP row of this crate is
+/// built here.
+pub(crate) fn local_combination_lp(hulls: &[&ConvexHull], target: Option<&Point>) -> LinearProgram {
+    let reference = hulls[0].generators.point(0).coords();
+    let mut first = if target.is_some() { 0 } else { reference.len() };
+    let width = first + hulls.iter().map(|h| h.generators.len()).sum::<usize>();
+    let mut lp = LinearProgram::new(width, Objective::Minimize);
+    for z in 0..first {
+        lp.mark_free(z);
+    }
+    for hull in hulls {
+        let weights = first..first + hull.generators.len();
+        let mut sum = vec![0.0; width];
+        sum[weights.clone()].fill(1.0);
+        lp.add_constraint(sum, Relation::Equal, 1.0);
+        for (l, &o) in reference.iter().enumerate() {
+            let mut row = vec![0.0; width];
+            let (sign, rhs) = match target {
+                Some(p) => (1.0, p.coord(l) - o),
+                None => {
+                    row[l] = 1.0;
+                    (-1.0, 0.0)
+                }
+            };
+            for (c, g) in row[weights.clone()].iter_mut().zip(hull.generators.iter()) {
+                *c = sign * (g.coord(l) - o);
+            }
+            lp.add_constraint(row, Relation::Equal, rhs);
+        }
+        first = weights.end;
+    }
+    lp
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use bvc_trace::{TraceEvent, TraceHandle, Tracer};
     use proptest::prelude::*;
@@ -249,12 +288,15 @@ mod tests {
     }
 
     #[test]
-    fn reject_box_widens_each_face_by_its_margin() {
-        // Faces within 1 of the origin move out by HULL_TOLERANCE, farther
-        // ones by HULL_TOLERANCE times their bound.
+    fn reject_box_widens_each_face_by_one_margin() {
+        // Every face moves out by HULL_TOLERANCE, near the origin and 1000
+        // from it alike.
         let hull = triangle();
-        assert_eq!(hull.reject_box.below, vec![-1e-6; 2]);
-        assert_eq!(hull.reject_box.above, vec![2.0 + 2e-6; 2]);
+        assert_eq!(hull.reject_box.below, vec![-HULL_TOLERANCE; 2]);
+        assert_eq!(hull.reject_box.above, vec![2.0 + HULL_TOLERANCE; 2]);
+        let far = hull_of(&[[1000.0, 1000.0], [1002.0, 1000.0], [1000.0, 1002.0]]);
+        assert_eq!(far.reject_box.below, vec![1000.0 - HULL_TOLERANCE; 2]);
+        assert_eq!(far.reject_box.above, vec![1002.0 + HULL_TOLERANCE; 2]);
     }
 
     #[test]
@@ -386,10 +428,38 @@ mod tests {
         (value, count.load(Ordering::Relaxed))
     }
 
-    fn planar(points: &[[f64; 2]]) -> ConvexHull {
+    fn hull_of<const D: usize>(points: &[[f64; D]]) -> ConvexHull {
         ConvexHull::new(PointMultiset::new(
             points.iter().map(|p| Point::new(p.to_vec())).collect(),
         ))
+    }
+
+    /// `points` each moved by `t`.
+    pub(crate) fn moved<const D: usize>(points: &[[f64; D]], t: [f64; D]) -> Vec<[f64; D]> {
+        let step = |p: &[f64; D]| std::array::from_fn(|l| p[l] + t[l]);
+        points.iter().map(step).collect()
+    }
+
+    /// `contains` at each query, asserted equal to the membership LP's
+    /// answer there and to the answer of the same fixture moved by minus its
+    /// first generator, to the origin.
+    fn the_same_at_the_origin<const D: usize>(
+        generators: &[[f64; D]],
+        queries: &[[f64; D]],
+    ) -> Vec<bool> {
+        let home = generators[0].map(|c| -c);
+        let (hull, at_origin) = (hull_of(generators), hull_of(&moved(generators, home)));
+        let moved_queries = moved(queries, home);
+        let answers = queries.iter().zip(&moved_queries).map(|(query, moved)| {
+            let answer = agrees_with_the_lp(&hull, query);
+            assert_eq!(
+                agrees_with_the_lp(&at_origin, moved),
+                answer,
+                "{query:?} of {generators:?} moved to the origin"
+            );
+            answer
+        });
+        answers.collect()
     }
 
     #[test]
@@ -417,22 +487,43 @@ mod tests {
     }
 
     #[test]
-    fn far_from_the_origin_the_reject_margin_grows_with_the_lps_reach() {
+    fn a_sharp_corner_far_from_the_origin_answers_as_at_the_origin() {
         // A sharp corner about 400 from the origin: `near` is 2.4e-5 beyond
-        // the edge line `a′ → b`, a residual of 6e-8 to the LP, which
-        // accepts (found by the differential test below when the margin
-        // was a bare HULL_TOLERANCE); `far`, 2.4e-3 beyond, is 6e-6.
+        // the edge line `a′ → b` and `far` 2.4e-3.  Both are beyond the one
+        // reject margin, so the polygon rejects them with no LP, the LP
+        // agrees, and the fixture moved to the origin answers the same.
         let a = [-337.103_036_637_493_2, -315.224_631_264_828_8];
         let a_prime = [-337.103_036_637_393_2, -315.224_631_264_828_8];
         let b = [-560.289_956_588_613_4, 587.674_046_938_747_8];
         let c = [-843.857_247_890_129_9, -313.829_042_569_148_56];
-        let hull = planar(&[a, a_prime, b, c]);
-        let near = Point::new(vec![-337.103_036_637_443_2, -315.224_531_264_828_84]);
-        assert!(hull.membership_lp(&near).solve_feasibility() == SolveStatus::Optimal);
-        assert_eq!(solves(|| hull.contains(&near)), (true, 1));
-        let far = Point::new(vec![-337.103_036_637_443_2, -315.214_631_264_828_8]);
-        assert!(hull.membership_lp(&far).solve_feasibility() != SolveStatus::Optimal);
-        assert_eq!(solves(|| hull.contains(&far)), (false, 0));
+        let near = [-337.103_036_637_443_2, -315.224_531_264_828_84];
+        let far = [-337.103_036_637_443_2, -315.214_631_264_828_8];
+        let generators = [a, a_prime, b, c];
+        assert_eq!(
+            the_same_at_the_origin(&generators, &[near, far]),
+            [false, false]
+        );
+        let hull = hull_of(&generators);
+        for query in [near, far] {
+            let query = Point::new(query.to_vec());
+            assert_eq!(solves(|| hull.contains(&query)), (false, 0));
+        }
+    }
+
+    #[test]
+    fn a_triangle_and_its_translate_reject_the_same_query() {
+        // The same triangle and query 2e-6 below its bottom face, at
+        // (1000, 1000) and moved by −2000 to (−1000, −1000): the query is
+        // beyond the face by more than the LP's reach at both places.
+        let triangle = [[1000.0, 1000.0], [1002.0, 1000.0], [1000.0, 1002.0]];
+        let query = [1001.0, 1000.0 - 2e-6];
+        for t in [0.0, -2000.0] {
+            let hull = hull_of(&moved(&triangle, [t; 2]));
+            let query = Point::new(moved(&[query], [t; 2])[0].to_vec());
+            let lp = hull.membership_lp(&query).solve_feasibility();
+            assert_eq!(lp, SolveStatus::Infeasible, "t = {t}");
+            assert!(!hull.contains(&query), "t = {t}");
+        }
     }
 
     #[test]
@@ -457,7 +548,7 @@ mod tests {
                 [1.8, 0.8],
             ),
         ] {
-            let hull = planar(&generators);
+            let hull = hull_of(&generators);
             assert!(hull.polygon.is_none(), "{generators:?} has a polygon");
             let (answer, lps) = solves(|| hull.contains(&Point::new(inside.to_vec())));
             assert!(
@@ -590,40 +681,123 @@ mod tests {
     }
 
     #[test]
-    fn far_from_the_origin_the_box_reject_leaves_the_lps_reach_alone() {
+    fn far_from_the_origin_the_box_reject_answers_as_at_the_origin() {
         // The triangle sits 1000 from the origin, and (1001, 1000 − 2e-6)
-        // is 2e-6 below its bottom face: weights summing to 1 + 2e-9 reach
-        // it at a residual of about 2e-9, so the LP accepts.
-        let hull = planar(&[[1000.0, 1000.0], [1002.0, 1000.0], [1000.0, 1002.0]]);
-        assert!(agrees_with_the_lp(&hull, &[1001.0, 1000.0 - 2e-6]));
+        // is 2e-6 below its bottom face: the box rejects it, the LP agrees,
+        // and so does the triangle moved to the origin.  5e-8 below, in the
+        // LP's band, both accept.
+        let triangle = [[1000.0, 1000.0], [1002.0, 1000.0], [1000.0, 1002.0]];
+        let queries = [[1001.0, 1000.0 - 2e-6], [1001.0, 1000.0 - 5e-8]];
+        assert_eq!(the_same_at_the_origin(&triangle, &queries), [false, true]);
     }
 
     #[test]
-    fn a_tetrahedron_far_from_the_origin_keeps_the_band_below_each_face() {
-        let hull = ConvexHull::new(PointMultiset::new(vec![
-            Point::new(vec![1000.0, 1000.0, 1000.0]),
-            Point::new(vec![1002.0, 1000.0, 1000.0]),
-            Point::new(vec![1000.0, 1002.0, 1000.0]),
-            Point::new(vec![1000.0, 1000.0, 1002.0]),
-        ]));
-        for offset in [2e-6, 1e-5, 5e-5, 1e-4] {
-            let below = [1000.5, 1000.5, 1000.0 - offset];
-            assert!(agrees_with_the_lp(&hull, &below), "{offset}");
+    fn a_tetrahedron_far_from_the_origin_answers_as_at_the_origin() {
+        // Below the face z = 1000: in the LP's band (5e-8 accepts, 5e-7
+        // does not), then past the box's margin, where the box rejects.
+        let tetrahedron = [
+            [1000.0, 1000.0, 1000.0],
+            [1002.0, 1000.0, 1000.0],
+            [1000.0, 1002.0, 1000.0],
+            [1000.0, 1000.0, 1002.0],
+        ];
+        let offsets = [5e-8, 5e-7, 2e-6, 1e-5, 5e-5, 1e-4, 1e-2];
+        let below: Vec<[f64; 3]> = offsets
+            .iter()
+            .map(|o| [1000.5, 1000.5, 1000.0 - o])
+            .collect();
+        let answers = the_same_at_the_origin(&tetrahedron, &below);
+        assert_eq!(answers, [true, false, false, false, false, false, false]);
+    }
+
+    /// The translations of a property about the origin: `2^10` or `2^20`,
+    /// either sign, chosen per axis by `choice`.
+    pub(crate) fn dyadic_shift<const D: usize>(choice: &[usize]) -> [f64; D] {
+        std::array::from_fn(|l| [1024.0, -1024.0, 1048576.0, -1048576.0][choice[l] % 4])
+    }
+
+    /// `count` points of the grid `2^-20 · Z` in `(−1, 1)^D`, from `grid`.
+    pub(crate) fn dyadic_points<const D: usize>(grid: &[i32], count: usize) -> Vec<[f64; D]> {
+        let unit = 2f64.powi(-20);
+        (0..count)
+            .map(|i| std::array::from_fn(|l| f64::from(grid[i * D + l]) * unit))
+            .collect()
+    }
+
+    /// The midpoints of `pairs` of `points`, each also moved `2^-step` either
+    /// way along each axis: on a segment between two points (a face, when
+    /// the segment is an edge of their hull) and just off it, on the grid
+    /// `2^-30 · Z`.
+    pub(crate) fn near_segments<const D: usize>(
+        points: &[[f64; D]],
+        pairs: impl Iterator<Item = (usize, usize)>,
+        step: i32,
+    ) -> Vec<[f64; D]> {
+        let nudge = 2f64.powi(-step);
+        let mut out = Vec::new();
+        for (i, j) in pairs {
+            let mid: [f64; D] = std::array::from_fn(|l| (points[i][l] + points[j][l]) / 2.0);
+            out.push(mid);
+            for l in 0..D {
+                for sign in [-1.0, 1.0] {
+                    let mut off = mid;
+                    off[l] += sign * nudge;
+                    out.push(off);
+                }
+            }
         }
-        // Far enough below, the box reject answers, and the LP agrees.
-        assert!(!agrees_with_the_lp(&hull, &[1000.5, 1000.5, 999.99]));
+        out
+    }
+
+    /// Every pair `i < j` below `n`.
+    fn all_pairs(n: usize) -> impl Iterator<Item = (usize, usize)> {
+        (0..n).flat_map(move |i| (i + 1..n).map(move |j| (i, j)))
+    }
+
+    /// `contains` (asserted equal to the LP) at each generator and query of
+    /// `generators`' hull, and of the hull moved by `t` at the moved query.
+    fn same_answer_moved<const D: usize>(generators: &[[f64; D]], t: [f64; D], step: i32) {
+        let queries = [
+            generators.to_vec(),
+            near_segments(generators, all_pairs(generators.len()), step),
+        ]
+        .concat();
+        let (hull, moved_hull) = (hull_of(generators), hull_of(&moved(generators, t)));
+        for (query, moved_query) in queries.iter().zip(moved(&queries, t)) {
+            assert_eq!(
+                agrees_with_the_lp(&moved_hull, &moved_query),
+                agrees_with_the_lp(&hull, query),
+                "{query:?} of {generators:?} moved by {t:?}"
+            );
+        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Hull membership does not depend on where the origin is.  On a
+        /// dyadic grid, where moving a point by `t` ∈ {±2^10, ±2^20} per
+        /// axis is exact, `contains(p)` equals `contains(p + t)` on the hull
+        /// moved by `t`, in the plane and in space, at every generator, on
+        /// every segment between two and 2^-30 to 2^-17 off it: across the
+        /// LP's band.
+        #[test]
+        fn hull_membership_does_not_depend_on_the_origin(
+            grid in prop::collection::vec(-(1i32 << 20)..1 << 20, 15),
+            count in 3usize..6,
+            step in 17i32..31,
+            choice in prop::collection::vec(0usize..4, 3),
+        ) {
+            same_answer_moved::<2>(&dyadic_points(&grid, count), dyadic_shift(&choice), step);
+            same_answer_moved::<3>(&dyadic_points(&grid, count), dyadic_shift(&choice), step);
+        }
 
         /// Whenever the polygon's sign test decides, the membership LP
         /// agrees, and `contains` agrees with the LP at every query, the box
         /// reject's included, over 3–8 generators with duplicates, collinear
         /// points, slivers, near-duplicates and edges on the bounding box,
         /// coordinates from 1e-3 to 1e3, shifted off the origin by up to
-        /// twice the scale (the membership LP reaches past a face towards
-        /// the origin, not away from it).
+        /// twice the scale.
         #[test]
         fn planar_filter_agrees_with_the_membership_lp(
             raw in prop::collection::vec(-1.0f64..1.0, 16),
@@ -638,7 +812,7 @@ mod tests {
                 .into_iter()
                 .map(|[x, y]| [x + shift, y + shift])
                 .collect();
-            let hull = planar(&generators);
+            let hull = hull_of(&generators);
             for query in awkward_queries(&generators, scale) {
                 let lp = agrees_with_the_lp(&hull, &query);
                 if let Some(polygon) = &hull.polygon {

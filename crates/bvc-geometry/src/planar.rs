@@ -17,18 +17,16 @@
 //! it; hull polygons and depth candidates keep reading the filtered answer.
 //!
 //! The reject is the hull's one reject rule (`tolerance.rs`), the same the
-//! bounding-box faces use, and this is why its margin grows with the line's
-//! distance from the origin: the membership LP (`Σ α = 1`, `Σ α_i g_i = x`,
-//! `α ≥ 0`) accepts when its L1 residual is at most `FEASIBILITY_TOLERANCE`,
-//! and weights summing to `s ≠ 1` trade residual in the `Σ α = 1` row for
-//! reach.  For `x` a distance `δ` beyond an edge line lying `c` from the
-//! origin, the residual is at least `|1 − s| + max(0, c + δ − s·c)`, whose
-//! minimum over `s` is `δ / max(1, |c|)`.  So `δ > HULL_TOLERANCE · max(1,
-//! |c|)` leaves the LP a residual above `HULL_TOLERANCE`, ten times its
-//! threshold.  For an edge `e = b − a` the cross product `e × (x − a)` is
-//! `|e|` times a signed distance, and the edge line lies `|a × e| / |e|`
-//! from the origin, so in the cross product's units the margin is
-//! `reject_margin(|e|, |a × e|)`.
+//! bounding-box faces use, and one distance wherever the edge lies: the
+//! membership LP is written relative to a generator `o` (`Σ α = 1`,
+//! `Σ α_i (g_i − o) = x − o`, `α ≥ 0`) and accepts when its L1 residual is
+//! at most `FEASIBILITY_TOLERANCE`.  Weights falling short of `Σ α = 1`
+//! reach `o + Σ α_i (g_i − o)`, a point of the hull, so `x` lies within the
+//! residual of the hull, and `δ > HULL_TOLERANCE` beyond an edge line leaves
+//! the LP a residual above `HULL_TOLERANCE`, ten times its threshold.  For an
+//! edge `e = b − a` the cross product `e × (x − a)` is `|e|` times a signed
+//! distance, so in the cross product's units the margin is
+//! `reject_margin(|e|)`.
 
 use crate::point::canonical_cmp;
 use crate::tolerance::{reject_margin, GENERATOR_EQ_TOLERANCE};
@@ -187,10 +185,7 @@ impl Polygon {
             // The margin is worked out only past an edge `x` is certainly
             // beyond.
             let beyond = -det - error;
-            let margin = || {
-                let e = [b[0] - a[0], b[1] - a[1]];
-                reject_margin(e[0].hypot(e[1]), (a[0] * e[1] - a[1] * e[0]).abs())
-            };
+            let margin = || reject_margin((b[0] - a[0]).hypot(b[1] - a[1]));
             if beyond > 0.0 && beyond > margin() {
                 return Side::Outside;
             }

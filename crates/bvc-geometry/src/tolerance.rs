@@ -19,7 +19,7 @@
 //! |---|---|---|---|
 //! | [`GENERATOR_EQ_TOLERANCE`] | 1e-12 | `‖p − g‖∞ ≤ τ` ⇒ `p ∈ H(T)` for a generator `g`, and `p ∈ Γ(Y)` when it holds for more than `f` members `g` of `Y`; `d = 2` hull polygon: the Euclidean distance from `p` to an edge segment (not its line), plus `8ε` times the largest coordinate magnitude for rounding, `≤ τ` ⇒ `p ∈ H(T)` | accept: below `EPSILON` (the nearest polygon point leaves a residual `≤ √2·τ`) |
 //! | [`D1_TOLERANCE`] | 1e-7 | `d = 1`: `Γ ≠ ∅` ⇔ `lo ≤ hi + τ`; `c ∈ Γ` ⇔ `lo − τ ≤ c ≤ hi + τ` | replaces the LP: equals `FEASIBILITY_TOLERANCE` (two intervals a gap `g` apart give a phase-1 optimum of `g`) |
-//! | [`HULL_TOLERANCE`], through [`reject_margin`] | 1e-6 | a supporting line with normal `e`, lying `c` from the origin, has `p` beyond it by more than `reject_margin(\|e\|, \|c\|·\|e\|)`, i.e. a distance `τ · max(1, \|c\|)` ⇒ `p ∉ H(T)` without an LP.  The lines: each face of a hull's bounding box and of the trimmed box (`e` a unit axis, `c` the face's bound); each edge of a `d = 2` hull polygon (`e` the edge, `\|c\|·\|e\| = \|a × e\|`); and each coordinate of the witness check `Σ αᵢgᵢ` against `p` (a box around `p`) | reject: the membership LP's residual is then at least `τ`, ten times `FEASIBILITY_TOLERANCE` (weights summing to `s ≠ 1` reach `\|c\|·\|1 − s\|` further for `\|1 − s\|` of residual, so a point `δ` beyond leaves a residual of at least `δ / max(1, \|c\|)`) |
+//! | [`HULL_TOLERANCE`], through [`reject_margin`] | 1e-6 | a supporting line with normal `e` has `p` beyond it by more than `reject_margin(\|e\|)`, i.e. a distance `τ` ⇒ `p ∉ H(T)` without an LP, wherever the line lies.  The lines: each face of a hull's bounding box and of the trimmed box (`e` a unit axis); each edge of a `d = 2` hull polygon (`e` the edge); and each coordinate of the witness check `Σ αᵢgᵢ` against `p` (a box around `p`) | reject: the membership LP's residual is then at least `τ`, ten times `FEASIBILITY_TOLERANCE`.  Both LPs are written relative to a generator `o` (`Σ αᵢ(gᵢ − o) = p − o`), and phase 1 lets the weights fall short of 1 but not exceed it, which pulls the combination towards `o`, a point of the hull: what the LP reaches lies in the hull, and `p` is within its L1 residual of that |
 //! | Shewchuk's `ccwerrboundA` (`planar.rs`) | 3.33e-16 | an orientation determinant `l − r` whose magnitude exceeds it times `\|l\| + \|r\|` has its computed sign; `p` left of every edge of a `d = 2` hull polygon so ⇒ `p ∈ H(T)` without an LP | accept: exact, strictly inside |
 //! | the exact stage of `orient_exact` (`planar.rs`) | none: exact | runs only after the static bound above leaves a sign unsure, and sums the determinant exactly from its sixteen error-free product terms.  `d = 2` Γ membership counts members on each side of every line through `p` and a member by it: every closed halfplane through `p` holding more than `f` members ⇒ `p ∈ Γ(Y)` without a hull | accept: exact (`p` is in every subset hull, so no hull test rejects it); an `Outside` count only names the subset hull whose own test (box, polygon, LP band) then decides |
 //! | [`WEIGHT_SUM_TOLERANCE`] | 1e-6 | `\|Σ w − 1\| < τ` for convex-combination weights | input check; solver weights sum to 1 within `FEASIBILITY_TOLERANCE` |
@@ -36,12 +36,11 @@ use bvc_lp::{EPSILON, FEASIBILITY_TOLERANCE};
 pub const HULL_TOLERANCE: f64 = 1e-6;
 
 /// How far a point may lie beyond a supporting line of a hull, measured in
-/// units of the line's normal `e` (`scale = |e|`, `offset = |c|·|e|` for a
-/// line `c` from the origin), before it is certainly outside: every reject
-/// short-circuit compares against this, and nothing else; see the
-/// [table](self).
-pub fn reject_margin(scale: f64, offset: f64) -> f64 {
-    HULL_TOLERANCE * scale.max(offset)
+/// units of the line's normal (`scale` its length), before it is certainly
+/// outside: every reject short-circuit compares against this, and nothing
+/// else; see the [table](self).
+pub fn reject_margin(scale: f64) -> f64 {
+    HULL_TOLERANCE * scale
 }
 
 /// Slack of the `d = 2` depth-region candidate; see the [table](self).

@@ -866,12 +866,18 @@ fn one_scenario_vocabulary() {
 
 #[test]
 fn one_membership_rule() {
-    // Hull and Γ membership have one reject rule, `reject_margin` in
+    // Hull and Γ membership have one reject rule, `reject_margin(scale)` in
     // `bvc-geometry/src/tolerance.rs`: a point beyond a supporting line by
-    // more than `HULL_TOLERANCE · max(scale, offset)`.  The hull's box
-    // faces, the trimmed box's faces, the polygon's edges and the witness
-    // check all compare against it; a bare `HULL_TOLERANCE` in a comparison
-    // is a reject that the membership LP can contradict far from the origin.
+    // more than `HULL_TOLERANCE · scale` in units of the line's normal,
+    // wherever the line lies.  The hull's box faces, the trimmed box's
+    // faces, the polygon's edges and the witness check all compare against
+    // it; a bare `HULL_TOLERANCE` in a comparison is a second rule.  The
+    // rule holds everywhere because no LP row is built from absolute
+    // generator coordinates: the membership and joint LPs state
+    // `Σ α_i (g_i − o)` relative to a generator `o` through one builder,
+    // `hull::local_combination_lp`, the only bvc-geometry code that calls
+    // `add_constraint(`, so an LP's reach past a face is its residual and
+    // no reject needs a term for the distance from the origin.
     let code = |path: &Path| -> Vec<String> {
         non_test(path)
             .lines()
@@ -892,6 +898,12 @@ fn one_membership_rule() {
             assert!(
                 lines_with(rule, "HULL_TOLERANCE") == 1,
                 "tolerance.rs must define `pub fn reject_margin(` from HULL_TOLERANCE"
+            );
+            let parameters = rule.split(')').next().unwrap_or_default();
+            assert!(
+                !parameters.contains(','),
+                "`reject_margin` takes one parameter, the normal's scale; found \
+                 `reject_margin({parameters})`: a second one reads the line's place"
             );
             lines
                 .iter()
@@ -914,6 +926,40 @@ fn one_membership_rule() {
                 .map(|l| l.as_str())
                 .collect::<Vec<_>>()
                 .join("\n")
+        );
+    }
+    let rows = naming(
+        &rust_files_under(&["crates/bvc-geometry/src"]),
+        non_test,
+        &["add_constraint("],
+    );
+    let hull = non_test(&root().join("crates/bvc-geometry/src/hull.rs"));
+    let builder = hull
+        .split("fn local_combination_lp(")
+        .nth(1)
+        .and_then(|rest| rest.split("\n}\n").next())
+        .unwrap_or_default();
+    assert!(
+        shown(&rows) == "crates/bvc-geometry/src/hull.rs"
+            && lines_with(&hull, "add_constraint(") == lines_with(builder, "add_constraint("),
+        "LP rows in bvc-geometry are built only by `hull::local_combination_lp`, relative to a \
+         generator; `add_constraint(` found elsewhere in:\n{}",
+        shown(&rows)
+    );
+    let builders = [
+        ("hull.rs", "fn membership_lp(", "\n    }\n"),
+        ("family.rs", "fn joint_candidate(", "\n}\n"),
+    ];
+    for (file, builder, end) in builders {
+        let code = non_test(&root().join("crates/bvc-geometry/src").join(file));
+        let built = code
+            .split(builder)
+            .nth(1)
+            .and_then(|rest| rest.split(end).next())
+            .unwrap_or_default();
+        assert!(
+            built.contains("local_combination_lp("),
+            "{file}'s `{builder}` must build its LP with `local_combination_lp`"
         );
     }
     // One equality tolerance, and one canonical order: the lexicographic
