@@ -118,6 +118,10 @@ fn every_lp_solve_of_a_run_is_inside_a_traced_gamma_query() {
                 config(7, 1, 2, seed).epsilon(0.1),
             ),
             (ProtocolKind::Iterative, config(7, 1, 2, seed).epsilon(0.1)),
+            // The strict d = 2 Γ path solves no LP (the depth region answers
+            // it), so the solves this test follows come from d = 3.
+            (ProtocolKind::Exact, config(7, 1, 3, seed)),
+            (ProtocolKind::Approx, config(6, 1, 3, seed).epsilon(0.05)),
         ];
         for (protocol, config) in runs {
             let (orphans, total) = orphan_solves(protocol, config);

@@ -95,32 +95,6 @@ impl Iterator for Combinations {
     }
 }
 
-/// The position of the ascending `subset` of `{0, …, n-1}` among the
-/// subsets of its size in lexicographic order: the ordinal [`Combinations`]
-/// yields it at.
-///
-/// # Panics
-///
-/// Panics if `subset` is not strictly ascending or names an index `≥ n`.
-pub(crate) fn combination_rank(n: usize, subset: &[usize]) -> u128 {
-    let k = subset.len();
-    let mut rank = 0;
-    let mut next = 0;
-    for (i, &c) in subset.iter().enumerate() {
-        assert!(
-            next <= c && c < n,
-            "subset {subset:?} of 0..{n} must ascend"
-        );
-        // Every subset that agrees before position `i` and puts a smaller
-        // index there comes first.
-        rank += (next..c)
-            .map(|j| binomial(n - 1 - j, k - 1 - i))
-            .sum::<u128>();
-        next = c + 1;
-    }
-    rank
-}
-
 /// The binomial coefficient `C(n, k)` computed in `u128` to avoid overflow for
 /// the parameter ranges the protocols run at, saturating at `u128::MAX`.
 pub fn binomial(n: usize, k: usize) -> u128 {
@@ -216,19 +190,6 @@ pub fn stirling_second(n: usize, k: usize) -> u128 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn combination_rank_is_the_stream_ordinal() {
-        for (n, k) in [(7, 5), (9, 7), (5, 1), (4, 4), (10, 8)] {
-            let mut stream = Combinations::new(n, k);
-            let mut ordinal = 0;
-            while let Some(subset) = stream.next_ref() {
-                assert_eq!(combination_rank(n, subset), ordinal, "{subset:?} of 0..{n}");
-                ordinal += 1;
-            }
-            assert_eq!(ordinal, binomial(n, k));
-        }
-    }
 
     #[test]
     fn combinations_basic_counts() {

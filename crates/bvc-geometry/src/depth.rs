@@ -1,38 +1,41 @@
-//! `Γ(Y)` in the plane by Tukey depth, with no linear program.
+//! `Γ(Y)` in the plane by Tukey depth, with no hull and no linear program.
 //!
 //! A point `x` lies outside a subset hull `H(T)` exactly when some closed
 //! halfplane through `x` misses `T`, so `Γ(Y)` is the set of points every
 //! closed halfplane around which holds more than `f` members: the Tukey
-//! depth-`(f+1)` region, which Lemma 1 keeps non-empty at
-//! `|Y| ≥ 3f + 1`.  Two questions are asked of it:
+//! depth-`(f+1)` region, which Lemma 1 keeps non-empty at `|Y| ≥ 3f + 1`.
+//! In the plane its edges lie on lines through two members, so `Γ(Y)` is
+//! the intersection of the closed sides of those lines that hold at least
+//! `|Y| − f` members, cut by the trimmed box.  Any such side contains
+//! `Γ(Y)`: the `|Y| − f` members on it span a hull inside it.  The strict
+//! `d = 2` Γ engine asks two things of it:
 //!
 //! * [`verdict`]: is `z` in it?  Exactly, by counting members on either side
 //!   of every line through `z` and a member with [`orient_exact`]: `Inside`
-//!   is a proof that every subset hull holds `z`, `Outside` names a subset
-//!   whose hull misses it.  The Γ engine trusts `Inside` and asks the hull
-//!   test about the named subset first, so a reject is the hull test's own.
-//! * [`candidate`]: a point of it, found without a simplex.  In the plane the
-//!   region's edges lie on lines through two members, so `Γ(Y)` is the
-//!   intersection of the closed sides of those lines that hold at least
-//!   `|Y| − f` members.  Any such side contains `Γ(Y)`: the `|Y| − f`
-//!   members on it span a hull inside it.  The Γ engine keeps the candidate
-//!   only when the membership test accepts it, so an error here costs a
-//!   fallback, never a wrong answer.
+//!   is a proof that every subset hull holds `z`.
+//! * [`Region`]: the kept sides and the box, each widened by
+//!   [`DEPTH_SLACK`], in a frame at the box's low corner.  Built once per
+//!   query, it rejects what its box misses ([`Region::boxes`]), answers
+//!   membership where the count says `Outside` ([`Region::sides_hold`]),
+//!   and gives a point of `Γ(Y)`, or none when `Γ(Y)` is empty
+//!   ([`Region::point`]).
 
+use crate::multiset::PointMultiset;
 use crate::planar::{orient, orient_exact, Xy};
 use crate::point::Point;
 use crate::tolerance::DEPTH_SLACK;
+use std::cell::OnceCell;
 use std::cmp::Ordering;
 
 /// What the depth count says about a point of the plane.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Verdict {
     /// Every closed halfplane through the point holds more than `f`
     /// members: the point is in `Γ(Y)`.
     Inside,
-    /// The ascending indices of `|Y| − f` members lying strictly on one side
-    /// of a line through the point: their hull misses it.
-    Outside(Vec<usize>),
+    /// Some closed halfplane through the point holds at most `f` members:
+    /// the hull of the others misses it.
+    Outside,
 }
 
 /// Whether `z ∈ Γ(members)` with fault bound `f`, by an exact depth count in
@@ -44,13 +47,12 @@ pub(crate) enum Verdict {
 /// a halfplane just turned off such a line, which holds the members
 /// strictly on one side of it plus those on one of its two rays from `z`.
 /// So the depth of `z` is the least of those four counts per line, plus the
-/// copies of `z`; `Outside` names the first `|Y| − f` members, in index
-/// order, across the first line where that falls to `f`.
+/// copies of `z`.
 pub(crate) fn verdict(members: &[Xy], f: usize, z: Xy) -> Verdict {
     let copies = members.iter().filter(|&&x| x == z).count();
-    for (i, &o) in members.iter().enumerate() {
+    let shallow = members.iter().enumerate().any(|(i, &o)| {
         if o == z || members[..i].contains(&o) {
-            continue;
+            return false;
         }
         let (mut sides, mut rays) = ([0; 2], [0; 2]);
         for &x in members.iter().filter(|&&x| x != z) {
@@ -59,21 +61,12 @@ pub(crate) fn verdict(members: &[Xy], f: usize, z: Xy) -> Verdict {
                 Place::Ray(r) => rays[r] += 1,
             }
         }
-        if copies + sides[0].min(sides[1]) + rays[0].min(rays[1]) > f {
-            continue;
-        }
-        // The larger side and the larger ray lie strictly across a line
-        // through `z` turned off `z–o`: at least `|Y| − f` members.
-        let across = [
-            Place::Side(usize::from(sides[1] > sides[0])),
-            Place::Ray(usize::from(rays[1] > rays[0])),
-        ];
-        let keep = (0..members.len())
-            .filter(|&j| members[j] != z && across.contains(&place(z, o, members[j])))
-            .take(members.len() - f);
-        return Verdict::Outside(keep.collect());
+        copies + sides[0].min(sides[1]) + rays[0].min(rays[1]) <= f
+    });
+    match shallow {
+        true => Verdict::Outside,
+        false => Verdict::Inside,
     }
-    Verdict::Inside
 }
 
 /// Where a member `x ≠ z` lies relative to the line `z–o`.
@@ -105,7 +98,8 @@ fn place(z: Xy, o: Xy, x: Xy) -> Place {
 }
 
 /// The closed halfplane `{ x : normal · (x − through) ≥ 0 }`, `normal` a
-/// unit vector so that [`DEPTH_SLACK`] is a distance.
+/// unit vector so that [`DEPTH_SLACK`] is a distance, written in its
+/// [`Region`]'s frame.
 struct Halfplane {
     normal: Xy,
     through: Xy,
@@ -120,31 +114,132 @@ impl Halfplane {
     }
 }
 
-/// Writes into `out` the sides of lines through two distinct members
-/// (canonical pair order) that hold at least `|Y| − f` members.  A member
-/// whose side is not known counts on both, which only adds halfplanes:
-/// round-off can shrink the region, never grow it.
-fn halfplanes(members: &[Xy], f: usize, out: &mut Vec<Halfplane>) {
-    let need = members.len() - f;
-    for (i, &p) in members.iter().enumerate() {
-        for &q in members[i + 1..].iter().filter(|&&q| q != p) {
-            let (mut left, mut right) = (0, 0);
-            for &x in members {
-                let side = orient(p, q, x);
-                left += usize::from(side != Some(false));
-                right += usize::from(side != Some(true));
+/// The depth region of `Y`: the trimmed box `[lo, hi]` and the sides of
+/// lines through two distinct members (canonical pair order) that hold at
+/// least `|Y| − f` members, each widened by [`DEPTH_SLACK`].  It reads `Y`
+/// as plane points, and finds the sides, only when first asked.
+///
+/// Its frame has `lo` at the origin, as the hull LPs are written relative
+/// to a generator: the difference of two nearby coordinates is exact, so
+/// the `2τ`-wide strip of a one-point `Γ` keeps its width wherever `Y`
+/// lies (at `2^26` an absolute coordinate steps by `1.5e-8`), and a shift
+/// of `Y` that is exact leaves every answer of the region unchanged.
+pub(crate) struct Region<'a> {
+    y: &'a PointMultiset,
+    f: usize,
+    lo: Xy,
+    hi: Xy,
+    /// The members of `y` as plane points, in its order.
+    members: OnceCell<Vec<Xy>>,
+    /// The kept sides.
+    planes: OnceCell<Vec<Halfplane>>,
+}
+
+impl<'a> Region<'a> {
+    /// The region of the planar `y` with fault bound `f` in its trimmed box
+    /// `(lo, hi)`; nothing is computed yet.
+    pub(crate) fn new(y: &'a PointMultiset, f: usize, (lo, hi): (&[f64], &[f64])) -> Self {
+        Self {
+            y,
+            f,
+            lo: [lo[0], lo[1]],
+            hi: [hi[0], hi[1]],
+            members: OnceCell::new(),
+            planes: OnceCell::new(),
+        }
+    }
+
+    /// The members of `Y` as plane points, in its order.
+    pub(crate) fn members(&self) -> &[Xy] {
+        self.members
+            .get_or_init(|| self.y.iter().map(|p| [p.coord(0), p.coord(1)]).collect())
+    }
+
+    /// `x` in the region's frame.
+    fn local(&self, x: Xy) -> Xy {
+        [x[0] - self.lo[0], x[1] - self.lo[1]]
+    }
+
+    /// The kept sides.  A member whose side of a line is not known counts
+    /// on both, which only adds halfplanes: round-off can shrink the
+    /// region, never grow it.
+    fn planes(&self) -> &[Halfplane] {
+        self.planes.get_or_init(|| {
+            let members = self.members();
+            let need = members.len() - self.f;
+            let mut planes = Vec::with_capacity(members.len() * (members.len() - 1));
+            for (i, &p) in members.iter().enumerate() {
+                for &q in members[i + 1..].iter().filter(|&&q| q != p) {
+                    let (mut left, mut right) = (0, 0);
+                    for &x in members {
+                        let side = orient(p, q, x);
+                        left += usize::from(side != Some(false));
+                        right += usize::from(side != Some(true));
+                    }
+                    let (ux, uy) = (q[0] - p[0], q[1] - p[1]);
+                    let norm = ux.hypot(uy);
+                    let normal = [-uy / norm, ux / norm];
+                    let through = self.local(p);
+                    if left >= need {
+                        planes.push(Halfplane { normal, through });
+                    }
+                    if right >= need {
+                        let normal = [-normal[0], -normal[1]];
+                        planes.push(Halfplane { normal, through });
+                    }
+                }
             }
-            let (ux, uy) = (q[0] - p[0], q[1] - p[1]);
-            let norm = ux.hypot(uy);
-            let normal = [-uy / norm, ux / norm];
-            if left >= need {
-                out.push(Halfplane { normal, through: p });
-            }
-            if right >= need {
-                let normal = [-normal[0], -normal[1]];
-                out.push(Halfplane { normal, through: p });
+            planes
+        })
+    }
+
+    /// Whether `x` lies within [`DEPTH_SLACK`] of the box and of every kept
+    /// side.
+    fn holds(&self, x: Xy) -> bool {
+        self.boxes(x) && self.sides_hold(x)
+    }
+
+    /// Whether `x` lies within [`DEPTH_SLACK`] of the box.
+    pub(crate) fn boxes(&self, x: Xy) -> bool {
+        (0..2).all(|l| x[l] - self.lo[l] >= -DEPTH_SLACK && x[l] - self.hi[l] <= DEPTH_SLACK)
+    }
+
+    /// Whether `x` lies within [`DEPTH_SLACK`] of every kept side.
+    pub(crate) fn sides_hold(&self, x: Xy) -> bool {
+        let x = self.local(x);
+        self.planes().iter().all(|plane| plane.excess(x) >= 0.0)
+    }
+
+    /// A point of the region: the first member, in `Y`'s order, that it
+    /// [holds](Self::holds); else the mean of the vertices of the box
+    /// clipped by every kept side; `None` when the clip is empty.
+    ///
+    /// Members come first because an answer equal to a member lets the next
+    /// round's queries short-circuit on generator and multiplicity equality.
+    /// The box closes what the members' lines leave open (all members
+    /// collinear, say).
+    pub(crate) fn point(&self) -> Option<Point> {
+        if let Some(member) = self.members().iter().find(|&&x| self.holds(x)) {
+            return Some(Point::new(member.to_vec()));
+        }
+        // Each pass adds at most one vertex; the two buffers take turns.
+        let planes = self.planes();
+        let mut polygon = Vec::with_capacity(4 + planes.len());
+        let top = self.local(self.hi);
+        polygon.extend([[0.0, 0.0], [top[0], 0.0], top, [0.0, top[1]]]);
+        let mut spare = Vec::with_capacity(polygon.capacity());
+        for plane in planes {
+            clip(&polygon, plane, &mut spare);
+            std::mem::swap(&mut polygon, &mut spare);
+            if polygon.is_empty() {
+                return None;
             }
         }
+        let n = polygon.len() as f64;
+        let (sx, sy) = polygon
+            .iter()
+            .fold((0.0, 0.0), |(sx, sy), v| (sx + v[0], sy + v[1]));
+        Some(Point::new(vec![self.lo[0] + sx / n, self.lo[1] + sy / n]))
     }
 }
 
@@ -165,56 +260,13 @@ fn clip(polygon: &[Xy], plane: &Halfplane, out: &mut Vec<Xy>) {
     }
 }
 
-/// A candidate point of `Γ(members)` for `d = 2`, `f > 0`, where `(lo, hi)`
-/// is the trimmed box (`Γ` lies inside it): the first member, in the order
-/// given, that the box and every kept halfplane hold within
-/// [`DEPTH_SLACK`]; else the mean of the vertices of the box clipped by
-/// every kept halfplane; `None` when the clip is empty.
-///
-/// Members come first because an answer equal to a member lets the next
-/// round's queries short-circuit on generator and multiplicity equality.
-/// The box closes what the members' lines leave open (all members
-/// collinear, say).
-pub(crate) fn candidate(members: &[Xy], f: usize, (lo, hi): (&[f64], &[f64])) -> Option<Point> {
-    let pairs = members.len() * members.len().saturating_sub(1);
-    let mut planes = Vec::with_capacity(pairs);
-    halfplanes(members, f, &mut planes);
-    let in_box =
-        |x: &Xy| (0..2).all(|l| x[l] >= lo[l] - DEPTH_SLACK && x[l] <= hi[l] + DEPTH_SLACK);
-    let held = |x: &&Xy| in_box(x) && planes.iter().all(|plane| plane.excess(**x) >= 0.0);
-    if let Some(member) = members.iter().find(held) {
-        return Some(Point::new(member.to_vec()));
-    }
-    // Each pass adds at most one vertex; the two buffers take turns.
-    let mut polygon = Vec::with_capacity(4 + planes.len());
-    polygon.extend([
-        [lo[0], lo[1]],
-        [hi[0], lo[1]],
-        [hi[0], hi[1]],
-        [lo[0], hi[1]],
-    ]);
-    let mut spare = Vec::with_capacity(polygon.capacity());
-    for plane in &planes {
-        clip(&polygon, plane, &mut spare);
-        std::mem::swap(&mut polygon, &mut spare);
-        if polygon.is_empty() {
-            return None;
-        }
-    }
-    let n = polygon.len() as f64;
-    let (sx, sy) = polygon
-        .iter()
-        .fold((0.0, 0.0), |(sx, sy), v| (sx + v[0], sy + v[1]));
-    Some(Point::new(vec![sx / n, sy / n]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::combinatorics::Combinations;
     use crate::family::tests::biased;
-    use crate::family::HullFamily;
     use crate::gamma::{gamma_contains, trimmed_bounds, trimmed_centre};
-    use crate::multiset::PointMultiset;
+    use bvc_lp::FEASIBILITY_TOLERANCE;
     use proptest::prelude::*;
 
     fn plane(y: &PointMultiset) -> Vec<Xy> {
@@ -228,15 +280,9 @@ mod tests {
         let square = [[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]];
         assert_eq!(verdict(&square, 1, [1.0, 1.0]), Verdict::Inside);
         // Just off the crossing, the side away from it holds three members.
-        assert_eq!(
-            verdict(&square, 1, [1.0, 1.0 + 1e-15]),
-            Verdict::Outside(vec![0, 1, 2])
-        );
+        assert_eq!(verdict(&square, 1, [1.0, 1.0 + 1e-15]), Verdict::Outside);
         // A corner: its one copy and one neighbour are all a halfplane holds.
-        assert_eq!(
-            verdict(&square, 1, [0.0, 0.0]),
-            Verdict::Outside(vec![1, 2, 3])
-        );
+        assert_eq!(verdict(&square, 1, [0.0, 0.0]), Verdict::Outside);
         // Two copies of a point survive any one removal.
         let doubled = [[0.0, 0.0], [0.0, 0.0], [5.0, 1.0], [1.0, 5.0]];
         assert_eq!(verdict(&doubled, 1, [0.0, 0.0]), Verdict::Inside);
@@ -248,14 +294,47 @@ mod tests {
         // and the count sees it only by telling the two rays apart.
         let line: Vec<Xy> = (0..5).map(|i| [i as f64 * 0.1, i as f64 * 0.2]).collect();
         assert_eq!(verdict(&line, 2, line[2]), Verdict::Inside);
-        assert_eq!(verdict(&line, 2, line[1]), Verdict::Outside(vec![2, 3, 4]));
-        assert_eq!(
-            verdict(&line, 2, [0.25, 0.5]),
-            Verdict::Outside(vec![0, 1, 2])
-        );
+        assert_eq!(verdict(&line, 2, line[1]), Verdict::Outside);
+        assert_eq!(verdict(&line, 2, [0.25, 0.5]), Verdict::Outside);
         // Off the line by the least step, nothing is deep.
         let off = [0.2, 0.4f64.next_up()];
-        assert!(matches!(verdict(&line, 1, off), Verdict::Outside(_)));
+        assert_eq!(verdict(&line, 1, off), Verdict::Outside);
+    }
+
+    #[test]
+    fn past_a_sharp_vertex_of_a_subset_hull_the_trimmed_box_rejects() {
+        // The hull of {v, a, b} has a vertex at v with an angle θ = 1e-3
+        // about the direction u, and c lies behind v, so v ∈ Γ with f = 1.
+        // Behind v along u, the sides through v (widened by τ) reach
+        // τ / sin(θ/2) = 2e-6 past it, twenty times FEASIBILITY_TOLERANCE.
+        // The trimmed box cuts them short: three members lie ahead of v in
+        // x, so its lower x face is v's own, and an accepted point stays
+        // within a few τ of v, hence of every subset hull.
+        let (phi, theta) = (0.7f64, 1e-3);
+        let v = [0.3, 0.6];
+        let at = |angle: f64, r: f64| [v[0] + r * angle.cos(), v[1] + r * angle.sin()];
+        let members = [
+            v,
+            at(phi + theta / 2.0, 1.0),
+            at(phi - theta / 2.0, 1.0),
+            at(phi + std::f64::consts::PI + 2e-4, 1.0),
+        ];
+        let y = PointMultiset::new(members.iter().map(|m| Point::new(m.to_vec())).collect());
+        let (lo, hi) = trimmed_bounds(&y, 1);
+        assert_eq!(lo[0], v[0]);
+        let region = Region::new(&y, 1, (&lo, &hi));
+        let reach = DEPTH_SLACK / (theta / 2.0).sin();
+        for k in 0..=40 {
+            let s = reach * 0.99 * 0.7f64.powi(k);
+            let z = at(phi + std::f64::consts::PI, s);
+            assert!(region.sides_hold(z), "{s:e} behind v: outside a side");
+            let accepted = gamma_contains(&y, 1, &Point::new(z.to_vec()));
+            assert_eq!(accepted, region.boxes(z), "{s:e} behind v");
+            if accepted {
+                assert!(s <= 3.0 * DEPTH_SLACK, "{s:e} behind v accepted");
+            }
+        }
+        assert!(gamma_contains(&y, 1, &Point::new(v.to_vec())));
     }
 
     /// The shapes the differential test draws, each from the same raw
@@ -288,16 +367,47 @@ mod tests {
         PointMultiset::new(points)
     }
 
+    /// The distance from `z` to the hull of `members`, measured without a
+    /// linear program: 0 when the exact depth count with `f = 0` puts `z`
+    /// inside it, else the distance to the nearest segment between two
+    /// members (the nearest point of the hull lies on an edge).
+    fn distance_to_hull(members: &[Xy], z: Xy) -> f64 {
+        if verdict(members, 0, z) == Verdict::Inside {
+            return 0.0;
+        }
+        let to_segment = |a: Xy, b: Xy| {
+            let (ux, uy) = (b[0] - a[0], b[1] - a[1]);
+            let length = ux * ux + uy * uy;
+            let along = ux * (z[0] - a[0]) + uy * (z[1] - a[1]);
+            let t = if length > 0.0 {
+                (along / length).clamp(0.0, 1.0)
+            } else {
+                0.0
+            };
+            (z[0] - a[0] - t * ux).hypot(z[1] - a[1] - t * uy)
+        };
+        let mut nearest = f64::INFINITY;
+        for (i, &a) in members.iter().enumerate() {
+            for &b in &members[i..] {
+                nearest = nearest.min(to_segment(a, b));
+            }
+        }
+        nearest
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The exact depth count against the subset hulls' own membership
-        /// test: `Inside` is always accepted; `Outside` names a subset of
-        /// the family whose hull, asked first, leaves the family's answer
-        /// as it was; and the Γ membership test built on both answers
-        /// exactly as the hull stream does.
+        /// Γ membership against the subset hulls, both measured exactly: a
+        /// point the exact depth count calls `Inside` is accepted, and a
+        /// point `gamma_contains` accepts lies within
+        /// `FEASIBILITY_TOLERANCE` (the membership LP's own band) of every
+        /// subset hull.  Queries: the members, midpoints of consecutive
+        /// members, the centroid, the trimmed centre, a probe, the depth
+        /// region's point, and 1e-10 to 1e-6 off that point in sixteen
+        /// directions.
         #[test]
-        fn verdict_agrees_with_the_subset_hulls(
+        fn gamma_accepts_every_inside_point_and_only_points_near_every_subset_hull(
             raw in prop::collection::vec(prop::collection::vec(-2.0f64..2.0, 3), 7),
             kinds in prop::collection::vec(0usize..6, 7),
             which in 0usize..5,
@@ -319,19 +429,37 @@ mod tests {
                 queries.push(Point::centroid(y.points()));
                 queries.push(trimmed_centre(&lo, &hi));
                 queries.push(moved(&Point::new(probe.clone())));
-                queries.extend(candidate(&members, f, (&lo, &hi)));
-                for z in &queries {
-                    let every = HullFamily::gamma(&y, f).all_contain(z);
-                    match verdict(&members, f, [z.coord(0), z.coord(1)]) {
-                        Verdict::Inside => prop_assert!(every, "{} inside Γ of {:?}, f = {}", z, y, f),
-                        Verdict::Outside(keep) => {
-                            prop_assert_eq!(keep.len(), y.len() - f);
-                            prop_assert!(keep.windows(2).all(|w| w[0] < w[1]), "{:?}", keep);
-                            let first = HullFamily::gamma(&y, f).all_contain_from(&keep, z);
-                            prop_assert_eq!(first, every, "{} of {:?}, f = {}", z, y, f);
+                if let Some(p) = Region::new(&y, f, (&lo, &hi)).point() {
+                    for k in 0..16 {
+                        let (sin, cos) = (f64::from(k) * std::f64::consts::PI / 8.0).sin_cos();
+                        for step in [1e-10, 1e-9, 1e-8, 1e-7, 1e-6] {
+                            let off = [p.coord(0) + step * cos, p.coord(1) + step * sin];
+                            queries.push(Point::new(off.to_vec()));
                         }
                     }
-                    prop_assert_eq!(gamma_contains(&y, f, z), every, "{} of {:?}, f = {}", z, y, f);
+                    queries.push(p);
+                }
+                let mut subsets = Combinations::new(y.len(), y.len() - f);
+                let mut hulls: Vec<Vec<Xy>> = Vec::new();
+                while let Some(subset) = subsets.next_ref() {
+                    hulls.push(subset.iter().map(|&i| members[i]).collect());
+                }
+                for z in &queries {
+                    let xy = [z.coord(0), z.coord(1)];
+                    let accepted = gamma_contains(&y, f, z);
+                    if verdict(&members, f, xy) == Verdict::Inside {
+                        prop_assert!(accepted, "{} inside Γ of {:?}, f = {}, rejected", z, y, f);
+                    }
+                    if accepted {
+                        for hull in &hulls {
+                            let distance = distance_to_hull(hull, xy);
+                            prop_assert!(
+                                distance <= FEASIBILITY_TOLERANCE,
+                                "{} accepted {:e} from the hull of {:?}: Γ of {:?}, f = {}",
+                                z, distance, hull, y, f
+                            );
+                        }
+                    }
                 }
             }
         }

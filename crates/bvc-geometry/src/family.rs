@@ -7,20 +7,22 @@
 //! Theorem-1 necessity argument intersects the `n` leave-one-out hulls.  A
 //! constructor fixes which of the three it is — the multiset, the subset
 //! stream and the dilation — and nothing else differs: every hull is built
-//! lazily, at most once per family, in stream order — or, for one subset a
-//! caller names, out of it — and the queries
+//! lazily, at most once per family, in stream order, and the queries
 //! ([`all_contain`](HullFamily::all_contain),
-//! [`all_contain_from`](HullFamily::all_contain_from),
 //! [`common_point`](HullFamily::common_point)) plus the all-hulls joint LP of
 //! Section 2.2 ([`joint_common_point`](HullFamily::joint_common_point) — the
 //! loop's numerical fallback and the tests' oracle) are written once, here.
+//!
+//! The strict `d = 2` Γ engine builds no family: the depth region
+//! (`depth.rs`) answers it.  A family serves `d ≥ 3`, `f = 0`, `Γ_α` and
+//! the leave-one-out intersection.
 //!
 //! The family keeps the member order it is given: a point-valued answer is a
 //! function of the *multiset* only when the caller hands the members over in
 //! canonical order, which the Γ engine does; the leave-one-out family keeps
 //! process order, because Theorem 1 indexes its hulls by process.
 
-use crate::combinatorics::{binomial, combination_rank, Combinations};
+use crate::combinatorics::{binomial, Combinations};
 use crate::hull::{local_combination_lp, ConvexHull};
 use crate::multiset::PointMultiset;
 use crate::point::Point;
@@ -29,8 +31,8 @@ use bvc_lp::SolveStatus;
 
 /// The index subsets of a family, in the order its hulls are numbered.
 enum Subsets {
-    /// All subsets of `size` members, lexicographically.
-    OfSize { stream: Combinations, size: usize },
+    /// All subsets of one size, lexicographically.
+    OfSize(Combinations),
     /// `0..n` without `drop`, for `drop = 0, 1, …` (the next one is stored).
     LeaveOneOut(usize),
 }
@@ -44,11 +46,8 @@ pub(crate) struct HullFamily<'a> {
     /// identity.
     alpha: f64,
     count: usize,
-    /// The hulls built so far, by ordinal: every ordinal below `streamed`,
-    /// and any a caller named by its subset.
-    built: Vec<Option<ConvexHull>>,
-    /// The ordinals the subset stream has passed.
-    streamed: usize,
+    /// The hulls built so far, in stream order.
+    built: Vec<ConvexHull>,
 }
 
 impl<'a> HullFamily<'a> {
@@ -76,14 +75,10 @@ impl<'a> HullFamily<'a> {
         let k = y.len() - f;
         Self {
             members: y,
-            subsets: Subsets::OfSize {
-                stream: Combinations::new(y.len(), k),
-                size: k,
-            },
+            subsets: Subsets::OfSize(Combinations::new(y.len(), k)),
             alpha,
             count: usize::try_from(binomial(y.len(), k)).unwrap_or(usize::MAX),
             built: Vec::new(),
-            streamed: 0,
         }
     }
 
@@ -104,18 +99,17 @@ impl<'a> HullFamily<'a> {
             alpha: 0.0,
             count: y.len(),
             built: Vec::new(),
-            streamed: 0,
         }
     }
 
     /// The hull with the given ordinal, streaming the subsets up to it first
-    /// and building each the stream passes that is not built yet.
+    /// and building each the stream passes.
     fn hull(&mut self, ordinal: usize) -> &ConvexHull {
-        while self.streamed <= ordinal {
-            let (members, unbuilt) = (self.members, !self.is_built(self.streamed));
+        while self.built.len() <= ordinal {
+            let members = self.members;
             let keep: Vec<usize>;
             let subset = match &mut self.subsets {
-                Subsets::OfSize { stream, .. } => stream
+                Subsets::OfSize(stream) => stream
                     .next_ref()
                     .expect("ordinal is below the combination count"),
                 Subsets::LeaveOneOut(drop) => {
@@ -124,30 +118,9 @@ impl<'a> HullFamily<'a> {
                     &keep
                 }
             };
-            if let Some(hull) = unbuilt.then(|| build(members, subset, self.alpha)) {
-                self.store(self.streamed, hull);
-            }
-            self.streamed += 1;
+            self.built.push(build(members, subset, self.alpha));
         }
-        self.built(ordinal)
-    }
-
-    /// `true` when the hull with the given ordinal is built.
-    fn is_built(&self, ordinal: usize) -> bool {
-        self.built.get(ordinal).is_some_and(Option::is_some)
-    }
-
-    /// The hull with the given ordinal, which must be built already.
-    fn built(&self, ordinal: usize) -> &ConvexHull {
-        self.built[ordinal].as_ref().expect("the hull is built")
-    }
-
-    /// Stores `hull` under `ordinal`.
-    fn store(&mut self, ordinal: usize, hull: ConvexHull) {
-        if self.built.len() <= ordinal {
-            self.built.resize_with(ordinal + 1, || None);
-        }
-        self.built[ordinal] = Some(hull);
+        &self.built[ordinal]
     }
 
     /// Returns `true` if every hull of the family contains `point`,
@@ -156,40 +129,13 @@ impl<'a> HullFamily<'a> {
         (0..self.count).all(|ordinal| self.hull(ordinal).contains(point))
     }
 
-    /// [`all_contain`](Self::all_contain), asking the hull of `keep` first:
-    /// `keep` is one of the family's subsets, ascending, and its hull is
-    /// built alone, out of stream order, and kept under its lexicographic
-    /// ordinal.  When it refutes `point` no other hull is built; otherwise
-    /// every other hull is asked in order.  The answer is `all_contain`'s.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a leave-one-out family, or if `keep` is not a subset of
-    /// the family's size.
-    pub(crate) fn all_contain_from(&mut self, keep: &[usize], point: &Point) -> bool {
-        let Subsets::OfSize { size, .. } = self.subsets else {
-            panic!("only a family of all subsets of one size ranks a subset");
-        };
-        assert_eq!(keep.len(), size, "a subset of the family's size");
-        let rank = combination_rank(self.members.len(), keep);
-        let first = usize::try_from(rank).expect("the ordinal is below the hull count");
-        if !self.is_built(first) {
-            let hull = build(self.members, keep, self.alpha);
-            self.store(first, hull);
-        }
-        self.built(first).contains(point)
-            && (0..self.count)
-                .filter(|&ordinal| ordinal != first)
-                .all(|ordinal| self.hull(ordinal).contains(point))
-    }
-
     /// The all-hulls formulation of Section 2.2: every hull materialised, one
     /// monolithic joint LP, its candidate re-verified against each hull.
     /// `None` means no point was certified (see
     /// [`ConvexHull::common_point`]).
     pub(crate) fn joint_common_point(&mut self) -> Option<Point> {
         self.hull(self.count - 1);
-        joint_common_point(&self.built.iter().flatten().collect::<Vec<_>>())
+        joint_common_point(&self.built.iter().collect::<Vec<_>>())
     }
 
     /// A deterministically chosen point common to every hull, or `None`; the
@@ -213,7 +159,7 @@ impl<'a> HullFamily<'a> {
         self.hull(0);
         let mut active: Vec<usize> = vec![0];
         loop {
-            let working: Vec<&ConvexHull> = active.iter().map(|&o| self.built(o)).collect();
+            let working: Vec<&ConvexHull> = active.iter().map(|&o| &self.built[o]).collect();
             let z = match joint_candidate(&working) {
                 (SolveStatus::Infeasible, _) => return (None, false),
                 (SolveStatus::Optimal, Some(z)) => z,
@@ -230,7 +176,7 @@ impl<'a> HullFamily<'a> {
                 // The candidate passed every hull outside the working set;
                 // re-verify the working set itself to guard against joint-LP
                 // round-off before accepting.
-                None if active.iter().all(|&o| self.built(o).contains(&z)) => {
+                None if active.iter().all(|&o| self.built[o].contains(&z)) => {
                     return (Some(z), false)
                 }
                 None => return (self.joint_common_point(), true),
@@ -282,45 +228,6 @@ pub(crate) mod tests {
         canonical_order, gamma_contains, gamma_is_empty, gamma_point, leave_one_out_intersection,
     };
     use proptest::prelude::*;
-
-    impl HullFamily<'_> {
-        /// How many hulls the family has built.
-        pub(crate) fn hulls_built(&self) -> usize {
-            self.built.iter().flatten().count()
-        }
-    }
-
-    #[test]
-    fn a_subset_asked_first_is_built_alone_and_not_again() {
-        let y = PointMultiset::new(
-            [[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [0.0, 4.0], [2.0, 1.0]]
-                .iter()
-                .map(|c| Point::new(c.to_vec()))
-                .collect(),
-        );
-        // (3, 3) is outside the hulls of members 0, 1, 3 and 0, 1, 4
-        // (ordinals 1 and 2 of the ten 3-subsets) and inside those of 0, 1,
-        // 2 and 1, 2, 3 (ordinals 0 and 9).
-        let outside = Point::new(vec![3.0, 3.0]);
-        let mut family = HullFamily::gamma(&y, 2);
-        assert!(!family.all_contain_from(&[0, 1, 4], &outside));
-        assert_eq!(family.hulls_built(), 1);
-        assert!(!family.all_contain_from(&[1, 2, 3], &outside));
-        assert_eq!(
-            family.hulls_built(),
-            4,
-            "ordinal 9, then 0 and 1, which refutes"
-        );
-        assert!(!family.all_contain(&outside));
-        assert_eq!(
-            family.hulls_built(),
-            4,
-            "the stream stops at ordinal 1 again"
-        );
-        // Materialising the family builds the other six, once each.
-        let _ = family.joint_common_point();
-        assert_eq!(family.hulls_built(), 10);
-    }
 
     /// `raw[i]` cut to `d` coordinates and bent by `kinds[i]`, biased toward
     /// what an LP formulation gets wrong: a copy of an earlier point, an

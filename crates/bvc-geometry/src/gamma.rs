@@ -14,11 +14,12 @@
 //!
 //! This module provides membership tests, emptiness checks, and the
 //! deterministic point-selection rule shared by all non-faulty processes.
-//! The subset hulls are a `HullFamily`: built lazily from the streamed
-//! subsets, membership short-circuiting on the first refuting hull, the
-//! point found by growing an active set of binding hulls instead of solving
-//! the monolithic `C(|Y|, |Y|−f)`-block joint LP of Section 2.2.  Two exact
-//! closed forms bypass the solver entirely:
+//! From `d = 3` on (and for `f = 0`) the subset hulls are a `HullFamily`:
+//! built lazily from the streamed subsets, membership short-circuiting on
+//! the first refuting hull, the point found by growing an active set of
+//! binding hulls instead of solving the monolithic `C(|Y|, |Y|−f)`-block
+//! joint LP of Section 2.2.  Two exact closed forms bypass the solver
+//! entirely:
 //!
 //! * `d = 1`: `Γ(Y)` is the interval `[y_(f+1), y_(|Y|−f)]` of the sorted
 //!   multiset (drop the `f` smallest / largest members);
@@ -27,15 +28,16 @@
 //!   per-coordinate trimmed range `[y^l_(f+1), y^l_(|Y|−f)]` lies outside
 //!   some subset hull.
 //!
-//! A strict point query builds at most one family and one membership test:
-//! its trimmed-centre probe asks the test and, on a miss, the active-set
-//! search reuses the hulls the test built.  At `d = 2` a miss first asks the
-//! depth region (`depth.rs`: halfplanes through member pairs, no simplex)
-//! for a candidate, kept only if the same test accepts it.  In the plane
-//! that test is an exact Tukey-depth count (`depth::verdict`): `Inside`
-//! answers with no hull, and `Outside` names the one subset whose hull is
-//! asked first, so a reject is the hull test's own and the family is
-//! streamed only when that hull accepts (the LP tolerance band).  Membership
+//! A strict point query builds one membership test: its trimmed-centre
+//! probe asks the test and, on a miss, the test's own engine answers.  In
+//! the plane that engine is the depth region (`depth.rs`), with no hull and
+//! no simplex: past the two short-circuits above, membership is the exact
+//! Tukey-depth count (`depth::verdict`; `Inside` is a proof) and else
+//! whether the region, widened by `DEPTH_SLACK`, holds the point; the point
+//! is the region's (a member it holds, else the mean of its clipped
+//! vertices), and an empty region is an empty `Γ`.  From `d = 3` on the
+//! engine is the subset hulls, streamed for membership and searched by the
+//! active set for the point, reusing the hulls the probe built.  Membership
 //! answers a `bool` and names no path; which path answered a *point* query
 //! is a [`GammaAttribution`], written into that query's one `gamma` trace
 //! event.
@@ -56,7 +58,6 @@ use crate::depth::{self, Verdict};
 use crate::family::HullFamily;
 use crate::hull::{ConvexHull, RejectBox};
 use crate::multiset::PointMultiset;
-use crate::planar::Xy;
 use crate::point::{canonical_cmp, Point};
 use crate::relaxed::{k_relaxed_point, ModeKey};
 use crate::tolerance::{D1_TOLERANCE, GENERATOR_EQ_TOLERANCE};
@@ -115,9 +116,9 @@ pub fn gamma_point_of(view: SubsetView<'_>, f: usize) -> Option<Point> {
 /// the miss arm of [`GammaCache`](crate::cache::GammaCache) all end here, so
 /// this is where "the engine says empty" is produced:
 ///
-/// * strict — the `d = 1` closed form, else the trimmed-box probe, else (at
-///   `d = 2`) a verified depth-region point, else the [`HullFamily::gamma`]
-///   active-set search (attributed by path);
+/// * strict — the `d = 1` closed form, else the trimmed-box probe, else the
+///   depth region's point at `d = 2` and the [`HullFamily::gamma`]
+///   active-set search from `d = 3` on (attributed by path);
 /// * `Alpha(α)` — the [`HullFamily::dilated_gamma`] search;
 /// * `K(k)` — the strict point when it exists (it satisfies every
 ///   projection), else the [`k_relaxed_point`] trimmed centre.  `strict_leg`
@@ -157,71 +158,35 @@ pub(crate) fn engine_point(
 
 /// The strict rule: the `d = 1` closed form is read straight off the view;
 /// every other shape materialises the canonical multiset and probes the
-/// trimmed centre; on a miss a `d = 2` shape tries its depth region, and
-/// only then is the family searched.
+/// trimmed centre; on a miss the depth region answers at `d = 2`, the
+/// active-set search over the subset hulls elsewhere.
 fn strict_point(view: SubsetView<'_>, f: usize) -> (Option<Point>, GammaAttribution) {
-    let attributed = |path| GammaAttribution {
-        path,
-        probe_missed: false,
-    };
+    let attributed = |path, probe_missed| GammaAttribution { path, probe_missed };
     if view.dim() == 1 {
         let (lo, hi) = d1_interval(view.len(), f, |j| view.point(j).coord(0));
         let point = d1_midpoint(lo, hi).map(|mid| Point::new(vec![mid]));
-        return (point, attributed(GammaPath::D1ClosedForm));
+        return (point, attributed(GammaPath::D1ClosedForm, false));
     }
     let canon = view.to_multiset();
     if f == 0 {
         let point = HullFamily::gamma(&canon, 0).common_point().0;
-        return (point, attributed(GammaPath::HullF0));
+        return (point, attributed(GammaPath::HullF0, false));
     }
     let (lo, hi) = trimmed_bounds(&canon, f);
-    probe_then_search(&mut Membership::new(&canon, f, (&lo, &hi)))
-}
-
-/// The strict rule for `f > 0`, `d ≥ 2`, over the membership test of
-/// `Γ(y)`: the probe, the depth region at `d = 2`, then the active-set
-/// search over the test's own family.
-fn probe_then_search(membership: &mut Membership<'_>) -> (Option<Point>, GammaAttribution) {
-    let (lo, hi) = membership.bounds;
-    // Cheap deterministic probe before any joint LP: the centre of the
-    // trimmed bounding box.  When the honest states have converged into a
-    // tight cluster (the steady state of every iterative protocol here) the
-    // trimmed centre sits inside the cluster and passes the membership
-    // test for a few microseconds, where the joint LP over near-duplicate
-    // generators is at its numerically worst.  The probe is order-invariant,
-    // so determinism is unaffected.  A miss searches the same family: the
-    // hulls the probe built are not built again.
-    let centre = trimmed_centre(lo, hi);
+    let mut membership = Membership::new(&canon, f, (&lo, &hi));
+    // Cheap deterministic probe first: the centre of the trimmed bounding
+    // box.  When the honest states have converged into a tight cluster (the
+    // steady state of every iterative protocol here) the trimmed centre
+    // sits inside the cluster and passes the membership test for a few
+    // microseconds.  The probe is order-invariant, so determinism is
+    // unaffected.  A miss asks the same test's engine, so nothing the probe
+    // built is built again.
+    let centre = trimmed_centre(&lo, &hi);
     if membership.contains(&centre) {
-        let path = GammaPath::ProbeHit;
-        return (
-            Some(centre),
-            GammaAttribution {
-                path,
-                probe_missed: false,
-            },
-        );
+        return (Some(centre), attributed(GammaPath::ProbeHit, false));
     }
-    let probe_missed = true;
-    // In the plane a miss is answered by the depth region (no simplex),
-    // accepted only by the same membership test; an empty clip or a refuted
-    // candidate searches as before, so emptiness is still the search's to
-    // decide.
-    if membership.y.dim() == 2 {
-        let f = membership.f;
-        if let Some(z) = depth::candidate(membership.plane_points(), f, (lo, hi))
-            .filter(|z| membership.contains(z))
-        {
-            let path = GammaPath::DepthRegion;
-            return (Some(z), GammaAttribution { path, probe_missed });
-        }
-    }
-    let (value, fell_back) = membership.family.common_point();
-    let path = match fell_back {
-        true => GammaPath::NaiveFallback,
-        false => GammaPath::ActiveSetLp,
-    };
-    (value, GammaAttribution { path, probe_missed })
+    let (point, path) = membership.search();
+    (point, attributed(path, true))
 }
 
 /// Returns `true` if `point ∈ Γ(y)` with fault bound `f`.
@@ -506,51 +471,53 @@ pub(crate) fn trimmed_centre(lo: &[f64], hi: &[f64]) -> Point {
 }
 
 /// Membership in `Γ(y)`, `f > 0`, `d ≥ 2`, with what the questions read
-/// built at most once, and only when a question needs it: the family of
-/// subset hulls, the trimmed box's [`RejectBox`] and, in the plane, the
-/// members as plane points.
+/// built at most once, and only when a question needs it: from `d = 3` on
+/// the trimmed box's [`RejectBox`], and the [`Engine`].
 struct Membership<'a> {
     y: &'a PointMultiset,
     f: usize,
     /// The trimmed range `[lo, hi]`, which holds `Γ(y)`.
     bounds: (&'a [f64], &'a [f64]),
-    /// The `(|y|−f)`-subset hulls, built as questions need them and kept for
-    /// the active-set search.
-    family: HullFamily<'a>,
-    /// The trimmed range widened by its reject margin.
+    /// The trimmed range widened by its reject margin, for the subset
+    /// hulls; the depth region has its own, tighter box.
     trimmed: Option<RejectBox>,
-    /// At `d = 2`, the members of `y` in its order.
-    planar: Option<Vec<Xy>>,
+    engine: Engine<'a>,
+}
+
+/// What answers a membership question past the two short-circuits, and the
+/// point query after a probe miss.
+enum Engine<'a> {
+    /// `d = 2`: the depth region, no hull.
+    Depth(depth::Region<'a>),
+    /// `d ≥ 3`: the `(|y|−f)`-subset hulls, built as questions need them and
+    /// kept for the active-set search.
+    Hulls(HullFamily<'a>),
 }
 
 impl<'a> Membership<'a> {
     /// The test for `Γ(y)` whose trimmed range is `bounds`.
     fn new(y: &'a PointMultiset, f: usize, bounds: (&'a [f64], &'a [f64])) -> Self {
+        let engine = match y.dim() {
+            2 => Engine::Depth(depth::Region::new(y, f, bounds)),
+            _ => Engine::Hulls(HullFamily::gamma(y, f)),
+        };
         Self {
             y,
             f,
             bounds,
-            family: HullFamily::gamma(y, f),
             trimmed: None,
-            planar: None,
+            engine,
         }
     }
 
-    /// The members of a planar `y` as plane points, in its order.
-    fn plane_points(&mut self) -> &[Xy] {
-        let y = self.y;
-        self.planar
-            .get_or_insert_with(|| y.iter().map(|p| [p.coord(0), p.coord(1)]).collect())
-    }
-
-    /// Whether `point ∈ Γ(y)`, behind two exact short-circuits: a point
-    /// equal to more than `f` members survives every removal of `f`
-    /// members, and `Γ(y)` lies inside the trimmed range (a point outside
-    /// its [`RejectBox`] is outside some subset hull).  In the plane the
-    /// depth count then answers `Inside` with no hull, or names the subset
-    /// whose hull the family asks first; elsewhere the family is streamed.
-    /// Either way a reject is a subset hull's own, short-circuiting on the
-    /// first that refutes `point`.
+    /// Whether `point ∈ Γ(y)`, behind two short-circuits: a point equal to
+    /// more than `f` members survives every removal of `f` members, and
+    /// `Γ(y)` lies inside the trimmed range, so a point outside it is
+    /// outside some subset hull.  In the plane the depth region's box is
+    /// that range, the exact depth count then accepts `Inside` (which lies
+    /// in the range), and the region's sides answer the rest.  Elsewhere
+    /// the range is a [`RejectBox`] and the subset hulls are streamed,
+    /// short-circuiting on the first that refutes `point`.
     fn contains(&mut self, point: &Point) -> bool {
         let copies = self
             .y
@@ -560,20 +527,33 @@ impl<'a> Membership<'a> {
         if copies > self.f {
             return true;
         }
-        let (lo, hi) = self.bounds;
-        let trimmed = self
-            .trimmed
-            .get_or_insert_with(|| RejectBox::new(lo.to_vec(), hi.to_vec()));
-        if trimmed.rejects(point) {
-            return false;
+        match &mut self.engine {
+            Engine::Depth(region) => {
+                let z = [point.coord(0), point.coord(1)];
+                region.boxes(z)
+                    && (depth::verdict(region.members(), self.f, z) == Verdict::Inside
+                        || region.sides_hold(z))
+            }
+            Engine::Hulls(family) => {
+                let (lo, hi) = self.bounds;
+                let trimmed = self
+                    .trimmed
+                    .get_or_insert_with(|| RejectBox::new(lo.to_vec(), hi.to_vec()));
+                !trimmed.rejects(point) && family.all_contain(point)
+            }
         }
-        if self.y.dim() != 2 {
-            return self.family.all_contain(point);
-        }
-        let f = self.f;
-        match depth::verdict(self.plane_points(), f, [point.coord(0), point.coord(1)]) {
-            Verdict::Inside => true,
-            Verdict::Outside(keep) => self.family.all_contain_from(&keep, point),
+    }
+
+    /// A point of `Γ(y)` after a probe miss, or `None` when it is empty, and
+    /// the path that answered: the depth region's point in the plane, the
+    /// active-set search over the subset hulls elsewhere.
+    fn search(&mut self) -> (Option<Point>, GammaPath) {
+        match &mut self.engine {
+            Engine::Depth(region) => (region.point(), GammaPath::DepthRegion),
+            Engine::Hulls(family) => match family.common_point() {
+                (point, false) => (point, GammaPath::ActiveSetLp),
+                (point, true) => (point, GammaPath::NaiveFallback),
+            },
         }
     }
 }
@@ -594,7 +574,10 @@ mod tests {
     use super::*;
     use crate::family::tests::biased;
     use crate::hull::tests::{dyadic_points, dyadic_shift, moved, near_segments};
+    use crate::tolerance::DEPTH_SLACK;
+    use bvc_trace::{TraceEvent, TraceHandle, Tracer};
     use proptest::prelude::*;
+    use std::sync::{Arc, Mutex};
 
     fn pts(coords: &[&[f64]]) -> PointMultiset {
         PointMultiset::new(coords.iter().map(|c| Point::new(c.to_vec())).collect())
@@ -804,9 +787,11 @@ mod tests {
     fn far_from_the_origin_the_trimmed_box_reject_answers_as_at_the_origin() {
         // Every 5-subset keeps three of the four members on y = 1000, so
         // (1002, 1000 − δ) is δ below a face of each subset hull and of the
-        // trimmed box.  Moved by −1000 to the origin (exactly), Γ and each
-        // subset hull give the same answer, which is the LP's: inside its
-        // band (5e-8) an accept, past it a reject.
+        // trimmed box.  Moved by −1000 to the origin (exactly), each subset
+        // hull gives the same answer, which is the LP's: inside its band
+        // (5e-8) an accept, past it a reject.  Γ gives the same answer at
+        // both positions too, by its own band: the depth region's
+        // `DEPTH_SLACK` (1e-9), so 5e-8 below the face is already outside.
         let rows: [[f64; 2]; 6] = [
             [1000.0, 1000.0],
             [1001.0, 1000.0],
@@ -831,6 +816,7 @@ mod tests {
         };
         let (far_hulls, home_hulls) = (hulls(&y), hulls(&home));
         for (delta, inside) in [
+            (5e-10, true),
             (5e-8, true),
             (5e-7, false),
             (2e-6, false),
@@ -839,8 +825,9 @@ mod tests {
         ] {
             let p = Point::new(vec![1002.0, 1000.0 - delta]);
             let q = Point::new(vec![2.0, (1000.0 - delta) - 1000.0]);
-            assert_eq!(gamma_contains(&y, 1, &p), inside, "δ = {delta}");
-            assert_eq!(gamma_contains(&home, 1, &q), inside, "δ = {delta}");
+            let in_gamma = delta < DEPTH_SLACK;
+            assert_eq!(gamma_contains(&y, 1, &p), in_gamma, "δ = {delta}");
+            assert_eq!(gamma_contains(&home, 1, &q), in_gamma, "δ = {delta}");
             for (far, home) in far_hulls.iter().zip(&home_hulls) {
                 for (hull, point) in [(far, &p), (home, &q)] {
                     assert_eq!(hull.contains(point), inside, "δ = {delta}: {point}");
@@ -929,9 +916,21 @@ mod tests {
         assert!(p.is_some());
         assert_eq!(attr.path, GammaPath::ProbeHit);
 
-        // An empty Γ can never be served by the probe: the LP path reports
-        // the miss.
+        // An empty Γ can never be served by the probe.  In the plane the
+        // depth region reports the miss and runs no simplex; from d = 3 on
+        // the active-set search does.
         let empty = pts(&[&[1.0, 0.0], &[0.0, 1.0], &[0.0, 0.0]]);
+        let (solves, (p, attr)) = simplex_solves(|| gamma_point_attributed(&empty, 1));
+        assert!(p.is_none());
+        assert!(attr.probe_missed);
+        assert_eq!(attr.path, GammaPath::DepthRegion);
+        assert_eq!(solves, 0);
+        let empty = pts(&[
+            &[1.0, 0.0, 0.0],
+            &[0.0, 1.0, 0.0],
+            &[0.0, 0.0, 1.0],
+            &[0.0, 0.0, 0.0],
+        ]);
         let (p, attr) = gamma_point_attributed(&empty, 1);
         assert!(p.is_none());
         assert!(attr.probe_missed);
@@ -987,20 +986,96 @@ mod tests {
         assert!(p.approx_eq(&Point::origin(2), 1e-9), "{p}");
     }
 
+    /// How many simplex solves `run` makes, and what it returns.
+    fn simplex_solves<T>(run: impl FnOnce() -> T) -> (usize, T) {
+        struct Count(Arc<Mutex<usize>>);
+        impl Tracer for Count {
+            fn record(&mut self, _slot: u32, _seq: u64, event: &TraceEvent) {
+                if matches!(event, TraceEvent::Simplex { .. }) {
+                    *self.0.lock().unwrap() += 1;
+                }
+            }
+        }
+        let count = Arc::new(Mutex::new(0));
+        let value = {
+            let handle = TraceHandle::new(Box::new(Count(Arc::clone(&count))), false);
+            let _scope = bvc_trace::install(handle, 0);
+            run()
+        };
+        let solves = *count.lock().unwrap();
+        (solves, value)
+    }
+
+    /// A converged `|Y| = 4` shape of the `svc-unique` workload (`n = 5,
+    /// f = 1`, at the Lemma-1 threshold): a quadrilateral in convex
+    /// position 1e-7 wide, whose Γ is its Radon point, on an edge of every
+    /// triangle, and whose trimmed-box centre is off it.
+    fn converged_quadrilateral(spread: f64) -> PointMultiset {
+        let corner = |x: f64, y: f64| Point::new(vec![0.3 + spread * x, 0.6 + spread * y]);
+        PointMultiset::new(vec![
+            corner(0.0, 0.0),
+            corner(3.0, 0.2),
+            corner(4.1, 3.0),
+            corner(0.4, 1.3),
+        ])
+    }
+
     #[test]
-    fn a_planar_probe_miss_builds_at_most_one_of_the_subset_hulls() {
-        // Streaming the family to refute the probe and then verifying the
-        // depth candidate against every hull built all C(7, 5) = 21; the
-        // depth count builds only the hull it names against the probe.
-        let y = canonical_order(&sheared_heptagon());
-        let (lo, hi) = trimmed_bounds(&y, 2);
-        let mut membership = Membership::new(&y, 2, (&lo, &hi));
-        let (p, attribution) = probe_then_search(&mut membership);
-        assert!(p.is_some());
-        assert_eq!(attribution.path, GammaPath::DepthRegion);
-        assert!(attribution.probe_missed);
-        let built = membership.family.hulls_built();
-        assert!(built <= 1, "{built} of 21 subset hulls built");
+    fn a_planar_query_builds_no_hull_and_runs_no_simplex() {
+        for (y, f) in [
+            (converged_quadrilateral(1e-7), 1),
+            (converged_quadrilateral(1.0), 1),
+            (sheared_heptagon(), 2),
+        ] {
+            let canon = canonical_order(&y);
+            let (lo, hi) = trimmed_bounds(&canon, f);
+            let mut membership = Membership::new(&canon, f, (&lo, &hi));
+            assert!(!membership.contains(&trimmed_centre(&lo, &hi)), "{y:?}");
+            assert!(matches!(membership.engine, Engine::Depth(_)), "{y:?}");
+            let (solves, (p, attr)) = simplex_solves(|| gamma_point_attributed(&y, f));
+            assert_eq!(attr.path, GammaPath::DepthRegion);
+            let p = p.expect("Γ is non-empty at the Lemma-1 threshold");
+            let (lo, hi) = (Point::new(lo), Point::new(hi));
+            let mut queries = vec![p.clone(), Point::centroid(y.points()), lo, hi];
+            queries.extend(y.iter().cloned());
+            let (asked, accepted) = simplex_solves(|| {
+                let accepted: Vec<bool> =
+                    queries.iter().map(|z| gamma_contains(&y, f, z)).collect();
+                accepted
+            });
+            assert_eq!(solves + asked, 0, "{y:?}: Γ ran the simplex");
+            assert!(accepted[0], "{p} fails its own membership test");
+        }
+    }
+
+    #[test]
+    fn a_one_point_gamma_far_from_the_origin_is_found() {
+        // Γ of the converged quadrilateral is its Radon point, so the depth
+        // region is two strips 2·DEPTH_SLACK wide crossing there.  Moved to
+        // 2^26 and beyond, where a coordinate steps by 1.5e-8 or more, the
+        // region still has that point, and it is the point at home moved,
+        // up to the rounding of the move.
+        let home = converged_quadrilateral(1.0);
+        let here = gamma_point(&home, 1).expect("the Radon point");
+        for t in [
+            2f64.powi(26),
+            1.5 * 2f64.powi(26),
+            2f64.powi(27),
+            -1e8,
+            2f64.powi(40),
+            1e12,
+        ] {
+            let y = PointMultiset::new(
+                home.iter()
+                    .map(|p| Point::new(p.coords().iter().map(|c| c + t).collect()))
+                    .collect(),
+            );
+            let there = gamma_point(&y, 1).unwrap_or_else(|| panic!("no point at {t:e}"));
+            for (a, b) in there.coords().iter().zip(here.coords()) {
+                let off = (a - t - b).abs();
+                assert!(off <= 8.0 * t.abs() * f64::EPSILON, "{off:e} off at {t:e}");
+            }
+        }
     }
 
     #[test]

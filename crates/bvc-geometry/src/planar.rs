@@ -14,7 +14,8 @@
 //! from its sixteen error-free product terms (`two_sum`, `two_product`,
 //! Shewchuk's expansion sum), so it always names a side or says "on the
 //! line".  Γ membership by Tukey depth (`depth.rs`) counts members by
-//! it; hull polygons and depth candidates keep reading the filtered answer.
+//! it; hull polygons and the depth region's sides keep reading the filtered
+//! answer.
 //!
 //! The reject is the hull's one reject rule (`tolerance.rs`), the same the
 //! bounding-box faces use, and one distance wherever the edge lies: the

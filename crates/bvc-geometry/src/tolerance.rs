@@ -21,10 +21,10 @@
 //! | [`D1_TOLERANCE`] | 1e-7 | `d = 1`: `Γ ≠ ∅` ⇔ `lo ≤ hi + τ`; `c ∈ Γ` ⇔ `lo − τ ≤ c ≤ hi + τ` | replaces the LP: equals `FEASIBILITY_TOLERANCE` (two intervals a gap `g` apart give a phase-1 optimum of `g`) |
 //! | [`HULL_TOLERANCE`], through [`reject_margin`] | 1e-6 | a supporting line with normal `e` has `p` beyond it by more than `reject_margin(\|e\|)`, i.e. a distance `τ` ⇒ `p ∉ H(T)` without an LP, wherever the line lies.  The lines: each face of a hull's bounding box and of the trimmed box (`e` a unit axis); each edge of a `d = 2` hull polygon (`e` the edge); and each coordinate of the witness check `Σ αᵢgᵢ` against `p` (a box around `p`) | reject: the membership LP's residual is then at least `τ`, ten times `FEASIBILITY_TOLERANCE`.  Both LPs are written relative to a generator `o` (`Σ αᵢ(gᵢ − o) = p − o`), and phase 1 lets the weights fall short of 1 but not exceed it, which pulls the combination towards `o`, a point of the hull: what the LP reaches lies in the hull, and `p` is within its L1 residual of that |
 //! | Shewchuk's `ccwerrboundA` (`planar.rs`) | 3.33e-16 | an orientation determinant `l − r` whose magnitude exceeds it times `\|l\| + \|r\|` has its computed sign; `p` left of every edge of a `d = 2` hull polygon so ⇒ `p ∈ H(T)` without an LP | accept: exact, strictly inside |
-//! | the exact stage of `orient_exact` (`planar.rs`) | none: exact | runs only after the static bound above leaves a sign unsure, and sums the determinant exactly from its sixteen error-free product terms.  `d = 2` Γ membership counts members on each side of every line through `p` and a member by it: every closed halfplane through `p` holding more than `f` members ⇒ `p ∈ Γ(Y)` without a hull | accept: exact (`p` is in every subset hull, so no hull test rejects it); an `Outside` count only names the subset hull whose own test (box, polygon, LP band) then decides |
+//! | the exact stage of `orient_exact` (`planar.rs`) | none: exact | runs only after the static bound above leaves a sign unsure, and sums the determinant exactly from its sixteen error-free product terms.  `d = 2` Γ membership counts members on each side of every line through `p` and a member by it: every closed halfplane through `p` holding more than `f` members ⇒ `p ∈ Γ(Y)` without a hull | accept: exact (`p` is in every subset hull, so no hull test rejects it); an `Outside` count goes to the depth region below |
 //! | [`WEIGHT_SUM_TOLERANCE`] | 1e-6 | `\|Σ w − 1\| < τ` for convex-combination weights | input check; solver weights sum to 1 within `FEASIBILITY_TOLERANCE` |
 //! | [`NEGATIVE_WEIGHT_TOLERANCE`] | 1e-9 | `w ≥ −τ` for each weight | input check at `EPSILON`; weights read off the solver are clamped to `≥ 0` before they get here |
-//! | [`DEPTH_SLACK`] | 1e-9 | `d = 2` depth region: a point within `τ` (a distance: unit normals) of every kept halfplane and of the trimmed box is a *candidate* | accept a candidate: below `FEASIBILITY_TOLERANCE`, and only after the Γ membership test (the exact depth count, else the subset hulls) accepts it too |
+//! | [`DEPTH_SLACK`] | 1e-9 | `d = 2` depth region (the kept member halfplanes and the trimmed box): a point within `τ` (a distance: unit normals) of every one is in it.  It is the accept rule of `d = 2` Γ membership past the exact depth count, its point is the strict `d = 2` answer, and an empty region is an empty `Γ` | replaces the LP for `d = 2` Γ: a hundredth of `FEASIBILITY_TOLERANCE`, so an accepted point lies within that band of every subset hull.  Past a subset hull's vertex of angle `θ` the widened sides reach `τ / sin(θ/2)`, but the trimmed box cuts that short: the hull's `\|Y\| − f` members lie ahead of the vertex in the coordinate nearest its bisector, so that face of the box is at the vertex and the reach is a few `τ` (`depth.rs` tests measure both, with no LP) |
 //! | [`DEFAULT_TOLERANCE`] | 1e-7 | default `τ` of [`Point::approx_eq`](crate::Point::approx_eq) for callers | none: not read by any engine |
 //!
 //! Nothing here is settable; the orderings above are checked at compile time
@@ -43,7 +43,8 @@ pub fn reject_margin(scale: f64) -> f64 {
     HULL_TOLERANCE * scale
 }
 
-/// Slack of the `d = 2` depth-region candidate; see the [table](self).
+/// Slack of the `d = 2` depth region, Γ's accept rule in the plane; see
+/// the [table](self).
 pub const DEPTH_SLACK: f64 = 1e-9;
 
 /// Default tolerance used by approximate comparisons of points.

@@ -17,8 +17,10 @@
 //! while it runs instead of buffering every result.  Exit code 0 means
 //! every instance ran and every verdict held; 1 means some verdict was
 //! violated or some instance was rejected; 2 means the campaign could not
-//! be loaded.
+//! be loaded, or the command line was malformed (an unknown flag, a missing
+//! value, a flag given twice).
 
+use bvc_scenario::cli::Cli;
 use bvc_scenario::{expand_all, run_campaign_streaming, ScenarioSpec, VerdictSink};
 use std::fs::File;
 use std::io::{self, BufWriter, Write as _};
@@ -61,25 +63,34 @@ fn usage() -> ! {
 }
 
 fn main() -> ExitCode {
+    let cli = Cli::new("campaign-run", usage);
     let mut args = std::env::args().skip(1);
     let mut dir: Option<PathBuf> = None;
     let mut files: Vec<PathBuf> = Vec::new();
-    let mut jobs = 0usize;
+    let mut jobs: Option<usize> = None;
     let mut out_path: Option<PathBuf> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--dir" => dir = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
+            "--dir" => cli.set(
+                &mut dir,
+                &arg,
+                PathBuf::from(args.next().unwrap_or_else(|| usage())),
+            ),
             "--jobs" => {
                 let value = args.next().unwrap_or_else(|| usage());
                 match value.parse() {
-                    Ok(n) => jobs = n,
+                    Ok(n) => cli.set(&mut jobs, &arg, n),
                     Err(_) => {
                         eprintln!("campaign-run: invalid --jobs `{value}`");
                         return ExitCode::from(2);
                     }
                 }
             }
-            "--out" => out_path = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
+            "--out" => cli.set(
+                &mut out_path,
+                &arg,
+                PathBuf::from(args.next().unwrap_or_else(|| usage())),
+            ),
             "--help" | "-h" => usage(),
             other if other.ends_with(".toml") => files.push(PathBuf::from(other)),
             other => {
@@ -91,6 +102,7 @@ fn main() -> ExitCode {
     if dir.is_none() && files.is_empty() {
         usage()
     }
+    let jobs = jobs.unwrap_or(0);
 
     // Load scenario files in sorted order for a stable instance matrix;
     // positional files come first, then the directory contents.  A file

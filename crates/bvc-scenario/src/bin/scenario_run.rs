@@ -11,8 +11,10 @@
 //! run's deterministic `bvc-trace/v1` event stream to the given path — the
 //! verdict line is byte-identical with and without it.  Exit code 0 means
 //! the instance ran (a violated verdict is data, not an error); 2 means it
-//! could not run.
+//! could not run, or the command line was malformed (an unknown flag, a
+//! missing value, a flag given twice).
 
+use bvc_scenario::cli::Cli;
 use bvc_scenario::{parse_strategy, run_scenario, ScenarioSpec};
 use std::path::Path;
 use std::process::ExitCode;
@@ -26,6 +28,7 @@ fn usage() -> ! {
 }
 
 fn main() -> ExitCode {
+    let cli = Cli::new("scenario-run", usage);
     let mut args = std::env::args().skip(1);
     let mut scenario_path: Option<String> = None;
     let mut seed_override: Option<u64> = None;
@@ -33,19 +36,31 @@ fn main() -> ExitCode {
     let mut trace_path: Option<String> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--scenario" => scenario_path = Some(args.next().unwrap_or_else(|| usage())),
-            "--trace" => trace_path = Some(args.next().unwrap_or_else(|| usage())),
+            "--scenario" => cli.set(
+                &mut scenario_path,
+                &arg,
+                args.next().unwrap_or_else(|| usage()),
+            ),
+            "--trace" => cli.set(
+                &mut trace_path,
+                &arg,
+                args.next().unwrap_or_else(|| usage()),
+            ),
             "--seed" => {
                 let value = args.next().unwrap_or_else(|| usage());
                 match value.parse() {
-                    Ok(seed) => seed_override = Some(seed),
+                    Ok(seed) => cli.set(&mut seed_override, &arg, seed),
                     Err(_) => {
                         eprintln!("scenario-run: invalid --seed `{value}`");
                         return ExitCode::from(2);
                     }
                 }
             }
-            "--strategy" => strategy_override = Some(args.next().unwrap_or_else(|| usage())),
+            "--strategy" => cli.set(
+                &mut strategy_override,
+                &arg,
+                args.next().unwrap_or_else(|| usage()),
+            ),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("scenario-run: unknown argument `{other}`");

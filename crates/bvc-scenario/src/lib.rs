@@ -168,6 +168,7 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
+pub mod cli;
 pub mod json;
 pub mod report;
 pub mod runner;

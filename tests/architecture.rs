@@ -100,7 +100,9 @@ fn no_deprecated_surface_and_no_ablated_knob() {
         "allow(deprecated) found (the shim surface is gone):\n{}",
         shown(&escapes)
     );
-    // Settable things the Γ-stack ablation deleted must not come back.
+    // Settable things the Γ-stack ablation deleted must not come back, nor
+    // the out-of-stream subset hull the strict d = 2 path used to ask first
+    // (the depth region answers that path with no hull).
     let revived = naming(
         &rust_files_under(&["crates"]),
         text,
@@ -108,6 +110,8 @@ fn no_deprecated_surface_and_no_ablated_knob() {
             "BVC_GAMMA_WORKERS",
             "enable_incremental",
             "run_with_scratch",
+            "all_contain_from",
+            "combination_rank",
         ],
     );
     assert!(
@@ -448,14 +452,14 @@ fn one_hull_family() {
 
 #[test]
 fn one_depth_engine() {
-    // The d = 2 depth region is one module, `bvc-geometry/src/depth.rs`,
-    // asked from gamma.rs alone: its candidate once, after a probe miss, and
-    // its exact depth count once, in the one Γ membership test.  A depth
-    // `Inside` is a proof of membership and answers with no hull; an
-    // `Outside` names the subset hull the family asks first, so every reject
-    // and every band case is the hull test's own.  Candidates that fail fall
-    // through to the one active-set search, so the joint LP still lives in
-    // one file and the cache knows no engine by name.
+    // The strict d = 2 Γ path is the depth region alone: one module,
+    // `bvc-geometry/src/depth.rs`, asked from gamma.rs only.  Its `Region`
+    // is built once per query, by the one membership test, which asks its
+    // exact depth count once and then the region; the region also answers
+    // the point and emptiness.  So the strict d = 2 path constructs no
+    // `HullFamily`: the subset hulls are built only in the `d ≥ 3` arm of
+    // that test (and for f = 0, Γ_α and the leave-one-out intersection),
+    // the joint LP lives in one file and the cache knows no engine by name.
     let geometry = rust_files_under(&["crates/bvc-geometry/src"]);
     let callers: Vec<PathBuf> = naming(&geometry, text, &["depth::"])
         .into_iter()
@@ -467,13 +471,26 @@ fn one_depth_engine() {
         shown(&callers)
     );
     let gamma = non_test(&root().join("crates/bvc-geometry/src/gamma.rs"));
-    for question in ["depth::candidate(", "depth::verdict("] {
+    for question in ["depth::Region::new(", "depth::verdict("] {
         let asks = lines_with(&gamma, question);
         assert!(
             asks == 1,
             "gamma.rs must ask {question} exactly once, found {asks}"
         );
     }
+    let family_sites: Vec<&str> = gamma
+        .lines()
+        .map(str::trim)
+        .filter(|line| line.contains("HullFamily::gamma("))
+        .collect();
+    assert!(
+        family_sites.iter().all(|line| {
+            line.starts_with("_ => Engine::Hulls(") || line.contains("HullFamily::gamma(&canon, 0)")
+        }) && gamma.contains("2 => Engine::Depth(depth::Region::new("),
+        "the strict d = 2 path must construct no HullFamily: build the subset hulls only \
+         in the d ≥ 3 arm of Membership::new (or for f = 0), found:\n{}",
+        family_sites.join("\n")
+    );
     let cache = non_test(&root().join("crates/bvc-geometry/src/cache.rs"));
     assert!(
         !cache.contains("depth"),
