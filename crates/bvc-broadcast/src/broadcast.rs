@@ -11,9 +11,10 @@
 //!
 //! [`BroadcastInstance`] is a pure per-process state machine (no I/O): the
 //! caller moves messages between instances.  The Exact BVC process multiplexes
-//! `n` of these, one per source, over the synchronous network executor.
+//! `n` of these, one per source, over the synchronous network executor, and
+//! builds them on one shared [`ChildSlots`] table.
 
-use crate::eig::EigTree;
+use crate::eig::{ChildSlots, EigTree, Relay};
 use std::sync::Arc;
 
 /// Payload of a broadcast-protocol message for one instance.
@@ -21,17 +22,17 @@ use std::sync::Arc;
 pub enum BroadcastMessage<V> {
     /// Round 1: the source's value.
     Initial(V),
-    /// Rounds 2..=f+2: the EIG relay for EIG round `round − 1`, values in
-    /// the wire order of [`crate::eig`], shared by every receiver.
-    Relay(Arc<[V]>),
+    /// Rounds 2..=f+2: the EIG relay for EIG round `round − 1` — its
+    /// distinct values once, in a dictionary, and one dictionary index per
+    /// position in the wire order of [`crate::eig`] — shared by every
+    /// receiver.
+    Relay(Arc<Relay<V>>),
 }
 
 /// Per-process state machine for one Byzantine broadcast instance (one
 /// designated source).
 #[derive(Debug, Clone)]
 pub struct BroadcastInstance<V> {
-    n: usize,
-    f: usize,
     me: usize,
     source: usize,
     default: V,
@@ -53,11 +54,19 @@ impl<V: Clone + PartialEq> BroadcastInstance<V> {
     ///
     /// Panics unless `n ≥ 3f + 1`, `f ≥ 1`, and `me, source < n`.
     pub fn new(n: usize, f: usize, me: usize, source: usize, default: V) -> Self {
-        assert!(source < n, "source index {source} out of range");
-        let tree = EigTree::new(n, f, me, default.clone());
+        Self::with_slots(Arc::new(ChildSlots::new(n, f)), me, source, default)
+    }
+
+    /// [`Self::new`] on a child-slot table built once for `slots`' `(n, f)`
+    /// and shared with the process's other instances.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `me, source < n`.
+    pub fn with_slots(slots: Arc<ChildSlots>, me: usize, source: usize, default: V) -> Self {
+        assert!(source < slots.n(), "source index {source} out of range");
+        let tree = EigTree::new(slots, me, default.clone());
         Self {
-            n,
-            f,
             me,
             source,
             default,
@@ -70,7 +79,7 @@ impl<V: Clone + PartialEq> BroadcastInstance<V> {
 
     /// Total number of synchronous rounds the protocol takes: `f + 2`.
     pub fn rounds(&self) -> usize {
-        self.f + 2
+        self.tree.rounds() + 1
     }
 
     /// The designated source of this instance.
@@ -114,27 +123,26 @@ impl<V: Clone + PartialEq> BroadcastInstance<V> {
                 .unwrap_or_else(|| self.default.clone());
             self.tree.set_input(input);
         }
-        Some(BroadcastMessage::Relay(self.tree.relay(eig_round).into()))
+        let relay = self.tree.relay(eig_round);
+        Some(BroadcastMessage::Relay(Arc::new(relay)))
     }
 
     /// Handles a message received from `from` during round `round`.
     ///
     /// Out-of-place messages (an `Initial` not from the source or outside
     /// round 1, a `Relay` in round 1) are ignored: that is how a Byzantine
-    /// sender's protocol violations are neutralised.
+    /// sender's protocol violations are neutralised, as is a sender out of
+    /// range.
     pub fn receive(&mut self, round: usize, from: usize, msg: &BroadcastMessage<V>) {
-        if from >= self.n {
-            return;
-        }
         match msg {
             BroadcastMessage::Initial(value) => {
                 if round == 1 && from == self.source && self.received_from_source.is_none() {
                     self.received_from_source = Some(value.clone());
                 }
             }
-            BroadcastMessage::Relay(values) => {
+            BroadcastMessage::Relay(relay) => {
                 if round >= 2 && round <= self.rounds() {
-                    self.tree.receive(round - 1, from, values);
+                    self.tree.receive(round - 1, from, relay);
                 }
             }
         }
@@ -209,8 +217,12 @@ mod tests {
             .collect()
     }
 
+    /// A relay whose positions read `values` in order, each from its own
+    /// dictionary entry.
     fn relay(values: impl IntoIterator<Item = i64>) -> Option<BroadcastMessage<i64>> {
-        Some(BroadcastMessage::Relay(values.into_iter().collect()))
+        let dictionary: Vec<i64> = values.into_iter().collect();
+        let ids = (0..dictionary.len() as u32).collect();
+        Some(BroadcastMessage::Relay(Arc::new(Relay { dictionary, ids })))
     }
 
     #[test]
@@ -292,9 +304,12 @@ mod tests {
         inst.receive(1, 2, &BroadcastMessage::Initial(99));
         // A Relay in round 1, past the last round or from a sender out of
         // range must be ignored.
-        inst.receive(1, 0, &BroadcastMessage::Relay(Arc::from([99])));
-        inst.receive(4, 0, &BroadcastMessage::Relay(Arc::from([99])));
-        inst.receive(2, 7, &BroadcastMessage::Relay(Arc::from([99])));
+        let stray = BroadcastMessage::Relay(Arc::new(Relay::filled(99, 1)));
+        inst.receive(1, 0, &stray);
+        inst.receive(4, 0, &stray);
+        inst.receive(2, 7, &stray);
+        // An Initial from a sender out of range too.
+        inst.receive(1, 7, &BroadcastMessage::Initial(98));
         // Now the genuine initial from the source.
         inst.receive(1, 0, &BroadcastMessage::Initial(5));
         let _ = inst.message_for_round(2);

@@ -10,8 +10,10 @@
 //!   per-source broadcast state machine (`f + 2` synchronous rounds).  The
 //!   tree is a flat arena of interned value ids, node `(l₀ … l_{k−1})` at
 //!   `start[k] + rank` with digit `l_j − #{i < j : l_i < l_j}` in base
-//!   `n − j`; a relay is the sender's values in that order, labels implied,
-//!   shared by every receiver behind one `Arc`.
+//!   `n − j`, and the slots each `(level, sender)` relay addresses come from
+//!   one [`ChildSlots`] table per process.  A [`Relay`] is the sender's
+//!   distinct values once plus one dictionary index per node in that order,
+//!   labels implied, shared by every receiver behind one `Arc`.
 //! * **Asynchronous reliable broadcast** (`n ≥ 3f + 1`) — the first building
 //!   block of the AAD-style exchange used by the Approximate BVC algorithm.
 //!   [`ReliableBroadcastInstance`] implements Bracha-style echo broadcast with
@@ -30,5 +32,5 @@ pub mod eig;
 pub mod reliable;
 
 pub use broadcast::{BroadcastInstance, BroadcastMessage};
-pub use eig::EigTree;
+pub use eig::{ChildSlots, EigTree, Relay};
 pub use reliable::{RbMessage, RbStep, ReliableBroadcastInstance};

@@ -19,7 +19,7 @@
 
 use crate::config::BvcConfig;
 use bvc_adversary::ForgePoints;
-use bvc_broadcast::{BroadcastInstance, BroadcastMessage};
+use bvc_broadcast::{BroadcastInstance, BroadcastMessage, ChildSlots, Relay};
 use bvc_geometry::{Point, PointMultiset, SharedGammaCache, ValidityPredicate};
 use bvc_net::{broadcast_to_all, Delivery, Outgoing, ProcessId, SyncProcess};
 use std::sync::Arc;
@@ -38,8 +38,11 @@ impl ForgePoints for ExactMsg {
     fn forge_points(&mut self, point: &Point) {
         match &mut self.payload {
             BroadcastMessage::Initial(v) => *v = point.clone(),
-            // Copy-on-write: the honest copies sharing this relay keep theirs.
-            BroadcastMessage::Relay(values) => Arc::make_mut(values).fill(point.clone()),
+            // A fresh relay of the honest length: the honest copies sharing
+            // the old one keep theirs.
+            BroadcastMessage::Relay(relay) => {
+                *relay = Arc::new(Relay::filled(point.clone(), relay.ids.len()));
+            }
         }
     }
 }
@@ -72,8 +75,11 @@ impl ExactBvcProcess {
         assert_eq!(input.dim(), config.d, "input dimension must equal config.d");
         assert!(config.f >= 1, "ExactBvcProcess requires f >= 1");
         let default = Point::uniform(config.d, config.lower_bound);
+        let slots = Arc::new(ChildSlots::new(config.n, config.f));
         let mut instances: Vec<BroadcastInstance<Point>> = (0..config.n)
-            .map(|source| BroadcastInstance::new(config.n, config.f, me, source, default.clone()))
+            .map(|source| {
+                BroadcastInstance::with_slots(Arc::clone(&slots), me, source, default.clone())
+            })
             .collect();
         instances[me].set_input(input);
         Self {
@@ -373,24 +379,36 @@ mod tests {
 
     #[test]
     fn forge_points_rewrites_payloads() {
-        let honest_values = vec![Point::new(vec![1.0, 2.0]), Point::new(vec![3.0, 4.0])];
+        // Three positions over a two-entry dictionary, the first entry twice.
+        let honest_relay = Relay {
+            dictionary: vec![Point::new(vec![1.0, 2.0]), Point::new(vec![3.0, 4.0])],
+            ids: vec![0, 1, 0],
+        };
         let honest = ExactMsg {
             source: 0,
-            payload: BroadcastMessage::Relay(honest_values.clone().into()),
+            payload: BroadcastMessage::Relay(Arc::new(honest_relay.clone())),
         };
         let mut msg = honest.clone();
-        msg.forge_points(&Point::new(vec![9.0, 9.0]));
-        if let BroadcastMessage::Relay(values) = &msg.payload {
-            assert_eq!(values.len(), 2);
-            assert!(values.iter().all(|v| v.coords() == [9.0, 9.0]));
-        } else {
+        let forged = Point::new(vec![9.0, 9.0]);
+        msg.forge_points(&forged);
+        let BroadcastMessage::Relay(relay) = &msg.payload else {
             panic!("payload kind changed");
-        }
+        };
+        // Every position reads the forged point, and the relay keeps its
+        // length.
+        assert_eq!(relay.ids.len(), 3);
+        assert_eq!(relay.values().collect::<Vec<_>>(), [&forged; 3]);
         // The honest copy shared the relay and keeps its values.
-        assert_eq!(
-            honest.payload,
-            BroadcastMessage::Relay(honest_values.into())
-        );
+        let BroadcastMessage::Relay(kept) = &honest.payload else {
+            unreachable!()
+        };
+        assert_eq!(**kept, honest_relay);
+        let mut initial = ExactMsg {
+            source: 1,
+            payload: BroadcastMessage::Initial(Point::new(vec![0.0, 0.0])),
+        };
+        initial.forge_points(&forged);
+        assert_eq!(initial.payload, BroadcastMessage::Initial(forged));
     }
 
     #[test]

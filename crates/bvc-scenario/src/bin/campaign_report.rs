@@ -9,8 +9,11 @@
 //!
 //! Without `--out` the Markdown goes to stdout.  The table buckets verdicts
 //! per strategy × fault kinds × topology and separates expected-unsolvable
-//! substrates from solvable ones (see `bvc_scenario::report`).
+//! substrates from solvable ones (see `bvc_scenario::report`).  A malformed
+//! command line (an unknown flag, a missing value, a flag given twice) exits
+//! 2 with usage.
 
+use bvc_scenario::cli::Cli;
 use bvc_scenario::ViolationTable;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -21,15 +24,17 @@ fn usage() -> ! {
 }
 
 fn main() -> ExitCode {
+    let cli = Cli::new("campaign-report", usage);
     let mut args = std::env::args().skip(1);
     let mut input: Option<PathBuf> = None;
     let mut output: Option<PathBuf> = None;
-    let mut title = "Campaign violation rates".to_string();
+    let mut title: Option<String> = None;
     while let Some(arg) = args.next() {
+        let mut value = || args.next().unwrap_or_else(|| usage());
         match arg.as_str() {
-            "--in" => input = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
-            "--out" => output = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
-            "--title" => title = args.next().unwrap_or_else(|| usage()),
+            "--in" => cli.set(&mut input, &arg, PathBuf::from(value())),
+            "--out" => cli.set(&mut output, &arg, PathBuf::from(value())),
+            "--title" => cli.set(&mut title, &arg, value()),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("campaign-report: unknown argument `{other}`");
@@ -38,6 +43,7 @@ fn main() -> ExitCode {
         }
     }
     let Some(input) = input else { usage() };
+    let title = title.unwrap_or_else(|| "Campaign violation rates".to_string());
 
     let text = match std::fs::read_to_string(&input) {
         Ok(text) => text,

@@ -19,8 +19,10 @@
 //! latency percentiles, Γ-cache reuse, per-worker load — go to stderr as a
 //! human summary and, with `--stats`, to a JSON file.  Exit code 0 means
 //! every verdict held; 1 means some verdict was violated; 2 means the
-//! stream could not be loaded or admitted.
+//! stream could not be loaded or admitted, or the command line was malformed
+//! (an unknown flag, a missing value, a flag given twice).
 
+use bvc_scenario::cli::Cli;
 use bvc_scenario::{service_config_from_spec, ScenarioSpec};
 use bvc_service::{BvcService, CacheMode, JsonlSink, ServiceStats, VerdictSink};
 use std::fs::File;
@@ -36,8 +38,7 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_count(value: Option<String>, flag: &str) -> usize {
-    let value = value.unwrap_or_else(|| usage());
+fn parse_count(value: String, flag: &str) -> usize {
     value.parse().unwrap_or_else(|_| {
         eprintln!("service-run: invalid {flag} `{value}`");
         std::process::exit(2);
@@ -45,23 +46,25 @@ fn parse_count(value: Option<String>, flag: &str) -> usize {
 }
 
 fn main() -> ExitCode {
+    let cli = Cli::new("service-run", usage);
     let mut args = std::env::args().skip(1);
     let mut scenario: Option<PathBuf> = None;
     let mut instances: Option<usize> = None;
     let mut workers: Option<usize> = None;
-    let mut cold_cache = false;
+    let mut cold_cache: Option<()> = None;
     let mut out_path: Option<PathBuf> = None;
     let mut stats_path: Option<PathBuf> = None;
     let mut trace_path: Option<PathBuf> = None;
     while let Some(arg) = args.next() {
+        let mut value = || args.next().unwrap_or_else(|| usage());
         match arg.as_str() {
-            "--scenario" => scenario = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
-            "--instances" => instances = Some(parse_count(args.next(), "--instances")),
-            "--workers" => workers = Some(parse_count(args.next(), "--workers")),
-            "--cold-cache" => cold_cache = true,
-            "--out" => out_path = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
-            "--stats" => stats_path = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
-            "--trace" => trace_path = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
+            "--scenario" => cli.set(&mut scenario, &arg, PathBuf::from(value())),
+            "--instances" => cli.set(&mut instances, &arg, parse_count(value(), &arg)),
+            "--workers" => cli.set(&mut workers, &arg, parse_count(value(), &arg)),
+            "--cold-cache" => cli.set(&mut cold_cache, &arg, ()),
+            "--out" => cli.set(&mut out_path, &arg, PathBuf::from(value())),
+            "--stats" => cli.set(&mut stats_path, &arg, PathBuf::from(value())),
+            "--trace" => cli.set(&mut trace_path, &arg, PathBuf::from(value())),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("service-run: unknown argument `{other}`");
@@ -99,7 +102,7 @@ fn main() -> ExitCode {
     if let Some(workers) = workers {
         config = config.workers(workers);
     }
-    if cold_cache {
+    if cold_cache.is_some() {
         config = config.cache_mode(CacheMode::PerInstance);
     }
 

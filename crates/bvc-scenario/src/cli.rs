@@ -1,5 +1,5 @@
-//! What `scenario-run` and `campaign-run` share in reading their command
-//! lines.
+//! What `scenario-run`, `campaign-run`, `service-run` and `campaign-report`
+//! share in reading their command lines.
 
 /// A binary's name and its usage, which prints the usage text and exits 2.
 pub struct Cli {

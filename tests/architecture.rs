@@ -821,10 +821,10 @@ fn one_pivot_rule() {
 #[test]
 fn flat_eig() {
     // An EIG tree is one level-indexed arena of interned value ids, and a
-    // relay is a positional value slice shared behind one `Arc`: the label
-    // of each value is implied by round, sender and position.  A label map,
-    // a label on the wire or a majority over cloned values is the old tree
-    // growing back.
+    // relay is a dictionary of distinct values plus one id per position,
+    // shared behind one `Arc`: the label of each position is implied by
+    // round, sender and position.  A label map, a label on the wire or a
+    // majority over cloned values is the old tree growing back.
     let eig = non_test(&root().join("crates/bvc-broadcast/src/eig.rs"));
     assert!(
         !eig.contains("HashMap"),
@@ -837,8 +837,53 @@ fn flat_eig() {
         .filter(|line| line.starts_with("Relay("))
         .collect();
     assert!(
-        relays == ["Relay(Arc<[V]>),"],
-        "broadcast.rs's `Relay` variant must be `Relay(Arc<[V]>)`, found {relays:?}: a relay holds values, no label"
+        relays == ["Relay(Arc<Relay<V>>),"],
+        "broadcast.rs's `Relay` variant must be `Relay(Arc<Relay<V>>)`, found {relays:?}: a relay is shared, not copied per receiver"
+    );
+    let body = eig
+        .split_once("pub struct Relay<V> {")
+        .and_then(|(_, rest)| rest.split_once('}'))
+        .map_or("", |(body, _)| body);
+    let fields: Vec<&str> = body
+        .lines()
+        .map(str::trim)
+        .filter(|line| !line.is_empty() && !line.starts_with("//"))
+        .collect();
+    assert!(
+        fields == ["pub dictionary: Vec<V>,", "pub ids: Vec<u32>,"],
+        "eig.rs's `Relay` must hold a dictionary and one id per position, found {fields:?}: a relay holds values once and no label"
+    );
+    // Which slots a relay addresses is one table per `(n, f)`, built by the
+    // recursive walk once: its definition, its recursion and the one call
+    // in `ChildSlots::new`.  A tree that walks per relay or receive is the
+    // per-message cost growing back.
+    let walks = lines_with(&eig, "walk_omitting(");
+    assert!(
+        walks == 3,
+        "eig.rs names `walk_omitting(` on {walks} lines outside tests, not 3: only the child-slot table's builder walks"
+    );
+    let builder = eig
+        .split_once("impl ChildSlots {")
+        .and_then(|(_, rest)| rest.split_once("\n}"))
+        .map_or("", |(body, _)| body);
+    assert!(
+        lines_with(builder, "walk_omitting(") == 1,
+        "`ChildSlots` must call `walk_omitting` once: it is the table's builder"
+    );
+    // The table is shared through an `Arc` a process owns, never through a
+    // process-wide cache.
+    let cached: Vec<PathBuf> = rust_files_under(&["crates/bvc-broadcast"])
+        .into_iter()
+        .filter(|path| {
+            let body = non_test(path);
+            let item = |word: &str| word == "static" || word == "thread_local!";
+            body.split_whitespace().any(item) || body.contains("OnceLock")
+        })
+        .collect();
+    assert!(
+        cached.is_empty(),
+        "bvc-broadcast keeps a thread-local or static outside tests\n{}",
+        shown(&cached)
     );
     let retired = naming(
         &rust_files_under(&["crates", "src", "tests", "examples", "benchmark/src"]),
