@@ -32,31 +32,28 @@
 //! scope and its deterministic `bvc-trace/v1` event stream is written to
 //! PATH (verdicts and metrics stay byte-identical with and without it).
 //!
-//! The command line is read strictly: two modes, a flag of another mode, a
-//! flag given twice, a missing value (or a flag where a value belongs) and
-//! a replay directory without reproducers are each an error, exit 2.
+//! Exactly one mode is given, and only its flags.  A malformed command line
+//! exits 2 with the usage before anything runs: see [`bvc_trace::cli`].  A
+//! replay directory without reproducers is an error too, exit 2.
 
 use bvc_chaos::{
     churn, dashboard_header, evaluate, known_signatures, replay_dir, search, shrink, write_repro,
     ChurnConfig, SearchConfig,
 };
 use bvc_scenario::Protocol;
+use bvc_trace::cli::{Args, Cli, Flags};
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: chaos-run --search [--seed S] [--restarts R] [--iters I] [--repros DIR] [--pin]\n\
-         \x20                [--protocols LIST]\n\
-         \x20      chaos-run --churn [--seed S] [--waves W] [--per-wave P] [--jobs J] [--label L]\n\
-         \x20                [--metrics PATH] [--dashboard PATH]\n\
-         \x20      chaos-run --replay DIR\n\
-         \x20      (any mode) --trace PATH"
-    );
-    ExitCode::from(2)
-}
+const USAGE: &str =
+    "usage: chaos-run --search [--seed S] [--restarts R] [--iters I] [--repros DIR] [--pin]\n\
+     \x20                [--protocols LIST]\n\
+     \x20      chaos-run --churn [--seed S] [--waves W] [--per-wave P] [--jobs J] [--label L]\n\
+     \x20                [--metrics PATH] [--dashboard PATH]\n\
+     \x20      chaos-run --replay DIR\n\
+     \x20      (any mode) --trace PATH";
 
 /// The three modes; exactly one is given.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,7 +75,7 @@ impl Mode {
 
     /// The flags the mode takes (its own, `--trace` and its options), each
     /// with whether it takes a value.
-    fn flags(self) -> &'static [(&'static str, bool)] {
+    fn flags(self) -> &'static Flags {
         match self {
             Mode::Search => &[
                 ("--search", false),
@@ -106,78 +103,25 @@ impl Mode {
     }
 }
 
-/// The command line, read strictly: one mode, only that mode's flags, each
-/// at most once, every value present and not itself a flag.
-struct Args {
-    mode: Mode,
-    /// The flags given, each with its value.
-    given: Vec<(&'static str, Option<String>)>,
-}
-
-impl Args {
-    fn parse(raw: &[String]) -> Result<Self, String> {
-        let mut modes = raw.iter().filter_map(|arg| Mode::of(arg));
-        let (Some(mode), None) = (modes.next(), modes.next()) else {
-            return Err("give exactly one of --search, --churn, --replay".to_string());
-        };
-        let mut given: Vec<(&'static str, Option<String>)> = Vec::new();
-        let mut rest = raw.iter();
-        while let Some(arg) = rest.next() {
-            let Some(&(flag, takes_value)) = mode.flags().iter().find(|(f, _)| f == arg) else {
-                return Err(format!("unexpected argument `{arg}`"));
-            };
-            if given.iter().any(|(f, _)| *f == flag) {
-                return Err(format!("{flag} given twice"));
-            }
-            let value = match takes_value {
-                false => None,
-                true => match rest.next() {
-                    Some(value) if !value.starts_with("--") => Some(value.clone()),
-                    _ => return Err(format!("{flag} needs a value")),
-                },
-            };
-            given.push((flag, value));
-        }
-        Ok(Self { mode, given })
-    }
-
-    fn value(&self, name: &str) -> Option<&str> {
-        self.given
-            .iter()
-            .find(|(flag, _)| *flag == name)
-            .and_then(|(_, value)| value.as_deref())
-    }
-
-    fn parsed<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.value(name) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| format!("invalid value for {name}: {raw}")),
-        }
-    }
-
-    fn has(&self, name: &str) -> bool {
-        self.given.iter().any(|(flag, _)| *flag == name)
-    }
-}
+/// A session whose flags are read, to run under the trace.
+type Session<'a> = Box<dyn FnOnce() -> Result<ExitCode, String> + 'a>;
 
 fn main() -> ExitCode {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let args = match Args::parse(&raw) {
-        Ok(args) => args,
-        Err(message) => {
-            eprintln!("chaos-run: {message}");
-            return usage();
+    let cli = Cli::new("chaos-run", USAGE);
+    let mut modes = cli.raw().iter().filter_map(|arg| Mode::of(arg));
+    let (Some(mode), None) = (modes.next(), modes.next()) else {
+        cli.fail("give exactly one of --search, --churn, --replay")
+    };
+    let args = cli.read(mode.flags());
+    let session = match mode {
+        Mode::Search => search_session(&cli, &args),
+        Mode::Churn => churn_session(&args),
+        Mode::Replay => {
+            let dir = args.required("--replay");
+            Box::new(move || run_replay(dir))
         }
     };
-    let trace = args.value("--trace").map(PathBuf::from);
-    let run = bvc_trace::run_traced(trace.as_deref(), || match args.mode {
-        Mode::Search => run_search(&args),
-        Mode::Churn => run_churn(&args),
-        Mode::Replay => run_replay(&args),
-    });
-    match run {
+    match bvc_trace::run_traced(args.value("--trace").map(Path::new), session) {
         Ok(Ok(code)) => code,
         Ok(Err(message)) => {
             eprintln!("chaos-run: {message}");
@@ -190,25 +134,31 @@ fn main() -> ExitCode {
     }
 }
 
-fn run_search(args: &Args) -> Result<ExitCode, String> {
-    let seed = args.parsed("--seed", 0u64)?;
-    let restarts = args.parsed("--restarts", 24usize)?;
-    let iters = args.parsed("--iters", 40usize)?;
-    let repros = PathBuf::from(args.value("--repros").unwrap_or("scenarios/repros"));
-    let pin = args.has("--pin");
-
-    let mut config = SearchConfig::new(seed, restarts, iters);
+fn search_session<'a>(cli: &Cli, args: &'a Args) -> Session<'a> {
+    let mut config = SearchConfig::new(
+        args.parsed("--seed").unwrap_or(0),
+        args.parsed("--restarts").unwrap_or(24),
+        args.parsed("--iters").unwrap_or(40),
+    );
     if let Some(raw) = args.value("--protocols") {
         config.space.protocols = raw
             .split(',')
             .map(|name| {
                 let name = name.trim();
-                Protocol::from_name(name)
-                    .ok_or_else(|| format!("unknown protocol `{name}` in --protocols"))
+                Protocol::from_name(name).unwrap_or_else(|| {
+                    cli.fail(format!("unknown protocol `{name}` in --protocols"))
+                })
             })
-            .collect::<Result<Vec<_>, _>>()?;
+            .collect();
     }
-    let report = search(&config);
+    Box::new(move || run_search(&config, args))
+}
+
+fn run_search(config: &SearchConfig, args: &Args) -> Result<ExitCode, String> {
+    let seed = config.master_seed;
+    let repros = PathBuf::from(args.value("--repros").unwrap_or("scenarios/repros"));
+    let pin = args.has("--pin");
+    let report = search(config);
     println!(
         "chaos-run: search seed {seed}: {} evaluation(s), best score {:.3}, {} finding(s)",
         report.evaluations,
@@ -259,16 +209,19 @@ fn run_search(args: &Args) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn run_churn(args: &Args) -> Result<ExitCode, String> {
+fn churn_session<'a>(args: &'a Args) -> Session<'a> {
     let mut config = ChurnConfig::new(
-        args.parsed("--seed", 0u64)?,
-        args.parsed("--waves", 8usize)?,
-        args.parsed("--per-wave", 32usize)?,
+        args.parsed("--seed").unwrap_or(0),
+        args.parsed("--waves").unwrap_or(8),
+        args.parsed("--per-wave").unwrap_or(32),
     );
-    config.jobs = args.parsed("--jobs", 0usize)?;
+    config.jobs = args.parsed("--jobs").unwrap_or(0);
     config.label = args.value("--label").unwrap_or("local").to_string();
+    Box::new(move || run_churn(&config, args))
+}
 
-    let report = churn(&config);
+fn run_churn(config: &ChurnConfig, args: &Args) -> Result<ExitCode, String> {
+    let report = churn(config);
     let json = report.to_json();
     match args.value("--metrics") {
         None => println!("{json}"),
@@ -317,8 +270,7 @@ fn append_dashboard_row(path: &Path, row: &str) -> std::io::Result<()> {
     writeln!(file, "{row}")
 }
 
-fn run_replay(args: &Args) -> Result<ExitCode, String> {
-    let dir = args.value("--replay").expect("--replay takes a value");
+fn run_replay(dir: &str) -> Result<ExitCode, String> {
     let results = replay_dir(Path::new(dir)).map_err(|e| format!("{dir}: {e}"))?;
     if results.is_empty() {
         return Err(format!("no reproducers under {dir}"));

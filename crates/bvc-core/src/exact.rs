@@ -60,7 +60,10 @@ pub struct ExactBvcProcess {
 
 impl ExactBvcProcess {
     /// Creates the honest process with index `me` and input vector `input`,
-    /// deciding through `gamma_cache`, the run's: since Step 1 leaves every
+    /// running Step 1 on `slots`, the EIG child-slot table of
+    /// `(config.n, config.f)`, and deciding through `gamma_cache`.  Both are
+    /// the run's, built once and passed to every process of the cast: the
+    /// table is the same for all of them, and since Step 1 leaves every
     /// non-faulty process with the *identical* multiset `S`, a shared cache
     /// computes the Step-2 decision point once per system instead of once
     /// per process.
@@ -70,15 +73,20 @@ impl ExactBvcProcess {
     /// Panics if `me >= config.n`, `input.dim() != config.d`, or
     /// `config.f == 0` (with no faults the problem is a plain deterministic
     /// exchange; the runners handle that case separately).
-    pub fn new(config: BvcConfig, me: usize, input: Point, gamma_cache: SharedGammaCache) -> Self {
+    pub fn new(
+        config: BvcConfig,
+        me: usize,
+        input: Point,
+        slots: &Arc<ChildSlots>,
+        gamma_cache: SharedGammaCache,
+    ) -> Self {
         assert!(me < config.n, "process index {me} out of range");
         assert_eq!(input.dim(), config.d, "input dimension must equal config.d");
         assert!(config.f >= 1, "ExactBvcProcess requires f >= 1");
         let default = Point::uniform(config.d, config.lower_bound);
-        let slots = Arc::new(ChildSlots::new(config.n, config.f));
         let mut instances: Vec<BroadcastInstance<Point>> = (0..config.n)
             .map(|source| {
-                BroadcastInstance::with_slots(Arc::clone(&slots), me, source, default.clone())
+                BroadcastInstance::with_slots(Arc::clone(slots), me, source, default.clone())
             })
             .collect();
         instances[me].set_input(input);
@@ -224,12 +232,14 @@ mod tests {
         assert_eq!(honest_inputs.len(), n - f);
         let cfg = config(n, f, d);
         let cache = GammaCache::shared();
+        let slots = Arc::new(ChildSlots::new(n, f));
         let mut processes: Vec<Box<dyn SyncProcess<Msg = ExactMsg, Output = Point>>> = Vec::new();
         for (i, input) in honest_inputs.iter().enumerate() {
             processes.push(Box::new(ExactBvcProcess::new(
                 cfg.clone(),
                 i,
                 input.clone(),
+                &slots,
                 cache.clone(),
             )));
         }
@@ -244,7 +254,7 @@ mod tests {
             );
             forge.set_honest_value(Point::uniform(d, cfg.upper_bound));
             let corner = Point::uniform(d, cfg.lower_bound);
-            let skeleton = ExactBvcProcess::new(cfg.clone(), me, corner, cache.clone());
+            let skeleton = ExactBvcProcess::new(cfg.clone(), me, corner, &slots, cache.clone());
             processes.push(Box::new(Forging::new(skeleton, forge)));
         }
         let honest_indices: Vec<usize> = (0..n - f).collect();
@@ -414,7 +424,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "requires f >= 1")]
     fn zero_faults_rejected_by_process() {
-        let cfg = config(3, 0, 2);
-        let _ = ExactBvcProcess::new(cfg, 0, Point::new(vec![0.0, 0.0]), GammaCache::shared());
+        // No table exists for f = 0; the check comes before the table is read.
+        let (cfg, slots) = (config(3, 0, 2), Arc::new(ChildSlots::new(4, 1)));
+        let point = Point::new(vec![0.0, 0.0]);
+        let _ = ExactBvcProcess::new(cfg, 0, point, &slots, GammaCache::shared());
     }
 }

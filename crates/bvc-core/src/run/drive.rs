@@ -27,6 +27,7 @@ use crate::iterative::iterative_round_budget;
 use crate::restricted::{restricted_round_budget, RestrictedAsyncProcess, StateMsg};
 use crate::rounds::StateExchangeProcess;
 use bvc_adversary::{Forging, PointForge, StateForger};
+use bvc_broadcast::ChildSlots;
 use bvc_geometry::Point;
 use bvc_net::{AsyncNetwork, AsyncProcess, SyncNetwork, SyncProcess};
 use std::sync::Arc;
@@ -179,12 +180,15 @@ impl BvcSession {
     }
 
     /// Section 2.2 on the synchronous executor; also what the directed kinds
-    /// run on `K_n`.
+    /// run on `K_n`.  The cast shares one EIG child-slot table, as it shares
+    /// the Γ cache.
     fn drive_exact(&self) -> DriverOutcome {
         let config = &self.core;
         let cache = &self.gamma_cache;
         let corner = Point::uniform(config.d, config.lower_bound);
-        let process = |me, input| ExactBvcProcess::new(config.clone(), me, input, cache.clone());
+        let slots = Arc::new(ChildSlots::new(config.n, config.f));
+        let process =
+            |me, input| ExactBvcProcess::new(config.clone(), me, input, &slots, cache.clone());
         let cast = self.cast(
             |i, input| sync_box(process(i, input).with_validity_mode(self.config.validity)),
             |me, forge| sync_box(Forging::new(process(me, corner.clone()), forge)),

@@ -14,7 +14,8 @@
 //!   of every line through `z` and a member with [`orient_exact`]: `Inside`
 //!   is a proof that every subset hull holds `z`.
 //! * [`Region`]: the kept sides and the box, each widened by
-//!   [`DEPTH_SLACK`], in a frame at the box's low corner.  Built once per
+//!   [`DEPTH_SLACK`] (more far from the origin, where a coordinate's
+//!   rounding is more), in a frame at the box's low corner.  Built once per
 //!   query, it rejects what its box misses ([`Region::boxes`]), answers
 //!   membership where the count says `Outside` ([`Region::sides_hold`]),
 //!   and gives a point of `Γ(Y)`, or none when `Γ(Y)` is empty
@@ -98,37 +99,46 @@ fn place(z: Xy, o: Xy, x: Xy) -> Place {
 }
 
 /// The closed halfplane `{ x : normal · (x − through) ≥ 0 }`, `normal` a
-/// unit vector so that [`DEPTH_SLACK`] is a distance, written in its
-/// [`Region`]'s frame.
+/// unit vector so that its [`Region`]'s slack is a distance, written in
+/// that region's frame.
 struct Halfplane {
     normal: Xy,
     through: Xy,
 }
 
 impl Halfplane {
-    /// Signed distance of `x` past the slackened boundary: `≥ 0` inside.
-    fn excess(&self, x: Xy) -> f64 {
+    /// Signed distance of `x` past the boundary widened by `slack`: `≥ 0`
+    /// inside.
+    fn excess(&self, x: Xy, slack: f64) -> f64 {
         self.normal[0] * (x[0] - self.through[0])
             + self.normal[1] * (x[1] - self.through[1])
-            + DEPTH_SLACK
+            + slack
     }
 }
 
 /// The depth region of `Y`: the trimmed box `[lo, hi]` and the sides of
 /// lines through two distinct members (canonical pair order) that hold at
-/// least `|Y| − f` members, each widened by [`DEPTH_SLACK`].  It reads `Y`
-/// as plane points, and finds the sides, only when first asked.
+/// least `|Y| − f` members, each widened by its slack.  It reads `Y` as
+/// plane points, and finds the sides, only when first asked.
 ///
 /// Its frame has `lo` at the origin, as the hull LPs are written relative
 /// to a generator: the difference of two nearby coordinates is exact, so
 /// the `2τ`-wide strip of a one-point `Γ` keeps its width wherever `Y`
 /// lies (at `2^26` an absolute coordinate steps by `1.5e-8`), and a shift
 /// of `Y` that is exact leaves every answer of the region unchanged.
+///
+/// The slack is [`DEPTH_SLACK`], or `4ε` times the box's largest coordinate
+/// magnitude where that is more (past about `1.1e6`; `ε` is
+/// [`f64::EPSILON`]): a point the region returns is written back in
+/// absolute coordinates, which moves it by up to a rounding of that
+/// magnitude, and a narrower band would reject it.
 pub(crate) struct Region<'a> {
     y: &'a PointMultiset,
     f: usize,
     lo: Xy,
     hi: Xy,
+    /// How far past a side or a face of the box a point may lie.
+    slack: f64,
     /// The members of `y` as plane points, in its order.
     members: OnceCell<Vec<Xy>>,
     /// The kept sides.
@@ -139,11 +149,15 @@ impl<'a> Region<'a> {
     /// The region of the planar `y` with fault bound `f` in its trimmed box
     /// `(lo, hi)`; nothing is computed yet.
     pub(crate) fn new(y: &'a PointMultiset, f: usize, (lo, hi): (&[f64], &[f64])) -> Self {
+        let magnitude = [lo[0], lo[1], hi[0], hi[1]]
+            .iter()
+            .fold(0.0f64, |m, c| m.max(c.abs()));
         Self {
             y,
             f,
             lo: [lo[0], lo[1]],
             hi: [hi[0], hi[1]],
+            slack: DEPTH_SLACK.max(4.0 * f64::EPSILON * magnitude),
             members: OnceCell::new(),
             planes: OnceCell::new(),
         }
@@ -193,21 +207,22 @@ impl<'a> Region<'a> {
         })
     }
 
-    /// Whether `x` lies within [`DEPTH_SLACK`] of the box and of every kept
-    /// side.
+    /// Whether `x` lies within the slack of the box and of every kept side.
     fn holds(&self, x: Xy) -> bool {
         self.boxes(x) && self.sides_hold(x)
     }
 
-    /// Whether `x` lies within [`DEPTH_SLACK`] of the box.
+    /// Whether `x` lies within the slack of the box.
     pub(crate) fn boxes(&self, x: Xy) -> bool {
-        (0..2).all(|l| x[l] - self.lo[l] >= -DEPTH_SLACK && x[l] - self.hi[l] <= DEPTH_SLACK)
+        (0..2).all(|l| x[l] - self.lo[l] >= -self.slack && x[l] - self.hi[l] <= self.slack)
     }
 
-    /// Whether `x` lies within [`DEPTH_SLACK`] of every kept side.
+    /// Whether `x` lies within the slack of every kept side.
     pub(crate) fn sides_hold(&self, x: Xy) -> bool {
         let x = self.local(x);
-        self.planes().iter().all(|plane| plane.excess(x) >= 0.0)
+        self.planes()
+            .iter()
+            .all(|plane| plane.excess(x, self.slack) >= 0.0)
     }
 
     /// A point of the region: the first member, in `Y`'s order, that it
@@ -229,7 +244,7 @@ impl<'a> Region<'a> {
         polygon.extend([[0.0, 0.0], [top[0], 0.0], top, [0.0, top[1]]]);
         let mut spare = Vec::with_capacity(polygon.capacity());
         for plane in planes {
-            clip(&polygon, plane, &mut spare);
+            clip(&polygon, plane, self.slack, &mut spare);
             std::mem::swap(&mut polygon, &mut spare);
             if polygon.is_empty() {
                 return None;
@@ -243,13 +258,13 @@ impl<'a> Region<'a> {
     }
 }
 
-/// Writes into `out` the part of the convex `polygon` inside `plane` (one
-/// Sutherland–Hodgman pass).
-fn clip(polygon: &[Xy], plane: &Halfplane, out: &mut Vec<Xy>) {
+/// Writes into `out` the part of the convex `polygon` inside `plane`
+/// widened by `slack` (one Sutherland–Hodgman pass).
+fn clip(polygon: &[Xy], plane: &Halfplane, slack: f64, out: &mut Vec<Xy>) {
     out.clear();
     for (k, &a) in polygon.iter().enumerate() {
         let b = polygon[(k + 1) % polygon.len()];
-        let (sa, sb) = (plane.excess(a), plane.excess(b));
+        let (sa, sb) = (plane.excess(a, slack), plane.excess(b, slack));
         if sa >= 0.0 {
             out.push(a);
         }

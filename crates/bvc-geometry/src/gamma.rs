@@ -1053,8 +1053,8 @@ mod tests {
         // Γ of the converged quadrilateral is its Radon point, so the depth
         // region is two strips 2·DEPTH_SLACK wide crossing there.  Moved to
         // 2^26 and beyond, where a coordinate steps by 1.5e-8 or more, the
-        // region still has that point, and it is the point at home moved,
-        // up to the rounding of the move.
+        // region still has that point, it is the point at home moved, up to
+        // the rounding of the move, and Γ's membership test accepts it.
         let home = converged_quadrilateral(1.0);
         let here = gamma_point(&home, 1).expect("the Radon point");
         for t in [
@@ -1075,6 +1075,9 @@ mod tests {
                 let off = (a - t - b).abs();
                 assert!(off <= 8.0 * t.abs() * f64::EPSILON, "{off:e} off at {t:e}");
             }
+            // The point is in Γ by Γ's own membership test: the band is
+            // wider than the rounding of its coordinates.
+            assert!(gamma_contains(&y, 1, &there), "{there} rejected at {t:e}");
         }
     }
 

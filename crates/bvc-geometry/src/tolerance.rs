@@ -24,7 +24,7 @@
 //! | the exact stage of `orient_exact` (`planar.rs`) | none: exact | runs only after the static bound above leaves a sign unsure, and sums the determinant exactly from its sixteen error-free product terms.  `d = 2` Γ membership counts members on each side of every line through `p` and a member by it: every closed halfplane through `p` holding more than `f` members ⇒ `p ∈ Γ(Y)` without a hull | accept: exact (`p` is in every subset hull, so no hull test rejects it); an `Outside` count goes to the depth region below |
 //! | [`WEIGHT_SUM_TOLERANCE`] | 1e-6 | `\|Σ w − 1\| < τ` for convex-combination weights | input check; solver weights sum to 1 within `FEASIBILITY_TOLERANCE` |
 //! | [`NEGATIVE_WEIGHT_TOLERANCE`] | 1e-9 | `w ≥ −τ` for each weight | input check at `EPSILON`; weights read off the solver are clamped to `≥ 0` before they get here |
-//! | [`DEPTH_SLACK`] | 1e-9 | `d = 2` depth region (the kept member halfplanes and the trimmed box): a point within `τ` (a distance: unit normals) of every one is in it.  It is the accept rule of `d = 2` Γ membership past the exact depth count, its point is the strict `d = 2` answer, and an empty region is an empty `Γ` | replaces the LP for `d = 2` Γ: a hundredth of `FEASIBILITY_TOLERANCE`, so an accepted point lies within that band of every subset hull.  Past a subset hull's vertex of angle `θ` the widened sides reach `τ / sin(θ/2)`, but the trimmed box cuts that short: the hull's `\|Y\| − f` members lie ahead of the vertex in the coordinate nearest its bisector, so that face of the box is at the vertex and the reach is a few `τ` (`depth.rs` tests measure both, with no LP) |
+//! | [`DEPTH_SLACK`] | 1e-9, or `4ε·max(\|lo\|, \|hi\|)` where more | `d = 2` depth region (the kept member halfplanes and the trimmed box `[lo, hi]`): a point within `τ` (a distance: unit normals) of every one is in it.  The second term (`ε` the `f64` epsilon) passes `τ` only past about `1.1e6`, where the rounding of the region's own point back to absolute coordinates is more than `1e-9`; below that `τ` is exactly `1e-9`.  It is the accept rule of `d = 2` Γ membership past the exact depth count, its point is the strict `d = 2` answer, and an empty region is an empty `Γ` | replaces the LP for `d = 2` Γ: a hundredth of `FEASIBILITY_TOLERANCE`, so an accepted point lies within that band of every subset hull.  Past a subset hull's vertex of angle `θ` the widened sides reach `τ / sin(θ/2)`, but the trimmed box cuts that short: the hull's `\|Y\| − f` members lie ahead of the vertex in the coordinate nearest its bisector, so that face of the box is at the vertex and the reach is a few `τ` (`depth.rs` tests measure both, with no LP) |
 //! | [`DEFAULT_TOLERANCE`] | 1e-7 | default `τ` of [`Point::approx_eq`](crate::Point::approx_eq) for callers | none: not read by any engine |
 //!
 //! Nothing here is settable; the orderings above are checked at compile time
@@ -43,8 +43,9 @@ pub fn reject_margin(scale: f64) -> f64 {
     HULL_TOLERANCE * scale
 }
 
-/// Slack of the `d = 2` depth region, Γ's accept rule in the plane; see
-/// the [table](self).
+/// Slack of the `d = 2` depth region, Γ's accept rule in the plane, near
+/// the origin (far from it the region widens it to its coordinates'
+/// rounding); see the [table](self).
 pub const DEPTH_SLACK: f64 = 1e-9;
 
 /// Default tolerance used by approximate comparisons of points.

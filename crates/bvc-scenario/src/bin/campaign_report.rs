@@ -10,59 +10,39 @@
 //! Without `--out` the Markdown goes to stdout.  The table buckets verdicts
 //! per strategy × fault kinds × topology and separates expected-unsolvable
 //! substrates from solvable ones (see `bvc_scenario::report`).  A malformed
-//! command line (an unknown flag, a missing value, a flag given twice) exits
-//! 2 with usage.
+//! command line exits 2 with the usage before anything runs: see
+//! [`bvc_trace::cli`].
 
-use bvc_scenario::cli::Cli;
 use bvc_scenario::ViolationTable;
-use std::path::PathBuf;
+use bvc_trace::cli::Cli;
 use std::process::ExitCode;
 
-fn usage() -> ! {
-    eprintln!("usage: campaign-report --in <verdicts.jsonl> [--out <report.md>] [--title <t>]");
-    std::process::exit(2);
-}
-
 fn main() -> ExitCode {
-    let cli = Cli::new("campaign-report", usage);
-    let mut args = std::env::args().skip(1);
-    let mut input: Option<PathBuf> = None;
-    let mut output: Option<PathBuf> = None;
-    let mut title: Option<String> = None;
-    while let Some(arg) = args.next() {
-        let mut value = || args.next().unwrap_or_else(|| usage());
-        match arg.as_str() {
-            "--in" => cli.set(&mut input, &arg, PathBuf::from(value())),
-            "--out" => cli.set(&mut output, &arg, PathBuf::from(value())),
-            "--title" => cli.set(&mut title, &arg, value()),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("campaign-report: unknown argument `{other}`");
-                usage();
-            }
-        }
-    }
-    let Some(input) = input else { usage() };
-    let title = title.unwrap_or_else(|| "Campaign violation rates".to_string());
+    let cli = Cli::new(
+        "campaign-report",
+        "usage: campaign-report --in <verdicts.jsonl> [--out <report.md>] [--title <t>]",
+    );
+    let args = cli.read(&[("--in", true), ("--out", true), ("--title", true)]);
+    let input = args.required("--in");
+    let title = args.value("--title").unwrap_or("Campaign violation rates");
 
-    let text = match std::fs::read_to_string(&input) {
+    let text = match std::fs::read_to_string(input) {
         Ok(text) => text,
         Err(e) => {
-            eprintln!("campaign-report: cannot read `{}`: {e}", input.display());
+            eprintln!("campaign-report: cannot read `{input}`: {e}");
             return ExitCode::from(2);
         }
     };
     let table = ViolationTable::from_jsonl(&text);
     if table.total_runs() == 0 {
         eprintln!(
-            "campaign-report: no verdicts found in `{}` ({} line(s) skipped)",
-            input.display(),
+            "campaign-report: no verdicts found in `{input}` ({} line(s) skipped)",
             table.skipped
         );
         return ExitCode::from(2);
     }
-    let markdown = table.to_markdown(&title);
-    match &output {
+    let markdown = table.to_markdown(title);
+    match args.value("--out") {
         None => print!("{markdown}"),
         Some(path) => {
             // The embedded recipe must reproduce this exact file (CI diffs
@@ -70,23 +50,20 @@ fn main() -> ExitCode {
             // is included verbatim.
             let document = format!(
                 "# EXPERIMENTS\n\n\
-                 Generated by `campaign-report` from `{in_}`; regenerate with\n\n\
+                 Generated by `campaign-report` from `{input}`; regenerate with\n\n\
                  ```text\n\
-                 cargo run --release -p bvc-scenario --bin campaign-run -- --dir scenarios --out {in_}\n\
+                 cargo run --release -p bvc-scenario --bin campaign-run -- --dir scenarios --out {input}\n\
                  cargo run --release -p bvc-scenario --bin campaign-report -- \\\n    \
-                 --in {in_} --out {out} --title \"{title}\"\n\
-                 ```\n\n{markdown}",
-                in_ = input.display(),
-                out = path.display(),
+                 --in {input} --out {path} --title \"{title}\"\n\
+                 ```\n\n{markdown}"
             );
             if let Err(e) = std::fs::write(path, document) {
-                eprintln!("campaign-report: cannot write `{}`: {e}", path.display());
+                eprintln!("campaign-report: cannot write `{path}`: {e}");
                 return ExitCode::from(2);
             }
             eprintln!(
-                "campaign-report: {} verdict(s) aggregated into `{}`",
-                table.total_runs(),
-                path.display()
+                "campaign-report: {} verdict(s) aggregated into `{path}`",
+                table.total_runs()
             );
         }
     }

@@ -17,11 +17,11 @@
 //! while it runs instead of buffering every result.  Exit code 0 means
 //! every instance ran and every verdict held; 1 means some verdict was
 //! violated or some instance was rejected; 2 means the campaign could not
-//! be loaded, or the command line was malformed (an unknown flag, a missing
-//! value, a flag given twice).
+//! be loaded.  A malformed command line exits 2 with the usage before
+//! anything runs: see [`bvc_trace::cli`].
 
-use bvc_scenario::cli::Cli;
 use bvc_scenario::{expand_all, run_campaign_streaming, ScenarioSpec, VerdictSink};
+use bvc_trace::cli::Cli;
 use std::fs::File;
 use std::io::{self, BufWriter, Write as _};
 use std::path::PathBuf;
@@ -54,61 +54,28 @@ impl VerdictSink for CampaignSink {
     }
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: campaign-run [--dir <scenario-dir>] [<scenario.toml> ...] \
-         [--jobs <n>] [--out <file>]"
-    );
-    std::process::exit(2);
-}
-
 fn main() -> ExitCode {
-    let cli = Cli::new("campaign-run", usage);
-    let mut args = std::env::args().skip(1);
-    let mut dir: Option<PathBuf> = None;
-    let mut files: Vec<PathBuf> = Vec::new();
-    let mut jobs: Option<usize> = None;
-    let mut out_path: Option<PathBuf> = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--dir" => cli.set(
-                &mut dir,
-                &arg,
-                PathBuf::from(args.next().unwrap_or_else(|| usage())),
-            ),
-            "--jobs" => {
-                let value = args.next().unwrap_or_else(|| usage());
-                match value.parse() {
-                    Ok(n) => cli.set(&mut jobs, &arg, n),
-                    Err(_) => {
-                        eprintln!("campaign-run: invalid --jobs `{value}`");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--out" => cli.set(
-                &mut out_path,
-                &arg,
-                PathBuf::from(args.next().unwrap_or_else(|| usage())),
-            ),
-            "--help" | "-h" => usage(),
-            other if other.ends_with(".toml") => files.push(PathBuf::from(other)),
-            other => {
-                eprintln!("campaign-run: unknown argument `{other}`");
-                usage();
-            }
-        }
+    let cli = Cli::new(
+        "campaign-run",
+        "usage: campaign-run [--dir <scenario-dir>] [<scenario.toml> ...] \
+         [--jobs <n>] [--out <file>]",
+    );
+    let args = cli.read_files(
+        &[("--dir", true), ("--jobs", true), ("--out", true)],
+        ".toml",
+    );
+    let dir = args.value("--dir").map(PathBuf::from);
+    let jobs = args.parsed("--jobs").unwrap_or(0);
+    let out_path = args.value("--out").map(PathBuf::from);
+    if dir.is_none() && args.positionals().is_empty() {
+        cli.fail("give --dir or a .toml file");
     }
-    if dir.is_none() && files.is_empty() {
-        usage()
-    }
-    let jobs = jobs.unwrap_or(0);
 
     // Load scenario files in sorted order for a stable instance matrix;
     // positional files come first, then the directory contents.  A file
     // reachable both ways (named positionally *and* living in --dir) is run
     // once: duplicates are filtered by canonical path.
-    let mut paths: Vec<PathBuf> = files;
+    let mut paths: Vec<PathBuf> = args.positionals().iter().map(PathBuf::from).collect();
     paths.sort();
     if let Some(dir) = &dir {
         let mut from_dir: Vec<PathBuf> = match std::fs::read_dir(dir) {

@@ -19,72 +19,50 @@
 //! latency percentiles, Γ-cache reuse, per-worker load — go to stderr as a
 //! human summary and, with `--stats`, to a JSON file.  Exit code 0 means
 //! every verdict held; 1 means some verdict was violated; 2 means the
-//! stream could not be loaded or admitted, or the command line was malformed
-//! (an unknown flag, a missing value, a flag given twice).
+//! stream could not be loaded or admitted.  A malformed command line exits 2
+//! with the usage before anything runs: see [`bvc_trace::cli`].
 
-use bvc_scenario::cli::Cli;
 use bvc_scenario::{service_config_from_spec, ScenarioSpec};
 use bvc_service::{BvcService, CacheMode, JsonlSink, ServiceStats, VerdictSink};
+use bvc_trace::cli::Cli;
 use std::fs::File;
 use std::io::{self, BufWriter, Write as _};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: service-run --scenario <file.toml> [--instances <n>] [--workers <n>] \
-         [--cold-cache] [--out <file>] [--stats <file>] [--trace <file>]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_count(value: String, flag: &str) -> usize {
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("service-run: invalid {flag} `{value}`");
-        std::process::exit(2);
-    })
-}
-
 fn main() -> ExitCode {
-    let cli = Cli::new("service-run", usage);
-    let mut args = std::env::args().skip(1);
-    let mut scenario: Option<PathBuf> = None;
-    let mut instances: Option<usize> = None;
-    let mut workers: Option<usize> = None;
-    let mut cold_cache: Option<()> = None;
-    let mut out_path: Option<PathBuf> = None;
-    let mut stats_path: Option<PathBuf> = None;
-    let mut trace_path: Option<PathBuf> = None;
-    while let Some(arg) = args.next() {
-        let mut value = || args.next().unwrap_or_else(|| usage());
-        match arg.as_str() {
-            "--scenario" => cli.set(&mut scenario, &arg, PathBuf::from(value())),
-            "--instances" => cli.set(&mut instances, &arg, parse_count(value(), &arg)),
-            "--workers" => cli.set(&mut workers, &arg, parse_count(value(), &arg)),
-            "--cold-cache" => cli.set(&mut cold_cache, &arg, ()),
-            "--out" => cli.set(&mut out_path, &arg, PathBuf::from(value())),
-            "--stats" => cli.set(&mut stats_path, &arg, PathBuf::from(value())),
-            "--trace" => cli.set(&mut trace_path, &arg, PathBuf::from(value())),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("service-run: unknown argument `{other}`");
-                usage();
-            }
-        }
-    }
-    let Some(path) = scenario else { usage() };
+    let cli = Cli::new(
+        "service-run",
+        "usage: service-run --scenario <file.toml> [--instances <n>] [--workers <n>] \
+         [--cold-cache] [--out <file>] [--stats <file>] [--trace <file>]",
+    );
+    let args = cli.read(&[
+        ("--scenario", true),
+        ("--instances", true),
+        ("--workers", true),
+        ("--cold-cache", false),
+        ("--out", true),
+        ("--stats", true),
+        ("--trace", true),
+    ]);
+    let path = args.required("--scenario");
+    let instances: Option<usize> = args.parsed("--instances");
+    let workers: Option<usize> = args.parsed("--workers");
+    let out_path = args.value("--out").map(PathBuf::from);
+    let stats_path = args.value("--stats");
+    let trace_path = args.value("--trace").map(Path::new);
 
-    let text = match std::fs::read_to_string(&path) {
+    let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) => {
-            eprintln!("service-run: cannot read `{}`: {e}", path.display());
+            eprintln!("service-run: cannot read `{path}`: {e}");
             return ExitCode::from(2);
         }
     };
     let mut spec = match ScenarioSpec::from_toml(&text) {
         Ok(spec) => spec,
         Err(e) => {
-            eprintln!("service-run: `{}`: {e}", path.display());
+            eprintln!("service-run: `{path}`: {e}");
             return ExitCode::from(2);
         }
     };
@@ -95,14 +73,14 @@ fn main() -> ExitCode {
     let mut config = match service_config_from_spec(&spec) {
         Ok(config) => config,
         Err(e) => {
-            eprintln!("service-run: `{}`: {e}", path.display());
+            eprintln!("service-run: `{path}`: {e}");
             return ExitCode::from(2);
         }
     };
     if let Some(workers) = workers {
         config = config.workers(workers);
     }
-    if cold_cache.is_some() {
+    if args.has("--cold-cache") {
         config = config.cache_mode(CacheMode::PerInstance);
     }
 
@@ -116,7 +94,7 @@ fn main() -> ExitCode {
 
     // --out beats the scenario's declared sink; both beat stdout.
     let file_target = out_path.or_else(|| spec.service.as_ref()?.sink.as_ref().map(PathBuf::from));
-    let stats = bvc_trace::run_traced(trace_path.as_deref(), || match file_target {
+    let stats = bvc_trace::run_traced(trace_path, || match file_target {
         Some(target) => {
             let file = match File::create(&target) {
                 Ok(file) => file,
@@ -169,11 +147,11 @@ fn main() -> ExitCode {
         stats.queue.mean_depth,
         stats.queue.series.len(),
     );
-    if let Some(path) = &stats_path {
+    if let Some(path) = stats_path {
         let mut json = stats.to_json();
         json.push('\n');
         if let Err(e) = std::fs::write(path, json) {
-            eprintln!("service-run: cannot write `{}`: {e}", path.display());
+            eprintln!("service-run: cannot write `{path}`: {e}");
             return ExitCode::from(2);
         }
     }

@@ -168,7 +168,6 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
-pub mod cli;
 pub mod json;
 pub mod report;
 pub mod runner;

@@ -7,32 +7,20 @@
 //!
 //! The report is [`bvc_trace::report`]; `--check` prints only whether every
 //! line decoded.  Exit code 0 on success, 1 on a schema violation, 2 on
-//! usage or I/O errors.
+//! an I/O error.  A malformed command line exits 2 with the usage before
+//! anything runs: see [`bvc_trace::cli`].
 
+use bvc_trace::cli::Cli;
 use std::process::ExitCode;
 
-fn usage() -> ! {
-    eprintln!("usage: trace-report --in <trace.jsonl> [--check]");
-    std::process::exit(2);
-}
-
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let mut input: Option<String> = None;
-    let mut check_only = false;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--in" => input = Some(args.next().unwrap_or_else(|| usage())),
-            "--check" => check_only = true,
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("trace-report: unknown argument `{other}`");
-                usage();
-            }
-        }
-    }
-    let Some(path) = input else { usage() };
-    let text = match std::fs::read_to_string(&path) {
+    let cli = Cli::new(
+        "trace-report",
+        "usage: trace-report --in <trace.jsonl> [--check]",
+    );
+    let args = cli.read(&[("--in", true), ("--check", false)]);
+    let path = args.required("--in");
+    let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) => {
             eprintln!("trace-report: cannot read `{path}`: {e}");
@@ -45,7 +33,7 @@ fn main() -> ExitCode {
             eprintln!("trace-report: `{path}`: {e}");
             ExitCode::from(1)
         }
-        Ok(_) if check_only => {
+        Ok(_) if args.has("--check") => {
             // The report decoded every line after the header, and a valid
             // trace has no blank line, so each of them is one event.
             let events = text.lines().count() - 1;

@@ -21,10 +21,15 @@
 //! byte-identity contract.
 //!
 //! See `crates/bvc-trace/README.md` for the full event schema.
+//!
+//! The crate also holds what the workspace's binaries share around their
+//! runs: [`run_traced`], behind their `--trace` flag, and [`cli`], the one
+//! reader of their command lines.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod event;
 pub mod json;
 mod report;

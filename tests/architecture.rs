@@ -870,8 +870,19 @@ fn flat_eig() {
         lines_with(builder, "walk_omitting(") == 1,
         "`ChildSlots` must call `walk_omitting` once: it is the table's builder"
     );
-    // The table is shared through an `Arc` a process owns, never through a
-    // process-wide cache.
+    // The table is the run's: the run path builds one per cast and passes it
+    // to every `ExactBvcProcess`, Byzantine skeletons included, and it is
+    // shared through that `Arc`, never through a process-wide cache.
+    let built = naming(
+        &rust_files_under(&["crates/bvc-core/src"]),
+        non_test,
+        &["ChildSlots::new("],
+    );
+    assert!(
+        shown(&built) == "crates/bvc-core/src/run/drive.rs",
+        "bvc-core builds EIG child-slot tables outside the run path: one table per run\n{}",
+        shown(&built)
+    );
     let cached: Vec<PathBuf> = rust_files_under(&["crates/bvc-broadcast"])
         .into_iter()
         .filter(|path| {
@@ -1049,5 +1060,56 @@ fn one_membership_rule() {
         "the canonical order must be written once, `canonical_cmp` in point.rs; \
          `.total_cmp(` found {copies} times in:\n{}",
         shown(&orders)
+    );
+}
+
+#[test]
+fn one_command_line() {
+    // The six binaries read their command lines through one reader,
+    // `bvc_trace::cli`: a table of `(flag, takes_value)`, each flag at most
+    // once, every value present and not itself a flag, and every error
+    // `<program>: <reason>`, the usage and exit 2 before anything runs.  A
+    // binary that reads `std::env::args` itself, or matches on an argument,
+    // is a second reader growing back.
+    let reader = root().join("crates/bvc-trace/src/cli.rs");
+    let sources = crate_sources();
+    let readers = naming(&sources, text, &["env::args"]);
+    let reads: usize = readers
+        .iter()
+        .map(|p| lines_with(&text(p), "env::args"))
+        .sum();
+    assert!(
+        reads == 1 && readers == [reader],
+        "`env::args` is read on {reads} lines under crates/*/src, not once in \
+         bvc-trace/src/cli.rs:\n{}",
+        shown(&readers)
+    );
+    let binaries: Vec<PathBuf> = sources
+        .into_iter()
+        .filter(|p| p.parent().is_some_and(|dir| dir.ends_with("src/bin")))
+        .collect();
+    assert!(
+        binaries.len() == 6,
+        "expected the six binaries under crates/*/src/bin, found:\n{}",
+        shown(&binaries)
+    );
+    let loops = naming(&binaries, text, &["match arg.as_str()"]);
+    assert!(
+        loops.is_empty(),
+        "a binary matches on its arguments by hand: declare a flag table\n{}",
+        shown(&loops)
+    );
+    let unread: Vec<PathBuf> = binaries
+        .into_iter()
+        .filter(|p| !text(p).contains("Cli::new("))
+        .collect();
+    assert!(
+        unread.is_empty(),
+        "a binary does not read its command line through `bvc_trace::cli::Cli`\n{}",
+        shown(&unread)
+    );
+    assert!(
+        !root().join("crates/bvc-scenario/src/cli.rs").exists(),
+        "bvc-scenario/src/cli.rs is back: the reader is bvc_trace::cli"
     );
 }
