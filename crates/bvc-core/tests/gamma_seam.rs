@@ -119,7 +119,9 @@ fn every_lp_solve_of_a_run_is_inside_a_traced_gamma_query() {
             ),
             (ProtocolKind::Iterative, config(7, 1, 2, seed).epsilon(0.1)),
             // The strict d = 2 Γ path solves no LP (the depth region answers
-            // it), so the solves this test follows come from d = 3.
+            // it), so the solves this test follows come from d = 3: the
+            // spatial region's centre LP on a probe miss that no member
+            // answers.
             (ProtocolKind::Exact, config(7, 1, 3, seed)),
             (ProtocolKind::Approx, config(6, 1, 3, seed).epsilon(0.05)),
         ];

@@ -1,30 +1,43 @@
-//! `Γ(Y)` in the plane by Tukey depth, with no hull and no linear program.
+//! `Γ(Y)` in the plane and in space by Tukey depth, with no subset hull.
 //!
 //! A point `x` lies outside a subset hull `H(T)` exactly when some closed
-//! halfplane through `x` misses `T`, so `Γ(Y)` is the set of points every
-//! closed halfplane around which holds more than `f` members: the Tukey
-//! depth-`(f+1)` region, which Lemma 1 keeps non-empty at `|Y| ≥ 3f + 1`.
-//! In the plane its edges lie on lines through two members, so `Γ(Y)` is
-//! the intersection of the closed sides of those lines that hold at least
-//! `|Y| − f` members, cut by the trimmed box.  Any such side contains
-//! `Γ(Y)`: the `|Y| − f` members on it span a hull inside it.  The strict
-//! `d = 2` Γ engine asks two things of it:
+//! halfspace through `x` misses `T`, so `Γ(Y)` is the set of points every
+//! closed halfspace around which holds more than `f` members: the Tukey
+//! depth-`(f+1)` region, which Lemma 1 keeps non-empty at
+//! `|Y| ≥ (d+1)f + 1`.  Its facets lie on hyperplanes through `d` members,
+//! so `Γ(Y)` is the intersection of the closed sides of those hyperplanes
+//! that hold at least `|Y| − f` members, cut by the trimmed box.  Any such
+//! side contains `Γ(Y)`: the `|Y| − f` members on it span a hull inside it.
+//! The strict `d = 2` and `d = 3` Γ engines ask three things of it:
 //!
-//! * [`verdict`]: is `z` in it?  Exactly, by counting members on either side
-//!   of every line through `z` and a member with [`orient_exact`]: `Inside`
-//!   is a proof that every subset hull holds `z`.
-//! * [`Region`]: the kept sides and the box, each widened by
-//!   [`DEPTH_SLACK`] (more far from the origin, where a coordinate's
-//!   rounding is more), in a frame at the box's low corner.  Built once per
-//!   query, it rejects what its box misses ([`Region::boxes`]), answers
-//!   membership where the count says `Outside` ([`Region::sides_hold`]),
-//!   and gives a point of `Γ(Y)`, or none when `Γ(Y)` is empty
-//!   ([`Region::point`]).
+//! * membership.  In the plane, [`Region::contains`] first counts members on
+//!   either side of every line through `z` and a member with
+//!   [`orient_exact`] ([`verdict`]): `Inside` is a proof that every subset
+//!   hull holds `z`.  Past that count, and in space ([`Space::contains`]),
+//!   `z` is in `Γ(Y)` when it lies in the box and within the slack of every
+//!   kept side;
+//! * the point: a member the region holds (in space only a member it holds
+//!   by exact signs), else in the plane the mean of the box clipped by every
+//!   side and in space the Chebyshev centre of the widened region, one LP
+//!   with four unknowns ([`Space::point`]);
+//! * emptiness: an empty clip, or a centre with a negative radius.
+//!
+//! [`Region`] holds the kept sides and the box, each widened by
+//! [`DEPTH_SLACK`] (more far from the origin, where a coordinate's rounding
+//! is more), in a frame at the box's low corner.  In the plane the sides are
+//! those of member-pair lines, kept by the static filter ([`orient`]; a
+//! member whose side is unknown counts on both).  In space they are those of
+//! member-triple planes, kept by [`orient3d`]'s exact sign; a `Y` that lies
+//! in a plane (or on a line) drops to the planar region of its projection
+//! on a coordinate plane ([`Space`]).  Built once per query, the region
+//! answers with no hull; in space its one LP is the centre's.
 
 use crate::multiset::PointMultiset;
-use crate::planar::{orient, orient_exact, Xy};
-use crate::point::Point;
+use crate::planar::{
+    orient, orient3d, orient_exact, plane_normal, plane_sides, PlaneSide, Xy, Xyz,
+};
 use crate::tolerance::DEPTH_SLACK;
+use bvc_lp::{LinearProgram, Objective, Relation, SolveStatus};
 use std::cell::OnceCell;
 use std::cmp::Ordering;
 
@@ -98,28 +111,31 @@ fn place(z: Xy, o: Xy, x: Xy) -> Place {
     }
 }
 
-/// The closed halfplane `{ x : normal · (x − through) ≥ 0 }`, `normal` a
+/// The closed halfspace `{ x : normal · (x − through) ≥ 0 }`, `normal` a
 /// unit vector so that its [`Region`]'s slack is a distance, written in
 /// that region's frame.
-struct Halfplane {
-    normal: Xy,
-    through: Xy,
+struct Halfspace<const D: usize> {
+    normal: [f64; D],
+    through: [f64; D],
 }
 
-impl Halfplane {
+impl<const D: usize> Halfspace<D> {
     /// Signed distance of `x` past the boundary widened by `slack`: `≥ 0`
     /// inside.
-    fn excess(&self, x: Xy, slack: f64) -> f64 {
-        self.normal[0] * (x[0] - self.through[0])
-            + self.normal[1] * (x[1] - self.through[1])
+    fn excess(&self, x: [f64; D], slack: f64) -> f64 {
+        (0..D)
+            .map(|l| self.normal[l] * (x[l] - self.through[l]))
+            .sum::<f64>()
             + slack
     }
 }
 
-/// The depth region of `Y`: the trimmed box `[lo, hi]` and the sides of
-/// lines through two distinct members (canonical pair order) that hold at
-/// least `|Y| − f` members, each widened by its slack.  It reads `Y` as
-/// plane points, and finds the sides, only when first asked.
+/// The depth region of `Y` read on `D` of its coordinates: the trimmed box
+/// `[lo, hi]` and the kept sides, each widened by its slack.  In the plane
+/// (`D = 2`) the sides are those of lines through two distinct members
+/// (canonical pair order) that hold at least `|Y| − f` members; in space
+/// [`Space`] finds them.  It reads `Y`, and finds the sides, only when
+/// first asked.
 ///
 /// Its frame has `lo` at the origin, as the hull LPs are written relative
 /// to a generator: the difference of two nearby coordinates is exact, so
@@ -132,56 +148,82 @@ impl Halfplane {
 /// [`f64::EPSILON`]): a point the region returns is written back in
 /// absolute coordinates, which moves it by up to a rounding of that
 /// magnitude, and a narrower band would reject it.
-pub(crate) struct Region<'a> {
+pub(crate) struct Region<'a, const D: usize> {
     y: &'a PointMultiset,
     f: usize,
-    lo: Xy,
-    hi: Xy,
+    /// The coordinates of `Y` it reads: all of them, or the two a flat `Y`
+    /// in space is projected onto.
+    axes: [usize; D],
+    lo: [f64; D],
+    hi: [f64; D],
     /// How far past a side or a face of the box a point may lie.
     slack: f64,
-    /// The members of `y` as plane points, in its order.
-    members: OnceCell<Vec<Xy>>,
+    /// The members of `y` on `axes`, in its order.
+    members: OnceCell<Vec<[f64; D]>>,
     /// The kept sides.
-    planes: OnceCell<Vec<Halfplane>>,
+    sides: OnceCell<Vec<Halfspace<D>>>,
 }
 
-impl<'a> Region<'a> {
-    /// The region of the planar `y` with fault bound `f` in its trimmed box
-    /// `(lo, hi)`; nothing is computed yet.
-    pub(crate) fn new(y: &'a PointMultiset, f: usize, (lo, hi): (&[f64], &[f64])) -> Self {
-        let magnitude = [lo[0], lo[1], hi[0], hi[1]]
-            .iter()
-            .fold(0.0f64, |m, c| m.max(c.abs()));
+impl<'a, const D: usize> Region<'a, D> {
+    /// The region of `y` read on `axes`, with fault bound `f`, in its
+    /// trimmed box `(lo, hi)` (indexed by coordinate, as `axes` is);
+    /// nothing is computed yet.
+    pub(crate) fn new(
+        y: &'a PointMultiset,
+        f: usize,
+        (lo, hi): (&[f64], &[f64]),
+        axes: [usize; D],
+    ) -> Self {
+        let (lo, hi) = (axes.map(|l| lo[l]), axes.map(|l| hi[l]));
+        let magnitude = lo.iter().chain(&hi).fold(0.0f64, |m, c| m.max(c.abs()));
         Self {
             y,
             f,
-            lo: [lo[0], lo[1]],
-            hi: [hi[0], hi[1]],
+            axes,
+            lo,
+            hi,
             slack: DEPTH_SLACK.max(4.0 * f64::EPSILON * magnitude),
             members: OnceCell::new(),
-            planes: OnceCell::new(),
+            sides: OnceCell::new(),
         }
     }
 
-    /// The members of `Y` as plane points, in its order.
-    pub(crate) fn members(&self) -> &[Xy] {
-        self.members
-            .get_or_init(|| self.y.iter().map(|p| [p.coord(0), p.coord(1)]).collect())
+    /// The members of `Y` on the region's coordinates, in its order.
+    fn members(&self) -> &[[f64; D]] {
+        self.members.get_or_init(|| {
+            self.y
+                .iter()
+                .map(|p| self.axes.map(|l| p.coord(l)))
+                .collect()
+        })
     }
 
     /// `x` in the region's frame.
-    fn local(&self, x: Xy) -> Xy {
-        [x[0] - self.lo[0], x[1] - self.lo[1]]
+    fn local(&self, x: [f64; D]) -> [f64; D] {
+        std::array::from_fn(|l| x[l] - self.lo[l])
     }
 
+    /// Whether `x` lies within the slack of the box.
+    fn boxes(&self, x: [f64; D]) -> bool {
+        (0..D).all(|l| x[l] - self.lo[l] >= -self.slack && x[l] - self.hi[l] <= self.slack)
+    }
+
+    /// Whether `x` lies within the slack of every one of `sides`.
+    fn within(&self, sides: &[Halfspace<D>], x: [f64; D]) -> bool {
+        let x = self.local(x);
+        sides.iter().all(|side| side.excess(x, self.slack) >= 0.0)
+    }
+}
+
+impl Region<'_, 2> {
     /// The kept sides.  A member whose side of a line is not known counts
     /// on both, which only adds halfplanes: round-off can shrink the
     /// region, never grow it.
-    fn planes(&self) -> &[Halfplane] {
-        self.planes.get_or_init(|| {
+    fn sides(&self) -> &[Halfspace<2>] {
+        self.sides.get_or_init(|| {
             let members = self.members();
             let need = members.len() - self.f;
-            let mut planes = Vec::with_capacity(members.len() * (members.len() - 1));
+            let mut sides = Vec::with_capacity(members.len() * (members.len() - 1));
             for (i, &p) in members.iter().enumerate() {
                 for &q in members[i + 1..].iter().filter(|&&q| q != p) {
                     let (mut left, mut right) = (0, 0);
@@ -195,16 +237,24 @@ impl<'a> Region<'a> {
                     let normal = [-uy / norm, ux / norm];
                     let through = self.local(p);
                     if left >= need {
-                        planes.push(Halfplane { normal, through });
+                        sides.push(Halfspace { normal, through });
                     }
                     if right >= need {
                         let normal = [-normal[0], -normal[1]];
-                        planes.push(Halfplane { normal, through });
+                        sides.push(Halfspace { normal, through });
                     }
                 }
             }
-            planes
+            sides
         })
+    }
+
+    /// Whether `z ∈ Γ(Y)` past the multiplicity accept: in the box, and
+    /// then `Inside` by the exact depth count (a proof) or within the slack
+    /// of every kept side.
+    pub(crate) fn contains(&self, z: Xy) -> bool {
+        self.boxes(z)
+            && (verdict(self.members(), self.f, z) == Verdict::Inside || self.sides_hold(z))
     }
 
     /// Whether `x` lies within the slack of the box and of every kept side.
@@ -212,17 +262,9 @@ impl<'a> Region<'a> {
         self.boxes(x) && self.sides_hold(x)
     }
 
-    /// Whether `x` lies within the slack of the box.
-    pub(crate) fn boxes(&self, x: Xy) -> bool {
-        (0..2).all(|l| x[l] - self.lo[l] >= -self.slack && x[l] - self.hi[l] <= self.slack)
-    }
-
     /// Whether `x` lies within the slack of every kept side.
-    pub(crate) fn sides_hold(&self, x: Xy) -> bool {
-        let x = self.local(x);
-        self.planes()
-            .iter()
-            .all(|plane| plane.excess(x, self.slack) >= 0.0)
+    fn sides_hold(&self, x: Xy) -> bool {
+        self.within(self.sides(), x)
     }
 
     /// A point of the region: the first member, in `Y`'s order, that it
@@ -233,18 +275,24 @@ impl<'a> Region<'a> {
     /// round's queries short-circuit on generator and multiplicity equality.
     /// The box closes what the members' lines leave open (all members
     /// collinear, say).
-    pub(crate) fn point(&self) -> Option<Point> {
-        if let Some(member) = self.members().iter().find(|&&x| self.holds(x)) {
-            return Some(Point::new(member.to_vec()));
+    pub(crate) fn point(&self) -> Option<Xy> {
+        match self.members().iter().find(|&&x| self.holds(x)) {
+            Some(&member) => Some(member),
+            None => self.clipped(),
         }
+    }
+
+    /// The mean of the vertices of the box clipped by every kept side, or
+    /// `None` when the clip is empty.
+    fn clipped(&self) -> Option<Xy> {
         // Each pass adds at most one vertex; the two buffers take turns.
-        let planes = self.planes();
-        let mut polygon = Vec::with_capacity(4 + planes.len());
+        let sides = self.sides();
+        let mut polygon = Vec::with_capacity(4 + sides.len());
         let top = self.local(self.hi);
         polygon.extend([[0.0, 0.0], [top[0], 0.0], top, [0.0, top[1]]]);
         let mut spare = Vec::with_capacity(polygon.capacity());
-        for plane in planes {
-            clip(&polygon, plane, self.slack, &mut spare);
+        for side in sides {
+            clip(&polygon, side, self.slack, &mut spare);
             std::mem::swap(&mut polygon, &mut spare);
             if polygon.is_empty() {
                 return None;
@@ -254,17 +302,17 @@ impl<'a> Region<'a> {
         let (sx, sy) = polygon
             .iter()
             .fold((0.0, 0.0), |(sx, sy), v| (sx + v[0], sy + v[1]));
-        Some(Point::new(vec![self.lo[0] + sx / n, self.lo[1] + sy / n]))
+        Some([self.lo[0] + sx / n, self.lo[1] + sy / n])
     }
 }
 
-/// Writes into `out` the part of the convex `polygon` inside `plane`
+/// Writes into `out` the part of the convex `polygon` inside `side`
 /// widened by `slack` (one Sutherland–Hodgman pass).
-fn clip(polygon: &[Xy], plane: &Halfplane, slack: f64, out: &mut Vec<Xy>) {
+fn clip(polygon: &[Xy], side: &Halfspace<2>, slack: f64, out: &mut Vec<Xy>) {
     out.clear();
     for (k, &a) in polygon.iter().enumerate() {
         let b = polygon[(k + 1) % polygon.len()];
-        let (sa, sb) = (plane.excess(a, slack), plane.excess(b, slack));
+        let (sa, sb) = (side.excess(a, slack), side.excess(b, slack));
         if sa >= 0.0 {
             out.push(a);
         }
@@ -275,12 +323,293 @@ fn clip(polygon: &[Xy], plane: &Halfplane, slack: f64, out: &mut Vec<Xy>) {
     }
 }
 
+/// The depth region of a `Y` in `R³`.  When `Y` spans `R³` its sides are
+/// those of planes through three distinct, non-collinear members (canonical
+/// triple order) that hold at least `|Y| − f` members by [`orient3d`]'s
+/// exact sign, a member on the plane counting on both; with the trimmed box
+/// they bound `Γ(Y)` as the member lines do in the plane.  When `Y` lies in
+/// a plane, every such plane is that one and bounds nothing inside it, so
+/// the region is the slab of `Y`'s plane and the planar region of `Y`
+/// projected on the coordinate plane that leaves out the largest component
+/// of its normal ([`Flat`]); a collinear `Y` is put in a plane through its
+/// line first.
+pub(crate) struct Space<'a> {
+    /// The box, the slack, the members and the sides (the slab when flat).
+    region: Region<'a, 3>,
+    /// `Y`'s plane and its projection, when `Y` does not span `R³` (boxed:
+    /// rare, and a planar region of its own).
+    flat: OnceCell<Option<Box<Flat<'a>>>>,
+    /// The member-triple sides, exactly, when `Y` spans `R³`.
+    member_sides: OnceCell<Vec<PlaneSide>>,
+}
+
+/// A plane holding every member of `Y`, and the planar region of `Y`
+/// projected along the coordinate axis its normal has most of.  That
+/// projection maps the plane onto the coordinate plane one to one, so it
+/// maps `Γ(Y)` onto the planar `Γ` of the projection; it only drops a
+/// coordinate, so every orientation sign the planar region asks is exact.
+struct Flat<'a> {
+    /// A member on the plane.
+    through: Xyz,
+    /// The plane's unit normal.
+    normal: Xyz,
+    /// The coordinate the projection drops.
+    drop: usize,
+    planar: Region<'a, 2>,
+}
+
+impl Flat<'_> {
+    /// `x` on the planar region's coordinates.
+    fn project(&self, x: Xyz) -> Xy {
+        self.planar.axes.map(|l| x[l])
+    }
+
+    /// The point of the plane whose projection is `x`.
+    fn lift(&self, x: Xy) -> Xyz {
+        let [a, b] = self.planar.axes;
+        let (n, t) = (self.normal, self.through);
+        let mut lifted = [0.0; 3];
+        (lifted[a], lifted[b]) = (x[0], x[1]);
+        lifted[self.drop] =
+            t[self.drop] - (n[a] * (x[0] - t[a]) + n[b] * (x[1] - t[b])) / n[self.drop];
+        lifted
+    }
+}
+
+impl<'a> Space<'a> {
+    /// The region of `y` (three-dimensional) with fault bound `f` in its
+    /// trimmed box `(lo, hi)`; nothing is computed yet.
+    pub(crate) fn new(y: &'a PointMultiset, f: usize, bounds: (&[f64], &[f64])) -> Self {
+        Self {
+            region: Region::new(y, f, bounds, [0, 1, 2]),
+            flat: OnceCell::new(),
+            member_sides: OnceCell::new(),
+        }
+    }
+
+    /// `Y`'s plane and projection, or `None` when `Y` spans `R³` (or is one
+    /// point, whose box is the region).
+    fn flat(&self) -> Option<&Flat<'a>> {
+        self.flat
+            .get_or_init(|| {
+                let region = &self.region;
+                let (through, normal) = plane_of(region.members())?;
+                let drop = (0..3).fold(0, |m, l| {
+                    if normal[l].abs() > normal[m].abs() {
+                        l
+                    } else {
+                        m
+                    }
+                });
+                let axes = match drop {
+                    0 => [1, 2],
+                    1 => [0, 2],
+                    _ => [0, 1],
+                };
+                let planar = Region::new(region.y, region.f, (&region.lo, &region.hi), axes);
+                Some(Box::new(Flat {
+                    through,
+                    normal,
+                    drop,
+                    planar,
+                }))
+            })
+            .as_deref()
+    }
+
+    /// The kept sides: the member-triple sides, or the slab of a flat `Y`'s
+    /// plane.
+    fn sides(&self) -> &[Halfspace<3>] {
+        self.region.sides.get_or_init(|| match self.flat() {
+            Some(flat) => {
+                let through = self.region.local(flat.through);
+                let normal = flat.normal;
+                vec![
+                    Halfspace { normal, through },
+                    Halfspace {
+                        normal: normal.map(|c| -c),
+                        through,
+                    },
+                ]
+            }
+            None => self
+                .member_sides()
+                .iter()
+                .map(|side| Halfspace {
+                    normal: unit(side.normal),
+                    through: self.region.local(side.plane[0]),
+                })
+                .collect(),
+        })
+    }
+
+    /// The closed sides of planes through three distinct, non-collinear
+    /// members that hold at least `|Y| − f` members by exact sign, in
+    /// canonical triple order.
+    fn member_sides(&self) -> &[PlaneSide] {
+        self.member_sides
+            .get_or_init(|| plane_sides(self.region.members(), self.region.f))
+    }
+
+    /// Whether `z ∈ Γ(Y)` past the multiplicity accept: in the box and
+    /// within the slack of every kept side; for a flat `Y`, within the slack
+    /// of its plane and in the planar region of the projection (whose box
+    /// is this one's on its two coordinates).
+    pub(crate) fn contains(&self, z: Xyz) -> bool {
+        match self.flat() {
+            None => self.region.boxes(z) && self.region.within(self.sides(), z),
+            Some(flat) => {
+                self.region.within(self.sides(), z) && flat.planar.contains(flat.project(z))
+            }
+        }
+    }
+
+    /// Whether the member `m` is in `Γ(Y)`, proved by exact signs alone: in
+    /// the box and on the kept side of every member plane (or on it); for a
+    /// flat `Y`, `Inside` by the planar depth count of the projection.
+    fn proves(&self, m: Xyz) -> bool {
+        let region = &self.region;
+        match self.flat() {
+            Some(flat) => {
+                verdict(flat.planar.members(), region.f, flat.project(m)) == Verdict::Inside
+            }
+            None => {
+                (0..3).all(|l| region.lo[l] <= m[l] && m[l] <= region.hi[l])
+                    && self.member_sides().iter().all(|side| {
+                        let [p, q, r] = side.plane;
+                        side.plane.contains(&m)
+                            || matches!(orient3d(p, q, r, m), o if o == side.sign || o.is_eq())
+                    })
+            }
+        }
+    }
+
+    /// A point of `Γ(Y)`: the first member, in `Y`'s order, that it holds by
+    /// exact signs ([`proves`](Self::proves)); else, for a flat `Y`, the
+    /// planar region's clipped mean lifted onto `Y`'s plane; else the
+    /// Chebyshev centre of the widened region ([`centre`]).  `None` when the
+    /// centre's radius is negative: `Γ(Y)` is empty.
+    ///
+    /// A non-empty `Γ(Y)` leaves every point of it at least the slack from
+    /// each widened side, so the centre's radius is at least the slack and
+    /// the centre lies inside every side unwidened: in `Γ(Y)` up to the
+    /// rounding of the sides, even when `Γ(Y)` is flat or one point.  A
+    /// member is returned only on proof, since one just outside `Γ(Y)` by
+    /// rounding is still within the slack.
+    pub(crate) fn point(&self) -> Option<Xyz> {
+        if let Some(&member) = self.region.members().iter().find(|&&m| self.proves(m)) {
+            return Some(member);
+        }
+        if let Some(flat) = self.flat() {
+            return flat.planar.clipped().map(|x| flat.lift(x));
+        }
+        let region = &self.region;
+        let x = centre(self.sides(), region.local(region.hi), region.slack)?;
+        let x = std::array::from_fn(|l| region.lo[l] + x[l]);
+        self.contains(x).then_some(x)
+    }
+}
+
+/// The plane of a `Y` that does not span `R³`, as a member on it and its
+/// unit normal: that of the first non-collinear triple through the first
+/// two distinct members when every member is on it by exact sign, and for
+/// a collinear `Y` the plane through its line and the coordinate axis its
+/// direction has least of.  `None` when `Y` spans `R³` or is one point.
+fn plane_of(members: &[Xyz]) -> Option<(Xyz, Xyz)> {
+    let p = members[0];
+    let q = *members.iter().find(|&&q| q != p)?;
+    let spanning = members.iter().find_map(|&r| {
+        let normal = plane_normal(p, q, r);
+        (normal != [0.0; 3]).then_some((r, normal))
+    });
+    match spanning {
+        Some((r, normal)) => members
+            .iter()
+            .all(|&x| orient3d(p, q, r, x) == Ordering::Equal)
+            .then(|| (p, unit(normal))),
+        None => {
+            let u = [q[0] - p[0], q[1] - p[1], q[2] - p[2]];
+            let least = (0..3).fold(0, |m, l| if u[l].abs() < u[m].abs() { l } else { m });
+            // `u × e_least`: each component is a coordinate of `u` or zero.
+            let mut normal = [0.0; 3];
+            normal[(least + 1) % 3] = u[(least + 2) % 3];
+            normal[(least + 2) % 3] = -u[(least + 1) % 3];
+            Some((p, unit(normal)))
+        }
+    }
+}
+
+/// `n` scaled to unit length, by its largest component first so that no
+/// square overflows or underflows.
+fn unit(n: Xyz) -> Xyz {
+    let largest = n.iter().fold(0.0f64, |m, c| m.max(c.abs()));
+    let scaled = n.map(|c| c / largest);
+    let length = scaled.iter().map(|c| c * c).sum::<f64>().sqrt();
+    scaled.map(|c| c / length)
+}
+
+/// The Chebyshev centre of the box `[0, top]` cut by `sides`, each widened
+/// by `slack`: one LP in the region's frame over `x` (free) and a radius
+/// `r`, maximising `r` subject to `n · x + r ≤ b + slack` for every side and
+/// box face `n · x ≤ b` (unit `n`).  `None` when the greatest `r` is
+/// negative, which means the widened region, hence `Γ(Y)`, is empty.  Its
+/// rows are read off the sides alone, which are written relative to the
+/// box's low corner, so no row carries an absolute coordinate.
+///
+/// The unknowns are written from the box's centre `c`, where every row
+/// holds once `r` is low enough: `x − c` and `r − r₀ ≥ 0`, `r₀` the least
+/// room any row leaves at `c`.  Every right-hand side is then non-negative,
+/// so the simplex starts at `x = c` from the slack basis with no phase 1
+/// and no artificial variable, and only climbs.
+fn centre(sides: &[Halfspace<3>], top: Xyz, slack: f64) -> Option<Xyz> {
+    let c = top.map(|t| t / 2.0);
+    // Each row as `−n · (x − c) + r ≤ room`, `room` what it leaves at `c`;
+    // both faces of the box along `l` leave `c_l`.
+    let mut rows: Vec<(Xyz, f64)> = sides
+        .iter()
+        .map(|side| {
+            let n = side.normal;
+            let room = (0..3).map(|l| n[l] * (c[l] - side.through[l])).sum::<f64>();
+            (n, slack + room)
+        })
+        .collect();
+    for l in 0..3 {
+        for sign in [1.0, -1.0] {
+            let mut n = [0.0; 3];
+            n[l] = sign;
+            rows.push((n, slack + c[l]));
+        }
+    }
+    let floor = rows.iter().fold(0.0f64, |m, &(_, room)| m.min(room));
+    let mut lp = LinearProgram::new(4, Objective::Maximize);
+    lp.set_objective_coefficient(3, 1.0);
+    for l in 0..3 {
+        lp.mark_free(l);
+    }
+    for (n, room) in rows {
+        lp.add_constraint(
+            vec![-n[0], -n[1], -n[2], 1.0],
+            Relation::LessEq,
+            room - floor,
+        );
+    }
+    let solution = lp.solve();
+    let radius = floor + solution.values[3];
+    (solution.status == SolveStatus::Optimal && radius >= 0.0)
+        .then(|| [0, 1, 2].map(|l| c[l] + solution.values[l]))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::combinatorics::Combinations;
+    use crate::family::joint_candidate;
     use crate::family::tests::biased;
-    use crate::gamma::{gamma_contains, trimmed_bounds, trimmed_centre};
+    use crate::gamma::{
+        canonical_order, gamma_contains, gamma_point, trimmed_bounds, trimmed_centre,
+    };
+    use crate::hull::ConvexHull;
+    use crate::point::Point;
     use bvc_lp::FEASIBILITY_TOLERANCE;
     use proptest::prelude::*;
 
@@ -337,7 +666,7 @@ mod tests {
         let y = PointMultiset::new(members.iter().map(|m| Point::new(m.to_vec())).collect());
         let (lo, hi) = trimmed_bounds(&y, 1);
         assert_eq!(lo[0], v[0]);
-        let region = Region::new(&y, 1, (&lo, &hi));
+        let region = Region::new(&y, 1, (&lo, &hi), [0, 1]);
         let reach = DEPTH_SLACK / (theta / 2.0).sin();
         for k in 0..=40 {
             let s = reach * 0.99 * 0.7f64.powi(k);
@@ -444,7 +773,8 @@ mod tests {
                 queries.push(Point::centroid(y.points()));
                 queries.push(trimmed_centre(&lo, &hi));
                 queries.push(moved(&Point::new(probe.clone())));
-                if let Some(p) = Region::new(&y, f, (&lo, &hi)).point() {
+                if let Some(p) = Region::new(&y, f, (&lo, &hi), [0, 1]).point() {
+                    let p = Point::new(p.to_vec());
                     for k in 0..16 {
                         let (sin, cos) = (f64::from(k) * std::f64::consts::PI / 8.0).sin_cos();
                         for step in [1e-10, 1e-9, 1e-8, 1e-7, 1e-6] {
@@ -478,5 +808,219 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The spatial shapes the `d = 3` differential test draws, from the same
+    /// ten raw points: uniform, [`biased`], a half-unit grid, the benchmark
+    /// workload's eight uniform points plus a doubled origin, a cluster
+    /// 1e-10 wide, eight members on a plane plus two off it, all on that
+    /// plane, and all on a line.  The plane and the line are exact: their
+    /// members lie on the grid `2^-10 · Z`, where the plane's equation and
+    /// an integer shift are exact.
+    fn spatial_shape(raw: &[Vec<f64>], kinds: &[usize], which: usize) -> Vec<Xyz> {
+        let grid = |c: f64| (c * 1024.0).round() / 1024.0;
+        let on_plane = |r: &Vec<f64>| {
+            let (x, y) = (grid(r[0]), grid(r[1]));
+            [x, y, (x + 2.0 * y) / 4.0 + 0.5]
+        };
+        raw.iter()
+            .enumerate()
+            .map(|(i, r)| match which {
+                0 => [r[0], r[1], r[2]],
+                1 => {
+                    let p = biased(raw, kinds, 3).point(i).coords().to_vec();
+                    [p[0], p[1], p[2]]
+                }
+                2 => [0, 1, 2].map(|l| (2.0 * r[l]).round() / 2.0),
+                3 if i >= 8 => [0.0; 3],
+                3 => [0, 1, 2].map(|l| r[l].abs() / 2.0),
+                4 => [0, 1, 2].map(|l| 0.3 + 1e-10 * r[l]),
+                5 if i >= 8 => [r[0], r[1], r[2]],
+                5 | 6 => on_plane(r),
+                _ => {
+                    let t = grid(r[0]);
+                    [t, 0.5 - 2.0 * t, 0.25 * t]
+                }
+            })
+            .collect()
+    }
+
+    fn multiset(points: &[Xyz]) -> PointMultiset {
+        PointMultiset::new(points.iter().map(|p| Point::new(p.to_vec())).collect())
+    }
+
+    /// The distance from `z` to the hull of `members` in `R³`, measured
+    /// with no LP: 0 when the tetrahedron of some four members holds `z` by
+    /// exact signs, else the least distance to a triangle of three members
+    /// (the hull's boundary is a union of them), each worked out relative
+    /// to its first corner.
+    fn distance_to_spatial_hull(members: &[Xyz], z: Xyz) -> f64 {
+        let n = members.len();
+        let sub = |a: Xyz, b: Xyz| [a[0] - b[0], a[1] - b[1], a[2] - b[2]];
+        let dot = |a: Xyz, b: Xyz| a[0] * b[0] + a[1] * b[1] + a[2] * b[2];
+        let to_segment = |a: Xyz, b: Xyz| {
+            let (u, v) = (sub(b, a), sub(z, a));
+            let length = dot(u, u);
+            let t = if length > 0.0 {
+                (dot(v, u) / length).clamp(0.0, 1.0)
+            } else {
+                0.0
+            };
+            let w = [v[0] - t * u[0], v[1] - t * u[1], v[2] - t * u[2]];
+            dot(w, w).sqrt()
+        };
+        let mut nearest = f64::INFINITY;
+        for i in 0..n {
+            for j in i..n {
+                for k in j..n {
+                    let [a, b, c] = [members[i], members[j], members[k]];
+                    let mut best = to_segment(a, b).min(to_segment(b, c)).min(to_segment(a, c));
+                    // Inside the triangle's projection: the distance to its plane.
+                    let (u, v, w) = (sub(b, a), sub(c, a), sub(z, a));
+                    let normal = [
+                        u[1] * v[2] - u[2] * v[1],
+                        u[2] * v[0] - u[0] * v[2],
+                        u[0] * v[1] - u[1] * v[0],
+                    ];
+                    let area = dot(normal, normal);
+                    if area > 0.0 {
+                        let (uu, uv, vv, wu, wv) =
+                            (dot(u, u), dot(u, v), dot(v, v), dot(w, u), dot(w, v));
+                        let det = uu * vv - uv * uv;
+                        let (s, t) = ((vv * wu - uv * wv) / det, (uu * wv - uv * wu) / det);
+                        if s >= 0.0 && t >= 0.0 && s + t <= 1.0 {
+                            best = best.min(dot(w, normal).abs() / area.sqrt());
+                        }
+                    }
+                    nearest = nearest.min(best);
+                    for &d in &members[k..] {
+                        let faces = [(a, b, c, d), (a, b, d, c), (a, c, d, b), (b, c, d, a)];
+                        let inside = faces.iter().all(|&(p, q, r, o)| {
+                            let inner = orient3d(p, q, r, o);
+                            inner.is_ne() && orient3d(p, q, r, z) != inner.reverse()
+                        });
+                        if inside {
+                            return 0.0;
+                        }
+                    }
+                }
+            }
+        }
+        nearest
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The spatial depth region against the subset hulls, `|Y| = 9` and
+        /// `10`, `f = 2`, on every [`spatial_shape`] at offsets 0, ±1e3 and
+        /// ±1e6: at `(d+1)f + 1` and above a point is always found, Γ's own
+        /// membership accepts it, and so does every subset hull's
+        /// `ConvexHull::contains`, or, where that LP rejects it, an exact
+        /// LP-free measure puts it within the region's own slack of the hull
+        /// (that LP has rejected points 5.8e-11 from a hull of near-duplicate
+        /// generators).  A point farther out is a bug in the region.  For
+        /// one shape a case, at the origin and `|Y| = 9`, the all-hulls joint
+        /// LP of Section 2.2 is the oracle: when it ends `Optimal` or
+        /// `Infeasible`, emptiness agrees.
+        #[test]
+        fn the_spatial_region_answers_inside_every_subset_hull(
+            raw in prop::collection::vec(prop::collection::vec(-2.0f64..2.0, 3), 10),
+            kinds in prop::collection::vec(0usize..6, 10),
+            oracle_shape in 0usize..8,
+        ) {
+            for which in 0..8 {
+                let base = spatial_shape(&raw, &kinds, which);
+                for offset in [0.0, 1e3, -1e3, 1e6, -1e6] {
+                    for len in [9, 10] {
+                        let moved: Vec<Xyz> = base[..len].iter().map(|p| p.map(|c| c + offset)).collect();
+                        let y = canonical_order(&multiset(&moved));
+                        let found = gamma_point(&y, 2);
+                        let hulls: Vec<ConvexHull> =
+                            y.subsets_of_size(len - 2).into_iter().map(ConvexHull::new).collect();
+                        if which == oracle_shape && offset == 0.0 && len == 9 {
+                            let refs: Vec<&ConvexHull> = hulls.iter().collect();
+                            let (status, _) = joint_candidate(&refs);
+                            if matches!(status, SolveStatus::Optimal | SolveStatus::Infeasible) {
+                                prop_assert_eq!(
+                                    found.is_some(), status == SolveStatus::Optimal,
+                                    "shape {}: the joint LP says {:?} for {:?}", which, status, y
+                                );
+                            }
+                        }
+                        let p = found.unwrap_or_else(|| panic!("shape {which}: no point above the bound for {y:?}"));
+                        prop_assert!(gamma_contains(&y, 2, &p), "shape {}: {} fails its own test", which, p);
+                        for hull in &hulls {
+                            let generators: Vec<Xyz> = hull.generators().iter().map(|g| [g.coord(0), g.coord(1), g.coord(2)]).collect();
+                            prop_assert!(
+                                hull.contains(&p) || distance_to_spatial_hull(&generators, [p.coord(0), p.coord(1), p.coord(2)]) <= DEPTH_SLACK.max(4.0 * f64::EPSILON * offset.abs()),
+                                "shape {}, offset {}: {:?} leaves the hull of {:?} in Γ of {:?}", which, offset, p, hull.generators(), y
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_one_point_gamma_in_space_is_its_member() {
+        // m lies inside the tetrahedron of the other four, so Γ with f = 1
+        // is {m}: the four hulls with m have it as a vertex and their cones
+        // there meet only at m.  One ulp towards the origin along every
+        // coordinate is outside the hull of {0, a, b, m} by exact sign.
+        let m = [0.8, 0.1, 0.3];
+        let members = [
+            [0.0; 3],
+            [0.2, 0.9, 0.8],
+            [0.4, 0.8, 0.0],
+            m,
+            [0.9, 0.0, 0.3],
+        ];
+        let y = multiset(&members);
+        assert_eq!(gamma_point(&y, 1), Some(Point::new(m.to_vec())));
+        let off = m.map(f64::next_down);
+        let hull = [members[0], members[1], members[2], m];
+        let outside = (0..4).any(|i| {
+            let others: Vec<Xyz> = (0..4).filter(|&j| j != i).map(|j| hull[j]).collect();
+            let inner = orient3d(others[0], others[1], others[2], hull[i]);
+            orient3d(others[0], others[1], others[2], off) == inner.reverse()
+        });
+        assert!(outside, "{off:?} is in the hull of {hull:?}");
+    }
+
+    #[test]
+    fn a_flat_y_in_space_drops_to_the_planar_region() {
+        // Seven members on the plane z = (x + 2y)/4 + 1/2, f = 2: Γ is the
+        // planar Γ of the projection lifted onto the plane, and the point
+        // the region returns is on it and in every subset hull.
+        let raw: Vec<Vec<f64>> = (0..7)
+            .map(|k| {
+                let t = 2.0 * std::f64::consts::PI * f64::from(k) / 7.0;
+                vec![t.cos(), t.sin(), 0.0]
+            })
+            .collect();
+        let flat = spatial_shape(&raw, &[0; 7], 6);
+        let y = multiset(&flat);
+        let p = gamma_point(&y, 2).expect("the heptagon's inner region");
+        let on_plane = (p.coord(0) + 2.0 * p.coord(1)) / 4.0 + 0.5;
+        assert!((p.coord(2) - on_plane).abs() <= 1e-12, "{p}");
+        for subset in y.subsets_of_size(5) {
+            assert!(ConvexHull::new(subset).contains(&p), "{p}");
+        }
+        // Off the plane by more than the slack, nothing is in Γ.
+        let lifted = Point::new(vec![p.coord(0), p.coord(1), p.coord(2) + 1e-6]);
+        assert!(!gamma_contains(&y, 2, &lifted));
+        // A collinear Y: Γ is the middle of the line's members.
+        let line: Vec<Xyz> = (0..5)
+            .map(|i| [f64::from(i), 0.5 - 2.0 * f64::from(i), 0.25 * f64::from(i)])
+            .collect();
+        let y = multiset(&line);
+        assert_eq!(gamma_point(&y, 2), Some(Point::new(line[2].to_vec())));
+        assert!(!gamma_contains(
+            &y,
+            2,
+            &Point::new(vec![2.0, -3.5, 0.5 + 1e-6])
+        ));
     }
 }

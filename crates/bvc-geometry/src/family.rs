@@ -13,9 +13,9 @@
 //! Section 2.2 ([`joint_common_point`](HullFamily::joint_common_point) — the
 //! loop's numerical fallback and the tests' oracle) are written once, here.
 //!
-//! The strict `d = 2` Γ engine builds no family: the depth region
-//! (`depth.rs`) answers it.  A family serves `d ≥ 3`, `f = 0`, `Γ_α` and
-//! the leave-one-out intersection.
+//! The strict `d = 2` and `d = 3` Γ engines build no family: the depth
+//! region (`depth.rs`) answers them.  A family serves `d ≥ 4`, `f = 0`,
+//! `Γ_α` and the leave-one-out intersection.
 //!
 //! The family keeps the member order it is given: a point-valued answer is a
 //! function of the *multiset* only when the caller hands the members over in
@@ -202,7 +202,7 @@ fn build(members: &PointMultiset, subset: &[usize], alpha: f64) -> ConvexHull {
 /// variables per hull, relative to the first hull's first generator — and
 /// returns the solver status plus the candidate point (unverified), that
 /// generator added back.
-fn joint_candidate(hulls: &[&ConvexHull]) -> (SolveStatus, Option<Point>) {
+pub(crate) fn joint_candidate(hulls: &[&ConvexHull]) -> (SolveStatus, Option<Point>) {
     let solution = local_combination_lp(hulls, None).solve();
     let reference = hulls[0].generators().point(0).coords();
     let candidate = (solution.status == SolveStatus::Optimal).then(|| {

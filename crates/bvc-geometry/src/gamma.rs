@@ -14,7 +14,7 @@
 //!
 //! This module provides membership tests, emptiness checks, and the
 //! deterministic point-selection rule shared by all non-faulty processes.
-//! From `d = 3` on (and for `f = 0`) the subset hulls are a `HullFamily`:
+//! From `d = 4` on (and for `f = 0`) the subset hulls are a `HullFamily`:
 //! built lazily from the streamed subsets, membership short-circuiting on
 //! the first refuting hull, the point found by growing an active set of
 //! binding hulls instead of solving the monolithic `C(|Y|, |Y|−f)`-block
@@ -29,18 +29,20 @@
 //!   some subset hull.
 //!
 //! A strict point query builds one membership test: its trimmed-centre
-//! probe asks the test and, on a miss, the test's own engine answers.  In
-//! the plane that engine is the depth region (`depth.rs`), with no hull and
-//! no simplex: past the two short-circuits above, membership is the exact
-//! Tukey-depth count (`depth::verdict`; `Inside` is a proof) and else
-//! whether the region, widened by `DEPTH_SLACK`, holds the point; the point
-//! is the region's (a member it holds, else the mean of its clipped
-//! vertices), and an empty region is an empty `Γ`.  From `d = 3` on the
-//! engine is the subset hulls, streamed for membership and searched by the
-//! active set for the point, reusing the hulls the probe built.  Membership
-//! answers a `bool` and names no path; which path answered a *point* query
-//! is a [`GammaAttribution`], written into that query's one `gamma` trace
-//! event.
+//! probe asks the test and, on a miss, the test's own engine answers.  At
+//! `d = 2` and `d = 3` that engine is the depth region (`depth.rs`), with no
+//! subset hull: past the multiplicity accept, membership is the region's
+//! box and its member-pair (plane) or member-triple (space) sides, widened
+//! by `DEPTH_SLACK`, with the exact Tukey-depth count asked first in the
+//! plane (`Inside` is a proof).  The point is the region's: a member it
+//! holds, else the mean of its clipped vertices in the plane and the
+//! Chebyshev centre of one four-unknown LP in space; an empty region is an
+//! empty `Γ`.  So a strict query runs no simplex in the plane and at most
+//! one in space.  From `d = 4` on the engine is the subset hulls, streamed
+//! for membership and searched by the active set for the point, reusing
+//! the hulls the probe built.  Membership answers a `bool` and names no
+//! path; which path answered a *point* query is a [`GammaAttribution`],
+//! written into that query's one `gamma` trace event.
 //!
 //! All point-valued queries canonicalise the multiset order first, so the
 //! chosen point is a function of the *multiset* (not of the arrival order of
@@ -54,7 +56,7 @@
 //! (`gamma_point_exists_from_the_floor_up`).
 
 use crate::combinatorics::Combinations;
-use crate::depth::{self, Verdict};
+use crate::depth;
 use crate::family::HullFamily;
 use crate::hull::{ConvexHull, RejectBox};
 use crate::multiset::PointMultiset;
@@ -117,8 +119,8 @@ pub fn gamma_point_of(view: SubsetView<'_>, f: usize) -> Option<Point> {
 /// this is where "the engine says empty" is produced:
 ///
 /// * strict — the `d = 1` closed form, else the trimmed-box probe, else the
-///   depth region's point at `d = 2` and the [`HullFamily::gamma`]
-///   active-set search from `d = 3` on (attributed by path);
+///   depth region's point at `d = 2, 3` and the [`HullFamily::gamma`]
+///   active-set search from `d = 4` on (attributed by path);
 /// * `Alpha(α)` — the [`HullFamily::dilated_gamma`] search;
 /// * `K(k)` — the strict point when it exists (it satisfies every
 ///   projection), else the [`k_relaxed_point`] trimmed centre.  `strict_leg`
@@ -158,8 +160,8 @@ pub(crate) fn engine_point(
 
 /// The strict rule: the `d = 1` closed form is read straight off the view;
 /// every other shape materialises the canonical multiset and probes the
-/// trimmed centre; on a miss the depth region answers at `d = 2`, the
-/// active-set search over the subset hulls elsewhere.
+/// trimmed centre; on a miss the depth region answers at `d = 2, 3`, the
+/// active-set search over the subset hulls from `d = 4` on.
 fn strict_point(view: SubsetView<'_>, f: usize) -> (Option<Point>, GammaAttribution) {
     let attributed = |path, probe_missed| GammaAttribution { path, probe_missed };
     if view.dim() == 1 {
@@ -471,7 +473,7 @@ pub(crate) fn trimmed_centre(lo: &[f64], hi: &[f64]) -> Point {
 }
 
 /// Membership in `Γ(y)`, `f > 0`, `d ≥ 2`, with what the questions read
-/// built at most once, and only when a question needs it: from `d = 3` on
+/// built at most once, and only when a question needs it: from `d = 4` on
 /// the trimmed box's [`RejectBox`], and the [`Engine`].
 struct Membership<'a> {
     y: &'a PointMultiset,
@@ -479,17 +481,19 @@ struct Membership<'a> {
     /// The trimmed range `[lo, hi]`, which holds `Γ(y)`.
     bounds: (&'a [f64], &'a [f64]),
     /// The trimmed range widened by its reject margin, for the subset
-    /// hulls; the depth region has its own, tighter box.
+    /// hulls; the depth regions have their own, tighter box.
     trimmed: Option<RejectBox>,
     engine: Engine<'a>,
 }
 
-/// What answers a membership question past the two short-circuits, and the
+/// What answers a membership question past the multiplicity accept, and the
 /// point query after a probe miss.
 enum Engine<'a> {
     /// `d = 2`: the depth region, no hull.
-    Depth(depth::Region<'a>),
-    /// `d ≥ 3`: the `(|y|−f)`-subset hulls, built as questions need them and
+    Plane(depth::Region<'a, 2>),
+    /// `d = 3`: the depth region in space, no hull.
+    Space(depth::Space<'a>),
+    /// `d ≥ 4`: the `(|y|−f)`-subset hulls, built as questions need them and
     /// kept for the active-set search.
     Hulls(HullFamily<'a>),
 }
@@ -498,7 +502,8 @@ impl<'a> Membership<'a> {
     /// The test for `Γ(y)` whose trimmed range is `bounds`.
     fn new(y: &'a PointMultiset, f: usize, bounds: (&'a [f64], &'a [f64])) -> Self {
         let engine = match y.dim() {
-            2 => Engine::Depth(depth::Region::new(y, f, bounds)),
+            2 => Engine::Plane(depth::Region::new(y, f, bounds, [0, 1])),
+            3 => Engine::Space(depth::Space::new(y, f, bounds)),
             _ => Engine::Hulls(HullFamily::gamma(y, f)),
         };
         Self {
@@ -510,14 +515,14 @@ impl<'a> Membership<'a> {
         }
     }
 
-    /// Whether `point ∈ Γ(y)`, behind two short-circuits: a point equal to
-    /// more than `f` members survives every removal of `f` members, and
-    /// `Γ(y)` lies inside the trimmed range, so a point outside it is
-    /// outside some subset hull.  In the plane the depth region's box is
-    /// that range, the exact depth count then accepts `Inside` (which lies
-    /// in the range), and the region's sides answer the rest.  Elsewhere
-    /// the range is a [`RejectBox`] and the subset hulls are streamed,
-    /// short-circuiting on the first that refutes `point`.
+    /// Whether `point ∈ Γ(y)`, behind the multiplicity accept: a point equal
+    /// to more than `f` members survives every removal of `f` members.  At
+    /// `d ≤ 3` the depth region answers the rest (`depth.rs`): its box is the
+    /// trimmed range, which holds `Γ(y)`, and past it, in the plane, the
+    /// exact depth count accepts `Inside` before the region's sides are
+    /// asked.  From `d = 4` on the range is a [`RejectBox`] and the subset
+    /// hulls are streamed, short-circuiting on the first that refutes
+    /// `point`.
     fn contains(&mut self, point: &Point) -> bool {
         let copies = self
             .y
@@ -528,11 +533,9 @@ impl<'a> Membership<'a> {
             return true;
         }
         match &mut self.engine {
-            Engine::Depth(region) => {
-                let z = [point.coord(0), point.coord(1)];
-                region.boxes(z)
-                    && (depth::verdict(region.members(), self.f, z) == Verdict::Inside
-                        || region.sides_hold(z))
+            Engine::Plane(region) => region.contains([point.coord(0), point.coord(1)]),
+            Engine::Space(space) => {
+                space.contains([point.coord(0), point.coord(1), point.coord(2)])
             }
             Engine::Hulls(family) => {
                 let (lo, hi) = self.bounds;
@@ -545,11 +548,18 @@ impl<'a> Membership<'a> {
     }
 
     /// A point of `Γ(y)` after a probe miss, or `None` when it is empty, and
-    /// the path that answered: the depth region's point in the plane, the
-    /// active-set search over the subset hulls elsewhere.
+    /// the path that answered: the depth region's point at `d ≤ 3`, the
+    /// active-set search over the subset hulls from `d = 4` on.
     fn search(&mut self) -> (Option<Point>, GammaPath) {
         match &mut self.engine {
-            Engine::Depth(region) => (region.point(), GammaPath::DepthRegion),
+            Engine::Plane(region) => (
+                region.point().map(|x| Point::new(x.to_vec())),
+                GammaPath::DepthRegion,
+            ),
+            Engine::Space(space) => (
+                space.point().map(|x| Point::new(x.to_vec())),
+                GammaPath::DepthRegion,
+            ),
             Engine::Hulls(family) => match family.common_point() {
                 (point, false) => (point, GammaPath::ActiveSetLp),
                 (point, true) => (point, GammaPath::NaiveFallback),
@@ -916,9 +926,9 @@ mod tests {
         assert!(p.is_some());
         assert_eq!(attr.path, GammaPath::ProbeHit);
 
-        // An empty Γ can never be served by the probe.  In the plane the
-        // depth region reports the miss and runs no simplex; from d = 3 on
-        // the active-set search does.
+        // An empty Γ can never be served by the probe.  The depth region
+        // reports the miss: in the plane with no simplex, in space with its
+        // one centre LP, found infeasible.
         let empty = pts(&[&[1.0, 0.0], &[0.0, 1.0], &[0.0, 0.0]]);
         let (solves, (p, attr)) = simplex_solves(|| gamma_point_attributed(&empty, 1));
         assert!(p.is_none());
@@ -931,13 +941,11 @@ mod tests {
             &[0.0, 0.0, 1.0],
             &[0.0, 0.0, 0.0],
         ]);
-        let (p, attr) = gamma_point_attributed(&empty, 1);
+        let (solves, (p, attr)) = simplex_solves(|| gamma_point_attributed(&empty, 1));
         assert!(p.is_none());
         assert!(attr.probe_missed);
-        assert!(matches!(
-            attr.path,
-            GammaPath::ActiveSetLp | GammaPath::NaiveFallback
-        ));
+        assert_eq!(attr.path, GammaPath::DepthRegion);
+        assert_eq!(solves, 1);
     }
 
     #[test]
@@ -1031,7 +1039,7 @@ mod tests {
             let (lo, hi) = trimmed_bounds(&canon, f);
             let mut membership = Membership::new(&canon, f, (&lo, &hi));
             assert!(!membership.contains(&trimmed_centre(&lo, &hi)), "{y:?}");
-            assert!(matches!(membership.engine, Engine::Depth(_)), "{y:?}");
+            assert!(matches!(membership.engine, Engine::Plane(_)), "{y:?}");
             let (solves, (p, attr)) = simplex_solves(|| gamma_point_attributed(&y, f));
             assert_eq!(attr.path, GammaPath::DepthRegion);
             let p = p.expect("Γ is non-empty at the Lemma-1 threshold");
@@ -1046,6 +1054,46 @@ mod tests {
             assert_eq!(solves + asked, 0, "{y:?}: Γ ran the simplex");
             assert!(accepted[0], "{p} fails its own membership test");
         }
+    }
+
+    #[test]
+    fn a_strict_query_in_r3_runs_at_most_one_simplex() {
+        // The `exact-n10-d3` shape: eight members uniform in the unit cube
+        // and the two Byzantine sources resolved to the origin.  The depth
+        // region in space answers with no subset hull: a probe hit by signs
+        // alone, a miss with at most its one centre LP, and the answer's
+        // membership again by signs alone.
+        let (mut hits, mut misses) = (0, 0);
+        for seed in 0..40 {
+            let mut points = crate::WorkloadGenerator::new(seed)
+                .box_points(8, 3, 0.0, 1.0)
+                .into_points();
+            points.extend([Point::origin(3), Point::origin(3)]);
+            let y = PointMultiset::new(points);
+            let canon = canonical_order(&y);
+            let (lo, hi) = trimmed_bounds(&canon, 2);
+            let membership = Membership::new(&canon, 2, (&lo, &hi));
+            assert!(matches!(membership.engine, Engine::Space(_)), "{y:?}");
+            let (solves, (p, attr)) = simplex_solves(|| gamma_point_attributed(&y, 2));
+            let p = p.expect("Γ is non-empty above the Lemma-1 bound");
+            match attr.path {
+                GammaPath::ProbeHit => {
+                    hits += 1;
+                    assert_eq!(solves, 0, "{y:?}: a probe hit ran the simplex");
+                }
+                path => {
+                    misses += 1;
+                    assert_eq!(path, GammaPath::DepthRegion);
+                    assert!(solves <= 1, "{y:?}: a miss ran {solves} solves");
+                }
+            }
+            let (asked, accepted) = simplex_solves(|| gamma_contains(&y, 2, &p));
+            assert!(
+                accepted && asked == 0,
+                "{p} in Γ of {y:?}: {accepted}, {asked} solves"
+            );
+        }
+        assert!(hits > 0 && misses > 0, "{hits} hits, {misses} misses");
     }
 
     #[test]

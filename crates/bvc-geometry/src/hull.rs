@@ -18,7 +18,9 @@
 //! a bounding-box reject, a generator-equality accept and, for `d = 2`, the
 //! polygon's orientation-sign test (accept strictly inside every edge or
 //! within [`GENERATOR_EQ_TOLERANCE`] of an edge; only the band between that
-//! and the reject reaches the LP).  Both rejects, the box's faces and the
+//! and the reject reaches the LP) and, for `d = 3`, an exact interior
+//! accept (strictly inside every plane through three generators that has
+//! all of them on one side, by `orient3d`'s sign).  Both rejects, the box's faces and the
 //! polygon's edges, are one rule: a point beyond a supporting line by more
 //! than [`reject_margin`] (`tolerance.rs`), one distance wherever the hull
 //! lies, because the LP's reach past a face is its residual.
@@ -32,7 +34,7 @@
 
 use crate::family::joint_common_point;
 use crate::multiset::PointMultiset;
-use crate::planar::{Polygon, Side};
+use crate::planar::{orient3d, plane_sides, Polygon, Side, Xyz};
 use crate::point::Point;
 use bvc_lp::{LinearProgram, Objective, Relation, SolveStatus};
 
@@ -120,10 +122,11 @@ impl ConvexHull {
 
     /// Returns `true` if `point` lies in this hull (within LP tolerance).
     ///
-    /// Fast paths: a bounding-box reject, a generator-equality accept and,
-    /// when the hull has a polygon, its orientation-sign test skip the solver
-    /// entirely; otherwise the membership LP runs in feasibility-only mode
-    /// (phase 1 of the two-phase simplex, no witness).
+    /// Fast paths: a bounding-box reject, a generator-equality accept, when
+    /// the hull has a polygon its orientation-sign test, and in space the
+    /// exact interior accept skip the solver entirely; otherwise the
+    /// membership LP runs in feasibility-only mode (phase 1 of the two-phase
+    /// simplex, no witness).
     ///
     /// # Panics
     ///
@@ -147,7 +150,29 @@ impl ConvexHull {
                 Side::Band => {}
             }
         }
+        if self.dim() == 3 && self.strictly_inside(point) {
+            return true;
+        }
         self.membership_lp(point).solve_feasibility() == SolveStatus::Optimal
+    }
+
+    /// `true` when the hull is full-dimensional in space and `point` lies
+    /// strictly inside every plane through three generators that has all
+    /// of them on one closed side, each sign exact ([`plane_sides`] with no
+    /// point outside): those planes hold the hull's facets, so `point` is
+    /// interior, which is a proof of membership.  A flat hull keeps its
+    /// plane on both sides and a collinear one keeps none, so neither has
+    /// an interior point, and `false` leaves the rest to the membership LP.
+    fn strictly_inside(&self, point: &Point) -> bool {
+        let xyz = |p: &Point| [p.coord(0), p.coord(1), p.coord(2)];
+        let generators: Vec<Xyz> = self.generators.iter().map(xyz).collect();
+        let x = xyz(point);
+        let sides = plane_sides(&generators, 0);
+        !sides.is_empty()
+            && sides.iter().all(|side| {
+                let [p, q, r] = side.plane;
+                orient3d(p, q, r, x) == side.sign
+            })
     }
 
     /// The feasibility program `Σ α = 1`, `Σ α_i (g_i − o) = point − o`,
@@ -432,6 +457,41 @@ pub(crate) mod tests {
         ConvexHull::new(PointMultiset::new(
             points.iter().map(|p| Point::new(p.to_vec())).collect(),
         ))
+    }
+
+    #[test]
+    fn a_spatial_hull_accepts_its_interior_by_exact_signs() {
+        let corner = [
+            [0.0, 0.0, 0.0],
+            [1.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0],
+            [0.0, 0.0, 1.0],
+        ];
+        let tetrahedron = hull_of(&corner);
+        let at = |c: [f64; 3]| Point::new(c.to_vec());
+        assert_eq!(
+            solves(|| tetrahedron.contains(&at([0.1, 0.2, 0.3]))),
+            (true, 0)
+        );
+        // On a face there is no interior proof: the LP decides, and accepts.
+        assert_eq!(
+            solves(|| tetrahedron.contains(&at([0.25, 0.25, 0.0]))),
+            (true, 1)
+        );
+        assert_eq!(
+            solves(|| tetrahedron.contains(&at([0.5, 0.5, 0.1]))),
+            (false, 1)
+        );
+        // A flat hull has no interior, and a collinear one no plane at all.
+        let flat = hull_of(&[
+            [0.0, 0.0, 0.0],
+            [1.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0],
+            [1.0, 1.0, 0.0],
+        ]);
+        assert_eq!(solves(|| flat.contains(&at([0.5, 0.5, 0.0]))), (true, 1));
+        let line = hull_of(&[[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]);
+        assert_eq!(solves(|| line.contains(&at([0.5, 0.5, 0.5]))), (true, 1));
     }
 
     /// `points` each moved by `t`.

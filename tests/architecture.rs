@@ -452,14 +452,15 @@ fn one_hull_family() {
 
 #[test]
 fn one_depth_engine() {
-    // The strict d = 2 Γ path is the depth region alone: one module,
-    // `bvc-geometry/src/depth.rs`, asked from gamma.rs only.  Its `Region`
-    // is built once per query, by the one membership test, which asks its
-    // exact depth count once and then the region; the region also answers
-    // the point and emptiness.  So the strict d = 2 path constructs no
-    // `HullFamily`: the subset hulls are built only in the `d ≥ 3` arm of
-    // that test (and for f = 0, Γ_α and the leave-one-out intersection),
-    // the joint LP lives in one file and the cache knows no engine by name.
+    // The strict d ≤ 3 Γ path is the depth region alone: one module,
+    // `bvc-geometry/src/depth.rs`, asked from gamma.rs only.  Its planar
+    // `Region` and its spatial `Space` are each built once per query, by
+    // the one membership test, and answer membership (the planar one asks
+    // its exact depth count first), the point and emptiness.  So the strict
+    // d ≤ 3 path constructs no `HullFamily`: the subset hulls are built only
+    // in the d ≥ 4 arm of that test (and for f = 0, Γ_α and the
+    // leave-one-out intersection), the joint LP lives in one file and the
+    // cache knows no engine by name.
     let geometry = rust_files_under(&["crates/bvc-geometry/src"]);
     let callers: Vec<PathBuf> = naming(&geometry, text, &["depth::"])
         .into_iter()
@@ -471,13 +472,24 @@ fn one_depth_engine() {
         shown(&callers)
     );
     let gamma = non_test(&root().join("crates/bvc-geometry/src/gamma.rs"));
-    for question in ["depth::Region::new(", "depth::verdict("] {
+    for question in ["depth::Region::new(", "depth::Space::new("] {
         let asks = lines_with(&gamma, question);
         assert!(
             asks == 1,
             "gamma.rs must ask {question} exactly once, found {asks}"
         );
     }
+    let depth = non_test(&root().join("crates/bvc-geometry/src/depth.rs"));
+    let planar_membership = depth
+        .split("pub(crate) fn contains(&self, z: Xy)")
+        .nth(1)
+        .and_then(|rest| rest.split("\n    }\n").next())
+        .unwrap_or_default();
+    assert!(
+        planar_membership.contains("verdict(") && !gamma.contains("verdict("),
+        "the exact depth count is asked inside depth.rs, first by the planar region's membership \
+         (`Region::contains`), and never from gamma.rs"
+    );
     let family_sites: Vec<&str> = gamma
         .lines()
         .map(str::trim)
@@ -486,9 +498,10 @@ fn one_depth_engine() {
     assert!(
         family_sites.iter().all(|line| {
             line.starts_with("_ => Engine::Hulls(") || line.contains("HullFamily::gamma(&canon, 0)")
-        }) && gamma.contains("2 => Engine::Depth(depth::Region::new("),
-        "the strict d = 2 path must construct no HullFamily: build the subset hulls only \
-         in the d ≥ 3 arm of Membership::new (or for f = 0), found:\n{}",
+        }) && gamma.contains("2 => Engine::Plane(depth::Region::new(")
+            && gamma.contains("3 => Engine::Space(depth::Space::new("),
+        "the strict d ≤ 3 path must construct no HullFamily: build the subset hulls only \
+         in the d ≥ 4 arm of Membership::new (or for f = 0), found:\n{}",
         family_sites.join("\n")
     );
     let cache = non_test(&root().join("crates/bvc-geometry/src/cache.rs"));
@@ -513,14 +526,22 @@ fn one_planar_predicate() {
     // in the band the polygon's sign test leaves open.  Its exact stage
     // (error-free sums and products, an expansion sum) is written there
     // once too, behind the same filter, and is what the depth count asks.
+    // Space has one too, `orient3d`: its own static filter bound
+    // (`o3derrboundA`) and an exact stage built from the same error-free
+    // sums and products, by which the spatial depth region keeps its sides.
     let geometry = rust_files_under(&["crates/bvc-geometry/src"]);
     for needle in [
         "const ORIENT_ERROR_BOUND",
         "3.330_669_073_875_472e-16",
+        "const ORIENT3D_ERROR_BOUND",
+        "7.771_561_172_376_103e-16",
         "fn orient(",
         "fn orient_exact(",
+        "fn orient3d(",
         "fn two_sum(",
         "fn two_product(",
+        "fn grow<",
+        "fn estimate(",
     ] {
         let defining = naming(&geometry, text, &[needle]);
         let copies: usize = geometry.iter().map(|p| lines_with(&text(p), needle)).sum();
@@ -1013,11 +1034,32 @@ fn one_membership_rule() {
         .and_then(|rest| rest.split("\n}\n").next())
         .unwrap_or_default();
     assert!(
-        shown(&rows) == "crates/bvc-geometry/src/hull.rs"
+        shown(&rows) == "crates/bvc-geometry/src/depth.rs\ncrates/bvc-geometry/src/hull.rs"
             && lines_with(&hull, "add_constraint(") == lines_with(builder, "add_constraint("),
         "LP rows in bvc-geometry are built only by `hull::local_combination_lp`, relative to a \
-         generator; `add_constraint(` found elsewhere in:\n{}",
+         generator, and by the spatial depth region's centre LP; `add_constraint(` found in:\n{}",
         shown(&rows)
+    );
+    // The depth region's centre LP, the one other row builder, reads its
+    // rows off the region's sides and box, which are written relative to
+    // the box's low corner: its function takes no point of `Y` and reads no
+    // absolute coordinate.
+    let depth = non_test(&root().join("crates/bvc-geometry/src/depth.rs"));
+    let centre = depth
+        .split("fn centre(")
+        .nth(1)
+        .and_then(|rest| rest.split("\n}\n").next())
+        .unwrap_or_default();
+    let signature = centre.split('{').next().unwrap_or_default();
+    assert!(
+        lines_with(&depth, "add_constraint(") == 1
+            && lines_with(centre, "add_constraint(") == 1
+            && signature.contains("sides: &[Halfspace<3>]")
+            && ["Point", "PointMultiset", ".coord(", "self", "lo["]
+                .iter()
+                .all(|absolute| !centre.contains(absolute)),
+        "depth.rs builds LP rows only in `fn centre(`, from the region's sides and box in its \
+         frame, never from a member or an absolute coordinate:\n{centre}"
     );
     let builders = [
         ("hull.rs", "fn membership_lp(", "\n    }\n"),
