@@ -22,21 +22,27 @@
 //!   with four unknowns ([`Space::point`]);
 //! * emptiness: an empty clip, or a centre with a negative radius.
 //!
-//! [`Region`] holds the kept sides and the box, each widened by
-//! [`DEPTH_SLACK`] (more far from the origin, where a coordinate's rounding
-//! is more), in a frame at the box's low corner.  In the plane the sides are
-//! those of member-pair lines, kept by the static filter ([`orient`]; a
-//! member whose side is unknown counts on both).  In space they are those of
-//! member-triple planes, kept by [`orient3d`]'s exact sign; a `Y` that lies
-//! in a plane (or on a line) drops to the planar region of its projection
-//! on a coordinate plane ([`Space`]).  Built once per query, the region
-//! answers with no hull; in space its one LP is the centre's.
+//! At `f = 0` no member may be dropped, so the region is the hull of `Y`
+//! itself: its kept sides are the hull's supporting sides, and its box the
+//! bounding box.  That is how a `d = 2` or `d = 3`
+//! [`ConvexHull`](crate::ConvexHull) answers membership (`hull.rs`).
+//!
+//! [`Region`] holds the kept sides and the box, each widened by the slack
+//! its constructor is given (more far from the origin, where a coordinate's
+//! rounding is more): [`DEPTH_SLACK`](crate::tolerance::DEPTH_SLACK) for
+//! `Γ`, the membership LP's band for a hull.  It works in a frame at the
+//! box's low corner.  In the plane the sides are those of member-pair
+//! lines, kept by the static filter ([`orient`]; a member whose side is
+//! unknown counts on both).  In space they are those of member-triple
+//! planes, kept by [`orient3d`]'s exact sign; a `Y` that lies in a plane
+//! (or on a line) drops to the planar region of its projection on a
+//! coordinate plane ([`Space`]).  Built once per query, the region answers
+//! with no hull; in space its one LP is the centre's.
 
 use crate::multiset::PointMultiset;
 use crate::planar::{
     orient, orient3d, orient_exact, plane_normal, plane_sides, PlaneSide, Xy, Xyz,
 };
-use crate::tolerance::DEPTH_SLACK;
 use bvc_lp::{LinearProgram, Objective, Relation, SolveStatus};
 use std::cell::OnceCell;
 use std::cmp::Ordering;
@@ -143,11 +149,13 @@ impl<const D: usize> Halfspace<D> {
 /// lies (at `2^26` an absolute coordinate steps by `1.5e-8`), and a shift
 /// of `Y` that is exact leaves every answer of the region unchanged.
 ///
-/// The slack is [`DEPTH_SLACK`], or `4ε` times the box's largest coordinate
-/// magnitude where that is more (past about `1.1e6`; `ε` is
-/// [`f64::EPSILON`]): a point the region returns is written back in
-/// absolute coordinates, which moves it by up to a rounding of that
-/// magnitude, and a narrower band would reject it.
+/// The slack is the one it is built with
+/// ([`DEPTH_SLACK`](crate::tolerance::DEPTH_SLACK) for `Γ`), or `4ε` times
+/// the box's largest coordinate magnitude where that is more (for
+/// `DEPTH_SLACK` past about `1.1e6`; `ε` is [`f64::EPSILON`]): a point the
+/// region returns is written back in absolute coordinates, which moves it
+/// by up to a rounding of that magnitude, and a narrower band would reject
+/// it.
 pub(crate) struct Region<'a, const D: usize> {
     y: &'a PointMultiset,
     f: usize,
@@ -166,13 +174,15 @@ pub(crate) struct Region<'a, const D: usize> {
 
 impl<'a, const D: usize> Region<'a, D> {
     /// The region of `y` read on `axes`, with fault bound `f`, in its
-    /// trimmed box `(lo, hi)` (indexed by coordinate, as `axes` is);
+    /// trimmed box `(lo, hi)` (indexed by coordinate, as `axes` is), its
+    /// sides and box widened by `slack` (more far from the origin);
     /// nothing is computed yet.
     pub(crate) fn new(
         y: &'a PointMultiset,
         f: usize,
         (lo, hi): (&[f64], &[f64]),
         axes: [usize; D],
+        slack: f64,
     ) -> Self {
         let (lo, hi) = (axes.map(|l| lo[l]), axes.map(|l| hi[l]));
         let magnitude = lo.iter().chain(&hi).fold(0.0f64, |m, c| m.max(c.abs()));
@@ -182,7 +192,7 @@ impl<'a, const D: usize> Region<'a, D> {
             axes,
             lo,
             hi,
-            slack: DEPTH_SLACK.max(4.0 * f64::EPSILON * magnitude),
+            slack: slack.max(4.0 * f64::EPSILON * magnitude),
             members: OnceCell::new(),
             sides: OnceCell::new(),
         }
@@ -378,10 +388,16 @@ impl Flat<'_> {
 
 impl<'a> Space<'a> {
     /// The region of `y` (three-dimensional) with fault bound `f` in its
-    /// trimmed box `(lo, hi)`; nothing is computed yet.
-    pub(crate) fn new(y: &'a PointMultiset, f: usize, bounds: (&[f64], &[f64])) -> Self {
+    /// trimmed box `(lo, hi)`, widened by `slack` as [`Region::new`]
+    /// widens; nothing is computed yet.
+    pub(crate) fn new(
+        y: &'a PointMultiset,
+        f: usize,
+        bounds: (&[f64], &[f64]),
+        slack: f64,
+    ) -> Self {
         Self {
-            region: Region::new(y, f, bounds, [0, 1, 2]),
+            region: Region::new(y, f, bounds, [0, 1, 2], slack),
             flat: OnceCell::new(),
             member_sides: OnceCell::new(),
         }
@@ -406,7 +422,8 @@ impl<'a> Space<'a> {
                     1 => [0, 2],
                     _ => [0, 1],
                 };
-                let planar = Region::new(region.y, region.f, (&region.lo, &region.hi), axes);
+                let bounds = (&region.lo[..], &region.hi[..]);
+                let planar = Region::new(region.y, region.f, bounds, axes, region.slack);
                 Some(Box::new(Flat {
                     through,
                     normal,
@@ -600,7 +617,7 @@ fn centre(sides: &[Halfspace<3>], top: Xyz, slack: f64) -> Option<Xyz> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::combinatorics::Combinations;
     use crate::family::joint_candidate;
@@ -610,6 +627,7 @@ mod tests {
     };
     use crate::hull::ConvexHull;
     use crate::point::Point;
+    use crate::tolerance::DEPTH_SLACK;
     use bvc_lp::FEASIBILITY_TOLERANCE;
     use proptest::prelude::*;
 
@@ -666,7 +684,7 @@ mod tests {
         let y = PointMultiset::new(members.iter().map(|m| Point::new(m.to_vec())).collect());
         let (lo, hi) = trimmed_bounds(&y, 1);
         assert_eq!(lo[0], v[0]);
-        let region = Region::new(&y, 1, (&lo, &hi), [0, 1]);
+        let region = Region::new(&y, 1, (&lo, &hi), [0, 1], DEPTH_SLACK);
         let reach = DEPTH_SLACK / (theta / 2.0).sin();
         for k in 0..=40 {
             let s = reach * 0.99 * 0.7f64.powi(k);
@@ -715,7 +733,7 @@ mod tests {
     /// linear program: 0 when the exact depth count with `f = 0` puts `z`
     /// inside it, else the distance to the nearest segment between two
     /// members (the nearest point of the hull lies on an edge).
-    fn distance_to_hull(members: &[Xy], z: Xy) -> f64 {
+    pub(crate) fn distance_to_hull(members: &[Xy], z: Xy) -> f64 {
         if verdict(members, 0, z) == Verdict::Inside {
             return 0.0;
         }
@@ -773,7 +791,7 @@ mod tests {
                 queries.push(Point::centroid(y.points()));
                 queries.push(trimmed_centre(&lo, &hi));
                 queries.push(moved(&Point::new(probe.clone())));
-                if let Some(p) = Region::new(&y, f, (&lo, &hi), [0, 1]).point() {
+                if let Some(p) = Region::new(&y, f, (&lo, &hi), [0, 1], DEPTH_SLACK).point() {
                     let p = Point::new(p.to_vec());
                     for k in 0..16 {
                         let (sin, cos) = (f64::from(k) * std::f64::consts::PI / 8.0).sin_cos();
@@ -854,7 +872,7 @@ mod tests {
     /// exact signs, else the least distance to a triangle of three members
     /// (the hull's boundary is a union of them), each worked out relative
     /// to its first corner.
-    fn distance_to_spatial_hull(members: &[Xyz], z: Xyz) -> f64 {
+    pub(crate) fn distance_to_spatial_hull(members: &[Xyz], z: Xyz) -> f64 {
         let n = members.len();
         let sub = |a: Xyz, b: Xyz| [a[0] - b[0], a[1] - b[1], a[2] - b[2]];
         let dot = |a: Xyz, b: Xyz| a[0] * b[0] + a[1] * b[1] + a[2] * b[2];

@@ -13,9 +13,9 @@
 //! Section 2.2 ([`joint_common_point`](HullFamily::joint_common_point) — the
 //! loop's numerical fallback and the tests' oracle) are written once, here.
 //!
-//! The strict `d = 2` and `d = 3` Γ engines build no family: the depth
-//! region (`depth.rs`) answers them.  A family serves `d ≥ 4`, `f = 0`,
-//! `Γ_α` and the leave-one-out intersection.
+//! The strict `d = 2` and `d = 3` Γ engines build no family, `f = 0`
+//! included: the depth region (`depth.rs`) answers them.  A family serves
+//! strict `Γ` from `d = 4` on, `Γ_α` and the leave-one-out intersection.
 //!
 //! The family keeps the member order it is given: a point-valued answer is a
 //! function of the *multiset* only when the caller hands the members over in

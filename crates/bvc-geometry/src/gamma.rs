@@ -14,7 +14,7 @@
 //!
 //! This module provides membership tests, emptiness checks, and the
 //! deterministic point-selection rule shared by all non-faulty processes.
-//! From `d = 4` on (and for `f = 0`) the subset hulls are a `HullFamily`:
+//! From `d = 4` on the subset hulls are a `HullFamily`:
 //! built lazily from the streamed subsets, membership short-circuiting on
 //! the first refuting hull, the point found by growing an active set of
 //! binding hulls instead of solving the monolithic `C(|Y|, |Y|−f)`-block
@@ -28,8 +28,9 @@
 //!   per-coordinate trimmed range `[y^l_(f+1), y^l_(|Y|−f)]` lies outside
 //!   some subset hull.
 //!
-//! A strict point query builds one membership test: its trimmed-centre
-//! probe asks the test and, on a miss, the test's own engine answers.  At
+//! A strict point query, `f = 0` included (`Γ` is then the hull of `Y`),
+//! builds one membership test: its trimmed-centre probe asks the test and,
+//! on a miss, the test's own engine answers.  At
 //! `d = 2` and `d = 3` that engine is the depth region (`depth.rs`), with no
 //! subset hull: past the multiplicity accept, membership is the region's
 //! box and its member-pair (plane) or member-triple (space) sides, widened
@@ -58,11 +59,11 @@
 use crate::combinatorics::Combinations;
 use crate::depth;
 use crate::family::HullFamily;
-use crate::hull::{ConvexHull, RejectBox};
+use crate::hull::box_rejects;
 use crate::multiset::PointMultiset;
 use crate::point::{canonical_cmp, Point};
 use crate::relaxed::{k_relaxed_point, ModeKey};
-use crate::tolerance::{D1_TOLERANCE, GENERATOR_EQ_TOLERANCE};
+use crate::tolerance::{D1_TOLERANCE, DEPTH_SLACK, GENERATOR_EQ_TOLERANCE};
 use bvc_trace::GammaPath;
 
 /// Which engine path resolved a point-selection query, plus whether the
@@ -170,10 +171,6 @@ fn strict_point(view: SubsetView<'_>, f: usize) -> (Option<Point>, GammaAttribut
         return (point, attributed(GammaPath::D1ClosedForm, false));
     }
     let canon = view.to_multiset();
-    if f == 0 {
-        let point = HullFamily::gamma(&canon, 0).common_point().0;
-        return (point, attributed(GammaPath::HullF0, false));
-    }
     let (lo, hi) = trimmed_bounds(&canon, f);
     let mut membership = Membership::new(&canon, f, (&lo, &hi));
     // Cheap deterministic probe first: the centre of the trimmed bounding
@@ -207,9 +204,6 @@ pub fn gamma_contains(y: &PointMultiset, f: usize, point: &Point) -> bool {
         y.dim(),
         "query point dimension must match the multiset dimension"
     );
-    if f == 0 && y.dim() > 1 {
-        return ConvexHull::new(y.clone()).contains(point);
-    }
     // At d = 1 the trimmed range is `Γ(y)` itself.
     let (lo, hi) = trimmed_bounds(y, f);
     if y.dim() == 1 {
@@ -472,17 +466,13 @@ pub(crate) fn trimmed_centre(lo: &[f64], hi: &[f64]) -> Point {
     Point::new(lo.iter().zip(hi).map(|(l, h)| 0.5 * (l + h)).collect())
 }
 
-/// Membership in `Γ(y)`, `f > 0`, `d ≥ 2`, with what the questions read
-/// built at most once, and only when a question needs it: from `d = 4` on
-/// the trimmed box's [`RejectBox`], and the [`Engine`].
+/// Membership in `Γ(y)`, `d ≥ 2`, with what the questions read built at
+/// most once, and only when a question needs it: the [`Engine`].
 struct Membership<'a> {
     y: &'a PointMultiset,
     f: usize,
     /// The trimmed range `[lo, hi]`, which holds `Γ(y)`.
     bounds: (&'a [f64], &'a [f64]),
-    /// The trimmed range widened by its reject margin, for the subset
-    /// hulls; the depth regions have their own, tighter box.
-    trimmed: Option<RejectBox>,
     engine: Engine<'a>,
 }
 
@@ -502,15 +492,14 @@ impl<'a> Membership<'a> {
     /// The test for `Γ(y)` whose trimmed range is `bounds`.
     fn new(y: &'a PointMultiset, f: usize, bounds: (&'a [f64], &'a [f64])) -> Self {
         let engine = match y.dim() {
-            2 => Engine::Plane(depth::Region::new(y, f, bounds, [0, 1])),
-            3 => Engine::Space(depth::Space::new(y, f, bounds)),
+            2 => Engine::Plane(depth::Region::new(y, f, bounds, [0, 1], DEPTH_SLACK)),
+            3 => Engine::Space(depth::Space::new(y, f, bounds, DEPTH_SLACK)),
             _ => Engine::Hulls(HullFamily::gamma(y, f)),
         };
         Self {
             y,
             f,
             bounds,
-            trimmed: None,
             engine,
         }
     }
@@ -520,9 +509,10 @@ impl<'a> Membership<'a> {
     /// `d ≤ 3` the depth region answers the rest (`depth.rs`): its box is the
     /// trimmed range, which holds `Γ(y)`, and past it, in the plane, the
     /// exact depth count accepts `Inside` before the region's sides are
-    /// asked.  From `d = 4` on the range is a [`RejectBox`] and the subset
-    /// hulls are streamed, short-circuiting on the first that refutes
-    /// `point`.
+    /// asked.  From `d = 4` on a point beyond a face of the range by more
+    /// than the reject margin is out ([`box_rejects`]), and past that the
+    /// subset hulls are streamed, short-circuiting on the first that
+    /// refutes `point`.
     fn contains(&mut self, point: &Point) -> bool {
         let copies = self
             .y
@@ -539,10 +529,7 @@ impl<'a> Membership<'a> {
             }
             Engine::Hulls(family) => {
                 let (lo, hi) = self.bounds;
-                let trimmed = self
-                    .trimmed
-                    .get_or_insert_with(|| RejectBox::new(lo.to_vec(), hi.to_vec()));
-                !trimmed.rejects(point) && family.all_contain(point)
+                !box_rejects(lo, hi, point) && family.all_contain(point)
             }
         }
     }
@@ -580,11 +567,11 @@ pub fn leave_one_out_intersection(y: &PointMultiset) -> Option<Point> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::family::tests::biased;
     use crate::hull::tests::{dyadic_points, dyadic_shift, moved, near_segments};
-    use crate::tolerance::DEPTH_SLACK;
+    use crate::hull::ConvexHull;
     use bvc_trace::{TraceEvent, TraceHandle, Tracer};
     use proptest::prelude::*;
     use std::sync::{Arc, Mutex};
@@ -908,10 +895,26 @@ mod tests {
         assert_eq!(attr.path, GammaPath::D1ClosedForm);
         assert!(!attr.probe_missed);
 
-        // f = 0 is a single full-hull LP.
+        // f = 0 takes the same engine, with no simplex: the probe (the
+        // bounding box's centre, on the hypotenuse here), and in space a
+        // miss the region answers with the first member.
         let square = pts(&[&[0.0, 0.0], &[2.0, 0.0], &[0.0, 2.0]]);
-        let (_, attr) = gamma_point_attributed(&square, 0);
-        assert_eq!(attr.path, GammaPath::HullF0);
+        let (solves, (p, attr)) = simplex_solves(|| gamma_point_attributed(&square, 0));
+        assert_eq!(
+            (p, attr.path, solves),
+            (Some(Point::new(vec![1.0, 1.0])), GammaPath::ProbeHit, 0)
+        );
+        let corner = pts(&[
+            &[0.0, 0.0, 0.0],
+            &[1.0, 0.0, 0.0],
+            &[0.0, 1.0, 0.0],
+            &[0.0, 0.0, 1.0],
+        ]);
+        let (solves, (p, attr)) = simplex_solves(|| gamma_point_attributed(&corner, 0));
+        assert_eq!(
+            (p, attr.path, solves),
+            (Some(Point::origin(3)), GammaPath::DepthRegion, 0)
+        );
 
         // Square + centre: the trimmed-box centre is a member of Γ, so the
         // probe serves the query.
@@ -1018,7 +1021,7 @@ mod tests {
     /// f = 1`, at the Lemma-1 threshold): a quadrilateral in convex
     /// position 1e-7 wide, whose Γ is its Radon point, on an edge of every
     /// triangle, and whose trimmed-box centre is off it.
-    fn converged_quadrilateral(spread: f64) -> PointMultiset {
+    pub(crate) fn converged_quadrilateral(spread: f64) -> PointMultiset {
         let corner = |x: f64, y: f64| Point::new(vec![0.3 + spread * x, 0.6 + spread * y]);
         PointMultiset::new(vec![
             corner(0.0, 0.0),

@@ -7,97 +7,71 @@
 //! 1. *membership*: is a given point `p` inside `H(T)`?
 //! 2. *witness*: exhibit convex-combination weights showing `p ∈ H(T)`.
 //!
-//! Both reduce to a small linear-programming feasibility problem (find
-//! `α ≥ 0`, `Σα = 1`, `Σ α_i t_i = p`), which is how Section 2.2 of the paper
-//! treats them.  The program is written relative to a generator `o`
-//! (`local_combination_lp`): `Σ α_i (t_i − o) = p − o`, so its answer does
-//! not depend on where the origin is.  Membership runs the solver in
-//! feasibility-only mode (no witness extraction) and is preceded by three
-//! short-circuits that dispose of most queries the Γ engine generates
-//! without touching the solver at all:
-//! a bounding-box reject, a generator-equality accept and, for `d = 2`, the
-//! polygon's orientation-sign test (accept strictly inside every edge or
-//! within [`GENERATOR_EQ_TOLERANCE`] of an edge; only the band between that
-//! and the reject reaches the LP) and, for `d = 3`, an exact interior
-//! accept (strictly inside every plane through three generators that has
-//! all of them on one side, by `orient3d`'s sign).  Both rejects, the box's faces and the
-//! polygon's edges, are one rule: a point beyond a supporting line by more
-//! than [`reject_margin`] (`tolerance.rs`), one distance wherever the hull
-//! lies, because the LP's reach past a face is its residual.
+//! Section 2.2 of the paper reduces both to a small linear-programming
+//! feasibility problem (find `α ≥ 0`, `Σα = 1`, `Σ α_i t_i = p`).  The
+//! witness, and membership from `d = 4` on, still solve it, written
+//! relative to a generator `o` (`local_combination_lp`):
+//! `Σ α_i (t_i − o) = p − o`, so its answer does not depend on where the
+//! origin is.  That LP accepts a point within its residual,
+//! `FEASIBILITY_TOLERANCE`, of the hull.
+//!
+//! Up to `d = 3` membership runs no LP.  A point equal to a generator is in;
+//! otherwise `H(T)` is `Γ(T)` with `f = 0`, the depth region of `T`
+//! (`depth.rs`): its bounding box and its supporting sides (member-pair
+//! lines in the plane, member-triple planes in space, found by exact or
+//! certain signs), each widened by that same `FEASIBILITY_TOLERANCE`.  In
+//! space the planar regions of its three coordinate shadows are asked too:
+//! past an edge of dihedral angle `φ` the widened planes reach
+//! `FEASIBILITY_TOLERANCE / sin(φ/2)`, and a shadow cuts that short.  It is
+//! a closed form that replaces the LP at the LP's own threshold (the rule
+//! `tolerance.rs` states), measured as a Euclidean distance where the LP
+//! measured an L1 residual, so the two differ only within a few times that
+//! threshold of the hull.  At `d = 1` the hull is its box under the same
+//! band.  From `d = 4` on a point beyond a face of the bounding box by more
+//! than [`reject_margin`] (`tolerance.rs`) is rejected before the LP runs.
 //!
 //! The common-point query over several hulls — one LP that decides whether
 //! they share a point and, if so, produces one — is
 //! [`ConvexHull::common_point`]; the LP itself, and the active-set search
 //! that reaches the same answer through much smaller programs when the hulls
-//! are a subset family of one multiset (the Γ engine's case), live in the
-//! crate's `family` module.
+//! are a subset family of one multiset, live in the crate's `family` module.
 
+use crate::depth;
 use crate::family::joint_common_point;
 use crate::multiset::PointMultiset;
-use crate::planar::{orient3d, plane_sides, Polygon, Side, Xyz};
 use crate::point::Point;
-use bvc_lp::{LinearProgram, Objective, Relation, SolveStatus};
+use bvc_lp::{LinearProgram, Objective, Relation, SolveStatus, FEASIBILITY_TOLERANCE};
 
 pub use crate::tolerance::HULL_TOLERANCE;
 use crate::tolerance::{reject_margin, GENERATOR_EQ_TOLERANCE};
 
-/// An axis-aligned box with each face moved out by its [`reject_margin`]: a
-/// point outside it is beyond a face of the box by more than the membership
-/// LP forgives.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct RejectBox {
-    below: Vec<f64>,
-    above: Vec<f64>,
-}
-
-impl RejectBox {
-    /// The reject box of `[lower, upper]`, widened in place: each face has
-    /// a unit normal, so each moves out by the same margin.
-    pub(crate) fn new(mut below: Vec<f64>, mut above: Vec<f64>) -> Self {
-        let margin = reject_margin(1.0);
-        below.iter_mut().for_each(|lo| *lo -= margin);
-        above.iter_mut().for_each(|hi| *hi += margin);
-        Self { below, above }
-    }
-
-    /// `true` when some coordinate of `point` lies outside the box.
-    #[inline]
-    pub(crate) fn rejects(&self, point: &Point) -> bool {
-        let faces = self.below.iter().zip(&self.above);
-        let outside = |(&c, (&lo, &hi)): (&f64, (&f64, &f64))| c < lo || c > hi;
-        point.coords().iter().zip(faces).any(outside)
-    }
+/// `true` when some coordinate of `point` lies beyond a face of the box
+/// `[lo, hi]` by more than [`reject_margin`]: each face has a unit normal,
+/// so each is moved out by the same margin.
+pub(crate) fn box_rejects(lo: &[f64], hi: &[f64], point: &Point) -> bool {
+    let margin = reject_margin(1.0);
+    let faces = lo.iter().zip(hi);
+    let outside = |(&c, (&lo, &hi)): (&f64, (&f64, &f64))| c < lo - margin || c > hi + margin;
+    point.coords().iter().zip(faces).any(outside)
 }
 
 /// A convex hull `H(T)` of a multiset of points, represented implicitly by its
-/// generating points (plus their cached reject box and, in the plane, their
-/// polygon).
+/// generating points and their bounding box.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConvexHull {
     generators: PointMultiset,
-    /// The generators' bounding box, widened by the reject margin.
-    reject_box: RejectBox,
-    /// For `d = 2`, the strictly convex polygon of the generators; `None`
-    /// in other dimensions and for collinear or converged generators.
-    polygon: Option<Polygon>,
+    /// The generators' bounding box, its low and high corners.
+    lo: Vec<f64>,
+    hi: Vec<f64>,
 }
 
 impl ConvexHull {
     /// Creates the hull of the given generating multiset.
     pub fn new(generators: PointMultiset) -> Self {
-        let reject_box = RejectBox::new(
-            generators.coordinate_min().into_coords(),
-            generators.coordinate_max().into_coords(),
-        );
-        let polygon = if generators.dim() == 2 {
-            Polygon::of(generators.iter().map(|g| [g.coord(0), g.coord(1)]))
-        } else {
-            None
-        };
         Self {
+            lo: generators.coordinate_min().into_coords(),
+            hi: generators.coordinate_max().into_coords(),
             generators,
-            reject_box,
-            polygon,
         }
     }
 
@@ -120,13 +94,16 @@ impl ConvexHull {
             .any(|g| g.approx_eq(point, GENERATOR_EQ_TOLERANCE))
     }
 
-    /// Returns `true` if `point` lies in this hull (within LP tolerance).
+    /// Returns `true` if `point` lies in this hull, within the membership
+    /// LP's band (`FEASIBILITY_TOLERANCE`).
     ///
-    /// Fast paths: a bounding-box reject, a generator-equality accept, when
-    /// the hull has a polygon its orientation-sign test, and in space the
-    /// exact interior accept skip the solver entirely; otherwise the
-    /// membership LP runs in feasibility-only mode (phase 1 of the two-phase
-    /// simplex, no witness).
+    /// A point equal to a generator is in.  Otherwise, up to `d = 3`, the
+    /// hull's depth region at `f = 0` answers with no LP (module docs): at
+    /// `d = 1` its box, at `d = 2` and `d = 3` its box and supporting sides
+    /// (in space with its three coordinate shadows), all widened by the
+    /// band.  From `d = 4` on, a bounding-box reject, then the membership LP
+    /// in feasibility-only mode (phase 1 of the two-phase simplex, no
+    /// witness).
     ///
     /// # Panics
     ///
@@ -137,42 +114,27 @@ impl ConvexHull {
             self.dim(),
             "query point dimension must match the hull dimension"
         );
-        if self.reject_box.rejects(point) {
-            return false;
-        }
         if self.equals_a_generator(point) {
             return true;
         }
-        if let Some(polygon) = &self.polygon {
-            match polygon.side([point.coord(0), point.coord(1)]) {
-                Side::Inside => return true,
-                Side::Outside => return false,
-                Side::Band => {}
+        let (bounds, band) = ((&self.lo[..], &self.hi[..]), FEASIBILITY_TOLERANCE);
+        let at = |l: usize| point.coord(l);
+        match self.dim() {
+            1 => self.lo[0] - band <= at(0) && at(0) <= self.hi[0] + band,
+            2 => depth::Region::new(&self.generators, 0, bounds, [0, 1], band)
+                .contains([at(0), at(1)]),
+            3 => {
+                depth::Space::new(&self.generators, 0, bounds, band).contains([at(0), at(1), at(2)])
+                    && [[1, 2], [0, 2], [0, 1]].into_iter().all(|[a, b]| {
+                        depth::Region::new(&self.generators, 0, bounds, [a, b], band)
+                            .contains([at(a), at(b)])
+                    })
+            }
+            _ => {
+                !box_rejects(&self.lo, &self.hi, point)
+                    && self.membership_lp(point).solve_feasibility() == SolveStatus::Optimal
             }
         }
-        if self.dim() == 3 && self.strictly_inside(point) {
-            return true;
-        }
-        self.membership_lp(point).solve_feasibility() == SolveStatus::Optimal
-    }
-
-    /// `true` when the hull is full-dimensional in space and `point` lies
-    /// strictly inside every plane through three generators that has all
-    /// of them on one closed side, each sign exact ([`plane_sides`] with no
-    /// point outside): those planes hold the hull's facets, so `point` is
-    /// interior, which is a proof of membership.  A flat hull keeps its
-    /// plane on both sides and a collinear one keeps none, so neither has
-    /// an interior point, and `false` leaves the rest to the membership LP.
-    fn strictly_inside(&self, point: &Point) -> bool {
-        let xyz = |p: &Point| [p.coord(0), p.coord(1), p.coord(2)];
-        let generators: Vec<Xyz> = self.generators.iter().map(xyz).collect();
-        let x = xyz(point);
-        let sides = plane_sides(&generators, 0);
-        !sides.is_empty()
-            && sides.iter().all(|side| {
-                let [p, q, r] = side.plane;
-                orient3d(p, q, r, x) == side.sign
-            })
     }
 
     /// The feasibility program `Σ α = 1`, `Σ α_i (g_i − o) = point − o`,
@@ -207,8 +169,7 @@ impl ConvexHull {
         // Double-check the witness numerically before handing it out: it
         // must not land beyond the reject margin of `point`'s own box.
         let reconstructed = Point::convex_combination(self.generators.points(), &weights);
-        let around = RejectBox::new(point.coords().to_vec(), point.coords().to_vec());
-        (!around.rejects(&reconstructed)).then_some(weights)
+        (!box_rejects(point.coords(), point.coords(), &reconstructed)).then_some(weights)
     }
 
     /// Returns a point common to all the given hulls, if one exists.
@@ -282,6 +243,9 @@ pub(crate) fn local_combination_lp(hulls: &[&ConvexHull], target: Option<&Point>
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::depth::tests::{distance_to_hull, distance_to_spatial_hull};
+    use crate::gamma::gamma_point;
+    use crate::gamma::tests::converged_quadrilateral;
     use bvc_trace::{TraceEvent, TraceHandle, Tracer};
     use proptest::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -313,22 +277,26 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn reject_box_widens_each_face_by_one_margin() {
+    fn box_reject_widens_each_face_by_one_margin() {
         // Every face moves out by HULL_TOLERANCE, near the origin and 1000
-        // from it alike.
-        let hull = triangle();
-        assert_eq!(hull.reject_box.below, vec![-HULL_TOLERANCE; 2]);
-        assert_eq!(hull.reject_box.above, vec![2.0 + HULL_TOLERANCE; 2]);
-        let far = hull_of(&[[1000.0, 1000.0], [1002.0, 1000.0], [1000.0, 1002.0]]);
-        assert_eq!(far.reject_box.below, vec![1000.0 - HULL_TOLERANCE; 2]);
-        assert_eq!(far.reject_box.above, vec![1002.0 + HULL_TOLERANCE; 2]);
+        // from it alike: a point on the widened face is kept, one a step
+        // beyond it rejected.
+        for (lo, hi) in [(0.0, 2.0), (1000.0, 1002.0)] {
+            let (below, above) = (lo - HULL_TOLERANCE, hi + HULL_TOLERANCE);
+            let rejects = |c: f64| box_rejects(&[lo, lo], &[hi, hi], &Point::new(vec![c, lo]));
+            assert!(!rejects(below) && !rejects(above), "[{lo}, {hi}]");
+            assert!(
+                rejects(below.next_down()) && rejects(above.next_up()),
+                "[{lo}, {hi}]"
+            );
+        }
     }
 
     #[test]
     fn bounding_box_reject_agrees_with_lp_reject() {
         // A point inside the bounding box but outside the hull must still be
-        // rejected (by the LP), and a point far outside the box must be
-        // rejected by the short-circuit.
+        // rejected (by the hull's sides), and a point far outside the box
+        // by the box.
         let hull = triangle();
         assert!(!hull.contains(&Point::new(vec![1.9, 1.9]))); // in box, out of hull
         assert!(!hull.contains(&Point::new(vec![50.0, 50.0]))); // box reject
@@ -460,7 +428,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn a_spatial_hull_accepts_its_interior_by_exact_signs() {
+    fn a_spatial_hull_answers_without_an_lp() {
         let corner = [
             [0.0, 0.0, 0.0],
             [1.0, 0.0, 0.0],
@@ -469,29 +437,48 @@ pub(crate) mod tests {
         ];
         let tetrahedron = hull_of(&corner);
         let at = |c: [f64; 3]| Point::new(c.to_vec());
-        assert_eq!(
-            solves(|| tetrahedron.contains(&at([0.1, 0.2, 0.3]))),
-            (true, 0)
-        );
-        // On a face there is no interior proof: the LP decides, and accepts.
-        assert_eq!(
-            solves(|| tetrahedron.contains(&at([0.25, 0.25, 0.0]))),
-            (true, 1)
-        );
-        assert_eq!(
-            solves(|| tetrahedron.contains(&at([0.5, 0.5, 0.1]))),
-            (false, 1)
-        );
-        // A flat hull has no interior, and a collinear one no plane at all.
+        for (query, inside) in [
+            ([0.1, 0.2, 0.3], true),
+            // On a face, and within the band below it.
+            ([0.25, 0.25, 0.0], true),
+            ([0.25, 0.25, -5e-8], true),
+            ([0.25, 0.25, -5e-7], false),
+            ([0.5, 0.5, 0.1], false),
+        ] {
+            assert_eq!(solves(|| tetrahedron.contains(&at(query))), (inside, 0));
+        }
+        // A flat hull is the slab of its plane and its planar hull, and a
+        // collinear one a segment.
         let flat = hull_of(&[
             [0.0, 0.0, 0.0],
             [1.0, 0.0, 0.0],
             [0.0, 1.0, 0.0],
             [1.0, 1.0, 0.0],
         ]);
-        assert_eq!(solves(|| flat.contains(&at([0.5, 0.5, 0.0]))), (true, 1));
+        assert_eq!(solves(|| flat.contains(&at([0.5, 0.5, 0.0]))), (true, 0));
+        assert_eq!(solves(|| flat.contains(&at([0.5, 0.5, 1e-6]))), (false, 0));
+        assert_eq!(
+            solves(|| flat.contains(&at([0.5, 1.0 + 1e-6, 0.0]))),
+            (false, 0)
+        );
         let line = hull_of(&[[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]);
-        assert_eq!(solves(|| line.contains(&at([0.5, 0.5, 0.5]))), (true, 1));
+        assert_eq!(solves(|| line.contains(&at([0.5, 0.5, 0.5]))), (true, 0));
+        assert_eq!(solves(|| line.contains(&at([0.5, 0.5, 0.6]))), (false, 0));
+        assert_eq!(solves(|| line.contains(&at([2.1, 2.1, 2.1]))), (false, 0));
+    }
+
+    #[test]
+    fn a_scalar_hull_is_its_box_under_the_lp_band() {
+        let hull = hull_of(&[[0.0], [0.0], [1.0]]);
+        for (query, inside) in [
+            (0.5, true),
+            (1.0 + 5e-8, true),
+            (-5e-8, true),
+            (1.0 + 2e-7, false),
+        ] {
+            let query = Point::new(vec![query]);
+            assert_eq!(solves(|| hull.contains(&query)), (inside, 0), "{query}");
+        }
     }
 
     /// `points` each moved by `t`.
@@ -500,9 +487,9 @@ pub(crate) mod tests {
         points.iter().map(step).collect()
     }
 
-    /// `contains` at each query, asserted equal to the membership LP's
-    /// answer there and to the answer of the same fixture moved by minus its
-    /// first generator, to the origin.
+    /// `contains` at each query, [checked](off_the_band) there and asserted
+    /// equal to the answer of the same fixture moved by minus its first
+    /// generator, to the origin.
     fn the_same_at_the_origin<const D: usize>(
         generators: &[[f64; D]],
         queries: &[[f64; D]],
@@ -511,9 +498,9 @@ pub(crate) mod tests {
         let (hull, at_origin) = (hull_of(generators), hull_of(&moved(generators, home)));
         let moved_queries = moved(queries, home);
         let answers = queries.iter().zip(&moved_queries).map(|(query, moved)| {
-            let answer = agrees_with_the_lp(&hull, query);
+            let answer = off_the_band(&hull, query);
             assert_eq!(
-                agrees_with_the_lp(&at_origin, moved),
+                off_the_band(&at_origin, moved),
                 answer,
                 "{query:?} of {generators:?} moved to the origin"
             );
@@ -523,35 +510,29 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn planar_hull_answers_off_the_band_without_an_lp() {
+    fn a_planar_hull_answers_without_an_lp() {
+        // Inside, on the hypotenuse, within the band below the bottom edge
+        // and past it, and far out.
         let hull = triangle();
-        assert!(hull.polygon.is_some());
-        assert_eq!(
-            solves(|| hull.contains(&Point::new(vec![0.5, 0.5]))),
-            (true, 0)
-        );
-        assert_eq!(
-            solves(|| hull.contains(&Point::new(vec![1.5, 1.5]))),
-            (false, 0)
-        );
-        // On an edge: within 1e-12 of the polygon, an accept.  Just outside
-        // an edge: the band, where the LP decides.
-        assert_eq!(
-            solves(|| hull.contains(&Point::new(vec![1.0, 1.0]))),
-            (true, 0)
-        );
-        assert_eq!(
-            solves(|| hull.contains(&Point::new(vec![1.0, -1e-9]))),
-            (true, 1)
-        );
+        for (query, inside) in [
+            ([0.5, 0.5], true),
+            ([1.0, 1.0], true),
+            ([1.0, -1e-9], true),
+            ([1.0, -5e-8], true),
+            ([1.0, -2e-7], false),
+            ([1.5, 1.5], false),
+        ] {
+            let query = Point::new(query.to_vec());
+            assert_eq!(solves(|| hull.contains(&query)), (inside, 0), "{query}");
+        }
     }
 
     #[test]
     fn a_sharp_corner_far_from_the_origin_answers_as_at_the_origin() {
         // A sharp corner about 400 from the origin: `near` is 2.4e-5 beyond
-        // the edge line `a′ → b` and `far` 2.4e-3.  Both are beyond the one
-        // reject margin, so the polygon rejects them with no LP, the LP
-        // agrees, and the fixture moved to the origin answers the same.
+        // the edge line `a′ → b` and `far` 2.4e-3.  Both are beyond the
+        // band, so the hull's sides reject them with no LP, the LP agrees,
+        // and the fixture moved to the origin answers the same.
         let a = [-337.103_036_637_493_2, -315.224_631_264_828_8];
         let a_prime = [-337.103_036_637_393_2, -315.224_631_264_828_8];
         let b = [-560.289_956_588_613_4, 587.674_046_938_747_8];
@@ -587,7 +568,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn degenerate_planar_hulls_have_no_polygon_and_take_the_lp() {
+    fn degenerate_planar_hulls_answer_without_an_lp() {
         for (generators, inside, outside) in [
             // Collinear.
             (
@@ -609,17 +590,148 @@ pub(crate) mod tests {
             ),
         ] {
             let hull = hull_of(&generators);
-            assert!(hull.polygon.is_none(), "{generators:?} has a polygon");
             let (answer, lps) = solves(|| hull.contains(&Point::new(inside.to_vec())));
             assert!(
-                answer && lps == 1,
+                answer && lps == 0,
                 "{generators:?}: {inside:?} gave {answer} after {lps} LPs"
             );
             let (answer, lps) = solves(|| hull.contains(&Point::new(outside.to_vec())));
             assert!(
-                !answer && lps == 1,
+                !answer && lps == 0,
                 "{generators:?}: {outside:?} gave {answer} after {lps} LPs"
             );
+        }
+    }
+
+    /// One row of [`the_lp_band_defects_answer_by_one_rule`]: groups of
+    /// `(generators, query)` whose answers must be equal, and the answer,
+    /// when it is known.
+    type Fixture = (&'static str, Vec<Group>, Option<bool>);
+
+    /// Hulls, each with a query, whose answers must be equal.
+    type Group = Vec<(Vec<Vec<f64>>, Vec<f64>)>;
+
+    /// `points` moved by `t` along every axis.
+    fn shifted(points: &[Vec<f64>], t: f64) -> Vec<Vec<f64>> {
+        points
+            .iter()
+            .map(|p| p.iter().map(|c| c + t).collect())
+            .collect()
+    }
+
+    /// A triangle near `(−1000, −1000)` whose membership LP answered points
+    /// 7e-10 to 4.5e-7 from `a` by the order its generators were listed
+    /// in: each of 32 directions × 24 distances from 1e-10 to 1e-6 around
+    /// `a`, at the triangle's place and moved by +1000, is one group of the
+    /// orders (a, b, c), (c, a, b) and (b, c, a).
+    fn order_fixture() -> Vec<Group> {
+        let a = vec![-1_000.707_126_124_662_9, -999.212_550_344_681_1];
+        let b = vec![-1_000.711_986_472_332, -1000.0];
+        let c = vec![-999.678_089_880_198_2, -1_001.358_187_428_638_8];
+        let mut groups = Vec::new();
+        for t in [0.0, 1000.0] {
+            let orders = [
+                [a.clone(), b.clone(), c.clone()],
+                [c.clone(), a.clone(), b.clone()],
+                [b.clone(), c.clone(), a.clone()],
+            ];
+            for k in 0..32 {
+                let (sin, cos) = (f64::from(k) * std::f64::consts::PI / 16.0).sin_cos();
+                for j in 0..24 {
+                    let r = 1e-10 * 10f64.powf(4.0 * f64::from(j) / 23.0);
+                    let probe = vec![a[0] + r * cos + t, a[1] + r * sin + t];
+                    let group = orders.iter().map(|o| (shifted(o, t), probe.clone()));
+                    groups.push(group.collect());
+                }
+            }
+        }
+        groups
+    }
+
+    /// `converged_quadrilateral(1.0)` moved by `2^40` and by `1e12`, where
+    /// a coordinate steps by 2.4e-4 and 1.2e-4: `gamma_point(y, 1)` in each
+    /// of its four subset hulls.
+    fn far_fixture() -> Vec<Group> {
+        let home = converged_quadrilateral(1.0);
+        let mut groups = Vec::new();
+        for t in [2f64.powi(40), 1e12] {
+            let members: Vec<Vec<f64>> = home
+                .iter()
+                .map(|p| p.coords().iter().map(|c| c + t).collect())
+                .collect();
+            let y = PointMultiset::new(members.iter().map(|m| Point::new(m.clone())).collect());
+            let p = gamma_point(&y, 1).expect("the Radon point");
+            for drop in 0..4 {
+                let subset = (0..4).filter(|&i| i != drop).map(|i| members[i].clone());
+                groups.push(vec![(subset.collect(), p.coords().to_vec())]);
+            }
+        }
+        groups
+    }
+
+    /// A spatial hull with near-duplicate generators and a point 5.8e-11
+    /// from its edge `(1e-9, −1, 0)`–`(0, 0, −2)`, at the origin and moved
+    /// by ±1e6.
+    fn near_duplicate_fixture() -> Vec<Group> {
+        let twice = vec![0.055_420_033_9, -0.732_113_123_9, -1.248_132_565_5];
+        let generators = vec![
+            vec![-0.001_932_953_8, 1.492_581_250_7, 1.979_080_638_5],
+            vec![0.0, 0.0, -2.0],
+            vec![0.0, 0.0, -2.0],
+            vec![0.0, 0.0, -2.0],
+            vec![1e-9, -1.0, 0.0],
+            twice.clone(),
+            twice,
+        ];
+        let query = vec![4.66e-10, -0.5, -1.0];
+        [0.0, 1e6, -1e6]
+            .iter()
+            .map(|&t| {
+                vec![(
+                    shifted(&generators, t),
+                    shifted(std::slice::from_ref(&query), t)[0].clone(),
+                )]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_lp_band_defects_answer_by_one_rule() {
+        // Three cases where the membership LP's answer near a hull was
+        // wrong or depended on how the hull was written: the generators'
+        // order, a place far from the origin, near-duplicate generators.
+        // The hull's region answers each with no LP, the same in every
+        // group, and accepts where the answer is known.
+        let fixtures: [Fixture; 3] = [
+            ("generator order", order_fixture(), None),
+            ("far from the origin", far_fixture(), Some(true)),
+            (
+                "near-duplicate generators",
+                near_duplicate_fixture(),
+                Some(true),
+            ),
+        ];
+        for (name, groups, expected) in fixtures {
+            for group in groups {
+                let answers: Vec<(bool, usize)> = group
+                    .iter()
+                    .map(|(generators, query)| {
+                        let hull = ConvexHull::new(PointMultiset::new(
+                            generators.iter().map(|g| Point::new(g.clone())).collect(),
+                        ));
+                        solves(|| hull.contains(&Point::new(query.clone())))
+                    })
+                    .collect();
+                let first = answers[0].0;
+                assert!(
+                    answers
+                        .iter()
+                        .all(|&(answer, lps)| answer == first && lps == 0)
+                        && expected.is_none_or(|e| e == first),
+                    "{name}: {answers:?} at {:?}",
+                    group[0]
+                );
+            }
         }
     }
 
@@ -727,17 +839,61 @@ pub(crate) mod tests {
         out
     }
 
-    /// The membership LP's answer at `query`, once `contains` is asserted
-    /// to give the same.
-    fn agrees_with_the_lp(hull: &ConvexHull, query: &[f64]) -> bool {
+    /// How far past a hull `contains` and the membership LP may differ.
+    /// The hull's region holds every point within `FEASIBILITY_TOLERANCE` of
+    /// each supporting side and box face, a Euclidean distance, where the
+    /// LP accepts an L1 residual up to that value; past a sharp corner the
+    /// widened sides reach farther, and the box cuts that short.
+    const BAND: f64 = 4.0 * FEASIBILITY_TOLERANCE;
+
+    /// The distance from `query` to the hull of `generators`, measured
+    /// with no LP (exact signs inside, segment and triangle distances out).
+    fn distance(generators: &PointMultiset, query: &[f64]) -> f64 {
+        match *query {
+            [c] => {
+                let (lo, hi) = (generators.coordinate_min(), generators.coordinate_max());
+                (lo.coord(0) - c).max(c - hi.coord(0)).max(0.0)
+            }
+            [x, y] => {
+                let members: Vec<[f64; 2]> = generators
+                    .iter()
+                    .map(|g| [g.coord(0), g.coord(1)])
+                    .collect();
+                distance_to_hull(&members, [x, y])
+            }
+            [x, y, z] => {
+                let xyz = |g: &Point| [g.coord(0), g.coord(1), g.coord(2)];
+                let members: Vec<[f64; 3]> = generators.iter().map(xyz).collect();
+                distance_to_spatial_hull(&members, [x, y, z])
+            }
+            _ => unreachable!("fixtures are at most three-dimensional"),
+        }
+    }
+
+    /// `contains` at `query`, asserted to run no LP and checked against an
+    /// LP-free distance to the hull: within half the LP's band it accepts,
+    /// and off the [`BAND`] (inside the hull, or farther from it) it gives
+    /// the distance's answer and the membership LP's.
+    fn off_the_band(hull: &ConvexHull, query: &[f64]) -> bool {
         let point = Point::new(query.to_vec());
-        let lp = hull.membership_lp(&point).solve_feasibility() == SolveStatus::Optimal;
-        assert!(
-            hull.contains(&point) == lp,
-            "{query:?} of {:?}: the LP says {lp}, contains the opposite",
-            hull.generators
-        );
-        lp
+        let (answer, lps) = solves(|| hull.contains(&point));
+        assert_eq!(lps, 0, "{query:?} of {:?} ran the LP", hull.generators);
+        let distance = distance(&hull.generators, query);
+        if distance == 0.0 || distance > BAND {
+            let lp = hull.membership_lp(&point).solve_feasibility() == SolveStatus::Optimal;
+            assert!(
+                answer == (distance == 0.0) && answer == lp,
+                "{query:?}, {distance:e} from the hull of {:?}: contains says {answer}, the LP {lp}",
+                hull.generators
+            );
+        } else if distance <= FEASIBILITY_TOLERANCE / 2.0 {
+            assert!(
+                answer,
+                "{query:?}, {distance:e} from the hull of {:?}, rejected",
+                hull.generators
+            );
+        }
+        answer
     }
 
     #[test]
@@ -814,7 +970,7 @@ pub(crate) mod tests {
         (0..n).flat_map(move |i| (i + 1..n).map(move |j| (i, j)))
     }
 
-    /// `contains` (asserted equal to the LP) at each generator and query of
+    /// `contains` ([checked](off_the_band)) at each generator and query of
     /// `generators`' hull, and of the hull moved by `t` at the moved query.
     fn same_answer_moved<const D: usize>(generators: &[[f64; D]], t: [f64; D], step: i32) {
         let queries = [
@@ -825,8 +981,8 @@ pub(crate) mod tests {
         let (hull, moved_hull) = (hull_of(generators), hull_of(&moved(generators, t)));
         for (query, moved_query) in queries.iter().zip(moved(&queries, t)) {
             assert_eq!(
-                agrees_with_the_lp(&moved_hull, &moved_query),
-                agrees_with_the_lp(&hull, query),
+                off_the_band(&moved_hull, &moved_query),
+                off_the_band(&hull, query),
                 "{query:?} of {generators:?} moved by {t:?}"
             );
         }
@@ -840,7 +996,7 @@ pub(crate) mod tests {
         /// axis is exact, `contains(p)` equals `contains(p + t)` on the hull
         /// moved by `t`, in the plane and in space, at every generator, on
         /// every segment between two and 2^-30 to 2^-17 off it: across the
-        /// LP's band.
+        /// band.  Each answer runs no LP and agrees with it off the band.
         #[test]
         fn hull_membership_does_not_depend_on_the_origin(
             grid in prop::collection::vec(-(1i32 << 20)..1 << 20, 15),
@@ -852,14 +1008,13 @@ pub(crate) mod tests {
             same_answer_moved::<3>(&dyadic_points(&grid, count), dyadic_shift(&choice), step);
         }
 
-        /// Whenever the polygon's sign test decides, the membership LP
-        /// agrees, and `contains` agrees with the LP at every query, the box
-        /// reject's included, over 3–8 generators with duplicates, collinear
-        /// points, slivers, near-duplicates and edges on the bounding box,
-        /// coordinates from 1e-3 to 1e3, shifted off the origin by up to
-        /// twice the scale.
+        /// The planar region against the membership LP and an LP-free
+        /// distance ([`off_the_band`]) at every query, over 3–8 generators
+        /// with duplicates, collinear points, slivers, near-duplicates and
+        /// edges on the bounding box, coordinates from 1e-3 to 1e3, shifted
+        /// off the origin by up to twice the scale.
         #[test]
-        fn planar_filter_agrees_with_the_membership_lp(
+        fn the_planar_region_agrees_with_the_membership_lp_off_the_band(
             raw in prop::collection::vec(-1.0f64..1.0, 16),
             kinds in prop::collection::vec(0usize..6, 8),
             count in 3usize..9,
@@ -874,24 +1029,17 @@ pub(crate) mod tests {
                 .collect();
             let hull = hull_of(&generators);
             for query in awkward_queries(&generators, scale) {
-                let lp = agrees_with_the_lp(&hull, &query);
-                if let Some(polygon) = &hull.polygon {
-                    let side = polygon.side(query);
-                    prop_assert!(
-                        side == Side::Band || lp == (side == Side::Inside),
-                        "{:?} of {:?} is {:?}, the LP says {}",
-                        query, generators, side, lp
-                    );
-                }
+                off_the_band(&hull, &query);
             }
         }
 
-        /// The box reject in three dimensions: generators on and inside the
-        /// box `[s, 2s]³` for scales `s` from 1e-3 to 1e3, queries beyond
-        /// each face by 1e-7 to 1e-3 of the scale, at the face's centre and
-        /// beyond each generator lying on it; `contains` agrees with the LP.
+        /// The spatial region at the faces of the bounding box: generators
+        /// on and inside the box `[s, 2s]³` for scales `s` from 1e-3 to 1e3,
+        /// queries beyond each face by 1e-7 to 1e-3 of the scale, at the
+        /// face's centre and beyond each generator lying on it, each
+        /// [checked](off_the_band) against the LP and an LP-free distance.
         #[test]
-        fn box_reject_agrees_with_the_membership_lp_in_three_dimensions(
+        fn the_spatial_region_agrees_with_the_membership_lp_off_the_band(
             corners in prop::collection::vec(0usize..2, 8),
             inner in prop::collection::vec(0.0f64..1.0, 6),
             exponent in 0i32..7,
@@ -915,7 +1063,7 @@ pub(crate) mod tests {
                         for fraction in [1e-7, 1e-6, 1e-5, 1e-4, 1e-3] {
                             let mut query = foot;
                             query[axis] = face + outward * fraction * scale;
-                            agrees_with_the_lp(&hull, &query);
+                            off_the_band(&hull, &query);
                         }
                     }
                 }

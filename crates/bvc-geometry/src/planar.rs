@@ -1,44 +1,25 @@
-//! The plane's one predicate, and the hull membership test built on it.
+//! The plane's one predicate, and space's.
 //!
 //! [`orient`] is the sign of an orientation determinant under Shewchuk's
 //! static filter: it answers only when the `f64` value cannot have the wrong
-//! sign.  The depth region (`depth.rs`) keeps member halfplanes by it, and a
-//! `d = 2` [`ConvexHull`](crate::ConvexHull) builds its [`Polygon`] with it
-//! and asks [`Polygon::side`] before any linear program: inside every edge
-//! for certain, or within [`GENERATOR_EQ_TOLERANCE`] of the polygon, is an
-//! accept; beyond an edge line by more than its [`reject_margin`] is a
-//! reject; the band between the two goes to the membership LP as before.
+//! sign.  The depth region (`depth.rs`) keeps member halfplanes by it: those
+//! of `Γ(Y)`, and at `f = 0` the supporting lines of a `d = 2` hull, which
+//! is how [`ConvexHull`](crate::ConvexHull) answers membership in the plane.
 //!
 //! [`orient_exact`] is the same predicate with a second, exact stage behind
 //! the filter: when the filter is unsure, the determinant is summed exactly
 //! from its sixteen error-free product terms (`two_sum`, `two_product`,
 //! Shewchuk's expansion sum), so it always names a side or says "on the
-//! line".  Γ membership by Tukey depth (`depth.rs`) counts members by
-//! it; hull polygons and the depth region's sides keep reading the filtered
-//! answer.
+//! line".  Γ and hull membership by Tukey depth (`depth.rs`) count members
+//! by it; the depth region's sides keep reading the filtered answer.
 //!
 //! [`orient3d`] is space's predicate, written the same way: Shewchuk's
 //! static filter for a triple product (`o3derrboundA`), then an exact
 //! expansion sum of its error-free terms from the same `two_sum` and
 //! `two_product`.  The spatial depth region keeps member-triple sides by
-//! it, and a `d = 3` hull accepts a point strictly inside all its facet
-//! planes by it; [`plane_normal`] gives such a plane a normal whose every
-//! component has an exact sign.
-//!
-//! The reject is the hull's one reject rule (`tolerance.rs`), the same the
-//! bounding-box faces use, and one distance wherever the edge lies: the
-//! membership LP is written relative to a generator `o` (`Σ α = 1`,
-//! `Σ α_i (g_i − o) = x − o`, `α ≥ 0`) and accepts when its L1 residual is
-//! at most `FEASIBILITY_TOLERANCE`.  Weights falling short of `Σ α = 1`
-//! reach `o + Σ α_i (g_i − o)`, a point of the hull, so `x` lies within the
-//! residual of the hull, and `δ > HULL_TOLERANCE` beyond an edge line leaves
-//! the LP a residual above `HULL_TOLERANCE`, ten times its threshold.  For an
-//! edge `e = b − a` the cross product `e × (x − a)` is `|e|` times a signed
-//! distance, so in the cross product's units the margin is
-//! `reject_margin(|e|)`.
+//! it, for `Γ(Y)` and, at `f = 0`, for a `d = 3` hull; [`plane_normal`]
+//! gives such a plane a normal whose every component has an exact sign.
 
-use crate::point::canonical_cmp;
-use crate::tolerance::{reject_margin, GENERATOR_EQ_TOLERANCE};
 use std::cmp::Ordering;
 
 /// Shewchuk's `ccwerrboundA`, `(3 + 16ε)ε`: an orientation determinant
@@ -317,125 +298,10 @@ fn estimate(expansion: &[f64]) -> f64 {
     }
 }
 
-/// Where a query point lies relative to a [`Polygon`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Side {
-    /// Left of every edge, each sign certain, or within
-    /// [`GENERATOR_EQ_TOLERANCE`] of an edge: in the hull, or nearer to it
-    /// than the generator-equality accept allows.
-    Inside,
-    /// Beyond some edge line by more than its [`reject_margin`]: outside
-    /// the hull by more than the membership LP forgives (module docs).
-    Outside,
-    /// Neither: the membership LP decides.
-    Band,
-}
-
-/// A strictly convex polygon, vertices counter-clockwise: the hull of a
-/// planar point set whose every orientation the construction asked was
-/// certain.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Polygon {
-    vertices: Vec<Xy>,
-}
-
-impl Polygon {
-    /// The hull of `points` by Andrew's monotone chain (sort, drop exact
-    /// duplicates, a lower chain left to right and an upper chain back, each
-    /// of certain left turns).  `None` when fewer than three vertices remain
-    /// or some orientation the chain asks is not certain — collinear and
-    /// converged point sets.
-    pub(crate) fn of(points: impl Iterator<Item = Xy>) -> Option<Self> {
-        let mut sorted: Vec<Xy> = points.collect();
-        sorted.sort_unstable_by(|a, b| canonical_cmp(a, b));
-        sorted.dedup();
-        if sorted.len() < 3 {
-            return None;
-        }
-        let mut vertices = Vec::with_capacity(2 * sorted.len());
-        for &p in &sorted {
-            extend(&mut vertices, 0, p)?;
-        }
-        // The upper chain starts at the lower chain's last vertex and ends
-        // back at its first, which is then dropped.
-        let floor = vertices.len() - 1;
-        for &p in sorted.iter().rev().skip(1) {
-            extend(&mut vertices, floor, p)?;
-        }
-        vertices.pop();
-        (vertices.len() >= 3).then_some(Self { vertices })
-    }
-
-    /// The three-way membership test: [`Side::Outside`] when some edge line
-    /// has `x` beyond it by more than its [`reject_margin`] (the computed
-    /// cross product's error bound taken off first), [`Side::Inside`] when
-    /// `x` is left of every edge for certain or [touches](Self::touches) the
-    /// polygon, else [`Side::Band`].
-    pub(crate) fn side(&self, x: Xy) -> Side {
-        let mut inside = true;
-        let next = self.vertices.iter().cycle().skip(1);
-        for (&a, &b) in self.vertices.iter().zip(next) {
-            let (det, error) = cross(a, b, x);
-            // The margin is worked out only past an edge `x` is certainly
-            // beyond.
-            let beyond = -det - error;
-            let margin = || reject_margin((b[0] - a[0]).hypot(b[1] - a[1]));
-            if beyond > 0.0 && beyond > margin() {
-                return Side::Outside;
-            }
-            inside &= det > error;
-        }
-        if inside || self.touches(x) {
-            Side::Inside
-        } else {
-            Side::Band
-        }
-    }
-
-    /// `true` when `x` lies within [`GENERATOR_EQ_TOLERANCE`] of an edge
-    /// segment, rounding included, and so within it of the polygon: the
-    /// distance to the segment, not to its line, which near a sharp vertex
-    /// can be far shorter.
-    fn touches(&self, x: Xy) -> bool {
-        let next = self.vertices.iter().cycle().skip(1);
-        self.vertices.iter().zip(next).any(|(&a, &b)| {
-            let e = [b[0] - a[0], b[1] - a[1]];
-            let v = [x[0] - a[0], x[1] - a[1]];
-            let t = ((v[0] * e[0] + v[1] * e[1]) / (e[0] * e[0] + e[1] * e[1])).clamp(0.0, 1.0);
-            let gap = (v[0] - t * e[0]).hypot(v[1] - t * e[1]);
-            // Each difference above is off by at most 2ε·M, M the largest
-            // magnitude among the coordinates.
-            let magnitude = [a, b, x]
-                .iter()
-                .flatten()
-                .fold(0.0f64, |m, c| m.max(c.abs()));
-            gap + 8.0 * f64::EPSILON * magnitude <= GENERATOR_EQ_TOLERANCE
-        })
-    }
-}
-
-/// Pushes `p` onto the chain `hull[floor..]` after popping each vertex that
-/// `p` does not turn left from; `None` at a turn whose sign is not certain.
-fn extend(hull: &mut Vec<Xy>, floor: usize, p: Xy) -> Option<()> {
-    while hull.len() >= floor + 2 {
-        let (a, b) = (hull[hull.len() - 2], hull[hull.len() - 1]);
-        if orient(a, b, p)? {
-            break;
-        }
-        hull.pop();
-    }
-    hull.push(p);
-    Some(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    fn polygon(points: &[Xy]) -> Option<Polygon> {
-        Polygon::of(points.iter().copied())
-    }
 
     #[test]
     fn orient_knows_sides_and_admits_collinear_doubt() {
@@ -613,63 +479,5 @@ mod tests {
             let dyadic = |v: [i64; 3]| v.map(|c| c as f64 * 2f64.powi(-20) + offset);
             prop_assert_eq!(orient3d(dyadic(p), dyadic(q), dyadic(r), dyadic(x)), expected);
         }
-    }
-
-    #[test]
-    fn monotone_chain_keeps_the_hull_vertices_counter_clockwise() {
-        let square = polygon(&[
-            [1.0, 1.0],
-            [0.0, 0.0],
-            [2.0, 0.0],
-            [2.0, 2.0],
-            [0.0, 2.0],
-            [0.0, 0.0],
-            [1.5, 0.5],
-        ])
-        .expect("a square with interior points and a duplicate");
-        assert_eq!(
-            square.vertices,
-            vec![[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]]
-        );
-    }
-
-    #[test]
-    fn degenerate_point_sets_have_no_polygon() {
-        assert!(polygon(&[[0.0, 0.0], [1.0, 1.0]]).is_none());
-        assert!(polygon(&[[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]]).is_none());
-        assert!(polygon(&[[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]).is_none());
-        // A collinear triple on the boundary of an otherwise fine hull.
-        assert!(polygon(&[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 1.0]]).is_none());
-    }
-
-    #[test]
-    fn side_accepts_inside_rejects_far_outside_and_leaves_the_band() {
-        let triangle = polygon(&[[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]).unwrap();
-        assert_eq!(triangle.side([0.5, 0.5]), Side::Inside);
-        assert_eq!(triangle.side([1.0, 1.0]), Side::Inside, "on the hypotenuse");
-        assert_eq!(triangle.side([0.0, 0.0]), Side::Inside, "a vertex");
-        assert_eq!(triangle.side([1.0, -1e-13]), Side::Inside, "1e-13 outside");
-        assert_eq!(triangle.side([1.0, -1e-11]), Side::Band, "1e-11 outside");
-        assert_eq!(triangle.side([1.0, -5e-7]), Side::Band, "within τ");
-        assert_eq!(triangle.side([1.0, -2e-6]), Side::Outside);
-        assert_eq!(triangle.side([1.5, 1.5]), Side::Outside);
-    }
-
-    #[test]
-    fn near_a_sharp_vertex_the_accept_measures_to_the_polygon_not_its_lines() {
-        // A vertex 1e-13 wide at the origin: (−1, 5e-14) is within 2e-13 of
-        // both its edge lines but 1 from the polygon.
-        let sliver = polygon(&[[0.0, 0.0], [1.0, 0.0], [1.0, 1e-13]]).unwrap();
-        assert_eq!(sliver.side([-1.0, 5e-14]), Side::Band);
-        assert_eq!(sliver.side([1e-13, 0.0]), Side::Inside);
-    }
-
-    #[test]
-    fn far_from_the_origin_rounding_leaves_no_room_for_the_near_accept() {
-        // At magnitude 1e6 the segment distance is only known to about 2e-9,
-        // so even a point on an edge is left to the LP.
-        let far = polygon(&[[1e6, 1e6], [1e6 + 2.0, 1e6], [1e6, 1e6 + 2.0]]).unwrap();
-        assert_eq!(far.side([1e6 + 1.0, 1e6]), Side::Band);
-        assert_eq!(far.side([1e6 + 0.5, 1e6 + 0.5]), Side::Inside);
     }
 }

@@ -20,9 +20,9 @@
 //! query so the run scoring, the scenario verdicts and the test assertions
 //! all share a single implementation.  The implementation reuses the
 //! machinery of this crate throughout: a dilated hull is just the
-//! [`ConvexHull`] of the dilated generators (so the bounding-box reject,
-//! generator-equality accept and LP membership fast paths all apply
-//! unchanged), coordinate subsets are streamed with [`Combinations`] instead
+//! [`ConvexHull`] of the dilated generators (so its membership rule, the
+//! depth region at `f = 0` up to `d = 3`, applies unchanged), coordinate
+//! subsets are streamed with [`Combinations`] instead
 //! of being materialised, and the point-valued queries canonicalise the
 //! member order first ([`crate::gamma`]-style), so they are functions of the
 //! *multiset* exactly like the strict Γ queries — which is what makes them

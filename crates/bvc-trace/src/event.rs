@@ -22,13 +22,11 @@ pub const SCHEMA: &str = "bvc-trace/v1";
 pub enum GammaPath {
     /// `d = 1` closed-form trimmed interval (point: its midpoint).
     D1ClosedForm,
-    /// `f = 0`: the single full-hull LP, no intersection needed.
-    HullF0,
     /// The trimmed-box centre probe passed the membership stream.
     ProbeHit,
-    /// `d = 2` after a probe miss: a point of the depth region cut out by
-    /// member-pair halfplanes (no simplex), accepted by every subset hull's
-    /// membership test.
+    /// `d = 2` or `d = 3` after a probe miss: a point of the depth region
+    /// cut out by member-pair lines or member-triple planes (no simplex in
+    /// the plane, at most the centre LP in space).
     DepthRegion,
     /// The active-set LP loop over streamed subset hulls.
     ActiveSetLp,
@@ -46,7 +44,6 @@ impl GammaPath {
     pub fn as_str(self) -> &'static str {
         match self {
             GammaPath::D1ClosedForm => "d1-closed-form",
-            GammaPath::HullF0 => "f0-hull",
             GammaPath::ProbeHit => "probe-hit",
             GammaPath::DepthRegion => "depth-region",
             GammaPath::ActiveSetLp => "active-set-lp",
@@ -56,9 +53,8 @@ impl GammaPath {
     }
 
     /// All variants, in wire order.
-    pub const ALL: [GammaPath; 7] = [
+    pub const ALL: [GammaPath; 6] = [
         GammaPath::D1ClosedForm,
-        GammaPath::HullF0,
         GammaPath::ProbeHit,
         GammaPath::DepthRegion,
         GammaPath::ActiveSetLp,

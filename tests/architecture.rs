@@ -462,22 +462,28 @@ fn one_depth_engine() {
     // leave-one-out intersection), the joint LP lives in one file and the
     // cache knows no engine by name.
     let geometry = rust_files_under(&["crates/bvc-geometry/src"]);
-    let callers: Vec<PathBuf> = naming(&geometry, text, &["depth::"])
+    // A d ≤ 3 hull is its own depth region at f = 0: hull.rs builds one
+    // spatial region and the three planar regions of its coordinate
+    // shadows, and nothing else.
+    let callers: Vec<PathBuf> = naming(&geometry, non_test, &["depth::"])
         .into_iter()
         .filter(|p| !p.ends_with("depth.rs"))
         .collect();
     assert!(
-        callers.len() == 1 && callers[0].ends_with("bvc-geometry/src/gamma.rs"),
-        "the depth module must be called from gamma.rs only, found:\n{}",
+        shown(&callers) == "crates/bvc-geometry/src/gamma.rs\ncrates/bvc-geometry/src/hull.rs",
+        "the depth module must be called from gamma.rs and hull.rs only, found:\n{}",
         shown(&callers)
     );
     let gamma = non_test(&root().join("crates/bvc-geometry/src/gamma.rs"));
-    for question in ["depth::Region::new(", "depth::Space::new("] {
-        let asks = lines_with(&gamma, question);
-        assert!(
-            asks == 1,
-            "gamma.rs must ask {question} exactly once, found {asks}"
-        );
+    let hull = non_test(&root().join("crates/bvc-geometry/src/hull.rs"));
+    for (file, code, regions) in [("gamma.rs", &gamma, 1), ("hull.rs", &hull, 2)] {
+        for (question, expected) in [("depth::Region::new(", regions), ("depth::Space::new(", 1)] {
+            let asks = lines_with(code, question);
+            assert!(
+                asks == expected,
+                "{file} must ask {question} {expected} time(s), found {asks}"
+            );
+        }
     }
     let depth = non_test(&root().join("crates/bvc-geometry/src/depth.rs"));
     let planar_membership = depth
@@ -496,12 +502,14 @@ fn one_depth_engine() {
         .filter(|line| line.contains("HullFamily::gamma("))
         .collect();
     assert!(
-        family_sites.iter().all(|line| {
-            line.starts_with("_ => Engine::Hulls(") || line.contains("HullFamily::gamma(&canon, 0)")
-        }) && gamma.contains("2 => Engine::Plane(depth::Region::new(")
-            && gamma.contains("3 => Engine::Space(depth::Space::new("),
-        "the strict d ≤ 3 path must construct no HullFamily: build the subset hulls only \
-         in the d ≥ 4 arm of Membership::new (or for f = 0), found:\n{}",
+        family_sites
+            .iter()
+            .all(|line| line.starts_with("_ => Engine::Hulls("))
+            && gamma.contains("2 => Engine::Plane(depth::Region::new(")
+            && gamma.contains("3 => Engine::Space(depth::Space::new(")
+            && !gamma.contains("f == 0"),
+        "the strict d ≤ 3 path, f = 0 included, must construct no HullFamily: build the \
+         subset hulls only in the d ≥ 4 arm of Membership::new, found:\n{}",
         family_sites.join("\n")
     );
     let cache = non_test(&root().join("crates/bvc-geometry/src/cache.rs"));
@@ -521,9 +529,8 @@ fn one_depth_engine() {
 fn one_planar_predicate() {
     // The plane has one orientation predicate, Shewchuk's static filter,
     // written once in `bvc-geometry/src/planar.rs`: the depth region keeps
-    // member halfplanes by it, and a d = 2 hull builds its polygon with it
-    // and answers membership by its signs.  A hull's membership LP runs only
-    // in the band the polygon's sign test leaves open.  Its exact stage
+    // member halfplanes by it, for Γ and, at f = 0, for a d ≤ 3 hull, whose
+    // membership runs no LP; the membership LP serves d ≥ 4.  Its exact stage
     // (error-free sums and products, an expansion sum) is written there
     // once too, behind the same filter, and is what the depth count asks.
     // Space has one too, `orient3d`: its own static filter bound
@@ -571,10 +578,18 @@ fn one_planar_predicate() {
         .nth(1)
         .and_then(|rest| rest.split("\n    }\n").next())
         .unwrap_or_default();
-    let (sign, lp) = (contains.find(".side("), contains.find("membership_lp("));
+    let lp_lines: Vec<&str> = contains
+        .lines()
+        .filter(|line| line.contains("membership_lp("))
+        .collect();
+    let d4 = contains.find("_ =>").unwrap_or(usize::MAX);
     assert!(
-        matches!((sign, lp), (Some(sign), Some(lp)) if sign < lp),
-        "ConvexHull::contains must ask its polygon's `.side(` before `membership_lp(`"
+        lp_lines.len() == 1
+            && contains.find("membership_lp(").is_some_and(|lp| lp > d4)
+            && contains.contains("2 => depth::Region::new(")
+            && contains.contains("depth::Space::new("),
+        "ConvexHull::contains reaches `membership_lp(` only for d ≥ 4 (its `_ =>` arm): \
+         at d ≤ 3 the hull's depth region answers"
     );
 }
 
@@ -963,9 +978,9 @@ fn one_membership_rule() {
     // Hull and Γ membership have one reject rule, `reject_margin(scale)` in
     // `bvc-geometry/src/tolerance.rs`: a point beyond a supporting line by
     // more than `HULL_TOLERANCE · scale` in units of the line's normal,
-    // wherever the line lies.  The hull's box faces, the trimmed box's
-    // faces, the polygon's edges and the witness check all compare against
-    // it; a bare `HULL_TOLERANCE` in a comparison is a second rule.  The
+    // wherever the line lies.  The box faces of a d ≥ 4 hull and of the
+    // d ≥ 4 trimmed box, and the witness check, all compare against it; a
+    // bare `HULL_TOLERANCE` in a comparison is a second rule.  The
     // rule holds everywhere because no LP row is built from absolute
     // generator coordinates: the membership and joint LPs state
     // `Σ α_i (g_i − o)` relative to a generator `o` through one builder,
