@@ -15,7 +15,8 @@
 //!   [`orient_exact`] ([`verdict`]): `Inside` is a proof that every subset
 //!   hull holds `z`.  Past that count, and in space ([`Space::contains`]),
 //!   `z` is in `Γ(Y)` when it lies in the box and within the slack of every
-//!   kept side;
+//!   kept side, and in space also in the planar regions of its three
+//!   coordinate shadows;
 //! * the point: a member the region holds (in space only a member it holds
 //!   by exact signs), else in the plane the mean of the box clipped by every
 //!   side and in space the Chebyshev centre of the widened region, one LP
@@ -36,16 +37,23 @@
 //! unknown counts on both).  In space they are those of member-triple
 //! planes, kept by [`orient3d`]'s exact sign; a `Y` that lies in a plane
 //! (or on a line) drops to the planar region of its projection on a
-//! coordinate plane ([`Space`]).  Built once per query, the region answers
-//! with no hull; in space its one LP is the centre's.
+//! coordinate plane ([`Space`]).  Past an edge of dihedral angle `φ` the
+//! widened planes of a `Y` that spans `R³` reach `slack / sin(φ/2)`, which
+//! the box does not cut short in space (it does at a planar vertex), so a
+//! point must also lie in the planar region of each of its three coordinate
+//! shadows: the shadow of `Γ(Y)` lies in the planar `Γ` of the shadow of
+//! `Y`, with the same `f` and the same box.  Built once per query (once per
+//! hull, for a hull), the region answers with no hull; in space its one LP
+//! is the centre's.
 
 use crate::multiset::PointMultiset;
 use crate::planar::{
     orient, orient3d, orient_exact, plane_normal, plane_sides, PlaneSide, Xy, Xyz,
 };
+use crate::point::Point;
 use bvc_lp::{LinearProgram, Objective, Relation, SolveStatus};
-use std::cell::OnceCell;
 use std::cmp::Ordering;
+use std::sync::OnceLock;
 
 /// What the depth count says about a point of the plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,8 +148,7 @@ impl<const D: usize> Halfspace<D> {
 /// `[lo, hi]` and the kept sides, each widened by its slack.  In the plane
 /// (`D = 2`) the sides are those of lines through two distinct members
 /// (canonical pair order) that hold at least `|Y| − f` members; in space
-/// [`Space`] finds them.  It reads `Y`, and finds the sides, only when
-/// first asked.
+/// [`Space`] finds them.  It finds the sides only when first asked.
 ///
 /// Its frame has `lo` at the origin, as the hull LPs are written relative
 /// to a generator: the difference of two nearby coordinates is exact, so
@@ -156,29 +163,40 @@ impl<const D: usize> Halfspace<D> {
 /// region returns is written back in absolute coordinates, which moves it
 /// by up to a rounding of that magnitude, and a narrower band would reject
 /// it.
-pub(crate) struct Region<'a, const D: usize> {
-    y: &'a PointMultiset,
+pub(crate) struct Region<const D: usize> {
     f: usize,
-    /// The coordinates of `Y` it reads: all of them, or the two a flat `Y`
-    /// in space is projected onto.
+    /// The coordinates of `Y` it reads: all of them, or two (the plane a
+    /// flat `Y` in space is projected onto, or a coordinate shadow).
     axes: [usize; D],
     lo: [f64; D],
     hi: [f64; D],
     /// How far past a side or a face of the box a point may lie.
     slack: f64,
-    /// The members of `y` on `axes`, in its order.
-    members: OnceCell<Vec<[f64; D]>>,
+    /// The members of `Y` on `axes`, in its order.
+    members: Vec<[f64; D]>,
     /// The kept sides.
-    sides: OnceCell<Vec<Halfspace<D>>>,
+    sides: OnceLock<Vec<Halfspace<D>>>,
 }
 
-impl<'a, const D: usize> Region<'a, D> {
+impl<const D: usize> Region<D> {
     /// The region of `y` read on `axes`, with fault bound `f`, in its
     /// trimmed box `(lo, hi)` (indexed by coordinate, as `axes` is), its
-    /// sides and box widened by `slack` (more far from the origin);
-    /// nothing is computed yet.
+    /// sides and box widened by `slack` (more far from the origin); no side
+    /// is found yet.
     pub(crate) fn new(
-        y: &'a PointMultiset,
+        y: &PointMultiset,
+        f: usize,
+        bounds: (&[f64], &[f64]),
+        axes: [usize; D],
+        slack: f64,
+    ) -> Self {
+        Self::of(y.iter().map(Point::coords), f, bounds, axes, slack)
+    }
+
+    /// [`new`](Self::new) for the members `points`, each indexed by
+    /// coordinate.
+    fn of<'p>(
+        points: impl Iterator<Item = &'p [f64]>,
         f: usize,
         (lo, hi): (&[f64], &[f64]),
         axes: [usize; D],
@@ -187,25 +205,14 @@ impl<'a, const D: usize> Region<'a, D> {
         let (lo, hi) = (axes.map(|l| lo[l]), axes.map(|l| hi[l]));
         let magnitude = lo.iter().chain(&hi).fold(0.0f64, |m, c| m.max(c.abs()));
         Self {
-            y,
             f,
             axes,
             lo,
             hi,
             slack: slack.max(4.0 * f64::EPSILON * magnitude),
-            members: OnceCell::new(),
-            sides: OnceCell::new(),
+            members: points.map(|p| axes.map(|l| p[l])).collect(),
+            sides: OnceLock::new(),
         }
-    }
-
-    /// The members of `Y` on the region's coordinates, in its order.
-    fn members(&self) -> &[[f64; D]] {
-        self.members.get_or_init(|| {
-            self.y
-                .iter()
-                .map(|p| self.axes.map(|l| p.coord(l)))
-                .collect()
-        })
     }
 
     /// `x` in the region's frame.
@@ -225,13 +232,18 @@ impl<'a, const D: usize> Region<'a, D> {
     }
 }
 
-impl Region<'_, 2> {
+impl Region<2> {
+    /// The point of `R³` read on the region's two coordinates.
+    fn project(&self, x: Xyz) -> Xy {
+        self.axes.map(|l| x[l])
+    }
+
     /// The kept sides.  A member whose side of a line is not known counts
     /// on both, which only adds halfplanes: round-off can shrink the
     /// region, never grow it.
     fn sides(&self) -> &[Halfspace<2>] {
         self.sides.get_or_init(|| {
-            let members = self.members();
+            let members = &self.members;
             let need = members.len() - self.f;
             let mut sides = Vec::with_capacity(members.len() * (members.len() - 1));
             for (i, &p) in members.iter().enumerate() {
@@ -264,7 +276,7 @@ impl Region<'_, 2> {
     /// of every kept side.
     pub(crate) fn contains(&self, z: Xy) -> bool {
         self.boxes(z)
-            && (verdict(self.members(), self.f, z) == Verdict::Inside || self.sides_hold(z))
+            && (verdict(&self.members, self.f, z) == Verdict::Inside || self.sides_hold(z))
     }
 
     /// Whether `x` lies within the slack of the box and of every kept side.
@@ -286,7 +298,7 @@ impl Region<'_, 2> {
     /// The box closes what the members' lines leave open (all members
     /// collinear, say).
     pub(crate) fn point(&self) -> Option<Xy> {
-        match self.members().iter().find(|&&x| self.holds(x)) {
+        match self.members.iter().find(|&&x| self.holds(x)) {
             Some(&member) => Some(member),
             None => self.clipped(),
         }
@@ -342,15 +354,19 @@ fn clip(polygon: &[Xy], side: &Halfspace<2>, slack: f64, out: &mut Vec<Xy>) {
 /// the region is the slab of `Y`'s plane and the planar region of `Y`
 /// projected on the coordinate plane that leaves out the largest component
 /// of its normal ([`Flat`]); a collinear `Y` is put in a plane through its
-/// line first.
-pub(crate) struct Space<'a> {
+/// line first.  When `Y` spans `R³` its three coordinate shadows' planar
+/// regions (module docs) hold the region too.
+pub(crate) struct Space {
     /// The box, the slack, the members and the sides (the slab when flat).
-    region: Region<'a, 3>,
+    region: Region<3>,
     /// `Y`'s plane and its projection, when `Y` does not span `R³` (boxed:
     /// rare, and a planar region of its own).
-    flat: OnceCell<Option<Box<Flat<'a>>>>,
+    flat: OnceLock<Option<Box<Flat>>>,
     /// The member-triple sides, exactly, when `Y` spans `R³`.
-    member_sides: OnceCell<Vec<PlaneSide>>,
+    member_sides: OnceLock<Vec<PlaneSide>>,
+    /// The planar regions of `Y` read on coordinates `(1, 2)`, `(0, 2)` and
+    /// `(0, 1)` (boxed: three regions of their own).
+    shadows: OnceLock<Box<[Region<2>; 3]>>,
 }
 
 /// A plane holding every member of `Y`, and the planar region of `Y`
@@ -358,22 +374,17 @@ pub(crate) struct Space<'a> {
 /// projection maps the plane onto the coordinate plane one to one, so it
 /// maps `Γ(Y)` onto the planar `Γ` of the projection; it only drops a
 /// coordinate, so every orientation sign the planar region asks is exact.
-struct Flat<'a> {
+struct Flat {
     /// A member on the plane.
     through: Xyz,
     /// The plane's unit normal.
     normal: Xyz,
     /// The coordinate the projection drops.
     drop: usize,
-    planar: Region<'a, 2>,
+    planar: Region<2>,
 }
 
-impl Flat<'_> {
-    /// `x` on the planar region's coordinates.
-    fn project(&self, x: Xyz) -> Xy {
-        self.planar.axes.map(|l| x[l])
-    }
-
+impl Flat {
     /// The point of the plane whose projection is `x`.
     fn lift(&self, x: Xy) -> Xyz {
         let [a, b] = self.planar.axes;
@@ -386,30 +397,41 @@ impl Flat<'_> {
     }
 }
 
-impl<'a> Space<'a> {
+impl Space {
     /// The region of `y` (three-dimensional) with fault bound `f` in its
     /// trimmed box `(lo, hi)`, widened by `slack` as [`Region::new`]
-    /// widens; nothing is computed yet.
-    pub(crate) fn new(
-        y: &'a PointMultiset,
-        f: usize,
-        bounds: (&[f64], &[f64]),
-        slack: f64,
-    ) -> Self {
+    /// widens; no side is found yet.
+    pub(crate) fn new(y: &PointMultiset, f: usize, bounds: (&[f64], &[f64]), slack: f64) -> Self {
         Self {
             region: Region::new(y, f, bounds, [0, 1, 2], slack),
-            flat: OnceCell::new(),
-            member_sides: OnceCell::new(),
+            flat: OnceLock::new(),
+            member_sides: OnceLock::new(),
+            shadows: OnceLock::new(),
         }
+    }
+
+    /// The planar region of `Y` read on `axes`, with this one's `f`, box
+    /// and slack.
+    fn planar(&self, axes: [usize; 2]) -> Region<2> {
+        let region = &self.region;
+        let members = region.members.iter().map(|m| &m[..]);
+        let bounds = (&region.lo[..], &region.hi[..]);
+        Region::of(members, region.f, bounds, axes, region.slack)
+    }
+
+    /// The planar regions of `Y`'s three coordinate shadows.
+    fn shadows(&self) -> &[Region<2>; 3] {
+        self.shadows
+            .get_or_init(|| Box::new([[1, 2], [0, 2], [0, 1]].map(|axes| self.planar(axes))))
     }
 
     /// `Y`'s plane and projection, or `None` when `Y` spans `R³` (or is one
     /// point, whose box is the region).
-    fn flat(&self) -> Option<&Flat<'a>> {
+    fn flat(&self) -> Option<&Flat> {
         self.flat
             .get_or_init(|| {
                 let region = &self.region;
-                let (through, normal) = plane_of(region.members())?;
+                let (through, normal) = plane_of(&region.members)?;
                 let drop = (0..3).fold(0, |m, l| {
                     if normal[l].abs() > normal[m].abs() {
                         l
@@ -422,13 +444,11 @@ impl<'a> Space<'a> {
                     1 => [0, 2],
                     _ => [0, 1],
                 };
-                let bounds = (&region.lo[..], &region.hi[..]);
-                let planar = Region::new(region.y, region.f, bounds, axes, region.slack);
                 Some(Box::new(Flat {
                     through,
                     normal,
                     drop,
-                    planar,
+                    planar: self.planar(axes),
                 }))
             })
             .as_deref()
@@ -465,18 +485,22 @@ impl<'a> Space<'a> {
     /// canonical triple order.
     fn member_sides(&self) -> &[PlaneSide] {
         self.member_sides
-            .get_or_init(|| plane_sides(self.region.members(), self.region.f))
+            .get_or_init(|| plane_sides(&self.region.members, self.region.f))
     }
 
-    /// Whether `z ∈ Γ(Y)` past the multiplicity accept: in the box and
-    /// within the slack of every kept side; for a flat `Y`, within the slack
-    /// of its plane and in the planar region of the projection (whose box
-    /// is this one's on its two coordinates).
+    /// Whether `z ∈ Γ(Y)` past the multiplicity accept: in the box, within
+    /// the slack of every kept side and in each shadow's planar region; for
+    /// a flat `Y`, within the slack of its plane and in the planar region of
+    /// the projection (whose box is this one's on its two coordinates).
     pub(crate) fn contains(&self, z: Xyz) -> bool {
         match self.flat() {
-            None => self.region.boxes(z) && self.region.within(self.sides(), z),
+            None => {
+                self.region.boxes(z)
+                    && self.region.within(self.sides(), z)
+                    && (self.shadows().iter()).all(|shadow| shadow.contains(shadow.project(z)))
+            }
             Some(flat) => {
-                self.region.within(self.sides(), z) && flat.planar.contains(flat.project(z))
+                self.region.within(self.sides(), z) && flat.planar.contains(flat.planar.project(z))
             }
         }
     }
@@ -488,7 +512,7 @@ impl<'a> Space<'a> {
         let region = &self.region;
         match self.flat() {
             Some(flat) => {
-                verdict(flat.planar.members(), region.f, flat.project(m)) == Verdict::Inside
+                verdict(&flat.planar.members, region.f, flat.planar.project(m)) == Verdict::Inside
             }
             None => {
                 (0..3).all(|l| region.lo[l] <= m[l] && m[l] <= region.hi[l])
@@ -514,7 +538,7 @@ impl<'a> Space<'a> {
     /// member is returned only on proof, since one just outside `Γ(Y)` by
     /// rounding is still within the slack.
     pub(crate) fn point(&self) -> Option<Xyz> {
-        if let Some(&member) = self.region.members().iter().find(|&&m| self.proves(m)) {
+        if let Some(&member) = self.region.members.iter().find(|&&m| self.proves(m)) {
             return Some(member);
         }
         if let Some(flat) = self.flat() {
@@ -934,10 +958,10 @@ pub(crate) mod tests {
         /// `10`, `f = 2`, on every [`spatial_shape`] at offsets 0, ±1e3 and
         /// ±1e6: at `(d+1)f + 1` and above a point is always found, Γ's own
         /// membership accepts it, and so does every subset hull's
-        /// `ConvexHull::contains`, or, where that LP rejects it, an exact
-        /// LP-free measure puts it within the region's own slack of the hull
-        /// (that LP has rejected points 5.8e-11 from a hull of near-duplicate
-        /// generators).  A point farther out is a bug in the region.  For
+        /// `ConvexHull::contains` outright: each side of a subset hull's
+        /// region at `f = 0` is a side of Γ's, its box holds Γ's trimmed
+        /// box, and its band is the wider one.  A point it rejects is a bug.
+        /// For
         /// one shape a case, at the origin and `|Y| = 9`, the all-hulls joint
         /// LP of Section 2.2 is the oracle: when it ends `Optimal` or
         /// `Infeasible`, emptiness agrees.
@@ -969,9 +993,8 @@ pub(crate) mod tests {
                         let p = found.unwrap_or_else(|| panic!("shape {which}: no point above the bound for {y:?}"));
                         prop_assert!(gamma_contains(&y, 2, &p), "shape {}: {} fails its own test", which, p);
                         for hull in &hulls {
-                            let generators: Vec<Xyz> = hull.generators().iter().map(|g| [g.coord(0), g.coord(1), g.coord(2)]).collect();
                             prop_assert!(
-                                hull.contains(&p) || distance_to_spatial_hull(&generators, [p.coord(0), p.coord(1), p.coord(2)]) <= DEPTH_SLACK.max(4.0 * f64::EPSILON * offset.abs()),
+                                hull.contains(&p),
                                 "shape {}, offset {}: {:?} leaves the hull of {:?} in Γ of {:?}", which, offset, p, hull.generators(), y
                             );
                         }

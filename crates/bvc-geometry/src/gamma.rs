@@ -34,8 +34,14 @@
 //! `d = 2` and `d = 3` that engine is the depth region (`depth.rs`), with no
 //! subset hull: past the multiplicity accept, membership is the region's
 //! box and its member-pair (plane) or member-triple (space) sides, widened
-//! by `DEPTH_SLACK`, with the exact Tukey-depth count asked first in the
-//! plane (`Inside` is a proof).  The point is the region's: a member it
+//! by `DEPTH_SLACK`, in space also its three coordinate shadows' planar
+//! regions, with the exact Tukey-depth count asked first in the plane
+//! (`Inside` is a proof).  At `f = 0` that is the rule a
+//! [`ConvexHull`](crate::ConvexHull) answers by, under the narrower
+//! `DEPTH_SLACK` instead of the membership LP's band
+//! (`FEASIBILITY_TOLERANCE`): every point of `Γ(Y)` is in the hull of `Y`,
+//! and a point of the hull is in `Γ(Y)` unless it lies outside the hull,
+//! within that band of it.  The point is the region's: a member it
 //! holds, else the mean of its clipped vertices in the plane and the
 //! Chebyshev centre of one four-unknown LP in space; an empty region is an
 //! empty `Γ`.  So a strict query runs no simplex in the plane and at most
@@ -189,6 +195,11 @@ fn strict_point(view: SubsetView<'_>, f: usize) -> (Option<Point>, GammaAttribut
 }
 
 /// Returns `true` if `point ∈ Γ(y)` with fault bound `f`.
+///
+/// At `f = 0` this is membership in the hull of `y`, but at `d = 2` and
+/// `d = 3` under `DEPTH_SLACK` (module docs): a point outside the hull by
+/// less than the membership LP's band may be in the hull by
+/// `ConvexHull::contains` and not here, never the other way.
 ///
 /// # Panics
 ///
@@ -480,9 +491,9 @@ struct Membership<'a> {
 /// point query after a probe miss.
 enum Engine<'a> {
     /// `d = 2`: the depth region, no hull.
-    Plane(depth::Region<'a, 2>),
+    Plane(depth::Region<2>),
     /// `d = 3`: the depth region in space, no hull.
-    Space(depth::Space<'a>),
+    Space(depth::Space),
     /// `d ≥ 4`: the `(|y|−f)`-subset hulls, built as questions need them and
     /// kept for the active-set search.
     Hulls(HullFamily<'a>),

@@ -19,16 +19,17 @@
 //! otherwise `H(T)` is `Γ(T)` with `f = 0`, the depth region of `T`
 //! (`depth.rs`): its bounding box and its supporting sides (member-pair
 //! lines in the plane, member-triple planes in space, found by exact or
-//! certain signs), each widened by that same `FEASIBILITY_TOLERANCE`.  In
-//! space the planar regions of its three coordinate shadows are asked too:
-//! past an edge of dihedral angle `φ` the widened planes reach
-//! `FEASIBILITY_TOLERANCE / sin(φ/2)`, and a shadow cuts that short.  It is
-//! a closed form that replaces the LP at the LP's own threshold (the rule
-//! `tolerance.rs` states), measured as a Euclidean distance where the LP
-//! measured an L1 residual, so the two differ only within a few times that
-//! threshold of the hull.  At `d = 1` the hull is its box under the same
-//! band.  From `d = 4` on a point beyond a face of the bounding box by more
-//! than [`reject_margin`] (`tolerance.rs`) is rejected before the LP runs.
+//! certain signs; in space also its three coordinate shadows' planar
+//! regions), each widened by that same `FEASIBILITY_TOLERANCE`, and built
+//! once per hull.  It is a closed form that replaces the LP at the LP's own
+//! threshold (the rule `tolerance.rs` states), measured as a Euclidean
+//! distance where the LP measured an L1 residual, so the two differ only
+//! within a few times that threshold of the hull.  `Γ(T)` at `f = 0` is the
+//! same region widened by the narrower `DEPTH_SLACK`, so it holds less than
+//! the hull only within that band.  At `d = 1` the hull is its box under
+//! the same band.  From `d = 4` on a point beyond a face of the bounding
+//! box by more than [`reject_margin`] (`tolerance.rs`) is rejected before
+//! the LP runs.
 //!
 //! The common-point query over several hulls — one LP that decides whether
 //! they share a point and, if so, produces one — is
@@ -41,6 +42,8 @@ use crate::family::joint_common_point;
 use crate::multiset::PointMultiset;
 use crate::point::Point;
 use bvc_lp::{LinearProgram, Objective, Relation, SolveStatus, FEASIBILITY_TOLERANCE};
+use std::fmt;
+use std::sync::OnceLock;
 
 pub use crate::tolerance::HULL_TOLERANCE;
 use crate::tolerance::{reject_margin, GENERATOR_EQ_TOLERANCE};
@@ -56,13 +59,42 @@ pub(crate) fn box_rejects(lo: &[f64], hi: &[f64], point: &Point) -> bool {
 }
 
 /// A convex hull `H(T)` of a multiset of points, represented implicitly by its
-/// generating points and their bounding box.
-#[derive(Debug, Clone, PartialEq)]
+/// generating points and their bounding box.  Two hulls are equal when their
+/// generators are.
 pub struct ConvexHull {
     generators: PointMultiset,
     /// The generators' bounding box, its low and high corners.
     lo: Vec<f64>,
     hi: Vec<f64>,
+    /// At `d = 2` and `d = 3`, the depth region at `f = 0`, built on the
+    /// first membership query.
+    region: OnceLock<Region>,
+}
+
+/// The depth region a `d = 2` or `d = 3` hull answers membership by.
+enum Region {
+    Plane(depth::Region<2>),
+    Space(depth::Space),
+}
+
+impl Clone for ConvexHull {
+    fn clone(&self) -> Self {
+        Self::new(self.generators.clone())
+    }
+}
+
+impl PartialEq for ConvexHull {
+    fn eq(&self, other: &Self) -> bool {
+        self.generators == other.generators
+    }
+}
+
+impl fmt::Debug for ConvexHull {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ConvexHull")
+            .field("generators", &self.generators)
+            .finish_non_exhaustive()
+    }
 }
 
 impl ConvexHull {
@@ -72,6 +104,7 @@ impl ConvexHull {
             lo: generators.coordinate_min().into_coords(),
             hi: generators.coordinate_max().into_coords(),
             generators,
+            region: OnceLock::new(),
         }
     }
 
@@ -101,9 +134,9 @@ impl ConvexHull {
     /// hull's depth region at `f = 0` answers with no LP (module docs): at
     /// `d = 1` its box, at `d = 2` and `d = 3` its box and supporting sides
     /// (in space with its three coordinate shadows), all widened by the
-    /// band.  From `d = 4` on, a bounding-box reject, then the membership LP
-    /// in feasibility-only mode (phase 1 of the two-phase simplex, no
-    /// witness).
+    /// band and found once per hull.  From `d = 4` on, a bounding-box
+    /// reject, then the membership LP in feasibility-only mode (phase 1 of
+    /// the two-phase simplex, no witness).
     ///
     /// # Panics
     ///
@@ -117,23 +150,31 @@ impl ConvexHull {
         if self.equals_a_generator(point) {
             return true;
         }
-        let (bounds, band) = ((&self.lo[..], &self.hi[..]), FEASIBILITY_TOLERANCE);
         let at = |l: usize| point.coord(l);
         match self.dim() {
-            1 => self.lo[0] - band <= at(0) && at(0) <= self.hi[0] + band,
-            2 => depth::Region::new(&self.generators, 0, bounds, [0, 1], band)
-                .contains([at(0), at(1)]),
-            3 => {
-                depth::Space::new(&self.generators, 0, bounds, band).contains([at(0), at(1), at(2)])
-                    && [[1, 2], [0, 2], [0, 1]].into_iter().all(|[a, b]| {
-                        depth::Region::new(&self.generators, 0, bounds, [a, b], band)
-                            .contains([at(a), at(b)])
-                    })
+            1 => {
+                self.lo[0] - FEASIBILITY_TOLERANCE <= at(0)
+                    && at(0) <= self.hi[0] + FEASIBILITY_TOLERANCE
             }
+            2 | 3 => match self.region.get_or_init(|| self.depth_region()) {
+                Region::Plane(plane) => plane.contains([at(0), at(1)]),
+                Region::Space(space) => space.contains([at(0), at(1), at(2)]),
+            },
             _ => {
                 !box_rejects(&self.lo, &self.hi, point)
                     && self.membership_lp(point).solve_feasibility() == SolveStatus::Optimal
             }
+        }
+    }
+
+    /// The hull's depth region at `f = 0`, widened by the membership LP's
+    /// band, for `d = 2` or `d = 3`.
+    fn depth_region(&self) -> Region {
+        let (y, bounds) = (&self.generators, (&self.lo[..], &self.hi[..]));
+        let band = FEASIBILITY_TOLERANCE;
+        match self.dim() {
+            2 => Region::Plane(depth::Region::new(y, 0, bounds, [0, 1], band)),
+            _ => Region::Space(depth::Space::new(y, 0, bounds, band)),
         }
     }
 
@@ -604,20 +645,12 @@ pub(crate) mod tests {
     }
 
     /// One row of [`the_lp_band_defects_answer_by_one_rule`]: groups of
-    /// `(generators, query)` whose answers must be equal, and the answer,
-    /// when it is known.
+    /// `(hull, query)` whose answers must be equal, and the answer, when it
+    /// is known.
     type Fixture = (&'static str, Vec<Group>, Option<bool>);
 
     /// Hulls, each with a query, whose answers must be equal.
-    type Group = Vec<(Vec<Vec<f64>>, Vec<f64>)>;
-
-    /// `points` moved by `t` along every axis.
-    fn shifted(points: &[Vec<f64>], t: f64) -> Vec<Vec<f64>> {
-        points
-            .iter()
-            .map(|p| p.iter().map(|c| c + t).collect())
-            .collect()
-    }
+    type Group = Vec<(ConvexHull, Point)>;
 
     /// A triangle near `(−1000, −1000)` whose membership LP answered points
     /// 7e-10 to 4.5e-7 from `a` by the order its generators were listed
@@ -625,23 +658,19 @@ pub(crate) mod tests {
     /// `a`, at the triangle's place and moved by +1000, is one group of the
     /// orders (a, b, c), (c, a, b) and (b, c, a).
     fn order_fixture() -> Vec<Group> {
-        let a = vec![-1_000.707_126_124_662_9, -999.212_550_344_681_1];
-        let b = vec![-1_000.711_986_472_332, -1000.0];
-        let c = vec![-999.678_089_880_198_2, -1_001.358_187_428_638_8];
+        let a = [-1_000.707_126_124_662_9, -999.212_550_344_681_1];
+        let b = [-1_000.711_986_472_332, -1000.0];
+        let c = [-999.678_089_880_198_2, -1_001.358_187_428_638_8];
         let mut groups = Vec::new();
         for t in [0.0, 1000.0] {
-            let orders = [
-                [a.clone(), b.clone(), c.clone()],
-                [c.clone(), a.clone(), b.clone()],
-                [b.clone(), c.clone(), a.clone()],
-            ];
             for k in 0..32 {
                 let (sin, cos) = (f64::from(k) * std::f64::consts::PI / 16.0).sin_cos();
                 for j in 0..24 {
                     let r = 1e-10 * 10f64.powf(4.0 * f64::from(j) / 23.0);
-                    let probe = vec![a[0] + r * cos + t, a[1] + r * sin + t];
-                    let group = orders.iter().map(|o| (shifted(o, t), probe.clone()));
-                    groups.push(group.collect());
+                    let probe = Point::new(vec![a[0] + r * cos + t, a[1] + r * sin + t]);
+                    let group = [[a, b, c], [c, a, b], [b, c, a]]
+                        .map(|order| (hull_of(&moved(&order, [t, t])), probe.clone()));
+                    groups.push(group.into());
                 }
             }
         }
@@ -652,18 +681,19 @@ pub(crate) mod tests {
     /// a coordinate steps by 2.4e-4 and 1.2e-4: `gamma_point(y, 1)` in each
     /// of its four subset hulls.
     fn far_fixture() -> Vec<Group> {
-        let home = converged_quadrilateral(1.0);
+        let home: Vec<[f64; 2]> = converged_quadrilateral(1.0)
+            .iter()
+            .map(|p| [p.coord(0), p.coord(1)])
+            .collect();
         let mut groups = Vec::new();
         for t in [2f64.powi(40), 1e12] {
-            let members: Vec<Vec<f64>> = home
-                .iter()
-                .map(|p| p.coords().iter().map(|c| c + t).collect())
-                .collect();
-            let y = PointMultiset::new(members.iter().map(|m| Point::new(m.clone())).collect());
+            let members = moved(&home, [t, t]);
+            let y = PointMultiset::new(members.iter().map(|m| Point::new(m.to_vec())).collect());
             let p = gamma_point(&y, 1).expect("the Radon point");
             for drop in 0..4 {
-                let subset = (0..4).filter(|&i| i != drop).map(|i| members[i].clone());
-                groups.push(vec![(subset.collect(), p.coords().to_vec())]);
+                let subset: Vec<[f64; 2]> =
+                    (0..4).filter(|&i| i != drop).map(|i| members[i]).collect();
+                groups.push(vec![(hull_of(&subset), p.clone())]);
             }
         }
         groups
@@ -673,23 +703,24 @@ pub(crate) mod tests {
     /// from its edge `(1e-9, −1, 0)`–`(0, 0, −2)`, at the origin and moved
     /// by ±1e6.
     fn near_duplicate_fixture() -> Vec<Group> {
-        let twice = vec![0.055_420_033_9, -0.732_113_123_9, -1.248_132_565_5];
-        let generators = vec![
-            vec![-0.001_932_953_8, 1.492_581_250_7, 1.979_080_638_5],
-            vec![0.0, 0.0, -2.0],
-            vec![0.0, 0.0, -2.0],
-            vec![0.0, 0.0, -2.0],
-            vec![1e-9, -1.0, 0.0],
-            twice.clone(),
+        let twice = [0.055_420_033_9, -0.732_113_123_9, -1.248_132_565_5];
+        let generators = [
+            [-0.001_932_953_8, 1.492_581_250_7, 1.979_080_638_5],
+            [0.0, 0.0, -2.0],
+            [0.0, 0.0, -2.0],
+            [0.0, 0.0, -2.0],
+            [1e-9, -1.0, 0.0],
+            twice,
             twice,
         ];
-        let query = vec![4.66e-10, -0.5, -1.0];
+        let query = [4.66e-10, -0.5, -1.0];
         [0.0, 1e6, -1e6]
             .iter()
             .map(|&t| {
+                let query = moved(&[query], [t; 3])[0];
                 vec![(
-                    shifted(&generators, t),
-                    shifted(std::slice::from_ref(&query), t)[0].clone(),
+                    hull_of(&moved(&generators, [t; 3])),
+                    Point::new(query.to_vec()),
                 )]
             })
             .collect()
@@ -715,12 +746,7 @@ pub(crate) mod tests {
             for group in groups {
                 let answers: Vec<(bool, usize)> = group
                     .iter()
-                    .map(|(generators, query)| {
-                        let hull = ConvexHull::new(PointMultiset::new(
-                            generators.iter().map(|g| Point::new(g.clone())).collect(),
-                        ));
-                        solves(|| hull.contains(&Point::new(query.clone())))
-                    })
+                    .map(|(hull, query)| solves(|| hull.contains(query)))
                     .collect();
                 let first = answers[0].0;
                 assert!(

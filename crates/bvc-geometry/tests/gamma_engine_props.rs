@@ -32,6 +32,26 @@ fn naive_point(y: &PointMultiset, f: usize) -> Option<Point> {
     ConvexHull::common_point(&naive_hulls(y, f))
 }
 
+/// The distance from `q` to the nearest segment between two of `pts` in
+/// the plane: for a `q` outside their hull, its distance to the hull.
+fn distance_to_edges(pts: &[Point], q: &Point) -> f64 {
+    let mut nearest = f64::INFINITY;
+    for a in pts {
+        for b in pts {
+            let (ux, uy) = (b.coord(0) - a.coord(0), b.coord(1) - a.coord(1));
+            let (vx, vy) = (q.coord(0) - a.coord(0), q.coord(1) - a.coord(1));
+            let length = ux * ux + uy * uy;
+            let t = if length > 0.0 {
+                ((ux * vx + uy * vy) / length).clamp(0.0, 1.0)
+            } else {
+                0.0
+            };
+            nearest = nearest.min((vx - t * ux).hypot(vy - t * uy));
+        }
+    }
+    nearest
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -184,12 +204,23 @@ proptest! {
         prop_assert!(cache.hits() > 0, "second pass must be served from the cache");
     }
 
-    /// f = 0 degenerates to plain hull membership for the lazy engine too.
+    /// f = 0 is plain hull membership under a narrower band: Γ accepts
+    /// nothing the hull rejects, and rejects what the hull accepts only
+    /// within twice the membership LP's band outside it — as a point 5e-8
+    /// left of the leftmost member is.
     #[test]
     fn zero_fault_gamma_is_plain_hull(pts in points(4, 2), probe in prop::collection::vec(-6.0f64..6.0, 2)) {
-        let y = PointMultiset::new(pts);
-        let q = Point::new(probe);
+        let y = PointMultiset::new(pts.clone());
         let hull = ConvexHull::new(y.clone());
-        prop_assert_eq!(gamma_contains(&y, 0, &q), hull.contains(&q));
+        let leftmost = pts.iter().fold(&pts[0], |m, p| if p.coord(0) < m.coord(0) { p } else { m });
+        let band = Point::new(vec![leftmost.coord(0) - 5e-8, leftmost.coord(1)]);
+        prop_assert!(hull.contains(&band) && !gamma_contains(&y, 0, &band), "{}", band);
+        let q = Point::new(probe);
+        let (in_gamma, in_hull) = (gamma_contains(&y, 0, &q), hull.contains(&q));
+        prop_assert!(in_hull || !in_gamma, "{} is in Γ, not in the hull", q);
+        prop_assert!(
+            in_gamma == in_hull || distance_to_edges(&pts, &q) <= 2e-7,
+            "{} is in the hull, not in Γ, and not near the hull", q
+        );
     }
 }

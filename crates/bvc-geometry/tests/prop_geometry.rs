@@ -35,13 +35,18 @@ proptest! {
         }
     }
 
-    /// Γ(Y) with f = 0 coincides with plain hull membership.
+    /// Γ(Y) with f = 0 is the hull of Y under a narrower band: both hold
+    /// the centroid, and a point 5e-8 left of the leftmost member is in the
+    /// hull (within the membership LP's band) but not in Γ.
     #[test]
     fn gamma_with_zero_faults_is_the_hull(pts in points(4, 2)) {
         let y = PointMultiset::new(pts.clone());
         let hull = ConvexHull::new(y.clone());
         let centroid = Point::centroid(&pts);
-        prop_assert_eq!(hull.contains(&centroid), gamma_contains(&y, 0, &centroid));
+        prop_assert!(hull.contains(&centroid) && gamma_contains(&y, 0, &centroid));
+        let leftmost = pts.iter().fold(&pts[0], |m, p| if p.coord(0) < m.coord(0) { p } else { m });
+        let band = Point::new(vec![leftmost.coord(0) - 5e-8, leftmost.coord(1)]);
+        prop_assert!(hull.contains(&band) && !gamma_contains(&y, 0, &band), "{}", band);
     }
 
     /// Γ is monotone in f: anything inside Γ with a larger f is inside Γ with

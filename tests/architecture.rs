@@ -453,19 +453,19 @@ fn one_hull_family() {
 #[test]
 fn one_depth_engine() {
     // The strict d ≤ 3 Γ path is the depth region alone: one module,
-    // `bvc-geometry/src/depth.rs`, asked from gamma.rs only.  Its planar
-    // `Region` and its spatial `Space` are each built once per query, by
-    // the one membership test, and answer membership (the planar one asks
-    // its exact depth count first), the point and emptiness.  So the strict
-    // d ≤ 3 path constructs no `HullFamily`: the subset hulls are built only
-    // in the d ≥ 4 arm of that test (and for f = 0, Γ_α and the
-    // leave-one-out intersection), the joint LP lives in one file and the
+    // `bvc-geometry/src/depth.rs`, asked from gamma.rs, and from hull.rs
+    // for a hull's own region at f = 0.  Its planar `Region` and its
+    // spatial `Space` are each built once per query by the one membership
+    // test (and once per d ≤ 3 hull), and answer membership (the planar one
+    // asks its exact depth count first), the point and emptiness.  So the
+    // strict d ≤ 3 path, f = 0 included, constructs no `HullFamily`: the
+    // subset hulls are built only in the d ≥ 4 arm of that test (and for
+    // Γ_α and the leave-one-out intersection), the joint LP lives in one file and the
     // cache knows no engine by name.
     let geometry = rust_files_under(&["crates/bvc-geometry/src"]);
     // A d ≤ 3 hull is its own depth region at f = 0: hull.rs builds one
-    // spatial region and the three planar regions of its coordinate
-    // shadows, and nothing else.
-    let callers: Vec<PathBuf> = naming(&geometry, non_test, &["depth::"])
+    // planar or one spatial region per hull, and nothing else.
+    let callers: Vec<PathBuf> = naming(&geometry, text, &["depth::"])
         .into_iter()
         .filter(|p| !p.ends_with("depth.rs"))
         .collect();
@@ -476,12 +476,12 @@ fn one_depth_engine() {
     );
     let gamma = non_test(&root().join("crates/bvc-geometry/src/gamma.rs"));
     let hull = non_test(&root().join("crates/bvc-geometry/src/hull.rs"));
-    for (file, code, regions) in [("gamma.rs", &gamma, 1), ("hull.rs", &hull, 2)] {
-        for (question, expected) in [("depth::Region::new(", regions), ("depth::Space::new(", 1)] {
+    for (file, code) in [("gamma.rs", &gamma), ("hull.rs", &hull)] {
+        for question in ["depth::Region::new(", "depth::Space::new("] {
             let asks = lines_with(code, question);
             assert!(
-                asks == expected,
-                "{file} must ask {question} {expected} time(s), found {asks}"
+                asks == 1,
+                "{file} must ask {question} exactly once, found {asks}"
             );
         }
     }
@@ -582,14 +582,21 @@ fn one_planar_predicate() {
         .lines()
         .filter(|line| line.contains("membership_lp("))
         .collect();
-    let d4 = contains.find("_ =>").unwrap_or(usize::MAX);
+    let arm = |pattern: &str| contains.find(pattern).unwrap_or(usize::MAX);
+    let region = hull
+        .split("fn depth_region(")
+        .nth(1)
+        .and_then(|rest| rest.split("\n    }\n").next())
+        .unwrap_or_default();
     assert!(
         lp_lines.len() == 1
-            && contains.find("membership_lp(").is_some_and(|lp| lp > d4)
-            && contains.contains("2 => depth::Region::new(")
-            && contains.contains("depth::Space::new("),
-        "ConvexHull::contains reaches `membership_lp(` only for d ≥ 4 (its `_ =>` arm): \
-         at d ≤ 3 the hull's depth region answers"
+            && contains.matches("_ =>").count() == 1
+            && arm("2 | 3 => match self.region.get_or_init(|| self.depth_region())") < arm("_ =>")
+            && arm("_ =>") < arm("membership_lp(")
+            && region.contains("2 => Region::Plane(depth::Region::new(")
+            && region.contains("_ => Region::Space(depth::Space::new("),
+        "ConvexHull::contains reaches `membership_lp(` only for d ≥ 4 (its one `_ =>` arm): \
+         at d = 2 and d = 3 the hull's depth region answers"
     );
 }
 
