@@ -9,7 +9,8 @@
 //!   `n = d + 1` processes and `f = 1`, inputs `e_1, …, e_d, 0` (standard
 //!   basis plus the origin) make the intersection of the leave-one-out hulls
 //!   `∩_i H(X_i)` empty — no decision vector can satisfy agreement and
-//!   validity simultaneously.
+//!   validity simultaneously.  Those hulls are the `(n−1)`-subset hulls, so
+//!   the intersection is `Γ` of the inputs at `f = 1`.
 //! * **Theorem 4** (`n ≥ (d+2)f + 1` needed for Approximate BVC,
 //!   asynchronous): with `n = d + 2` and `f = 1`, inputs `4ε·e_i` for
 //!   `i ≤ d` and `0` for the last two processes force each process `p_i`
@@ -36,8 +37,9 @@ pub fn theorem1_inputs(d: usize) -> PointMultiset {
 pub struct Theorem1Evidence {
     /// Number of processes in the construction (`d + 1`).
     pub n: usize,
-    /// Whether the intersection of the leave-one-out hulls is empty (the
-    /// theorem says it must be for this input configuration).
+    /// Whether the intersection of the leave-one-out hulls — `Γ` of the
+    /// inputs at `f = 1` — is empty (the theorem says it must be for this
+    /// input configuration).
     pub intersection_empty: bool,
     /// A point of the intersection when it is non-empty (counter-evidence;
     /// never produced for the paper's construction).

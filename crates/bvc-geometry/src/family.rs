@@ -3,11 +3,10 @@
 //!
 //! Equation (1) defines `Γ(Y)` as the intersection of the hulls of all
 //! `(|Y|−f)`-subsets of `Y`; the relaxed region `Γ_α` of arXiv:1601.08067 is
-//! the same intersection with each hull dilated about its own centroid; the
-//! Theorem-1 necessity argument intersects the `n` leave-one-out hulls.  A
-//! constructor fixes which of the three it is — the multiset, the subset
-//! stream and the dilation — and nothing else differs: every hull is built
-//! lazily, at most once per family, in stream order, and the queries
+//! the same intersection with each hull dilated about its own centroid.  A
+//! constructor fixes which of the two it is — the multiset, `f` and the
+//! dilation — and nothing else differs: every hull is built lazily, at most
+//! once per family, in the lexicographic order of its subset, and the queries
 //! ([`all_contain`](HullFamily::all_contain),
 //! [`common_point`](HullFamily::common_point)) plus the all-hulls joint LP of
 //! Section 2.2 ([`joint_common_point`](HullFamily::joint_common_point) — the
@@ -15,12 +14,13 @@
 //!
 //! The strict `d = 2` and `d = 3` Γ engines build no family, `f = 0`
 //! included: the depth region (`depth.rs`) answers them.  A family serves
-//! strict `Γ` from `d = 4` on, `Γ_α` and the leave-one-out intersection.
+//! strict `Γ` from `d = 4` on and `Γ_α`.  The Theorem-1 intersection of the
+//! `n` leave-one-out hulls is no family of its own: those hulls are the
+//! `(n−1)`-subset hulls, so it is `Γ` at `f = 1`.
 //!
 //! The family keeps the member order it is given: a point-valued answer is a
 //! function of the *multiset* only when the caller hands the members over in
-//! canonical order, which the Γ engine does; the leave-one-out family keeps
-//! process order, because Theorem 1 indexes its hulls by process.
+//! canonical order, which the Γ engine does.
 
 use crate::combinatorics::{binomial, Combinations};
 use crate::hull::{local_combination_lp, ConvexHull};
@@ -29,19 +29,12 @@ use crate::point::Point;
 use crate::relaxed::dilate_about_centroid;
 use bvc_lp::SolveStatus;
 
-/// The index subsets of a family, in the order its hulls are numbered.
-enum Subsets {
-    /// All subsets of one size, lexicographically.
-    OfSize(Combinations),
-    /// `0..n` without `drop`, for `drop = 0, 1, …` (the next one is stored).
-    LeaveOneOut(usize),
-}
-
-/// The hulls `transform(H(T))` for `T` ranging over a subset stream of
-/// `members`; see the module docs.
+/// The hulls `H(T)`, each dilated by `1 + alpha`, for `T` ranging over the
+/// `(|Y|−f)`-subsets of `members`; see the module docs.
 pub(crate) struct HullFamily<'a> {
     members: &'a PointMultiset,
-    subsets: Subsets,
+    /// The subsets, lexicographically, in the order the hulls are numbered.
+    subsets: Combinations,
     /// Each hull is dilated by `1 + alpha` about its centroid; `0` is the
     /// identity.
     alpha: f64,
@@ -75,29 +68,9 @@ impl<'a> HullFamily<'a> {
         let k = y.len() - f;
         Self {
             members: y,
-            subsets: Subsets::OfSize(Combinations::new(y.len(), k)),
+            subsets: Combinations::new(y.len(), k),
             alpha,
             count: usize::try_from(binomial(y.len(), k)).unwrap_or(usize::MAX),
-            built: Vec::new(),
-        }
-    }
-
-    /// The `n` leave-one-out hulls `H(y − {i})`, `i = 0, 1, …` (equation
-    /// (16) in Appendix C).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y` has fewer than two members.
-    pub(crate) fn leave_one_out(y: &'a PointMultiset) -> Self {
-        assert!(
-            y.len() >= 2,
-            "leave-one-out intersection needs at least two points"
-        );
-        Self {
-            members: y,
-            subsets: Subsets::LeaveOneOut(0),
-            alpha: 0.0,
-            count: y.len(),
             built: Vec::new(),
         }
     }
@@ -106,19 +79,11 @@ impl<'a> HullFamily<'a> {
     /// and building each the stream passes.
     fn hull(&mut self, ordinal: usize) -> &ConvexHull {
         while self.built.len() <= ordinal {
-            let members = self.members;
-            let keep: Vec<usize>;
-            let subset = match &mut self.subsets {
-                Subsets::OfSize(stream) => stream
-                    .next_ref()
-                    .expect("ordinal is below the combination count"),
-                Subsets::LeaveOneOut(drop) => {
-                    keep = (0..members.len()).filter(|i| i != drop).collect();
-                    *drop += 1;
-                    &keep
-                }
-            };
-            self.built.push(build(members, subset, self.alpha));
+            let subset = self
+                .subsets
+                .next_ref()
+                .expect("ordinal is below the combination count");
+            self.built.push(build(self.members, subset, self.alpha));
         }
         &self.built[ordinal]
     }
@@ -302,13 +267,6 @@ pub(crate) mod tests {
                         .collect();
                     check(|| HullFamily::dilated_gamma(y, f, 0.5), &dilated, &probes);
                 }
-                let loo: Vec<ConvexHull> = (0..y.len())
-                    .map(|drop| {
-                        let keep: Vec<usize> = (0..y.len()).filter(|&i| i != drop).collect();
-                        ConvexHull::new(y.select(&keep))
-                    })
-                    .collect();
-                check(|| HullFamily::leave_one_out(y), &loo, &probes);
             }
             // The shape of the paper's `exact-n10-d3` Γ(S) query, 45 hulls,
             // in about a quarter of the cases: its all-hulls oracle is a
@@ -321,23 +279,6 @@ pub(crate) mod tests {
                 let strict: Vec<ConvexHull> =
                     y.subsets_of_size(y.len() - 2).into_iter().map(ConvexHull::new).collect();
                 check(|| HullFamily::gamma(y, 2), &strict, &probes);
-            }
-        }
-
-        /// Theorem 1 is Γ with `f = 1`: the leave-one-out hulls are the
-        /// `(n−1)`-subset hulls, so the two answers agree on emptiness.
-        #[test]
-        fn leave_one_out_is_gamma_with_one_fault(
-            raw in prop::collection::vec(prop::collection::vec(-2.0f64..2.0, 3), 5),
-            kinds in prop::collection::vec(0usize..6, 5),
-        ) {
-            for d in 1..=3usize {
-                let y = biased(&raw[..d + 2], &kinds[..d + 2], d);
-                prop_assert_eq!(
-                    leave_one_out_intersection(&y).is_some(),
-                    !gamma_is_empty(&y, 1),
-                    "d = {}, y = {:?}", d, y
-                );
             }
         }
     }

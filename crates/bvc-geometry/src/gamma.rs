@@ -568,13 +568,15 @@ impl<'a> Membership<'a> {
 
 /// The intersection `∩_i H(Y − {i})` of the *leave-one-out* hulls of `y`
 /// (used by the necessity argument of Theorem 1, equation (16) in Appendix C):
-/// returns a point of the intersection, or `None` when it is empty.
+/// returns a point of the intersection, or `None` when it is empty.  Those
+/// hulls are exactly the `(|Y|−1)`-subset hulls, so this is
+/// [`gamma_point`] at `f = 1`.
 ///
 /// # Panics
 ///
 /// Panics if `y` has fewer than two members.
 pub fn leave_one_out_intersection(y: &PointMultiset) -> Option<Point> {
-    HullFamily::leave_one_out(y).common_point().0
+    gamma_point(y, 1)
 }
 
 #[cfg(test)]

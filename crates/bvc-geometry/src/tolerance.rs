@@ -7,7 +7,7 @@
 //! |---|---|---|
 //! | [`bvc_lp::EPSILON`] | 1e-9 | reduced cost `< −ε` enters, entries `≤ ε` are zero (ratio ties are exact: the lexicographic rule) |
 //! | [`bvc_lp::PIVOT_TOLERANCE`] | 1e-7 | a pivot element must exceed it (else the tiny-pivot fallback) |
-//! | [`bvc_lp::FEASIBILITY_TOLERANCE`] | 1e-7 | phase-1 optimum (the L1 residual of the constraints) above it ⇒ infeasible (a phase 1 that did not end optimal ⇒ stalled) |
+//! | [`bvc_lp::FEASIBILITY_TOLERANCE`] | 1e-7 | phase-1 optimum (the L1 residual of the constraints) above it ⇒ infeasible (a phase 1 that did not end optimal ⇒ stalled); a full solve whose values miss a row `a · x ≷ b` by more than it times `max(1, \|b\|, Σ \|aᵢxᵢ\|)` ⇒ stalled |
 //!
 //! A hull-membership or joint LP therefore *accepts* a point whose residual
 //! is at most `1e-7`.  The fast paths around the solver must never contradict

@@ -15,6 +15,13 @@
 //! matters more than speed because all non-faulty processes must select the
 //! *same* point of `Γ(S)`.
 //!
+//! A solve keeps no state: it lays out the program, allocates its own
+//! tableau, runs the phases and drops it, so its answer and its `simplex`
+//! trace event depend on the program alone.  A full solve calls its values
+//! optimal only when they meet every row of the program within
+//! [`FEASIBILITY_TOLERANCE`], scaled to the row's magnitude; otherwise it
+//! reports [`SolveStatus::Stalled`].
+//!
 //! # Example
 //!
 //! Maximise `3x + 2y` subject to `x + y ≤ 4`, `x ≤ 2`, `x, y ≥ 0`:
@@ -40,11 +47,9 @@
 mod problem;
 mod simplex;
 mod tableau;
-mod workspace;
 
-pub use problem::{Constraint, LinearProgram, Objective, Relation};
+pub use problem::{Constraint, LinearProgram, Objective, Relation, SimplexWorkspace};
 pub use simplex::{Solution, SolveStatus};
-pub use workspace::SimplexWorkspace;
 
 /// Numerical tolerance used throughout the solver for feasibility and
 /// optimality tests.

@@ -5,10 +5,11 @@
 //! coefficients, and add [`Constraint`]s.  All decision variables are
 //! non-negative by default; free (unbounded-below) variables can be declared
 //! with [`LinearProgram::mark_free`], in which case the solver internally
-//! splits them into a difference of two non-negative variables.
+//! splits them into a difference of two non-negative variables.  A solve
+//! reads the program and keeps nothing: every solve allocates its own
+//! tableau, so two solves of one program answer alike on any thread.
 
 use crate::simplex::{solve_two_phase, Solution, SolveMode, SolveStatus};
-use crate::workspace::{with_thread_workspace, SimplexWorkspace};
 
 /// Direction of optimisation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -171,22 +172,21 @@ impl LinearProgram {
         self
     }
 
-    /// Solves the linear program with the two-phase simplex method, using the
-    /// calling thread's shared [`SimplexWorkspace`] for tableau buffers.
+    /// Solves the linear program with the two-phase simplex method.
     ///
     /// The returned [`Solution`] carries a [`SolveStatus`](crate::SolveStatus)
-    /// of `Optimal`, `Infeasible` or `Unbounded`; when optimal, `values` holds
-    /// one optimal assignment of the decision variables (in their original
-    /// indexing, with free variables already recombined).
+    /// of `Optimal`, `Infeasible`, `Unbounded` or `Stalled`; when optimal,
+    /// `values` holds one optimal assignment of the decision variables (in
+    /// their original indexing, with free variables already recombined),
+    /// and it meets every constraint within the solver's tolerance.
     pub fn solve(&self) -> Solution {
-        with_thread_workspace(|ws| solve_two_phase(self, ws, SolveMode::Full))
+        solve_two_phase(self, SolveMode::Full)
     }
 
-    /// Like [`LinearProgram::solve`], but leasing tableau buffers from an
-    /// explicitly supplied workspace (useful for benchmarks and long-lived
-    /// engines that want to control buffer reuse).
-    pub fn solve_with(&self, workspace: &mut SimplexWorkspace) -> Solution {
-        solve_two_phase(self, workspace, SolveMode::Full)
+    /// [`LinearProgram::solve`]; the workspace is unused.  Kept only for the
+    /// benchmark until ROADMAP item 12(a).
+    pub fn solve_with(&self, _workspace: &mut SimplexWorkspace) -> Solution {
+        self.solve()
     }
 
     /// Decides feasibility only: runs phase 1 of the two-phase method and
@@ -194,12 +194,26 @@ impl LinearProgram {
     /// [`SolveStatus::Optimal`] when a feasible point exists and
     /// [`SolveStatus::Infeasible`] otherwise.
     pub fn solve_feasibility(&self) -> SolveStatus {
-        with_thread_workspace(|ws| solve_two_phase(self, ws, SolveMode::FeasibilityOnly).status)
+        solve_two_phase(self, SolveMode::FeasibilityOnly).status
     }
 
-    /// Like [`LinearProgram::solve_feasibility`], with an explicit workspace.
-    pub fn solve_feasibility_with(&self, workspace: &mut SimplexWorkspace) -> SolveStatus {
-        solve_two_phase(self, workspace, SolveMode::FeasibilityOnly).status
+    /// [`LinearProgram::solve_feasibility`]; the workspace is unused.  Kept
+    /// only for the benchmark until ROADMAP item 12(a).
+    pub fn solve_feasibility_with(&self, _workspace: &mut SimplexWorkspace) -> SolveStatus {
+        self.solve_feasibility()
+    }
+}
+
+/// A solve keeps no state, so this holds nothing.  Kept only for the
+/// benchmark until ROADMAP item 12(a).
+#[derive(Debug, Default)]
+pub struct SimplexWorkspace;
+
+impl SimplexWorkspace {
+    /// The empty workspace.  Kept only for the benchmark until ROADMAP item
+    /// 12(a).
+    pub fn new() -> Self {
+        Self
     }
 }
 

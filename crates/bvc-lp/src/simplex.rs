@@ -3,14 +3,14 @@
 //! (phase 1), and then optimises the user objective (phase 2).
 //!
 //! The driver assembles the tableau directly from the problem description
-//! (no intermediate row vectors) into buffers leased from a
-//! [`SimplexWorkspace`], and supports a feasibility-only mode that stops
-//! after phase 1 without recovering variable values — the mode the geometry
-//! layer's membership tests run in.
+//! (no intermediate row vectors) into a tableau of its own, and supports a
+//! feasibility-only mode that stops after phase 1 without recovering
+//! variable values — the mode the geometry layer's membership tests run in.
+//! A full solve checks the values it recovers against the original rows
+//! before it calls them optimal ([`misses_a_row`]).
 
 use crate::problem::{LinearProgram, Objective, Relation};
 use crate::tableau::{PivotOutcome, Tableau};
-use crate::workspace::SimplexWorkspace;
 use crate::{EPSILON, FEASIBILITY_TOLERANCE, PIVOT_TOLERANCE};
 
 /// Outcome classification of a solve.
@@ -24,9 +24,12 @@ pub enum SolveStatus {
     Unbounded,
     /// Phase 1 ended without a verdict — it hit its iteration cap, or
     /// reported its bounded objective unbounded (numerical noise) — with a
-    /// residual above the feasibility tolerance: neither feasibility nor
-    /// infeasibility is certified.  Callers that rely on `Infeasible` as a
-    /// proof of emptiness must treat this outcome separately.
+    /// residual above the feasibility tolerance, or phase 2 ended at values
+    /// that miss an original row by more than
+    /// [`FEASIBILITY_TOLERANCE`](crate::FEASIBILITY_TOLERANCE) times
+    /// `max(1, |b|, Σ |aᵢ xᵢ|)`: neither feasibility nor infeasibility is
+    /// certified.  Callers that rely on `Infeasible` as a proof of emptiness
+    /// must treat this outcome separately.
     Stalled,
 }
 
@@ -218,34 +221,21 @@ fn fill_tableau(lp: &LinearProgram, lay: &Layout, tableau: &mut Tableau) {
     }
 }
 
-/// Solves `lp` with the two-phase simplex method, leasing all buffers from
-/// `workspace`.  In [`SolveMode::FeasibilityOnly`] the returned solution's
-/// `values` are all-zero placeholders and only `status` is meaningful.
-pub(crate) fn solve_two_phase(
-    lp: &LinearProgram,
-    workspace: &mut SimplexWorkspace,
-    mode: SolveMode,
-) -> Solution {
+/// Solves `lp` with the two-phase simplex method on a tableau of its own.
+/// In [`SolveMode::FeasibilityOnly`] the returned solution's `values` are
+/// all-zero placeholders and only `status` is meaningful.
+pub(crate) fn solve_two_phase(lp: &LinearProgram, mode: SolveMode) -> Solution {
     let lay = layout(lp);
     let m = lp.num_constraints();
-    // Pin the workspace to the current trace scope *before* leasing
-    // buffers: crossing scopes drops the pools, so a physical reuse is
-    // always a same-scope one and traces stay byte-identical across
-    // worker counts.
-    workspace.stamp_scope(bvc_trace::scope_token());
-    let reuses_before = workspace.reuses();
-    let mut tableau = Tableau::from_workspace(m, lay.total_cols, workspace);
-    let reused = workspace.reuses() > reuses_before;
+    let mut tableau = Tableau::new(m, lay.total_cols);
     fill_tableau(lp, &lay, &mut tableau);
-    let solution = run_phases(lp, &lay, &mut tableau, workspace, mode);
-    let pivots = tableau.pivots();
-    tableau.recycle(workspace);
+    let solution = run_phases(lp, &lay, &mut tableau, mode);
     bvc_trace::emit(|| bvc_trace::TraceEvent::Simplex {
         rows: m,
         cols: lay.total_cols,
-        pivots,
-        class: crate::workspace::class_of((m + 1) * (lay.total_cols + 1)),
-        reused,
+        pivots: tableau.pivots(),
+        class: ((m + 1) * (lay.total_cols + 1)).next_power_of_two().ilog2() as usize,
+        reused: false,
         status: solution.status.wire_name().to_string(),
     });
     solution
@@ -255,7 +245,6 @@ fn run_phases(
     lp: &LinearProgram,
     lay: &Layout,
     tableau: &mut Tableau,
-    workspace: &mut SimplexWorkspace,
     mode: SolveMode,
 ) -> Solution {
     let m = lp.num_constraints();
@@ -269,9 +258,7 @@ fn run_phases(
             tableau.set_objective_coefficient(col, 1.0);
         }
         tableau.price_out_basis();
-        let eligible = workspace.take(total_cols, true);
-        let outcome = tableau.run_simplex(&eligible);
-        workspace.put(eligible);
+        let outcome = tableau.run_simplex(total_cols);
         if tableau.objective_value() > FEASIBILITY_TOLERANCE {
             // Only a phase 1 that ended optimal and could not zero the
             // artificials certifies infeasibility.  Its objective is bounded
@@ -337,12 +324,7 @@ fn run_phases(
         }
     }
     tableau.price_out_basis();
-    let mut eligible = workspace.take(total_cols, false);
-    for e in eligible.iter_mut().take(n_structural) {
-        *e = true;
-    }
-    let outcome = tableau.run_simplex(&eligible);
-    workspace.put(eligible);
+    let outcome = tableau.run_simplex(n_structural);
     if outcome == PivotOutcome::Unbounded {
         return Solution::without_point(SolveStatus::Unbounded, lp.num_variables());
     }
@@ -371,12 +353,36 @@ fn run_phases(
             *v = 0.0;
         }
     }
+    if misses_a_row(lp, &values) {
+        return Solution::without_point(SolveStatus::Stalled, lp.num_variables());
+    }
 
     Solution {
         status: SolveStatus::Optimal,
         values,
         objective_value,
     }
+}
+
+/// Whether `values` miss a row of `lp`: `a · x` passes `b` (on the wrong
+/// side for `≤` and `≥`, either side for `=`) by more than
+/// [`FEASIBILITY_TOLERANCE`] times the row's magnitude `max(1, |b|,
+/// Σ |aᵢ xᵢ|)`.  The scale is what rounding the row's products and sum can
+/// move it by; an absolute band would fail rows far from the origin.  A
+/// phase 2 started from a basis phase 1 left slightly off can end optimal
+/// on the tableau at values that miss a row by far more, so a full solve
+/// reports those as [`SolveStatus::Stalled`].
+fn misses_a_row(lp: &LinearProgram, values: &[f64]) -> bool {
+    lp.constraints().iter().any(|row| {
+        let terms = row.coefficients.iter().zip(values).map(|(a, x)| a * x);
+        let (lhs, size) = terms.fold((0.0, 0.0), |(sum, size), t| (sum + t, size + t.abs()));
+        let miss = match row.relation {
+            Relation::LessEq => lhs - row.rhs,
+            Relation::GreaterEq => row.rhs - lhs,
+            Relation::Equal => (lhs - row.rhs).abs(),
+        };
+        miss > FEASIBILITY_TOLERANCE * 1f64.max(row.rhs.abs()).max(size)
+    })
 }
 
 #[cfg(test)]
@@ -571,8 +577,7 @@ mod tests {
     }
 
     #[test]
-    fn explicit_workspace_solves_match_thread_local_solves() {
-        let mut ws = SimplexWorkspace::new();
+    fn repeated_solves_agree() {
         let mut lp = LinearProgram::new(2, Objective::Maximize);
         lp.set_objective_coefficient(0, 3.0);
         lp.set_objective_coefficient(1, 5.0);
@@ -580,10 +585,121 @@ mod tests {
         lp.add_constraint(vec![0.0, 2.0], Relation::LessEq, 12.0);
         lp.add_constraint(vec![3.0, 2.0], Relation::LessEq, 18.0);
         let a = lp.solve();
-        let b = lp.solve_with(&mut ws);
-        let c = lp.solve_with(&mut ws);
-        assert_eq!(a, b);
-        assert_eq!(b, c);
-        assert!(ws.reuses() > 0);
+        assert_eq!(a, lp.solve());
+        assert_eq!(a, lp.solve_with(&mut crate::SimplexWorkspace::new()));
+    }
+
+    /// A Chebyshev-centre program of a spatial depth region (`Γ(Y)`, `|Y| =
+    /// 10`, `f = 2`, members from `bvc-geometry`'s `biased` generator),
+    /// written from the box's low corner: maximise `r ≥ 0` over `x` (free)
+    /// subject to `−n · x + r ≤ b` per side and box face, 24 of its 73 rows
+    /// with `b < 0`, so phase 1 runs.  Each row is `[−n, b]`.  Its phase 2
+    /// ends at the tableau's optimum with values 0.18 past a row, which is
+    /// no optimal solution.
+    #[rustfmt::skip]
+    const CENTRE_ROWS: [[f64; 4]; 73] = [
+        [-0.0, 0.1352004483524483, 0.9908182672747294, 1.4839176159789431],
+        [-0.0, -0.841474348893253, 0.5402970665797437, 0.22916005280869048],
+        [0.0, 0.9281171170308083, 0.3722883520531107, 1.1135818482339517],
+        [0.0, 0.8335131427644124, 0.552499629718421, 1.3079368330320746],
+        [0.0, 0.9860105802662775, -0.16668273936721417, 0.3896830159628682],
+        [0.0, 0.9860105802662775, -0.16668273936721417, 0.3896830159628682],
+        [-0.0, -0.7708898663727973, 0.6369684559879953, 0.41031595528878945],
+        [-0.6945370255019019, -0.6732084188049217, -0.2537887804004495, -0.3800915396577051],
+        [-0.41162242660607357, -0.4838423042013744, -0.7723105609662684, -1.1566654375615444],
+        [0.30329631579308364, 0.39705970210284014, 0.8662303029751072, 1.2973261077833085],
+        [0.4030691063316488, 0.47715487596481937, 0.7809343889623531, 1.1695810777715034],
+        [-0.6502496295931748, -0.6512430510954519, -0.3912261591635018, -0.5859272151181345],
+        [-0.6076399269485266, 0.24288378268965774, -0.7561621435144399, -0.559079083236928],
+        [-0.514452335255525, 0.3944324857286701, -0.7614209144435417, -0.5247542558569372],
+        [-0.27314647375493106, 0.6639413178435575, -0.696112728180865, -0.4023961001462412],
+        [-0.37670527177711305, -0.9027799060939169, 0.20756102564881976, -0.05973814404859182],
+        [-0.40061219413417376, 0.8931327444035894, -0.20450860809539465, 0.5108799213514309],
+        [0.39716439332688275, 0.510468666582708, 0.7626809195925656, 1.1683759816331267],
+        [-0.577711872204315, -0.011500882518155576, -0.8161597407465581, -0.8224076515347843],
+        [0.427463283885058, 0.07672298892532105, 0.9007711828764103, 1.0706970831323275],
+        [-0.48990708771986785, 0.18393101109090315, -0.8521504729570452, -0.8005029788724706],
+        [-0.0, 0.9860105802662775, -0.16668273936721417, 0.3896830159628682],
+        [0.36410071753212764, -0.3924461852744138, 0.8446399582994818, 0.7310618359677171],
+        [-0.6945370259676211, -0.6732084181869901, -0.25378878076507394, -0.3800915402037918],
+        [0.30329631601403756, 0.3970597018337096, 0.8662303030211069, 1.297326107852201],
+        [0.4030691066206062, 0.4771548756042223, 0.7809343890335381, 1.1695810778781148],
+        [0.4030691065193678, 0.47715487552488545, 0.7809343891342663, 1.1695810780289724],
+        [-0.6502496298701892, -0.6512430504157158, -0.3912261598345838, -0.5859272161231931],
+        [-0.6076399270983533, 0.242883782858033, -0.7561621433399582, -0.5590790834043251],
+        [-0.5144523353983257, 0.39443248583815593, -0.7614209142903429, -0.5247542560025974],
+        [0.27314647366757244, -0.6639413180403951, 0.6961127280274031, 0.40239610212897875],
+        [-0.37670527154227573, -0.9027799060793525, 0.20756102613837601, -0.05973814386205176],
+        [-0.4006121942439515, 0.8931327443632507, -0.20450860805651871, 0.5108799210440828],
+        [0.39716439361212547, 0.510468666263425, 0.7626809196577248, 1.168375981753678],
+        [0.397164393441935, 0.5104686665695664, 0.7626809195414481, 1.1683759818827841],
+        [-0.5777118723390673, -0.01150088255934317, -0.8161597406505944, -0.8224076519246556],
+        [0.427463284119859, 0.0767229885572024, 0.9007711827963394, 1.0706970830766727],
+        [0.4274632840083381, 0.07672298892437542, 0.900771182817988, 1.07069708340491],
+        [-0.0, 0.9860105802662775, -0.16668273936721417, 0.3896830159628682],
+        [0.3641007178160161, -0.3924461849895761, 0.8446399583094499, 0.7310618363609825],
+        [0.36410071765029, -0.39244618522839614, 0.8446399582699264, 0.7310618362504202],
+        [-0.755027563600751, 0.4373797313301755, -0.48850010115112313, -0.7316113640296195],
+        [0.38108799685503836, -0.8510719486650452, 0.36117651757623587, 0.5409228061702046],
+        [0.38108799665527265, -0.851071948790717, 0.36117651749088253, 0.5409228060423736],
+        [-0.5028985664839575, -0.8564353483428756, -0.11666844447920767, -0.17473068937279407],
+        [-0.6227972409594552, 0.7741237205050839, -0.11338457569112831, -0.16981254151373834],
+        [-0.3879278004044222, -0.5114951099481825, -0.7667364437487522, -1.1483172560632553],
+        [0.5198816204955238, 0.07557276209107465, 0.8508888636601574, 1.2743497126253938],
+        [0.5198816202516168, 0.07557276254074177, 0.8508888637692437, 1.2743497127887689],
+        [0.0, -0.9605217178845767, -0.27820501338412595, -0.41665897024774],
+        [0.544876673561869, -0.3103627096940442, 0.778963669909915, 1.166629593313984],
+        [0.5448766733764693, -0.31036271006045696, 0.77896366989361, 1.1666295932895647],
+        [0.26717940300783194, -0.46107597995704536, -0.8461820769284993, 0.3423088097859304],
+        [0.26717940276459884, -0.46107597981516285, -0.8461820770826097, 0.34230880954997395],
+        [-0.40419504583201143, 0.03805935494527392, -0.9138806543668642, -0.3382588587451821],
+        [0.09079059751496209, -0.0696094829481739, -0.9934342390347557, 0.09260868262819669],
+        [-0.3055662065646587, 0.23427872739680447, -0.9228991121975457, -0.31168517692185255],
+        [-0.16545379506942104, 0.4579006605193286, -0.8734712512688032, -0.25892146784498715],
+        [0.9734373453110547, 0.009394244247022504, -0.2287607547827937, 2.1788145736638316],
+        [0.9734373452427962, 0.009394245065923438, -0.22876075503962323, 2.178814574797092],
+        [0.927110547157743, 0.23396301119212914, -0.2927923201567655, 2.4282143715799576],
+        [-0.0, -0.5093314804450167, -0.8605704172394537, -0.28090195442267846],
+        [0.9775228508179605, 0.1941032439754644, 0.08229827948948176, 2.2898063491414296],
+        [0.9775228508924702, 0.19410324417265976, 0.0822982781393778, 2.289806350254107],
+        [0.9451270593939066, 0.048650512414492975, 0.32306031827390125, 2.177477630008282],
+        [0.9451270600219414, 0.04865051310542215, 0.3230603163325093, 2.177477632488678],
+        [0.0, 0.4958248159358645, -0.8684225652884463, 0.1299763301567831],
+        [-1.0, -0.0, -0.0, 1e-9],
+        [1.0, -0.0, -0.0, 2.2540797556491494],
+        [-0.0, -1.0, -0.0, 1e-9],
+        [-0.0, 1.0, -0.0, 0.6337699038190995],
+        [-0.0, -0.0, -1.0, 1e-9],
+        [-0.0, -0.0, 1.0, 1.411188799336737],
+    ];
+
+    #[test]
+    fn an_optimal_solve_meets_every_row() {
+        let mut lp = LinearProgram::new(4, Objective::Maximize);
+        lp.set_objective_coefficient(3, 1.0);
+        for l in 0..3 {
+            lp.mark_free(l);
+        }
+        for [a, b, c, rhs] in CENTRE_ROWS {
+            lp.add_constraint(vec![a, b, c, 1.0], Relation::LessEq, rhs);
+        }
+        let s = lp.solve();
+        if s.status == SolveStatus::Optimal {
+            for row in lp.constraints() {
+                let lhs: f64 = row
+                    .coefficients
+                    .iter()
+                    .zip(&s.values)
+                    .map(|(a, x)| a * x)
+                    .sum();
+                assert!(
+                    lhs <= row.rhs + 1e-6,
+                    "{lhs} > {} at {:?}",
+                    row.rhs,
+                    s.values
+                );
+            }
+        }
+        assert_eq!(s.status, SolveStatus::Stalled);
     }
 }

@@ -5,12 +5,11 @@
 //! column holds the (non-negative) right-hand side.  One extra row at the
 //! bottom holds the reduced costs of the objective currently being minimised.
 //!
-//! The data lives in one contiguous row-major buffer (borrowed from a
-//! [`SimplexWorkspace`] when driven by the two-phase solver), and the pivot
-//! elimination walks whole row slices instead of per-element `get`/`set`
-//! calls, which is what lets the compiler vectorise the inner loop.
+//! The data lives in one contiguous row-major buffer that each tableau
+//! allocates for itself, and the pivot elimination walks whole row slices
+//! instead of per-element `get`/`set` calls, which is what lets the
+//! compiler vectorise the inner loop.
 
-use crate::workspace::SimplexWorkspace;
 use crate::{EPSILON, PIVOT_TOLERANCE};
 
 /// Result of running the simplex iterations on a tableau.
@@ -43,19 +42,14 @@ pub(crate) struct Tableau {
 
 impl Tableau {
     /// Creates a tableau of `rows` constraint rows and `cols` structural
-    /// columns, all zeros, with buffers leased from `workspace` and an
-    /// (invalid) all-zero basis that the caller must fill in; return the
-    /// buffers with [`Tableau::recycle`] when the solve is done.
-    pub(crate) fn from_workspace(
-        rows: usize,
-        cols: usize,
-        workspace: &mut SimplexWorkspace,
-    ) -> Self {
+    /// columns, all zeros, with an (invalid) all-zero basis that the caller
+    /// must fill in.
+    pub(crate) fn new(rows: usize, cols: usize) -> Self {
         Self {
             rows,
             cols,
-            data: workspace.take((rows + 1) * (cols + 1), 0.0),
-            basis: workspace.take(rows, 0),
+            data: vec![0.0; (rows + 1) * (cols + 1)],
+            basis: vec![0; rows],
             pivots: 0,
         }
     }
@@ -63,12 +57,6 @@ impl Tableau {
     /// Pivots performed so far (all phases).
     pub(crate) fn pivots(&self) -> u64 {
         self.pivots
-    }
-
-    /// Hands the tableau's buffers back to `workspace` for reuse.
-    pub(crate) fn recycle(self, workspace: &mut SimplexWorkspace) {
-        workspace.put(self.data);
-        workspace.put(self.basis);
     }
 
     pub(crate) fn cols(&self) -> usize {
@@ -222,9 +210,10 @@ impl Tableau {
     }
 
     /// Runs simplex iterations (minimisation) until optimality or
-    /// unboundedness.  The entering column is the lowest-index eligible one
-    /// with a negative reduced cost (`eligible` keeps artificial columns out
-    /// in phase 2); the leaving row is chosen by the lexicographic ratio test
+    /// unboundedness.  The entering column is the lowest-index one below
+    /// `eligible` with a negative reduced cost (the artificial columns come
+    /// last, so phase 2 keeps them out by stopping short of them); the
+    /// leaving row is chosen by the lexicographic ratio test
     /// ([`Tableau::leaving_lexicographic`]) against the basis at entry.  That
     /// basis is an identity over a non-negative RHS, so every row starts
     /// lex-positive, the objective row rises strictly in lexicographic order
@@ -233,17 +222,14 @@ impl Tableau {
     /// The iteration cap is the backstop for rounding error; reaching it
     /// returns [`PivotOutcome::Stalled`], whose basic solution proves
     /// nothing about the optimum.
-    pub(crate) fn run_simplex(&mut self, eligible: &[bool]) -> PivotOutcome {
-        debug_assert_eq!(eligible.len(), self.cols);
+    pub(crate) fn run_simplex(&mut self, eligible: usize) -> PivotOutcome {
+        debug_assert!(eligible <= self.cols);
         let stride = self.stride();
         let ref_cols = self.basis.clone();
         let max_iterations = 1000 + 50 * (self.rows + self.cols);
         for _ in 0..max_iterations {
-            let objective_row = &self.data[self.rows * stride..self.rows * stride + self.cols];
-            let entering = objective_row
-                .iter()
-                .zip(eligible)
-                .position(|(&cost, &ok)| ok && cost < -EPSILON);
+            let objective_row = &self.data[self.rows * stride..self.rows * stride + eligible];
+            let entering = objective_row.iter().position(|&cost| cost < -EPSILON);
             let entering = match entering {
                 Some(col) => col,
                 None => return PivotOutcome::Optimal,
@@ -315,17 +301,6 @@ mod tests {
     use super::*;
 
     impl Tableau {
-        /// Like [`Tableau::from_workspace`], on fresh buffers.
-        fn zeros(rows: usize, cols: usize) -> Self {
-            Self {
-                rows,
-                cols,
-                data: vec![0.0; (rows + 1) * (cols + 1)],
-                basis: vec![0; rows],
-                pivots: 0,
-            }
-        }
-
         fn rows(&self) -> usize {
             self.rows
         }
@@ -340,7 +315,7 @@ mod tests {
     /// Builds the standard-form tableau for:
     /// minimise -3x0 - 2x1  s.t.  x0 + x1 + s0 = 4,  x0 + s1 = 2.
     fn example_tableau() -> Tableau {
-        let mut t = Tableau::zeros(2, 4);
+        let mut t = Tableau::new(2, 4);
         // Row 0: x0 + x1 + s0 = 4
         t.set(0, 0, 1.0);
         t.set(0, 1, 1.0);
@@ -361,8 +336,7 @@ mod tests {
     #[test]
     fn simplex_reaches_known_optimum() {
         let mut t = example_tableau();
-        let eligible = vec![true; 4];
-        let outcome = t.run_simplex(&eligible);
+        let outcome = t.run_simplex(4);
         assert_eq!(outcome, PivotOutcome::Optimal);
         // Optimum of max 3x0+2x1 is 10 at (2, 2); we minimise the negation.
         assert!((t.objective_value() + 10.0).abs() < 1e-9);
@@ -374,7 +348,7 @@ mod tests {
     fn unbounded_program_detected() {
         // minimise -x0 subject to x0 - x1 = 0 (x0 can grow without bound along
         // with x1).
-        let mut t = Tableau::zeros(1, 2);
+        let mut t = Tableau::new(1, 2);
         t.set(0, 0, 1.0);
         t.set(0, 1, -1.0);
         t.set_rhs(0, 0.0);
@@ -382,7 +356,7 @@ mod tests {
         t.set_basic(0, 0);
         // Price out the basis: column 0 is basic with cost -1.
         t.price_out_basis();
-        let outcome = t.run_simplex(&[true; 2]);
+        let outcome = t.run_simplex(2);
         assert_eq!(outcome, PivotOutcome::Unbounded);
     }
 
@@ -413,21 +387,16 @@ mod tests {
     }
 
     #[test]
-    fn workspace_tableau_round_trips_buffers() {
-        let mut ws = SimplexWorkspace::new();
-        let t = Tableau::from_workspace(3, 5, &mut ws);
+    fn new_tableau_is_all_zeros() {
+        let t = Tableau::new(3, 5);
         assert_eq!(t.rows(), 3);
         assert_eq!(t.cols(), 5);
-        assert!(t.row(0).iter().all(|&v| v == 0.0));
-        t.recycle(&mut ws);
-        let t2 = Tableau::from_workspace(3, 5, &mut ws);
-        assert!(t2.row(2).iter().all(|&v| v == 0.0));
-        assert!(ws.reuses() >= 2);
+        assert!((0..3).all(|r| t.row(r).iter().all(|&v| v == 0.0)));
     }
 
     #[test]
     fn row_slices_cover_rhs_column() {
-        let mut t = Tableau::zeros(2, 3);
+        let mut t = Tableau::new(2, 3);
         t.set_rhs(1, 7.0);
         assert_eq!(t.row(1)[3], 7.0);
         t.row_mut(0)[2] = 4.0;

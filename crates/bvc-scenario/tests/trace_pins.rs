@@ -373,7 +373,9 @@ fn run_service(
 /// canonicalise the physical interleaving.
 #[test]
 fn per_instance_service_trace_is_byte_identical_across_worker_counts() {
-    for (stream, instances) in [(stream(12), 12), (heavy_stream(), 2)] {
+    // The planar stream runs no simplex; the heavy stream's Γ(S) queries
+    // run the spatial centre LP, so its byte-identity covers `simplex` lines.
+    for (stream, instances, solves) in [(stream(12), 12, false), (heavy_stream(), 2, true)] {
         let ((verdicts_1, stats_1), trace_1) =
             run_service(stream.clone(), 1, CacheMode::PerInstance);
         let ((verdicts_4, stats_4), trace_4) = run_service(stream, 4, CacheMode::PerInstance);
@@ -400,6 +402,20 @@ fn per_instance_service_trace_is_byte_identical_across_worker_counts() {
             stats_1.messages.gamma_queries,
             stats_4.messages.gamma_queries
         );
+        // A solve keeps no state, so none reads as a reuse.
+        let simplex: Vec<_> = events
+            .iter()
+            .filter(|m| str_field(m, "ev") == "simplex")
+            .collect();
+        assert_eq!(
+            !simplex.is_empty(),
+            solves,
+            "simplex lines: {}",
+            simplex.len()
+        );
+        assert!(simplex
+            .iter()
+            .all(|m| m.get("reused").and_then(Json::as_bool) == Some(false)));
     }
 }
 

@@ -245,9 +245,12 @@ pub enum TraceEvent {
         cols: usize,
         /// Pivot count across both phases.
         pivots: u64,
-        /// Power-of-two size class of the tableau buffer.
+        /// `log2` of the tableau's element count `(rows + 1) · (cols + 1)`,
+        /// rounded up to a power of two.  Kept only for the benchmark until
+        /// ROADMAP item 12(a).
         class: usize,
-        /// Whether the tableau buffer was reused from the workspace pool.
+        /// Always `false`: a solve allocates its own tableau.  Kept only for
+        /// the benchmark until ROADMAP item 12(a).
         reused: bool,
         /// Solve status wire name (`optimal`, `infeasible`, ...).
         status: String,

@@ -39,5 +39,5 @@ pub mod tracer;
 pub use event::{CacheLevel, GammaPath, GammaQueryKind, TraceEvent, SCHEMA};
 pub use json::{check_trace, parse_flat, Json};
 pub use report::report;
-pub use scope::{current_handle, emit, emit_timing, install, is_active, scope_token, ScopeGuard};
+pub use scope::{current_handle, emit, emit_timing, install, is_active, ScopeGuard};
 pub use tracer::{render_trace, run_traced, JsonlTracer, TimingEntry, TraceHandle, Tracer};

@@ -44,7 +44,6 @@ struct Report {
     gamma: BTreeMap<String, GammaGroup>,
     simplex_solves: u64,
     simplex_pivots: u64,
-    simplex_reused: u64,
     simplex_by_class: BTreeMap<usize, u64>,
     local_broadcasts: u64,
     local_broadcast_slots: usize,
@@ -100,15 +99,9 @@ impl Report {
                 };
                 *group.rows.entry(row.to_string()).or_default() += 1;
             }
-            TraceEvent::Simplex {
-                pivots,
-                class,
-                reused,
-                ..
-            } => {
+            TraceEvent::Simplex { pivots, class, .. } => {
                 self.simplex_solves += 1;
                 self.simplex_pivots += pivots;
-                self.simplex_reused += u64::from(reused);
                 *self.simplex_by_class.entry(class).or_default() += 1;
             }
             TraceEvent::SpanOpen { instance, label } => {
@@ -256,12 +249,11 @@ impl Report {
 
         if self.simplex_solves > 0 {
             out.push_str(&format!(
-                "\n## Simplex profile\n\n{} solve(s), {} pivot(s) total ({:.2} per solve), \
-                 workspace reuse {:.1}%\n\n| size class | solves |\n|---:|---:|\n",
+                "\n## Simplex profile\n\n{} solve(s), {} pivot(s) total ({:.2} per solve)\
+                 \n\n| size class | solves |\n|---:|---:|\n",
                 self.simplex_solves,
                 self.simplex_pivots,
                 self.simplex_pivots as f64 / self.simplex_solves as f64,
-                100.0 * self.simplex_reused as f64 / self.simplex_solves as f64,
             ));
             for (class, count) in &self.simplex_by_class {
                 out.push_str(&format!("| 2^{class} | {count} |\n"));

@@ -16,11 +16,7 @@ struct ThreadScope {
     handle: TraceHandle,
     slot: u32,
     seq: u64,
-    token: u64,
 }
-
-/// Process-unique install counter backing [`scope_token`].
-static NEXT_TOKEN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
 
 thread_local! {
     static SCOPE: RefCell<Option<ThreadScope>> = const { RefCell::new(None) };
@@ -52,7 +48,6 @@ pub fn install(handle: TraceHandle, slot: u32) -> ScopeGuard {
             handle,
             slot,
             seq: 0,
-            token: NEXT_TOKEN.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         })
     });
     ScopeGuard {
@@ -89,17 +84,6 @@ pub fn emit(event: impl FnOnce() -> TraceEvent) {
 /// hand the handle to their worker threads (the service's worker pool).
 pub fn current_handle() -> Option<TraceHandle> {
     SCOPE.with(|scope| scope.borrow().as_ref().map(|s| s.handle.clone()))
-}
-
-/// A process-unique token identifying the current scope *installation* (two
-/// installs of the same slot get different tokens).  Instrumented layers
-/// whose physical state outlives a logical unit of work — the thread-local
-/// simplex workspace — compare tokens to report per-scope facts instead of
-/// per-thread ones, keeping traces byte-identical across worker counts and
-/// across repeated traced runs in one process.  The token never appears in
-/// the trace itself.
-pub fn scope_token() -> Option<u64> {
-    SCOPE.with(|scope| scope.borrow().as_ref().map(|s| s.token))
 }
 
 /// Records a wall-time measurement on the current scope's timing channel,

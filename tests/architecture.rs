@@ -102,7 +102,9 @@ fn no_deprecated_surface_and_no_ablated_knob() {
     );
     // Settable things the Γ-stack ablation deleted must not come back, nor
     // the out-of-stream subset hull the strict d = 2 path used to ask first
-    // (the depth region answers that path with no hull).
+    // (the depth region answers that path with no hull), nor the simplex
+    // buffer pool, its thread-local and the trace scope token that kept its
+    // `reused` flag deterministic (a solve keeps no state).
     let revived = naming(
         &rust_files_under(&["crates"]),
         text,
@@ -112,6 +114,11 @@ fn no_deprecated_surface_and_no_ablated_knob() {
             "run_with_scratch",
             "all_contain_from",
             "combination_rank",
+            "stamp_scope",
+            "scope_token",
+            "THREAD_WORKSPACE",
+            "with_thread_workspace",
+            "Pooled",
         ],
     );
     assert!(
@@ -395,8 +402,9 @@ fn one_run_path() {
 
 #[test]
 fn one_hull_family() {
-    // Γ, Γ_α and the leave-one-out intersection are three constructors of
-    // bvc-geometry/src/family.rs: one place solves the joint LP, one place
+    // Γ and Γ_α are two constructors of bvc-geometry/src/family.rs (the
+    // leave-one-out intersection is Γ at f = 1, no constructor of its
+    // own): one place solves the joint LP, one place
     // turns an index subset (streamed, or named by the depth count) into a
     // hull, and the cache asks one engine function and knows no engine by
     // name.
